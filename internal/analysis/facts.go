@@ -163,13 +163,16 @@ type Facts struct {
 	// (pkgpath.Name) to its group.
 	enums    []*EnumGroup
 	memberOf map[string]*EnumGroup
+	// aliasOf maps a constant declared as a registered member
+	// (campaign.StateDone = job.StateDone) to that member's key.
+	aliasOf map[string]string
 }
 
 // EnumGroup is one registered exhaustiveness domain: the constants a
 // switch or keyed literal dispatching over the group must cover.
 type EnumGroup struct {
 	// Name is the display name: the named type (robust.Kind) or the
-	// marker group word (campaign-state).
+	// marker group word (job-state).
 	Name string
 	// Members are constant keys (pkgpath.ConstName), sorted.
 	Members []string
@@ -192,6 +195,15 @@ func (fs *Facts) PkgFuncs(pkg *Package) []*FuncFacts { return fs.byPkg[pkg] }
 
 // MemberGroup returns the enum group owning the constant key, or nil.
 func (fs *Facts) MemberGroup(key string) *EnumGroup { return fs.memberOf[key] }
+
+// Canonical resolves an alias constant's key to the member it aliases;
+// any other key is returned unchanged.
+func (fs *Facts) Canonical(key string) string {
+	if m, ok := fs.aliasOf[key]; ok {
+		return m
+	}
+	return key
+}
 
 // resolve expands a call site to the summaries it can reach directly:
 // one for a static callee; for an interface call, every name+sig match
@@ -293,6 +305,7 @@ func BuildFacts(pkgs []*Package) *Facts {
 		methodIndex: make(map[string][]FuncID),
 		recvMethods: make(map[string]map[string]bool),
 		memberOf:    make(map[string]*EnumGroup),
+		aliasOf:     make(map[string]string),
 	}
 	for _, pkg := range pkgs {
 		fs.collectEnums(pkg)
@@ -305,6 +318,9 @@ func BuildFacts(pkgs []*Package) *Facts {
 				fs.buildFunc(pkg, fn)
 			}
 		}
+	}
+	for _, pkg := range pkgs { // after every group is registered
+		fs.collectEnumAliases(pkg)
 	}
 	// Fixpoint: DurableErr propagates up the (error-returning) call chain.
 	for changed := true; changed; {
@@ -939,6 +955,35 @@ func (fs *Facts) collectEnums(pkg *Package) {
 		members := marked[group]
 		sort.Strings(members)
 		fs.addEnum(group, members)
+	}
+}
+
+// collectEnumAliases records pkg's package-level constants declared as a
+// registered member of any package (const StateDone = job.StateDone):
+// dispatch over the alias is checked against the member's one group, so
+// a state family re-exported under several package names stays a single
+// domain.
+func (fs *Facts) collectEnumAliases(pkg *Package) {
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs, ok := spec.(*ast.ValueSpec)
+				if !ok || len(vs.Values) != len(vs.Names) {
+					continue
+				}
+				for i, name := range vs.Names {
+					key := pkg.Path + "." + name.Name
+					target := constKeyOf(pkg.Info, vs.Values[i])
+					if fs.memberOf[key] == nil && fs.memberOf[target] != nil {
+						fs.aliasOf[key] = target
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // RegExhaustive ("registry-exhaustive") closes the silent-bypass hole
 // that bit PR 7 and PR 8: the repo grows by registries — robust losses,
-// fault-model families, campaign and tune lifecycle states, penalty
+// fault-model families, job lifecycle states, penalty
 // kinds — and every switch or keyed literal that dispatches over one is
 // a place where the *next* registered member can silently fall through
 // to the wrong arm. A sixth loss that misses one plumbing switch ships
@@ -22,9 +22,13 @@ import (
 //   - automatically, for every named-type constant family (robust.Kind,
 //     core.PenaltyKind, fpu.Op, dispatch.shardState, ...);
 //   - by declaration, for untyped const blocks carrying //lint:enum
-//     <group> <doc> (campaign-state, tune-state, fault-model-family) —
-//     blocks in one package sharing the group word merge, so
-//     tune.StateCancelled joins the states declared in another file.
+//     <group> <doc> (job-state, fault-model-family) — blocks in one
+//     package sharing the group word merge, so a member declared in
+//     another file joins the same domain;
+//   - by aliasing: a constant declared as a registered member
+//     (campaign.StateDone = job.StateDone) counts as that member, so
+//     campaign.State* and tune.State* dispatch over the one job-state
+//     group.
 //
 // A switch statement, map literal, or slice/array literal that mentions
 // any member of a group must mention every member. A `default:` clause
@@ -95,7 +99,7 @@ func checkDispatch(pass *Pass, pos token.Pos, site string, exprs []ast.Expr) {
 	var groups []*EnumGroup
 	seen := make(map[*EnumGroup]bool)
 	for _, e := range exprs {
-		key := constKey(pass, e)
+		key := pass.Facts.Canonical(constKeyOf(pass.Info, e))
 		if key == "" {
 			continue
 		}
@@ -125,9 +129,9 @@ func checkDispatch(pass *Pass, pos token.Pos, site string, exprs []ast.Expr) {
 	}
 }
 
-// constKey resolves an expression to a registered constant's key
-// (pkgpath.Name), or "".
-func constKey(pass *Pass, e ast.Expr) string {
+// constKeyOf resolves an expression to a constant's key (pkgpath.Name),
+// or "".
+func constKeyOf(info *types.Info, e ast.Expr) string {
 	var id *ast.Ident
 	switch v := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -137,7 +141,11 @@ func constKey(pass *Pass, e ast.Expr) string {
 	default:
 		return ""
 	}
-	c, ok := pass.objectOf(id).(*types.Const)
+	obj := info.Uses[id]
+	if obj == nil {
+		obj = info.Defs[id]
+	}
+	c, ok := obj.(*types.Const)
 	if !ok || c.Pkg() == nil {
 		return ""
 	}

@@ -97,6 +97,23 @@ var counts = map[string]int{
 	StateCancelled: 0,
 }
 
+// Aliases of registered members count as the members themselves: a
+// switch over alias names is checked against the whole group.
+const (
+	AliasQueued = StateQueued
+	AliasDone   = StateDone
+)
+
+func AliasActive(state string) bool {
+	switch state { // want "misses regexhaustive.StateCancelled, regexhaustive.StateRunning"
+	case AliasQueued:
+		return true
+	case AliasDone:
+		return false
+	}
+	return false
+}
+
 // Unrelated constants never register: no group, no finding.
 const other = "other"
 

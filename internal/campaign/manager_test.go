@@ -97,9 +97,11 @@ func TestShutdownReportsFailedStoreClose(t *testing.T) {
 	if err := m.Wait(id); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
-	m.mu.Lock()
-	h := m.byID[id]
-	m.mu.Unlock()
+	j, err := m.Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := j.Work().(*handle)
 	// Sabotage: yank the descriptor out from under the store, so the
 	// close Shutdown performs fails the way a full disk or dying mount
 	// would.

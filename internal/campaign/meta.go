@@ -1,13 +1,10 @@
 package campaign
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
-	"robustify/internal/fsutil"
+	"robustify/internal/job"
 )
 
 // metaFile is the per-campaign lifecycle record, written beside
@@ -34,34 +31,17 @@ type Meta struct {
 	Total    int        `json:"total,omitempty"`
 }
 
-// writeMeta atomically replaces dir's meta.json (temp + fsync + rename
-// via fsutil), so a crash mid-update leaves either the old record or the
-// new one, never a torn file. The Created/Started/Finished timestamps in
-// it are deliberate: meta.json is a lifecycle record, not part of resume
-// identity — trials.jsonl and spec.json carry that.
-func writeMeta(dir string, m Meta) error {
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := fsutil.WriteFileAtomic(filepath.Join(dir, metaFile), append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("campaign: write meta: %w", err)
-	}
-	return nil
-}
+// writeMeta atomically replaces dir's meta.json. The Created/Started/
+// Finished timestamps in it are deliberate: meta.json is a lifecycle
+// record, not part of resume identity — trials.jsonl and spec.json carry
+// that.
+func writeMeta(dir string, m Meta) error { return job.WriteRecord(filepath.Join(dir, metaFile), m) }
 
 // readMeta loads dir's meta.json; ok is false when none exists (a store
 // written by a pre-registry daemon).
 func readMeta(dir string) (m Meta, ok bool, err error) {
-	b, err := os.ReadFile(filepath.Join(dir, metaFile))
-	if os.IsNotExist(err) {
-		return Meta{}, false, nil
-	}
-	if err != nil {
+	if ok, err = job.ReadRecord(filepath.Join(dir, metaFile), &m); err != nil {
 		return Meta{}, false, err
 	}
-	if err := json.Unmarshal(b, &m); err != nil {
-		return Meta{}, false, fmt.Errorf("campaign: corrupt %s: %w", metaFile, err)
-	}
-	return m, true, nil
+	return m, ok, nil
 }

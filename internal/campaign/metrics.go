@@ -24,15 +24,8 @@ type ManagerMetrics struct {
 // opens lazily recovered stores — state and progress come from the
 // in-memory registry.
 func (m *Manager) Metrics() ManagerMetrics {
-	states := map[string]int{
-		StateQueued: 0, StateRunning: 0, StateDone: 0,
-		StateFailed: 0, StateCancelled: 0, StateInterrupted: 0,
-	}
-	for _, s := range m.List() {
-		states[s.State]++
-	}
 	return ManagerMetrics{
-		States:      states,
+		States:      m.jobs.Counts(),
 		TrialsTotal: m.trials.Load(),
 		StoreBytes:  m.storeBytes(),
 	}
@@ -41,15 +34,9 @@ func (m *Manager) Metrics() ManagerMetrics {
 // storeBytes sums the on-disk size of every open campaign store, in
 // submission order.
 func (m *Manager) storeBytes() int64 {
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	m.mu.Unlock()
 	var total int64
-	for _, id := range ids {
-		h, err := m.handleByID(id)
-		if err != nil {
-			continue
-		}
+	for _, j := range m.jobs.Jobs() {
+		h := j.Work().(*handle)
 		h.mu.Lock()
 		if h.st != nil {
 			total += h.st.Size()

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"robustify/internal/dispatch"
+	"robustify/internal/job"
 )
 
 // TestRecoverTerminalLazyStore pins the lazy-recovery satellite: a
@@ -124,24 +126,33 @@ func TestRecoverOldMetaUpgraded(t *testing.T) {
 	}
 }
 
+// wedged is job work whose attempt ignores cancellation until released,
+// as a trial stuck in an endless numeric loop would.
+type wedged struct{ release chan struct{} }
+
+func (w wedged) Drive(context.Context) error { <-w.release; return nil }
+func (wedged) Persist(job.Record) error      { return nil }
+func (wedged) Prepare() error                { return nil }
+func (wedged) Cancelled()                    {}
+func (wedged) Release() error                { return nil }
+
 // TestShutdownTimeout: Shutdown must give up on a wedged campaign after
-// the deadline instead of hanging the daemon forever. The wedged run is
-// synthesized directly — a handle whose done channel never closes, as a
-// trial stuck in an endless numeric loop would leave it.
+// the deadline instead of hanging the daemon forever.
 func TestShutdownTimeout(t *testing.T) {
-	m := newManager(t, t.TempDir(), 1)
-	for _, id := range []string{"w1", "w2"} { // two, to cover the post-deadline poll loop
-		h := &handle{
-			id:     id,
-			dir:    m.root,
-			cancel: func() {},
-			done:   make(chan struct{}), // never closes
-			state:  StateRunning,
+	m := newManager(t, t.TempDir(), 2)
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	for range 2 { // two, to cover the post-deadline poll loop
+		if _, err := m.jobs.Submit("wedged", func(string, string) (job.Work, error) {
+			return wedged{release}, nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		m.mu.Lock()
-		m.byID[id] = h
-		m.order = append(m.order, id)
-		m.mu.Unlock()
+	}
+	for _, j := range m.jobs.Jobs() { // both must hold a slot before the shutdown
+		for j.Record().State != StateRunning {
+			time.Sleep(time.Millisecond)
+		}
 	}
 	start := time.Now()
 	if m.Shutdown(50 * time.Millisecond) {

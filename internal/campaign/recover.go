@@ -1,94 +1,16 @@
 package campaign
 
 import (
-	"errors"
-	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
+
+	"robustify/internal/job"
 )
 
-// recoverAll rebuilds the manager's registry from the data root: every
-// subdirectory holding a spec.json becomes a handle again, classified from
-// its meta.json. It runs once, from NewManager, before the manager is
-// shared, so no locking is needed. Directories that cannot be recovered
-// (unreadable spec, grid no longer compilable) are logged and skipped
-// rather than failing the whole daemon; their names still advance the id
-// counter so new campaigns never collide with them.
-func (m *Manager) recoverAll() error {
-	entries, err := os.ReadDir(m.root)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("campaign: scan data root: %w", err)
-	}
-	for _, e := range entries { // ReadDir sorts by name, so ids stay ordered
-		if !e.IsDir() {
-			continue
-		}
-		dir := filepath.Join(m.root, e.Name())
-		advance := func() {
-			if n, ok := campaignID(e.Name()); ok && n > m.nextID {
-				m.nextID = n
-			}
-		}
-		h, err := recoverHandle(e.Name(), dir)
-		if err != nil {
-			log.Printf("campaign: skipping unrecoverable %s: %v", dir, err)
-			advance()
-			continue
-		}
-		if h == nil {
-			// Not a campaign directory. A reclaimable husk (a Submit a
-			// crash cut short before its spec landed — provably this
-			// manager's own leftover: it carries the manager's cNNNN name
-			// AND holds nothing but an empty store) is deleted outright:
-			// leaving it would strand it invisibly forever once later ids
-			// exist, and removing it keeps id allocation deterministic
-			// across kill-and-resume runs (Submit finds the id free
-			// again). Anything else — operator dirs under the data root,
-			// however empty — is not ours to touch; manager-named stray
-			// data additionally keeps its id out of circulation.
-			if _, ours := campaignID(e.Name()); ours && reusableDir(dir) {
-				if err := os.RemoveAll(dir); err != nil {
-					log.Printf("campaign: remove crash husk %s: %v", dir, err)
-					advance()
-				}
-			} else {
-				advance()
-			}
-			continue
-		}
-		advance()
-		h.counter = &m.trials
-		m.byID[h.id] = h
-		m.order = append(m.order, h.id)
-	}
-	return nil
-}
-
-// campaignID parses a manager-allocated directory name ("c0042" -> 42).
-func campaignID(name string) (int, bool) {
-	if len(name) < 2 || name[0] != 'c' {
-		return 0, false
-	}
-	n, err := strconv.Atoi(name[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
-}
-
-// recoverHandle rebuilds one campaign from its directory. It returns
-// (nil, nil) when dir holds no spec.json — the directory is not a
-// campaign and is left alone.
-//
-// Classification: terminal meta states (done/failed/cancelled) are kept
-// as recorded. Everything else — queued/running metas whose owner died,
-// unreadable or absent metas — is classified from the store itself:
-// complete grid -> done, anything less -> interrupted.
+// load rebuilds one campaign from its directory for the job layer's
+// recovery scan. It returns nil when dir holds no spec.json — the
+// directory is not a campaign.
 //
 // A terminal meta whose progress record matches the compiled grid is
 // recovered WITHOUT opening its store: state and progress come from the
@@ -96,7 +18,10 @@ func campaignID(name string) (int, bool) {
 // access (handle.ensureStoreLocked). Boot cost therefore stops growing
 // with terminal history — only live work (interrupted campaigns, old
 // metas written before progress was recorded) replays trial data.
-func recoverHandle(id, dir string) (*handle, error) {
+// Everything else is classified from the store: a complete grid is done
+// (the daemon died after the last trial's append but before the terminal
+// meta write); anything less is interrupted.
+func (m *Manager) load(id, dir string) (*job.Recovered, error) {
 	specBytes, err := os.ReadFile(filepath.Join(dir, specFile))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -115,89 +40,34 @@ func recoverHandle(id, dir string) (*handle, error) {
 	meta, hasMeta, err := readMeta(dir)
 	if err != nil {
 		// The spec and trial data are intact; a damaged meta.json alone
-		// must not orphan them. Fall back to the no-meta classification
-		// below, which rebuilds state from store contents.
+		// must not orphan them. Fall back to the no-meta classification,
+		// which rebuilds state from store contents.
 		log.Printf("campaign: %s: unreadable meta, reclassifying from store: %v", id, err)
 		meta, hasMeta = Meta{}, false
 	}
-	if hasMeta && terminal(meta.State) && meta.ID == id && meta.Total == camp.Total() && meta.Total > 0 {
-		done := make(chan struct{})
-		close(done)
-		h := &handle{
-			id:       id,
-			spec:     spec,
-			camp:     camp,
-			dir:      dir,
-			metaDone: meta.Done,
-			cancel:   func() {},
-			done:     done,
-			created:  meta.Created,
-			state:    meta.State,
-			started:  meta.Started,
-			finished: meta.Finished,
-		}
-		if meta.Error != "" {
-			h.err = errors.New(meta.Error)
-		}
-		return h, nil
+	h := &handle{m: m, id: id, spec: spec, camp: camp, dir: dir, metaDone: meta.Done}
+	rec := &job.Recovered{Work: h, Record: job.Record{
+		State: meta.State, Error: meta.Error,
+		Created: meta.Created, Started: meta.Started, Finished: meta.Finished,
+	}}
+	if hasMeta && job.Terminal(meta.State) && meta.ID == id && meta.Total == camp.Total() && meta.Total > 0 {
+		return rec, nil
 	}
-	st, err := Open(dir)
-	if err != nil {
+	if h.st, err = Open(dir); err != nil {
 		return nil, err
 	}
-
-	state := meta.State
-	if !hasMeta || !terminal(state) {
-		// Either no meta at all (pre-registry daemon), or a state no
-		// goroutine can still own — queued, running, interrupted, or an
-		// unknown value from a newer daemon. Classify from the store: a
-		// complete grid is done (the daemon died after the last trial's
-		// append but before the terminal meta write); anything less is
-		// interrupted. done/failed/cancelled metas are kept as recorded —
-		// the run goroutine persisted them before exiting.
-		if st.Count() >= camp.Total() {
-			state = StateDone
-		} else {
-			state = StateInterrupted
-		}
-	}
-
-	created := meta.Created
-	if created.IsZero() {
+	h.exec = h.newExecLocked()
+	if rec.Record.Created.IsZero() {
 		// Best effort for pre-registry directories: the spec is written
 		// exactly once, at submission.
 		if fi, err := os.Stat(filepath.Join(dir, specFile)); err == nil {
-			created = fi.ModTime()
+			rec.Record.Created = fi.ModTime()
 		}
 	}
-
-	done := make(chan struct{})
-	close(done) // no goroutine owns a recovered campaign until Resume
-	h := &handle{
-		id:       id,
-		spec:     spec,
-		camp:     camp,
-		st:       st,
-		dir:      dir,
-		exec:     NewExecution(camp, st),
-		cancel:   func() {},
-		done:     done,
-		created:  created,
-		state:    state,
-		started:  meta.Started,
-		finished: meta.Finished,
-	}
-	if meta.Error != "" {
-		h.err = errors.New(meta.Error)
-	}
-	// Persist the classification so meta.json always names the state the
-	// daemon will report (and so pre-registry directories gain a meta).
-	// Metas from before progress was recorded (Total 0) are upgraded too,
-	// so the next boot recovers this campaign without opening its store.
-	if !hasMeta || meta.State != state || meta.ID != id || meta.Total != camp.Total() {
-		if err := h.saveMetaLocked(); err != nil {
-			log.Printf("campaign: %s: persist recovered meta: %v", id, err)
-		}
-	}
-	return h, nil
+	rec.Complete = h.st.Count() >= camp.Total()
+	// Rewrite the meta when it is missing (pre-registry directories gain
+	// one) or predates progress records (Total 0), so the next boot
+	// recovers this campaign without opening its store.
+	rec.Stale = !hasMeta || meta.ID != id || meta.Total != camp.Total()
+	return rec, nil
 }

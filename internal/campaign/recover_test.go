@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"robustify/internal/job"
 )
 
 // seedCampaignDir fabricates a campaign directory as a dead daemon would
@@ -292,7 +294,7 @@ func TestCloseLeavesRunningInterrupted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Progress.Done > 0 || terminal(st.State) {
+		if st.Progress.Done > 0 || job.Terminal(st.State) {
 			break
 		}
 		if time.Now().After(deadline) {

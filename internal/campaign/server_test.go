@@ -10,9 +10,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"robustify/internal/fpu/faultmodel"
-	"time"
+	"robustify/internal/job"
 )
 
 func newTestServer(t *testing.T, maxConcurrent int) (*httptest.Server, *Manager) {
@@ -57,7 +58,7 @@ func waitState(t *testing.T, base, id, want string) Status {
 		if st.State == want {
 			return st
 		}
-		if terminal(st.State) {
+		if job.Terminal(st.State) {
 			t.Fatalf("campaign %s reached %s (err=%q), want %s", id, st.State, st.Error, want)
 		}
 		if time.Now().After(deadline) {
@@ -166,7 +167,7 @@ func TestServerCancelResume(t *testing.T) {
 	for {
 		var st Status
 		doJSON(t, "GET", srv.URL+"/campaigns/"+id, "", http.StatusOK, &st)
-		if st.Progress.Done > 0 || terminal(st.State) {
+		if st.Progress.Done > 0 || job.Terminal(st.State) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -178,7 +179,7 @@ func TestServerCancelResume(t *testing.T) {
 	var st Status
 	for {
 		doJSON(t, "GET", srv.URL+"/campaigns/"+id, "", http.StatusOK, &st)
-		if terminal(st.State) {
+		if job.Terminal(st.State) {
 			break
 		}
 		if time.Now().After(deadline) {

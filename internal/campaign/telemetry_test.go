@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,16 +48,44 @@ func runCampaignStore(t *testing.T, withHub bool) ([]byte, string) {
 	return b, dir
 }
 
+// recordSet parses a trial store into its records, sorted by trial key
+// (unit, rate, trial): the identity TableFromStore, resume, and the fleet
+// diff all key on. Concurrent trials append in completion order, so the
+// line order of a store is not deterministic; its record set is.
+func recordSet(t *testing.T, store []byte) []Record {
+	t.Helper()
+	var recs []Record
+	for _, line := range strings.Split(strings.TrimSpace(string(store)), "\n") {
+		var r Record
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("store line does not parse: %v\n%s", err, line)
+		}
+		recs = append(recs, r)
+	}
+	sort.Slice(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
+		if a.Unit != b.Unit {
+			return a.Unit < b.Unit
+		}
+		if a.RateIdx != b.RateIdx {
+			return a.RateIdx < b.RateIdx
+		}
+		return a.TrialIdx < b.TrialIdx
+	})
+	return recs
+}
+
 // TestTelemetryDoesNotPerturbStore is the determinism acceptance test for
 // the observability layer: running the identical campaign with the flight
 // recorder fully attached (hub, telemetry sidecar, fault observer) and
-// with it absent must produce bit-identical trial stores. Telemetry is
-// diagnostics beside the artifact stream, never part of it.
+// with it absent must record identical trial sets — every record equal
+// field for field, whatever order concurrent trials appended them in.
+// Telemetry is diagnostics beside the artifact stream, never part of it.
 func TestTelemetryDoesNotPerturbStore(t *testing.T) {
 	plain, _ := runCampaignStore(t, false)
 	observed, dir := runCampaignStore(t, true)
-	if !bytes.Equal(plain, observed) {
-		t.Errorf("trial store differs with telemetry attached:\n--- plain ---\n%s--- observed ---\n%s", plain, observed)
+	if a, b := recordSet(t, plain), recordSet(t, observed); !reflect.DeepEqual(a, b) {
+		t.Errorf("trial records differ with telemetry attached:\n--- plain ---\n%+v\n--- observed ---\n%+v", a, b)
 	}
 
 	// The sidecar exists, holds one record per trial, and at rate 0.5 the

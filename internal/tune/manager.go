@@ -2,102 +2,56 @@ package tune
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
-	"time"
 
 	"robustify/internal/campaign"
-	"robustify/internal/fsutil"
+	"robustify/internal/job"
 )
-
-// EventSink receives tune lifecycle trace events (tune.submitted,
-// tune.rung, tune.eval, tune.done, ...), labeled with the run id. The
-// interface mirrors dispatch.EventSink so *obs.Hub satisfies both.
-type EventSink interface {
-	Emit(kind, campaign, detail string)
-}
 
 // traceFile is the durable search state of one tune run, written
 // atomically (temp + rename) inside the run's directory under the tune
 // root.
 const traceFile = "tune.json"
 
-// StateCancelled marks a run the operator stopped deliberately: it is
-// resumable on request but skipped by autoresume.
-//
-//lint:enum tune-state late-added member of the tune lifecycle declared in tune.go
-const StateCancelled = "cancelled"
-
-// resumable reports whether Resume may reschedule a run in this state.
-func resumable(state string) bool {
-	return state == StateFailed || state == StateInterrupted || state == StateCancelled
-}
-
 // Manager schedules tune runs. Every run drives its search on its own
 // goroutine, evaluating candidates as campaigns submitted through the
 // wrapped campaign.Manager — which is what makes each evaluation
 // durable, resumable, and (when a dispatcher is attached) distributed.
-// Run state persists to <root>/<id>/tune.json; a new manager over the
-// same root recovers every prior run, classifying ownerless running
-// traces as interrupted, exactly like the campaign registry.
+// The lifecycle is package job's, the same one campaigns follow: run
+// state persists to <root>/<id>/tune.json, a resumed run executes only
+// the rest of the search, to a trace byte-identical to an uninterrupted
+// run, and a new manager over the same root recovers every prior run,
+// classifying ownerless unfinished traces as interrupted. A shutdown
+// (Interrupt first, so no new evaluation campaigns are submitted while
+// the campaign manager winds down) leaves in-flight searches interrupted
+// for a successor's autoresume.
 type Manager struct {
-	root string
-	cm   *campaign.Manager
-
-	mu     sync.Mutex
-	byID   map[string]*run
-	order  []string
-	nextID int
-	closed bool
-
-	// events has its own lock so emit is safe from any call site,
-	// including paths that already hold m.mu (Resume emits under it).
-	evmu   sync.Mutex
-	events EventSink
+	*jobs
+	cm *campaign.Manager
 }
 
-// SetEvents attaches a trace-event sink for run lifecycle events. Call
-// at boot, before runs are submitted or resumed.
-func (m *Manager) SetEvents(sink EventSink) {
-	m.evmu.Lock()
-	m.events = sink
-	m.evmu.Unlock()
-}
+// jobs is the embedded lifecycle manager; the alias keeps the field
+// unexported while its SetEvents, Resume, ResumeInterrupted, Cancel,
+// Wait, Interrupt, Close, and Shutdown become the tune Manager's.
+type jobs = job.Manager
 
-// eventSink reads the attached sink (nil when none).
-func (m *Manager) eventSink() EventSink {
-	m.evmu.Lock()
-	defer m.evmu.Unlock()
-	return m.events
-}
-
-// emit forwards one lifecycle event, labeled with the run id.
-func (m *Manager) emit(kind, id, detail string) {
-	if sink := m.eventSink(); sink != nil {
-		sink.Emit(kind, id, detail)
-	}
-}
-
+// run is one tune run's domain side of its job.
 type run struct {
+	m    *Manager
 	id   string
 	dir  string
 	spec Spec
 	w    campaign.Workload
-	// events is set by the drive goroutine before the search starts and
-	// read only from it, so rung/eval events need no locking.
-	events EventSink
 
-	mu         sync.Mutex
-	trace      *Trace
-	cancel     context.CancelFunc
-	done       chan struct{}
-	userCancel bool
+	mu sync.Mutex
+	// trace.State and trace.Error mirror the job's: every transition
+	// passes through Persist.
+	trace *Trace
 	// adoptAt is the evaluation ordinal at which this drive attempt
 	// started: the only ordinal whose campaign may already exist without
 	// a trace entry (the previous daemon died between submitting it and
@@ -134,108 +88,38 @@ func NewManager(root string, cm *campaign.Manager) (*Manager, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("tune: root: %w", err)
 	}
-	m := &Manager{root: root, cm: cm, byID: make(map[string]*run)}
-	if err := m.recoverAll(); err != nil {
+	m := &Manager{cm: cm}
+	jobs, err := job.New(root, job.Kind{
+		Name: "tune", Noun: "run", Prefix: 't',
+		Load: m.load,
+		// A crash can cut a Submit short between creating the directory
+		// and renaming its first trace into place.
+		HuskEntry: func(name string, _ int64) bool { return name == traceFile+".tmp" },
+	})
+	if err != nil {
 		return nil, err
 	}
+	m.jobs = jobs
 	return m, nil
 }
 
-// recoverAll rebuilds the registry from the tune root. Unloadable
-// directories are logged and skipped; their names still advance the id
-// counter.
-func (m *Manager) recoverAll() error {
-	entries, err := os.ReadDir(m.root)
-	if err != nil {
-		return fmt.Errorf("tune: scan root: %w", err)
+// load rebuilds one run from its trace; nil when dir holds none.
+func (m *Manager) load(id, dir string) (*job.Recovered, error) {
+	tr, err := readTrace(dir)
+	if err != nil || tr == nil {
+		return nil, err
 	}
-	for _, e := range entries { // sorted by name: ids stay ordered
-		if !e.IsDir() {
-			continue
-		}
-		advance := func() {
-			if n, ok := runID(e.Name()); ok && n > m.nextID {
-				m.nextID = n
-			}
-		}
-		dir := filepath.Join(m.root, e.Name())
-		tr, err := readTrace(dir)
-		if err != nil {
-			log.Printf("tune: skipping unrecoverable %s: %v", dir, err)
-			advance()
-			continue
-		}
-		if tr == nil {
-			// No trace. A reclaimable husk of a Submit a crash cut short
-			// — provably our own leftover: manager-named (tNNNN) and
-			// holding nothing beyond a torn trace temp file — is deleted
-			// so it cannot end up stranded below later ids. Anything
-			// else, an operator's dir under the tune root included, is
-			// not ours to touch; manager-named stray data additionally
-			// keeps its id reserved.
-			if _, ours := runID(e.Name()); ours && reusableRunDir(dir) {
-				if err := os.RemoveAll(dir); err != nil {
-					log.Printf("tune: remove crash husk %s: %v", dir, err)
-					advance()
-				}
-			} else {
-				advance()
-			}
-			continue
-		}
-		advance()
-		if err := tr.Spec.Validate(); err != nil {
-			log.Printf("tune: skipping %s: %v", dir, err)
-			continue
-		}
-		w, _ := WorkloadFor(&tr.Spec)
-		if tr.State == StateRunning || tr.State == "" {
-			// The process that owned this search is gone.
-			tr.State = StateInterrupted
-			if err := writeTrace(dir, tr); err != nil {
-				log.Printf("tune: %s: persist recovered state: %v", e.Name(), err)
-			}
-		}
-		done := make(chan struct{})
-		close(done) // no goroutine owns a recovered run until Resume
-		r := &run{
-			id: e.Name(), dir: dir, spec: tr.Spec, w: w,
-			trace: tr, cancel: func() {}, done: done,
-		}
-		m.byID[r.id] = r
-		m.order = append(m.order, r.id)
+	if err := tr.Spec.Validate(); err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// reusableRunDir reports whether dir is the husk of a Submit a crash
-// cut short: no tune.json, and nothing inside beyond the torn temp file
-// an interrupted trace write leaves. Anything else — foreign files, an
-// operator's scratch data — is somebody's data and keeps its id
-// reserved, mirroring the campaign layer's reusableDir caution.
-func reusableRunDir(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if e.Name() != traceFile+".tmp" {
-			return false
+	for _, e := range tr.Evals {
+		if e == nil {
+			return nil, fmt.Errorf("tune: %s holds a null evaluation", traceFile)
 		}
 	}
-	return true
-}
-
-// runID parses a manager-allocated directory name ("t0042" -> 42).
-func runID(name string) (int, bool) {
-	if len(name) < 2 || name[0] != 't' {
-		return 0, false
-	}
-	n, err := strconv.Atoi(name[1:])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
+	w, _ := WorkloadFor(&tr.Spec)
+	r := &run{m: m, id: id, dir: dir, spec: tr.Spec, w: w, trace: tr}
+	return &job.Recovered{Work: r, Record: job.Record{State: tr.State, Error: tr.Error}}, nil
 }
 
 // Submit validates the spec, allocates a run directory, persists the
@@ -249,190 +133,35 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return "", fmt.Errorf("tune: manager closed")
-	}
-	// Husk directories a crash cut out of a previous Submit — no trace,
-	// no contents beyond a torn temp file — are reclaimed, keeping id
-	// allocation deterministic across kill-and-resume runs.
-	var id string
-	for {
-		m.nextID++
-		id = fmt.Sprintf("t%04d", m.nextID)
-		dir := filepath.Join(m.root, id)
-		if _, err := os.Stat(dir); os.IsNotExist(err) || reusableRunDir(dir) {
-			break
+	return m.jobs.Submit(spec.Title(), func(id, dir string) (job.Work, error) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
 		}
-	}
-	m.mu.Unlock()
-
-	dir := filepath.Join(m.root, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	tr := &Trace{ID: id, State: StateRunning, Spec: spec}
-	if err := writeTrace(dir, tr); err != nil {
-		os.RemoveAll(dir)
-		return "", err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &run{
-		id: id, dir: dir, spec: spec, w: w,
-		trace: tr, cancel: cancel, done: make(chan struct{}),
-	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		cancel()
-		os.RemoveAll(dir)
-		return "", fmt.Errorf("tune: manager closed")
-	}
-	m.byID[id] = r
-	m.order = append(m.order, id)
-	go m.drive(ctx, r, r.done)
-	m.mu.Unlock()
-	m.emit("tune.submitted", id, spec.Title())
-	return id, nil
-}
-
-// Resume reschedules a failed, interrupted, or cancelled run. The trace
-// already records every submitted evaluation, so only the remainder of
-// the search executes; the final trace is byte-identical to an
-// uninterrupted run.
-func (m *Manager) Resume(id string) error {
-	r, err := m.runByID(id)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	state, done := r.trace.State, r.done
-	r.mu.Unlock()
-	if !resumable(state) {
-		return fmt.Errorf("tune: %s is %s; only failed, interrupted, or cancelled runs resume", id, state)
-	}
-	<-done // the previous drive goroutine has fully exited
-
-	ctx, cancel := context.WithCancel(context.Background())
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		cancel()
-		return fmt.Errorf("tune: manager closed")
-	}
-	r.mu.Lock()
-	if !resumable(r.trace.State) { // lost a race with another Resume
-		r.mu.Unlock()
-		cancel()
-		return fmt.Errorf("tune: %s already resumed", id)
-	}
-	r.trace.State = StateRunning
-	r.trace.Error = ""
-	r.userCancel = false
-	r.cancel = cancel
-	r.done = make(chan struct{})
-	done = r.done
-	r.persistLocked()
-	r.mu.Unlock()
-	go m.drive(ctx, r, done)
-	m.emit("tune.resumed", id, "")
-	return nil
-}
-
-// ResumeInterrupted reschedules every interrupted run (the -autoresume
-// startup path) and returns the ids it resumed.
-func (m *Manager) ResumeInterrupted() []string {
-	var ids []string
-	for _, s := range m.List() {
-		if s.State != StateInterrupted {
-			continue
-		}
-		if err := m.Resume(s.ID); err != nil {
-			log.Printf("tune: autoresume %s: %v", s.ID, err)
-			continue
-		}
-		ids = append(ids, s.ID)
-	}
-	return ids
-}
-
-// Cancel stops a running search — including the evaluation campaigns
-// currently executing underneath it, so "cancelling" does not quietly
-// run the rest of the rung. Completed trials stay durable and Resume
-// continues from them; autoresume leaves cancelled runs alone.
-func (m *Manager) Cancel(id string) error {
-	r, err := m.runByID(id)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	interrupted := r.trace.State == StateInterrupted
-	if interrupted {
-		r.trace.State = StateCancelled
-		r.persistLocked()
-	} else {
-		r.userCancel = true
-	}
-	cancel := r.cancel
-	var pending []string
-	for _, e := range r.trace.Evals {
-		if e.Objective == nil {
-			pending = append(pending, e.Campaign)
-		}
-	}
-	r.mu.Unlock()
-	if !interrupted {
-		cancel()
-	}
-	// Sweep the pending evaluations in every branch: an interrupted
-	// run's orphaned evaluation campaigns would otherwise be resurrected
-	// by campaign-level -autoresume on the next boot, burning compute
-	// for a search the operator cancelled.
-	for _, cid := range pending {
-		if err := m.cm.Cancel(cid); err != nil {
-			log.Printf("tune: cancel evaluation %s: %v", cid, err)
-		}
-	}
-	m.emit("tune.cancel", id, "")
-	return nil
-}
-
-// Wait blocks until the run's current drive goroutine exits.
-func (m *Manager) Wait(id string) error {
-	r, err := m.runByID(id)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	done := r.done
-	r.mu.Unlock()
-	<-done
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.trace.Error != "" {
-		return fmt.Errorf("tune: %s: %s", id, r.trace.Error)
-	}
-	return nil
+		return &run{m: m, id: id, dir: dir, spec: spec, w: w, trace: &Trace{ID: id, Spec: spec}}, nil
+	})
 }
 
 // List returns every run's status in submission order.
 func (m *Manager) List() []Status {
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	m.mu.Unlock()
-	out := make([]Status, 0, len(ids))
-	for _, id := range ids {
-		if r, err := m.runByID(id); err == nil {
-			out = append(out, r.status(false))
-		}
+	jobs := m.jobs.Jobs()
+	out := make([]Status, 0, len(jobs))
+	for _, j := range jobs {
+		out = append(out, j.Work().(*run).status(false))
 	}
 	return out
 }
 
+func (m *Manager) lookup(id string) (*run, error) {
+	j, err := m.jobs.Lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return j.Work().(*run), nil
+}
+
 // Get returns one run's status with the per-candidate table.
 func (m *Manager) Get(id string) (Status, error) {
-	r, err := m.runByID(id)
+	r, err := m.lookup(id)
 	if err != nil {
 		return Status{}, err
 	}
@@ -441,7 +170,7 @@ func (m *Manager) Get(id string) (Status, error) {
 
 // Trace returns a deep copy of the run's current trace.
 func (m *Manager) Trace(id string) (*Trace, error) {
-	r, err := m.runByID(id)
+	r, err := m.lookup(id)
 	if err != nil {
 		return nil, err
 	}
@@ -450,128 +179,55 @@ func (m *Manager) Trace(id string) (*Trace, error) {
 	return r.trace.clone(), nil
 }
 
-// Interrupt marks the manager closed and cancels every live search
-// without waiting — the first half of daemon shutdown, so no new
-// evaluation campaigns are submitted while the campaign manager winds
-// down. Idempotent.
-func (m *Manager) Interrupt() {
-	m.mu.Lock()
-	m.closed = true
-	runs := make([]*run, 0, len(m.byID))
-	for _, r := range m.byID {
-		//lint:detmap-exempt shutdown fan-out: cancellation order is not observable in any durable artifact
-		runs = append(runs, r)
+// Drive runs the search; on success the winner lands in the trace, which
+// the job layer persists with the done state.
+func (r *run) Drive(ctx context.Context) error {
+	best, obj, err := r.search(ctx, r.m.cm)
+	if err != nil {
+		return err
 	}
-	m.mu.Unlock()
-	for _, r := range runs {
-		r.mu.Lock()
-		cancel := r.cancel
-		r.mu.Unlock()
-		cancel()
-	}
-}
-
-// Close cancels every run and waits (indefinitely) for the drive
-// goroutines to exit; in-flight searches persist as interrupted so a
-// successor daemon's autoresume finishes them.
-func (m *Manager) Close() { m.Shutdown(0) }
-
-// Shutdown is Close with a bounded deadline (0 = forever). It returns
-// false when drive goroutines were still alive at the deadline — e.g. a
-// wedged evaluation campaign the campaign manager's own shutdown gave
-// up on. Their traces still say running, which the next boot classifies
-// as interrupted, exactly like a crash.
-func (m *Manager) Shutdown(timeout time.Duration) bool {
-	m.Interrupt()
-	m.mu.Lock()
-	runs := make([]*run, 0, len(m.byID))
-	for _, r := range m.byID {
-		//lint:detmap-exempt shutdown fan-out: wait order is not observable in any durable artifact
-		runs = append(runs, r)
-	}
-	m.mu.Unlock()
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		tmr := time.NewTimer(timeout)
-		defer tmr.Stop()
-		deadline = tmr.C
-	}
-	clean := true
-	timedOut := false
-	for _, r := range runs {
-		r.mu.Lock()
-		done := r.done
-		r.mu.Unlock()
-		if !timedOut {
-			select {
-			case <-done:
-				continue
-			case <-deadline:
-				timedOut = true
-			}
-		}
-		// The deadline fired once; poll the remaining runs without
-		// blocking so already-finished ones still count as clean.
-		select {
-		case <-done:
-		default:
-			clean = false
-		}
-	}
-	return clean
-}
-
-func (m *Manager) runByID(id string) (*run, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("tune: unknown run %q", id)
-	}
-	return r, nil
-}
-
-// drive owns one search attempt from (re)start to a terminal state.
-func (m *Manager) drive(ctx context.Context, r *run, done chan struct{}) {
-	defer close(done)
-	r.events = m.eventSink()
-	best, obj, err := r.search(ctx, m.cm)
-	var cancelEvals []string
 	r.mu.Lock()
-	switch {
-	case err == nil:
-		r.trace.State = StateDone
-		r.trace.Final = best
-		r.trace.FinalObjective = &obj
-	case ctx.Err() != nil:
-		if r.userCancel {
-			r.trace.State = StateCancelled
-			// Sweep the pending evaluations once more now that no further
-			// submission can happen: an evaluation submitted between
-			// Cancel's own sweep and the context check would otherwise
-			// keep running after the search is gone.
-			for _, e := range r.trace.Evals {
-				if e.Objective == nil {
-					cancelEvals = append(cancelEvals, e.Campaign)
-				}
-			}
-		} else {
-			r.trace.State = StateInterrupted
-		}
-	default:
-		r.trace.State = StateFailed
-		r.trace.Error = err.Error()
-	}
-	state, detail := r.trace.State, r.trace.Error
-	r.persistLocked()
+	r.trace.Final = best
+	r.trace.FinalObjective = &obj
 	r.mu.Unlock()
-	for _, cid := range cancelEvals {
-		if err := m.cm.Cancel(cid); err != nil {
+	return nil
+}
+
+// Persist writes the trace with the job's state.
+func (r *run) Persist(rec job.Record) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.trace.State, r.trace.Error = rec.State, rec.Error
+	return writeTrace(r.dir, r.trace)
+}
+
+// Prepare has nothing to reopen: the trace stays in memory.
+func (r *run) Prepare() error { return nil }
+
+// Cancelled cancels the run's pending evaluation campaigns. It runs on
+// Cancel — an interrupted run's orphaned evaluations would otherwise be
+// resurrected by campaign-level -autoresume on the next boot, burning
+// compute for a search the operator cancelled — and again once the
+// cancelled search has exited, catching an evaluation submitted between
+// the first sweep and the search noticing its context.
+func (r *run) Cancelled() {
+	var pending []string
+	r.mu.Lock()
+	for _, e := range r.trace.Evals {
+		if e.Objective == nil {
+			pending = append(pending, e.Campaign)
+		}
+	}
+	r.mu.Unlock()
+	for _, cid := range pending {
+		if err := r.m.cm.Cancel(cid); err != nil {
 			log.Printf("tune: cancel evaluation %s: %v", cid, err)
 		}
 	}
-	m.emit("tune."+state, r.id, detail)
 }
+
+// Release holds nothing open: traces are written whole.
+func (r *run) Release() error { return nil }
 
 // search replays the deterministic search against the trace: already
 // completed evaluations are served from it, evaluations submitted
@@ -731,20 +387,15 @@ func (r *run) completeEval(e *Eval, obj float64) {
 // via meta.json) without re-executing anything.
 func waitCampaign(ctx context.Context, cm *campaign.Manager, id string) error {
 	for attempt := 0; ; attempt++ {
-		// cm.Wait's error is the campaign's persisted failure; state
-		// decides what to do with it, so it is not a return on its own.
-		// The wait itself must not outlive the search: a cancelled tune
-		// run returns here immediately instead of sitting out the rest of
-		// the rung. (The spawned goroutine lingers until the campaign
-		// reaches a terminal state — bounded, since cancellation paths
-		// also cancel the campaigns underneath.)
-		waited := make(chan struct{})
-		go func() {
-			_ = cm.Wait(id)
-			close(waited)
-		}()
+		// The wait must not outlive the search: a cancelled tune run
+		// returns here immediately instead of sitting out the rest of the
+		// rung.
+		j, err := cm.Lookup(id)
+		if err != nil {
+			return err
+		}
 		select {
-		case <-waited:
+		case <-j.Done():
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -773,8 +424,8 @@ func waitCampaign(ctx context.Context, cm *campaign.Manager, id string) error {
 
 // emit forwards one search-progress event, labeled with the run id.
 func (r *run) emit(kind, detail string) {
-	if r.events != nil {
-		r.events.Emit(kind, r.id, detail)
+	if sink := r.m.Events(); sink != nil {
+		sink.Emit(kind, r.id, detail)
 	}
 }
 
@@ -782,18 +433,15 @@ func (r *run) emit(kind, detail string) {
 // state and evaluation progress. robustd registers it on the campaign
 // manager's /metrics via AddMetrics, so both layers share one scrape.
 func (m *Manager) WriteMetrics(w io.Writer) {
-	counts := map[string]int{
-		StateRunning: 0, StateDone: 0, StateFailed: 0,
-		StateInterrupted: 0, StateCancelled: 0,
-	}
+	counts := m.jobs.Counts()
 	var submitted, completed int
 	for _, s := range m.List() {
-		counts[s.State]++
 		submitted += s.EvalsSubmitted
 		completed += s.EvalsCompleted
 	}
 	fmt.Fprintf(w, "# HELP robustd_tune_runs Tune runs in the registry by lifecycle state.\n")
 	fmt.Fprintf(w, "# TYPE robustd_tune_runs gauge\n")
+	//lint:regexhaustive-exempt tune runs never queue (no concurrency bound), and the family's label set predates the shared states
 	for _, state := range []string{StateRunning, StateDone, StateFailed, StateInterrupted, StateCancelled} {
 		fmt.Fprintf(w, "robustd_tune_runs{state=%q} %d\n", state, counts[state])
 	}
@@ -815,8 +463,8 @@ func campaignByName(cm *campaign.Manager, name string) (campaign.Status, bool) {
 
 func (r *run) status(withEvals bool) Status {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	tr := r.trace
+	tr := r.trace.clone()
+	r.mu.Unlock()
 	s := Status{
 		ID:             r.id,
 		Name:           r.spec.Title(),
@@ -824,25 +472,16 @@ func (r *run) status(withEvals bool) Status {
 		Error:          tr.Error,
 		Spec:           r.spec,
 		EvalsSubmitted: len(tr.Evals),
-		Best:           append([]BestStep(nil), tr.Best...),
-		Final:          cloneParams(tr.Final),
+		Best:           tr.Best,
+		Final:          tr.Final,
 		FinalObjective: tr.FinalObjective,
-	}
-	if len(tr.Final) == 0 {
-		s.Final = nil
 	}
 	for _, e := range tr.Evals {
 		if e.Objective != nil {
 			s.EvalsCompleted++
 		}
 		if withEvals {
-			c := *e
-			c.Params = cloneParams(e.Params)
-			if e.Objective != nil {
-				o := *e.Objective
-				c.Objective = &o
-			}
-			s.Evals = append(s.Evals, c)
+			s.Evals = append(s.Evals, *e)
 		}
 	}
 	return s
@@ -879,33 +518,16 @@ func (t *Trace) clone() *Trace {
 	return &c
 }
 
-// writeTrace atomically replaces dir's tune.json (temp + fsync + rename
-// via fsutil) — the trace is a resume-identity artifact and must never
-// be observable half-written.
-func writeTrace(dir string, t *Trace) error {
-	b, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := fsutil.WriteFileAtomic(filepath.Join(dir, traceFile), append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("tune: write trace: %w", err)
-	}
-	return nil
-}
+// writeTrace atomically replaces dir's tune.json — the trace is a
+// resume-identity artifact and must never be observable half-written.
+func writeTrace(dir string, t *Trace) error { return job.WriteRecord(filepath.Join(dir, traceFile), t) }
 
 // readTrace loads dir's tune.json; a nil trace with nil error means the
 // directory holds no trace (not a tune run).
 func readTrace(dir string) (*Trace, error) {
-	b, err := os.ReadFile(filepath.Join(dir, traceFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
 	var t Trace
-	if err := json.Unmarshal(b, &t); err != nil {
-		return nil, fmt.Errorf("tune: corrupt %s: %w", traceFile, err)
+	if ok, err := job.ReadRecord(filepath.Join(dir, traceFile), &t); !ok {
+		return nil, err
 	}
 	return &t, nil
 }

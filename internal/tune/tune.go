@@ -31,18 +31,21 @@ import (
 	"robustify/internal/campaign"
 	"robustify/internal/fpu/faultmodel"
 	"robustify/internal/harness"
+	"robustify/internal/job"
 )
 
-// Tune run lifecycle states, mirroring the campaign layer: interrupted
-// marks a run whose owning process died (or shut down) mid-search; it
-// is resumable.
-//
-//lint:enum tune-state every dispatch over tune states must cover all five (StateCancelled lives in manager.go)
+// Tune run lifecycle states: the shared job states (see package job).
+// Runs have no concurrency bound, so they never sit queued; interrupted
+// marks a run whose owning process died (or shut down) mid-search, and
+// is resumable. As aliases they belong to the job-state group of
+// robustlint's regexhaustive.
 const (
-	StateRunning     = "running"
-	StateDone        = "done"
-	StateFailed      = "failed"
-	StateInterrupted = "interrupted"
+	StateQueued      = job.StateQueued
+	StateRunning     = job.StateRunning
+	StateDone        = job.StateDone
+	StateFailed      = job.StateFailed
+	StateCancelled   = job.StateCancelled
+	StateInterrupted = job.StateInterrupted
 )
 
 // Spec declares a parameter search over one workload's knob space under
