@@ -17,10 +17,13 @@ import (
 // (example mains keep fixed seeds by convention, pinned by their
 // run-twice determinism tests): calls to math/rand or math/rand/v2
 // package-level functions other than the explicit constructors
-// (New/NewSource/NewZipf/NewPCG/NewChaCha8), and constructor seed
-// arguments derived from time.Now. crypto/rand is fine — it is
-// intentional entropy, not simulation state. Deliberate uses are
-// exempted with //lint:rand-exempt <reason>.
+// (New/NewSource/NewZipf/NewPCG/NewChaCha8), constructor seed
+// arguments derived from time.Now (detrand.New included), and
+// math/rand.NewSource itself: it fills a 607-word register per seed,
+// while detrand.New yields the identical stream in O(1), so per-trial
+// seeding has one path. crypto/rand is fine — it is intentional
+// entropy, not simulation state. Deliberate uses are exempted with
+// //lint:rand-exempt <reason>.
 var SeededRand = &Analyzer{
 	Name:      "seededrand",
 	Directive: "rand-exempt",
@@ -36,6 +39,10 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
+// detrandPath is the package whose New replaces
+// rand.New(rand.NewSource(seed)).
+const detrandPath = "robustify/internal/detrand"
+
 func runSeededRand(pass *Pass) {
 	if strings.Contains(pass.Path, "/examples/") || strings.HasPrefix(pass.Path, "examples/") {
 		return
@@ -47,18 +54,24 @@ func runSeededRand(pass *Pass) {
 				return true
 			}
 			pkg, fn := pass.pkgFunc(call)
-			if pkg != "math/rand" && pkg != "math/rand/v2" {
+			name := "rand"
+			switch {
+			case pkg == detrandPath && fn == "New":
+				name = "detrand"
+			case pkg != "math/rand" && pkg != "math/rand/v2":
 				return true
-			}
-			if !randConstructors[fn] {
-				pass.Report(call.Pos(), "rand.%s uses the global math/rand source; draw from an explicitly seeded rand.New(rand.NewSource(seed)) (or //lint:rand-exempt <reason>)", fn)
+			case !randConstructors[fn]:
+				pass.Report(call.Pos(), "rand.%s uses the global math/rand source; draw from an explicitly seeded detrand.New(seed) (or //lint:rand-exempt <reason>)", fn)
 				return true
 			}
 			for _, arg := range call.Args {
 				if containsTimeCall(pass, arg) {
-					pass.Report(call.Pos(), "rand.%s seeded from the clock is nondeterministic; use a fixed or configured seed (or //lint:rand-exempt <reason>)", fn)
+					pass.Report(call.Pos(), "%s.%s seeded from the clock is nondeterministic; use a fixed or configured seed (or //lint:rand-exempt <reason>)", name, fn)
 					return true
 				}
+			}
+			if pkg == "math/rand" && fn == "NewSource" {
+				pass.Report(call.Pos(), "rand.NewSource fills all 607 register words per seed; detrand.New(seed) yields the identical stream in O(1) (or //lint:rand-exempt <reason>)")
 			}
 			return true
 		})

@@ -1,11 +1,13 @@
 // Package seededrand exercises the seededrand analyzer: global math/rand
-// draws and clock-derived seeds are flagged, explicitly seeded sources
-// pass, and written exemptions suppress.
+// draws, clock-derived seeds and math/rand's O(607) NewSource are
+// flagged, detrand sources pass, and written exemptions suppress.
 package seededrand
 
 import (
 	"math/rand"
 	"time"
+
+	"robustify/internal/detrand"
 )
 
 // Global draws from the shared auto-seeded source.
@@ -19,9 +21,19 @@ func ClockSeeded() *rand.Rand {
 	return rand.New(rand.NewSource(time.Now().UnixNano())) // want "rand.New seeded from the clock" "rand.NewSource seeded from the clock"
 }
 
-// Seeded draws from an explicitly seeded source and must pass.
+// ClockSeededDetrand is the same mistake through the fast constructor.
+func ClockSeededDetrand() *rand.Rand {
+	return detrand.New(time.Now().UnixNano()) // want "detrand.New seeded from the clock"
+}
+
+// StdSeeded is explicitly seeded but fills math/rand's whole register.
+func StdSeeded(seed int64) int {
+	return rand.New(rand.NewSource(seed)).Intn(10) // want "detrand.New(seed) yields the identical stream in O(1)"
+}
+
+// Seeded draws from a detrand source and must pass.
 func Seeded(seed int64) int {
-	return rand.New(rand.NewSource(seed)).Intn(10)
+	return detrand.New(seed).Intn(10)
 }
 
 // Jitter deliberately wants ambient randomness, with a written reason.

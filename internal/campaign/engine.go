@@ -242,10 +242,18 @@ func NewExecution(camp *Campaign, st *Store) *Execution {
 // served from it instead of re-executing (resume); every freshly executed
 // trial is appended to the store before counting as progress, so an
 // interrupt at any point loses no completed work. Cancelling ctx stops
-// between trials and returns ctx.Err().
+// between trials and returns ctx.Err(). A store error stops the sweep
+// too, without computing the remaining trials, and Run returns that
+// error rather than a cancellation.
 func (e *Execution) Run(ctx context.Context) error {
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
 	for i, u := range e.camp.Plan.Units {
 		unit, stats := i, e.stats[i]
+		agg, err := harness.AggregatorByName(u.Agg)
+		if err != nil {
+			return err
+		}
 		var sinkErr error
 		var sinkMu sync.Mutex
 		fn := u.Fn
@@ -282,10 +290,13 @@ func (e *Execution) Run(ctx context.Context) error {
 						sinkErr = err
 					}
 					sinkMu.Unlock()
+					stop() // no later trial of this sweep could be recorded
+					e.discard(t)
 					return
 				}
 				if !added {
-					return // a concurrent worker beat us to this key
+					e.discard(t) // a concurrent worker beat us to this key
+					return
 				}
 				e.noteTrial()
 				e.mu.Lock()
@@ -298,18 +309,25 @@ func (e *Execution) Run(ctx context.Context) error {
 		if e.camp.Spec.Workers > 0 {
 			sweep.Workers = e.camp.Spec.Workers
 		}
-		agg, err := harness.AggregatorByName(u.Agg)
-		if err != nil {
-			return err
-		}
-		if _, err := sweep.RunHooked(ctx, fn, agg, hooks); err != nil {
-			return err
-		}
+		_, err = sweep.RunHooked(ctx, fn, agg, hooks)
 		if sinkErr != nil {
 			return fmt.Errorf("campaign: record trial: %w", sinkErr)
 		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// discard drops the diagnostics stashed for a trial that never reached
+// the store.
+func (e *Execution) discard(t harness.Trial) {
+	if e.hub == nil {
+		return
+	}
+	e.takeLatency(t.Seed)
+	e.hub.TakeFaults(t.Rate, t.Seed)
 }
 
 // Progress reports completed vs total trials.

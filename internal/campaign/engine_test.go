@@ -3,8 +3,11 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"errors"
+	"os"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"robustify/internal/figures"
@@ -236,5 +239,40 @@ func TestCustomWorkloadCampaign(t *testing.T) {
 	})
 	if text != text2 || csv != csv2 {
 		t.Error("custom workload campaign is not deterministic")
+	}
+}
+
+// TestRunStopsAtFirstStoreError: once the store cannot record, no later
+// trial's result could be kept, so the sweep stops instead of computing
+// the rest of the unit, and Run reports the store error, not a
+// cancellation.
+func TestRunStopsAtFirstStoreError(t *testing.T) {
+	spec := quickSpec(0.01, 3, 1000)
+	spec.Workers = 2
+	camp, err := Compile(spec)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	var calls atomic.Int64
+	for i := range camp.Plan.Units {
+		inner := camp.Plan.Units[i].Fn
+		camp.Plan.Units[i].Fn = func(rate float64, seed uint64) float64 {
+			calls.Add(1)
+			return inner(rate, seed)
+		}
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	err = NewExecution(camp, st).Run(context.Background())
+	if !errors.Is(err, os.ErrClosed) || errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want the store's ErrClosed", err)
+	}
+	if n := calls.Load(); n > int64(spec.Workers+1) {
+		t.Errorf("trial function ran %d times after the store failed, want at most %d", n, spec.Workers+1)
 	}
 }

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"errors"
+	"os"
 	"testing"
 	"time"
 )
@@ -110,5 +112,47 @@ func TestShutdownReportsFailedStoreClose(t *testing.T) {
 	h.mu.Unlock()
 	if m.Shutdown(5 * time.Second) {
 		t.Fatal("Shutdown reported a clean shutdown despite a failed store close")
+	}
+}
+
+// TestManagerStoreErrorFails: a campaign whose store stops accepting
+// records ends failed, carrying the store error — not cancelled or
+// interrupted, which would misreport a broken store as an operator stop.
+func TestManagerStoreErrorFails(t *testing.T) {
+	m := newManager(t, t.TempDir(), 1)
+	defer m.Close()
+	// The blocker holds the only run slot, so the second campaign's store
+	// can be closed before it starts.
+	blocker, err := m.Submit(quickSpec(0.01, 1, 100000))
+	if err != nil {
+		t.Fatalf("submit blocker: %v", err)
+	}
+	id, err := m.Submit(quickSpec(0.01, 2, 1000))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	j, err := m.Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := j.Work().(*handle)
+	h.mu.Lock()
+	err = h.st.Close()
+	h.mu.Unlock()
+	if err != nil {
+		t.Fatalf("close store: %v", err)
+	}
+	if err := m.Cancel(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Wait(id); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Wait = %v, want the store's ErrClosed", err)
+	}
+	s, err := m.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.State != StateFailed {
+		t.Errorf("state = %q, want %q", s.State, StateFailed)
 	}
 }

@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"robustify/internal/apps/apsp"
@@ -12,6 +11,7 @@ import (
 	"robustify/internal/apps/robsort"
 	"robustify/internal/apps/svm"
 	"robustify/internal/core"
+	"robustify/internal/detrand"
 	"robustify/internal/figures"
 	"robustify/internal/fpu"
 	"robustify/internal/harness"
@@ -69,7 +69,7 @@ type Workload struct {
 // Workloads lists the registered custom-sweep workloads.
 func Workloads() []Workload {
 	sortData := func(seed uint64) []float64 {
-		rng := rand.New(rand.NewSource(int64(seed)))
+		rng := detrand.New(int64(seed))
 		data := make([]float64, 5)
 		for i, p := range rng.Perm(5) {
 			data[i] = float64(p+1) * 2.5
@@ -151,7 +151,7 @@ func Workloads() []Workload {
 				mu := params["mu"]
 				lossIdx, lossShape := lossSelector(params)
 				return func(rate float64, seed uint64) float64 {
-					rng := rand.New(rand.NewSource(int64(seed)))
+					rng := detrand.New(int64(seed))
 					inst := apsp.RandomInstance(rng, 5, 5, 5)
 					u := unit(rate, seed)
 					loss, err := lossForTrial(lossIdx, lossShape)
@@ -273,7 +273,7 @@ func Workloads() []Workload {
 				lambda, step := params["lambda"], params["step"]
 				lossIdx, lossShape := lossSelector(params)
 				return func(rate float64, seed uint64) float64 {
-					rng := rand.New(rand.NewSource(int64(seed)))
+					rng := detrand.New(int64(seed))
 					data := svm.TwoGaussians(rng, 60, 100, 6, 2.0)
 					u := unit(rate, seed)
 					loss, err := lossForTrial(lossIdx, lossShape)
@@ -417,7 +417,7 @@ func capErr(v float64) float64 { return harness.CapErr(v) }
 // lsqInstance derives a per-trial least squares instance (A 30x6 with
 // mild observation noise) from the trial seed.
 func lsqInstance(seed uint64) (*leastsq.Instance, error) {
-	rng := rand.New(rand.NewSource(int64(seed)))
+	rng := detrand.New(int64(seed))
 	return leastsq.Random(rng, 30, 6, 0.01)
 }
 
@@ -475,7 +475,7 @@ func customPlan(spec Spec) (*figures.Plan, error) {
 // eigenvalue is n by construction (mirrors figures.Eigenpairs).
 func eigenInstance(seed uint64) (*linalg.Dense, float64) {
 	const n = 6
-	rng := rand.New(rand.NewSource(int64(seed)))
+	rng := detrand.New(int64(seed))
 	return eigen.RandomSymmetric(rng, n), float64(n)
 }
 

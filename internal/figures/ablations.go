@@ -2,13 +2,13 @@ package figures
 
 import (
 	"fmt"
-	"math/rand"
 
 	"robustify/internal/apps/apsp"
 	"robustify/internal/apps/maxflow"
 	"robustify/internal/apps/robsort"
 	"robustify/internal/apps/svm"
 	"robustify/internal/core"
+	"robustify/internal/detrand"
 	"robustify/internal/fpu"
 	"robustify/internal/harness"
 )
@@ -44,7 +44,7 @@ func planFaultModel(c Config) *Plan {
 		units = append(units, Unit{
 			Series: "sort/" + dist.Name(), Agg: "mean", Sweep: sweep,
 			Fn: func(rate float64, seed uint64) float64 {
-				rng := rand.New(rand.NewSource(int64(seed)))
+				rng := detrand.New(int64(seed))
 				data := make([]float64, 5)
 				for i, p := range rng.Perm(5) {
 					data[i] = float64(p+1) * 2.5
@@ -91,9 +91,9 @@ func planPenalty(c Config) *Plan {
 	}
 	sweep := harness.Sweep{Rates: rates, Trials: trials, Seed: c.Seed + 72, Workers: c.Workers}
 
-	rngA := rand.New(rand.NewSource(int64(c.Seed) + 720))
+	rngA := detrand.New(int64(c.Seed) + 720)
 	apspInst := apsp.RandomInstance(rngA, 6, 8, 5)
-	rngF := rand.New(rand.NewSource(int64(c.Seed) + 721))
+	rngF := detrand.New(int64(c.Seed) + 721)
 	flowInst := maxflow.RandomInstance(rngF, 6, 2, 4)
 
 	apspRun := func(kind core.PenaltyKind) harness.TrialFunc {
@@ -148,7 +148,7 @@ func planSVM(c Config) *Plan {
 	if c.Quick {
 		rates = []float64{0.01, 0.2}
 	}
-	rng := rand.New(rand.NewSource(int64(c.Seed) + 73))
+	rng := detrand.New(int64(c.Seed) + 73)
 	data := svm.TwoGaussians(rng, 200, 400, 8, 2.5)
 	sweep := harness.Sweep{Rates: rates, Trials: trials, Seed: c.Seed + 73, Workers: c.Workers}
 	return &Plan{

@@ -3,11 +3,11 @@ package figures
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"robustify/internal/apps/apsp"
 	"robustify/internal/apps/eigen"
 	"robustify/internal/apps/maxflow"
+	"robustify/internal/detrand"
 	"robustify/internal/harness"
 )
 
@@ -28,9 +28,9 @@ func planGraphLP(c Config) *Plan {
 	}
 	sweep := harness.Sweep{Rates: rates, Trials: trials, Seed: c.Seed + 74, Workers: c.Workers}
 
-	rngF := rand.New(rand.NewSource(int64(c.Seed) + 740))
+	rngF := detrand.New(int64(c.Seed) + 740)
 	flowInst := maxflow.RandomInstance(rngF, 6, 2, 4)
-	rngA := rand.New(rand.NewSource(int64(c.Seed) + 741))
+	rngA := detrand.New(int64(c.Seed) + 741)
 	apspInst := apsp.RandomInstance(rngA, 6, 8, 5)
 
 	return &Plan{
@@ -85,7 +85,7 @@ func planEigen(c Config) *Plan {
 	if c.Quick {
 		rates = []float64{0.01}
 	}
-	rng := rand.New(rand.NewSource(int64(c.Seed) + 75))
+	rng := detrand.New(int64(c.Seed) + 75)
 	m := eigen.RandomSymmetric(rng, n)
 	wantTop := float64(n) // by construction of RandomSymmetric
 	sweep := harness.Sweep{Rates: rates, Trials: trials, Seed: c.Seed + 75, Workers: c.Workers}

@@ -11,12 +11,12 @@ package figures
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"robustify/internal/apps/iir"
 	"robustify/internal/apps/leastsq"
 	"robustify/internal/apps/matching"
 	"robustify/internal/apps/robsort"
+	"robustify/internal/detrand"
 	"robustify/internal/fpu"
 	"robustify/internal/fpu/faultmodel"
 	"robustify/internal/harness"
@@ -182,7 +182,7 @@ func plan61(c Config) *Plan {
 	sweep := harness.Sweep{Rates: sortRates(c.Quick), Trials: trials, Seed: c.Seed + 61, Workers: c.Workers}
 
 	dataFor := func(seed uint64) []float64 {
-		rng := rand.New(rand.NewSource(int64(seed)))
+		rng := detrand.New(int64(seed))
 		data := make([]float64, n)
 		for i, p := range rng.Perm(n) {
 			data[i] = float64(p+1) * 2.5
@@ -245,7 +245,7 @@ func plan62(c Config) *Plan {
 		m, n, iters = 40, 6, 300
 	}
 	trials := c.trials(25, 5)
-	rng := rand.New(rand.NewSource(int64(c.Seed) + 62))
+	rng := detrand.New(int64(c.Seed) + 62)
 	inst, err := leastsq.Random(rng, m, n, 0.01)
 	if err != nil {
 		panic(fmt.Sprintf("figures: lsq instance: %v", err))
@@ -303,7 +303,7 @@ func plan63(c Config) *Plan {
 	if err != nil {
 		panic(fmt.Sprintf("figures: filter design: %v", err))
 	}
-	rng := rand.New(rand.NewSource(int64(c.Seed) + 63))
+	rng := detrand.New(int64(c.Seed) + 63)
 	signal := make([]float64, samples)
 	for i := range signal {
 		signal[i] = math.Sin(2*math.Pi*float64(i)/23) + 0.3*rng.NormFloat64()
@@ -461,7 +461,7 @@ func plan66(c Config) *Plan {
 		m, n = 40, 6
 	}
 	trials := c.trials(25, 5)
-	rng := rand.New(rand.NewSource(int64(c.Seed) + 66))
+	rng := detrand.New(int64(c.Seed) + 66)
 	inst, err := leastsq.Random(rng, m, n, 0.01)
 	if err != nil {
 		panic(fmt.Sprintf("figures: lsq instance: %v", err))
@@ -504,7 +504,7 @@ func Fig67(c Config) *harness.Table {
 	if c.Quick {
 		m, n = 40, 6
 	}
-	rng := rand.New(rand.NewSource(int64(c.Seed) + 67))
+	rng := detrand.New(int64(c.Seed) + 67)
 	inst, err := leastsq.Random(rng, m, n, 0)
 	if err != nil {
 		panic(fmt.Sprintf("figures: lsq instance: %v", err))
@@ -562,7 +562,7 @@ func planMomentum(c Config) *Plan {
 
 	sortRun := func(momentum float64) harness.TrialFunc {
 		return func(rate float64, seed uint64) float64 {
-			rng := rand.New(rand.NewSource(int64(seed)))
+			rng := detrand.New(int64(seed))
 			data := make([]float64, 5)
 			for i, p := range rng.Perm(5) {
 				data[i] = float64(p+1) * 2.5
@@ -610,7 +610,7 @@ func SolverFLOPs(c Config) *harness.Table {
 	if c.Quick {
 		m, n = 40, 6
 	}
-	rng := rand.New(rand.NewSource(int64(c.Seed) + 63))
+	rng := detrand.New(int64(c.Seed) + 63)
 	inst, err := leastsq.Random(rng, m, n, 0.01)
 	if err != nil {
 		panic(fmt.Sprintf("figures: lsq instance: %v", err))
@@ -645,7 +645,7 @@ func SolverFLOPs(c Config) *harness.Table {
 func matchingInstances(seed uint64, k int) []*matching.Instance {
 	insts := make([]*matching.Instance, k)
 	for i := range insts {
-		rng := rand.New(rand.NewSource(int64(seed) + int64(i)*97))
+		rng := detrand.New(int64(seed) + int64(i)*97)
 		insts[i] = matching.RandomInstance(rng, 5, 6, 30)
 	}
 	return insts

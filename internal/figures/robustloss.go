@@ -2,9 +2,9 @@ package figures
 
 import (
 	"fmt"
-	"math/rand"
 
 	"robustify/internal/apps/leastsq"
+	"robustify/internal/detrand"
 	"robustify/internal/harness"
 	"robustify/internal/robust"
 )
@@ -31,7 +31,7 @@ func planRobustLoss(c Config) *Plan {
 
 	run := func(kind robust.Kind) harness.TrialFunc {
 		return func(rate float64, seed uint64) float64 {
-			rng := rand.New(rand.NewSource(int64(seed)))
+			rng := detrand.New(int64(seed))
 			inst, err := leastsq.Random(rng, 30, 6, 0.01)
 			if err != nil {
 				return 1e6
