@@ -70,3 +70,37 @@ func FuzzStoreOpen(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRecordLine checks the hand-written store codec against its
+// reference, encoding/json, in both directions:
+//
+//   - for arbitrary line bytes, whenever the fast decoder accepts a line,
+//     json.Unmarshal must succeed on it and yield the identical Record
+//     (so replay never reads a line differently than it used to);
+//   - for arbitrary Record fields, the encoder must produce exactly
+//     json.Marshal's bytes, and fail exactly when json.Marshal fails.
+func FuzzRecordLine(f *testing.F) {
+	for _, rec := range recordCases {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line, rec.Unit, rec.RateIdx, rec.TrialIdx, rec.Rate, rec.Seed, rec.Value, rec.Series)
+	}
+	f.Add([]byte(`{"u":1,"r":2,"t":3,"rate":+0.5,"seed":4,"v":0x1p-2}`), 0, 0, 0, 1e-7, uint64(0), 1e21, "a<b")
+	f.Add([]byte(`{"u":01,"r":2,"t":3,"rate":0.5,"seed":4,"v":1,"s":"x\"}`), 0, 0, 0, 0.0, uint64(0), 0.0, "")
+
+	f.Fuzz(func(t *testing.T, line []byte, u, r, tr int, rate float64, seed uint64, v float64, s string) {
+		var scratch []byte
+		if got, ok := decodeRecord(line, &scratch); ok {
+			var want Record
+			if err := json.Unmarshal(line, &want); err != nil {
+				t.Fatalf("decodeRecord accepted %q, which json.Unmarshal rejects: %v", line, err)
+			}
+			if !sameRecord(got, want) {
+				t.Fatalf("decodeRecord(%q) = %+v, json.Unmarshal = %+v", line, got, want)
+			}
+		}
+		checkRecordCodec(t, Record{Unit: u, RateIdx: r, TrialIdx: tr, Rate: rate, Seed: seed, Value: v, Series: s})
+	})
+}

@@ -2,14 +2,17 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
 	"robustify/internal/fsutil"
+	"robustify/internal/jsonl"
 )
 
 // storeFile, specFile, and metaFile (see meta.go) are the on-disk layout
@@ -38,6 +41,106 @@ type Record struct {
 }
 
 type trialKey struct{ unit, rateIdx, trialIdx int }
+
+// appendRecord appends rec's store line, byte-identical to
+// json.Marshal(rec), to b. ok is false when rec.Rate or rec.Value is not
+// finite, which encoding/json rejects.
+func appendRecord(b []byte, rec *Record) (_ []byte, ok bool) {
+	b = append(b, `{"u":`...)
+	b = strconv.AppendInt(b, int64(rec.Unit), 10)
+	b = append(b, `,"r":`...)
+	b = strconv.AppendInt(b, int64(rec.RateIdx), 10)
+	b = append(b, `,"t":`...)
+	b = strconv.AppendInt(b, int64(rec.TrialIdx), 10)
+	b = append(b, `,"rate":`...)
+	if b, ok = jsonl.AppendFloat(b, rec.Rate); !ok {
+		return b, false
+	}
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendUint(b, rec.Seed, 10)
+	b = append(b, `,"v":`...)
+	if b, ok = jsonl.AppendFloat(b, rec.Value); !ok {
+		return b, false
+	}
+	if rec.Series != "" {
+		b = append(b, `,"s":`...)
+		b = jsonl.AppendString(b, rec.Series)
+	}
+	return append(b, '}'), true
+}
+
+// decodeRecord parses a store line (without its newline) that is exactly
+// what appendRecord writes, the canonical form
+// {"u":…,"r":…,"t":…,"rate":…,"seed":…,"v":…[,"s":"…"]}. It parses the
+// fields in that order and accepts the result only if re-encoding it
+// into *scratch reproduces line byte for byte, so an accepted line is one
+// json.Unmarshal decodes to the same Record. Anything else — other key
+// order, whitespace, escapes, non-canonical numbers, torn or garbage
+// bytes — reports false, for the caller to hand to json.Unmarshal.
+func decodeRecord(line []byte, scratch *[]byte) (rec Record, ok bool) {
+	// Parse errors need no check of their own: a failed parse leaves a
+	// value whose encoding differs from the token, so the re-encoding
+	// check below rejects the line.
+	p := lineParser{rest: line}
+	rec.Unit, _ = strconv.Atoi(string(p.field(`{"u":`)))
+	rec.RateIdx, _ = strconv.Atoi(string(p.field(`,"r":`)))
+	rec.TrialIdx, _ = strconv.Atoi(string(p.field(`,"t":`)))
+	rec.Rate, _ = strconv.ParseFloat(string(p.field(`,"rate":`)), 64)
+	rec.Seed, _ = strconv.ParseUint(string(p.field(`,"seed":`)), 10, 64)
+	rec.Value, _ = strconv.ParseFloat(string(p.field(`,"v":`)), 64)
+	if p.bad {
+		return Record{}, false
+	}
+	if p.literal(`,"s":"`) {
+		i := bytes.IndexByte(p.rest, '"')
+		if i < 0 {
+			return Record{}, false
+		}
+		rec.Series = string(p.rest[:i])
+		p.rest = p.rest[i+1:]
+	}
+	if !p.literal("}") || len(p.rest) != 0 {
+		return Record{}, false
+	}
+	var enc bool
+	if *scratch, enc = appendRecord((*scratch)[:0], &rec); !enc || !bytes.Equal(*scratch, line) {
+		return Record{}, false
+	}
+	return rec, true
+}
+
+// lineParser walks a store line for decodeRecord. bad latches the first
+// mismatch; later calls then return nothing.
+type lineParser struct {
+	rest []byte
+	bad  bool
+}
+
+// literal consumes s if the line continues with it.
+func (p *lineParser) literal(s string) bool {
+	if p.bad || len(p.rest) < len(s) || string(p.rest[:len(s)]) != s {
+		return false
+	}
+	p.rest = p.rest[len(s):]
+	return true
+}
+
+// field consumes key and returns the number token after it, up to the
+// next ',' or '}'.
+func (p *lineParser) field(key string) []byte {
+	if !p.literal(key) {
+		p.bad = true
+		return nil
+	}
+	i := bytes.IndexAny(p.rest, ",}")
+	if i < 0 {
+		p.bad = true
+		return nil
+	}
+	tok := p.rest[:i]
+	p.rest = p.rest[i:]
+	return tok
+}
 
 // Store is an append-only JSONL results store for one campaign. Every
 // Append is flushed to the OS before it returns, so each completed trial
@@ -107,13 +210,23 @@ func Open(dir string) (*Store, error) {
 // rerun — so a single corrupt line never blocks reopening a campaign.
 // tornTail reports an unterminated final line (crash mid-append): the
 // caller must terminate it before appending more records.
+//
+// Each line is first parsed as the canonical form Put writes
+// (decodeRecord); any line that is not exactly canonical goes through
+// json.Unmarshal, which decides whether it is a record at all.
 func (st *Store) load(data io.Reader) (tornTail bool, err error) {
 	r := bufio.NewReaderSize(data, 64*1024)
+	var buf, scratch []byte
 	for {
-		line, tooLong, err := readLine(r)
+		line, tooLong, err := readLine(r, &buf)
 		if len(line) > 0 && !tooLong {
-			var rec Record
-			if json.Unmarshal(line, &rec) == nil {
+			rec, ok := decodeRecord(bytes.TrimSuffix(line, []byte("\n")), &scratch)
+			if !ok {
+				var slow Record // declared here so only fallback lines allocate it
+				ok = json.Unmarshal(line, &slow) == nil
+				rec = slow
+			}
+			if ok {
 				st.have[trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}] = rec.Value
 			}
 		}
@@ -129,21 +242,31 @@ func (st *Store) load(data io.Reader) (tornTail bool, err error) {
 // readLine reads one newline-delimited line, retaining at most
 // maxLineBytes of it; the remainder of an oversized line is consumed and
 // discarded, with tooLong reporting the overflow. err is io.EOF at end of
-// input (the final unterminated line, if any, is still returned).
-func readLine(r *bufio.Reader) (line []byte, tooLong bool, err error) {
+// input (the final unterminated line, if any, is still returned). The
+// line is valid only until the next call: it aliases r's buffer, or *buf
+// for a line longer than that, which is reused from call to call.
+func readLine(r *bufio.Reader, buf *[]byte) (line []byte, tooLong bool, err error) {
+	chunk, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return chunk, false, err // the whole line is in r's buffer
+	}
+	line = (*buf)[:0]
 	for {
-		chunk, err := r.ReadSlice('\n')
 		if !tooLong {
 			line = append(line, chunk...)
 			if len(line) > maxLineBytes {
 				line, tooLong = nil, true
 			}
 		}
-		if err == bufio.ErrBufferFull {
-			continue
+		if err != bufio.ErrBufferFull {
+			break
 		}
-		return line, tooLong, err
+		chunk, err = r.ReadSlice('\n')
 	}
+	if !tooLong {
+		*buf = line
+	}
+	return line, tooLong, err
 }
 
 // Dir returns the campaign directory backing the store.
@@ -164,17 +287,22 @@ func (st *Store) Append(rec Record) error {
 //
 //lint:durable Put is Append behind a dedup check; same durability contract
 func (st *Store) Put(rec Record) (added bool, err error) {
-	line, err := json.Marshal(rec)
-	if err != nil {
+	var buf [256]byte
+	line, ok := appendRecord(buf[:0], &rec)
+	if !ok {
+		_, err := json.Marshal(rec) // the error encoding/json reports for a non-finite value
 		return false, err
 	}
+	line = append(line, '\n')
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	key := trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}
 	if _, dup := st.have[key]; dup {
 		return false, nil // already durable; keep the store free of duplicates
 	}
-	if _, err := st.w.Write(append(line, '\n')); err != nil {
+	// Copied into the writer's free space rather than passed to Write,
+	// which would move buf to the heap.
+	if _, err := st.w.Write(append(st.w.AvailableBuffer(), line...)); err != nil {
 		return false, err
 	}
 	if err := st.w.Flush(); err != nil {

@@ -1,10 +1,15 @@
 package campaign
 
 import (
+	"encoding/json"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"robustify/internal/jsonl"
 )
 
 func TestStoreAppendReloadDedup(t *testing.T) {
@@ -150,4 +155,200 @@ func TestStoreSpecRoundTrip(t *testing.T) {
 	if got != spec {
 		t.Errorf("spec round trip = %+v, want %+v", got, spec)
 	}
+}
+
+// recordCases exercise every branch of the hand-written store codec
+// against encoding/json: the float notation switch at 1e-6 and 1e21,
+// signed zero, the float64 extremes, integer extremes, an omitted and a
+// present series, and series that need (or look like they need) escaping.
+var recordCases = []Record{
+	{},
+	{Unit: 1, RateIdx: 2, TrialIdx: 3, Rate: 0.05, Seed: 42, Value: 1.5, Series: "base"},
+	{Rate: 1e-7, Value: math.Copysign(0, -1)},
+	{Rate: 1e-6, Value: 1e20},
+	{Rate: 1e21, Value: 5e-324},
+	{Rate: math.MaxFloat64, Value: -math.MaxFloat64},
+	{Unit: -1, RateIdx: math.MaxInt, TrialIdx: math.MinInt, Seed: math.MaxUint64},
+	{Value: 3, Series: "SGD+AS,LS"},
+	{Value: 3, Series: "CG, N=10"},
+	{Value: 3, Series: "a<b&c>d"},
+	{Value: 3, Series: `say "hi"`},
+	{Value: 3, Series: "tab\tname"},
+	{Value: 3, Series: "café"},
+	{Value: 3, Series: `back\slash`},
+	{Value: 3, Series: `}"`},
+}
+
+// sameRecord compares records bit for bit (so 0 and -0 differ).
+func sameRecord(a, b Record) bool {
+	return a.Unit == b.Unit && a.RateIdx == b.RateIdx && a.TrialIdx == b.TrialIdx &&
+		math.Float64bits(a.Rate) == math.Float64bits(b.Rate) && a.Seed == b.Seed &&
+		math.Float64bits(a.Value) == math.Float64bits(b.Value) && a.Series == b.Series
+}
+
+// checkRecordCodec asserts appendRecord equals json.Marshal on rec
+// (failing exactly when it fails), and that decodeRecord reads the line
+// back to the same record unless the series needed escaping — those
+// lines are left to json.Unmarshal.
+func checkRecordCodec(t *testing.T, rec Record) {
+	t.Helper()
+	want, werr := json.Marshal(rec)
+	got, ok := appendRecord(nil, &rec)
+	if werr != nil {
+		if ok {
+			t.Fatalf("appendRecord(%+v) accepted a record json.Marshal rejects (%v)", rec, werr)
+		}
+		return
+	}
+	if !ok || string(got) != string(want) {
+		t.Fatalf("appendRecord(%+v) = %q,%v; json.Marshal = %q", rec, got, ok, want)
+	}
+	var scratch []byte
+	dec, ok := decodeRecord(got, &scratch)
+	if !ok {
+		if string(jsonl.AppendString(nil, rec.Series)) == `"`+rec.Series+`"` {
+			t.Fatalf("decodeRecord rejected the canonical line %q", got)
+		}
+		return // an escaped series: decoded by json.Unmarshal on load
+	}
+	if !sameRecord(dec, rec) {
+		t.Fatalf("decodeRecord(%q) = %+v, want %+v", got, dec, rec)
+	}
+}
+
+func TestRecordCodecMatchesJSON(t *testing.T) {
+	for _, rec := range recordCases {
+		checkRecordCodec(t, rec)
+	}
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 20000; i++ {
+		checkRecordCodec(t, Record{
+			Unit: r.Intn(64) - 8, RateIdx: r.Intn(16), TrialIdx: int(r.Int63()),
+			Rate: math.Float64frombits(r.Uint64()), Seed: r.Uint64(),
+			Value: math.Float64frombits(r.Uint64()),
+		})
+	}
+}
+
+// TestStorePutRejectsNonFinite: a NaN or ±Inf rate or value is refused
+// with the error encoding/json reports, and nothing is written.
+func TestStorePutRejectsNonFinite(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, rec := range []Record{
+		{Value: math.NaN()}, {Value: math.Inf(1)}, {Rate: math.Inf(-1)}, {TrialIdx: 1, Rate: math.NaN()},
+	} {
+		_, want := json.Marshal(rec)
+		added, err := st.Put(rec)
+		if err == nil || added || err.Error() != want.Error() {
+			t.Errorf("Put(%+v) = %v,%v; want false,%v", rec, added, err, want)
+		}
+	}
+	if st.Count() != 0 || st.Size() != 0 {
+		t.Errorf("rejected records reached the store: count %d, %d bytes", st.Count(), st.Size())
+	}
+}
+
+// TestStoreLoadNonCanonicalLines: lines the fast path does not accept —
+// escaped series, other key order, whitespace, non-canonical numbers,
+// missing fields — load exactly as json.Unmarshal reads them.
+func TestStoreLoadNonCanonicalLines(t *testing.T) {
+	lines := []string{
+		`{"u":0,"r":0,"t":0,"rate":0.1,"seed":1,"v":1,"s":"a<b"}`,
+		`{"v":2,"t":1,"r":0,"u":0,"rate":0.1,"seed":2}`,
+		`{"u":0, "r":0, "t":2, "rate":0.1, "seed":3, "v":3}`,
+		`{"u":0,"r":0,"t":3,"rate":1E-1,"seed":4,"v":4.0}`,
+		`{"u":0,"r":0,"t":4,"v":5}`,
+		`{"u":0,"r":0,"t":5,"rate":0.1,"seed":6,"v":6,"s":""}`,
+		`{"u":0,"r":0,"t":6,"rate":0.1,"seed":7,"v":7,"s":"x"} `,
+		`{"u":0,"r":0,"t":7,"rate":0.1,"seed":8,"v":8}` + "\r",
+		`{"u":0,"r":0,"t":8,"rate":0.1,"seed":9,"v":9,"extra":true}`,
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, storeFile), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var scratch []byte
+	for i, line := range lines {
+		if _, ok := decodeRecord([]byte(line), &scratch); ok {
+			t.Errorf("decodeRecord accepted non-canonical line %q", line)
+		}
+		var want Record
+		if err := json.Unmarshal([]byte(line), &want); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		if v, ok := st.Lookup(want.Unit, want.RateIdx, want.TrialIdx); !ok || v != want.Value {
+			t.Errorf("line %q loaded as %v,%v; want %v", line, v, ok, want.Value)
+		}
+	}
+	if st.Count() != len(lines) {
+		t.Errorf("count = %d, want %d", st.Count(), len(lines))
+	}
+}
+
+// TestStorePutAllocs pins Put of a new record at zero allocations: the
+// line is encoded into a stack buffer and copied into the writer's free
+// space. (The store's key map grows now and then; averaged over the runs
+// that rounds to zero.)
+func TestStorePutAllocs(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rec := Record{Unit: 1, Rate: 0.05, Seed: 42, Value: 0.125, Series: "SGD+AS,LS"}
+	allocs := testing.AllocsPerRun(1000, func() {
+		rec.TrialIdx++
+		if added, err := st.Put(rec); err != nil || !added {
+			t.Fatalf("Put = %v,%v", added, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Store.Put of a new record: %v allocations, want 0", allocs)
+	}
+}
+
+// BenchmarkRecordLine compares the hand-written store codec with the
+// encoding/json calls it replaced, on one typical store line.
+func BenchmarkRecordLine(b *testing.B) {
+	rec := Record{Unit: 1, RateIdx: 2, TrialIdx: 12345, Rate: 0.05, Seed: 8034150125634412345, Value: 0.0625, Series: "base"}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf [256]byte
+		for b.Loop() {
+			appendRecord(buf[:0], &rec)
+		}
+	})
+	b.Run("encode-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			json.Marshal(rec)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		var scratch []byte
+		for b.Loop() {
+			decodeRecord(line, &scratch)
+		}
+	})
+	b.Run("decode-json", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			var r Record
+			json.Unmarshal(line, &r)
+		}
+	})
 }

@@ -27,8 +27,9 @@ type Hub struct {
 	mu     sync.Mutex
 	tele   map[string]*Telemetry // open writers, keyed by campaign dir
 	dirs   map[string]string     // campaign id → dir, for event mirroring
-	failed map[string]bool       // dirs whose telemetry failed to open (logged once)
+	failed map[string]bool       // dirs whose telemetry failed to open or was dropped (logged once)
 	mirror bool
+	closed bool // set by Close: telemetry is never reopened after it
 }
 
 // NewHub returns a hub with an empty ring and collector.
@@ -143,7 +144,7 @@ func (h *Hub) AppendTrial(dir string, rec TrialRecord) {
 		return
 	}
 	if t := h.telemetry(dir); t != nil {
-		if err := t.Append("trial", rec); err != nil {
+		if err := t.appendTrial("trial", &rec); err != nil {
 			log.Printf("obs: append trial telemetry: %v", err)
 		}
 	}
@@ -151,6 +152,9 @@ func (h *Hub) AppendTrial(dir string, rec TrialRecord) {
 
 // telemetry returns the open writer for dir, opening it on first use.
 // Open failures are logged once per dir and reported as nil thereafter.
+// After Close it reports nil for every dir: a trial still running past a
+// bounded shutdown has its telemetry dropped (logged once per dir), never
+// written through a reopened file nobody will close.
 func (h *Hub) telemetry(dir string) *Telemetry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -158,6 +162,11 @@ func (h *Hub) telemetry(dir string) *Telemetry {
 		return t
 	}
 	if h.failed[dir] {
+		return nil
+	}
+	if h.closed {
+		log.Printf("obs: telemetry for %s dropped: hub closed", dir)
+		h.failed[dir] = true
 		return nil
 	}
 	t, err := OpenTelemetry(dir)
@@ -193,13 +202,15 @@ func writeEventsJSON(w io.Writer, events []Event) {
 	}
 }
 
-// Close closes every open telemetry writer.
+// Close closes every open telemetry writer. Later trial and event
+// appends are dropped.
 func (h *Hub) Close() error {
 	if h == nil {
 		return nil
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.closed = true
 	var first error
 	for dir, t := range h.tele {
 		if err := t.Close(); err != nil && first == nil {

@@ -14,9 +14,11 @@ package obs
 
 import (
 	"math/bits"
+	"slices"
 	"strconv"
 
 	"robustify/internal/fpu"
+	"robustify/internal/jsonl"
 )
 
 // clusterGap is the maximum FLOP distance between two consecutive faults
@@ -177,6 +179,61 @@ type FaultSummary struct {
 	MemScans   uint64            `json:"mem_scans,omitempty"`
 	MemWords   uint64            `json:"mem_words,omitempty"`
 	MemFaults  uint64            `json:"mem_faults,omitempty"`
+}
+
+// appendJSON appends s exactly as json.Marshal encodes it: omitempty
+// fields skipped, map keys sorted.
+func (s *FaultSummary) appendJSON(b []byte) []byte {
+	b = append(b, `{"total":`...)
+	b = strconv.AppendUint(b, s.Total, 10)
+	b = appendCount(b, `,"compares":`, s.Compares)
+	b = appendCounts(b, `,"by_op":`, s.ByOp)
+	b = appendCount(b, `,"sign":`, s.Sign)
+	b = appendCount(b, `,"exponent":`, s.Exponent)
+	b = appendCount(b, `,"mantissa":`, s.Mantissa)
+	b = appendCount(b, `,"multi_bit":`, s.MultiBit)
+	b = appendCount(b, `,"clustered":`, s.Clustered)
+	b = appendCount(b, `,"iterations":`, s.Iterations)
+	b = appendCounts(b, `,"by_iter_bucket":`, s.ByIter)
+	b = appendCount(b, `,"mem_scans":`, s.MemScans)
+	b = appendCount(b, `,"mem_words":`, s.MemWords)
+	b = appendCount(b, `,"mem_faults":`, s.MemFaults)
+	return append(b, '}')
+}
+
+// appendCount appends an omitempty counter field (key includes its
+// leading comma and trailing colon).
+func appendCount(b []byte, key string, n uint64) []byte {
+	if n == 0 {
+		return b
+	}
+	return strconv.AppendUint(append(b, key...), n, 10)
+}
+
+// appendCounts appends an omitempty counter map field with its keys in
+// sorted order, as encoding/json writes maps.
+func appendCounts(b []byte, key string, m map[string]uint64) []byte {
+	if len(m) == 0 {
+		return b
+	}
+	var arr [iterBuckets]string // holds every key Summary produces
+	keys := arr[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, key...)
+	for i, k := range keys {
+		if i == 0 {
+			b = append(b, '{')
+		} else {
+			b = append(b, ',')
+		}
+		b = jsonl.AppendString(b, k)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, m[k], 10)
+	}
+	return append(b, '}')
 }
 
 // Summary converts the counters to their wire form.

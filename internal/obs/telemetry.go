@@ -6,8 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
+
+	"robustify/internal/jsonl"
 )
 
 // TelemetryFile is the name of the diagnostics sidecar written next to a
@@ -20,8 +23,9 @@ const TelemetryFile = "telemetry.jsonl"
 // Telemetry appends timestamped diagnostic records to a campaign
 // directory's telemetry.jsonl. It is safe for concurrent use.
 type Telemetry struct {
-	mu sync.Mutex
-	f  *os.File
+	mu   sync.Mutex
+	f    *os.File
+	line []byte // the line being written, reused across appends
 }
 
 // OpenTelemetry opens (creating if needed) dir/telemetry.jsonl for append.
@@ -61,38 +65,121 @@ type Float float64
 
 // MarshalJSON implements json.Marshaler.
 func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return json.Marshal(fmt.Sprint(v))
-	}
-	return json.Marshal(v)
+	return f.appendJSON(nil), nil
 }
 
-// Append writes one telemetry line {"ts": ..., "kind": kind, "rec": rec},
-// stamping the wall clock. Telemetry is the one serialization path in the
-// repository where that is legal: the JSONL sidecar is diagnostics with no
-// resume-identity contract, unlike the store and trace artifacts the
-// notimeinartifacts analyzer guards.
-//
-//lint:artifact-time-exempt telemetry.jsonl is a diagnostics sidecar, explicitly outside resume byte-identity
-//lint:durable flight-recorder appends are the post-mortem record; silent loss defeats the recorder
+// appendJSON appends f as MarshalJSON encodes it.
+func (f Float) appendJSON(b []byte) []byte {
+	v := float64(f)
+	if b, ok := jsonl.AppendFloat(b, v); ok {
+		return b
+	}
+	switch {
+	case math.IsNaN(v):
+		return append(b, `"NaN"`...)
+	case v > 0:
+		return append(b, `"+Inf"`...)
+	default:
+		return append(b, `"-Inf"`...)
+	}
+}
+
+// appendJSON appends r exactly as json.Marshal encodes it. ok is false
+// when r.Rate is not finite, which encoding/json rejects.
+func (r *TrialRecord) appendJSON(b []byte) (_ []byte, ok bool) {
+	b = append(b, '{')
+	if r.Campaign != "" {
+		b = append(b, `"campaign":`...)
+		b = jsonl.AppendString(b, r.Campaign)
+		b = append(b, ',')
+	}
+	if r.Unit != "" {
+		b = append(b, `"unit":`...)
+		b = jsonl.AppendString(b, r.Unit)
+		b = append(b, ',')
+	}
+	if r.Series != "" {
+		b = append(b, `"series":`...)
+		b = jsonl.AppendString(b, r.Series)
+		b = append(b, ',')
+	}
+	b = append(b, `"rate_idx":`...)
+	b = strconv.AppendInt(b, int64(r.RateIdx), 10)
+	b = append(b, `,"trial_idx":`...)
+	b = strconv.AppendInt(b, int64(r.TrialIdx), 10)
+	b = append(b, `,"rate":`...)
+	if b, ok = jsonl.AppendFloat(b, r.Rate); !ok {
+		return b, false
+	}
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendUint(b, r.Seed, 10)
+	b = append(b, `,"value":`...)
+	b = r.Value.appendJSON(b)
+	if r.DurationMicros != 0 {
+		b = append(b, `,"duration_us":`...)
+		b = strconv.AppendInt(b, r.DurationMicros, 10)
+	}
+	if r.Faults != nil {
+		b = append(b, `,"faults":`...)
+		b = r.Faults.appendJSON(b)
+	}
+	return append(b, '}'), true
+}
+
+// Append writes one telemetry line {"ts": ..., "kind": kind, "rec": rec}.
+// A TrialRecord is encoded by hand; any other rec goes through
+// json.Marshal. Either way the line is byte-identical to json.Marshal of
+// the envelope.
 func (t *Telemetry) Append(kind string, rec any) error {
-	line := struct {
-		TS   string `json:"ts"`
-		Kind string `json:"kind"`
-		Rec  any    `json:"rec"`
-	}{TS: time.Now().UTC().Format(time.RFC3339Nano), Kind: kind, Rec: rec}
-	b, err := json.Marshal(line)
+	if tr, ok := rec.(TrialRecord); ok {
+		return t.appendTrial(kind, &tr)
+	}
+	body, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("obs: marshal telemetry record: %w", err)
 	}
-	b = append(b, '\n')
+	return t.writeLine(kind, body)
+}
+
+// appendTrial is Append for a trial record, taken by pointer so the
+// per-trial path never boxes the record in an interface.
+func (t *Telemetry) appendTrial(kind string, rec *TrialRecord) error {
+	var buf [512]byte
+	body, ok := rec.appendJSON(buf[:0])
+	if !ok {
+		_, err := json.Marshal(*rec) // the error encoding/json reports for a non-finite rate
+		return fmt.Errorf("obs: marshal telemetry record: %w", err)
+	}
+	return t.writeLine(kind, body)
+}
+
+// writeLine stamps the wall clock and writes the envelope around the
+// encoded record body. Telemetry is the one serialization path in the
+// repository where a clock is legal: the JSONL sidecar is diagnostics
+// with no resume-identity contract, unlike the store and trace artifacts
+// the notimeinartifacts analyzer guards.
+//
+// The line is assembled in a buffer reused under the lock: a stack
+// buffer handed to the file escapes under the race detector, which would
+// make the allocation pin build-dependent.
+//
+//lint:artifact-time-exempt telemetry.jsonl is a diagnostics sidecar, explicitly outside resume byte-identity
+//lint:durable flight-recorder appends are the post-mortem record; silent loss defeats the recorder
+func (t *Telemetry) writeLine(kind string, body []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.f == nil {
 		return fmt.Errorf("obs: telemetry closed")
 	}
-	_, err = t.f.Write(b)
+	b := append(t.line[:0], `{"ts":"`...)
+	b = time.Now().UTC().AppendFormat(b, time.RFC3339Nano)
+	b = append(b, `","kind":`...)
+	b = jsonl.AppendString(b, kind)
+	b = append(b, `,"rec":`...)
+	b = append(b, body...)
+	b = append(b, "}\n"...)
+	t.line = b
+	_, err := t.f.Write(b)
 	return err
 }
 

@@ -1,0 +1,176 @@
+package obs
+
+import (
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// bothMaps is a fault summary with every field set, both counter maps
+// included (keys inserted out of order, so the encoder must sort them).
+var bothMaps = &FaultSummary{
+	Total: 9, Compares: 1,
+	ByOp: map[string]uint64{"sub": 2, "add": 3, "cmp": 1, "mul": 3},
+	Sign: 1, Exponent: 2, Mantissa: 5, MultiBit: 1, Clustered: 4, Iterations: 300,
+	ByIter:   map[string]uint64{"256-511": 4, "0": 1, "1048576+": 1, "16-31": 2, "2-3": 1},
+	MemScans: 7, MemWords: 7000, MemFaults: 1,
+}
+
+// trialCases cover every branch of the hand-written TrialRecord encoder:
+// omitempty strings, the float notation switch, non-finite values (which
+// Float writes as strings), a zero and a negative duration, and fault
+// summaries from empty to full.
+var trialCases = []TrialRecord{
+	{},
+	{Campaign: "c0001", Unit: "sort/base", Series: "base", RateIdx: 1, TrialIdx: 2, Rate: 0.05, Seed: 42, Value: 0.25, DurationMicros: 14},
+	{Series: "SGD+AS,LS", Rate: 1e-7, Value: Float(math.NaN())},
+	{Series: "CG, N=10", Rate: 1e-6, Value: Float(math.Inf(1))},
+	{Unit: "a<b&c>d", Rate: 1e21, Value: Float(math.Inf(-1))},
+	{Campaign: `say "hi"`, Unit: "tab\there", Series: "café", Value: Float(math.Copysign(0, -1))},
+	{Rate: 5e-324, Value: Float(math.MaxFloat64), DurationMicros: -3, Seed: math.MaxUint64},
+	{RateIdx: -1, TrialIdx: math.MaxInt, Value: 1e20, Faults: &FaultSummary{}},
+	{Value: 1, Faults: &FaultSummary{Total: 1, ByOp: map[string]uint64{}, ByIter: map[string]uint64{"0": 1}}},
+	{Campaign: "c0002", Unit: "leastsq/cg", Series: "CG", Rate: 0.02, Seed: 7, Value: 1.5e-9, DurationMicros: 80, Faults: bothMaps},
+}
+
+func TestTrialRecordMatchesJSON(t *testing.T) {
+	for _, rec := range trialCases {
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatalf("json.Marshal(%+v): %v", rec, err)
+		}
+		if got, ok := rec.appendJSON(nil); !ok || string(got) != string(want) {
+			t.Errorf("appendJSON = %s,%v\njson.Marshal = %s", got, ok, want)
+		}
+	}
+	for _, f := range []float64{0, 1e-7, 1e21, math.NaN(), math.Inf(1), math.Inf(-1), -2.5} {
+		want, err := json.Marshal(Float(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Float(f).appendJSON(nil); string(got) != string(want) {
+			t.Errorf("Float(%v) = %s, json.Marshal = %s", f, got, want)
+		}
+	}
+}
+
+// TestTelemetryLineMatchesJSON: every written line, trial or mirrored
+// event, equals json.Marshal of the envelope it replaced, given the same
+// timestamp; a non-finite rate fails as encoding/json fails, and writes
+// nothing.
+func TestTelemetryLineMatchesJSON(t *testing.T) {
+	dir := t.TempDir()
+	tel, err := OpenTelemetry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type line struct {
+		kind string
+		rec  any
+	}
+	var want []line
+	for _, rec := range trialCases {
+		want = append(want, line{"trial", rec})
+	}
+	want = append(want,
+		line{"event", map[string]string{"kind": "trial.finish", "campaign": "c0001", "detail": "SGD+AS,LS rate=0.05 <x>"}},
+		line{"campaign.running", map[string]string{}},
+	)
+	for _, l := range want {
+		if err := tel.Append(l.kind, l.rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, jerr := json.Marshal(TrialRecord{Rate: math.NaN()})
+	if err := tel.Append("trial", TrialRecord{Rate: math.NaN()}); err == nil || !strings.Contains(err.Error(), jerr.Error()) {
+		t.Errorf("non-finite rate: Append error %v, want one wrapping %v", err, jerr)
+	}
+	if err := tel.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, TelemetryFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d lines written, want %d", len(got), len(want))
+	}
+	for i, l := range want {
+		var env struct {
+			TS string `json:"ts"`
+		}
+		if err := json.Unmarshal([]byte(got[i]), &env); err != nil {
+			t.Fatalf("line %d does not parse: %v", i, err)
+		}
+		ref, err := json.Marshal(struct {
+			TS   string `json:"ts"`
+			Kind string `json:"kind"`
+			Rec  any    `json:"rec"`
+		}{env.TS, l.kind, l.rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != string(ref) {
+			t.Errorf("line %d:\n got %s\nwant %s", i, got[i], ref)
+		}
+	}
+}
+
+// TestTelemetryAppendAllocs pins the per-trial telemetry append with a
+// fault summary: the hub's path allocates nothing, and the public Append
+// only boxes the record into its interface argument.
+func TestTelemetryAppendAllocs(t *testing.T) {
+	dir := t.TempDir()
+	h := NewHub()
+	defer h.Close()
+	rec := TrialRecord{Campaign: "c0001", Unit: "sort/base", Series: "base", Rate: 0.05, Seed: 1, Value: 0.5, DurationMicros: 14, Faults: bothMaps}
+	if n := testing.AllocsPerRun(200, func() { h.AppendTrial(dir, rec) }); n != 0 {
+		t.Errorf("Hub.AppendTrial: %v allocations, want 0", n)
+	}
+	tel, err := OpenTelemetry(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tel.Close()
+	n := testing.AllocsPerRun(200, func() {
+		if err := tel.Append("trial", rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 1 {
+		t.Errorf("Telemetry.Append(TrialRecord): %v allocations, want 1", n)
+	}
+}
+
+// TestHubCloseStopsTelemetry: an append after Close (a trial still
+// running past a bounded shutdown) is dropped, and the closed hub never
+// reopens a writer it would not close again.
+func TestHubCloseStopsTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	h := NewHub()
+	h.SetMirrorEvents(true)
+	h.RegisterCampaign("c0001", dir)
+	h.AppendTrial(dir, TrialRecord{Value: 1})
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h.AppendTrial(dir, TrialRecord{Value: 2})
+	h.Emit("campaign.cancelled", "c0001", "")
+	b, err := os.ReadFile(filepath.Join(dir, TelemetryFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), "\n"); n != 1 {
+		t.Errorf("telemetry has %d lines after Close, want the 1 written before:\n%s", n, b)
+	}
+	h.mu.Lock()
+	open := len(h.tele)
+	h.mu.Unlock()
+	if open != 0 {
+		t.Errorf("%d telemetry writers open after Close", open)
+	}
+}
