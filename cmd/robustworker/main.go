@@ -36,13 +36,13 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
 	"robustify/internal/campaign"
 	"robustify/internal/dispatch"
 	"robustify/internal/fpu/faultmodel"
+	"robustify/internal/harness"
 )
 
 func main() {
@@ -248,8 +248,9 @@ func (w *worker) release(ctx context.Context, lr *dispatch.LeaseResponse) {
 	}
 }
 
-// runShard executes one leased shard: a pool of goroutines runs the
-// trials, while this goroutine batches results back to the coordinator —
+// runShard executes one leased shard: Campaign.RunShard runs the trials
+// on a goroutine of their own — the trial loop local campaigns use —
+// while this goroutine batches results back to the coordinator,
 // flushing on batch size, on a heartbeat tick (TTL/3, so a slow trial
 // never lets the lease lapse), and finally with done=true. A lost lease
 // or a dead coordinator abandons the shard; whatever was not reported is
@@ -265,77 +266,31 @@ func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
 		sleep(ctx, w.poll)
 		return
 	}
-	shard := lr.Shard
-	if shard.Unit < 0 || shard.Unit >= len(camp.Plan.Units) {
-		log.Printf("robustworker: campaign %s: lease %s names unit %d of %d; releasing",
-			lr.Campaign, lr.Lease, shard.Unit, len(camp.Plan.Units))
-		w.release(ctx, lr)
-		sleep(ctx, w.poll)
-		return
-	}
-	u := camp.Plan.Units[shard.Unit]
-	trials := dispatch.TrialsPerCell(u.Sweep.Trials)
-	size := len(u.Sweep.Rates) * trials
-	if shard.Start < 0 || shard.Count < 0 || shard.Start+shard.Count > size {
-		log.Printf("robustworker: campaign %s: lease %s range [%d,%d) exceeds grid %d; releasing",
-			lr.Campaign, lr.Lease, shard.Start, shard.Start+shard.Count, size)
-		w.release(ctx, lr)
-		sleep(ctx, w.poll)
-		return
-	}
-	skip := make(map[int]bool, len(shard.Skip))
-	for _, i := range shard.Skip {
-		skip[i] = true
-	}
-	var todo []int
-	for i := shard.Start; i < shard.Start+shard.Count; i++ {
-		if !skip[i] {
-			todo = append(todo, i)
-		}
-	}
-	w.stats.shards.Add(1)
 	label := camp.Spec.MetricLabel()
 
-	// Trial executor pool. sctx aborts it when the lease is lost.
+	// The trial loop runs until the shard is done; sctx aborts it when
+	// the lease is lost. runErr is read only after results is closed.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	jobs := make(chan int)
 	results := make(chan dispatch.TrialResult, w.parallel)
-	var wg sync.WaitGroup
-	for i := 0; i < w.parallel; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				if sctx.Err() != nil {
-					continue // drain without executing
-				}
-				r, t := idx/trials, idx%trials
-				res := dispatch.TrialResult{
-					Unit: shard.Unit, RateIdx: r, TrialIdx: t,
-					Rate: u.Sweep.Rates[r],
-					Seed: u.Sweep.TrialSeed(r, t),
-				}
-				start := time.Now()
-				res.Value = u.Fn(res.Rate, res.Seed)
-				w.stats.observeTrial(label, time.Since(start), res.Rate, res.Seed)
-				select {
-				case results <- res:
-				case <-sctx.Done():
-				}
-			}
-		}()
-	}
+	var runErr error
 	go func() {
 		defer close(results)
-		defer wg.Wait()
-		defer close(jobs)
-		for _, idx := range todo {
-			select {
-			case jobs <- idx:
-			case <-sctx.Done():
-				return
+		runErr = camp.RunShard(sctx, lr.Shard, w.parallel, harness.Hooks{Sink: func(t harness.Trial) {
+			if t.Cached {
+				return // a Skip index: already durable at the coordinator
 			}
+			w.stats.observeTrial(label, t.Dur, t.Rate, t.Seed)
+			select {
+			case results <- dispatch.TrialResult{
+				Unit: lr.Shard.Unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx,
+				Rate: t.Rate, Seed: t.Seed, Value: t.Value,
+			}:
+			case <-sctx.Done():
+			}
+		}})
+		if runErr == nil || sctx.Err() != nil { // out-of-grid shards never ran
+			w.stats.shards.Add(1)
 		}
 	}()
 
@@ -373,20 +328,26 @@ func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
 	abandon := func() {
 		cancel()
 		for range results {
-		} // release the executor pool
+		} // let the trial loop wind down
 	}
 	for {
 		select {
 		case res, ok := <-results:
 			if !ok {
-				if ctx.Err() != nil {
+				switch {
+				case ctx.Err() != nil:
 					// Shutdown mid-shard: best-effort flush of finished trials
 					// (without done — the shard is not complete), then leave the
 					// lease to expire.
 					w.reportDetached(lr, pending)
-					return
+				case runErr != nil:
+					// The shard lies outside the grid this build compiled.
+					log.Printf("robustworker: campaign %s: lease %s: %v; releasing", lr.Campaign, lr.Lease, runErr)
+					w.release(ctx, lr)
+					sleep(ctx, w.poll)
+				default:
+					flush(true)
 				}
-				flush(true)
 				return
 			}
 			pending = append(pending, res)
@@ -402,7 +363,7 @@ func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
 				return
 			}
 		case <-ctx.Done():
-			// Shutdown: stop the executors and keep trials they already
+			// Shutdown: stop the trial loop and keep trials it already
 			// finished (buffered in results) for the best-effort flush —
 			// but never wait on a wedged trial: collect only what arrives
 			// within the detached-report budget, then exit regardless.

@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -217,5 +222,72 @@ func terminalState(s string) bool {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")
+	}
+}
+
+// TestRunShardCountsExecutedShards: a lease whose shard lies outside the
+// compiled grid is handed straight back — a done report with no results
+// — and does not count in robustworker_shards_total; an in-grid lease
+// reports every non-skipped trial and counts once.
+func TestRunShardCountsExecutedShards(t *testing.T) {
+	var mu sync.Mutex
+	var reports []dispatch.ReportRequest
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req dispatch.ReportRequest
+		if r.URL.Path != "/workers/report" || json.NewDecoder(r.Body).Decode(&req) != nil {
+			http.Error(w, "unexpected request", http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		reports = append(reports, req)
+		mu.Unlock()
+		fmt.Fprintln(w, "{}")
+	}))
+	defer coord.Close()
+	spec, err := json.Marshal(campaign.Spec{
+		Custom: &campaign.CustomSweep{Workload: "sort/robust", Rates: []float64{0.05, 0.1}, Iters: 50},
+		Trials: 2, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &worker{
+		cl:    dispatch.NewClient(coord.URL, "test"),
+		poll:  time.Millisecond,
+		batch: 32, parallel: 2,
+		stats: newWstats(),
+		plans: make(map[string]*campaign.Campaign),
+		bad:   make(map[string]string),
+	}
+	lease := func(id string, sh dispatch.Shard) *dispatch.LeaseResponse {
+		return &dispatch.LeaseResponse{Lease: id, Campaign: "c0001", Spec: spec, Shard: sh, TTL: time.Minute}
+	}
+
+	w.runShard(context.Background(), lease("l1", dispatch.Shard{Unit: 0, Start: 3, Count: 2}))
+	if n := w.stats.shards.Load(); n != 0 {
+		t.Errorf("out-of-grid shard counted: shards_total = %d", n)
+	}
+	w.runShard(context.Background(), lease("l2", dispatch.Shard{Unit: 0, Count: 4, Skip: []int{1}}))
+	if n := w.stats.shards.Load(); n != 1 {
+		t.Errorf("shards_total = %d after one executed shard, want 1", n)
+	}
+	if n := w.stats.trials.Load(); n != 3 {
+		t.Errorf("trials_total = %d, want 3", n)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	got, done := map[string][]int{}, map[string]bool{}
+	for _, r := range reports {
+		for _, res := range r.Results {
+			got[r.Lease] = append(got[r.Lease], res.RateIdx*2+res.TrialIdx)
+		}
+		done[r.Lease] = done[r.Lease] || r.Done
+	}
+	if idx := got["l1"]; !done["l1"] || len(idx) != 0 {
+		t.Errorf("out-of-grid lease: reported %v (done %v), want an empty done report", idx, done["l1"])
+	}
+	if idx := got["l2"]; !done["l2"] || !slices.Equal(slices.Sorted(slices.Values(idx)), []int{0, 2, 3}) {
+		t.Errorf("in-grid lease reported indices %v, want [0 2 3]", idx)
 	}
 }

@@ -24,7 +24,7 @@ func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, 
 	}
 	units := make([]dispatch.UnitGrid, len(e.camp.Plan.Units))
 	for i, u := range e.camp.Plan.Units {
-		units[i] = dispatch.UnitGrid{Rates: len(u.Sweep.Rates), Trials: unitTrials(u)}
+		units[i] = dispatch.UnitGrid{Rates: len(u.Sweep.Rates), Trials: u.Sweep.PerCell()}
 	}
 	return d.RunJob(ctx, dispatch.Job{
 		Campaign: id,
@@ -43,25 +43,16 @@ func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, 
 		},
 		Sink: func(results []dispatch.TrialResult) error {
 			for _, r := range results {
-				added, err := e.st.Put(Record{
+				added, err := e.record(Record{
 					Unit: r.Unit, RateIdx: r.RateIdx, TrialIdx: r.TrialIdx,
 					Rate: r.Rate, Seed: r.Seed, Value: r.Value,
-					Series: e.camp.Plan.Units[r.Unit].Series,
 				})
 				if err != nil {
 					return err
 				}
-				if !added {
-					continue // duplicate from a reassigned shard
+				if added { // else a duplicate from a reassigned shard
+					e.observeDispatched(r)
 				}
-				e.noteTrial()
-				e.mu.Lock()
-				e.stats[r.Unit][r.RateIdx].Add(r.Value)
-				e.mu.Unlock()
-				// Dispatched trials were computed on a worker, so latency
-				// and fault placement live in the worker's own telemetry;
-				// the coordinator records the result's arrival.
-				e.observeDispatched(r)
 			}
 			return nil
 		},

@@ -9,11 +9,12 @@ import (
 	"time"
 
 	"robustify/internal/dispatch"
+	"robustify/internal/harness"
 )
 
-// execShard runs a lease's shard exactly as cmd/robustworker does:
-// compile the spec, derive (rate, seed) from the grid coordinates, and
-// execute the unit's trial function.
+// execShard runs a lease's shard the way cmd/robustworker does: compile
+// the spec and hand the shard to Campaign.RunShard, keeping the results
+// of every trial it executes.
 func execShard(t *testing.T, lr *dispatch.LeaseResponse) []dispatch.TrialResult {
 	t.Helper()
 	spec, err := ParseSpec(lr.Spec)
@@ -24,24 +25,17 @@ func execShard(t *testing.T, lr *dispatch.LeaseResponse) []dispatch.TrialResult 
 	if err != nil {
 		t.Fatalf("worker: compile: %v", err)
 	}
-	u := camp.Plan.Units[lr.Shard.Unit]
-	trials := unitTrials(u)
-	skip := map[int]bool{}
-	for _, i := range lr.Shard.Skip {
-		skip[i] = true
-	}
 	var out []dispatch.TrialResult
-	for i := lr.Shard.Start; i < lr.Shard.Start+lr.Shard.Count; i++ {
-		if skip[i] {
-			continue
+	err = camp.RunShard(context.Background(), lr.Shard, 1, harness.Hooks{Sink: func(tr harness.Trial) {
+		if !tr.Cached {
+			out = append(out, dispatch.TrialResult{
+				Unit: lr.Shard.Unit, RateIdx: tr.RateIdx, TrialIdx: tr.TrialIdx,
+				Rate: tr.Rate, Seed: tr.Seed, Value: tr.Value,
+			})
 		}
-		r, tr := i/trials, i%trials
-		res := dispatch.TrialResult{
-			Unit: lr.Shard.Unit, RateIdx: r, TrialIdx: tr,
-			Rate: u.Sweep.Rates[r], Seed: u.Sweep.TrialSeed(r, tr),
-		}
-		res.Value = u.Fn(res.Rate, res.Seed)
-		out = append(out, res)
+	}})
+	if err != nil {
+		t.Fatalf("worker: run shard: %v", err)
 	}
 	return out
 }

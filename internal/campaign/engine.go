@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"robustify/internal/dispatch"
 	"robustify/internal/figures"
@@ -26,10 +25,45 @@ type Campaign struct {
 // Total is the number of trials in the full grid.
 func (c *Campaign) Total() int { return c.Plan.Size() }
 
-// unitTrials is the one grid-normalization rule, shared with the
-// dispatch layer so coordinator and workers always linearize the same
-// grid.
-func unitTrials(u figures.Unit) int { return dispatch.TrialsPerCell(u.Sweep.Trials) }
+// RunShard runs one shard of the grid — unit sh.Unit's linear indices
+// [sh.Start, sh.Start+sh.Count) — through the harness trial loop on
+// workers goroutines (0 = the unit's own default). Indices listed in
+// sh.Skip reach the sink as cached trials without running. It is the
+// one way trials execute: Execution.Run runs each unit as a whole-unit
+// shard, and robustworker runs the shards it leases. A shard outside the
+// grid is an error, and nothing runs.
+func (c *Campaign) RunShard(ctx context.Context, sh dispatch.Shard, workers int, h harness.Hooks) error {
+	if sh.Unit < 0 || sh.Unit >= len(c.Plan.Units) {
+		return fmt.Errorf("campaign: shard names unit %d of %d", sh.Unit, len(c.Plan.Units))
+	}
+	sweep := c.Plan.Units[sh.Unit].Sweep
+	if size := sweep.Size(); sh.Start < 0 || sh.Count < 0 || sh.Start+sh.Count > size {
+		return fmt.Errorf("campaign: shard range [%d,%d) exceeds unit %d's grid of %d",
+			sh.Start, sh.Start+sh.Count, sh.Unit, size)
+	}
+	if workers > 0 {
+		sweep.Workers = workers
+	}
+	if len(sh.Skip) > 0 {
+		skip := make([]bool, sh.Count)
+		for _, i := range sh.Skip {
+			if i >= sh.Start && i < sh.Start+sh.Count {
+				skip[i-sh.Start] = true
+			}
+		}
+		per, lookup := sweep.PerCell(), h.Lookup
+		h.Lookup = func(rateIdx, trial int) (float64, bool) {
+			if skip[rateIdx*per+trial-sh.Start] {
+				return 0, true
+			}
+			if lookup != nil {
+				return lookup(rateIdx, trial)
+			}
+			return 0, false
+		}
+	}
+	return sweep.RunRange(ctx, c.Plan.Units[sh.Unit].Fn, sh.Start, sh.Count, h)
+}
 
 // TableFromStore materializes the campaign's table from whatever the store
 // currently holds: cells aggregate over their completed trials in
@@ -44,7 +78,7 @@ func (c *Campaign) TableFromStore(st *Store) *harness.Table {
 		if err != nil {
 			agg = harness.Mean
 		}
-		trials := unitTrials(u)
+		trials := u.Sweep.PerCell()
 		var pts []harness.Point
 		for r, rate := range u.Sweep.Rates {
 			xs := st.CellValues(i, r, trials)
@@ -120,13 +154,6 @@ type Execution struct {
 	hub *obs.Hub
 	id  string
 
-	// lat stashes each in-flight trial's wall-clock latency between the
-	// instrumented trial function returning and the sink consuming the
-	// result (the harness runs both on the same goroutine, so the stash
-	// for a given seed is written before it is read).
-	latMu sync.Mutex
-	lat   map[uint64]time.Duration
-
 	mu    sync.Mutex
 	stats [][]*OnlineStats // [unit][rateIdx]
 }
@@ -147,27 +174,9 @@ func (s Spec) MetricLabel() string {
 	return "fig:" + s.Figure
 }
 
-// stashLatency records a just-computed trial's latency until its sink
-// runs; takeLatency removes and returns it.
-func (e *Execution) stashLatency(seed uint64, d time.Duration) {
-	e.latMu.Lock()
-	if e.lat == nil {
-		e.lat = make(map[uint64]time.Duration)
-	}
-	e.lat[seed] = d
-	e.latMu.Unlock()
-}
-
-func (e *Execution) takeLatency(seed uint64) time.Duration {
-	e.latMu.Lock()
-	d := e.lat[seed]
-	delete(e.lat, seed)
-	e.latMu.Unlock()
-	return d
-}
-
 // observeDispatched is observeTrial for results arriving from a worker
-// fleet: no local latency or fault recorder exists for them.
+// fleet: their latency and fault placement live in the worker's own
+// telemetry, so the coordinator records only the result's arrival.
 func (e *Execution) observeDispatched(r dispatch.TrialResult) {
 	if e.hub == nil {
 		return
@@ -185,14 +194,12 @@ func (e *Execution) observeDispatched(r dispatch.TrialResult) {
 // observeTrial emits a trial's diagnostics — telemetry record, latency
 // histogram sample, and trace event — after the trial was durably added
 // to the store. It never touches the store itself.
-func (e *Execution) observeTrial(unit int, t harness.Trial, d time.Duration) {
+func (e *Execution) observeTrial(unit int, t harness.Trial) {
 	if e.hub == nil {
 		return
 	}
-	label := e.camp.Spec.MetricLabel()
-	if d > 0 {
-		e.hub.ObserveTrial(label, d)
-	}
+	label, d := e.camp.Spec.MetricLabel(), t.Dur
+	e.hub.ObserveTrial(label, d)
 	rec := obs.TrialRecord{
 		Campaign: e.id,
 		Unit:     label,
@@ -212,11 +219,23 @@ func (e *Execution) observeTrial(unit int, t harness.Trial, d time.Duration) {
 			" trial="+strconv.Itoa(t.TrialIdx)+" dur="+d.String())
 }
 
-// noteTrial bumps the fresh-trial counter, if one is attached.
-func (e *Execution) noteTrial() {
+// record merges one trial result into the store and, when its key is
+// new, into the fresh-trial counter and the live statistics. It reports
+// whether the result was new: a duplicate — a concurrent worker or a
+// reassigned shard got there first — changes nothing.
+func (e *Execution) record(r Record) (bool, error) {
+	r.Series = e.camp.Plan.Units[r.Unit].Series
+	added, err := e.st.Put(r)
+	if err != nil || !added {
+		return false, err
+	}
 	if e.trials != nil {
 		e.trials.Add(1)
 	}
+	e.mu.Lock()
+	e.stats[r.Unit][r.RateIdx].Add(r.Value)
+	e.mu.Unlock()
+	return true, nil
 }
 
 // NewExecution prepares a run, folding any trials already in the store
@@ -226,7 +245,7 @@ func NewExecution(camp *Campaign, st *Store) *Execution {
 	e.stats = make([][]*OnlineStats, len(camp.Plan.Units))
 	for i, u := range camp.Plan.Units {
 		e.stats[i] = make([]*OnlineStats, len(u.Sweep.Rates))
-		trials := unitTrials(u)
+		trials := u.Sweep.PerCell()
 		for r := range u.Sweep.Rates {
 			s := &OnlineStats{}
 			for _, v := range st.CellValues(i, r, trials) {
@@ -238,39 +257,20 @@ func NewExecution(camp *Campaign, st *Store) *Execution {
 	return e
 }
 
-// Run executes every unit in plan order. Trials already in the store are
-// served from it instead of re-executing (resume); every freshly executed
-// trial is appended to the store before counting as progress, so an
-// interrupt at any point loses no completed work. Cancelling ctx stops
+// Run executes every unit in plan order, each as one whole-unit shard
+// through RunShard. Trials already in the store are served from it
+// instead of re-executing (resume); every freshly executed trial is
+// appended to the store before counting as progress, so an interrupt at
+// any point loses no completed work. Cancelling ctx stops
 // between trials and returns ctx.Err(). A store error stops the sweep
 // too, without computing the remaining trials, and Run returns that
 // error rather than a cancellation.
 func (e *Execution) Run(ctx context.Context) error {
 	ctx, stop := context.WithCancel(ctx)
 	defer stop()
-	for i, u := range e.camp.Plan.Units {
-		unit, stats := i, e.stats[i]
-		agg, err := harness.AggregatorByName(u.Agg)
-		if err != nil {
-			return err
-		}
+	for unit, u := range e.camp.Plan.Units {
 		var sinkErr error
 		var sinkMu sync.Mutex
-		fn := u.Fn
-		if e.hub != nil {
-			// Wrap the trial function to time each fresh trial. The stash
-			// is keyed by seed and consumed by the sink, which the harness
-			// runs on the computing goroutine right after fn returns. The
-			// wrapper changes no arithmetic: fn's value passes through
-			// untouched, so results stay bit-identical with the hub on.
-			inner := u.Fn
-			fn = func(rate float64, seed uint64) float64 {
-				start := time.Now()
-				v := inner(rate, seed)
-				e.stashLatency(seed, time.Since(start))
-				return v
-			}
-		}
 		hooks := harness.Hooks{
 			Lookup: func(rateIdx, trial int) (float64, bool) {
 				return e.st.Lookup(unit, rateIdx, trial)
@@ -279,10 +279,9 @@ func (e *Execution) Run(ctx context.Context) error {
 				if t.Cached {
 					return // already folded in (preloaded from the store)
 				}
-				added, err := e.st.Put(Record{
+				added, err := e.record(Record{
 					Unit: unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx,
 					Rate: t.Rate, Seed: t.Seed, Value: t.Value,
-					Series: e.camp.Plan.Units[unit].Series,
 				})
 				if err != nil {
 					sinkMu.Lock()
@@ -291,25 +290,15 @@ func (e *Execution) Run(ctx context.Context) error {
 					}
 					sinkMu.Unlock()
 					stop() // no later trial of this sweep could be recorded
-					e.discard(t)
-					return
 				}
-				if !added {
-					e.discard(t) // a concurrent worker beat us to this key
-					return
+				if added {
+					e.observeTrial(unit, t)
+				} else if e.hub != nil {
+					e.hub.TakeFaults(t.Rate, t.Seed) // drop the recorders of a trial the store refused
 				}
-				e.noteTrial()
-				e.mu.Lock()
-				stats[t.RateIdx].Add(t.Value)
-				e.mu.Unlock()
-				e.observeTrial(unit, t, e.takeLatency(t.Seed))
 			},
 		}
-		sweep := u.Sweep
-		if e.camp.Spec.Workers > 0 {
-			sweep.Workers = e.camp.Spec.Workers
-		}
-		_, err = sweep.RunHooked(ctx, fn, agg, hooks)
+		err := e.camp.RunShard(ctx, dispatch.Shard{Unit: unit, Count: u.Sweep.Size()}, e.camp.Spec.Workers, hooks)
 		if sinkErr != nil {
 			return fmt.Errorf("campaign: record trial: %w", sinkErr)
 		}
@@ -318,16 +307,6 @@ func (e *Execution) Run(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// discard drops the diagnostics stashed for a trial that never reached
-// the store.
-func (e *Execution) discard(t harness.Trial) {
-	if e.hub == nil {
-		return
-	}
-	e.takeLatency(t.Seed)
-	e.hub.TakeFaults(t.Rate, t.Seed)
 }
 
 // Progress reports completed vs total trials.
@@ -342,7 +321,7 @@ func (e *Execution) Status() []UnitStatus {
 	out := make([]UnitStatus, len(e.camp.Plan.Units))
 	for i, u := range e.camp.Plan.Units {
 		us := UnitStatus{Series: u.Series, Agg: u.Agg}
-		trials := unitTrials(u)
+		trials := u.Sweep.PerCell()
 		for r, rate := range u.Sweep.Rates {
 			s := e.stats[i][r]
 			us.Cells = append(us.Cells, CellStatus{

@@ -6,11 +6,15 @@ import (
 	"errors"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"robustify/internal/dispatch"
 	"robustify/internal/figures"
+	"robustify/internal/harness"
 )
 
 // runAll executes a spec to completion in a fresh store and returns the
@@ -274,5 +278,74 @@ func TestRunStopsAtFirstStoreError(t *testing.T) {
 	}
 	if n := calls.Load(); n > int64(spec.Workers+1) {
 		t.Errorf("trial function ran %d times after the store failed, want at most %d", n, spec.Workers+1)
+	}
+}
+
+// TestRunShard: a shard outside the grid is an error and runs nothing;
+// an in-grid shard delivers each index in range to the sink exactly
+// once, with Skip indices (those in range) cached and never executed.
+func TestRunShard(t *testing.T) {
+	var ran atomic.Int64
+	fn := func(rate float64, seed uint64) float64 { ran.Add(1); return rate }
+	camp := &Campaign{Plan: &figures.Plan{Units: []figures.Unit{
+		{Series: "a", Sweep: harness.Sweep{Rates: []float64{0.1, 0.2}, Trials: 3, Seed: 1}, Fn: fn},
+		{Series: "b", Sweep: harness.Sweep{Rates: []float64{0.3}, Trials: 4, Seed: 2}, Fn: fn},
+	}}}
+	for _, tc := range []struct {
+		name   string
+		shard  dispatch.Shard
+		bad    bool
+		cached []int // indices the sink must see cached; the rest of the range runs
+	}{
+		{name: "unit -1", shard: dispatch.Shard{Unit: -1, Count: 1}, bad: true},
+		{name: "unit past the plan", shard: dispatch.Shard{Unit: 2, Count: 1}, bad: true},
+		{name: "negative start", shard: dispatch.Shard{Unit: 0, Start: -1, Count: 2}, bad: true},
+		{name: "negative count", shard: dispatch.Shard{Unit: 0, Start: 2, Count: -1}, bad: true},
+		{name: "past the grid", shard: dispatch.Shard{Unit: 1, Start: 2, Count: 3}, bad: true},
+		{name: "whole unit", shard: dispatch.Shard{Unit: 0, Count: 6}},
+		{name: "empty", shard: dispatch.Shard{Unit: 0, Start: 6}},
+		{name: "skips", shard: dispatch.Shard{Unit: 0, Start: 1, Count: 4, Skip: []int{0, 2, 4, 5}}, cached: []int{2, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ran.Store(0)
+			var mu sync.Mutex
+			seen := map[int]harness.Trial{}
+			dups := 0
+			err := camp.RunShard(context.Background(), tc.shard, 4, harness.Hooks{Sink: func(tr harness.Trial) {
+				idx := tr.RateIdx*camp.Plan.Units[tc.shard.Unit].Sweep.PerCell() + tr.TrialIdx
+				mu.Lock()
+				if _, ok := seen[idx]; ok {
+					dups++
+				}
+				seen[idx] = tr
+				mu.Unlock()
+			}})
+			if tc.bad {
+				if err == nil {
+					t.Error("out-of-grid shard accepted")
+				}
+				if n := ran.Load(); n != 0 || len(seen) != 0 {
+					t.Errorf("rejected shard ran %d trials, sank %d", n, len(seen))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dups != 0 || len(seen) != tc.shard.Count {
+				t.Errorf("sink saw %d distinct indices (%d repeats), want %d", len(seen), dups, tc.shard.Count)
+			}
+			for idx, tr := range seen {
+				if idx < tc.shard.Start || idx >= tc.shard.Start+tc.shard.Count {
+					t.Errorf("index %d outside [%d,%d) reached the sink", idx, tc.shard.Start, tc.shard.Start+tc.shard.Count)
+				}
+				if want := slices.Contains(tc.cached, idx); tr.Cached != want {
+					t.Errorf("index %d cached = %v, want %v", idx, tr.Cached, want)
+				}
+			}
+			if n, want := ran.Load(), int64(tc.shard.Count-len(tc.cached)); n != want {
+				t.Errorf("ran %d trials, want %d", n, want)
+			}
+		})
 	}
 }

@@ -84,7 +84,7 @@ func (j *runningJob) inGrid(k Key) bool {
 		return false
 	}
 	g := j.job.Units[k.Unit]
-	return k.RateIdx >= 0 && k.RateIdx < g.Rates && k.TrialIdx >= 0 && k.TrialIdx < g.trials()
+	return k.RateIdx >= 0 && k.RateIdx < g.Rates && k.TrialIdx >= 0 && k.TrialIdx < g.Trials
 }
 
 type workerInfo struct {

@@ -41,28 +41,15 @@ type Key struct {
 
 // UnitGrid is the shape of one unit's rate×trial grid — all the
 // coordinator needs to carve shards without knowing what the trials do.
+// Trials is taken as given: the campaign passes its sweep's PerCell, the
+// rule workers linearize shards with, and a 0-trial grid is empty.
 type UnitGrid struct {
 	Rates  int `json:"rates"`
 	Trials int `json:"trials"`
 }
 
-// TrialsPerCell normalizes a per-cell trial count exactly like
-// harness.Sweep does (<=0 means one trial per cell). Coordinator,
-// workers, and tests all linearize grids with this one rule — a private
-// re-derivation on either side would silently shift every (rate, trial)
-// coordinate.
-func TrialsPerCell(n int) int {
-	if n <= 0 {
-		return 1
-	}
-	return n
-}
-
-// trials is the grid's normalized per-cell trial count.
-func (g UnitGrid) trials() int { return TrialsPerCell(g.Trials) }
-
 // size is the unit's linearized grid length.
-func (g UnitGrid) size() int { return g.Rates * g.trials() }
+func (g UnitGrid) size() int { return g.Rates * g.Trials }
 
 // Shard is a contiguous slice of one unit's linearized grid: indices
 // [Start, Start+Count) with index = rateIdx*trials + trialIdx. Skip

@@ -88,7 +88,7 @@ func NewTable(units []UnitGrid, have func(Key) bool, shardSize int) *Table {
 	}
 	for u, g := range units {
 		t.unitBase = append(t.unitBase, len(t.shards))
-		trials, size := g.trials(), g.size()
+		trials, size := g.Trials, g.size()
 		for start := 0; start < size; start += shardSize {
 			count := min(shardSize, size-start)
 			e := &shardEntry{unit: u, start: start, count: count, remaining: make(map[int]struct{}, count)}
@@ -194,10 +194,10 @@ func (t *Table) markDurableLocked(keys []Key) {
 			continue
 		}
 		g := t.units[k.Unit]
-		if k.RateIdx < 0 || k.RateIdx >= g.Rates || k.TrialIdx < 0 || k.TrialIdx >= g.trials() {
+		if k.RateIdx < 0 || k.RateIdx >= g.Rates || k.TrialIdx < 0 || k.TrialIdx >= g.Trials {
 			continue
 		}
-		linear := k.RateIdx*g.trials() + k.TrialIdx
+		linear := k.RateIdx*g.Trials + k.TrialIdx
 		e := t.shards[t.unitBase[k.Unit]+linear/t.shardSize]
 		delete(e.remaining, linear)
 		if e.state != shardDone && len(e.remaining) == 0 {

@@ -18,6 +18,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // Point is one measured cell: a fault rate (faults per FLOP) and the
@@ -84,14 +86,20 @@ func (s Sweep) RunMedian(fn TrialFunc) []Point {
 	return points
 }
 
-// Size is the number of trials in the full rate×trial grid.
-func (s Sweep) Size() int {
-	trials := s.Trials
-	if trials <= 0 {
-		trials = 1
+// PerCell is the number of trials per (rate) cell: Trials, or 1 when
+// Trials ≤ 0. It is the one rule that linearizes the grid — Size,
+// RunRange, and the dispatch shards a campaign hands to workers all
+// derive (rate, trial) coordinates from it, so a private copy anywhere
+// would shift every coordinate.
+func (s Sweep) PerCell() int {
+	if s.Trials <= 0 {
+		return 1
 	}
-	return len(s.Rates) * trials
+	return s.Trials
 }
+
+// Size is the number of trials in the full rate×trial grid.
+func (s Sweep) Size() int { return len(s.Rates) * s.PerCell() }
 
 // Trial is one grid-cell execution and its outcome, as delivered to a
 // Hooks.Sink.
@@ -107,6 +115,8 @@ type Trial struct {
 	Value float64
 	// Cached marks a value served by Hooks.Lookup instead of executed.
 	Cached bool
+	// Dur is the wall time of the trial function call; 0 when Cached.
+	Dur time.Duration
 }
 
 // Aggregator folds one cell's trial values into the cell's point value.
@@ -124,7 +134,7 @@ func AggregatorByName(name string) (Aggregator, error) {
 	}
 }
 
-// Hooks customize RunHooked with resume lookups and a trial sink. Both
+// Hooks customize a grid run with resume lookups and a trial sink. Both
 // callbacks may be invoked concurrently from worker goroutines.
 type Hooks struct {
 	// Lookup, if non-nil, is consulted before executing a trial; a hit
@@ -134,88 +144,91 @@ type Hooks struct {
 	// ones (flagged Cached) so progress accounting sees the whole grid.
 	//
 	// Contract: Sink runs on the same goroutine that executed (or
-	// looked up) the trial, synchronously after it. Per-trial
-	// instrumentation — the observability layer's seed-keyed latency
-	// stash and fault-recorder collection — relies on this ordering;
-	// it is pinned by TestSinkRunsOnTrialGoroutine.
+	// looked up) the trial, synchronously after it. Fault-recorder
+	// collection, which claims the recorders a trial's units filled on
+	// that goroutine, relies on this ordering; it is pinned by
+	// TestSinkRunsOnTrialGoroutine.
 	Sink func(Trial)
 }
 
-// RunHooked runs the full rate×trial grid in parallel, keyed by rate index
-// so duplicate or repeated rates aggregate into their own cells, and folds
-// each cell's trials with agg. Cancelling ctx abandons unstarted trials and
-// returns ctx.Err(); already-delivered Sink calls remain valid.
+// RunHooked runs the full rate×trial grid through RunRange, keyed by
+// rate index so duplicate or repeated rates aggregate into their own
+// cells, and folds each cell's trials with agg. Cancelling ctx abandons
+// unstarted trials and returns ctx.Err(); already-delivered Sink calls
+// remain valid.
 func (s Sweep) RunHooked(ctx context.Context, fn TrialFunc, agg Aggregator, h Hooks) ([]Point, error) {
-	if s.Trials <= 0 {
-		s.Trials = 1
-	}
 	if agg == nil {
 		agg = Mean
 	}
+	per := s.PerCell()
+	values := make([]float64, s.Size())
+	sink := h.Sink
+	h.Sink = func(t Trial) {
+		values[t.RateIdx*per+t.TrialIdx] = t.Value
+		if sink != nil {
+			sink(t)
+		}
+	}
+	if err := s.RunRange(ctx, fn, 0, len(values), h); err != nil {
+		return nil, err
+	}
+	points := make([]Point, len(s.Rates))
+	for r, rate := range s.Rates {
+		points[r] = Point{Rate: rate, RateIdx: r, Value: agg(values[r*per : (r+1)*per : (r+1)*per])}
+	}
+	return points, nil
+}
+
+// RunRange is the trial loop: it runs the linear grid indices
+// [start, start+count) — index = rateIdx*PerCell() + trialIdx, which
+// must lie inside [0, Size()) — on up to Workers goroutines, each index
+// exactly once. Every trial is looked up or executed and then handed to
+// the sink on the same goroutine. Cancelling ctx abandons unstarted
+// trials and returns ctx.Err().
+func (s Sweep) RunRange(ctx context.Context, fn TrialFunc, start, count int, h Hooks) error {
+	per := s.PerCell()
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	type job struct{ rateIdx, trial int }
-	jobs := make(chan job)
-	results := make([][]float64, len(s.Rates))
-	for i := range results {
-		results[i] = make([]float64, s.Trials)
-	}
+	workers = min(workers, count)
 	done := ctx.Done()
+	var next atomic.Int64 // offset of the next unclaimed index
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= count {
+					return
+				}
 				select {
 				case <-done:
-					continue // drain without executing
+					return
 				default:
 				}
-				t := Trial{
-					RateIdx:  j.rateIdx,
-					TrialIdx: j.trial,
-					Rate:     s.Rates[j.rateIdx],
-					Seed:     s.TrialSeed(j.rateIdx, j.trial),
-				}
+				idx := start + i
+				t := Trial{RateIdx: idx / per, TrialIdx: idx % per}
+				t.Rate = s.Rates[t.RateIdx]
+				t.Seed = s.TrialSeed(t.RateIdx, t.TrialIdx)
 				if h.Lookup != nil {
-					if v, ok := h.Lookup(j.rateIdx, j.trial); ok {
-						t.Value, t.Cached = v, true
-					}
+					t.Value, t.Cached = h.Lookup(t.RateIdx, t.TrialIdx)
 				}
 				if !t.Cached {
+					began := time.Now()
 					t.Value = fn(t.Rate, t.Seed)
+					t.Dur = time.Since(began)
 				}
-				results[j.rateIdx][j.trial] = t.Value
 				if h.Sink != nil {
 					h.Sink(t)
 				}
 			}
 		}()
 	}
-feed:
-	for r := range s.Rates {
-		for t := 0; t < s.Trials; t++ {
-			select {
-			case jobs <- job{rateIdx: r, trial: t}:
-			case <-done:
-				break feed
-			}
-		}
-	}
-	close(jobs)
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	points := make([]Point, len(s.Rates))
-	for r, rate := range s.Rates {
-		points[r] = Point{Rate: rate, RateIdx: r, Value: agg(results[r])}
-	}
-	return points, nil
+	return ctx.Err()
 }
 
 // CapErr clamps error metrics so one diverged trial cannot swamp a mean

@@ -7,35 +7,66 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-func TestRunHookedSinkSeesWholeGrid(t *testing.T) {
-	s := Sweep{Rates: []float64{0.1, 0.2}, Trials: 3, Seed: 5}
-	var mu sync.Mutex
-	seen := map[[2]int]Trial{}
-	pts, err := s.RunHooked(context.Background(), func(rate float64, seed uint64) float64 {
-		return rate
-	}, Mean, Hooks{Sink: func(tr Trial) {
-		mu.Lock()
-		seen[[2]int{tr.RateIdx, tr.TrialIdx}] = tr
-		mu.Unlock()
-	}})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(pts) != 2 || len(seen) != s.Size() {
-		t.Fatalf("points=%d sink saw %d/%d trials", len(pts), len(seen), s.Size())
-	}
-	for key, tr := range seen {
-		if tr.Cached {
-			t.Errorf("trial %v marked cached without a Lookup", key)
-		}
-		if want := s.TrialSeed(key[0], key[1]); tr.Seed != want {
-			t.Errorf("trial %v seed = %d, want %d", key, tr.Seed, want)
-		}
-		if tr.Value != s.Rates[key[0]] {
-			t.Errorf("trial %v value = %v", key, tr.Value)
-		}
+// TestRunRangeSinkSeesEachIndexOnce: over empty, interior, tail and
+// whole-grid ranges, every index in range reaches the sink exactly once
+// with its grid coordinates and seed, and none outside it does; executed
+// trials carry their fn time, cached ones none. RunHooked is the
+// whole-grid case plus the fold into points.
+func TestRunRangeSinkSeesEachIndexOnce(t *testing.T) {
+	s := Sweep{Rates: []float64{0.1, 0.2, 0.3}, Trials: 4, Seed: 5, Workers: 4}
+	for _, tc := range []struct {
+		name         string
+		start, count int
+	}{
+		{"empty", 5, 0},
+		{"interior", 3, 5},
+		{"tail", 9, 3},
+		{"full", 0, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			seen := make([]int, s.Size())
+			err := s.RunRange(context.Background(), func(rate float64, seed uint64) float64 {
+				time.Sleep(time.Microsecond) // a measurable fn time
+				return rate
+			}, tc.start, tc.count, Hooks{
+				Lookup: func(rateIdx, trial int) (float64, bool) {
+					return -1, trial == 0 // the first trial of each cell is stored
+				},
+				Sink: func(tr Trial) {
+					idx := tr.RateIdx*s.PerCell() + tr.TrialIdx
+					mu.Lock()
+					seen[idx]++
+					mu.Unlock()
+					if want := s.TrialSeed(tr.RateIdx, tr.TrialIdx); tr.Seed != want || tr.Rate != s.Rates[tr.RateIdx] {
+						t.Errorf("index %d: rate %v seed %d, want %v and %d", idx, tr.Rate, tr.Seed, s.Rates[tr.RateIdx], want)
+					}
+					switch {
+					case tr.Cached != (tr.TrialIdx == 0):
+						t.Errorf("index %d: cached = %v", idx, tr.Cached)
+					case tr.Cached && (tr.Dur != 0 || tr.Value != -1):
+						t.Errorf("cached index %d: dur %v value %v, want 0 and -1", idx, tr.Dur, tr.Value)
+					case !tr.Cached && (tr.Dur <= 0 || tr.Value != tr.Rate):
+						t.Errorf("executed index %d: dur %v value %v, want > 0 and %v", idx, tr.Dur, tr.Value, tr.Rate)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for idx, n := range seen {
+				want := 0
+				if idx >= tc.start && idx < tc.start+tc.count {
+					want = 1
+				}
+				if n != want {
+					t.Errorf("index %d reached the sink %d times, want %d", idx, n, want)
+				}
+			}
+		})
 	}
 }
 
@@ -144,6 +175,9 @@ func TestSweepSize(t *testing.T) {
 	if got := (Sweep{Rates: []float64{1}}).Size(); got != 1 {
 		t.Errorf("zero-trials size = %d, want 1", got)
 	}
+	if got := (Sweep{Trials: -3}).PerCell(); got != 1 {
+		t.Errorf("negative-trials per cell = %d, want 1", got)
+	}
 }
 
 // goroutineID parses the current goroutine's id from a stack header —
@@ -155,10 +189,11 @@ func goroutineID() string {
 	return strings.Fields(string(buf))[1]
 }
 
-// TestSinkRunsOnTrialGoroutine pins the Hooks.Sink contract the
-// observability layer relies on: the sink observes each trial on the
-// same goroutine that executed it, synchronously after fn returns, for
-// both executed and cache-hit trials.
+// TestSinkRunsOnTrialGoroutine pins the Hooks.Sink contract that
+// fault-recorder collection relies on: the sink observes each trial on
+// the same goroutine that executed it, synchronously after fn returns,
+// for both executed and cache-hit trials. (Trial latency needs no such
+// contract: it travels on the Trial as Dur.)
 func TestSinkRunsOnTrialGoroutine(t *testing.T) {
 	s := Sweep{Rates: []float64{0.1, 0.2}, Trials: 8, Seed: 5, Workers: 4}
 	var ran sync.Map // seed -> goroutine id of the fn call

@@ -218,10 +218,15 @@ func TestResumeAfterFailure(t *testing.T) {
 func TestShutdownTimeout(t *testing.T) {
 	m := newTest(t, t.TempDir(), 0)
 	release := make(chan struct{})
-	defer close(release)
 	wedged := &fake{drive: func(context.Context) error { <-release; return nil }}
 	done := &fake{}
-	submit(t, m, wedged)
+	wid := submit(t, m, wedged)
+	// Freed, the wedged attempt persists its final record into the temp
+	// dir: wait for that before the dir's cleanup removes it.
+	defer func() {
+		close(release)
+		m.Wait(wid)
+	}()
 	id := submit(t, m, done)
 	if err := m.Wait(id); err != nil {
 		t.Fatal(err)
