@@ -11,7 +11,8 @@
 //
 // With -workers-expected > 0 robustd stops executing trials itself and
 // becomes the coordinator of a robustworker fleet: campaign grids are
-// carved into shard leases that workers pull over HTTP and stream
+// carved into shard leases that workers pull over HTTP, each sized from
+// the asking worker's measured rate to about 100 ms of work, and report
 // results back for; expired leases (a killed worker) are reassigned, and
 // the finished table is byte-identical to an in-process run. See
 // cmd/robustworker.
@@ -26,7 +27,7 @@
 // Usage:
 //
 //	robustd [-addr :8080] [-data DIR] [-concurrency N] [-autoresume]
-//	        [-workers-expected N] [-lease-ttl 30s] [-shard-size 16]
+//	        [-workers-expected N] [-lease-ttl 30s]
 //	        [-shutdown-timeout 30s] [-debug-addr ADDR] [-mirror-events]
 //
 // -debug-addr mounts net/http/pprof and /debug/events on a second
@@ -80,7 +81,6 @@ func run(args []string, ready chan<- string) error {
 			"size of the robustworker fleet; >0 dispatches trials to workers instead of running them in-process")
 		leaseTTL = fs.Duration("lease-ttl", 30*time.Second,
 			"how long a worker may go between reports before its shard is reassigned")
-		shardSize = fs.Int("shard-size", 16, "trials per worker shard lease")
 		shutdownT = fs.Duration("shutdown-timeout", 30*time.Second,
 			"bound on graceful shutdown (SIGTERM/SIGINT); 0 waits indefinitely on in-flight trials")
 		debugAddr = fs.String("debug-addr", "",
@@ -123,12 +123,11 @@ func run(args []string, ready chan<- string) error {
 	if *workers > 0 {
 		m.SetDispatcher(dispatch.New(dispatch.Options{
 			LeaseTTL:        *leaseTTL,
-			ShardSize:       *shardSize,
 			WorkersExpected: *workers,
 			Events:          hub,
 		}))
-		log.Printf("robustd: dispatching trials to a robustworker fleet (expected %d, lease TTL %s, shard size %d)",
-			*workers, *leaseTTL, *shardSize)
+		log.Printf("robustd: dispatching trials to a robustworker fleet (expected %d, lease TTL %s)",
+			*workers, *leaseTTL)
 	}
 	if recovered := m.List(); len(recovered) > 0 {
 		byState := map[string]int{}

@@ -4,20 +4,23 @@
 // coordinator, poll for a shard lease, compile the campaign's spec with
 // the exact code the coordinator used, execute the shard's trials —
 // every value is determined by (spec, unit, rate index, trial index)
-// alone, so any worker produces bit-identical results — and stream
-// record batches back, which double as lease-renewing heartbeats.
+// alone, so any worker produces bit-identical results — and report them,
+// normally once per shard. The coordinator sizes each lease from this
+// worker's measured rate to about 100 ms of work, so reports stay rare
+// however short the trials are.
 //
 // The worker is disposable by design: SIGKILL one mid-shard and the
 // coordinator reassigns its lease after the TTL; nothing is lost but the
-// unreported trials, which the next worker re-executes to the same
-// values. It also survives the coordinator: connection errors back off
-// and retry, and an "unknown worker" answer (the signature of a
-// coordinator restart) just triggers re-registration.
+// unreported trials (at most one lease, about 100 ms of work), which the
+// next worker re-executes to the same values. It also survives the
+// coordinator: connection errors back off and retry, and an "unknown
+// worker" answer (the signature of a coordinator restart) just triggers
+// re-registration.
 //
 // Usage:
 //
 //	robustworker -coordinator http://host:8080 [-name NAME] [-poll 250ms]
-//	             [-parallel N] [-batch 32] [-debug-addr ADDR]
+//	             [-parallel N] [-debug-addr ADDR]
 //
 // -debug-addr serves the worker's own /metrics (execution counters,
 // per-workload latency histograms, observed fault classes), /healthz,
@@ -59,7 +62,6 @@ func run(args []string) error {
 		name        = fs.String("name", "", "worker name reported to the coordinator (default host:pid)")
 		poll        = fs.Duration("poll", 250*time.Millisecond, "idle poll interval when the coordinator has no work")
 		parallel    = fs.Int("parallel", 0, "trials executed concurrently within a shard (0 = GOMAXPROCS)")
-		batch       = fs.Int("batch", 32, "max trial results per report (capped at 4096)")
 		debugAddr   = fs.String("debug-addr", "",
 			"optional listen address for the worker's /metrics, /healthz, and net/http/pprof")
 	)
@@ -73,14 +75,6 @@ func run(args []string) error {
 	if *parallel <= 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
-	if *batch <= 0 {
-		*batch = 32
-	}
-	// Report bodies must stay far inside the coordinator's request-size
-	// cap (8 MiB); 4096 results is ~400 KB of JSON.
-	if *batch > 4096 {
-		*batch = 4096
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -93,7 +87,6 @@ func run(args []string) error {
 		cl:       dispatch.NewClient(*coordinator, *name),
 		poll:     *poll,
 		parallel: *parallel,
-		batch:    *batch,
 		stats:    stats,
 		plans:    make(map[string]*campaign.Campaign),
 		bad:      make(map[string]string),
@@ -123,8 +116,8 @@ func run(args []string) error {
 		}()
 		log.Printf("robustworker: debug endpoints (metrics, pprof) on %s", dln.Addr())
 	}
-	log.Printf("robustworker: %s serving coordinator %s (parallel %d, batch %d)",
-		*name, *coordinator, *parallel, *batch)
+	log.Printf("robustworker: %s serving coordinator %s (parallel %d)",
+		*name, *coordinator, *parallel)
 	w.loop(ctx)
 	log.Printf("robustworker: shutting down")
 	return nil
@@ -138,7 +131,6 @@ type worker struct {
 	cl       *dispatch.Client
 	poll     time.Duration
 	parallel int
-	batch    int
 	stats    *wstats
 	// plans caches compiled campaigns by id+spec, so one compile serves
 	// every shard of a campaign; bad remembers specs this build cannot
@@ -250,9 +242,11 @@ func (w *worker) release(ctx context.Context, lr *dispatch.LeaseResponse) {
 
 // runShard executes one leased shard: Campaign.RunShard runs the trials
 // on a goroutine of their own — the trial loop local campaigns use —
-// while this goroutine batches results back to the coordinator,
-// flushing on batch size, on a heartbeat tick (TTL/3, so a slow trial
-// never lets the lease lapse), and finally with done=true. A lost lease
+// while this goroutine collects results and reports them to the
+// coordinator: with done=true when the shard finishes, on a heartbeat
+// tick (TTL/3, so a slow trial never lets the lease lapse), and when
+// dispatch.MaxReport results are pending. A lease is sized to far less
+// than TTL/3, so it normally goes back in one report. A lost lease
 // or a dead coordinator abandons the shard; whatever was not reported is
 // somebody else's work after the TTL.
 func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
@@ -350,13 +344,13 @@ func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
 				}
 				return
 			}
-			pending = append(pending, res)
-			if len(pending) >= w.batch {
-				if !flush(false) {
-					abandon()
-					return
-				}
+			// Flush a full report only once another result arrives, so a
+			// shard of exactly MaxReport trials still takes one report.
+			if len(pending) == dispatch.MaxReport && !flush(false) {
+				abandon()
+				return
 			}
+			pending = append(pending, res)
 		case <-heartbeat.C:
 			if !flush(false) { // empty pending is a pure heartbeat
 				abandon()

@@ -68,7 +68,7 @@ func (s *stderrWatch) String() string {
 // waits until it has registered.
 func startWorker(t *testing.T, coordinator string, extra ...string) *exec.Cmd {
 	t.Helper()
-	args := append([]string{"-coordinator", coordinator, "-poll", "20ms", "-batch", "4"}, extra...)
+	args := append([]string{"-coordinator", coordinator, "-poll", "20ms"}, extra...)
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "ROBUSTWORKER_TEST_CHILD=1")
 	watch := &stderrWatch{idc: make(chan string, 1)}
@@ -252,12 +252,12 @@ func TestRunShardCountsExecutedShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &worker{
-		cl:    dispatch.NewClient(coord.URL, "test"),
-		poll:  time.Millisecond,
-		batch: 32, parallel: 2,
-		stats: newWstats(),
-		plans: make(map[string]*campaign.Campaign),
-		bad:   make(map[string]string),
+		cl:       dispatch.NewClient(coord.URL, "test"),
+		poll:     time.Millisecond,
+		parallel: 2,
+		stats:    newWstats(),
+		plans:    make(map[string]*campaign.Campaign),
+		bad:      make(map[string]string),
 	}
 	lease := func(id string, sh dispatch.Shard) *dispatch.LeaseResponse {
 		return &dispatch.LeaseResponse{Lease: id, Campaign: "c0001", Spec: spec, Shard: sh, TTL: time.Minute}

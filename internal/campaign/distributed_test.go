@@ -198,12 +198,14 @@ func TestDispatchedResumeAfterCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One worker executes exactly two shards, then the daemon dies.
+	// One worker delivers exactly four trials — its whole first lease
+	// (ShardSize trials), then the front of its second, rate-sized one —
+	// and the daemon dies with that second lease outstanding.
 	cl := dispatch.NewClient(ts1.URL, "half")
 	if err := cl.Register(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < 2; {
+	for n := 0; n < 4; {
 		lr, err := cl.Lease(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -212,10 +214,12 @@ func TestDispatchedResumeAfterCoordinatorRestart(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		if _, err := cl.Report(context.Background(), lr.Campaign, lr.Lease, execShard(t, lr), true); err != nil {
+		all := execShard(t, lr)
+		results := all[:min(len(all), 4-n)]
+		if _, err := cl.Report(context.Background(), lr.Campaign, lr.Lease, results, len(results) == len(all)); err != nil {
 			t.Fatal(err)
 		}
-		n++
+		n += len(results)
 	}
 	ts1.Close()
 	m1.Close() // campaign becomes interrupted, 4 trials durable

@@ -101,15 +101,15 @@ func metricsHandler(m *Manager) http.HandlerFunc {
 			fmt.Fprintf(w, "robustd_workers{kind=\"expected\"} %d\n", ds.WorkersExpected)
 			fmt.Fprintf(w, "# HELP robustd_leases_outstanding Shard leases currently held by workers.\n")
 			fmt.Fprintf(w, "# TYPE robustd_leases_outstanding gauge\n")
-			fmt.Fprintf(w, "robustd_leases_outstanding %d\n", ds.ShardsLeased)
+			fmt.Fprintf(w, "robustd_leases_outstanding %d\n", ds.LeasesOutstanding)
 			fmt.Fprintf(w, "# HELP robustd_oldest_lease_age_seconds Age of the oldest outstanding shard lease (0 when none).\n")
 			fmt.Fprintf(w, "# TYPE robustd_oldest_lease_age_seconds gauge\n")
 			fmt.Fprintf(w, "robustd_oldest_lease_age_seconds %g\n", ds.OldestLeaseAgeSeconds)
-			fmt.Fprintf(w, "# HELP robustd_shards Shards of actively dispatched campaigns by state.\n")
-			fmt.Fprintf(w, "# TYPE robustd_shards gauge\n")
-			fmt.Fprintf(w, "robustd_shards{state=\"pending\"} %d\n", ds.ShardsPending)
-			fmt.Fprintf(w, "robustd_shards{state=\"leased\"} %d\n", ds.ShardsLeased)
-			fmt.Fprintf(w, "robustd_shards{state=\"done\"} %d\n", ds.ShardsDone)
+			fmt.Fprintf(w, "# HELP robustd_dispatch_trials Trials of actively dispatched campaigns: durable (done), under an outstanding lease, or pending.\n")
+			fmt.Fprintf(w, "# TYPE robustd_dispatch_trials gauge\n")
+			fmt.Fprintf(w, "robustd_dispatch_trials{state=\"pending\"} %d\n", ds.TrialsPending)
+			fmt.Fprintf(w, "robustd_dispatch_trials{state=\"leased\"} %d\n", ds.TrialsLeased)
+			fmt.Fprintf(w, "robustd_dispatch_trials{state=\"done\"} %d\n", ds.TrialsDone)
 			fmt.Fprintf(w, "# HELP robustd_dispatch_jobs Campaigns currently dispatched to the fleet.\n")
 			fmt.Fprintf(w, "# TYPE robustd_dispatch_jobs gauge\n")
 			fmt.Fprintf(w, "robustd_dispatch_jobs %d\n", ds.Jobs)

@@ -298,6 +298,9 @@ func TestWorkerRoutesWithDispatcher(t *testing.T) {
 		`robustd_workers{kind="registered"} 1`,
 		`robustd_workers{kind="expected"} 2`,
 		"robustd_leases_outstanding 0",
+		`robustd_dispatch_trials{state="pending"} 0`,
+		`robustd_dispatch_trials{state="leased"} 0`,
+		`robustd_dispatch_trials{state="done"} 0`,
 	} {
 		if !strings.Contains(body, line) {
 			t.Errorf("/metrics missing %q:\n%s", line, body)

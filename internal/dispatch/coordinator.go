@@ -129,7 +129,7 @@ func New(opt Options) *Coordinator {
 // RunJob dispatches one campaign and blocks until every trial in its
 // grid is durable, the sink fails, or ctx is cancelled. The lease table
 // is built fresh from Have — i.e. from the durable store — which is how
-// a restarted coordinator resumes a half-dispatched campaign: shards
+// a restarted coordinator resumes a half-dispatched campaign: trials
 // already recorded start done, everything else is re-dispatched.
 func (c *Coordinator) RunJob(ctx context.Context, job Job) error {
 	if job.Campaign == "" {
@@ -140,7 +140,7 @@ func (c *Coordinator) RunJob(ctx context.Context, job Job) error {
 	}
 	j := &runningJob{
 		job:    job,
-		table:  NewTable(job.Units, job.Have, c.opt.shardSize()),
+		table:  NewTable(job.Units, job.Have, c.opt.ShardSize),
 		failed: make(chan struct{}),
 	}
 	if c.opt.Events != nil {
@@ -206,7 +206,8 @@ func (c *Coordinator) pruneLocked(now time.Time) {
 	}
 }
 
-// Lease hands the asking worker one pending shard, round-robining across
+// Lease hands the asking worker one shard of pending work, sized by the
+// worker's measured rate (see Table.Acquire), round-robining across
 // campaigns so a long campaign cannot starve a later one. A nil response
 // (and nil error) means no work is pending anywhere.
 func (c *Coordinator) Lease(req LeaseRequest) (*LeaseResponse, error) {
@@ -299,15 +300,18 @@ func (c *Coordinator) Workers() []WorkerStatus {
 	return out
 }
 
-// Stats is a point-in-time dispatch snapshot for observability.
+// Stats is a point-in-time dispatch snapshot for observability. The
+// Trials* fields count the trials of every dispatched campaign's grid:
+// durable (done), under an outstanding lease (leased), or neither.
 type Stats struct {
 	WorkersRegistered int
 	WorkersActive     int
 	WorkersExpected   int
 	Jobs              int
-	ShardsPending     int
-	ShardsLeased      int
-	ShardsDone        int
+	TrialsPending     int
+	TrialsLeased      int
+	TrialsDone        int
+	LeasesOutstanding int
 	RejectedResults   int64
 	// OldestLeaseAgeSeconds is the age of the longest-outstanding lease
 	// across all dispatched campaigns (0 when none are outstanding).
@@ -332,13 +336,7 @@ func (c *Coordinator) Stats() Stats {
 	jobs := append([]*runningJob(nil), c.jobs...)
 	c.mu.Unlock()
 	for _, j := range jobs {
-		p, l, d := j.table.Counts(now)
-		s.ShardsPending += p
-		s.ShardsLeased += l
-		s.ShardsDone += d
-		if age := j.table.OldestLeaseAge(now).Seconds(); age > s.OldestLeaseAgeSeconds {
-			s.OldestLeaseAgeSeconds = age
-		}
+		j.table.addStats(&s, now)
 	}
 	return s
 }

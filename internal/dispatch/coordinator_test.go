@@ -297,4 +297,36 @@ func TestWorkersListingAndStats(t *testing.T) {
 	if s.WorkersRegistered != 2 || s.WorkersActive != 2 || s.WorkersExpected != 3 {
 		t.Errorf("stats = %+v", s)
 	}
+
+	// A half-durable grid: trials 0 and 1 of each of two rates are
+	// recorded, so 4 of 8 trials start done.
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		errc <- c.RunJob(ctx, Job{
+			Campaign: "c1",
+			Units:    []UnitGrid{{Rates: 2, Trials: 4}},
+			Have:     func(k Key) bool { return k.TrialIdx < 2 },
+			Sink:     func([]TrialResult) error { return nil },
+		})
+	}()
+	for c.Stats().Jobs == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if s := c.Stats(); s.TrialsPending != 4 || s.TrialsLeased != 0 || s.TrialsDone != 4 || s.LeasesOutstanding != 0 {
+		t.Errorf("half-durable grid stats = %+v, want 4 pending, 4 done", s)
+	}
+	// The first lease is carved at the front and stops at the durable
+	// trials of the second rate: [2,4).
+	lease, err := c.Lease(LeaseRequest{Worker: a.Worker})
+	if err != nil || lease == nil || lease.Shard.Start != 2 || lease.Shard.Count != 2 {
+		t.Fatalf("lease = %+v, %v; want [2,4)", lease, err)
+	}
+	if s := c.Stats(); s.TrialsPending != 2 || s.TrialsLeased != 2 || s.TrialsDone != 4 || s.LeasesOutstanding != 1 {
+		t.Errorf("stats with one lease out = %+v, want 2 pending, 2 leased, 4 done, 1 lease", s)
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled RunJob = %v", err)
+	}
 }

@@ -3,15 +3,16 @@
 //
 // The coordinator side (owned by robustd's campaign manager) carves each
 // campaign's deterministic (unit, rate, trial) grid into contiguous
-// shards, hands them out as time-limited leases to whichever registered
-// worker asks first, and merges the trial results workers stream back.
-// Leases that expire — a worker was killed, wedged, or partitioned —
-// return their shard to the pending pool, so every trial is executed by
-// someone and no shard is ever lost. Workers pull: they register, poll
-// for a lease, execute the shard from (spec, unit, rate index, trial
-// index) alone — trial seeds derive from the spec, so any worker
-// computes bit-identical values — and report results in batches that
-// double as lease-renewing heartbeats.
+// shards as leases are granted, sizing each from the asking worker's
+// measured rate (guided self-scheduling), hands them out as time-limited
+// leases to whichever registered worker asks first, and merges the trial
+// results workers stream back. Leases that expire — a worker was killed,
+// wedged, or partitioned — hand their range back for re-leasing, so every
+// trial is executed by someone and none is ever lost. Workers pull: they
+// register, poll for a lease, execute the shard from (spec, unit, rate
+// index, trial index) alone — trial seeds derive from the spec, so any
+// worker computes bit-identical values — and report results, normally
+// once per lease; on a long lease the heartbeat reports renew it.
 //
 // The package is deliberately campaign-agnostic: it deals in grid
 // dimensions, trial keys, and opaque spec payloads. The campaign engine
@@ -40,7 +41,7 @@ type Key struct {
 }
 
 // UnitGrid is the shape of one unit's rate×trial grid — all the
-// coordinator needs to carve shards without knowing what the trials do.
+// coordinator needs to carve leases without knowing what the trials do.
 // Trials is taken as given: the campaign passes its sweep's PerCell, the
 // rule workers linearize shards with, and a 0-trial grid is empty.
 type UnitGrid struct {
@@ -156,7 +157,10 @@ type Options struct {
 	// LeaseTTL is how long a worker may go between reports before its
 	// lease expires and the shard is reassigned (0 = 30s).
 	LeaseTTL time.Duration
-	// ShardSize is the number of trials per shard (0 = 16).
+	// ShardSize is the size of a worker's first lease in a campaign, and
+	// the floor of every later one (0 = 16). Later leases are sized from
+	// the worker's measured rate to about 100 ms of work, at most
+	// MaxReport trials.
 	ShardSize int
 	// WorkersExpected is the operator-declared fleet size; informational
 	// (surfaced in /metrics), never a gate on dispatch.
@@ -170,11 +174,4 @@ func (o Options) leaseTTL() time.Duration {
 		return 30 * time.Second
 	}
 	return o.LeaseTTL
-}
-
-func (o Options) shardSize() int {
-	if o.ShardSize <= 0 {
-		return 16
-	}
-	return o.ShardSize
 }

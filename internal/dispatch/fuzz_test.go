@@ -1,0 +1,192 @@
+package dispatch
+
+import (
+	"reflect"
+	"testing"
+	"time"
+)
+
+// FuzzLeaseTable drives one lease table through a drawn schedule of
+// acquires, reports (any subset of a lease's keys, with or without done,
+// on live or stale leases) and clock jumps, some past the TTL. After
+// every step it checks the table against a model of which trials are
+// durable:
+//   - no index is held by two unexpired leases;
+//   - every non-durable index is in exactly one place a later Acquire
+//     reaches: an outstanding lease, a handed-back range, or the uncarved
+//     rest of its unit;
+//   - a lease's Skip is exactly the durable indices in its range;
+//   - Done is closed exactly when every index is durable.
+//
+// At the end a worker that finishes whatever it is leased must drain the
+// grid.
+func FuzzLeaseTable(f *testing.F) {
+	f.Add([]byte{1, 2, 4, 1, 3, 0x21, 0, 0, 1, 0, 0, 1, 0, 0xff, 2, 0, 2, 1, 1, 0x0f, 1, 3, 9, 0, 1})
+	f.Add([]byte{0, 2, 5, 0, 0, 0, 2, 0, 0, 0, 1, 1, 0, 0x03, 0, 3, 40, 1, 1, 0x0c, 1, 2, 0, 0, 0})
+	f.Add([]byte{1, 0, 0, 1, 5, 0xaa, 0x55, 0x0f, 3, 0, 0, 0, 1, 0, 1, 0, 0, 0x01, 1, 2, 0, 1, 0})
+	const ttl = time.Minute
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		next := func() int {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return int(b)
+		}
+		units := make([]UnitGrid, 1+next()%2)
+		for u := range units {
+			units[u] = UnitGrid{Rates: 1 + next()%3, Trials: 1 + next()%6}
+		}
+		floor := 1 + next()%4
+		haveBits := next() | next()<<8 | next()<<16
+		model := make([][]bool, len(units))
+		g := 0
+		for u := range units {
+			model[u] = make([]bool, units[u].size())
+			for i := range model[u] {
+				model[u][i] = haveBits>>(g%24)&1 == 1
+				g++
+			}
+		}
+		tb := NewTable(units, func(k Key) bool { return model[k.Unit][k.RateIdx*units[k.Unit].Trials+k.TrialIdx] }, floor)
+		now := t0
+		var issued []*Lease
+		acquire := func(worker string) *Lease {
+			le := tb.Acquire(worker, now, ttl)
+			if le == nil {
+				return nil
+			}
+			sh := le.Shard
+			if sh.Unit < 0 || sh.Unit >= len(units) || sh.Start < 0 || sh.Count <= 0 || sh.Start+sh.Count > units[sh.Unit].size() {
+				t.Fatalf("lease %+v outside the grid %+v", sh, units)
+			}
+			var want []int
+			for i := sh.Start; i < sh.Start+sh.Count; i++ {
+				if model[sh.Unit][i] {
+					want = append(want, i)
+				}
+			}
+			if !reflect.DeepEqual(sh.Skip, want) {
+				t.Fatalf("lease %+v: Skip %v, want the durable indices %v", sh, sh.Skip, want)
+			}
+			if len(want) == sh.Count {
+				t.Fatalf("lease %+v holds no missing trial", sh)
+			}
+			issued = append(issued, le)
+			return le
+		}
+		report := func(le *Lease, pick func(i int) bool, done bool) {
+			sh := le.Shard
+			var ks []Key
+			for i := sh.Start; i < sh.Start+sh.Count; i++ {
+				if pick(i) {
+					ks = append(ks, Key{Unit: sh.Unit, RateIdx: i / units[sh.Unit].Trials, TrialIdx: i % units[sh.Unit].Trials})
+					model[sh.Unit][i] = true
+				}
+			}
+			tb.Report(le.ID, ks, done, now, ttl)
+		}
+
+		for step := 0; len(prog) > 0 && step < 256; step++ {
+			switch next() % 4 {
+			case 0:
+				acquire([]string{"a", "b", "c"}[next()%3])
+			case 1:
+				if len(issued) == 0 {
+					continue
+				}
+				le := issued[next()%len(issued)]
+				mask, done := next(), next()%2 == 1
+				report(le, func(i int) bool { return mask>>((i-le.Shard.Start)%8)&1 == 1 }, done)
+			case 2:
+				now = now.Add(ttl + time.Second)
+			case 3:
+				now = now.Add(time.Duration(next()) * time.Second / 4)
+			}
+			checkTable(t, tb, model, now)
+		}
+
+		// Every trial still missing must be reachable: lease and finish
+		// until the table runs dry.
+		now = now.Add(2 * ttl)
+		for le := acquire("drain"); le != nil; le = acquire("drain") {
+			sh := le.Shard
+			report(le, func(i int) bool { return !model[sh.Unit][i] }, true)
+			checkTable(t, tb, model, now)
+		}
+		for u := range model {
+			for i, d := range model[u] {
+				if !d {
+					t.Fatalf("unit %d index %d never leased again after the schedule", u, i)
+				}
+			}
+		}
+	})
+}
+
+// checkTable holds the table's internals to the model (see
+// FuzzLeaseTable).
+func checkTable(t *testing.T, tb *Table, model [][]bool, now time.Time) {
+	t.Helper()
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	all := true
+	for u := range model {
+		for i, d := range model[u] {
+			all = all && d
+			if tb.isDurable(u, i) != d {
+				t.Fatalf("unit %d index %d: table durable %v, model %v", u, i, tb.isDurable(u, i), d)
+			}
+			live, places := 0, 0
+			if i >= tb.cursor[u] {
+				places++
+			}
+			for _, s := range tb.returned {
+				if s.contains(u, i) {
+					places++
+				}
+			}
+			for _, e := range tb.leases {
+				if e.contains(u, i) {
+					places++
+					if !e.expiry.Before(now) {
+						live++
+					}
+				}
+			}
+			if live > 1 {
+				t.Fatalf("unit %d index %d held by %d unexpired leases", u, i, live)
+			}
+			if !d && places != 1 {
+				t.Fatalf("missing unit %d index %d is in %d places (cursor %d, returned %v)", u, i, places, tb.cursor[u], tb.returned)
+			}
+		}
+	}
+	leased := 0
+	for _, e := range tb.leases {
+		missing := 0
+		for i := e.start; i < e.start+e.count; i++ {
+			if !model[e.unit][i] {
+				missing++
+			}
+		}
+		if e.missing != missing || missing == 0 {
+			t.Fatalf("lease %s over %+v counts %d missing, model %d", e.id, e.span, e.missing, missing)
+		}
+		leased += missing
+	}
+	if leased != tb.nLeased {
+		t.Fatalf("nLeased = %d, leases hold %d missing trials", tb.nLeased, leased)
+	}
+	select {
+	case <-tb.done:
+		if !all {
+			t.Fatal("Done closed with trials missing")
+		}
+	default:
+		if all {
+			t.Fatal("every trial durable but Done open")
+		}
+	}
+}
