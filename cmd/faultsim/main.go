@@ -65,7 +65,7 @@ func run(args []string) error {
 	}
 }
 
-func pickDist(name string) fpu.BitDistribution {
+func pickDist(name string) *fpu.BitDistribution {
 	switch name {
 	case "measured":
 		return fpu.MeasuredDistribution()
@@ -78,7 +78,7 @@ func pickDist(name string) fpu.BitDistribution {
 	}
 }
 
-func hist(d fpu.BitDistribution, n int, seed uint64) error {
+func hist(d *fpu.BitDistribution, n int, seed uint64) error {
 	rng := fpu.NewLFSR(seed)
 	counts := make([]int, fpu.WordBits)
 	for i := 0; i < n; i++ {
@@ -110,7 +110,7 @@ func voltage() error {
 	return nil
 }
 
-func trace(d fpu.BitDistribution, rate float64, n int, seed uint64) error {
+func trace(d *fpu.BitDistribution, rate float64, n int, seed uint64) error {
 	inj := fpu.NewInjector(rate, seed, fpu.WithDistribution(d))
 	u := fpu.New(fpu.WithInjector(inj))
 	fmt.Printf("tracing %d multiply-accumulate ops at rate %g (%s bits)\n", n, rate, d.Name())

@@ -18,7 +18,7 @@ import (
 // run-twice determinism tests): calls to math/rand or math/rand/v2
 // package-level functions other than the explicit constructors
 // (New/NewSource/NewZipf/NewPCG/NewChaCha8), constructor seed
-// arguments derived from time.Now (detrand.New included), and
+// arguments derived from time.Now (detrand.New and Scoped included), and
 // math/rand.NewSource itself: it fills a 607-word register per seed,
 // while detrand.New yields the identical stream in O(1), so per-trial
 // seeding has one path. crypto/rand is fine — it is intentional
@@ -39,7 +39,7 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-// detrandPath is the package whose New replaces
+// detrandPath is the package whose New and Scoped replace
 // rand.New(rand.NewSource(seed)).
 const detrandPath = "robustify/internal/detrand"
 
@@ -54,17 +54,20 @@ func runSeededRand(pass *Pass) {
 				return true
 			}
 			pkg, fn := pass.pkgFunc(call)
-			name := "rand"
+			name, seeds := "rand", call.Args
 			switch {
 			case pkg == detrandPath && fn == "New":
 				name = "detrand"
+			case pkg == detrandPath && fn == "Scoped":
+				// Only the seed counts: the trial body may read the clock.
+				name, seeds = "detrand", seeds[:1]
 			case pkg != "math/rand" && pkg != "math/rand/v2":
 				return true
 			case !randConstructors[fn]:
 				pass.Report(call.Pos(), "rand.%s uses the global math/rand source; draw from an explicitly seeded detrand.New(seed) (or //lint:rand-exempt <reason>)", fn)
 				return true
 			}
-			for _, arg := range call.Args {
+			for _, arg := range seeds {
 				if containsTimeCall(pass, arg) {
 					pass.Report(call.Pos(), "%s.%s seeded from the clock is nondeterministic; use a fixed or configured seed (or //lint:rand-exempt <reason>)", name, fn)
 					return true

@@ -26,6 +26,12 @@ func ClockSeededDetrand() *rand.Rand {
 	return detrand.New(time.Now().UnixNano()) // want "detrand.New seeded from the clock"
 }
 
+// ClockScoped seeds a pooled generator from the clock.
+func ClockScoped() (n int) {
+	detrand.Scoped(time.Now().UnixNano(), func(r *rand.Rand) { n = r.Intn(10) }) // want "detrand.Scoped seeded from the clock"
+	return n
+}
+
 // StdSeeded is explicitly seeded but fills math/rand's whole register.
 func StdSeeded(seed int64) int {
 	return rand.New(rand.NewSource(seed)).Intn(10) // want "detrand.New(seed) yields the identical stream in O(1)"
@@ -34,6 +40,17 @@ func StdSeeded(seed int64) int {
 // Seeded draws from a detrand source and must pass.
 func Seeded(seed int64) int {
 	return detrand.New(seed).Intn(10)
+}
+
+// ScopedSeeded draws from a pooled detrand generator and must pass, even
+// though its body times itself.
+func ScopedSeeded(seed int64) (n int, took time.Duration) {
+	detrand.Scoped(seed, func(r *rand.Rand) {
+		start := time.Now()
+		n = r.Intn(10)
+		took = time.Since(start)
+	})
+	return n, took
 }
 
 // Jitter deliberately wants ambient randomness, with a written reason.

@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
 	"robustify/internal/apps/apsp"
@@ -68,14 +69,6 @@ type Workload struct {
 
 // Workloads lists the registered custom-sweep workloads.
 func Workloads() []Workload {
-	sortData := func(seed uint64) []float64 {
-		rng := detrand.New(int64(seed))
-		data := make([]float64, 5)
-		for i, p := range rng.Perm(5) {
-			data[i] = float64(p+1) * 2.5
-		}
-		return data
-	}
 	return []Workload{
 		{
 			Name: "sort/base", Desc: "quicksort success rate (5-element arrays)",
@@ -83,7 +76,7 @@ func Workloads() []Workload {
 			Maximize:     true,
 			Build: func(_ int, _ map[string]float64, unit UnitFactory) harness.TrialFunc {
 				return func(rate float64, seed uint64) float64 {
-					data := sortData(seed)
+					data := figures.SortData(seed, 5)
 					u := unit(rate, seed)
 					return b2f(robsort.Success(robsort.Baseline(u, data), data))
 				}
@@ -95,7 +88,7 @@ func Workloads() []Workload {
 			Maximize:     true,
 			Build: func(iters int, _ map[string]float64, unit UnitFactory) harness.TrialFunc {
 				return func(rate float64, seed uint64) float64 {
-					data := sortData(seed)
+					data := figures.SortData(seed, 5)
 					u := unit(rate, seed)
 					out, _, err := robsort.Robust(u, data, robsort.Options{
 						Iters:      iters,
@@ -151,8 +144,10 @@ func Workloads() []Workload {
 				mu := params["mu"]
 				lossIdx, lossShape := lossSelector(params)
 				return func(rate float64, seed uint64) float64 {
-					rng := detrand.New(int64(seed))
-					inst := apsp.RandomInstance(rng, 5, 5, 5)
+					var inst *apsp.Instance
+					detrand.Scoped(int64(seed), func(rng *rand.Rand) {
+						inst = apsp.RandomInstance(rng, 5, 5, 5)
+					})
 					u := unit(rate, seed)
 					loss, err := lossForTrial(lossIdx, lossShape)
 					if err != nil {
@@ -183,7 +178,7 @@ func Workloads() []Workload {
 				boost := params["boost"]
 				lossIdx, lossShape := lossSelector(params)
 				return func(rate float64, seed uint64) float64 {
-					inst, err := lsqInstance(seed)
+					inst, err := figures.LsqInstance(seed)
 					if err != nil {
 						return 1e6
 					}
@@ -230,7 +225,7 @@ func Workloads() []Workload {
 				outer := intParam(params, "outer")
 				lossIdx, lossShape := lossSelector(params)
 				return func(rate float64, seed uint64) float64 {
-					inst, err := lsqInstance(seed)
+					inst, err := figures.LsqInstance(seed)
 					if err != nil {
 						return 1e6
 					}
@@ -273,8 +268,10 @@ func Workloads() []Workload {
 				lambda, step := params["lambda"], params["step"]
 				lossIdx, lossShape := lossSelector(params)
 				return func(rate float64, seed uint64) float64 {
-					rng := detrand.New(int64(seed))
-					data := svm.TwoGaussians(rng, 60, 100, 6, 2.0)
+					var data *svm.Dataset
+					detrand.Scoped(int64(seed), func(rng *rand.Rand) {
+						data = svm.TwoGaussians(rng, 60, 100, 6, 2.0)
+					})
 					u := unit(rate, seed)
 					loss, err := lossForTrial(lossIdx, lossShape)
 					if err != nil {
@@ -414,13 +411,6 @@ func lossForTrial(idx int, shape float64) (robust.Robustifier, error) {
 // apply).
 func capErr(v float64) float64 { return harness.CapErr(v) }
 
-// lsqInstance derives a per-trial least squares instance (A 30x6 with
-// mild observation noise) from the trial seed.
-func lsqInstance(seed uint64) (*leastsq.Instance, error) {
-	rng := detrand.New(int64(seed))
-	return leastsq.Random(rng, 30, 6, 0.01)
-}
-
 // customPlan compiles a custom sweep to a single-unit figure plan so the
 // engine treats figures and custom sweeps identically. The spec's fault
 // model — overlaid with any fm_* parameter overrides riding in Params —
@@ -473,10 +463,12 @@ func customPlan(spec Spec) (*figures.Plan, error) {
 
 // eigenInstance derives a per-trial symmetric matrix whose dominant
 // eigenvalue is n by construction (mirrors figures.Eigenpairs).
-func eigenInstance(seed uint64) (*linalg.Dense, float64) {
+func eigenInstance(seed uint64) (m *linalg.Dense, want float64) {
 	const n = 6
-	rng := detrand.New(int64(seed))
-	return eigen.RandomSymmetric(rng, n), float64(n)
+	detrand.Scoped(int64(seed), func(rng *rand.Rand) {
+		m = eigen.RandomSymmetric(rng, n)
+	})
+	return m, n
 }
 
 func eigenScore(lambda, want float64) float64 {

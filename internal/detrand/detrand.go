@@ -8,6 +8,8 @@
 // five-element sort, say) reads about ten of those words. New returns a
 // generator whose stream is bit-identical to math/rand's for every seed,
 // but computes each register word only when a draw first reads it.
+// Scoped goes one step further for per-trial use: it reseeds a pooled
+// generator in place, so a trial allocates no generator at all.
 //
 // The seeding LCG is x ← 48271·x mod (2³¹−1), so the k-th state is
 // seed·48271^k mod (2³¹−1): word i of the register, which math/rand
@@ -18,7 +20,10 @@
 // that source's first 607 outputs.
 package detrand
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 const (
 	rngLen   = 607 // register length (math/rand rngLen)
@@ -107,6 +112,22 @@ type source struct {
 // rand.New(rand.NewSource(seed)), seeded in constant time.
 func New(seed int64) *rand.Rand {
 	return rand.New(newSource(seed))
+}
+
+// pool recycles Scoped's generators. A pooled generator's register is
+// dirty, but Seed resets its have bitmap, so it restarts in O(1).
+var pool = sync.Pool{New: func() any { return New(0) }}
+
+// Scoped runs fn with a generator whose every draw is bit-identical to
+// rand.New(rand.NewSource(seed)), taken from a pool and returned to it
+// when fn returns. A short trial thus allocates no generator state. fn
+// must not keep the generator, or anything that draws from it, past its
+// return.
+func Scoped(seed int64, fn func(*rand.Rand)) {
+	r := pool.Get().(*rand.Rand)
+	r.Seed(seed)
+	fn(r)
+	pool.Put(r)
 }
 
 func newSource(seed int64) *source {

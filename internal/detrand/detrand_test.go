@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -27,12 +28,12 @@ func testSeeds() []int64 {
 	return seeds
 }
 
-// compareStreams fails unless New(seed) and math/rand agree on a long
-// mixed stream: well over 2×607 draws, so the register wraps twice, through
-// every *rand.Rand method the repo calls.
-func compareStreams(t *testing.T, seed int64) {
+// compareStreams fails unless got, freshly seeded with seed, and math/rand
+// agree on a long mixed stream: well over 2×607 draws, so the register
+// wraps twice, through every *rand.Rand method the repo calls.
+func compareStreams(t *testing.T, seed int64, got *rand.Rand) {
 	t.Helper()
-	got, want := New(seed), rand.New(rand.NewSource(seed))
+	want := rand.New(rand.NewSource(seed))
 	for i := 0; i < 1500; i++ {
 		if g, w := got.Uint64(), want.Uint64(); g != w {
 			t.Fatalf("seed %d draw %d: Uint64 %d, want %d", seed, i, g, w)
@@ -77,8 +78,70 @@ func equalInts(a, b []int) bool {
 
 func TestStreamIdentical(t *testing.T) {
 	for _, seed := range testSeeds() {
-		compareStreams(t, seed)
+		compareStreams(t, seed, New(seed))
 	}
+}
+
+// TestScopedReuseIdentical dirties a pooled generator past the register's
+// wrap under one seed, then expects Scoped under the next seed to draw
+// math/rand's fresh stream, whether the pool hands back that generator or
+// a new one.
+func TestScopedReuseIdentical(t *testing.T) {
+	var prev *rand.Rand
+	reused := 0
+	for _, seed := range testSeeds() {
+		Scoped(seed^0x5bd1e995, func(r *rand.Rand) {
+			for i := 0; i < 2*rngLen; i++ {
+				r.Int63()
+			}
+			prev = r
+		})
+		Scoped(seed, func(r *rand.Rand) {
+			if r == prev {
+				reused++
+			}
+			compareStreams(t, seed, r)
+		})
+	}
+	if reused == 0 {
+		t.Fatal("the pool never handed back a dirty generator; the reuse path went untested")
+	}
+}
+
+// TestScopedParallel runs Scoped from concurrent goroutines, as trial
+// workers do, and checks every stream against math/rand. Under -race it
+// also checks that a pooled generator is never shared by two goroutines.
+func TestScopedParallel(t *testing.T) {
+	seeds := testSeeds()
+	want := make([][8]int64, len(seeds))
+	for i, seed := range seeds {
+		std := rand.New(rand.NewSource(seed))
+		for j := range want[i] {
+			want[i][j] = std.Int63()
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 5*len(seeds); k++ {
+				i := (k + g*len(seeds)/4) % len(seeds)
+				Scoped(seeds[i], func(r *rand.Rand) {
+					for j, w := range want[i] {
+						if got := r.Int63(); got != w {
+							t.Errorf("seed %d draw %d: %d, want %d", seeds[i], j, got, w)
+							return
+						}
+					}
+					for j := 0; j < (i*37)%(2*rngLen); j++ { // dirty the register
+						r.Int63()
+					}
+				})
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestReseedIdentical reseeds mid-stream, after the register has wrapped
@@ -105,12 +168,18 @@ func FuzzStreamIdentical(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		got, want := New(seed), rand.New(rand.NewSource(seed))
-		for i := 0; i < 2*rngLen+5; i++ {
-			if g, w := got.Uint64(), want.Uint64(); g != w {
-				t.Fatalf("seed %d draw %d: %d, want %d", seed, i, g, w)
+		check := func(via string, got *rand.Rand) {
+			want := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2*rngLen+5; i++ {
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("%s seed %d draw %d: %d, want %d", via, seed, i, g, w)
+				}
 			}
 		}
+		check("New", New(seed))
+		// The pooled generator is usually the one the previous input left
+		// dirty past the register's wrap.
+		Scoped(seed, func(r *rand.Rand) { check("Scoped", r) })
 	})
 }
 

@@ -32,23 +32,18 @@ func planFaultModel(c Config) *Plan {
 		rates = []float64{0.05, 0.5}
 	}
 	sweep := harness.Sweep{Rates: rates, Trials: trials, Seed: c.Seed + 71, Workers: c.Workers}
-	dists := []fpu.BitDistribution{
+	dists := []*fpu.BitDistribution{
 		fpu.EmulatedDistribution(),
 		fpu.MeasuredDistribution(),
 		fpu.LowOrderDistribution(),
 		fpu.UniformDistribution(),
 	}
 	var units []Unit
-	for _, d := range dists {
-		dist := d
+	for _, dist := range dists {
 		units = append(units, Unit{
 			Series: "sort/" + dist.Name(), Agg: "mean", Sweep: sweep,
 			Fn: func(rate float64, seed uint64) float64 {
-				rng := detrand.New(int64(seed))
-				data := make([]float64, 5)
-				for i, p := range rng.Perm(5) {
-					data[i] = float64(p+1) * 2.5
-				}
+				data := SortData(seed, 5)
 				inj := fpu.NewInjector(rate, seed, fpu.WithDistribution(dist))
 				u := fpu.New(fpu.WithInjector(inj))
 				out, _, err := robsort.Robust(u, data, robsort.Options{

@@ -11,6 +11,7 @@ package figures
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"robustify/internal/apps/iir"
 	"robustify/internal/apps/leastsq"
@@ -181,17 +182,9 @@ func plan61(c Config) *Plan {
 	trials := c.trials(100, 8)
 	sweep := harness.Sweep{Rates: sortRates(c.Quick), Trials: trials, Seed: c.Seed + 61, Workers: c.Workers}
 
-	dataFor := func(seed uint64) []float64 {
-		rng := detrand.New(int64(seed))
-		data := make([]float64, n)
-		for i, p := range rng.Perm(n) {
-			data[i] = float64(p+1) * 2.5
-		}
-		return data
-	}
 	runRobust := func(opts robsort.Options) harness.TrialFunc {
 		return func(rate float64, seed uint64) float64 {
-			data := dataFor(seed)
+			data := SortData(seed, n)
 			u := c.Unit(rate, seed)
 			out, _, err := robsort.Robust(u, data, opts)
 			if err != nil {
@@ -204,7 +197,7 @@ func plan61(c Config) *Plan {
 	sqs := solver.Sqrt(0.5 / n)
 	units := []Unit{
 		{Series: "Base", Agg: "mean", Sweep: sweep, Fn: func(rate float64, seed uint64) float64 {
-			data := dataFor(seed)
+			data := SortData(seed, n)
 			u := c.Unit(rate, seed)
 			return b2f(robsort.Success(robsort.Baseline(u, data), data))
 		}},
@@ -562,11 +555,7 @@ func planMomentum(c Config) *Plan {
 
 	sortRun := func(momentum float64) harness.TrialFunc {
 		return func(rate float64, seed uint64) float64 {
-			rng := detrand.New(int64(seed))
-			data := make([]float64, 5)
-			for i, p := range rng.Perm(5) {
-				data[i] = float64(p+1) * 2.5
-			}
+			data := SortData(seed, 5)
 			u := c.Unit(rate, seed)
 			out, _, err := robsort.Robust(u, data, robsort.Options{
 				Iters: iters, Schedule: solver.Linear(0.1), Momentum: momentum})
@@ -649,6 +638,18 @@ func matchingInstances(seed uint64, k int) []*matching.Instance {
 		insts[i] = matching.RandomInstance(rng, 5, 6, 30)
 	}
 	return insts
+}
+
+// SortData derives one sorting trial's input from its seed: the values
+// 2.5, 5, …, 2.5n in the order of a seeded permutation.
+func SortData(seed uint64, n int) []float64 {
+	data := make([]float64, n)
+	detrand.Scoped(int64(seed), func(rng *rand.Rand) {
+		for i, p := range rng.Perm(n) {
+			data[i] = float64(p+1) * 2.5
+		}
+	})
+	return data
 }
 
 // capErr clips error metrics so means/medians stay plottable (shared

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"math/rand"
 
 	"robustify/internal/apps/leastsq"
 	"robustify/internal/detrand"
@@ -31,8 +32,7 @@ func planRobustLoss(c Config) *Plan {
 
 	run := func(kind robust.Kind) harness.TrialFunc {
 		return func(rate float64, seed uint64) float64 {
-			rng := detrand.New(int64(seed))
-			inst, err := leastsq.Random(rng, 30, 6, 0.01)
+			inst, err := LsqInstance(seed)
 			if err != nil {
 				return 1e6
 			}
@@ -70,4 +70,13 @@ func planRobustLoss(c Config) *Plan {
 		},
 		Units: units,
 	}
+}
+
+// LsqInstance derives one least-squares trial's instance (A 30x6 with
+// mild observation noise) from its seed.
+func LsqInstance(seed uint64) (inst *leastsq.Instance, err error) {
+	detrand.Scoped(int64(seed), func(rng *rand.Rand) {
+		inst, err = leastsq.Random(rng, 30, 6, 0.01)
+	})
+	return inst, err
 }

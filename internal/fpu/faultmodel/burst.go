@@ -31,8 +31,7 @@ type burstModel struct {
 	meanLen float64
 	prob    float64
 	meanGap float64
-	dist    fpu.BitDistribution
-	rng     *fpu.LFSR
+	rng     fpu.LFSR
 
 	// open reports whether the voltage window is currently drooped; left
 	// is how many operations remain in the current phase. The model
@@ -67,8 +66,7 @@ func newBurst(rate float64, seed uint64, meanLen, prob float64) fpu.FaultModel {
 		rate:    rate,
 		meanLen: meanLen,
 		prob:    prob,
-		dist:    fpu.EmulatedDistribution(),
-		rng:     fpu.NewLFSR(seed),
+		rng:     *fpu.NewLFSR(seed),
 	}
 	if rate > 0 {
 		// A requested rate at or above the in-window probability cannot be
@@ -123,11 +121,13 @@ func (b *burstModel) Fire() bool {
 	return hit
 }
 
-// Corrupt flips one distribution-drawn bit of v — the same emulated
-// timing-fault histogram as the default model, since burst faults are the
-// same physical mechanism arriving in clusters.
+// burstDist is the emulated timing-fault histogram of the default model:
+// burst faults are the same physical mechanism arriving in clusters.
+var burstDist = fpu.EmulatedDistribution()
+
+// Corrupt flips one burstDist-drawn bit of v.
 func (b *burstModel) Corrupt(v float64) float64 {
-	bit := b.dist.Sample(b.rng.Float64())
+	bit := burstDist.Sample(b.rng.Float64())
 	return math.Float64frombits(math.Float64bits(v) ^ (1 << uint(bit)))
 }
 

@@ -22,11 +22,15 @@ import (
 // state into slices.
 type memoryModel struct {
 	rate      float64
-	dist      fpu.BitDistribution
-	rng       *fpu.LFSR
+	rng       fpu.LFSR
 	countdown uint64
 	injected  uint64
 }
+
+// memoryDist is the memory model's bit distribution. Stored words have no
+// timing-critical carry chains, so every bit is equally exposed — unlike
+// the FPU models' emulated histogram.
+var memoryDist = fpu.UniformDistribution()
 
 // newMemory builds the model for one trial; rate is flips per word
 // scanned, clamped to [0, 1].
@@ -39,10 +43,7 @@ func newMemory(rate float64, seed uint64) fpu.FaultModel {
 	}
 	m := &memoryModel{
 		rate: rate,
-		// Stored words have no timing-critical carry chains, so every bit
-		// is equally exposed — unlike the FPU models' emulated histogram.
-		dist: fpu.UniformDistribution(),
-		rng:  fpu.NewLFSR(seed),
+		rng:  *fpu.NewLFSR(seed),
 	}
 	m.countdown = math.MaxUint64
 	if rate > 0 {
@@ -83,7 +84,7 @@ func (m *memoryModel) CorruptSlice(xs []float64) {
 	for m.countdown <= rem {
 		rem -= m.countdown
 		idx := uint64(len(xs)) - rem - 1
-		bit := m.dist.Sample(m.rng.Float64())
+		bit := memoryDist.Sample(m.rng.Float64())
 		xs[idx] = math.Float64frombits(math.Float64bits(xs[idx]) ^ (1 << uint(bit)))
 		m.injected++
 		m.countdown = m.rng.UniformGap(1 / m.rate) //lint:fpu-exempt fault-model mechanism: gap draw arithmetic is scheduler state, not simulated application math

@@ -28,10 +28,10 @@ type BitDistribution struct {
 // bit position. Weights are normalized; at least one must be positive —
 // all-zero weights panic rather than falling back to uniform, because a
 // silently-uniform "exponent-only" distribution would corrupt a stratified
-// fault-model study without any signal.
-func NewBitDistribution(name string, weights [WordBits]float64) BitDistribution {
-	var d BitDistribution
-	d.name = name
+// fault-model study without any signal. The result is immutable, so one
+// distribution can serve any number of injectors.
+func NewBitDistribution(name string, weights [WordBits]float64) *BitDistribution {
+	d := &BitDistribution{name: name}
 	var total float64
 	for _, w := range weights {
 		if w < 0 {
@@ -111,7 +111,7 @@ func (d *BitDistribution) search(u float64, lo, hi int) int {
 // strikes the low-order mantissa bits (tiny errors); the sign flag is hit
 // occasionally; the exponent logic is short-path and almost never fails,
 // which is why Fig 5.1's error magnitudes stay bounded.
-func MeasuredDistribution() BitDistribution {
+func MeasuredDistribution() *BitDistribution {
 	var w [WordBits]float64
 	for bit := 0; bit < WordBits; bit++ {
 		switch {
@@ -136,7 +136,7 @@ func MeasuredDistribution() BitDistribution {
 // (relative error up to O(1)), with probability pSign the sign flag,
 // otherwise a uniformly chosen low-order mantissa bit (low-magnitude
 // error).
-func EmulatedDistribution() BitDistribution {
+func EmulatedDistribution() *BitDistribution {
 	const (
 		pHigh  = 0.50
 		pSign  = 0.05
@@ -156,7 +156,7 @@ func EmulatedDistribution() BitDistribution {
 
 // UniformDistribution returns a uniform distribution over all word bits,
 // useful for the "different fault models" sensitivity study (Ch. 7).
-func UniformDistribution() BitDistribution {
+func UniformDistribution() *BitDistribution {
 	var w [WordBits]float64
 	for i := range w {
 		w[i] = 1
@@ -167,7 +167,7 @@ func UniformDistribution() BitDistribution {
 // LowOrderDistribution returns a distribution restricted to the mantissa's
 // low 16 bits: small-magnitude, nearly unbiased noise. This is the most
 // benign fault model and a useful ablation endpoint.
-func LowOrderDistribution() BitDistribution {
+func LowOrderDistribution() *BitDistribution {
 	var w [WordBits]float64
 	for i := 0; i < 16; i++ {
 		w[i] = 1
@@ -175,9 +175,9 @@ func LowOrderDistribution() BitDistribution {
 	return NewBitDistribution("low-order", w)
 }
 
-// emulatedDefault caches the default bit distribution: sweeps construct one
-// injector per trial, and the distribution (with its bucket table) is
-// immutable, so it is built once instead of per NewInjector call.
+// emulatedDefault is the default bit distribution, shared by every
+// injector: sweeps construct one injector per trial, and the distribution
+// (with its bucket table) is immutable.
 var emulatedDefault = EmulatedDistribution()
 
 // Injector corrupts FPU results: at LFSR-scheduled intervals it flips one
@@ -187,8 +187,8 @@ var emulatedDefault = EmulatedDistribution()
 // FaultModel — uniform rate, independent per-FLOP faults.
 type Injector struct {
 	rate      float64
-	dist      BitDistribution
-	rng       *LFSR
+	dist      *BitDistribution
+	rng       LFSR
 	countdown uint64
 	injected  uint64
 	// gapHi caches the UniformGap range for mean 1/rate: gaps are
@@ -200,8 +200,8 @@ type Injector struct {
 type InjectorOption func(*Injector)
 
 // WithDistribution selects the bit-position distribution (default:
-// EmulatedDistribution).
-func WithDistribution(d BitDistribution) InjectorOption {
+// EmulatedDistribution). The injector shares d rather than copying it.
+func WithDistribution(d *BitDistribution) InjectorOption {
 	return func(in *Injector) { in.dist = d }
 }
 
@@ -219,7 +219,7 @@ func NewInjector(rate float64, seed uint64, opts ...InjectorOption) *Injector {
 	in := &Injector{
 		rate: rate,
 		dist: emulatedDefault,
-		rng:  NewLFSR(seed),
+		rng:  *NewLFSR(seed),
 	}
 	// Precompute the UniformGap range (its mean > 1 branch) so reschedule
 	// avoids the division and conversions on every fault.
@@ -243,7 +243,7 @@ func (in *Injector) Name() string { return "default" }
 func (in *Injector) Rate() float64 { return in.rate }
 
 // Distribution returns the bit-position distribution in use.
-func (in *Injector) Distribution() *BitDistribution { return &in.dist }
+func (in *Injector) Distribution() *BitDistribution { return in.dist }
 
 // Injected returns how many faults the injector has delivered.
 func (in *Injector) Injected() uint64 { return in.injected }

@@ -10,7 +10,7 @@ import (
 // distribution shape and for adversarial variates at bucket and CDF
 // boundaries.
 func TestSampleLookupMatchesFullSearch(t *testing.T) {
-	dists := []BitDistribution{
+	dists := []*BitDistribution{
 		MeasuredDistribution(),
 		EmulatedDistribution(),
 		UniformDistribution(),

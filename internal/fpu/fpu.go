@@ -141,16 +141,6 @@ func (u *Unit) Model() FaultModel {
 	return u.model
 }
 
-// Injector returns the installed default-model injector, or nil when the
-// unit is reliable or runs a non-default model.
-func (u *Unit) Injector() *Injector {
-	if u == nil {
-		return nil
-	}
-	inj, _ := u.model.(*Injector)
-	return inj
-}
-
 // CorruptSlice exposes one stored vector to a memory-resident fault model,
 // which may flip bits in place. Solvers call it on persistent state (the
 // iterate, residuals, search directions) at iteration boundaries. Under

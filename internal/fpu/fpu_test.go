@@ -175,7 +175,7 @@ func TestInjectorSeedsDiffer(t *testing.T) {
 }
 
 func TestBitDistributionNormalized(t *testing.T) {
-	for _, d := range []BitDistribution{
+	for _, d := range []*BitDistribution{
 		MeasuredDistribution(), EmulatedDistribution(),
 		UniformDistribution(), LowOrderDistribution(),
 	} {

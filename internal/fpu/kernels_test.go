@@ -121,12 +121,12 @@ func checkUnits(t *testing.T, scalar, batched *Unit) {
 			t.Errorf("OpCount(%v): scalar %d, batched %d", op, s, b)
 		}
 	}
-	si, bi := scalar.Injector(), batched.Injector()
-	if (si == nil) != (bi == nil) {
-		t.Fatalf("injector presence mismatch")
+	sm, bm := scalar.Model(), batched.Model()
+	if (sm == nil) != (bm == nil) {
+		t.Fatalf("fault model presence mismatch")
 	}
-	if si != nil && si.Injected() != bi.Injected() {
-		t.Errorf("Injected: scalar %d, batched %d", si.Injected(), bi.Injected())
+	if sm != nil && sm.Injected() != bm.Injected() {
+		t.Errorf("Injected: scalar %d, batched %d", sm.Injected(), bm.Injected())
 	}
 }
 

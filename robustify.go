@@ -113,7 +113,7 @@ var (
 )
 
 // WithDistribution selects an injector's bit distribution.
-func WithDistribution(d BitDistribution) fpu.InjectorOption { return fpu.WithDistribution(d) }
+func WithDistribution(d *BitDistribution) fpu.InjectorOption { return fpu.WithDistribution(d) }
 
 // DefaultVoltageModel returns the Fig 5.2 voltage/error-rate model.
 func DefaultVoltageModel() VoltageModel { return fpu.DefaultVoltageModel() }
