@@ -14,8 +14,8 @@ import (
 //
 // Durability sinks are declared in the code they live in: a
 // //lint:durable <reason> marker on a function (fsutil.WriteFileAtomic,
-// Store.Append/Put, the flock acquisition, telemetry appends) makes it a
-// sink root. The call-graph facts layer then propagates: any function
+// Store.Append/Put/PutBatch, the flock acquisition, telemetry appends)
+// makes it a sink root. The call-graph facts layer then propagates: any function
 // that calls a sink (or a propagator) and returns an error is itself a
 // durability-error carrier — so a helper that swallows the error is as
 // guilty as the original call site, and a call site that discards the

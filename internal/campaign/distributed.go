@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"robustify/internal/dispatch"
+	"robustify/internal/obs"
 )
 
 // RunDispatched executes the campaign on a robustworker fleet instead of
@@ -22,6 +23,7 @@ func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, 
 	if err != nil {
 		return fmt.Errorf("campaign: encode spec for dispatch: %w", err)
 	}
+	e.st.reserve(e.camp.Total())
 	units := make([]dispatch.UnitGrid, len(e.camp.Plan.Units))
 	for i, u := range e.camp.Plan.Units {
 		units[i] = dispatch.UnitGrid{Rates: len(u.Sweep.Rates), Trials: u.Sweep.PerCell()}
@@ -41,20 +43,75 @@ func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, 
 			u := e.camp.Plan.Units[r.Unit] // bounds already checked by dispatch
 			return r.Rate == u.Sweep.Rates[r.RateIdx] && r.Seed == u.Sweep.TrialSeed(r.RateIdx, r.TrialIdx)
 		},
-		Sink: func(results []dispatch.TrialResult) error {
-			for _, r := range results {
-				added, err := e.record(Record{
-					Unit: r.Unit, RateIdx: r.RateIdx, TrialIdx: r.TrialIdx,
-					Rate: r.Rate, Seed: r.Seed, Value: r.Value,
-				})
-				if err != nil {
-					return err
-				}
-				if added { // else a duplicate from a reassigned shard
-					e.observeDispatched(r)
-				}
-			}
-			return nil
-		},
+		Sink: e.mergeReport,
 	})
+}
+
+// reportBatch holds one worker report's store records and telemetry
+// lines while it is merged. Batches are reused, so merging a report
+// allocates nothing per result.
+type reportBatch struct {
+	recs []Record
+	tele []obs.TrialRecord
+}
+
+var reportBatches = make(freeList[reportBatch], spareReports)
+
+// spareReports is how many report-sized buffers of each kind are kept
+// for reuse: enough for that many reports handled at once.
+const spareReports = 4
+
+// freeList keeps up to cap(l) spare values for reuse. Report buffers are
+// hundreds of kilobytes; unlike a sync.Pool, a free list keeps them
+// across garbage collections and whichever processor a report runs on.
+type freeList[T any] chan *T
+
+// get takes a spare value, or a new zero one when there is none.
+func (l freeList[T]) get() *T {
+	select {
+	case v := <-l:
+		return v
+	default:
+		return new(T)
+	}
+}
+
+// put returns v for reuse, dropping it when the list is full.
+func (l freeList[T]) put(v *T) {
+	select {
+	case l <- v:
+	default:
+	}
+}
+
+// mergeReport is the dispatched sink: it merges one worker report with
+// one store write and, when a hub is attached, writes the telemetry of
+// its fresh results with one more. A fleet result's latency and fault
+// placement live in the worker's own telemetry, so the coordinator's
+// line records only its arrival.
+func (e *Execution) mergeReport(results []dispatch.TrialResult) error {
+	b := reportBatches.get()
+	defer reportBatches.put(b)
+	b.recs = b.recs[:0]
+	for _, r := range results {
+		b.recs = append(b.recs, Record{
+			Unit: r.Unit, RateIdx: r.RateIdx, TrialIdx: r.TrialIdx,
+			Rate: r.Rate, Seed: r.Seed, Value: r.Value,
+		})
+	}
+	fresh, err := e.merge(b.recs)
+	if err != nil || e.hub == nil {
+		return err
+	}
+	label := e.camp.Spec.MetricLabel()
+	b.tele = b.tele[:0]
+	for _, r := range fresh {
+		b.tele = append(b.tele, obs.TrialRecord{
+			Campaign: e.id, Unit: label, Series: r.Series,
+			RateIdx: r.RateIdx, TrialIdx: r.TrialIdx,
+			Rate: r.Rate, Seed: r.Seed, Value: obs.Float(r.Value),
+		})
+	}
+	e.hub.AppendTrials(e.st.Dir(), b.tele)
+	return nil
 }

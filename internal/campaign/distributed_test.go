@@ -2,7 +2,11 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +14,7 @@ import (
 
 	"robustify/internal/dispatch"
 	"robustify/internal/harness"
+	"robustify/internal/obs"
 )
 
 // execShard runs a lease's shard the way cmd/robustworker does: compile
@@ -92,7 +97,9 @@ func renderTable(t *testing.T, m *Manager, id string) (text, csv string) {
 // at the package level: a campaign executed by workers over real HTTP —
 // including a worker that takes a lease and dies silently, forcing
 // expiry and reassignment — produces a results table byte-identical to
-// the same campaign run fully in-process.
+// the same campaign run fully in-process. The coordinator's telemetry
+// sidecar holds one trial line per merged result, each record encoded
+// as json.Marshal encodes the obs.TrialRecord of its store record.
 func TestDistributedCampaignByteIdentical(t *testing.T) {
 	spec := Spec{
 		Custom: &CustomSweep{Workload: "sort/base", Rates: []float64{0.01, 0.15, 0.4}},
@@ -100,11 +107,15 @@ func TestDistributedCampaignByteIdentical(t *testing.T) {
 		Seed:   11,
 	}
 
-	m, err := NewManager(t.TempDir(), 2)
+	root := t.TempDir()
+	m, err := NewManager(root, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	hub := obs.NewHub()
+	defer hub.Close()
+	m.SetHub(hub)
 	m.SetDispatcher(dispatch.New(dispatch.Options{LeaseTTL: 250 * time.Millisecond, ShardSize: 2}))
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
@@ -172,6 +183,52 @@ func TestDistributedCampaignByteIdentical(t *testing.T) {
 	}
 	if gotCSV != wantCSV {
 		t.Errorf("distributed CSV differs from in-process run:\n--- want ---\n%s--- got ---\n%s", wantCSV, gotCSV)
+	}
+	checkDispatchedTelemetry(t, filepath.Join(root, id), id, spec)
+}
+
+// checkDispatchedTelemetry asserts that a dispatched campaign's
+// telemetry holds exactly one trial line per store record, and that each
+// line's record is byte for byte the one the coordinator writes for a
+// fleet result: identity and value, no latency or fault summary.
+func checkDispatchedTelemetry(t *testing.T, dir, id string, spec Spec) {
+	t.Helper()
+	store, err := os.ReadFile(filepath.Join(dir, storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, r := range recordSet(t, store) {
+		rec, err := json.Marshal(obs.TrialRecord{
+			Campaign: id, Unit: spec.MetricLabel(), Series: r.Series,
+			RateIdx: r.RateIdx, TrialIdx: r.TrialIdx, Rate: r.Rate, Seed: r.Seed, Value: obs.Float(r.Value),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, string(rec))
+	}
+	tele, err := os.ReadFile(filepath.Join(dir, obs.TelemetryFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(string(tele)), "\n") {
+		var env struct {
+			Kind string          `json:"kind"`
+			Rec  json.RawMessage `json:"rec"`
+		}
+		if err := json.Unmarshal([]byte(line), &env); err != nil {
+			t.Fatalf("telemetry line does not parse: %v\n%s", err, line)
+		}
+		if env.Kind == "trial" {
+			got = append(got, string(env.Rec))
+		}
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("telemetry trial records:\n%s\nwant one per store record:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

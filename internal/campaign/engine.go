@@ -174,23 +174,6 @@ func (s Spec) MetricLabel() string {
 	return "fig:" + s.Figure
 }
 
-// observeDispatched is observeTrial for results arriving from a worker
-// fleet: their latency and fault placement live in the worker's own
-// telemetry, so the coordinator records only the result's arrival.
-func (e *Execution) observeDispatched(r dispatch.TrialResult) {
-	if e.hub == nil {
-		return
-	}
-	e.hub.AppendTrial(e.st.Dir(), obs.TrialRecord{
-		Campaign: e.id,
-		Unit:     e.camp.Spec.MetricLabel(),
-		Series:   e.camp.Plan.Units[r.Unit].Series,
-		RateIdx:  r.RateIdx, TrialIdx: r.TrialIdx,
-		Rate: r.Rate, Seed: r.Seed,
-		Value: obs.Float(r.Value),
-	})
-}
-
 // observeTrial emits a trial's diagnostics — telemetry record, latency
 // histogram sample, and trace event — after the trial was durably added
 // to the store. It never touches the store itself.
@@ -219,23 +202,30 @@ func (e *Execution) observeTrial(unit int, t harness.Trial) {
 			" trial="+strconv.Itoa(t.TrialIdx)+" dur="+d.String())
 }
 
-// record merges one trial result into the store and, when its key is
-// new, into the fresh-trial counter and the live statistics. It reports
-// whether the result was new: a duplicate — a concurrent worker or a
-// reassigned shard got there first — changes nothing.
-func (e *Execution) record(r Record) (bool, error) {
-	r.Series = e.camp.Plan.Units[r.Unit].Series
-	added, err := e.st.Put(r)
-	if err != nil || !added {
-		return false, err
+// merge merges trial results into the store with one write and folds
+// the new ones — those whose keys were not yet durable — into the
+// fresh-trial counter and the live statistics. It returns the new ones,
+// compacted in place in recs: a duplicate (a concurrent worker or a
+// reassigned shard got there first) changes nothing. The in-process
+// sink merges each trial as a batch of one, the dispatched sink each
+// worker report as one batch.
+func (e *Execution) merge(recs []Record) ([]Record, error) {
+	for i := range recs {
+		recs[i].Series = e.camp.Plan.Units[recs[i].Unit].Series
+	}
+	fresh, err := e.st.PutBatch(recs)
+	if err != nil || len(fresh) == 0 {
+		return nil, err
 	}
 	if e.trials != nil {
-		e.trials.Add(1)
+		e.trials.Add(int64(len(fresh)))
 	}
 	e.mu.Lock()
-	e.stats[r.Unit][r.RateIdx].Add(r.Value)
+	for _, r := range fresh {
+		e.stats[r.Unit][r.RateIdx].Add(r.Value)
+	}
 	e.mu.Unlock()
-	return true, nil
+	return fresh, nil
 }
 
 // NewExecution prepares a run, folding any trials already in the store
@@ -279,10 +269,11 @@ func (e *Execution) Run(ctx context.Context) error {
 				if t.Cached {
 					return // already folded in (preloaded from the store)
 				}
-				added, err := e.record(Record{
+				batch := [1]Record{{
 					Unit: unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx,
 					Rate: t.Rate, Seed: t.Seed, Value: t.Value,
-				})
+				}}
+				fresh, err := e.merge(batch[:])
 				if err != nil {
 					sinkMu.Lock()
 					if sinkErr == nil {
@@ -291,7 +282,7 @@ func (e *Execution) Run(ctx context.Context) error {
 					sinkMu.Unlock()
 					stop() // no later trial of this sweep could be recorded
 				}
-				if added {
+				if len(fresh) == 1 {
 					e.observeTrial(unit, t)
 				} else if e.hub != nil {
 					e.hub.TakeFaults(t.Rate, t.Seed) // drop the recorders of a trial the store refused

@@ -2,10 +2,12 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"slices"
 
 	"robustify/internal/dispatch"
 	"robustify/internal/fpu/faultmodel"
@@ -40,9 +42,8 @@ func NewServer(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			HTTPError(w, http.StatusBadRequest, err)
+		body, ok := ReadBody(w, r, MaxSpecBytes, nil)
+		if !ok {
 			return
 		}
 		spec, err := ParseSpec(body)
@@ -171,8 +172,7 @@ func NewServer(m *Manager) http.Handler {
 			return
 		}
 		var req dispatch.RegisterRequest
-		if err := readJSON(r, &req); err != nil {
-			HTTPError(w, http.StatusBadRequest, err)
+		if !readJSON(w, r, &req) {
 			return
 		}
 		resp := d.Register(req)
@@ -186,8 +186,7 @@ func NewServer(m *Manager) http.Handler {
 			return
 		}
 		var req dispatch.LeaseRequest
-		if err := readJSON(r, &req); err != nil {
-			HTTPError(w, http.StatusBadRequest, err)
+		if !readJSON(w, r, &req) {
 			return
 		}
 		lease, err := d.Lease(req)
@@ -207,17 +206,27 @@ func NewServer(m *Manager) http.Handler {
 		if d == nil {
 			return
 		}
-		var req dispatch.ReportRequest
-		if err := readJSON(r, &req); err != nil {
-			HTTPError(w, http.StatusBadRequest, err)
+		rb := reportBodies.get()
+		defer reportBodies.put(rb)
+		body, ok := ReadBody(w, r, maxWorkerBytes, rb.body)
+		rb.body = body
+		if !ok {
 			return
 		}
-		resp, err := d.Report(req)
+		if err := dispatch.DecodeReport(body, &rb.req, &rb.scratch); err != nil {
+			HTTPError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			return
+		}
+		resp, err := d.Report(rb.req)
 		if err != nil {
 			HTTPError(w, http.StatusNotFound, err)
 			return
 		}
-		WriteJSON(w, http.StatusOK, resp)
+		w.Header().Set("Content-Type", "application/json")
+		rb.scratch = append(dispatch.AppendReportResponse(rb.scratch[:0], resp), '\n')
+		if _, err := w.Write(rb.scratch); err != nil {
+			log.Printf("campaign: write report response: %v", err)
+		}
 	})
 
 	mux.HandleFunc("GET /workers", func(w http.ResponseWriter, r *http.Request) {
@@ -231,19 +240,84 @@ func NewServer(m *Manager) http.Handler {
 	return mux
 }
 
-// readJSON decodes a bounded JSON request body. Report bodies carry
-// result batches, so the cap is generous (8 MiB) while still bounding a
-// hostile request.
-func readJSON(r *http.Request, v any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
+// Request body caps. MaxSpecBytes bounds a submitted campaign or tune
+// spec; maxWorkerBytes bounds the worker endpoints' bodies, whose largest
+// is a report of dispatch.MaxReport results (~400 KB), and so must stay
+// comfortably above it.
+const (
+	MaxSpecBytes   = 1 << 20
+	maxWorkerBytes = 8 << 20
+)
+
+// ReadBody reads a request body of at most limit bytes into buf's
+// backing array, growing it only when the body does not fit; the
+// returned slice is the body. A body over the limit is answered 413
+// naming the limit, any other read failure 400, and ok is then false.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) (body []byte, ok bool) {
+	tooLarge := func() {
+		HTTPError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body larger than the %d-byte limit", limit))
+	}
+	if r.ContentLength > limit {
+		tooLarge()
+		return buf[:0], false
+	}
+	// One spare byte lets a body of exactly Content-Length bytes reach
+	// EOF without growing the buffer.
+	buf = slices.Grow(buf[:0], int(r.ContentLength)+1)
+	body, err := readAll(http.MaxBytesReader(w, r.Body, limit), buf)
 	if err != nil {
-		return err
+		var maxErr *http.MaxBytesError
+		if errors.As(err, &maxErr) {
+			tooLarge()
+		} else {
+			HTTPError(w, http.StatusBadRequest, err)
+		}
+		return body[:0], false
+	}
+	return body, true
+}
+
+// readAll is io.ReadAll into b's spare capacity.
+func readAll(r io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// readJSON decodes a worker endpoint's JSON request body; on failure it
+// has answered the request and reports false.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := ReadBody(w, r, maxWorkerBytes, nil)
+	if !ok {
+		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		HTTPError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
+
+// reportBody holds one worker report while it is handled: the body, the
+// decoded request and the decoder's re-encoding scratch. They are reused,
+// so a report's size costs no allocation once a buffer has grown to it.
+type reportBody struct {
+	body, scratch []byte
+	req           dispatch.ReportRequest
+}
+
+var reportBodies = make(freeList[reportBody], spareReports)
 
 // WriteJSON writes an indented JSON response; shared by the campaign
 // and tune HTTP APIs mounted on the same robustd mux.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"robustify/internal/dispatch"
 	"robustify/internal/fpu/faultmodel"
 	"robustify/internal/job"
 )
@@ -280,7 +281,7 @@ func TestServerRecoveredCampaign(t *testing.T) {
 }
 
 func TestServerErrors(t *testing.T) {
-	srv, _ := newTestServer(t, 1)
+	srv, m := newTestServer(t, 1)
 	doJSON(t, "GET", srv.URL+"/healthz", "", http.StatusOK, nil)
 	doJSON(t, "GET", srv.URL+"/workloads", "", http.StatusOK, nil)
 	doJSON(t, "POST", srv.URL+"/campaigns", `{"figure":"nope"}`, http.StatusBadRequest, nil)
@@ -305,6 +306,30 @@ func TestServerErrors(t *testing.T) {
 	}
 	// Resuming a completed campaign is a conflict.
 	doJSON(t, "POST", srv.URL+"/campaigns/"+id+"/resume", "", http.StatusConflict, nil)
+
+	// A body over its endpoint's cap is refused whole, naming the cap —
+	// never truncated into a misleading parse error. The report body
+	// declares its length; the register body is chunked, so only reading
+	// it finds the overflow.
+	checkTooLarge(t, srv.URL+"/campaigns", strings.NewReader(strings.Repeat(" ", MaxSpecBytes)+"{}"), MaxSpecBytes)
+	m.SetDispatcher(dispatch.New(dispatch.Options{}))
+	huge := strings.Repeat(" ", maxWorkerBytes) + "{}"
+	checkTooLarge(t, srv.URL+"/workers/report", strings.NewReader(huge), maxWorkerBytes)
+	checkTooLarge(t, srv.URL+"/workers/register", io.MultiReader(strings.NewReader(huge)), maxWorkerBytes)
+}
+
+// checkTooLarge posts body and expects 413 with an error naming limit.
+func checkTooLarge(t *testing.T, url string, body io.Reader, limit int) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", body)
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(data), fmt.Sprint(limit)) {
+		t.Errorf("POST %s with a body over %d bytes = %d %s; want 413 naming the limit", url, limit, resp.StatusCode, data)
+	}
 }
 
 // TestServerAdvertisesFaultModels: GET /workloads exposes the selectable

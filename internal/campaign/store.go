@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -81,25 +82,17 @@ func decodeRecord(line []byte, scratch *[]byte) (rec Record, ok bool) {
 	// Parse errors need no check of their own: a failed parse leaves a
 	// value whose encoding differs from the token, so the re-encoding
 	// check below rejects the line.
-	p := lineParser{rest: line}
-	rec.Unit, _ = strconv.Atoi(string(p.field(`{"u":`)))
-	rec.RateIdx, _ = strconv.Atoi(string(p.field(`,"r":`)))
-	rec.TrialIdx, _ = strconv.Atoi(string(p.field(`,"t":`)))
-	rec.Rate, _ = strconv.ParseFloat(string(p.field(`,"rate":`)), 64)
-	rec.Seed, _ = strconv.ParseUint(string(p.field(`,"seed":`)), 10, 64)
-	rec.Value, _ = strconv.ParseFloat(string(p.field(`,"v":`)), 64)
-	if p.bad {
-		return Record{}, false
+	p := jsonl.NewParser(line)
+	rec.Unit, _ = strconv.Atoi(string(p.Number(`{"u":`)))
+	rec.RateIdx, _ = strconv.Atoi(string(p.Number(`,"r":`)))
+	rec.TrialIdx, _ = strconv.Atoi(string(p.Number(`,"t":`)))
+	rec.Rate, _ = strconv.ParseFloat(string(p.Number(`,"rate":`)), 64)
+	rec.Seed, _ = strconv.ParseUint(string(p.Number(`,"seed":`)), 10, 64)
+	rec.Value, _ = strconv.ParseFloat(string(p.Number(`,"v":`)), 64)
+	if p.Literal(`,"s":`) {
+		rec.Series = string(p.String(""))
 	}
-	if p.literal(`,"s":"`) {
-		i := bytes.IndexByte(p.rest, '"')
-		if i < 0 {
-			return Record{}, false
-		}
-		rec.Series = string(p.rest[:i])
-		p.rest = p.rest[i+1:]
-	}
-	if !p.literal("}") || len(p.rest) != 0 {
+	if !p.Literal("}") || !p.Done() {
 		return Record{}, false
 	}
 	var enc bool
@@ -109,50 +102,28 @@ func decodeRecord(line []byte, scratch *[]byte) (rec Record, ok bool) {
 	return rec, true
 }
 
-// lineParser walks a store line for decodeRecord. bad latches the first
-// mismatch; later calls then return nothing.
-type lineParser struct {
-	rest []byte
-	bad  bool
-}
-
-// literal consumes s if the line continues with it.
-func (p *lineParser) literal(s string) bool {
-	if p.bad || len(p.rest) < len(s) || string(p.rest[:len(s)]) != s {
-		return false
-	}
-	p.rest = p.rest[len(s):]
-	return true
-}
-
-// field consumes key and returns the number token after it, up to the
-// next ',' or '}'.
-func (p *lineParser) field(key string) []byte {
-	if !p.literal(key) {
-		p.bad = true
-		return nil
-	}
-	i := bytes.IndexAny(p.rest, ",}")
-	if i < 0 {
-		p.bad = true
-		return nil
-	}
-	tok := p.rest[:i]
-	p.rest = p.rest[i:]
-	return tok
-}
-
-// Store is an append-only JSONL results store for one campaign. Every
-// Append is flushed to the OS before it returns, so each completed trial
-// is a durable checkpoint; a crash can lose at most the line being
-// written, and Open tolerates (and drops) a torn trailing line.
+// Store is an append-only JSONL results store for one campaign. Records
+// reach the file in batches: PutBatch encodes every new record of a batch
+// into one buffer and hands it to the OS with one write(2), and returns
+// nil only once that write has succeeded. That is the durable point: when
+// a put returns nil, every record it added is in the file; until then
+// none of its keys reads as recorded. Put and Append are the batch of
+// one, so a trial recorded in-process is durable when its Put returns.
+// A crash can lose at most the batch being written, and Open tolerates
+// (and drops) the torn trailing line such a crash can leave.
 type Store struct {
 	dir string
 
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	have map[trialKey]float64
+	mu       sync.Mutex
+	f        *os.File
+	werr     error // the first failed write; every later put fails with it
+	have     map[trialKey]float64
+	reserved int // the trial count have was last sized for
+	// pending holds the keys of the batch being put, to drop a key
+	// repeated within it; line is the batch's encoding. Both are reused
+	// from batch to batch.
+	pending map[trialKey]struct{}
+	line    []byte
 }
 
 // maxLineBytes bounds how much of one store line is kept in memory while
@@ -201,7 +172,6 @@ func Open(dir string) (*Store, error) {
 		}
 	}
 	st.f = f
-	st.w = bufio.NewWriter(f)
 	return st, nil
 }
 
@@ -272,7 +242,7 @@ func readLine(r *bufio.Reader, buf *[]byte) (line []byte, tooLong bool, err erro
 // Dir returns the campaign directory backing the store.
 func (st *Store) Dir() string { return st.dir }
 
-// Append records one completed trial and flushes it.
+// Append records one completed trial durably.
 //
 //lint:durable an Append that returned nil is the resume identity; a dropped error is a lost trial
 func (st *Store) Append(rec Record) error {
@@ -281,35 +251,92 @@ func (st *Store) Append(rec Record) error {
 }
 
 // Put is Append reporting whether the record was new: false means the
-// trial was already durable and nothing was written. The check and the
-// write happen under one lock, so concurrent writers of the same key —
-// two workers racing on a reassigned shard — see exactly one true.
+// trial was already durable and nothing was written. It is PutBatch of
+// one record.
 //
 //lint:durable Put is Append behind a dedup check; same durability contract
 func (st *Store) Put(rec Record) (added bool, err error) {
-	var buf [256]byte
-	line, ok := appendRecord(buf[:0], &rec)
-	if !ok {
-		_, err := json.Marshal(rec) // the error encoding/json reports for a non-finite value
-		return false, err
-	}
-	line = append(line, '\n')
+	batch := [1]Record{rec}
+	fresh, err := st.PutBatch(batch[:])
+	return len(fresh) == 1, err
+}
+
+// PutBatch records the records of recs whose trial keys are not yet
+// durable, with one write, and returns them: recs is compacted in place,
+// in order, and the result aliases it (after an error, recs' contents
+// are unspecified). A key already durable, or repeated
+// earlier in the batch, is dropped. The check and the write happen under
+// one lock, so concurrent writers of one key — two workers racing on a
+// reassigned shard — see it added exactly once. A record that cannot be
+// encoded (a NaN or ±Inf rate or value) fails the whole batch with the
+// error encoding/json reports, and nothing is written. The new keys are
+// marked durable only after the write succeeded; a failed write may leave
+// part of the batch in the file, so it latches, and every later put fails
+// with the same error.
+//
+//lint:durable a PutBatch that returned nil is the resume identity of every record it added; a dropped error is lost trials
+func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	key := trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}
-	if _, dup := st.have[key]; dup {
-		return false, nil // already durable; keep the store free of duplicates
+	if st.werr != nil {
+		return nil, st.werr
 	}
-	// Copied into the writer's free space rather than passed to Write,
-	// which would move buf to the heap.
-	if _, err := st.w.Write(append(st.w.AvailableBuffer(), line...)); err != nil {
-		return false, err
+	if st.f == nil {
+		return nil, fmt.Errorf("campaign: put into closed store: %w", os.ErrClosed)
 	}
-	if err := st.w.Flush(); err != nil {
-		return false, err
+	if len(recs) > 1 && st.pending == nil {
+		st.pending = make(map[trialKey]struct{}, len(recs))
 	}
-	st.have[key] = rec.Value
-	return true, nil
+	defer clear(st.pending)
+	fresh, b := recs[:0], st.line[:0]
+	for i := range recs {
+		rec := &recs[i]
+		key := trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}
+		if _, dup := st.have[key]; dup {
+			continue // already durable; keep the store free of duplicates
+		}
+		if len(recs) > 1 {
+			if _, dup := st.pending[key]; dup {
+				continue
+			}
+			st.pending[key] = struct{}{}
+		}
+		var ok bool
+		if b, ok = appendRecord(b, rec); !ok {
+			st.line = b[:0]
+			_, err := json.Marshal(*rec) // the error encoding/json reports for a non-finite value
+			return nil, err
+		}
+		b = append(b, '\n')
+		fresh = append(fresh, *rec)
+	}
+	st.line = b[:0]
+	if len(b) == 0 {
+		return fresh, nil
+	}
+	if _, err := st.f.Write(b); err != nil {
+		st.werr = err
+		return nil, err
+	}
+	for _, rec := range fresh {
+		st.have[trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}] = rec.Value
+	}
+	return fresh, nil
+}
+
+// reserve sizes the store's key map for a campaign of n trials, so
+// recording the grid never grows the map piecemeal. RunDispatched calls
+// it before the first report: merging a report of any size then
+// allocates nothing per result.
+func (st *Store) reserve(n int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if n <= st.reserved || n <= len(st.have) {
+		return
+	}
+	have := make(map[trialKey]float64, n)
+	maps.Copy(have, st.have)
+	st.have, st.reserved = have, n
 }
 
 // Lookup returns the recorded value for a trial key of one unit.
@@ -386,19 +413,16 @@ func (st *Store) LoadSpec() (spec Spec, ok bool, err error) {
 	return spec, true, nil
 }
 
-// Close flushes and closes the store file.
+// Close closes the store file.
 //
-//lint:durable Close flushes the buffered writer; its error is the last chance to see a failed flush
+//lint:durable the close error is the last chance to see a write the OS accepted but could not complete
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.f == nil {
 		return nil
 	}
-	err := st.w.Flush()
-	if cerr := st.f.Close(); err == nil {
-		err = cerr
-	}
+	err := st.f.Close()
 	st.f = nil
 	return err
 }

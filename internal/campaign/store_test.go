@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"robustify/internal/jsonl"
@@ -252,6 +254,144 @@ func TestStorePutRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestStorePutBatch: a batch put keeps the records whose keys are new —
+// not durable yet and not repeated earlier in the batch — and writes
+// exactly the bytes the same records put one at a time would. A record
+// that cannot be encoded fails the whole batch: nothing is written and no
+// key of it becomes durable.
+func TestStorePutBatch(t *testing.T) {
+	rec := func(trial int, v float64) Record {
+		return Record{Unit: 1, RateIdx: 2, TrialIdx: trial, Rate: 0.05, Seed: uint64(100 + trial), Value: v, Series: "base"}
+	}
+	for _, tc := range []struct {
+		name    string
+		durable []Record // put before the batch
+		batch   []Record
+		fresh   []int // indices into batch of the records added
+		wantErr bool
+	}{
+		{name: "empty"},
+		{name: "all new", batch: []Record{rec(0, 1), rec(1, 2), rec(2, 3)}, fresh: []int{0, 1, 2}},
+		{name: "repeated in batch", batch: []Record{rec(0, 1), rec(1, 2), rec(0, 1), rec(1, 9)}, fresh: []int{0, 1}},
+		{name: "already durable", durable: []Record{rec(1, 2), rec(3, 4)},
+			batch: []Record{rec(0, 1), rec(1, 2), rec(2, 3), rec(3, 4)}, fresh: []int{0, 2}},
+		{name: "all durable", durable: []Record{rec(0, 1)}, batch: []Record{rec(0, 1), rec(0, 1)}},
+		{name: "non-finite", durable: []Record{rec(3, 4)},
+			batch: []Record{rec(0, 1), rec(1, math.NaN()), rec(2, 3)}, wantErr: true},
+		{name: "non-finite rate", batch: []Record{rec(0, 1), {TrialIdx: 1, Rate: math.Inf(1)}}, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batched, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer batched.Close()
+			single, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer single.Close()
+			for _, st := range []*Store{batched, single} {
+				for _, r := range tc.durable {
+					if _, err := st.Put(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			before := batched.Size()
+
+			batch := append([]Record(nil), tc.batch...)
+			got, err := batched.PutBatch(batch)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("PutBatch = %v, nil; want an error", got)
+				}
+				if n := batched.Count(); n != len(tc.durable) || batched.Size() != before {
+					t.Errorf("failed batch changed the store: %d records, %d bytes; want %d, %d", n, batched.Size(), len(tc.durable), before)
+				}
+				r := tc.batch[0]
+				if _, ok := batched.Lookup(r.Unit, r.RateIdx, r.TrialIdx); ok {
+					t.Errorf("failed batch marked its encodable record %+v durable", r)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(tc.fresh) {
+				t.Fatalf("PutBatch added %+v, want batch indices %v", got, tc.fresh)
+			}
+			for i, j := range tc.fresh {
+				if !sameRecord(got[i], tc.batch[j]) {
+					t.Errorf("added[%d] = %+v, want %+v", i, got[i], tc.batch[j])
+				}
+			}
+			for _, r := range tc.batch {
+				if _, err := single.Put(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(filepath.Join(single.Dir(), storeFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			have, err := os.ReadFile(filepath.Join(batched.Dir(), storeFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(have) != string(want) {
+				t.Errorf("batched store:\n%s\nwant, as put one at a time:\n%s", have, want)
+			}
+			if batched.Count() != single.Count() {
+				t.Errorf("batched store holds %d records, one at a time %d", batched.Count(), single.Count())
+			}
+		})
+	}
+}
+
+// TestStorePutBatchConcurrent: writers racing overlapping batches — two
+// workers reporting one reassigned range — add every key exactly once,
+// and the file holds each record once.
+func TestStorePutBatchConcurrent(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const writers, keys = 4, 512
+	var added atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for start := 0; start < keys; start += 64 {
+				batch := make([]Record, 0, 96)
+				for i := start + w*8; i < start+96 && i < keys; i++ {
+					batch = append(batch, Record{TrialIdx: i, Rate: 0.5, Seed: uint64(i), Value: float64(i)})
+				}
+				fresh, err := st.PutBatch(batch)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				added.Add(int64(len(fresh)))
+			}
+		}()
+	}
+	wg.Wait()
+	if added.Load() != keys || st.Count() != keys {
+		t.Fatalf("%d records reported added, %d in the store; want %d", added.Load(), st.Count(), keys)
+	}
+	data, err := os.ReadFile(filepath.Join(st.Dir(), storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(data), "\n"); lines != keys {
+		t.Errorf("store file holds %d lines, want %d", lines, keys)
+	}
+}
+
 // TestStoreLoadNonCanonicalLines: lines the fast path does not accept —
 // escaped series, other key order, whitespace, non-canonical numbers,
 // missing fields — load exactly as json.Unmarshal reads them.
@@ -294,10 +434,10 @@ func TestStoreLoadNonCanonicalLines(t *testing.T) {
 	}
 }
 
-// TestStorePutAllocs pins Put of a new record at zero allocations: the
-// line is encoded into a stack buffer and copied into the writer's free
-// space. (The store's key map grows now and then; averaged over the runs
-// that rounds to zero.)
+// TestStorePutAllocs pins Put of a new record at zero allocations: it is
+// a batch of one on the stack, encoded into the store's reused batch
+// buffer. (The store's key map grows now and then; averaged over the
+// runs that rounds to zero.)
 func TestStorePutAllocs(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {

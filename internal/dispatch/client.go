@@ -75,17 +75,30 @@ func (c *Client) Lease(ctx context.Context) (*LeaseResponse, error) {
 // Report delivers a result batch (possibly empty — a heartbeat) for a
 // lease; done releases it. The response says whether to abandon the
 // shard (Lost) and how many results the coordinator refused (Rejected —
-// the version-skew signal).
+// the version-skew signal). The body is encoded by AppendReport, without
+// reflection, in the bytes json.Marshal would produce.
 func (c *Client) Report(ctx context.Context, campaign, lease string, results []TrialResult, done bool) (ReportResponse, error) {
+	req := ReportRequest{Worker: c.worker, Campaign: campaign, Lease: lease, Results: results, Done: done}
+	body, err := AppendReport(make([]byte, 0, 128+80*len(results)), &req)
+	if err != nil {
+		return ReportResponse{}, err
+	}
 	var resp ReportResponse
-	err := c.post(ctx, "/workers/report", ReportRequest{
-		Worker: c.worker, Campaign: campaign, Lease: lease, Results: results, Done: done,
-	}, &resp)
+	err = c.postBody(ctx, "/workers/report", body, &resp)
 	return resp, err
 }
 
 func (c *Client) post(ctx context.Context, path string, req, resp any) error {
-	ok, err := c.postMaybe(ctx, path, req, resp)
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	return c.postBody(ctx, path, body, resp)
+}
+
+// postBody is post for an encoded request body.
+func (c *Client) postBody(ctx context.Context, path string, body []byte, resp any) error {
+	ok, err := c.send(ctx, path, body, resp)
 	if err == nil && !ok {
 		return fmt.Errorf("dispatch: %s: unexpected empty response", path)
 	}
@@ -100,6 +113,11 @@ func (c *Client) postMaybe(ctx context.Context, path string, req, resp any) (ok 
 	if err != nil {
 		return false, err
 	}
+	return c.send(ctx, path, body, resp)
+}
+
+// send POSTs an encoded request body; see postMaybe.
+func (c *Client) send(ctx context.Context, path string, body []byte, resp any) (ok bool, err error) {
 	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return false, err

@@ -28,9 +28,10 @@ type Job struct {
 	// outstanding and are re-executed — so a buggy or malicious worker
 	// cannot corrupt a campaign, only slow it down.
 	Verify func(TrialResult) bool
-	// Sink merges verified results into durable storage. It is called
-	// from HTTP handler goroutines and must be safe for concurrent use;
-	// an error fails the whole job.
+	// Sink merges verified results into durable storage, once per
+	// report. It is called from HTTP handler goroutines and must be safe
+	// for concurrent use; it must not keep or modify the slice. An error
+	// fails the whole job.
 	Sink func([]TrialResult) error
 }
 
@@ -53,17 +54,16 @@ func (j *runningJob) fail(err error) {
 // report merges one worker batch: bounds/verify-filter, sink, then lease
 // bookkeeping. Results are sunk before the lease check, so even a batch
 // arriving on an expired lease contributes durable trials (the store
-// dedups; the value is deterministic either way).
+// dedups; the value is deterministic either way). Rejected results are
+// filtered out of req.Results in place.
 func (j *runningJob) report(c *Coordinator, req ReportRequest, now time.Time, ttl time.Duration) (ReportResponse, error) {
-	valid := req.Results[:0:0]
-	rejected := 0
+	valid := req.Results[:0]
 	for _, r := range req.Results {
-		if !j.inGrid(r.Key()) || (j.job.Verify != nil && !j.job.Verify(r)) {
-			rejected++
-			continue
+		if j.inGrid(r.Key()) && (j.job.Verify == nil || j.job.Verify(r)) {
+			valid = append(valid, r)
 		}
-		valid = append(valid, r)
 	}
+	rejected := len(req.Results) - len(valid)
 	c.rejected.Add(int64(rejected))
 	if len(valid) > 0 {
 		if err := j.job.Sink(valid); err != nil {
@@ -71,11 +71,7 @@ func (j *runningJob) report(c *Coordinator, req ReportRequest, now time.Time, tt
 			return ReportResponse{Lost: true, Rejected: rejected}, nil
 		}
 	}
-	keys := make([]Key, len(valid))
-	for i, r := range valid {
-		keys[i] = r.Key()
-	}
-	lost := j.table.Report(req.Lease, keys, req.Done, now, ttl)
+	lost := j.table.Report(req.Lease, valid, req.Done, now, ttl)
 	return ReportResponse{Lost: lost, Rejected: rejected}, nil
 }
 
@@ -243,7 +239,9 @@ func (c *Coordinator) Lease(req LeaseRequest) (*LeaseResponse, error) {
 // Report merges a worker's result batch (see runningJob.report) and
 // renews or releases its lease. A report for a campaign no longer
 // dispatched — finished, cancelled, or from before a coordinator restart
-// — answers Lost so the worker moves on.
+// — answers Lost so the worker moves on. Report filters req.Results in
+// place, so the caller's slice holds the accepted results, in order, at
+// its front afterwards; nothing keeps it once Report returns.
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	now := time.Now()
 	c.mu.Lock()

@@ -1,6 +1,9 @@
 package dispatch
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -78,10 +81,10 @@ func FuzzLeaseTable(f *testing.F) {
 		}
 		report := func(le *Lease, pick func(i int) bool, done bool) {
 			sh := le.Shard
-			var ks []Key
+			var ks []TrialResult
 			for i := sh.Start; i < sh.Start+sh.Count; i++ {
 				if pick(i) {
-					ks = append(ks, Key{Unit: sh.Unit, RateIdx: i / units[sh.Unit].Trials, TrialIdx: i % units[sh.Unit].Trials})
+					ks = append(ks, TrialResult{Unit: sh.Unit, RateIdx: i / units[sh.Unit].Trials, TrialIdx: i % units[sh.Unit].Trials})
 					model[sh.Unit][i] = true
 				}
 			}
@@ -189,4 +192,78 @@ func checkTable(t *testing.T, tb *Table, model [][]bool, now time.Time) {
 			t.Fatal("every trial durable but Done open")
 		}
 	}
+}
+
+// FuzzReportWire checks the hand-written report codec against its
+// reference, encoding/json, in both directions:
+//
+//   - for arbitrary body bytes, DecodeReport and json.Unmarshal agree on
+//     accepting the body and on what it decodes to — even when the
+//     request decoded into still holds an earlier report, as the
+//     coordinator's reused request does;
+//   - for a request built from arbitrary fields, NaN and ±Inf included,
+//     AppendReport produces exactly json.Marshal's bytes, or fails where
+//     json.Marshal fails, and so does AppendReportResponse.
+func FuzzReportWire(f *testing.F) {
+	f.Add([]byte(`{"worker":"w1","campaign":"c0001","lease":"l1","results":[{"u":0,"r":1,"t":2,"rate":0.05,"seed":7,"v":1.5}],"done":true}`),
+		"w1", uint8(1), 0, 1, 2, 0.05, uint64(7), 1.5, true, false, 0)
+	f.Add([]byte(`{"worker":"w1","campaign":"c0001","lease":"l1"}`), "w", uint8(0), 0, 0, 0, 0.0, uint64(0), 0.0, false, true, 3)
+	f.Add([]byte(`{"worker":"w1","campaign":"c","lease":"l","results":[]}`), "a<b", uint8(2), -1, 0, 0, math.NaN(), uint64(0), 0.0, false, false, -2)
+	f.Add([]byte(`{"lease":"l","worker":"w","campaign":"c","results":[{"u":1,"r":0,"t":0,"rate":1E-7,"seed":1,"v":-0}]}`),
+		"\xff", uint8(3), 5, 6, 7, 1e-7, uint64(1<<63), math.Inf(-1), true, true, 1)
+	f.Add([]byte(`{"worker":"w","campaign":"c","lease":"l","results":[{"u":1,"r":0,"t":0,"rate":0.1,"seed":1,"v":2}],"done":false}`),
+		"", uint8(1), 0, 0, 0, 1e21, uint64(0), 5e-324, false, false, 0)
+
+	prior, err := AppendReport(nil, &ReportRequest{Worker: "old", Campaign: "old", Lease: "old", Done: true,
+		Results: []TrialResult{{Unit: 9, RateIdx: 9, TrialIdx: 9, Rate: 9, Seed: 9, Value: 9}, {Unit: 8}, {Unit: 7}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, worker string, n uint8, u, r, tr int, rate float64, seed uint64, v float64, done, lost bool, rejected int) {
+		var want ReportRequest
+		wantErr := json.Unmarshal(body, &want)
+		var fresh, reused ReportRequest
+		var scratch []byte
+		if err := DecodeReport(prior, &reused, &scratch); err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*ReportRequest{&fresh, &reused} {
+			err := DecodeReport(body, got, &scratch)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("DecodeReport(%q) error %v, json.Unmarshal error %v", body, err, wantErr)
+			}
+			if err == nil && !sameReport(*got, want) {
+				t.Fatalf("DecodeReport(%q) = %+v, json.Unmarshal = %+v", body, *got, want)
+			}
+		}
+
+		req := ReportRequest{Worker: worker, Campaign: "c" + worker, Lease: worker + "l", Done: done}
+		for i := 0; i < int(n%4); i++ {
+			req.Results = append(req.Results, TrialResult{
+				Unit: u + i, RateIdx: r, TrialIdx: tr - i, Rate: rate, Seed: seed + uint64(i), Value: v * float64(i),
+			})
+		}
+		ref, refErr := json.Marshal(req)
+		enc, err := AppendReport(nil, &req)
+		if (err == nil) != (refErr == nil) || err == nil && !bytes.Equal(enc, ref) {
+			t.Fatalf("AppendReport(%+v) = %q, %v; json.Marshal = %q, %v", req, enc, err, ref, refErr)
+		}
+		if err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("AppendReport error %q, json.Marshal error %q", err, refErr)
+		}
+
+		resp := ReportResponse{Lost: lost, Rejected: rejected}
+		if ref, err := json.Marshal(resp); err != nil || !bytes.Equal(AppendReportResponse(nil, resp), ref) {
+			t.Fatalf("AppendReportResponse(%+v) = %q, json.Marshal = %q, %v", resp, AppendReportResponse(nil, resp), ref, err)
+		}
+	})
+}
+
+// sameReport compares decoded reports, treating nil and empty Results
+// alike: a request reused for decoding keeps its backing array.
+func sameReport(a, b ReportRequest) bool {
+	if len(a.Results) == 0 && len(b.Results) == 0 {
+		a.Results, b.Results = nil, nil
+	}
+	return reflect.DeepEqual(a, b)
 }

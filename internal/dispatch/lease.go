@@ -238,23 +238,24 @@ func (t *Table) skipLocked(s span) []int {
 	return skip
 }
 
-// Report folds a batch of durable trial keys into the table and advances
-// the lease: a report that leaves trials missing renews the expiry (an
-// empty one is a pure heartbeat); a report that completes the lease, or
-// carries done, ends it and records the worker's rate over the lease.
+// Report folds the keys of a batch of durable results into the table and
+// advances the lease: a report that leaves trials missing renews the
+// expiry (an empty one is a pure heartbeat); a report that completes the
+// lease, or carries done, ends it and records the worker's rate over the
+// lease.
 // A done lease with trials still missing — dropped by verification, or
 // skipped — hands its range back: the worker's claim is checked against
 // the durable record, never trusted. The returned lost tells the
 // reporting worker to abandon the shard: its lease has expired, been
-// reassigned, or its range is already complete. Keys must already be
-// durable (sunk to the store) when Report is called; out-of-grid keys
-// are ignored.
-func (t *Table) Report(leaseID string, keys []Key, done bool, now time.Time, ttl time.Duration) (lost bool) {
+// reassigned, or its range is already complete. The results must
+// already be durable (sunk to the store) when Report is called;
+// out-of-grid keys are ignored.
+func (t *Table) Report(leaseID string, results []TrialResult, done bool, now time.Time, ttl time.Duration) (lost bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.expireLocked(now)
 	e, ok := t.leases[leaseID]
-	delivered := t.markDurableLocked(keys, e)
+	delivered := t.markDurableLocked(results, e)
 	if !ok {
 		return true
 	}
@@ -283,9 +284,10 @@ func (t *Table) Report(leaseID string, keys []Key, done bool, now time.Time, ttl
 // last missing index becomes durable is complete and leaves the table.
 // owner, if not nil, is the reporting lease, which holds nearly every
 // key it reports.
-func (t *Table) markDurableLocked(keys []Key, owner *leaseEntry) int {
+func (t *Table) markDurableLocked(results []TrialResult, owner *leaseEntry) int {
 	in, fresh := 0, 0
-	for _, k := range keys {
+	for i := range results {
+		k := results[i].Key()
 		if k.Unit < 0 || k.Unit >= len(t.units) {
 			continue
 		}

@@ -8,10 +8,12 @@ import (
 
 var t0 = time.Date(2026, 7, 28, 12, 0, 0, 0, time.UTC)
 
-func keys(unit int, trials int, linear ...int) []Key {
-	out := make([]Key, len(linear))
+// keys lists the results a worker reports for the given linear indices
+// of unit; the lease table reads only their keys.
+func keys(unit int, trials int, linear ...int) []TrialResult {
+	out := make([]TrialResult, len(linear))
 	for i, l := range linear {
-		out[i] = Key{Unit: unit, RateIdx: l / trials, TrialIdx: l % trials}
+		out[i] = TrialResult{Unit: unit, RateIdx: l / trials, TrialIdx: l % trials}
 	}
 	return out
 }
@@ -19,8 +21,8 @@ func keys(unit int, trials int, linear ...int) []Key {
 // haveLinear marks the given linear indices of unit 0 durable.
 func haveLinear(trials int, linear ...int) func(Key) bool {
 	durable := map[Key]bool{}
-	for _, k := range keys(0, trials, linear...) {
-		durable[k] = true
+	for _, r := range keys(0, trials, linear...) {
+		durable[r.Key()] = true
 	}
 	return func(k Key) bool { return durable[k] }
 }
@@ -163,10 +165,10 @@ func finish(t *testing.T, tb *Table, le *Lease, trials int, now time.Time) {
 	for _, i := range le.Shard.Skip {
 		skip[i] = true
 	}
-	var ks []Key
+	var ks []TrialResult
 	for i := le.Shard.Start; i < le.Shard.Start+le.Shard.Count; i++ {
 		if !skip[i] {
-			ks = append(ks, Key{Unit: le.Shard.Unit, RateIdx: i / trials, TrialIdx: i % trials})
+			ks = append(ks, TrialResult{Unit: le.Shard.Unit, RateIdx: i / trials, TrialIdx: i % trials})
 		}
 	}
 	if lost := tb.Report(le.ID, ks, true, now, time.Minute); lost {
@@ -307,7 +309,7 @@ func TestStaleLeaseReportStillCompletesShard(t *testing.T) {
 func TestOutOfGridKeysIgnored(t *testing.T) {
 	tb := NewTable([]UnitGrid{{Rates: 1, Trials: 2}}, nil, 2)
 	le := tb.Acquire("w1", t0, time.Minute)
-	junk := []Key{{Unit: 5, RateIdx: 0, TrialIdx: 0}, {Unit: 0, RateIdx: 9, TrialIdx: 0}, {Unit: -1}, {Unit: 0, RateIdx: 0, TrialIdx: 7}}
+	junk := []TrialResult{{Unit: 5, RateIdx: 0, TrialIdx: 0}, {Unit: 0, RateIdx: 9, TrialIdx: 0}, {Unit: -1}, {Unit: 0, RateIdx: 0, TrialIdx: 7}}
 	if lost := tb.Report(le.ID, junk, false, t0, time.Minute); lost {
 		t.Fatal("junk keys lost a live lease")
 	}

@@ -1,0 +1,137 @@
+package dispatch
+
+import (
+	"bytes"
+	"encoding/json"
+	"strconv"
+
+	"robustify/internal/jsonl"
+)
+
+// AppendReport appends req's wire form, byte-identical to json.Marshal(req),
+// to b. Like json.Marshal it fails on a NaN or ±Inf rate or value, with
+// the same error.
+func AppendReport(b []byte, req *ReportRequest) ([]byte, error) {
+	b = append(b, `{"worker":`...)
+	b = jsonl.AppendString(b, req.Worker)
+	b = append(b, `,"campaign":`...)
+	b = jsonl.AppendString(b, req.Campaign)
+	b = append(b, `,"lease":`...)
+	b = jsonl.AppendString(b, req.Lease)
+	if len(req.Results) > 0 {
+		b = append(b, `,"results":[`...)
+		for i := range req.Results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var ok bool
+			if b, ok = appendResult(b, &req.Results[i]); !ok {
+				_, err := json.Marshal(req) // the error encoding/json reports for a non-finite value
+				return b, err
+			}
+		}
+		b = append(b, ']')
+	}
+	if req.Done {
+		b = append(b, `,"done":true`...)
+	}
+	return append(b, '}'), nil
+}
+
+// AppendReportResponse appends resp as json.Marshal encodes it.
+func AppendReportResponse(b []byte, resp ReportResponse) []byte {
+	b = append(b, '{')
+	if resp.Lost {
+		b = append(b, `"lost":true`...)
+	}
+	if resp.Rejected != 0 {
+		if resp.Lost {
+			b = append(b, ',')
+		}
+		b = append(b, `"rejected":`...)
+		b = strconv.AppendInt(b, int64(resp.Rejected), 10)
+	}
+	return append(b, '}')
+}
+
+// appendResult appends r as json.Marshal encodes it; ok is false when
+// r.Rate or r.Value is not finite.
+func appendResult(b []byte, r *TrialResult) (_ []byte, ok bool) {
+	b = append(b, `{"u":`...)
+	b = strconv.AppendInt(b, int64(r.Unit), 10)
+	b = append(b, `,"r":`...)
+	b = strconv.AppendInt(b, int64(r.RateIdx), 10)
+	b = append(b, `,"t":`...)
+	b = strconv.AppendInt(b, int64(r.TrialIdx), 10)
+	b = append(b, `,"rate":`...)
+	if b, ok = jsonl.AppendFloat(b, r.Rate); !ok {
+		return b, false
+	}
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendUint(b, r.Seed, 10)
+	b = append(b, `,"v":`...)
+	if b, ok = jsonl.AppendFloat(b, r.Value); !ok {
+		return b, false
+	}
+	return append(b, '}'), true
+}
+
+// DecodeReport decodes a report body into req, reusing req.Results'
+// backing array. A body in the canonical form AppendReport writes is
+// parsed by hand and accepted only if re-encoding it into *scratch
+// reproduces the body byte for byte, so it decodes exactly as
+// json.Unmarshal would. Any other body — other key order, whitespace,
+// escapes, a worker built with another encoder — goes through
+// json.Unmarshal, which also decides whether it is a report at all.
+func DecodeReport(body []byte, req *ReportRequest, scratch *[]byte) error {
+	if decodeCanonicalReport(body, req, scratch) {
+		return nil
+	}
+	var slow ReportRequest // declared here so only fallback bodies allocate it
+	err := json.Unmarshal(body, &slow)
+	*req = slow
+	return err
+}
+
+// decodeCanonicalReport is DecodeReport's hand-written path. Parse errors
+// need no check of their own: a failed parse leaves a value whose
+// encoding differs from the body, which the re-encoding check rejects.
+func decodeCanonicalReport(body []byte, req *ReportRequest, scratch *[]byte) bool {
+	p := jsonl.NewParser(body)
+	worker := p.String(`{"worker":`)
+	campaign := p.String(`,"campaign":`)
+	lease := p.String(`,"lease":`)
+	results := req.Results[:0]
+	if p.Literal(`,"results":[`) {
+		for {
+			var r TrialResult
+			r.Unit, _ = strconv.Atoi(string(p.Number(`{"u":`)))
+			r.RateIdx, _ = strconv.Atoi(string(p.Number(`,"r":`)))
+			r.TrialIdx, _ = strconv.Atoi(string(p.Number(`,"t":`)))
+			r.Rate, _ = strconv.ParseFloat(string(p.Number(`,"rate":`)), 64)
+			r.Seed, _ = strconv.ParseUint(string(p.Number(`,"seed":`)), 10, 64)
+			r.Value, _ = strconv.ParseFloat(string(p.Number(`,"v":`)), 64)
+			if !p.Literal("}") {
+				return false
+			}
+			results = append(results, r)
+			if !p.Literal(",") {
+				break
+			}
+		}
+		if !p.Literal("]") {
+			return false
+		}
+	}
+	done := p.Literal(`,"done":true`)
+	if !p.Literal("}") || !p.Done() {
+		return false
+	}
+	*req = ReportRequest{
+		Worker: string(worker), Campaign: string(campaign), Lease: string(lease),
+		Results: results, Done: done,
+	}
+	var err error
+	*scratch, err = AppendReport((*scratch)[:0], req)
+	return err == nil && bytes.Equal(*scratch, body)
+}

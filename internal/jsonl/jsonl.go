@@ -1,12 +1,14 @@
 // Package jsonl holds the scalar primitives of the repository's hand-written
-// JSONL line encoders (the campaign store record and the telemetry
-// envelope). Each primitive appends exactly the bytes encoding/json would
-// produce for the same Go value, so a line written by hand is
-// indistinguishable from one written by json.Marshal: readers, older
-// stores and byte-identity pins never see the difference.
+// JSON encoders (the campaign store record, the telemetry envelope and the
+// worker report) and the parser their fast decoders share. Each primitive
+// appends exactly the bytes encoding/json would produce for the same Go
+// value, so a line written by hand is indistinguishable from one written
+// by json.Marshal: readers, older stores and byte-identity pins never see
+// the difference.
 package jsonl
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -52,3 +54,63 @@ func AppendString(b []byte, s string) []byte {
 	b = append(b, s...)
 	return append(b, '"')
 }
+
+// Parser walks a line in the exact canonical form a hand-written encoder
+// writes, for that encoder's fast decoder. It checks the structure only:
+// number tokens are returned unparsed, and a decoder must accept what it
+// parsed only if re-encoding it reproduces the line byte for byte. The
+// first mismatch latches, and every later call then matches nothing.
+type Parser struct {
+	rest []byte
+	bad  bool
+}
+
+// NewParser starts a parser at the beginning of line.
+func NewParser(line []byte) Parser { return Parser{rest: line} }
+
+// Literal consumes s if the line continues with it.
+func (p *Parser) Literal(s string) bool {
+	if p.bad || len(p.rest) < len(s) || string(p.rest[:len(s)]) != s {
+		return false
+	}
+	p.rest = p.rest[len(s):]
+	return true
+}
+
+// Number consumes key and returns the number token after it, up to the
+// next ',' or '}'.
+func (p *Parser) Number(key string) []byte {
+	if !p.Literal(key) {
+		p.bad = true
+		return nil
+	}
+	i := bytes.IndexAny(p.rest, ",}")
+	if i < 0 {
+		p.bad = true
+		return nil
+	}
+	tok := p.rest[:i]
+	p.rest = p.rest[i:]
+	return tok
+}
+
+// String consumes key and a quoted string after it, and returns the bytes
+// between the quotes as they stand: escapes are not decoded, so a string
+// that needed any fails the caller's re-encoding check.
+func (p *Parser) String(key string) []byte {
+	if !p.Literal(key) || !p.Literal(`"`) {
+		p.bad = true
+		return nil
+	}
+	i := bytes.IndexByte(p.rest, '"')
+	if i < 0 {
+		p.bad = true
+		return nil
+	}
+	s := p.rest[:i]
+	p.rest = p.rest[i+1:]
+	return s
+}
+
+// Done reports whether every call matched and the whole line was consumed.
+func (p *Parser) Done() bool { return !p.bad && len(p.rest) == 0 }

@@ -137,14 +137,20 @@ func (h *Hub) ObserveTrial(label string, d time.Duration) {
 }
 
 // AppendTrial writes one per-trial telemetry record beside the campaign
-// store in dir. Failures are logged, not propagated: telemetry must never
-// fail a trial.
+// store in dir: AppendTrials of one record.
 func (h *Hub) AppendTrial(dir string, rec TrialRecord) {
-	if h == nil || dir == "" {
+	h.AppendTrials(dir, []TrialRecord{rec})
+}
+
+// AppendTrials writes a batch of per-trial telemetry records beside the
+// campaign store in dir, one line each, with one write. Failures are
+// logged, not propagated: telemetry must never fail a trial.
+func (h *Hub) AppendTrials(dir string, recs []TrialRecord) {
+	if h == nil || dir == "" || len(recs) == 0 {
 		return
 	}
 	if t := h.telemetry(dir); t != nil {
-		if err := t.appendTrial("trial", &rec); err != nil {
+		if err := t.appendTrials("trial", recs); err != nil {
 			log.Printf("obs: append trial telemetry: %v", err)
 		}
 	}

@@ -23,9 +23,10 @@ const TelemetryFile = "telemetry.jsonl"
 // Telemetry appends timestamped diagnostic records to a campaign
 // directory's telemetry.jsonl. It is safe for concurrent use.
 type Telemetry struct {
-	mu   sync.Mutex
-	f    *os.File
-	line []byte // the line being written, reused across appends
+	mu    sync.Mutex
+	f     *os.File
+	line  []byte                      // the lines being written, reused across appends
+	stamp [len(time.RFC3339Nano)]byte // their timestamp's bytes
 }
 
 // OpenTelemetry opens (creating if needed) dir/telemetry.jsonl for append.
@@ -132,53 +133,82 @@ func (r *TrialRecord) appendJSON(b []byte) (_ []byte, ok bool) {
 // the envelope.
 func (t *Telemetry) Append(kind string, rec any) error {
 	if tr, ok := rec.(TrialRecord); ok {
-		return t.appendTrial(kind, &tr)
+		return t.appendTrials(kind, []TrialRecord{tr})
 	}
 	body, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("obs: marshal telemetry record: %w", err)
 	}
-	return t.writeLine(kind, body)
+	return t.write(func(b, ts []byte) []byte {
+		b = appendEnvelope(b, ts, kind)
+		b = append(b, body...)
+		return append(b, "}\n"...)
+	})
 }
 
-// appendTrial is Append for a trial record, taken by pointer so the
-// per-trial path never boxes the record in an interface.
-func (t *Telemetry) appendTrial(kind string, rec *TrialRecord) error {
-	var buf [512]byte
-	body, ok := rec.appendJSON(buf[:0])
-	if !ok {
-		_, err := json.Marshal(*rec) // the error encoding/json reports for a non-finite rate
-		return fmt.Errorf("obs: marshal telemetry record: %w", err)
+// appendTrials writes one line per trial record, all stamped with one
+// wall-clock time, with a single write. A record that cannot be encoded
+// (a non-finite rate, which encoding/json rejects) is left out, and the
+// error for the first such record is returned once the rest are written.
+func (t *Telemetry) appendTrials(kind string, recs []TrialRecord) error {
+	var bad error
+	err := t.write(func(b, ts []byte) []byte {
+		for i := range recs {
+			line := len(b)
+			b = appendEnvelope(b, ts, kind)
+			var ok bool
+			if b, ok = recs[i].appendJSON(b); !ok {
+				b = b[:line]
+				if bad == nil {
+					_, err := json.Marshal(recs[i]) // the error encoding/json reports for a non-finite rate
+					bad = fmt.Errorf("obs: marshal telemetry record: %w", err)
+				}
+				continue
+			}
+			b = append(b, "}\n"...)
+		}
+		return b
+	})
+	if err != nil {
+		return err
 	}
-	return t.writeLine(kind, body)
+	return bad
 }
 
-// writeLine stamps the wall clock and writes the envelope around the
-// encoded record body. Telemetry is the one serialization path in the
-// repository where a clock is legal: the JSONL sidecar is diagnostics
+// appendEnvelope appends the start of a telemetry line, up to the record
+// body: {"ts":"<ts>","kind":<kind>,"rec":
+func appendEnvelope(b, ts []byte, kind string) []byte {
+	b = append(b, `{"ts":"`...)
+	b = append(b, ts...)
+	b = append(b, `","kind":`...)
+	b = jsonl.AppendString(b, kind)
+	return append(b, `,"rec":`...)
+}
+
+// write stamps the wall clock, lets fill append the lines to write, and
+// writes them with one write. Telemetry is the one serialization path in
+// the repository where a clock is legal: the JSONL sidecar is diagnostics
 // with no resume-identity contract, unlike the store and trace artifacts
 // the notimeinartifacts analyzer guards.
 //
-// The line is assembled in a buffer reused under the lock: a stack
-// buffer handed to the file escapes under the race detector, which would
-// make the allocation pin build-dependent.
+// The lines and their timestamp are assembled in buffers reused under the
+// lock: a stack buffer handed to the file escapes under the race
+// detector, and one handed to fill escapes always.
 //
 //lint:artifact-time-exempt telemetry.jsonl is a diagnostics sidecar, explicitly outside resume byte-identity
 //lint:durable flight-recorder appends are the post-mortem record; silent loss defeats the recorder
-func (t *Telemetry) writeLine(kind string, body []byte) error {
+func (t *Telemetry) write(fill func(b, ts []byte) []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.f == nil {
 		return fmt.Errorf("obs: telemetry closed")
 	}
-	b := append(t.line[:0], `{"ts":"`...)
-	b = time.Now().UTC().AppendFormat(b, time.RFC3339Nano)
-	b = append(b, `","kind":`...)
-	b = jsonl.AppendString(b, kind)
-	b = append(b, `,"rec":`...)
-	b = append(b, body...)
-	b = append(b, "}\n"...)
+	ts := time.Now().UTC().AppendFormat(t.stamp[:0], time.RFC3339Nano)
+	b := fill(t.line[:0], ts)
 	t.line = b
+	if len(b) == 0 {
+		return nil
+	}
 	_, err := t.f.Write(b)
 	return err
 }

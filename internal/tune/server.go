@@ -1,7 +1,6 @@
 package tune
 
 import (
-	"io"
 	"net/http"
 
 	"robustify/internal/campaign"
@@ -22,9 +21,8 @@ func NewServer(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /tune", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			campaign.HTTPError(w, http.StatusBadRequest, err)
+		body, ok := campaign.ReadBody(w, r, campaign.MaxSpecBytes, nil)
+		if !ok {
 			return
 		}
 		spec, err := ParseSpec(body)
