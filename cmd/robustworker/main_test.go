@@ -18,6 +18,7 @@ import (
 
 	"robustify/internal/campaign"
 	"robustify/internal/dispatch"
+	"robustify/internal/obs"
 )
 
 // TestMain doubles the test binary as the worker itself: with
@@ -291,3 +292,67 @@ func TestRunShardCountsExecutedShards(t *testing.T) {
 		t.Errorf("in-grid lease reported indices %v, want [0 2 3]", idx)
 	}
 }
+
+// TestMetricsExposition pins the full bytes of the worker's /metrics:
+// the three counters, the eight fault classes in order, and the latency
+// histogram.
+func TestMetricsExposition(t *testing.T) {
+	s := newWstats()
+	s.trials.Store(12)
+	s.shards.Store(3)
+	s.reports.Store(2)
+	s.faults = obs.FaultRecorder{
+		ValueFaults: 1, CompareFaults: 2, Sign: 3, Exponent: 4,
+		Mantissa: 5, MultiBit: 6, Clustered: 7, MemFaults: 8,
+	}
+	s.lat.Observe("sort/base", 3*time.Millisecond)
+	rec := httptest.NewRecorder()
+	s.metricsHandler()(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	if got := rec.Body.String(); got != wantMetrics {
+		t.Errorf("/metrics =\n%s\nwant\n%s", got, wantMetrics)
+	}
+}
+
+const wantMetrics = `# HELP robustworker_trials_total Trials executed since worker start.
+# TYPE robustworker_trials_total counter
+robustworker_trials_total 12
+# HELP robustworker_shards_total Shard leases executed since worker start.
+# TYPE robustworker_shards_total counter
+robustworker_shards_total 3
+# HELP robustworker_reports_total Result batches delivered to the coordinator.
+# TYPE robustworker_reports_total counter
+robustworker_reports_total 2
+# HELP robustworker_faults_total Injected faults observed across executed trials, by class.
+# TYPE robustworker_faults_total counter
+robustworker_faults_total{class="value"} 1
+robustworker_faults_total{class="compare"} 2
+robustworker_faults_total{class="sign"} 3
+robustworker_faults_total{class="exponent"} 4
+robustworker_faults_total{class="mantissa"} 5
+robustworker_faults_total{class="multi_bit"} 6
+robustworker_faults_total{class="clustered"} 7
+robustworker_faults_total{class="memory"} 8
+# TYPE robustworker_trial_duration_seconds histogram
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.0001"} 0
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.00025"} 0
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.0005"} 0
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.001"} 0
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.0025"} 0
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.005"} 1
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.01"} 1
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.025"} 1
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.05"} 1
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.1"} 1
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.25"} 1
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="0.5"} 1
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="1"} 1
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="2.5"} 1
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="5"} 1
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="10"} 1
+robustworker_trial_duration_seconds_bucket{workload="sort/base",le="+Inf"} 1
+robustworker_trial_duration_seconds_sum{workload="sort/base"} 0.003
+robustworker_trial_duration_seconds_count{workload="sort/base"} 1
+`

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -47,38 +47,27 @@ func (s *wstats) observeTrial(label string, d time.Duration, rate float64, seed 
 // exposition format. Stateless like robustd's: counters and histograms
 // only, safe under concurrent scrapes.
 func (s *wstats) metricsHandler() http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprintf(w, "# HELP robustworker_trials_total Trials executed since worker start.\n")
-		fmt.Fprintf(w, "# TYPE robustworker_trials_total counter\n")
-		fmt.Fprintf(w, "robustworker_trials_total %d\n", s.trials.Load())
-		fmt.Fprintf(w, "# HELP robustworker_shards_total Shard leases executed since worker start.\n")
-		fmt.Fprintf(w, "# TYPE robustworker_shards_total counter\n")
-		fmt.Fprintf(w, "robustworker_shards_total %d\n", s.shards.Load())
-		fmt.Fprintf(w, "# HELP robustworker_reports_total Result batches delivered to the coordinator.\n")
-		fmt.Fprintf(w, "# TYPE robustworker_reports_total counter\n")
-		fmt.Fprintf(w, "robustworker_reports_total %d\n", s.reports.Load())
+	return obs.MetricsHandler(func(w io.Writer) {
+		p := obs.NewProm(w)
+		p.Family("robustworker_trials_total", "counter", "Trials executed since worker start.")
+		p.Int("robustworker_trials_total", s.trials.Load())
+		p.Family("robustworker_shards_total", "counter", "Shard leases executed since worker start.")
+		p.Int("robustworker_shards_total", s.shards.Load())
+		p.Family("robustworker_reports_total", "counter", "Result batches delivered to the coordinator.")
+		p.Int("robustworker_reports_total", s.reports.Load())
 
 		s.mu.Lock()
 		f := s.faults
 		s.mu.Unlock()
-		fmt.Fprintf(w, "# HELP robustworker_faults_total Injected faults observed across executed trials, by class.\n")
-		fmt.Fprintf(w, "# TYPE robustworker_faults_total counter\n")
-		for _, c := range []struct {
-			class string
-			n     uint64
-		}{
-			{"value", f.ValueFaults},
-			{"compare", f.CompareFaults},
-			{"sign", f.Sign},
-			{"exponent", f.Exponent},
-			{"mantissa", f.Mantissa},
-			{"multi_bit", f.MultiBit},
-			{"clustered", f.Clustered},
-			{"memory", f.MemFaults},
-		} {
-			fmt.Fprintf(w, "robustworker_faults_total{class=%q} %d\n", c.class, c.n)
-		}
-		s.lat.WriteProm(w, "robustworker_trial_duration_seconds", "workload")
-	}
+		p.Family("robustworker_faults_total", "counter", "Injected faults observed across executed trials, by class.")
+		p.Int("robustworker_faults_total", int64(f.ValueFaults), "class", "value")
+		p.Int("robustworker_faults_total", int64(f.CompareFaults), "class", "compare")
+		p.Int("robustworker_faults_total", int64(f.Sign), "class", "sign")
+		p.Int("robustworker_faults_total", int64(f.Exponent), "class", "exponent")
+		p.Int("robustworker_faults_total", int64(f.Mantissa), "class", "mantissa")
+		p.Int("robustworker_faults_total", int64(f.MultiBit), "class", "multi_bit")
+		p.Int("robustworker_faults_total", int64(f.Clustered), "class", "clustered")
+		p.Int("robustworker_faults_total", int64(f.MemFaults), "class", "memory")
+		s.lat.WriteProm(w, "robustworker_trial_duration_seconds")
+	})
 }

@@ -1,38 +1,15 @@
 package campaign
 
 import (
-	"fmt"
 	"io"
 	"net/http"
+
+	"robustify/internal/obs"
 )
 
-// ManagerMetrics is the manager's observability snapshot.
-type ManagerMetrics struct {
-	// States counts campaigns by lifecycle state (all known states
-	// present, zero-filled, so scrape output is stable).
-	States map[string]int
-	// TrialsTotal is the number of freshly executed trials recorded since
-	// this manager was created (cached/resumed trials don't count).
-	TrialsTotal int64
-	// StoreBytes is the summed on-disk size of every open campaign store
-	// (lazily recovered stores that were never opened don't count — the
-	// gauge tracks live write load, not archive size).
-	StoreBytes int64
-}
-
-// Metrics snapshots campaign counts and the trial counter. It never
-// opens lazily recovered stores — state and progress come from the
-// in-memory registry.
-func (m *Manager) Metrics() ManagerMetrics {
-	return ManagerMetrics{
-		States:      m.jobs.Counts(),
-		TrialsTotal: m.trials.Load(),
-		StoreBytes:  m.storeBytes(),
-	}
-}
-
 // storeBytes sums the on-disk size of every open campaign store, in
-// submission order.
+// submission order. Lazily recovered stores that were never opened don't
+// count — the gauge tracks live write load, not archive size.
 func (m *Manager) storeBytes() int64 {
 	var total int64
 	for _, j := range m.jobs.Jobs() {
@@ -46,21 +23,12 @@ func (m *Manager) storeBytes() int64 {
 	return total
 }
 
-// writeMetricsExtras appends every registered extra exposition writer.
-func (m *Manager) writeMetricsExtras(w io.Writer) {
-	m.mu.Lock()
-	extras := append([]func(io.Writer){}, m.metricsExtras...)
-	m.mu.Unlock()
-	for _, f := range extras {
-		f(w)
-	}
-}
-
 // metricsHandler serves GET /metrics in Prometheus text exposition
 // format: campaigns by state, monotonic trial counters, store size, and —
 // when a dispatcher is attached — worker fleet and lease-table gauges,
 // followed by any registered extra families (trial latency histograms,
-// tune-search progress).
+// tune-search progress). State and progress come from the in-memory
+// registry.
 //
 // The handler is deliberately stateless: every exported number is either
 // a monotonic counter or an instantaneous gauge, so any number of
@@ -69,54 +37,50 @@ func (m *Manager) writeMetricsExtras(w io.Writer) {
 // the previous scrape's state corrupted under concurrent scrapers and is
 // gone.
 func metricsHandler(m *Manager) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		mm := m.Metrics()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprintf(w, "# HELP robustd_campaigns Campaigns in the registry by lifecycle state.\n")
-		fmt.Fprintf(w, "# TYPE robustd_campaigns gauge\n")
+	return obs.MetricsHandler(func(w io.Writer) {
+		p := obs.NewProm(w)
+		counts := m.jobs.Counts()
+		p.Family("robustd_campaigns", "gauge", "Campaigns in the registry by lifecycle state.")
 		for _, state := range []string{
 			StateQueued, StateRunning, StateDone, StateFailed, StateCancelled, StateInterrupted,
 		} {
-			fmt.Fprintf(w, "robustd_campaigns{state=%q} %d\n", state, mm.States[state])
+			p.Int("robustd_campaigns", int64(counts[state]), "state", state)
 		}
-		fmt.Fprintf(w, "# HELP robustd_trials_completed_total Freshly executed trials recorded since daemon start.\n")
-		fmt.Fprintf(w, "# TYPE robustd_trials_completed_total counter\n")
-		fmt.Fprintf(w, "robustd_trials_completed_total %d\n", mm.TrialsTotal)
-		fmt.Fprintf(w, "# HELP robustd_store_bytes On-disk bytes across open campaign stores.\n")
-		fmt.Fprintf(w, "# TYPE robustd_store_bytes gauge\n")
-		fmt.Fprintf(w, "robustd_store_bytes %d\n", mm.StoreBytes)
+		p.Family("robustd_trials_completed_total", "counter", "Freshly executed trials recorded since daemon start.")
+		p.Int("robustd_trials_completed_total", m.trials.Load())
+		p.Family("robustd_store_bytes", "gauge", "On-disk bytes across open campaign stores.")
+		p.Int("robustd_store_bytes", m.storeBytes())
 
 		d := m.Dispatcher()
-		fmt.Fprintf(w, "# HELP robustd_dispatch_enabled Whether distributed trial execution is enabled.\n")
-		fmt.Fprintf(w, "# TYPE robustd_dispatch_enabled gauge\n")
+		p.Family("robustd_dispatch_enabled", "gauge", "Whether distributed trial execution is enabled.")
 		if d == nil {
-			fmt.Fprintf(w, "robustd_dispatch_enabled 0\n")
+			p.Int("robustd_dispatch_enabled", 0)
 		} else {
-			fmt.Fprintf(w, "robustd_dispatch_enabled 1\n")
+			p.Int("robustd_dispatch_enabled", 1)
 			ds := d.Stats()
-			fmt.Fprintf(w, "# HELP robustd_workers Robustworkers by liveness (active = leased or reported within two lease TTLs).\n")
-			fmt.Fprintf(w, "# TYPE robustd_workers gauge\n")
-			fmt.Fprintf(w, "robustd_workers{kind=\"registered\"} %d\n", ds.WorkersRegistered)
-			fmt.Fprintf(w, "robustd_workers{kind=\"active\"} %d\n", ds.WorkersActive)
-			fmt.Fprintf(w, "robustd_workers{kind=\"expected\"} %d\n", ds.WorkersExpected)
-			fmt.Fprintf(w, "# HELP robustd_leases_outstanding Shard leases currently held by workers.\n")
-			fmt.Fprintf(w, "# TYPE robustd_leases_outstanding gauge\n")
-			fmt.Fprintf(w, "robustd_leases_outstanding %d\n", ds.LeasesOutstanding)
-			fmt.Fprintf(w, "# HELP robustd_oldest_lease_age_seconds Age of the oldest outstanding shard lease (0 when none).\n")
-			fmt.Fprintf(w, "# TYPE robustd_oldest_lease_age_seconds gauge\n")
-			fmt.Fprintf(w, "robustd_oldest_lease_age_seconds %g\n", ds.OldestLeaseAgeSeconds)
-			fmt.Fprintf(w, "# HELP robustd_dispatch_trials Trials of actively dispatched campaigns: durable (done), under an outstanding lease, or pending.\n")
-			fmt.Fprintf(w, "# TYPE robustd_dispatch_trials gauge\n")
-			fmt.Fprintf(w, "robustd_dispatch_trials{state=\"pending\"} %d\n", ds.TrialsPending)
-			fmt.Fprintf(w, "robustd_dispatch_trials{state=\"leased\"} %d\n", ds.TrialsLeased)
-			fmt.Fprintf(w, "robustd_dispatch_trials{state=\"done\"} %d\n", ds.TrialsDone)
-			fmt.Fprintf(w, "# HELP robustd_dispatch_jobs Campaigns currently dispatched to the fleet.\n")
-			fmt.Fprintf(w, "# TYPE robustd_dispatch_jobs gauge\n")
-			fmt.Fprintf(w, "robustd_dispatch_jobs %d\n", ds.Jobs)
-			fmt.Fprintf(w, "# HELP robustd_dispatch_rejected_results_total Worker results dropped by grid bounds or seed/rate verification.\n")
-			fmt.Fprintf(w, "# TYPE robustd_dispatch_rejected_results_total counter\n")
-			fmt.Fprintf(w, "robustd_dispatch_rejected_results_total %d\n", ds.RejectedResults)
+			p.Family("robustd_workers", "gauge", "Robustworkers by liveness (active = leased or reported within two lease TTLs).")
+			p.Int("robustd_workers", int64(ds.WorkersRegistered), "kind", "registered")
+			p.Int("robustd_workers", int64(ds.WorkersActive), "kind", "active")
+			p.Int("robustd_workers", int64(ds.WorkersExpected), "kind", "expected")
+			p.Family("robustd_leases_outstanding", "gauge", "Shard leases currently held by workers.")
+			p.Int("robustd_leases_outstanding", int64(ds.LeasesOutstanding))
+			p.Family("robustd_oldest_lease_age_seconds", "gauge", "Age of the oldest outstanding shard lease (0 when none).")
+			p.Float("robustd_oldest_lease_age_seconds", ds.OldestLeaseAgeSeconds)
+			p.Family("robustd_dispatch_trials", "gauge", "Trials of actively dispatched campaigns: durable (done), under an outstanding lease, or pending.")
+			p.Int("robustd_dispatch_trials", int64(ds.TrialsPending), "state", "pending")
+			p.Int("robustd_dispatch_trials", int64(ds.TrialsLeased), "state", "leased")
+			p.Int("robustd_dispatch_trials", int64(ds.TrialsDone), "state", "done")
+			p.Family("robustd_dispatch_jobs", "gauge", "Campaigns currently dispatched to the fleet.")
+			p.Int("robustd_dispatch_jobs", int64(ds.Jobs))
+			p.Family("robustd_dispatch_rejected_results_total", "counter", "Worker results dropped by grid bounds or seed/rate verification.")
+			p.Int("robustd_dispatch_rejected_results_total", ds.RejectedResults)
 		}
-		m.writeMetricsExtras(w)
-	}
+
+		m.mu.Lock()
+		extras := append([]func(io.Writer){}, m.metricsExtras...)
+		m.mu.Unlock()
+		for _, f := range extras {
+			f(w)
+		}
+	})
 }

@@ -202,7 +202,79 @@ func fetch(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// metricsBase is the campaign families of a fresh manager's /metrics.
+const metricsBase = `# HELP robustd_campaigns Campaigns in the registry by lifecycle state.
+# TYPE robustd_campaigns gauge
+robustd_campaigns{state="queued"} 0
+robustd_campaigns{state="running"} 0
+robustd_campaigns{state="done"} 0
+robustd_campaigns{state="failed"} 0
+robustd_campaigns{state="cancelled"} 0
+robustd_campaigns{state="interrupted"} 0
+# HELP robustd_trials_completed_total Freshly executed trials recorded since daemon start.
+# TYPE robustd_trials_completed_total counter
+robustd_trials_completed_total 0
+# HELP robustd_store_bytes On-disk bytes across open campaign stores.
+# TYPE robustd_store_bytes gauge
+robustd_store_bytes 0
+# HELP robustd_dispatch_enabled Whether distributed trial execution is enabled.
+# TYPE robustd_dispatch_enabled gauge
+`
+
+// TestMetricsEndpoint pins the full /metrics bytes of a fresh manager
+// with and without a dispatcher, then checks the counters after a run.
 func TestMetricsEndpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		disp *dispatch.Coordinator
+		want string
+	}{
+		{"no dispatcher", nil, metricsBase + "robustd_dispatch_enabled 0\n"},
+		{"dispatcher", dispatch.New(dispatch.Options{LeaseTTL: time.Minute, WorkersExpected: 2}), metricsBase + `robustd_dispatch_enabled 1
+# HELP robustd_workers Robustworkers by liveness (active = leased or reported within two lease TTLs).
+# TYPE robustd_workers gauge
+robustd_workers{kind="registered"} 0
+robustd_workers{kind="active"} 0
+robustd_workers{kind="expected"} 2
+# HELP robustd_leases_outstanding Shard leases currently held by workers.
+# TYPE robustd_leases_outstanding gauge
+robustd_leases_outstanding 0
+# HELP robustd_oldest_lease_age_seconds Age of the oldest outstanding shard lease (0 when none).
+# TYPE robustd_oldest_lease_age_seconds gauge
+robustd_oldest_lease_age_seconds 0
+# HELP robustd_dispatch_trials Trials of actively dispatched campaigns: durable (done), under an outstanding lease, or pending.
+# TYPE robustd_dispatch_trials gauge
+robustd_dispatch_trials{state="pending"} 0
+robustd_dispatch_trials{state="leased"} 0
+robustd_dispatch_trials{state="done"} 0
+# HELP robustd_dispatch_jobs Campaigns currently dispatched to the fleet.
+# TYPE robustd_dispatch_jobs gauge
+robustd_dispatch_jobs 0
+# HELP robustd_dispatch_rejected_results_total Worker results dropped by grid bounds or seed/rate verification.
+# TYPE robustd_dispatch_rejected_results_total counter
+robustd_dispatch_rejected_results_total 0
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, m := newTestServer(t, 1)
+			if tc.disp != nil {
+				m.SetDispatcher(tc.disp)
+			}
+			resp, err := http.Get(srv.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+				t.Errorf("Content-Type = %q", ct)
+			}
+			if string(body) != tc.want {
+				t.Errorf("/metrics =\n%s\nwant\n%s", body, tc.want)
+			}
+		})
+	}
+
 	srv, _ := newTestServer(t, 1)
 	var resp map[string]string
 	doJSON(t, "POST", srv.URL+"/campaigns",

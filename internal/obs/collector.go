@@ -94,10 +94,3 @@ func (c *Collector) DrainByRate() map[float64]*FaultRecorder {
 	}
 	return out
 }
-
-// Pending returns the number of keys with recorders not yet taken.
-func (c *Collector) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byKey)
-}

@@ -1,46 +1,44 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+	"maps"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // histBounds are the upper bounds, in seconds, of the latency histogram
-// buckets (Prometheus `le` convention; the final +Inf bucket is implicit).
-// Trial latencies in this repo span ~100µs (quick figure cells) to tens of
-// seconds (full CG sweeps), so the bounds cover 100µs..10s log-ish.
+// buckets (Prometheus `le` convention, the last one +Inf). Trial latencies
+// in this repo span ~100µs (quick figure cells) to tens of seconds (full
+// CG sweeps), so the bounds cover 100µs..10s log-ish.
 var histBounds = [...]float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, math.Inf(1),
 }
 
 // Hist is a fixed-bucket latency histogram safe for concurrent observers
 // and scrapers: pure atomics, no locks on the observe path. Counts are
-// per-bucket (non-cumulative); exposition accumulates. The last bucket is
-// +Inf.
+// per-bucket (non-cumulative); exposition accumulates.
 type Hist struct {
-	buckets  [len(histBounds) + 1]atomic.Uint64
+	buckets  [len(histBounds)]atomic.Uint64
 	count    atomic.Uint64
-	sumMicro atomic.Uint64
+	sumNanos atomic.Uint64
 }
 
 // Observe records one duration.
 func (h *Hist) Observe(d time.Duration) {
-	s := d.Seconds()
-	i := sort.SearchFloat64s(histBounds[:], s)
+	i := sort.SearchFloat64s(histBounds[:], d.Seconds())
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	if d > 0 {
-		h.sumMicro.Add(uint64(d.Microseconds()))
+		h.sumNanos.Add(uint64(d))
 	}
 }
-
-// Count returns the number of observations.
-func (h *Hist) Count() uint64 { return h.count.Load() }
 
 // HistSet is a label → histogram map, one histogram per workload label.
 type HistSet struct {
@@ -65,40 +63,26 @@ func (s *HistSet) Observe(label string, d time.Duration) {
 	h.Observe(d)
 }
 
-// WriteProm writes the set as a Prometheus histogram family named name
-// with label key labelKey, labels sorted for stable exposition order.
-func (s *HistSet) WriteProm(w io.Writer, name, labelKey string) {
+// WriteProm writes the set as a Prometheus histogram family named name,
+// one series per workload label, labels sorted for stable exposition
+// order. Nothing is written while the set is empty.
+func (s *HistSet) WriteProm(w io.Writer, name string) {
 	s.mu.Lock()
-	labels := make([]string, 0, len(s.m))
-	for l := range s.m {
-		labels = append(labels, l)
-	}
-	hists := make([]*Hist, 0, len(labels))
-	sort.Strings(labels)
-	for _, l := range labels {
-		hists = append(hists, s.m[l])
-	}
+	m := maps.Clone(s.m)
 	s.mu.Unlock()
-	if len(labels) == 0 {
+	if len(m) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	for i, l := range labels {
-		h := hists[i]
+	p := NewProm(w)
+	p.Family(name, "histogram", "")
+	for _, l := range slices.Sorted(maps.Keys(m)) {
+		h := m[l]
 		var cum uint64
 		for b, bound := range histBounds {
 			cum += h.buckets[b].Load()
-			fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", name, labelKey, l, trimFloat(bound), cum)
+			p.Int(name+"_bucket", int64(cum), "workload", l, "le", strconv.FormatFloat(bound, 'g', -1, 64))
 		}
-		cum += h.buckets[len(histBounds)].Load()
-		fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, labelKey, l, cum)
-		fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, labelKey, l, float64(h.sumMicro.Load())/1e6)
-		fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, labelKey, l, h.count.Load())
+		p.Float(name+"_sum", float64(h.sumNanos.Load())/1e9, "workload", l)
+		p.Int(name+"_count", int64(h.count.Load()), "workload", l)
 	}
-}
-
-// trimFloat formats a bucket bound the way Prometheus clients do: shortest
-// decimal representation.
-func trimFloat(f float64) string {
-	return fmt.Sprintf("%g", f)
 }

@@ -191,7 +191,7 @@ func (h *Hub) WriteMetrics(w io.Writer) {
 	if h == nil {
 		return
 	}
-	h.trialLat.WriteProm(w, "robustd_trial_duration_seconds", "workload")
+	h.trialLat.WriteProm(w, "robustd_trial_duration_seconds")
 }
 
 // writeEventsJSON writes a snapshot of the event ring as indented JSON.

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // bothMaps is a fault summary with every field set, both counter maps
@@ -121,8 +122,9 @@ func TestTelemetryLineMatchesJSON(t *testing.T) {
 }
 
 // TestTelemetryAppendAllocs pins the per-trial telemetry append with a
-// fault summary: the hub's path allocates nothing, and the public Append
-// only boxes the record into its interface argument.
+// fault summary and the trial latency observation: the hub's path
+// allocates nothing, and the public Append only boxes the record into its
+// interface argument.
 func TestTelemetryAppendAllocs(t *testing.T) {
 	dir := t.TempDir()
 	h := NewHub()
@@ -130,6 +132,9 @@ func TestTelemetryAppendAllocs(t *testing.T) {
 	rec := TrialRecord{Campaign: "c0001", Unit: "sort/base", Series: "base", Rate: 0.05, Seed: 1, Value: 0.5, DurationMicros: 14, Faults: bothMaps}
 	if n := testing.AllocsPerRun(200, func() { h.AppendTrial(dir, rec) }); n != 0 {
 		t.Errorf("Hub.AppendTrial: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { h.ObserveTrial("sort/base", 1500*time.Nanosecond) }); n != 0 {
+		t.Errorf("Hub.ObserveTrial: %v allocations, want 0", n)
 	}
 	tel, err := OpenTelemetry(t.TempDir())
 	if err != nil {

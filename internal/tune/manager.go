@@ -11,6 +11,7 @@ import (
 
 	"robustify/internal/campaign"
 	"robustify/internal/job"
+	"robustify/internal/obs"
 )
 
 // traceFile is the durable search state of one tune run, written
@@ -439,16 +440,15 @@ func (m *Manager) WriteMetrics(w io.Writer) {
 		submitted += s.EvalsSubmitted
 		completed += s.EvalsCompleted
 	}
-	fmt.Fprintf(w, "# HELP robustd_tune_runs Tune runs in the registry by lifecycle state.\n")
-	fmt.Fprintf(w, "# TYPE robustd_tune_runs gauge\n")
+	p := obs.NewProm(w)
+	p.Family("robustd_tune_runs", "gauge", "Tune runs in the registry by lifecycle state.")
 	//lint:regexhaustive-exempt tune runs never queue (no concurrency bound), and the family's label set predates the shared states
 	for _, state := range []string{StateRunning, StateDone, StateFailed, StateInterrupted, StateCancelled} {
-		fmt.Fprintf(w, "robustd_tune_runs{state=%q} %d\n", state, counts[state])
+		p.Int("robustd_tune_runs", int64(counts[state]), "state", state)
 	}
-	fmt.Fprintf(w, "# HELP robustd_tune_evals Candidate evaluations across all tune runs.\n")
-	fmt.Fprintf(w, "# TYPE robustd_tune_evals gauge\n")
-	fmt.Fprintf(w, "robustd_tune_evals{kind=\"submitted\"} %d\n", submitted)
-	fmt.Fprintf(w, "robustd_tune_evals{kind=\"completed\"} %d\n", completed)
+	p.Family("robustd_tune_evals", "gauge", "Candidate evaluations across all tune runs.")
+	p.Int("robustd_tune_evals", int64(submitted), "kind", "submitted")
+	p.Int("robustd_tune_evals", int64(completed), "kind", "completed")
 }
 
 // campaignByName finds a campaign by its (deterministic) display name.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"robustify/internal/dispatch"
 	"robustify/internal/fpu/faultmodel"
 	"robustify/internal/harness"
+	"robustify/internal/obs"
 )
 
 // quickSpec is the fast search used across tests: leastsq/cg trials are
@@ -532,3 +534,109 @@ func TestTuneModelKnobSearch(t *testing.T) {
 		t.Error("knobless workload with no model knobs accepted")
 	}
 }
+
+// TestMetricsExposition pins the full bytes of robustd's /metrics as the
+// daemon composes it: the campaign families, then the hub's trial latency
+// histograms for two workloads, then the tune families.
+func TestMetricsExposition(t *testing.T) {
+	dir := t.TempDir()
+	cm, err := campaign.NewManager(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cm.Close()
+	tm, err := NewManager(filepath.Join(dir, "tunes"), cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tm.Close()
+	hub := obs.NewHub()
+	defer hub.Close()
+	cm.SetHub(hub)
+	cm.AddMetrics(hub.WriteMetrics)
+	cm.AddMetrics(tm.WriteMetrics)
+	hub.ObserveTrial("sort/base", 250*time.Microsecond)
+	hub.ObserveTrial("sort/base", 7*time.Millisecond)
+	hub.ObserveTrial("leastsq/cg", 1500*time.Microsecond)
+	srv := httptest.NewServer(campaign.NewServer(cm))
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(body) != wantMetrics {
+		t.Errorf("/metrics =\n%s\nwant\n%s", body, wantMetrics)
+	}
+}
+
+const wantMetrics = `# HELP robustd_campaigns Campaigns in the registry by lifecycle state.
+# TYPE robustd_campaigns gauge
+robustd_campaigns{state="queued"} 0
+robustd_campaigns{state="running"} 0
+robustd_campaigns{state="done"} 0
+robustd_campaigns{state="failed"} 0
+robustd_campaigns{state="cancelled"} 0
+robustd_campaigns{state="interrupted"} 0
+# HELP robustd_trials_completed_total Freshly executed trials recorded since daemon start.
+# TYPE robustd_trials_completed_total counter
+robustd_trials_completed_total 0
+# HELP robustd_store_bytes On-disk bytes across open campaign stores.
+# TYPE robustd_store_bytes gauge
+robustd_store_bytes 0
+# HELP robustd_dispatch_enabled Whether distributed trial execution is enabled.
+# TYPE robustd_dispatch_enabled gauge
+robustd_dispatch_enabled 0
+# TYPE robustd_trial_duration_seconds histogram
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.0001"} 0
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.00025"} 0
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.0005"} 0
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.001"} 0
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.0025"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.005"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.01"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.025"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.05"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.1"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.25"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="0.5"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="1"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="2.5"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="5"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="10"} 1
+robustd_trial_duration_seconds_bucket{workload="leastsq/cg",le="+Inf"} 1
+robustd_trial_duration_seconds_sum{workload="leastsq/cg"} 0.0015
+robustd_trial_duration_seconds_count{workload="leastsq/cg"} 1
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.0001"} 0
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.00025"} 1
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.0005"} 1
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.001"} 1
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.0025"} 1
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.005"} 1
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.01"} 2
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.025"} 2
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.05"} 2
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.1"} 2
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.25"} 2
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="0.5"} 2
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="1"} 2
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="2.5"} 2
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="5"} 2
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="10"} 2
+robustd_trial_duration_seconds_bucket{workload="sort/base",le="+Inf"} 2
+robustd_trial_duration_seconds_sum{workload="sort/base"} 0.00725
+robustd_trial_duration_seconds_count{workload="sort/base"} 2
+# HELP robustd_tune_runs Tune runs in the registry by lifecycle state.
+# TYPE robustd_tune_runs gauge
+robustd_tune_runs{state="running"} 0
+robustd_tune_runs{state="done"} 0
+robustd_tune_runs{state="failed"} 0
+robustd_tune_runs{state="interrupted"} 0
+robustd_tune_runs{state="cancelled"} 0
+# HELP robustd_tune_evals Candidate evaluations across all tune runs.
+# TYPE robustd_tune_evals gauge
+robustd_tune_evals{kind="submitted"} 0
+robustd_tune_evals{kind="completed"} 0
+`
