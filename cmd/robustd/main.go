@@ -110,7 +110,12 @@ func run(args []string, ready chan<- string) error {
 	// it is diagnostics — trial values and stores are bit-identical with
 	// the hub on or off.
 	hub := obs.NewHub()
-	defer hub.Close()
+	defer func() {
+		// Close writes the telemetry lines still buffered.
+		if err := hub.Close(); err != nil {
+			log.Printf("robustd: close telemetry: %v", err)
+		}
+	}()
 	hub.SetMirrorEvents(*mirrorEvents)
 	m.SetHub(hub)
 	tm.SetEvents(hub)

@@ -14,7 +14,7 @@ import (
 //
 // Durability sinks are declared in the code they live in: a
 // //lint:durable <reason> marker on a function (fsutil.WriteFileAtomic,
-// Store.Append/Put/PutBatch, the flock acquisition, telemetry appends)
+// Store.Append/Put/PutBatch, the flock acquisition, telemetry flushes)
 // makes it a sink root. The call-graph facts layer then propagates: any function
 // that calls a sink (or a propagator) and returns an error is itself a
 // durability-error carrier — so a helper that swallows the error is as

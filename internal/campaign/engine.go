@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -147,10 +146,10 @@ type Execution struct {
 	trials *atomic.Int64
 
 	// hub, if non-nil, receives diagnostics: per-trial telemetry records
-	// (written beside the store, never into it), trial latency
-	// observations, and trial-finish trace events. id labels them with
-	// the owning campaign. Both stay nil for bare executions (robustbench
-	// local runs, tests), which then behave exactly as before.
+	// (written beside the store, never into it) and trial latency
+	// observations. id labels them with the owning campaign. Both stay
+	// nil for bare executions (robustbench local runs, tests), which then
+	// behave exactly as before.
 	hub *obs.Hub
 	id  string
 
@@ -174,9 +173,12 @@ func (s Spec) MetricLabel() string {
 	return "fig:" + s.Figure
 }
 
-// observeTrial emits a trial's diagnostics — telemetry record, latency
-// histogram sample, and trace event — after the trial was durably added
-// to the store. It never touches the store itself.
+// observeTrial records a trial's diagnostics — its telemetry line and
+// latency histogram sample — after the trial was durably added to the
+// store. It never touches the store itself, and emits no ring event: at
+// a trial every few microseconds one would evict every lifecycle event
+// from /debug/events, and the telemetry line already carries the trial's
+// identity and duration.
 func (e *Execution) observeTrial(unit int, t harness.Trial) {
 	if e.hub == nil {
 		return
@@ -197,9 +199,6 @@ func (e *Execution) observeTrial(unit int, t harness.Trial) {
 		rec.Faults = &s
 	}
 	e.hub.AppendTrial(e.st.Dir(), rec)
-	e.hub.Emit("trial.finish", e.id,
-		e.camp.Plan.Units[unit].Series+" rate="+strconv.FormatFloat(t.Rate, 'g', -1, 64)+
-			" trial="+strconv.Itoa(t.TrialIdx)+" dur="+d.String())
 }
 
 // merge merges trial results into the store with one write and folds
@@ -226,6 +225,23 @@ func (e *Execution) merge(recs []Record) ([]Record, error) {
 	}
 	e.mu.Unlock()
 	return fresh, nil
+}
+
+// record is the in-process sink for one freshly computed trial of unit:
+// it merges the trial into the store as a batch of one, then records its
+// diagnostics if it was new.
+func (e *Execution) record(unit int, t harness.Trial) error {
+	batch := [1]Record{{
+		Unit: unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx,
+		Rate: t.Rate, Seed: t.Seed, Value: t.Value,
+	}}
+	fresh, err := e.merge(batch[:])
+	if len(fresh) == 1 {
+		e.observeTrial(unit, t)
+	} else if e.hub != nil {
+		e.hub.TakeFaults(t.Rate, t.Seed) // drop the recorders of a trial the store refused
+	}
+	return err
 }
 
 // NewExecution prepares a run, folding any trials already in the store
@@ -269,23 +285,13 @@ func (e *Execution) Run(ctx context.Context) error {
 				if t.Cached {
 					return // already folded in (preloaded from the store)
 				}
-				batch := [1]Record{{
-					Unit: unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx,
-					Rate: t.Rate, Seed: t.Seed, Value: t.Value,
-				}}
-				fresh, err := e.merge(batch[:])
-				if err != nil {
+				if err := e.record(unit, t); err != nil {
 					sinkMu.Lock()
 					if sinkErr == nil {
 						sinkErr = err
 					}
 					sinkMu.Unlock()
 					stop() // no later trial of this sweep could be recorded
-				}
-				if len(fresh) == 1 {
-					e.observeTrial(unit, t)
-				} else if e.hub != nil {
-					e.hub.TakeFaults(t.Rate, t.Seed) // drop the recorders of a trial the store refused
 				}
 			},
 		}

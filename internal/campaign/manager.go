@@ -103,11 +103,13 @@ func (h *handle) ensureExecLocked() error {
 }
 
 // Drive runs the grid's remaining trials in-process, or on the
-// robustworker fleet when a dispatcher is attached.
+// robustworker fleet when a dispatcher is attached. When the run ends,
+// its buffered telemetry is written and the sidecar closed.
 func (h *handle) Drive(ctx context.Context) error {
 	h.mu.Lock()
 	exec := h.exec
 	h.mu.Unlock()
+	defer h.m.Hub().CloseTelemetry(h.dir)
 	if disp := h.m.Dispatcher(); disp != nil {
 		return exec.RunDispatched(ctx, disp, h.id)
 	}

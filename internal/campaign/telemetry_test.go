@@ -174,3 +174,88 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 		t.Errorf("hub latency histogram missing from /metrics:\n%s", body)
 	}
 }
+
+// openSidecars counts this process's open descriptors on a telemetry
+// sidecar.
+func openSidecars(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open descriptors: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && filepath.Base(target) == obs.TelemetryFile {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCampaignRunClosesTelemetry: a campaign's run end writes its
+// buffered telemetry and closes its sidecar, so a long-lived daemon holds
+// no open file per finished campaign, and each sidecar holds one line per
+// fresh trial without the hub being closed.
+func TestCampaignRunClosesTelemetry(t *testing.T) {
+	before := openSidecars(t)
+	root := t.TempDir()
+	m := newManager(t, root, 1)
+	defer m.Close()
+	hub := obs.NewHub()
+	defer hub.Close()
+	m.SetHub(hub)
+	for i, trials := range []int{5, 17, 40} {
+		id, err := m.Submit(quickSpec(0.05, uint64(i+1), trials))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Wait(id); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := m.Get(id); err != nil || st.State != StateDone {
+			t.Fatalf("campaign %s: %+v, %v; want done", id, st, err)
+		}
+		if n := openSidecars(t); n != before {
+			t.Errorf("after campaign %s: %d telemetry files open, want %d", id, n, before)
+		}
+		b, err := os.ReadFile(filepath.Join(root, id, obs.TelemetryFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(b), `"kind":"trial"`); n != trials {
+			t.Errorf("campaign %s: sidecar holds %d trial lines, want %d", id, n, trials)
+		}
+	}
+}
+
+// TestHubEventsKeepLifecycle: an in-process campaign of twice the ring's
+// size leaves its lifecycle events in /debug/events; trials emit no ring
+// event of their own to evict them with.
+func TestHubEventsKeepLifecycle(t *testing.T) {
+	m := newManager(t, t.TempDir(), 1)
+	defer m.Close()
+	hub := obs.NewHub()
+	defer hub.Close()
+	m.SetHub(hub)
+	id, err := m.Submit(quickSpec(0.05, 3, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, ev := range hub.Events() {
+		if ev.Campaign == id {
+			seen[ev.Kind] = true
+		}
+		if ev.Kind == "trial.finish" {
+			t.Fatalf("ring holds a per-trial event: %+v", ev)
+		}
+	}
+	for _, kind := range []string{"campaign.submitted", "campaign.done"} {
+		if !seen[kind] {
+			t.Errorf("ring lost %s of %s after 4,096 trials; it holds %v", kind, id, seen)
+		}
+	}
+}

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"robustify/internal/dispatch"
+	"robustify/internal/fpu/faultmodel"
+	"robustify/internal/harness"
 	"robustify/internal/obs"
 )
 
@@ -60,6 +62,73 @@ func TestTrialAllocs(t *testing.T) {
 		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > tc.maxBytes {
 			t.Errorf("one %s trial: %d bytes, want at most %d", tc.workload, b, tc.maxBytes)
 		}
+	}
+}
+
+// TestTrialAllocsWithHub pins one sort/base trial on the in-process path
+// with a hub attached, as robustd runs it: the fault observer builds the
+// unit's recorder, the trial runs, and the sink merges it into the store
+// and records its diagnostics (latency sample, fault summary, buffered
+// telemetry line). Averaged over 200 distinct trials of a fixed seed,
+// so exact, its ten are the trial's own (see TestTrialAllocs), the
+// unit's recorder and its collector slot, and the fault summary with its
+// counter maps. The lone recorder is handed over without a copy and the
+// telemetry line lands in a reused buffer; the trials allocate 977
+// bytes, and the ceiling sits below what a copied ~350-byte recorder
+// would add. The store's key map is sized first, as the dispatched path
+// does, and the garbage collector is off while counting, so neither map
+// growth nor a collection lands in the window.
+func TestTrialAllocsWithHub(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race makes sync.Pool drop generators at random")
+	}
+	const trials, runs = 1000, 200
+	camp, err := Compile(Spec{
+		Custom: &CustomSweep{Workload: "sort/base", Rates: []float64{0.05}},
+		Trials: trials, Seed: 777,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.reserve(trials)
+	hub := obs.NewHub()
+	defer hub.Close()
+	prev := faultmodel.SetUnitObserver(hub.Observer)
+	defer faultmodel.SetUnitObserver(prev)
+	e := NewExecution(camp, st)
+	e.SetHub(hub, "c0001")
+	u := camp.Plan.Units[0]
+	next := 0
+	trial := func() {
+		seed := u.Sweep.TrialSeed(0, next)
+		tr := harness.Trial{TrialIdx: next, Rate: 0.05, Seed: seed, Dur: 1500 * time.Nanosecond}
+		tr.Value = u.Fn(tr.Rate, seed)
+		if err := e.record(0, tr); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := testing.AllocsPerRun(runs, trial)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		trial()
+	}
+	runtime.ReadMemStats(&after)
+	if want := 10.0; got != want {
+		t.Errorf("one sort/base trial through the hub-attached sink: %v allocations, want %v", got, want)
+	}
+	if b, max := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(1152); b > max {
+		t.Errorf("one sort/base trial through the hub-attached sink: %d bytes, want at most %d", b, max)
+	}
+	if n := st.Count(); n != 1+2*runs {
+		t.Errorf("store holds %d trials, want %d", n, 1+2*runs)
 	}
 }
 

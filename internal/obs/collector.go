@@ -51,18 +51,22 @@ func (c *Collector) Observer(rate float64, seed uint64) fpu.Observer {
 	return r
 }
 
-// Take removes and merges every recorder registered under (rate, seed),
-// returning nil when none were. Call it only after the trial at that key
-// has finished computing (its units' goroutine has returned), which the
-// harness guarantees for sinks.
+// Take removes every recorder registered under (rate, seed) and returns
+// them merged, or nil when none were. A lone recorder (a trial that built
+// one unit) is returned itself, not copied. Call it only after the trial
+// at that key has finished computing (its units' goroutine has returned),
+// which the harness guarantees for sinks.
 func (c *Collector) Take(rate float64, seed uint64) *FaultRecorder {
 	k := collectorKey{rate: math.Float64bits(rate), seed: seed}
 	c.mu.Lock()
 	rs := c.byKey[k]
 	delete(c.byKey, k)
 	c.mu.Unlock()
-	if len(rs) == 0 {
+	switch len(rs) {
+	case 0:
 		return nil
+	case 1:
+		return rs[0]
 	}
 	merged := &FaultRecorder{}
 	for _, r := range rs {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"log"
 	"net/http"
@@ -73,12 +74,11 @@ func (h *Hub) Emit(kind, campaign, detail string) {
 	if dir == "" {
 		return
 	}
-	if t := h.telemetry(dir); t != nil {
-		if err := t.Append("event", map[string]string{
-			"kind": kind, "campaign": campaign, "detail": detail,
-		}); err != nil {
-			log.Printf("obs: mirror event: %v", err)
-		}
+	rec := map[string]string{"kind": kind, "campaign": campaign, "detail": detail}
+	if err := h.appendTo(dir, func(t *Telemetry) error {
+		return t.Append("event", rec)
+	}); err != nil {
+		log.Printf("obs: mirror event: %v", err)
 	}
 }
 
@@ -119,8 +119,9 @@ func (h *Hub) Observer(rate float64, seed uint64) fpu.Observer {
 	return h.collector.Observer(rate, seed)
 }
 
-// TakeFaults removes and merges the fault recorders registered under
-// (rate, seed); nil when none (or on a nil hub).
+// TakeFaults removes the fault recorders registered under (rate, seed)
+// and returns them merged (see Collector.Take); nil when none (or on a
+// nil hub).
 func (h *Hub) TakeFaults(rate float64, seed uint64) *FaultRecorder {
 	if h == nil {
 		return nil
@@ -136,23 +137,60 @@ func (h *Hub) ObserveTrial(label string, d time.Duration) {
 	h.trialLat.Observe(label, d)
 }
 
-// AppendTrial writes one per-trial telemetry record beside the campaign
+// AppendTrial buffers one per-trial telemetry record for the campaign
 // store in dir: AppendTrials of one record.
 func (h *Hub) AppendTrial(dir string, rec TrialRecord) {
 	h.AppendTrials(dir, []TrialRecord{rec})
 }
 
-// AppendTrials writes a batch of per-trial telemetry records beside the
-// campaign store in dir, one line each, with one write. Failures are
-// logged, not propagated: telemetry must never fail a trial.
+// AppendTrials buffers a batch of per-trial telemetry records for the
+// campaign store in dir, one line each (see Telemetry for when they are
+// written). Failures are logged, not propagated: telemetry must never
+// fail a trial.
 func (h *Hub) AppendTrials(dir string, recs []TrialRecord) {
 	if h == nil || dir == "" || len(recs) == 0 {
 		return
 	}
-	if t := h.telemetry(dir); t != nil {
-		if err := t.appendTrials("trial", recs); err != nil {
-			log.Printf("obs: append trial telemetry: %v", err)
+	if err := h.appendTo(dir, func(t *Telemetry) error {
+		return t.appendTrials("trial", recs)
+	}); err != nil {
+		log.Printf("obs: append trial telemetry: %v", err)
+	}
+}
+
+// appendTo runs app on dir's writer, opening it on first use. A writer
+// closed between the lookup and the append (its campaign's run ended
+// meanwhile, as when a report lands after a cancel) is looked up again,
+// which reopens the file, or finds nothing once the hub is closed.
+func (h *Hub) appendTo(dir string, app func(*Telemetry) error) error {
+	for {
+		t := h.telemetry(dir)
+		if t == nil {
+			return nil
 		}
+		if err := app(t); !errors.Is(err, errClosed) {
+			return err
+		}
+	}
+}
+
+// CloseTelemetry writes and closes the telemetry of the campaign store
+// in dir, if open; a campaign calls it when its run ends, so a long-lived
+// daemon holds no file per finished campaign. A later append reopens the
+// file, after this one's lines are written. Failures are logged.
+func (h *Hub) CloseTelemetry(dir string) {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	t := h.tele[dir]
+	if t == nil {
+		return
+	}
+	delete(h.tele, dir)
+	if err := t.Close(); err != nil {
+		log.Printf("obs: close telemetry: %v", err)
 	}
 }
 
@@ -208,8 +246,8 @@ func writeEventsJSON(w io.Writer, events []Event) {
 	}
 }
 
-// Close closes every open telemetry writer. Later trial and event
-// appends are dropped.
+// Close writes and closes every open telemetry writer. Later trial and
+// event appends are dropped.
 func (h *Hub) Close() error {
 	if h == nil {
 		return nil

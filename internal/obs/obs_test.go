@@ -82,19 +82,23 @@ func TestRecorderMergeAndSummary(t *testing.T) {
 func TestCollectorTakeMerges(t *testing.T) {
 	c := NewCollector()
 	o1 := c.Observer(0.01, 7).(*FaultRecorder)
-	o2 := c.Observer(0.01, 7).(*FaultRecorder) // second unit, same trial
-	c.Observer(0.01, 8)                        // different trial, untouched
+	o2 := c.Observer(0.01, 7).(*FaultRecorder)   // second unit, same trial
+	lone := c.Observer(0.01, 8).(*FaultRecorder) // different trial, one unit
 	o1.FaultInjected(fpu.OpAdd, 1, bitFlip(63))
 	o2.FaultInjected(fpu.OpMul, 2, bitFlip(5))
 	got := c.Take(0.01, 7)
 	if got == nil || got.ValueFaults != 2 {
 		t.Fatalf("Take = %+v, want 2 merged faults", got)
 	}
+	if got == o1 || got == o2 || o1.ValueFaults != 1 || o2.ValueFaults != 1 {
+		t.Error("Take merged into one of the trial's own recorders")
+	}
 	if c.Take(0.01, 7) != nil {
 		t.Error("second Take returned recorders again")
 	}
-	if c.Take(0.01, 8) == nil {
-		t.Error("Take of the untouched trial returned nothing")
+	// A trial that built one unit gets its recorder back, not a copy.
+	if got := c.Take(0.01, 8); got != lone {
+		t.Errorf("Take of a lone recorder = %p, want the recorder itself %p", got, lone)
 	}
 }
 

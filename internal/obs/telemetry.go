@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -20,13 +21,34 @@ import (
 // diagnostics, never results.
 const TelemetryFile = "telemetry.jsonl"
 
+// Trial lines are buffered and written in batches: the buffer is written
+// once it holds flushBytes, when an append finds its oldest line flushAge
+// old, when an event line is appended (events write through), and on
+// Close. A crash loses at most that much of the sidecar, never a
+// result.
+const (
+	flushBytes = 32 << 10
+	flushAge   = time.Second
+)
+
+// lineBufs is the free list of line buffers: a writer takes one when it
+// opens and gives it back when it closes, so a daemon running campaign
+// after campaign does not grow a fresh buffer for each. Its size is how
+// many campaigns' writers are expected open at once.
+var lineBufs = make(chan []byte, 4)
+
+// errClosed is what an append to a closed writer returns.
+var errClosed = errors.New("obs: telemetry closed")
+
 // Telemetry appends timestamped diagnostic records to a campaign
-// directory's telemetry.jsonl. It is safe for concurrent use.
+// directory's telemetry.jsonl, buffering trial lines (see flushBytes).
+// It is safe for concurrent use.
 type Telemetry struct {
 	mu    sync.Mutex
 	f     *os.File
-	line  []byte                      // the lines being written, reused across appends
-	stamp [len(time.RFC3339Nano)]byte // their timestamp's bytes
+	buf   []byte                      // the lines not yet written, oldest first
+	first time.Time                   // when buf's oldest line was stamped
+	stamp [len(time.RFC3339Nano)]byte // the latest timestamp's bytes
 }
 
 // OpenTelemetry opens (creating if needed) dir/telemetry.jsonl for append.
@@ -35,7 +57,14 @@ func OpenTelemetry(dir string) (*Telemetry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: open telemetry: %w", err)
 	}
-	return &Telemetry{f: f}, nil
+	var buf []byte
+	select {
+	case buf = <-lineBufs:
+	default:
+		// Room for the threshold plus the line that crosses it.
+		buf = make([]byte, 0, 2*flushBytes)
+	}
+	return &Telemetry{f: f, buf: buf}, nil
 }
 
 // TrialRecord is the telemetry line written per completed trial: the
@@ -139,20 +168,20 @@ func (t *Telemetry) Append(kind string, rec any) error {
 	if err != nil {
 		return fmt.Errorf("obs: marshal telemetry record: %w", err)
 	}
-	return t.write(func(b, ts []byte) []byte {
+	return t.write(true, func(b, ts []byte) []byte {
 		b = appendEnvelope(b, ts, kind)
 		b = append(b, body...)
 		return append(b, "}\n"...)
 	})
 }
 
-// appendTrials writes one line per trial record, all stamped with one
-// wall-clock time, with a single write. A record that cannot be encoded
-// (a non-finite rate, which encoding/json rejects) is left out, and the
-// error for the first such record is returned once the rest are written.
+// appendTrials buffers one line per trial record, all stamped with one
+// wall-clock time. A record that cannot be encoded (a non-finite rate,
+// which encoding/json rejects) is left out, and the error for the first
+// such record is returned once the rest are buffered.
 func (t *Telemetry) appendTrials(kind string, recs []TrialRecord) error {
 	var bad error
-	err := t.write(func(b, ts []byte) []byte {
+	err := t.write(false, func(b, ts []byte) []byte {
 		for i := range recs {
 			line := len(b)
 			b = appendEnvelope(b, ts, kind)
@@ -185,42 +214,68 @@ func appendEnvelope(b, ts []byte, kind string) []byte {
 	return append(b, `,"rec":`...)
 }
 
-// write stamps the wall clock, lets fill append the lines to write, and
-// writes them with one write. Telemetry is the one serialization path in
-// the repository where a clock is legal: the JSONL sidecar is diagnostics
-// with no resume-identity contract, unlike the store and trace artifacts
-// the notimeinartifacts analyzer guards.
+// write stamps the wall clock and lets fill append lines to the buffer.
+// It writes the buffer when through is set (an event line), when the
+// buffer has reached flushBytes, or when its oldest line is flushAge old;
+// the age is checked on this clock read, so no timer runs. Telemetry is
+// the one serialization path in the repository where a clock is legal:
+// the JSONL sidecar is diagnostics with no resume-identity contract,
+// unlike the store and trace artifacts the notimeinartifacts analyzer
+// guards.
 //
 // The lines and their timestamp are assembled in buffers reused under the
 // lock: a stack buffer handed to the file escapes under the race
 // detector, and one handed to fill escapes always.
 //
 //lint:artifact-time-exempt telemetry.jsonl is a diagnostics sidecar, explicitly outside resume byte-identity
-//lint:durable flight-recorder appends are the post-mortem record; silent loss defeats the recorder
-func (t *Telemetry) write(fill func(b, ts []byte) []byte) error {
+func (t *Telemetry) write(through bool, fill func(b, ts []byte) []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.f == nil {
-		return fmt.Errorf("obs: telemetry closed")
+		return errClosed
 	}
-	ts := time.Now().UTC().AppendFormat(t.stamp[:0], time.RFC3339Nano)
-	b := fill(t.line[:0], ts)
-	t.line = b
-	if len(b) == 0 {
+	now := time.Now()
+	if len(t.buf) == 0 {
+		t.first = now
+	}
+	t.buf = fill(t.buf, now.UTC().AppendFormat(t.stamp[:0], time.RFC3339Nano))
+	if through || len(t.buf) >= flushBytes || now.Sub(t.first) >= flushAge {
+		return t.flushLocked()
+	}
+	return nil
+}
+
+// flushLocked writes the buffered lines with one write and empties the
+// buffer, whether or not the write succeeds: a failed batch is reported
+// once, never retried into a duplicate. t.mu must be held.
+//
+//lint:durable the flush is the sidecar's durable point; a lost batch of flight-recorder lines must be reported
+func (t *Telemetry) flushLocked() error {
+	if len(t.buf) == 0 {
 		return nil
 	}
-	_, err := t.f.Write(b)
+	_, err := t.f.Write(t.buf)
+	t.buf = t.buf[:0]
 	return err
 }
 
-// Close closes the underlying file; further Appends fail.
+// Close writes the buffered lines and closes the file, returning the
+// line buffer to the free list; further Appends fail.
 func (t *Telemetry) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.f == nil {
 		return nil
 	}
-	err := t.f.Close()
+	err := t.flushLocked()
+	if cerr := t.f.Close(); err == nil {
+		err = cerr
+	}
 	t.f = nil
+	select {
+	case lineBufs <- t.buf:
+	default:
+	}
+	t.buf = nil
 	return err
 }

@@ -5,7 +5,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -177,5 +180,226 @@ func TestHubCloseStopsTelemetry(t *testing.T) {
 	h.mu.Unlock()
 	if open != 0 {
 		t.Errorf("%d telemetry writers open after Close", open)
+	}
+}
+
+// sidecarLines returns the lines of dir's telemetry file written so far.
+func sidecarLines(t *testing.T, dir string) []string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, TelemetryFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) == 0 {
+		return nil
+	}
+	return strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+}
+
+// trialIdx returns the trial_idx of a trial line, or -1 for any other.
+func trialIdx(t *testing.T, line string) int {
+	t.Helper()
+	var env struct {
+		Kind string      `json:"kind"`
+		Rec  TrialRecord `json:"rec"`
+	}
+	if err := json.Unmarshal([]byte(line), &env); err != nil {
+		t.Fatalf("line does not parse: %v\n%s", err, line)
+	}
+	if env.Kind != "trial" {
+		return -1
+	}
+	return env.Rec.TrialIdx
+}
+
+// TestTelemetryBuffersTrialLines: trial lines wait in the buffer until a
+// flush point. An event line writes through, after the trial lines before
+// it, in order; an append that finds the oldest buffered line flushAge
+// old writes the buffer; Close writes whatever is left.
+func TestTelemetryBuffersTrialLines(t *testing.T) {
+	dir := t.TempDir()
+	tel, err := OpenTelemetry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trial := func(i int) {
+		t.Helper()
+		if err := tel.Append("trial", TrialRecord{TrialIdx: i, Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(idx ...int) {
+		t.Helper()
+		lines := sidecarLines(t, dir)
+		got := make([]int, len(lines))
+		for i, l := range lines {
+			got[i] = trialIdx(t, l)
+		}
+		if !slices.Equal(got, idx) {
+			t.Errorf("sidecar holds trial_idx %v (-1: an event), want %v", got, idx)
+		}
+	}
+	trial(0)
+	tel.mu.Lock()
+	tel.first = tel.first.Add(time.Hour) // no flush by age before the event
+	tel.mu.Unlock()
+	trial(1)
+	trial(2)
+	want()
+	if err := tel.Append("event", map[string]string{"kind": "campaign.running"}); err != nil {
+		t.Fatal(err)
+	}
+	want(0, 1, 2, -1)
+
+	trial(3)
+	want(0, 1, 2, -1)
+	tel.mu.Lock()
+	tel.first = time.Now().Add(-flushAge) // line 3 has waited flushAge
+	tel.mu.Unlock()
+	trial(4)
+	want(0, 1, 2, -1, 3, 4)
+
+	trial(5)
+	if err := tel.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want(0, 1, 2, -1, 3, 4, 5)
+}
+
+// TestTelemetryFlushesAtThreshold: nothing is written before the buffer
+// reaches flushBytes, and the append that brings it there writes every
+// buffered line.
+func TestTelemetryFlushesAtThreshold(t *testing.T) {
+	dir := t.TempDir()
+	tel, err := OpenTelemetry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tel.Close()
+	for n := 1; n <= flushBytes; n++ {
+		if err := tel.Append("trial", TrialRecord{Campaign: "c0001", TrialIdx: n, Value: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		if n == 1 {
+			tel.mu.Lock()
+			tel.first = tel.first.Add(time.Hour) // no flush by age in this test
+			tel.mu.Unlock()
+		}
+		lines := sidecarLines(t, dir)
+		if len(lines) == 0 {
+			continue
+		}
+		fi, err := os.Stat(filepath.Join(dir, TelemetryFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() < flushBytes {
+			t.Errorf("%d bytes written, before the %d-byte threshold", fi.Size(), flushBytes)
+		}
+		if len(lines) != n || trialIdx(t, lines[n-1]) != n {
+			t.Errorf("crossing the threshold wrote %d lines, want all %d", len(lines), n)
+		}
+		return
+	}
+	t.Fatalf("%d appends wrote nothing", flushBytes)
+}
+
+// TestHubCloseTelemetry: a campaign's run end writes its buffered lines
+// and closes its writer; a later append reopens the file, and a writer
+// reopened that way reuses a returned line buffer instead of growing one.
+func TestHubCloseTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	h := NewHub()
+	defer h.Close()
+	h.AppendTrial(dir, TrialRecord{TrialIdx: 1})
+	h.AppendTrial(dir, TrialRecord{TrialIdx: 2})
+	if lines := sidecarLines(t, dir); len(lines) != 0 {
+		t.Errorf("%d lines written before the run ended", len(lines))
+	}
+	h.CloseTelemetry(dir)
+	if lines := sidecarLines(t, dir); len(lines) != 2 {
+		t.Errorf("%d lines written at the run's end, want 2", len(lines))
+	}
+	open := func() int {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return len(h.tele)
+	}
+	if n := open(); n != 0 {
+		t.Errorf("%d writers open after CloseTelemetry", n)
+	}
+
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range runs {
+		h.AppendTrial(dir, TrialRecord{TrialIdx: 3 + i})
+		h.CloseTelemetry(dir)
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b >= flushBytes {
+		t.Errorf("reopening a campaign's telemetry allocates %d bytes, want less than a %d-byte buffer", b, flushBytes)
+	}
+	if lines := sidecarLines(t, dir); len(lines) != 2+runs {
+		t.Errorf("%d lines after the reopened runs, want %d", len(lines), 2+runs)
+	}
+}
+
+// TestTelemetryConcurrentAppends: trial lines and mirrored events
+// appended from several goroutines at once, while the campaign's run
+// ends and its writer reopens under them, all reach the file whole, and
+// each goroutine's trial lines keep their order.
+func TestTelemetryConcurrentAppends(t *testing.T) {
+	dir := t.TempDir()
+	h := NewHub()
+	h.SetMirrorEvents(true)
+	h.RegisterCampaign("c0001", dir)
+	const goroutines, each = 4, 500
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				h.AppendTrial(dir, TrialRecord{RateIdx: g, TrialIdx: i, Value: 1})
+				switch i % 100 {
+				case 0:
+					h.Emit("campaign.running", "c0001", "")
+				case 50:
+					h.CloseTelemetry(dir)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next := make([]int, goroutines)
+	events := 0
+	for _, line := range sidecarLines(t, dir) {
+		var env struct {
+			Kind string      `json:"kind"`
+			Rec  TrialRecord `json:"rec"`
+		}
+		if err := json.Unmarshal([]byte(line), &env); err != nil {
+			t.Fatalf("line does not parse: %v\n%s", err, line)
+		}
+		if env.Kind != "trial" {
+			events++
+			continue
+		}
+		if g := env.Rec.RateIdx; env.Rec.TrialIdx != next[g] {
+			t.Fatalf("goroutine %d: trial %d written after %d", g, env.Rec.TrialIdx, next[g]-1)
+		}
+		next[env.Rec.RateIdx]++
+	}
+	for g, n := range next {
+		if n != each {
+			t.Errorf("goroutine %d: %d trial lines, want %d", g, n, each)
+		}
+	}
+	if want := goroutines * each / 100; events != want {
+		t.Errorf("%d event lines, want %d", events, want)
 	}
 }
