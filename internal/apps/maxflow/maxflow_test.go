@@ -138,48 +138,3 @@ func TestLPShape(t *testing.T) {
 		t.Errorf("FlowValue = %v", got)
 	}
 }
-
-func TestExactMinCutDuality(t *testing.T) {
-	// Max-flow/min-cut duality on random networks: cut capacity equals
-	// the maximum flow value, and the cut separates source from sink.
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 15; trial++ {
-		inst := RandomInstance(rng, 4+rng.Intn(5), 2, 5)
-		cut := inst.ExactMinCut()
-		if math.Abs(cut.Capacity-inst.Opt) > 1e-9*(1+inst.Opt) {
-			t.Fatalf("trial %d: cut capacity %v != max flow %v", trial, cut.Capacity, inst.Opt)
-		}
-		if !cut.SourceSide[inst.Net.Source] {
-			t.Fatal("source not on source side")
-		}
-		if cut.SourceSide[inst.Net.Sink] {
-			t.Fatal("sink on source side")
-		}
-	}
-}
-
-func TestRobustMinCutMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	inst := RandomInstance(rng, 6, 2, 4)
-	exact := inst.ExactMinCut()
-	cut, err := inst.RobustMinCut(nil, Options{Iters: 20000, Tail: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cut.Capacity-exact.Capacity) > 0.05*(1+exact.Capacity) {
-		t.Errorf("robust cut capacity %v vs exact %v", cut.Capacity, exact.Capacity)
-	}
-}
-
-func TestMinCutEdgesCrossCut(t *testing.T) {
-	inst := diamond()
-	cut := inst.ExactMinCut()
-	for _, e := range cut.Edges {
-		if !cut.SourceSide[e[0]] || cut.SourceSide[e[1]] {
-			t.Errorf("edge %v does not cross the cut", e)
-		}
-	}
-	if len(cut.Edges) == 0 {
-		t.Error("no crossing edges found")
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -72,6 +73,7 @@ func (c *Campaign) RunShard(ctx context.Context, sh dispatch.Shard, workers int,
 func (c *Campaign) TableFromStore(st *Store) *harness.Table {
 	t := c.Plan.Skeleton
 	t.Series = make([]harness.Series, len(c.Plan.Units))
+	var xs []float64
 	for i, u := range c.Plan.Units {
 		agg, err := harness.AggregatorByName(u.Agg)
 		if err != nil {
@@ -80,7 +82,9 @@ func (c *Campaign) TableFromStore(st *Store) *harness.Table {
 		trials := u.Sweep.PerCell()
 		var pts []harness.Point
 		for r, rate := range u.Sweep.Rates {
-			xs := st.CellValues(i, r, trials)
+			// The aggregators keep no reference to xs, so one buffer
+			// serves every cell.
+			xs = st.AppendCell(xs[:0], i, r, trials)
 			if len(xs) == 0 {
 				continue
 			}
@@ -98,7 +102,7 @@ type Progress struct {
 }
 
 // JSONFloat marshals like a float64 but encodes NaN and infinities as
-// null, so live statistics of empty cells survive JSON encoding.
+// null, so the statistics of empty cells survive JSON encoding.
 type JSONFloat float64
 
 // MarshalJSON implements json.Marshaler.
@@ -110,21 +114,18 @@ func (f JSONFloat) MarshalJSON() ([]byte, error) {
 	return json.Marshal(v)
 }
 
-// CellStatus is the live view of one (series, rate) cell: completed-trial
-// count plus streaming statistics (exact mean/min/max, P² median
-// estimate). Final numbers come from TableFromStore, not from here.
+// CellStatus is the live view of one (series, rate) cell: its
+// completed-trial count and the mean, median, min and max of its
+// recorded values, computed from the store when asked. The value the
+// cell's aggregator names equals its TableFromStore point bit for bit.
 type CellStatus struct {
 	Rate   float64   `json:"rate"`
 	Done   int       `json:"done"`
 	Total  int       `json:"total"`
 	Mean   JSONFloat `json:"mean"`
 	Median JSONFloat `json:"median"`
-	// MedianEstimated marks a median that has spilled from the exact
-	// small-cell buffer to the P² streaming estimate, so mid-run JSON can
-	// no longer promise agreement with the exact final table.
-	MedianEstimated bool      `json:"median_estimated,omitempty"`
-	Min             JSONFloat `json:"min"`
-	Max             JSONFloat `json:"max"`
+	Min    JSONFloat `json:"min"`
+	Max    JSONFloat `json:"max"`
 }
 
 // UnitStatus is the live view of one series.
@@ -134,9 +135,9 @@ type UnitStatus struct {
 	Cells  []CellStatus `json:"cells"`
 }
 
-// Execution runs a campaign against a store, tracking live per-cell
-// streaming statistics. It is safe to query (Progress, Status, Table)
-// while Run is executing on another goroutine.
+// Execution runs a campaign against a store. It holds nothing derived
+// from the store, so building one costs O(1), and it is safe to query
+// (Progress, Status, Table) while Run is executing on another goroutine.
 type Execution struct {
 	camp *Campaign
 	st   *Store
@@ -152,9 +153,6 @@ type Execution struct {
 	// behave exactly as before.
 	hub *obs.Hub
 	id  string
-
-	mu    sync.Mutex
-	stats [][]*OnlineStats // [unit][rateIdx]
 }
 
 // SetHub attaches an observability hub; trial telemetry and latency
@@ -201,13 +199,12 @@ func (e *Execution) observeTrial(unit int, t harness.Trial) {
 	e.hub.AppendTrial(e.st.Dir(), rec)
 }
 
-// merge merges trial results into the store with one write and folds
-// the new ones — those whose keys were not yet durable — into the
-// fresh-trial counter and the live statistics. It returns the new ones,
-// compacted in place in recs: a duplicate (a concurrent worker or a
-// reassigned shard got there first) changes nothing. The in-process
-// sink merges each trial as a batch of one, the dispatched sink each
-// worker report as one batch.
+// merge merges trial results into the store with one write and counts
+// the new ones — those whose keys were not yet durable — in the
+// fresh-trial counter. It returns the new ones, compacted in place in
+// recs: a duplicate (a concurrent worker or a reassigned shard got there
+// first) changes nothing. The in-process sink merges each trial as a
+// batch of one, the dispatched sink each worker report as one batch.
 func (e *Execution) merge(recs []Record) ([]Record, error) {
 	for i := range recs {
 		recs[i].Series = e.camp.Plan.Units[recs[i].Unit].Series
@@ -219,11 +216,6 @@ func (e *Execution) merge(recs []Record) ([]Record, error) {
 	if e.trials != nil {
 		e.trials.Add(int64(len(fresh)))
 	}
-	e.mu.Lock()
-	for _, r := range fresh {
-		e.stats[r.Unit][r.RateIdx].Add(r.Value)
-	}
-	e.mu.Unlock()
 	return fresh, nil
 }
 
@@ -244,23 +236,11 @@ func (e *Execution) record(unit int, t harness.Trial) error {
 	return err
 }
 
-// NewExecution prepares a run, folding any trials already in the store
-// into the live statistics (so a resumed campaign's status is complete).
+// NewExecution prepares a run of camp against st. It reads nothing from
+// the store: a resumed run looks each trial up as it reaches it, and
+// Status reads the store when asked.
 func NewExecution(camp *Campaign, st *Store) *Execution {
-	e := &Execution{camp: camp, st: st}
-	e.stats = make([][]*OnlineStats, len(camp.Plan.Units))
-	for i, u := range camp.Plan.Units {
-		e.stats[i] = make([]*OnlineStats, len(u.Sweep.Rates))
-		trials := u.Sweep.PerCell()
-		for r := range u.Sweep.Rates {
-			s := &OnlineStats{}
-			for _, v := range st.CellValues(i, r, trials) {
-				s.Add(v)
-			}
-			e.stats[i][r] = s
-		}
-	}
-	return e
+	return &Execution{camp: camp, st: st}
 }
 
 // Run executes every unit in plan order, each as one whole-unit shard
@@ -311,26 +291,43 @@ func (e *Execution) Progress() Progress {
 	return Progress{Done: e.st.Count(), Total: e.camp.Total()}
 }
 
-// Status reports the live per-cell statistics of every unit.
+// Status reports every cell's statistics, computed from the store on
+// each call, so a finished cell agrees exactly with the table. A call
+// costs O(recorded trials): one scan of the store and one sort per
+// cell, in a single scratch buffer sized to the largest cell.
 func (e *Execution) Status() []UnitStatus {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	per := 0
+	for _, u := range e.camp.Plan.Units {
+		per = max(per, u.Sweep.PerCell())
+	}
+	buf := make([]float64, 0, per)
 	out := make([]UnitStatus, len(e.camp.Plan.Units))
 	for i, u := range e.camp.Plan.Units {
-		us := UnitStatus{Series: u.Series, Agg: u.Agg}
+		cells := make([]CellStatus, len(u.Sweep.Rates))
 		trials := u.Sweep.PerCell()
 		for r, rate := range u.Sweep.Rates {
-			s := e.stats[i][r]
-			us.Cells = append(us.Cells, CellStatus{
-				Rate: rate, Done: s.Count(), Total: trials,
-				Mean: JSONFloat(s.Mean()), Median: JSONFloat(s.Median()),
-				MedianEstimated: s.MedianEstimated(),
-				Min:             JSONFloat(s.Min()), Max: JSONFloat(s.Max()),
-			})
+			cells[r] = cellStatus(rate, trials, e.st.AppendCell(buf[:0], i, r, trials))
 		}
-		out[i] = us
+		out[i] = UnitStatus{Series: u.Series, Agg: u.Agg, Cells: cells}
 	}
 	return out
+}
+
+// cellStatus summarizes one cell from its values in trial-index order:
+// the mean sums them in that order, as harness.Mean does, then xs is
+// sorted in place for the median (harness.Median's rule), min and max.
+func cellStatus(rate float64, total int, xs []float64) CellStatus {
+	nan := JSONFloat(math.NaN())
+	c := CellStatus{Rate: rate, Done: len(xs), Total: total,
+		Mean: JSONFloat(harness.Mean(xs)), Median: nan, Min: nan, Max: nan}
+	if n := len(xs); n > 0 {
+		sort.Float64s(xs)
+		c.Median, c.Min, c.Max = JSONFloat(xs[n/2]), JSONFloat(xs[0]), JSONFloat(xs[n-1])
+		if n%2 == 0 {
+			c.Median = JSONFloat(0.5 * (xs[n/2-1] + xs[n/2]))
+		}
+	}
+	return c
 }
 
 // Table materializes the current results table.

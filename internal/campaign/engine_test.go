@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -175,6 +176,67 @@ func TestMidRunTableAndStatus(t *testing.T) {
 	}
 	if status[0].Cells[1].Done != 0 {
 		t.Errorf("cell 1 should be empty: %+v", status[0].Cells[1])
+	}
+
+	// On a completed grid of more than 64 trials per cell, every status
+	// cell's mean and median are the harness aggregates of the cell's
+	// values, bit for bit, and the one the unit's aggregator names is its
+	// table point. A streaming estimate (a running mean, a quantile
+	// estimator) drifts from both.
+	const trials = 101
+	for _, agg := range []string{"mean", "median"} {
+		camp, err := Compile(Spec{
+			Custom: &CustomSweep{Workload: "sort/base", Rates: []float64{0.01, 0.1}, Agg: agg},
+			Trials: trials, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		u := camp.Plan.Units[0]
+		// Skewed values in scrambled order: their running mean rounds
+		// differently from their sum, and their median is no quantile
+		// marker's interpolation.
+		for r, rate := range u.Sweep.Rates {
+			for i := range trials {
+				v := math.Exp(float64((i*37+r*11)%trials)/9) / 3
+				if err := st.Append(Record{
+					Unit: 0, RateIdx: r, TrialIdx: i,
+					Rate: rate, Seed: u.Sweep.TrialSeed(r, i), Value: v,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		exec := NewExecution(camp, st)
+		points := exec.Table().Series[0].Points
+		cells := exec.Status()[0].Cells
+		if len(points) != len(cells) {
+			t.Fatalf("%s: %d table points, %d status cells", agg, len(points), len(cells))
+		}
+		for r, c := range cells {
+			xs := st.AppendCell(nil, 0, r, trials)
+			if c.Done != trials || c.Total != trials {
+				t.Errorf("%s cell %d: done %d of %d, want %d of %d", agg, r, c.Done, c.Total, trials, trials)
+			}
+			if got, want := float64(c.Mean), harness.Mean(xs); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s cell %d: status mean %v, harness.Mean %v", agg, r, got, want)
+			}
+			if got, want := float64(c.Median), harness.Median(xs); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s cell %d: status median %v, harness.Median %v", agg, r, got, want)
+			}
+			got := c.Mean
+			if agg == "median" {
+				got = c.Median
+			}
+			if math.Float64bits(float64(got)) != math.Float64bits(points[r].Value) {
+				t.Errorf("%s cell %d: status %v, table point %v", agg, r, got, points[r].Value)
+			}
+		}
 	}
 }
 
@@ -348,4 +410,52 @@ func TestRunShard(t *testing.T) {
 			}
 		})
 	}
+}
+
+func TestJSONFloatNaN(t *testing.T) {
+	if b, err := JSONFloat(math.NaN()).MarshalJSON(); err != nil || string(b) != "null" {
+		t.Errorf("NaN -> %s, %v; want null", b, err)
+	}
+	if b, err := JSONFloat(1.5).MarshalJSON(); err != nil || string(b) != "1.5" {
+		t.Errorf("1.5 -> %s, %v", b, err)
+	}
+	if b, err := JSONFloat(math.Inf(1)).MarshalJSON(); err != nil || string(b) != "null" {
+		t.Errorf("+Inf -> %s, %v; want null", b, err)
+	}
+}
+
+// BenchmarkExecutionStatus measures a detailed status over 50,000
+// recorded trials, the half-done campaign the resume benchmarks boot:
+// four cells of 25,000 trials, each holding its first 12,500.
+func BenchmarkExecutionStatus(b *testing.B) {
+	const rates, trials = 4, 25_000
+	camp, err := Compile(Spec{
+		Custom: &CustomSweep{Workload: "sort/base", Rates: []float64{0.001, 0.01, 0.05, 0.1}},
+		Trials: trials, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	u := camp.Plan.Units[0]
+	for r := range rates {
+		for i := range trials / 2 {
+			if err := st.Append(Record{
+				Unit: 0, RateIdx: r, TrialIdx: i, Rate: u.Sweep.Rates[r],
+				Seed: u.Sweep.TrialSeed(r, i), Value: math.Exp(float64(i*37%997) / 97),
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	exec := NewExecution(camp, st)
+	b.ReportAllocs()
+	for b.Loop() {
+		exec.Status()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rates*trials/2), "ns/record")
 }

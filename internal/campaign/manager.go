@@ -56,49 +56,27 @@ type handle struct {
 	mu sync.Mutex
 	// st and exec are nil for a terminal campaign recovered lazily: its
 	// meta already carries state and progress, so the store is only
-	// opened (ensureStoreLocked) when results, per-cell status, or a
-	// resume actually need trial data.
+	// opened (openLocked) when results, per-cell status, or a resume
+	// actually need trial data.
 	st       *Store
 	exec     *Execution
 	metaDone int // progress from meta.json while the store is unopened
 }
 
-// newExecLocked builds an execution over the handle's (open) store with
-// the manager's trial counter and hub attached; h.mu must be held (or the
-// handle not yet shared).
-func (h *handle) newExecLocked() *Execution {
-	e := NewExecution(h.camp, h.st)
-	e.trials = &h.m.trials
-	e.SetHub(h.m.Hub(), h.id)
-	return e
-}
-
-// ensureStoreLocked opens a lazily recovered handle's store; a no-op
-// once open. It deliberately does not build an Execution — replaying the
-// store into live statistics is O(trials) and only detailed status needs
-// it (ensureExecLocked). h.mu must be held.
-func (h *handle) ensureStoreLocked() error {
-	if h.st != nil {
+// openLocked opens the handle's store and builds the execution over it,
+// with the manager's trial counter and hub attached; a no-op once open.
+// h.mu must be held (or the handle not yet shared).
+func (h *handle) openLocked() error {
+	if h.exec != nil {
 		return nil
 	}
 	st, err := Open(h.dir)
 	if err != nil {
 		return fmt.Errorf("campaign: open store for %s: %w", h.id, err)
 	}
-	h.st = st
-	return nil
-}
-
-// ensureExecLocked opens the store (if needed) and builds the execution
-// whose live statistics back detailed status. h.mu must be held.
-func (h *handle) ensureExecLocked() error {
-	if h.exec != nil {
-		return nil
-	}
-	if err := h.ensureStoreLocked(); err != nil {
-		return err
-	}
-	h.exec = h.newExecLocked()
+	h.st, h.exec = st, NewExecution(h.camp, st)
+	h.exec.trials = &h.m.trials
+	h.exec.SetHub(h.m.Hub(), h.id)
 	return nil
 }
 
@@ -137,16 +115,13 @@ func (h *handle) Persist(r job.Record) error {
 	return writeMeta(h.dir, m)
 }
 
-// Prepare opens a lazily recovered store and builds a fresh execution,
-// so a resumed run skips exactly the recorded trials.
+// Prepare opens a lazily recovered store. An open one is reused: the
+// execution keeps no state of its own, and a resumed run skips exactly
+// the trials the store holds.
 func (h *handle) Prepare() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := h.ensureStoreLocked(); err != nil {
-		return err
-	}
-	h.exec = h.newExecLocked()
-	return nil
+	return h.openLocked()
 }
 
 // Cancelled has nothing to sweep: a campaign owns no sub-jobs.
@@ -322,17 +297,15 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 		return "", err
 	}
 	return m.jobs.Submit(spec.Title(), func(id, dir string) (job.Work, error) {
-		st, err := Open(dir)
-		if err != nil {
+		h := &handle{m: m, id: id, spec: spec, camp: camp, dir: dir}
+		if err := h.openLocked(); err != nil {
 			return nil, err
 		}
-		if err := st.SaveSpec(spec); err != nil {
+		if err := h.st.SaveSpec(spec); err != nil {
 			//lint:errdurability-exempt best-effort cleanup: the job layer removes the store directory next
-			st.Close()
+			h.st.Close()
 			return nil, err
 		}
-		h := &handle{m: m, id: id, spec: spec, camp: camp, dir: dir, st: st}
-		h.exec = h.newExecLocked()
 		m.Hub().RegisterCampaign(id, dir)
 		return h, nil
 	})
@@ -352,9 +325,9 @@ func status(j *job.Job, withUnits bool) Status {
 		Finished: r.Finished,
 	}
 	h.mu.Lock()
-	if h.exec == nil && withUnits {
+	if withUnits {
 		// Per-cell statistics need the trial data: open the lazy store now.
-		if err := h.ensureExecLocked(); err != nil {
+		if err := h.openLocked(); err != nil {
 			log.Printf("campaign: %s: status units: %v", h.id, err)
 		}
 	}
@@ -383,13 +356,17 @@ func (m *Manager) List() []Status {
 	return out
 }
 
-// Get returns one campaign's status with live per-cell statistics.
-func (m *Manager) Get(id string) (Status, error) {
+// Get returns one campaign's status with its per-cell statistics, which
+// cost O(recorded trials) (see Execution.Status).
+func (m *Manager) Get(id string) (Status, error) { return m.get(id, true) }
+
+// get is Get, with the per-cell statistics only when withUnits is set.
+func (m *Manager) get(id string, withUnits bool) (Status, error) {
 	j, err := m.jobs.Lookup(id)
 	if err != nil {
 		return Status{}, err
 	}
-	return status(j, true), nil
+	return status(j, withUnits), nil
 }
 
 // Table materializes the campaign's current results table; valid at any
@@ -402,13 +379,13 @@ func (m *Manager) Table(id string) (*harness.Table, error) {
 	}
 	h := j.Work().(*handle)
 	h.mu.Lock()
-	if err := h.ensureStoreLocked(); err != nil {
-		h.mu.Unlock()
+	err = h.openLocked()
+	exec := h.exec
+	h.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	st := h.st
-	h.mu.Unlock()
-	return h.camp.TableFromStore(st), nil
+	return exec.Table(), nil
 }
 
 // Close cancels every campaign, waits (indefinitely) for them to wind

@@ -15,7 +15,7 @@ import (
 // A terminal meta whose progress record matches the compiled grid is
 // recovered WITHOUT opening its store: state and progress come from the
 // meta alone, and the store is opened lazily on first results/status
-// access (handle.ensureStoreLocked). Boot cost therefore stops growing
+// access (handle.openLocked). Boot cost therefore stops growing
 // with terminal history — only live work (interrupted campaigns, old
 // metas written before progress was recorded) replays trial data.
 // Everything else is classified from the store: a complete grid is done
@@ -53,10 +53,9 @@ func (m *Manager) load(id, dir string) (*job.Recovered, error) {
 	if hasMeta && job.Terminal(meta.State) && meta.ID == id && meta.Total == camp.Total() && meta.Total > 0 {
 		return rec, nil
 	}
-	if h.st, err = Open(dir); err != nil {
+	if err := h.openLocked(); err != nil {
 		return nil, err
 	}
-	h.exec = h.newExecLocked()
 	if rec.Record.Created.IsZero() {
 		// Best effort for pre-registry directories: the spec is written
 		// exactly once, at submission.

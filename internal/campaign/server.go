@@ -18,7 +18,7 @@ import (
 //
 //	POST   /campaigns               submit a Spec (JSON body) -> {"id": ...}
 //	GET    /campaigns               list campaigns with progress
-//	GET    /campaigns/{id}          status with live per-cell statistics
+//	GET    /campaigns/{id}          status with exact per-cell statistics
 //	GET    /campaigns/{id}/status/stream
 //	                                live status as Server-Sent Events (see sseHandler)
 //	GET    /campaigns/{id}/results  materialized table; ?format=text|csv|json

@@ -43,7 +43,7 @@ func terminalState(state string) bool {
 //   - `: heartbeat` comment lines during long quiet stretches.
 //
 // The stream is read-only diagnostics over the same Status the polling
-// endpoint serves: it touches no store and changes no execution, so
+// endpoint serves: it only reads the store and changes no execution, so
 // results are bit-identical whether or not anyone is streaming.
 func sseHandler(m *Manager) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -100,9 +100,16 @@ func sseHandler(m *Manager) http.HandlerFunc {
 				return
 			case <-ticker.C:
 			}
-			status, err := m.Get(id)
+			// A quiet tick reads progress and state only; the per-cell
+			// statistics are computed when there is something to send.
+			status, err := m.get(id, false)
 			if err != nil {
 				return
+			}
+			if status.Progress.Done != lastDone || status.State != lastState || terminalState(status.State) {
+				if status, err = m.Get(id); err != nil {
+					return
+				}
 			}
 			if terminalState(status.State) {
 				send("progress", status)

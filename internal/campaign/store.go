@@ -369,19 +369,19 @@ func (st *Store) Count() int {
 	return len(st.have)
 }
 
-// CellValues returns the recorded values of one (unit, rateIdx) cell in
-// trial-index order, skipping gaps — exactly the slice an aggregator
-// would have seen for the completed prefix.
-func (st *Store) CellValues(unit, rateIdx, trials int) []float64 {
+// AppendCell appends the recorded values of one (unit, rateIdx) cell to
+// dst in trial-index order, skipping gaps — exactly the slice an
+// aggregator would have seen for the completed prefix — and returns the
+// extended slice.
+func (st *Store) AppendCell(dst []float64, unit, rateIdx, trials int) []float64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var xs []float64
 	for t := 0; t < trials; t++ {
 		if v, ok := st.have[trialKey{unit, rateIdx, t}]; ok {
-			xs = append(xs, v)
+			dst = append(dst, v)
 		}
 	}
-	return xs
+	return dst
 }
 
 // SaveSpec persists the campaign spec beside the results, atomically: a

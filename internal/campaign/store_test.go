@@ -52,8 +52,8 @@ func TestStoreAppendReloadDedup(t *testing.T) {
 	if got := st2.Count(); got != 3 {
 		t.Errorf("reloaded count = %d, want 3", got)
 	}
-	if xs := st2.CellValues(0, 0, 2); len(xs) != 2 || xs[0] != 1 || xs[1] != 0 {
-		t.Errorf("cell values = %v, want [1 0]", xs)
+	if xs := st2.AppendCell([]float64{9}, 0, 0, 2); len(xs) != 3 || xs[0] != 9 || xs[1] != 1 || xs[2] != 0 {
+		t.Errorf("cell values appended to [9] = %v, want [9 1 0]", xs)
 	}
 }
 

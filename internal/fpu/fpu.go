@@ -199,14 +199,6 @@ func (u *Unit) Energy() float64 {
 	return u.energy
 }
 
-// SetOpEnergy changes the per-FLOP energy charge, e.g. after a voltage
-// change. It has no effect on a nil unit.
-func (u *Unit) SetOpEnergy(e float64) {
-	if u != nil {
-		u.opEnergy = e
-	}
-}
-
 // Reset zeroes all counters. The injector, if any, keeps its state.
 func (u *Unit) Reset() {
 	if u == nil {

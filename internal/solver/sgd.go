@@ -9,9 +9,6 @@ import (
 	"robustify/internal/linalg"
 )
 
-// ErrBadOptions is returned when solver options are inconsistent.
-var ErrBadOptions = errors.New("solver: invalid options")
-
 // Aggressive configures the aggressive-stepping phase (§3.2): after the
 // fixed-iteration SGD phase, the step size grows by SuccessFactor whenever a
 // step decreases the (reliably evaluated) cost and shrinks by FailFactor

@@ -400,10 +400,7 @@ func waitCampaign(ctx context.Context, cm *campaign.Manager, id string) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		st, err := cm.Get(id)
-		if err != nil {
-			return err
-		}
+		st := j.Record()
 		if st.State == campaign.StateDone {
 			return nil
 		}
