@@ -207,7 +207,6 @@ func writeTelemetry(path string, collector *obs.Collector) error {
 	byRate := collector.DrainByRate()
 	rates := make([]float64, 0, len(byRate))
 	for rate := range byRate {
-		//lint:detmap-exempt keys are sorted before use
 		rates = append(rates, rate)
 	}
 	sort.Float64s(rates)

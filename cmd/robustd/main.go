@@ -177,7 +177,6 @@ func run(args []string, ready chan<- string) error {
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dmux.HandleFunc("/debug/events", hub.EventsHandler())
-		//lint:goroutinehygiene-exempt the deferred dln.Close() above ends Serve (net.ErrClosed) when run returns
 		go func() {
 			if err := http.Serve(dln, dmux); err != nil && !errors.Is(err, net.ErrClosed) {
 				log.Printf("robustd: debug server: %v", err)
@@ -189,7 +188,6 @@ func run(args []string, ready chan<- string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	//lint:goroutinehygiene-exempt errc is buffered (size 1) so the send never parks, and Serve returns at Shutdown/Close below
 	go func() { errc <- srv.Serve(ln) }()
 	log.Printf("robustd: listening on %s, storing campaigns under %s", ln.Addr(), *data)
 	if ready != nil {

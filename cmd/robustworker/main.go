@@ -108,7 +108,6 @@ func run(args []string) error {
 		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		//lint:goroutinehygiene-exempt the deferred dln.Close() above ends Serve (net.ErrClosed) when run returns
 		go func() {
 			if err := http.Serve(dln, dmux); err != nil && !errors.Is(err, net.ErrClosed) {
 				log.Printf("robustworker: debug server: %v", err)

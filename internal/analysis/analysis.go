@@ -4,8 +4,6 @@
 //
 //   - fpumediation: stochastic float math in the numerical packages must
 //     flow through fpu.Unit, or carry a written //lint:fpu-exempt reason.
-//   - detmaprange: map iteration must not feed order-dependent sinks
-//     (appends, writers, string or float accumulation) without a sort.
 //   - notimeinartifacts: wall-clock values must not reach resume-identity
 //     artifacts (JSONL store records, tune.json) — timestamps belong in
 //     meta.json and /metrics only.
@@ -13,6 +11,10 @@
 //     fsutil.WriteFileAtomic (temp + fsync + rename), never os.WriteFile.
 //   - seededrand: no global math/rand and no time-derived seeds outside
 //     _test.go files and examples/.
+//   - locksafety: no call made under a mutex may reacquire it or block on
+//     a channel send, however many frames down.
+//   - errdurability: no discarded error from a durability sink, directly
+//     or transitively.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools/
 // go/analysis (Analyzer, Pass, Diagnostic) so the suite can migrate to the
@@ -63,8 +65,8 @@ type Pass struct {
 	Info  *types.Info
 
 	// Facts is the call-graph database over every package of the run —
-	// the cross-function layer the lock-safety, goroutine-hygiene,
-	// error-durability, and registry-exhaustiveness analyzers query.
+	// the cross-function layer the lock-safety and error-durability
+	// analyzers query.
 	Facts *Facts
 
 	pkg     *Package

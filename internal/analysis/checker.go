@@ -5,19 +5,16 @@ import (
 )
 
 // All returns the robustlint analyzer suite in stable order. The first
-// five are single-function AST passes (PR 6); the last four query the
+// four are single-function AST passes; the last two query the
 // cross-function facts layer (facts.go) built once per run.
 func All() []*Analyzer {
 	return []*Analyzer{
 		FPUMediation,
-		DetMapRange,
 		NoTimeInArtifacts,
 		AtomicWrite,
 		SeededRand,
 		LockSafety,
-		GoroutineHygiene,
 		ErrDurability,
-		RegExhaustive,
 	}
 }
 
@@ -37,33 +34,21 @@ func knownDirectives() (exempts, all map[string]bool) {
 			exempts[a.Directive] = true
 		}
 	}
-	all = map[string]bool{
-		DirectiveDurable: true,
-		DirectiveEnum:    true,
-	}
+	all = map[string]bool{DirectiveDurable: true}
 	for d := range exempts {
 		all[d] = true
 	}
 	return exempts, all
 }
 
-// Run loads the packages matching patterns under dir and applies every
-// analyzer to every package, returning the surviving (non-exempted)
-// diagnostics sorted by position. Directive hygiene — unknown //lint:
-// directives and directives with no reason — is always checked.
-func Run(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
-	diags, err := RunWithExempted(dir, analyzers, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return dropExempted(diags), nil
-}
-
-// RunWithExempted is Run, but the result additionally includes the
+// RunWithExempted loads the packages matching patterns under dir and
+// applies every analyzer to every package, returning the diagnostics
+// sorted by position. Directive hygiene — unknown //lint: directives and
+// directives with no reason — is always checked. The result includes the
 // findings //lint: directives suppressed, each carrying its Exempted
-// flag and the directive's written reason. The JSON output mode uses
-// this so the machine-readable report shows the full audit surface; the
-// exit status and text output must still count only live findings.
+// flag and the directive's written reason, so the JSON output shows the
+// full audit surface; the exit status and text output must count only
+// live findings.
 func RunWithExempted(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
@@ -82,7 +67,7 @@ func RunWithExempted(dir string, analyzers []*Analyzer, patterns ...string) ([]D
 // facts built over that package alone. pathAs, when non-empty, overrides
 // the package's import path for analyzer scoping — the fixture runner
 // uses it so testdata packages can impersonate the real paths an
-// analyzer audits. Exempted findings are dropped, as in Run.
+// analyzer audits. Exempted findings are dropped.
 func RunPackage(pkg *Package, pathAs string, analyzers []*Analyzer) []Diagnostic {
 	return dropExempted(runPackage(pkg, pathAs, analyzers, BuildFacts([]*Package{pkg})))
 }
@@ -131,7 +116,7 @@ func dropExempted(diags []Diagnostic) []Diagnostic {
 // checkDirectiveHygiene reports malformed //lint: comments: unknown
 // directive names (usually typos, which would silently exempt nothing)
 // and directives missing the mandatory reason — exemptions and marker
-// directives (//lint:durable, //lint:enum) alike.
+// directives (//lint:durable) alike.
 func checkDirectiveHygiene(pkg *Package, known map[string]bool) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range pkg.Files {

@@ -6,15 +6,15 @@ import (
 )
 
 // ErrDurability guards the durability contract at its weakest point: the
-// discarded error. The repo's recovery story rests on "an Append that
-// returned nil is on disk" — which inverts into "an Append whose error
+// discarded error. The repo's recovery story rests on "a Put that
+// returned nil is on disk" — which inverts into "a Put whose error
 // nobody looked at may never have happened". A trial recorded through a
 // swallowed Store.Put is a trial the next resume silently re-runs at
 // best and loses at worst.
 //
 // Durability sinks are declared in the code they live in: a
 // //lint:durable <reason> marker on a function (fsutil.WriteFileAtomic,
-// Store.Append/Put/PutBatch, the flock acquisition, telemetry flushes)
+// Store.Put/PutBatch, the flock acquisition, telemetry flushes)
 // makes it a sink root. The call-graph facts layer then propagates: any function
 // that calls a sink (or a propagator) and returns an error is itself a
 // durability-error carrier — so a helper that swallows the error is as

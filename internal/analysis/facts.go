@@ -6,10 +6,9 @@ package analysis
 // m.mu) was invisible to them: the reacquisition happened two calls away.
 // This file builds an inter-procedural summary per function — which
 // mutexes it acquires (identified by owner type and field path), whether
-// it can block on a channel send, whether it waits on a cancellation
-// signal, whether its error return can originate from a durability sink —
-// plus the static call edges between functions, across every loaded
-// package. Analyzers query the summaries transitively (BFS over call
+// it can block on a channel send, whether its error return can originate
+// from a durability sink — plus the static call edges between functions,
+// across every loaded package. Analyzers query the summaries transitively (BFS over call
 // edges, with interface calls expanded to every loaded implementation by
 // method name and signature), so "calls X while holding L, and X can
 // reacquire L three frames down, in another package" becomes checkable.
@@ -22,28 +21,22 @@ package analysis
 //     exempted with a reason) but catches every self-deadlock, which is
 //     instance-blind by definition.
 //   - Held-lock tracking walks statements in source order: Lock adds,
-//     Unlock removes, a deferred Unlock pins the lock to function end.
-//     That matches the straight-line or defer discipline the repo uses;
-//     exotic conditional unlocking would over-report, never under-report
-//     a held lock past its Unlock.
+//     Unlock removes, a deferred Unlock pins the lock to function end,
+//     and an Unlock inside an if-body that ends in return, branch or
+//     panic releases the lock only on that early-exit path. That matches
+//     the straight-line, defer and unlock-then-return discipline the
+//     repo uses; other conditional unlocking can still drop a lock early.
 //   - Calls through function values are invisible; calls through
 //     interfaces expand to every loaded method with the same name and
 //     signature (over-approximation again — safe for deadlock hunting).
 //   - `go f(...)` edges are recorded as async: the spawner does not block
-//     on them, so lock-safety BFS skips them; goroutinehygiene analyzes
-//     the spawned function at the go statement itself.
+//     on them, so lock-safety BFS skips them.
 //
-// Two marker directives feed the layer (both validated by the directive
-// hygiene check, both requiring written text):
-//
-//   - //lint:durable <reason> on a function marks it a durability sink
-//     root: discarding its error — or the error of any function that
-//     transitively propagates it — is an errdurability finding.
-//   - //lint:enum <group> <doc> on a const block registers its members as
-//     one exhaustiveness domain for regexhaustive; blocks in the same
-//     package sharing a group word merge (tune's states span two files).
-//     Named-type const families (robust.Kind, core.PenaltyKind, ...) are
-//     registered automatically, no marker needed.
+// One marker directive feeds the layer (validated by the directive
+// hygiene check, and requiring written text): //lint:durable <reason> on
+// a function marks it a durability sink root. Discarding its error — or
+// the error of any function that transitively propagates it — is an
+// errdurability finding.
 
 import (
 	"fmt"
@@ -54,13 +47,9 @@ import (
 	"strings"
 )
 
-// Marker directives consumed by the facts layer (not exemptions).
-const (
-	// DirectiveDurable marks a durability sink root.
-	DirectiveDurable = "durable"
-	// DirectiveEnum registers a const block as an exhaustiveness domain.
-	DirectiveEnum = "enum"
-)
+// DirectiveDurable is the marker directive (not an exemption) that makes
+// a function a durability sink root.
+const DirectiveDurable = "durable"
 
 // FuncID is a stable cross-package symbol for a function or method:
 // "pkg.Name" or "pkg.(Recv).Name". Function literals get a synthetic
@@ -96,8 +85,6 @@ type callSite struct {
 	discardsErr bool
 	// deferred: the call runs at function return (defer f()).
 	deferred bool
-	// ctxArg: some argument has type context.Context.
-	ctxArg bool
 }
 
 // sendSite is a potentially blocking channel send with locks held.
@@ -118,13 +105,6 @@ type FuncFacts struct {
 	// BlockingSend is the first channel send not guarded by a
 	// select-with-default (0 = none).
 	BlockingSend token.Pos
-	// CancelWait: the body consumes a cancellation or rendezvous signal —
-	// a channel receive, a select, a range over a channel, or
-	// ctx.Done()/ctx.Err().
-	CancelWait bool
-	// WGDone: the body calls (*sync.WaitGroup).Done — its lifetime is
-	// bounded by a waiting spawner.
-	WGDone bool
 	// ReturnsErr: the signature's last result is error.
 	ReturnsErr bool
 	// DurableSink: carries a //lint:durable marker.
@@ -144,9 +124,6 @@ type FuncFacts struct {
 // Facts is the whole-run call-graph database.
 type Facts struct {
 	fns map[FuncID]*FuncFacts
-	// decls maps FuncDecl and FuncLit nodes to their summaries, so
-	// analyzers walking a package's AST can pivot into the graph.
-	decls map[ast.Node]*FuncFacts
 	// byPkg lists each package's summaries (decls then literals) in
 	// source order, for deterministic per-package iteration.
 	byPkg map[*Package][]*FuncFacts
@@ -158,52 +135,10 @@ type Facts struct {
 	// source check. Used to confirm a candidate actually implements the
 	// called interface.
 	recvMethods map[string]map[string]bool
-
-	// enums: exhaustiveness domains. memberOf maps a constant's key
-	// (pkgpath.Name) to its group.
-	enums    []*EnumGroup
-	memberOf map[string]*EnumGroup
-	// aliasOf maps a constant declared as a registered member
-	// (campaign.StateDone = job.StateDone) to that member's key.
-	aliasOf map[string]string
 }
-
-// EnumGroup is one registered exhaustiveness domain: the constants a
-// switch or keyed literal dispatching over the group must cover.
-type EnumGroup struct {
-	// Name is the display name: the named type (robust.Kind) or the
-	// marker group word (job-state).
-	Name string
-	// Members are constant keys (pkgpath.ConstName), sorted.
-	Members []string
-}
-
-// short returns the display form of a member key: pkgbase.Const.
-func memberShort(key string) string {
-	slash := strings.LastIndexByte(key, '/')
-	return key[slash+1:]
-}
-
-// Fn returns the summary for id, or nil.
-func (fs *Facts) Fn(id FuncID) *FuncFacts { return fs.fns[id] }
-
-// FactsOf returns the summary attached to a FuncDecl or FuncLit node.
-func (fs *Facts) FactsOf(n ast.Node) *FuncFacts { return fs.decls[n] }
 
 // PkgFuncs returns pkg's summaries in source order.
 func (fs *Facts) PkgFuncs(pkg *Package) []*FuncFacts { return fs.byPkg[pkg] }
-
-// MemberGroup returns the enum group owning the constant key, or nil.
-func (fs *Facts) MemberGroup(key string) *EnumGroup { return fs.memberOf[key] }
-
-// Canonical resolves an alias constant's key to the member it aliases;
-// any other key is returned unchanged.
-func (fs *Facts) Canonical(key string) string {
-	if m, ok := fs.aliasOf[key]; ok {
-		return m
-	}
-	return key
-}
 
 // resolve expands a call site to the summaries it can reach directly:
 // one for a static callee; for an interface call, every name+sig match
@@ -300,15 +235,11 @@ func (fs *Facts) Reach(c callSite, visit func(*FuncFacts) bool) *reachStep {
 func BuildFacts(pkgs []*Package) *Facts {
 	fs := &Facts{
 		fns:         make(map[FuncID]*FuncFacts),
-		decls:       make(map[ast.Node]*FuncFacts),
 		byPkg:       make(map[*Package][]*FuncFacts),
 		methodIndex: make(map[string][]FuncID),
 		recvMethods: make(map[string]map[string]bool),
-		memberOf:    make(map[string]*EnumGroup),
-		aliasOf:     make(map[string]string),
 	}
 	for _, pkg := range pkgs {
-		fs.collectEnums(pkg)
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
@@ -319,14 +250,10 @@ func BuildFacts(pkgs []*Package) *Facts {
 			}
 		}
 	}
-	for _, pkg := range pkgs { // after every group is registered
-		fs.collectEnumAliases(pkg)
-	}
 	// Fixpoint: DurableErr propagates up the (error-returning) call chain.
 	for changed := true; changed; {
 		changed = false
 		for _, fn := range fs.fns {
-			//lint:detmap-exempt fixpoint over a set: iteration order cannot change the fixed point, and nothing is emitted
 			if fn.DurableErr || !fn.ReturnsErr {
 				continue
 			}
@@ -344,7 +271,6 @@ func BuildFacts(pkgs []*Package) *Facts {
 		}
 	}
 	for key := range fs.methodIndex {
-		//lint:detmap-exempt each key's slice is sorted in place; map order does not affect any output
 		sort.Slice(fs.methodIndex[key], func(i, j int) bool {
 			return fs.methodIndex[key][i] < fs.methodIndex[key][j]
 		})
@@ -468,17 +394,13 @@ func (fs *Facts) buildFunc(pkg *Package, decl *ast.FuncDecl) {
 		recvKey:     recvKey,
 	}
 	fs.fns[id] = fn
-	fs.decls[decl] = fn
 	fs.byPkg[pkg] = append(fs.byPkg[pkg], fn)
 	b := newBuilder(fs, pkg, fn)
 	b.walk(decl.Body)
 }
 
 // buildLit summarizes one function literal under a synthetic id.
-func (fs *Facts) buildLit(pkg *Package, lit *ast.FuncLit) *FuncFacts {
-	if fn := fs.decls[lit]; fn != nil {
-		return fn
-	}
+func (fs *Facts) buildLit(pkg *Package, lit *ast.FuncLit) {
 	pos := pkg.Fset.Position(lit.Pos())
 	id := FuncID(fmt.Sprintf("%s.func@%s:%d:%d", pkg.Path, pos.Filename, pos.Line, pos.Column))
 	sig, _ := pkg.Info.TypeOf(lit).(*types.Signature)
@@ -491,11 +413,9 @@ func (fs *Facts) buildLit(pkg *Package, lit *ast.FuncLit) *FuncFacts {
 		fn.ReturnsErr = returnsError(sig)
 	}
 	fs.fns[id] = fn
-	fs.decls[lit] = fn
 	fs.byPkg[pkg] = append(fs.byPkg[pkg], fn)
 	b := newBuilder(fs, pkg, fn)
 	b.walk(lit.Body)
-	return fn
 }
 
 func newBuilder(fs *Facts, pkg *Package, fn *FuncFacts) *factsBuilder {
@@ -553,6 +473,23 @@ func (b *factsBuilder) walk(body ast.Node) {
 		case *ast.FuncLit:
 			b.fs.buildLit(b.pkg, v)
 			return false // its statements run later, not here
+		case *ast.IfStmt:
+			if !terminates(v.Body) {
+				break
+			}
+			// An Unlock on an early-return path releases the lock only on
+			// that path: the statements after the if still hold it.
+			if v.Init != nil {
+				b.walk(v.Init)
+			}
+			b.walk(v.Cond)
+			held := b.heldCopy()
+			b.walk(v.Body)
+			b.held = held
+			if v.Else != nil {
+				b.walk(v.Else)
+			}
+			return false
 		case *ast.DeferStmt:
 			b.deferred[v.Call] = true
 			b.markDiscards(v.Call, nil)
@@ -576,7 +513,6 @@ func (b *factsBuilder) walk(body ast.Node) {
 					hasDefault = true
 				}
 			}
-			b.fn.CancelWait = true
 			if hasDefault {
 				for _, c := range v.Body.List {
 					if cc, ok := c.(*ast.CommClause); ok {
@@ -595,21 +531,31 @@ func (b *factsBuilder) walk(body ast.Node) {
 					b.fn.SendsHeld = append(b.fn.SendsHeld, sendSite{held: b.heldCopy(), pos: v.Pos()})
 				}
 			}
-		case *ast.UnaryExpr:
-			if v.Op == token.ARROW {
-				b.fn.CancelWait = true
-			}
-		case *ast.RangeStmt:
-			if t := b.pkg.Info.TypeOf(v.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					b.fn.CancelWait = true
-				}
-			}
 		case *ast.CallExpr:
 			b.call(v)
 		}
 		return true
 	})
+}
+
+// terminates reports whether a block always leaves the enclosing
+// statement list: its last statement is a return, a branch or a panic.
+func terminates(block *ast.BlockStmt) bool {
+	if len(block.List) == 0 {
+		return false
+	}
+	switch last := block.List[len(block.List)-1].(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		call, ok := last.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		return ok && id.Name == "panic"
+	}
+	return false
 }
 
 // markDiscards records which of call's results are dropped: all of them
@@ -656,17 +602,6 @@ func (b *factsBuilder) call(call *ast.CallExpr) {
 	if callee == nil {
 		return
 	}
-	// Cancellation-signal and WaitGroup accounting for known callees.
-	if pkg := callee.Pkg(); pkg != nil {
-		switch {
-		case pkg.Path() == "context" && (callee.Name() == "Done" || callee.Name() == "Err"):
-			b.fn.CancelWait = true
-		case pkg.Path() == "sync" && callee.Name() == "Done" && recvIs(callee, "sync", "WaitGroup"):
-			b.fn.WGDone = true
-		case pkg.Path() == "sync" && callee.Name() == "Wait" && recvIs(callee, "sync", "WaitGroup"):
-			b.fn.CancelWait = true
-		}
-	}
 	sig, _ := callee.Type().(*types.Signature)
 	site := callSite{
 		callee:      funcIDOf(callee),
@@ -677,12 +612,6 @@ func (b *factsBuilder) call(call *ast.CallExpr) {
 		async:       b.async[call],
 		deferred:    b.deferred[call],
 		discardsErr: b.discard[call] && sig != nil && returnsError(sig),
-	}
-	for _, arg := range call.Args {
-		if isContextType(b.pkg.Info.TypeOf(arg)) {
-			site.ctxArg = true
-			break
-		}
 	}
 	if iface && sig != nil {
 		site.sig = sigString(sig)
@@ -707,20 +636,6 @@ func (b *factsBuilder) heldCopy() []heldLock {
 		return nil
 	}
 	return append([]heldLock(nil), b.held...)
-}
-
-// recvIs reports whether fn is a method on pkg.Type (pointer-stripped).
-func recvIs(fn *types.Func, pkgPath, typeName string) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := types.Unalias(sig.Recv().Type())
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == typeName
 }
 
 // calleeOf resolves a call's static target. iface is true when the call
@@ -881,144 +796,4 @@ func isMutexMethod(obj types.Object) bool {
 func lockShort(id string) string {
 	slash := strings.LastIndexByte(id, '/')
 	return id[slash+1:]
-}
-
-// collectEnums registers pkg's exhaustiveness domains: every named-type
-// constant family automatically, every //lint:enum-marked const block by
-// its group word.
-func (fs *Facts) collectEnums(pkg *Package) {
-	// Named-type families: package-level constants grouped by their
-	// named (basic-underlying) type declared in this package.
-	byType := make(map[string][]string)
-	scope := pkg.Pkg.Scope()
-	for _, name := range scope.Names() {
-		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok {
-			continue
-		}
-		n, ok := types.Unalias(c.Type()).(*types.Named)
-		if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != pkg.Path {
-			continue
-		}
-		if _, basic := n.Underlying().(*types.Basic); !basic {
-			continue
-		}
-		tkey := n.Obj().Name()
-		byType[tkey] = append(byType[tkey], pkg.Path+"."+name)
-	}
-	typeNames := make([]string, 0, len(byType))
-	for t := range byType {
-		//lint:detmap-exempt the collected keys are sorted immediately below
-		typeNames = append(typeNames, t)
-	}
-	sort.Strings(typeNames)
-	for _, t := range typeNames {
-		members := byType[t]
-		if len(members) < 2 {
-			continue
-		}
-		sort.Strings(members)
-		fs.addEnum(pkgBase(pkg.Path)+"."+t, members)
-	}
-
-	// Marked const blocks, grouped by the first word after //lint:enum.
-	marked := make(map[string][]string)
-	var order []string
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST {
-				continue
-			}
-			group := enumGroupWord(gd.Doc)
-			if group == "" {
-				continue
-			}
-			if _, seen := marked[group]; !seen {
-				order = append(order, group)
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, name := range vs.Names {
-					if name.Name == "_" {
-						continue
-					}
-					marked[group] = append(marked[group], pkg.Path+"."+name.Name)
-				}
-			}
-		}
-	}
-	for _, group := range order {
-		members := marked[group]
-		sort.Strings(members)
-		fs.addEnum(group, members)
-	}
-}
-
-// collectEnumAliases records pkg's package-level constants declared as a
-// registered member of any package (const StateDone = job.StateDone):
-// dispatch over the alias is checked against the member's one group, so
-// a state family re-exported under several package names stays a single
-// domain.
-func (fs *Facts) collectEnumAliases(pkg *Package) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) != len(vs.Names) {
-					continue
-				}
-				for i, name := range vs.Names {
-					key := pkg.Path + "." + name.Name
-					target := constKeyOf(pkg.Info, vs.Values[i])
-					if fs.memberOf[key] == nil && fs.memberOf[target] != nil {
-						fs.aliasOf[key] = target
-					}
-				}
-			}
-		}
-	}
-}
-
-func (fs *Facts) addEnum(name string, members []string) {
-	g := &EnumGroup{Name: name, Members: members}
-	fs.enums = append(fs.enums, g)
-	for _, m := range members {
-		if fs.memberOf[m] == nil {
-			fs.memberOf[m] = g
-		}
-	}
-}
-
-// enumGroupWord extracts the group word of a //lint:enum directive in a
-// const block's doc comment ("" when unmarked).
-func enumGroupWord(doc *ast.CommentGroup) string {
-	if doc == nil {
-		return ""
-	}
-	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(c.Text, directivePrefix)
-		if !ok {
-			continue
-		}
-		name, reason, _ := strings.Cut(rest, " ")
-		if strings.TrimSpace(name) != DirectiveEnum {
-			continue
-		}
-		word, _, _ := strings.Cut(strings.TrimSpace(reason), " ")
-		return word
-	}
-	return ""
-}
-
-func pkgBase(path string) string {
-	slash := strings.LastIndexByte(path, '/')
-	return path[slash+1:]
 }

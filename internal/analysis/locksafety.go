@@ -64,7 +64,6 @@ func checkHeldCall(pass *Pass, fn *FuncFacts, c callSite) {
 	hit := pass.Facts.Reach(c, func(callee *FuncFacts) bool {
 		for id := range callee.Acquires {
 			if _, ok := held[id]; ok {
-				//lint:detmap-exempt at most one held lock can match; which map order finds it first is irrelevant
 				deadLock, deadPos = id, callee.Acquires[id]
 				return true
 			}

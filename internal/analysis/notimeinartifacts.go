@@ -18,7 +18,7 @@ import (
 // produced by time.Now/time.Since — including values derived from them
 // through method calls, arithmetic, and composite literals — must not
 // reach a serialization sink: json.Marshal/MarshalIndent, (*json.Encoder)
-// .Encode, a Store.Append/Put/PutBatch record, a writeTrace call, or
+// .Encode, a Store.Put/PutBatch record, a writeTrace call, or
 // fsutil.WriteFileAtomic. Legitimate uses (meta.json fields, durations
 // feeding logs or metrics text) never hit those sinks and pass untouched;
 // anything intentional is exempted with //lint:artifact-time-exempt
@@ -170,7 +170,7 @@ func serializationSink(pass *Pass, call *ast.CallExpr) string {
 	switch {
 	case sel.Sel.Name == "Encode" && strings.Contains(recv, "encoding/json.Encoder"):
 		return "(*json.Encoder).Encode"
-	case (sel.Sel.Name == "Append" || sel.Sel.Name == "Put" || sel.Sel.Name == "PutBatch") && strings.Contains(recv, "campaign.Store"):
+	case (sel.Sel.Name == "Put" || sel.Sel.Name == "PutBatch") && strings.Contains(recv, "campaign.Store"):
 		return "(*campaign.Store)." + sel.Sel.Name
 	}
 	return ""

@@ -32,6 +32,19 @@ func (m *Manager) Resume() {
 	m.emit("resumed") // want "deadlocks"
 }
 
+// Restart is the deadlock at its real site: an early-return path unlocks
+// m.mu, but the fall-through path still holds it when it emits.
+func (m *Manager) Restart(closed bool) {
+	m.mu.Lock()
+	if closed {
+		m.mu.Unlock()
+		return
+	}
+	m.state = "running"
+	m.emit("resumed") // want "deadlocks"
+	m.mu.Unlock()
+}
+
 func (m *Manager) emit(kind string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,8 +1,8 @@
-// Package eigen implements the paper's §4.7 extension: computing top
-// eigenpairs of a symmetric matrix on a stochastic processor by maximizing
-// the Rayleigh quotient with noisy gradient ascent, deflating, and
-// repeating. The conventional power iteration serves as the faulty
-// baseline.
+// Package eigen implements the paper's §4.7 extension: computing the top
+// eigenpair of a symmetric matrix on a stochastic processor by maximizing
+// the Rayleigh quotient with noisy gradient ascent. (Further pairs follow
+// by deflating and repeating; no workload here needs them.) The
+// conventional power iteration serves as the faulty baseline.
 package eigen
 
 import (
@@ -147,41 +147,4 @@ func TopEigen(u *fpu.Unit, m *linalg.Dense, o Options) (float64, []float64, erro
 		}
 	}
 	return lambda, x, nil
-}
-
-// Deflate subtracts λ·vvᵀ from a copy of m (reliable setup between
-// eigenpair extractions).
-//
-//lint:fpu-exempt fault-free setup between extractions: deflation happens outside the simulated iteration
-func Deflate(m *linalg.Dense, lambda float64, v []float64) *linalg.Dense {
-	out := m.Clone()
-	for i := 0; i < out.Rows; i++ {
-		for j := 0; j < out.Cols; j++ {
-			out.Set(i, j, out.At(i, j)-lambda*v[i]*v[j])
-		}
-	}
-	return out
-}
-
-// TopK returns the k largest eigenvalues (and vectors) by repeated robust
-// Rayleigh ascent with deflation.
-func TopK(u *fpu.Unit, m *linalg.Dense, k int, o Options) ([]float64, *linalg.Dense, error) {
-	if k <= 0 || k > m.Rows {
-		return nil, nil, ErrBadMatrix
-	}
-	vals := make([]float64, 0, k)
-	vecs := linalg.NewDense(m.Rows, k)
-	cur := m
-	for i := 0; i < k; i++ {
-		lambda, v, err := TopEigen(u, cur, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		vals = append(vals, lambda)
-		for r := 0; r < m.Rows; r++ {
-			vecs.Set(r, i, v[r])
-		}
-		cur = Deflate(cur, lambda, v)
-	}
-	return vals, vecs, nil
 }

@@ -90,56 +90,8 @@ func TestTopEigenBeatsPowerUnderFaults(t *testing.T) {
 	}
 }
 
-func TestTopKWithDeflation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := RandomSymmetric(rng, 5)
-	vals, vecs, err := TopK(nil, m, 3, Options{Iters: 3000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{5, 4, 3}
-	for i, w := range want {
-		if math.Abs(vals[i]-w) > 0.05 {
-			t.Errorf("eigenvalue %d = %v, want %v", i, vals[i], w)
-		}
-	}
-	// Eigenvectors roughly orthonormal.
-	gram := vecs.Gram(nil)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			wantG := 0.0
-			if i == j {
-				wantG = 1
-			}
-			if math.Abs(gram.At(i, j)-wantG) > 0.05 {
-				t.Errorf("VᵀV(%d,%d) = %v", i, j, gram.At(i, j))
-			}
-		}
-	}
-}
-
 func TestTopEigenValidation(t *testing.T) {
 	if _, _, err := TopEigen(nil, linalg.NewDense(2, 3), Options{}); err == nil {
 		t.Error("non-square matrix accepted")
-	}
-	if _, _, err := TopK(nil, linalg.Eye(3), 0, Options{}); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, _, err := TopK(nil, linalg.Eye(3), 4, Options{}); err == nil {
-		t.Error("k>n accepted")
-	}
-}
-
-func TestDeflateRemovesComponent(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := RandomSymmetric(rng, 4)
-	lambda, v, err := TopEigen(nil, m, Options{Iters: 3000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := Deflate(m, lambda, v)
-	l2, _ := PowerIteration(nil, d, 800)
-	if math.Abs(l2-3) > 0.05 {
-		t.Errorf("after deflation top = %v, want 3", l2)
 	}
 }

@@ -32,14 +32,6 @@ func NewFilter(a, b []float64) (*Filter, error) {
 	return f, nil
 }
 
-// Taps returns the filter order descriptor max(len(A), len(B)).
-func (f *Filter) Taps() int {
-	if len(f.A) > len(f.B) {
-		return len(f.A)
-	}
-	return len(f.B)
-}
-
 // Lowpass designs a stable lowpass of the given tap count: a
 // ⌈taps/2⌉-point moving-average numerator and ⌊taps/2⌋−1 poles spread on a
 // circle of the given radius (< 1 for stability). Splitting the taps

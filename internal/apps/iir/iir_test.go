@@ -32,8 +32,8 @@ func TestNewFilterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Taps() != 3 {
-		t.Errorf("Taps = %d", f.Taps())
+	if len(f.A) != 2 || len(f.B) != 3 {
+		t.Errorf("len(A), len(B) = %d, %d; want 2, 3", len(f.A), len(f.B))
 	}
 }
 

@@ -48,9 +48,6 @@ func RandomInstance(rng *rand.Rand, n, outDeg int, maxCap float64) *Instance {
 	return NewInstance(graph.RandomFlowNetwork(rng, n, outDeg, maxCap))
 }
 
-// Edges returns the number of flow variables.
-func (inst *Instance) Edges() int { return len(inst.edges) }
-
 // RelErr scores a flow value against the exact maximum (reliable metric).
 //
 //lint:fpu-exempt error metric measured outside the simulated machine: it scores solver output, it never feeds the solve
@@ -198,11 +195,4 @@ func (inst *Instance) FlowValue(x []float64) float64 {
 		}
 	}
 	return total
-}
-
-// MaxViolation reports the worst constraint violation of a solution
-// (reliable metric path).
-func (inst *Instance) MaxViolation(x []float64) float64 {
-	lp := inst.LP()
-	return lp.MaxViolation(x)
 }

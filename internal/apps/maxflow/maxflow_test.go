@@ -23,8 +23,8 @@ func TestInstanceReference(t *testing.T) {
 	if math.Abs(inst.Opt-5) > 1e-9 {
 		t.Fatalf("Opt = %v, want 5", inst.Opt)
 	}
-	if inst.Edges() != 4 {
-		t.Errorf("Edges = %d", inst.Edges())
+	if len(inst.edges) != 4 {
+		t.Errorf("edges = %d", len(inst.edges))
 	}
 }
 
@@ -78,7 +78,8 @@ func TestLPOptimumIsMaxFlow(t *testing.T) {
 	if re := inst.RelErr(value); re > 0.02 {
 		t.Errorf("robust value %v vs opt %v (rel %v)", value, inst.Opt, re)
 	}
-	if v := inst.MaxViolation(x); v > 0.05 {
+	lp := inst.LP()
+	if v := lp.MaxViolation(x); v > 0.05 {
 		t.Errorf("constraint violation %v", v)
 	}
 }

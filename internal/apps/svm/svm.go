@@ -115,11 +115,6 @@ type Problem struct {
 
 var _ core.Problem = (*Problem)(nil)
 
-// NewProblem builds the training objective on unit u.
-func NewProblem(u *fpu.Unit, d *Dataset, lambda float64) (*Problem, error) {
-	return NewRobustProblem(u, d, lambda, nil)
-}
-
 // NewRobustProblem builds the training objective with the margin violation
 // m = [1 − y·⟨w, x⟩]₊ scored by the robust loss ρ instead of linearly:
 // f(w) = λ/2·‖w‖² + (1/n)·Σρ(mᵢ). A nil loss keeps the paper's plain hinge
@@ -131,9 +126,6 @@ func NewRobustProblem(u *fpu.Unit, d *Dataset, lambda float64, loss robust.Robus
 	}
 	return &Problem{u: u, x: d.X, y: d.Y, lambda: lambda, loss: loss}, nil
 }
-
-// FPU returns the stochastic unit.
-func (p *Problem) FPU() *fpu.Unit { return p.u }
 
 // Dim implements core.Problem.
 func (p *Problem) Dim() int { return p.x.Cols }

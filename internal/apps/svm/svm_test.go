@@ -38,17 +38,17 @@ func TestSqrtHelper(t *testing.T) {
 
 func TestNewProblemValidation(t *testing.T) {
 	d := testData(2)
-	if _, err := NewProblem(nil, d, 0); err == nil {
+	if _, err := NewRobustProblem(nil, d, 0, nil); err == nil {
 		t.Error("zero lambda accepted")
 	}
-	if _, err := NewProblem(nil, &Dataset{}, 0.1); err == nil {
+	if _, err := NewRobustProblem(nil, &Dataset{}, 0.1, nil); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }
 
 func TestGradMatchesFiniteDifference(t *testing.T) {
 	d := testData(3)
-	p, err := NewProblem(nil, d, 0.05)
+	p, err := NewRobustProblem(nil, d, 0.05, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

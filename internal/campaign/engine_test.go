@@ -148,7 +148,7 @@ func TestMidRunTableAndStatus(t *testing.T) {
 	// with data.
 	u := camp.Plan.Units[0]
 	for _, trial := range []int{0, 1} {
-		if err := st.Append(Record{
+		if _, err := st.Put(Record{
 			Unit: 0, RateIdx: 0, TrialIdx: trial,
 			Rate: u.Sweep.Rates[0], Seed: u.Sweep.TrialSeed(0, trial), Value: 1,
 		}); err != nil {
@@ -204,7 +204,7 @@ func TestMidRunTableAndStatus(t *testing.T) {
 		for r, rate := range u.Sweep.Rates {
 			for i := range trials {
 				v := math.Exp(float64((i*37+r*11)%trials)/9) / 3
-				if err := st.Append(Record{
+				if _, err := st.Put(Record{
 					Unit: 0, RateIdx: r, TrialIdx: i,
 					Rate: rate, Seed: u.Sweep.TrialSeed(r, i), Value: v,
 				}); err != nil {
@@ -262,12 +262,12 @@ func TestMidRunTableAlignsByRate(t *testing.T) {
 	// Unit 0 complete; unit 1 holds only its last cell (an in-flight series
 	// whose early cells raced ahead would look the same).
 	for r, rate := range rates {
-		if err := st.Append(Record{Unit: 0, RateIdx: r, TrialIdx: 0, Rate: rate, Value: 1}); err != nil {
+		if _, err := st.Put(Record{Unit: 0, RateIdx: r, TrialIdx: 0, Rate: rate, Value: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	last := len(rates) - 1
-	if err := st.Append(Record{Unit: 1, RateIdx: last, TrialIdx: 0, Rate: rates[last], Value: 2}); err != nil {
+	if _, err := st.Put(Record{Unit: 1, RateIdx: last, TrialIdx: 0, Rate: rates[last], Value: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var csv bytes.Buffer
@@ -444,7 +444,7 @@ func BenchmarkExecutionStatus(b *testing.B) {
 	u := camp.Plan.Units[0]
 	for r := range rates {
 		for i := range trials / 2 {
-			if err := st.Append(Record{
+			if _, err := st.Put(Record{
 				Unit: 0, RateIdx: r, TrialIdx: i, Rate: u.Sweep.Rates[r],
 				Seed: u.Sweep.TrialSeed(r, i), Value: math.Exp(float64(i*37%997) / 97),
 			}); err != nil {

@@ -19,8 +19,6 @@ import (
 )
 
 // Campaign lifecycle states: the shared job states (see package job).
-// As aliases they belong to the job-state group of robustlint's
-// regexhaustive.
 const (
 	StateQueued      = job.StateQueued
 	StateRunning     = job.StateRunning

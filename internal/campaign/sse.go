@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"robustify/internal/job"
 )
 
 // SSE cadence. Vars, not consts, so tests can tighten them; production
@@ -23,13 +25,7 @@ var (
 // terminalState reports whether a campaign state can no longer change
 // without an explicit resume — the point where a status stream ends.
 func terminalState(state string) bool {
-	switch state {
-	case StateDone, StateFailed, StateCancelled, StateInterrupted:
-		return true
-	case StateQueued, StateRunning:
-		return false
-	}
-	return false
+	return job.Terminal(state) || state == StateInterrupted
 }
 
 // sseHandler serves GET /campaigns/{id}/status/stream: the campaign's

@@ -107,8 +107,7 @@ func decodeRecord(line []byte, scratch *[]byte) (rec Record, ok bool) {
 // into one buffer and hands it to the OS with one write(2), and returns
 // nil only once that write has succeeded. That is the durable point: when
 // a put returns nil, every record it added is in the file; until then
-// none of its keys reads as recorded. Put and Append are the batch of
-// one, so a trial recorded in-process is durable when its Put returns.
+// none of its keys reads as recorded. Put is the batch of one, so a trial recorded in-process is durable when its Put returns.
 // A crash can lose at most the batch being written, and Open tolerates
 // (and drops) the torn trailing line such a crash can leave.
 type Store struct {
@@ -242,19 +241,11 @@ func readLine(r *bufio.Reader, buf *[]byte) (line []byte, tooLong bool, err erro
 // Dir returns the campaign directory backing the store.
 func (st *Store) Dir() string { return st.dir }
 
-// Append records one completed trial durably.
+// Put records one completed trial durably and reports whether the record
+// was new: false means the trial was already durable and nothing was
+// written. It is PutBatch of one record.
 //
-//lint:durable an Append that returned nil is the resume identity; a dropped error is a lost trial
-func (st *Store) Append(rec Record) error {
-	_, err := st.Put(rec)
-	return err
-}
-
-// Put is Append reporting whether the record was new: false means the
-// trial was already durable and nothing was written. It is PutBatch of
-// one record.
-//
-//lint:durable Put is Append behind a dedup check; same durability contract
+//lint:durable a Put that returned nil is the resume identity; a dropped error is a lost trial
 func (st *Store) Put(rec Record) (added bool, err error) {
 	batch := [1]Record{rec}
 	fresh, err := st.PutBatch(batch[:])

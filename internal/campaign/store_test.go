@@ -26,13 +26,13 @@ func TestStoreAppendReloadDedup(t *testing.T) {
 		{Unit: 1, RateIdx: 2, TrialIdx: 0, Rate: 0.5, Seed: 9, Value: 0.25},
 	}
 	for _, r := range recs {
-		if err := st.Append(r); err != nil {
+		if _, err := st.Put(r); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
 	// A duplicate key must not grow the store.
-	if err := st.Append(recs[0]); err != nil {
-		t.Fatalf("dup append: %v", err)
+	if added, err := st.Put(recs[0]); err != nil || added {
+		t.Fatalf("dup append: added=%v, err=%v; want false, nil", added, err)
 	}
 	if got := st.Count(); got != 3 {
 		t.Errorf("count = %d, want 3", got)
@@ -63,7 +63,7 @@ func TestStoreToleratesTornTrailingLine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := st.Append(Record{Unit: 0, RateIdx: 0, TrialIdx: 0, Value: 1}); err != nil {
+	if _, err := st.Put(Record{Unit: 0, RateIdx: 0, TrialIdx: 0, Value: 1}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	st.Close()
@@ -85,7 +85,7 @@ func TestStoreToleratesTornTrailingLine(t *testing.T) {
 		t.Errorf("count = %d, want 1 (torn line dropped)", got)
 	}
 	// The dropped trial can be re-recorded.
-	if err := st2.Append(Record{Unit: 0, RateIdx: 0, TrialIdx: 1, Value: 0.5}); err != nil {
+	if _, err := st2.Put(Record{Unit: 0, RateIdx: 0, TrialIdx: 1, Value: 0.5}); err != nil {
 		t.Fatalf("re-append: %v", err)
 	}
 	if v, ok := st2.Lookup(0, 0, 1); !ok || v != 0.5 {
@@ -103,7 +103,7 @@ func TestStoreToleratesOversizedLine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := st.Append(Record{Unit: 0, RateIdx: 0, TrialIdx: 0, Value: 1}); err != nil {
+	if _, err := st.Put(Record{Unit: 0, RateIdx: 0, TrialIdx: 0, Value: 1}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	st.Close()
@@ -128,7 +128,7 @@ func TestStoreToleratesOversizedLine(t *testing.T) {
 		t.Errorf("record after oversized line = %v,%v; want 4,true", v, ok)
 	}
 	// The dropped trial simply reruns.
-	if err := st2.Append(Record{Unit: 0, RateIdx: 0, TrialIdx: 1, Value: 0.5}); err != nil {
+	if _, err := st2.Put(Record{Unit: 0, RateIdx: 0, TrialIdx: 1, Value: 0.5}); err != nil {
 		t.Fatalf("re-append: %v", err)
 	}
 	if got := st2.Count(); got != 3 {

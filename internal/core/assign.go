@@ -58,23 +58,8 @@ func NewAssignment(u *fpu.Unit, w *linalg.Dense, l1, l2 float64) (*Assignment, e
 	}, nil
 }
 
-// FPU returns the stochastic unit gradients are evaluated on.
-func (a *Assignment) FPU() *fpu.Unit { return a.u }
-
-// Rows and Cols return the assignment matrix shape.
-func (a *Assignment) Rows() int { return a.w.Rows }
-
-// Cols returns the number of columns of the assignment matrix.
-func (a *Assignment) Cols() int { return a.w.Cols }
-
 // Dim implements Problem: X is optimized flattened row-major.
 func (a *Assignment) Dim() int { return a.w.Rows * a.w.Cols }
-
-// PenaltyWeight returns the penalty multiplier μ.
-func (a *Assignment) PenaltyWeight() float64 { return a.mu }
-
-// SetPenaltyWeight replaces the multiplier.
-func (a *Assignment) SetPenaltyWeight(mu float64) { a.mu = mu }
 
 // AnnealParam implements Annealable: the annealed parameter is μ.
 func (a *Assignment) AnnealParam() float64 { return a.mu }

@@ -35,8 +35,8 @@ func TestAssignmentDims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Rows() != 3 || a.Cols() != 5 || a.Dim() != 15 {
-		t.Errorf("dims = %d %d %d", a.Rows(), a.Cols(), a.Dim())
+	if a.w.Rows != 3 || a.w.Cols != 5 || a.Dim() != 15 {
+		t.Errorf("dims = %d %d %d", a.w.Rows, a.w.Cols, a.Dim())
 	}
 }
 

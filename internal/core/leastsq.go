@@ -53,18 +53,6 @@ func NewRobustLeastSquares(u *fpu.Unit, a linalg.Operator, b []float64, loss rob
 	}, nil
 }
 
-// FPU returns the stochastic unit gradients are evaluated on.
-func (l *LeastSquares) FPU() *fpu.Unit { return l.u }
-
-// Operator returns the system operator.
-func (l *LeastSquares) Operator() linalg.Operator { return l.a }
-
-// Rhs returns the right-hand side.
-func (l *LeastSquares) Rhs() []float64 { return l.b }
-
-// Loss returns the robust loss, or nil for the legacy quadratic path.
-func (l *LeastSquares) Loss() robust.Robustifier { return l.loss }
-
 // Dim implements Problem.
 func (l *LeastSquares) Dim() int {
 	_, cols := l.a.Dims()

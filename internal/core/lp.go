@@ -175,26 +175,11 @@ func newPenaltyLP(u *fpu.Unit, lp LinearProgram, kind PenaltyKind, loss robust.R
 	return p, nil
 }
 
-// FPU returns the stochastic unit gradients are evaluated on.
-func (p *PenaltyLP) FPU() *fpu.Unit { return p.u }
-
-// LP returns the underlying constrained program.
-func (p *PenaltyLP) LP() *LinearProgram { return &p.lp }
-
 // Kind returns the penalty flavour.
 func (p *PenaltyLP) Kind() PenaltyKind { return p.kind }
 
-// Loss returns the robust loss for PenaltyLoss programs, nil otherwise.
-func (p *PenaltyLP) Loss() robust.Robustifier { return p.loss }
-
 // Dim implements Problem.
 func (p *PenaltyLP) Dim() int { return p.lp.Dim() }
-
-// PenaltyWeight returns the penalty multiplier μ.
-func (p *PenaltyLP) PenaltyWeight() float64 { return p.mu }
-
-// SetPenaltyWeight replaces the multiplier.
-func (p *PenaltyLP) SetPenaltyWeight(mu float64) { p.mu = mu }
 
 // AnnealParam implements Annealable: the annealed parameter is μ.
 func (p *PenaltyLP) AnnealParam() float64 { return p.mu }

@@ -214,16 +214,16 @@ func TestAnnealableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.PenaltyWeight() != 2 {
-		t.Errorf("initial mu = %v", p.PenaltyWeight())
+	if p.AnnealParam() != 2 {
+		t.Errorf("initial mu = %v", p.AnnealParam())
 	}
-	p.SetPenaltyWeight(8)
-	if p.PenaltyWeight() != 8 {
-		t.Errorf("mu after set = %v", p.PenaltyWeight())
+	p.SetAnnealParam(8)
+	if p.AnnealParam() != 8 {
+		t.Errorf("mu after set = %v", p.AnnealParam())
 	}
 	// Penalty value scales with mu.
 	v8 := p.Value([]float64{2}) // violation 1 beyond hi=1
-	p.SetPenaltyWeight(16)
+	p.SetAnnealParam(16)
 	if v16 := p.Value([]float64{2}); math.Abs(v16-2*v8+linalg.Dot(nil, p.lp.C, []float64{2})) > 1e-9 {
 		// v = c x + mu*viol; doubling mu doubles the penalty part.
 		cx := 2.0

@@ -22,9 +22,8 @@ type PreconditionedLP struct {
 }
 
 var (
-	_ Problem        = (*PreconditionedLP)(nil)
-	_ Annealable     = (*PreconditionedLP)(nil)
-	_ Preconditioned = (*PreconditionedLP)(nil)
+	_ Problem    = (*PreconditionedLP)(nil)
+	_ Annealable = (*PreconditionedLP)(nil)
 )
 
 // Precondition rewrites the inequality-only program lp in QR-preconditioned
@@ -70,29 +69,20 @@ func (p *PreconditionedLP) Grad(y, grad []float64) { p.inner.Grad(y, grad) }
 // Value implements Problem (reliable evaluation in y-space).
 func (p *PreconditionedLP) Value(y []float64) float64 { return p.inner.Value(y) }
 
-// FPU returns the stochastic unit gradients are evaluated on.
-func (p *PreconditionedLP) FPU() *fpu.Unit { return p.inner.FPU() }
-
-// PenaltyWeight returns the penalty multiplier μ.
-func (p *PreconditionedLP) PenaltyWeight() float64 { return p.inner.PenaltyWeight() }
-
-// SetPenaltyWeight replaces the multiplier.
-func (p *PreconditionedLP) SetPenaltyWeight(mu float64) { p.inner.SetPenaltyWeight(mu) }
-
 // AnnealParam implements Annealable: the annealed parameter is μ.
 func (p *PreconditionedLP) AnnealParam() float64 { return p.inner.AnnealParam() }
 
 // SetAnnealParam implements Annealable.
 func (p *PreconditionedLP) SetAnnealParam(mu float64) { p.inner.SetAnnealParam(mu) }
 
-// InitialY implements Preconditioned: y₀ = R·x₀ (reliable setup).
+// InitialY maps an initial iterate into y-space: y₀ = R·x₀ (reliable setup).
 func (p *PreconditionedLP) InitialY(x0 []float64) []float64 {
 	y := make([]float64, len(x0))
 	p.r.MulVec(nil, x0, y)
 	return y
 }
 
-// Recover implements Preconditioned: solve R·x = y reliably.
+// Recover maps a y-space solution back to x: solve R·x = y reliably.
 func (p *PreconditionedLP) Recover(y []float64) ([]float64, error) {
 	return linalg.SolveUpper(nil, p.r, y)
 }

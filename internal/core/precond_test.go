@@ -76,9 +76,9 @@ func TestPreconditionedAnnealDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre.SetPenaltyWeight(10)
-	if pre.PenaltyWeight() != 10 {
-		t.Errorf("anneal delegation broken: mu = %v", pre.PenaltyWeight())
+	pre.SetAnnealParam(10)
+	if pre.AnnealParam() != 10 || pre.inner.mu != 10 {
+		t.Errorf("anneal delegation broken: mu = %v, inner mu = %v", pre.AnnealParam(), pre.inner.mu)
 	}
 }
 

@@ -18,8 +18,6 @@
 // annealing, rounding) are assumed reliable, exactly as in the paper.
 package core
 
-import "robustify/internal/fpu"
-
 // Problem is an unconstrained minimization problem in robustified form.
 type Problem interface {
 	// Dim returns the number of optimization variables.
@@ -48,23 +46,4 @@ type Annealable interface {
 	AnnealParam() float64
 	// SetAnnealParam replaces the parameter (reliable control path).
 	SetAnnealParam(v float64)
-}
-
-// Preconditioned is implemented by problems that optimize in a transformed
-// coordinate system y = R·x (§6.2.1) and must map solutions back.
-type Preconditioned interface {
-	// Recover maps a solution of the preconditioned problem back to the
-	// original variables (reliable control step).
-	Recover(y []float64) ([]float64, error)
-	// InitialY maps an initial iterate of the original problem into the
-	// preconditioned coordinates.
-	InitialY(x0 []float64) []float64
-}
-
-// Unit returns p's stochastic FPU if the problem exposes one, or nil.
-func Unit(p Problem) *fpu.Unit {
-	if h, ok := p.(interface{ FPU() *fpu.Unit }); ok {
-		return h.FPU()
-	}
-	return nil
 }

@@ -107,8 +107,6 @@ func (b *burstModel) advance() {
 // Fire accounts one operation and reports whether its result is
 // corrupted: never during a closed (nominal-voltage) phase, and with
 // probability prob during an open window.
-//
-//lint:fpu-exempt fault-model mechanism: the Bernoulli threshold compare is scheduler state, not simulated application math
 func (b *burstModel) Fire() bool {
 	if b.rate <= 0 {
 		return false

@@ -42,8 +42,6 @@ import (
 )
 
 // Model family names, in advertisement order.
-//
-//lint:enum fault-model-family every dispatch over model families must cover all four registered names
 const (
 	Default    = "default"
 	Stratified = "stratified"

@@ -242,9 +242,6 @@ func (in *Injector) Name() string { return "default" }
 // Rate returns the configured faults-per-FLOP rate.
 func (in *Injector) Rate() float64 { return in.rate }
 
-// Distribution returns the bit-position distribution in use.
-func (in *Injector) Distribution() *BitDistribution { return in.dist }
-
 // Injected returns how many faults the injector has delivered.
 func (in *Injector) Injected() uint64 { return in.injected }
 

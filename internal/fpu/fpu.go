@@ -199,17 +199,6 @@ func (u *Unit) Energy() float64 {
 	return u.energy
 }
 
-// Reset zeroes all counters. The injector, if any, keeps its state.
-func (u *Unit) Reset() {
-	if u == nil {
-		return
-	}
-	u.flops = 0
-	u.faults = 0
-	u.energy = 0
-	u.perOp = [numOps]uint64{}
-}
-
 // canonNaN is the only NaN bit pattern a faulty unit ever commits. IEEE 754
 // leaves NaN payload propagation unspecified: x86's add/mul keep the FIRST
 // operand's payload, and the Go compiler freely commutes float operands, so
@@ -294,14 +283,6 @@ func (u *Unit) Less(a, b float64) bool {
 		}
 	}
 	return res
-}
-
-// Max returns the larger of a and b using a faulty comparison.
-func (u *Unit) Max(a, b float64) float64 {
-	if u.Less(a, b) {
-		return b
-	}
-	return a
 }
 
 // Min returns the smaller of a and b using a faulty comparison.

@@ -27,8 +27,6 @@ import (
 // Lifecycle states. StateInterrupted is only ever assigned at recovery
 // or by a wind-down: the recorded state was not terminal, but the
 // process that owned the job is gone.
-//
-//lint:enum job-state every dispatch over job states must cover all six or say why not
 const (
 	StateQueued      = "queued"
 	StateRunning     = "running"
@@ -361,7 +359,6 @@ func (m *Manager) Submit(name string, create func(id, dir string) (Work, error))
 	m.mu.Unlock()
 	if err != nil {
 		cancel()
-		//lint:errdurability-exempt best-effort cleanup: the job directory is removed on the next line
 		w.Release()
 		os.RemoveAll(dir)
 		return "", err

@@ -84,7 +84,6 @@ func (c *Collector) DrainByRate() map[float64]*FaultRecorder {
 	c.byKey = make(map[collectorKey][]*FaultRecorder)
 	c.mu.Unlock()
 	out := make(map[float64]*FaultRecorder)
-	//lint:detmap-exempt counter merging is commutative; the result is keyed, not ordered
 	for k, rs := range byKey {
 		rate := math.Float64frombits(k.rate)
 		m := out[rate]

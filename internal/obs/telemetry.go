@@ -226,8 +226,6 @@ func appendEnvelope(b, ts []byte, kind string) []byte {
 // The lines and their timestamp are assembled in buffers reused under the
 // lock: a stack buffer handed to the file escapes under the race
 // detector, and one handed to fill escapes always.
-//
-//lint:artifact-time-exempt telemetry.jsonl is a diagnostics sidecar, explicitly outside resume byte-identity
 func (t *Telemetry) write(through bool, fill func(b, ts []byte) []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

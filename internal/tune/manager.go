@@ -439,7 +439,6 @@ func (m *Manager) WriteMetrics(w io.Writer) {
 	}
 	p := obs.NewProm(w)
 	p.Family("robustd_tune_runs", "gauge", "Tune runs in the registry by lifecycle state.")
-	//lint:regexhaustive-exempt tune runs never queue (no concurrency bound), and the family's label set predates the shared states
 	for _, state := range []string{StateRunning, StateDone, StateFailed, StateInterrupted, StateCancelled} {
 		p.Int("robustd_tune_runs", int64(counts[state]), "state", state)
 	}

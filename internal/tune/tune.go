@@ -35,12 +35,10 @@ import (
 )
 
 // Tune run lifecycle states: the shared job states (see package job).
-// Runs have no concurrency bound, so they never sit queued; interrupted
-// marks a run whose owning process died (or shut down) mid-search, and
-// is resumable. As aliases they belong to the job-state group of
-// robustlint's regexhaustive.
+// Runs have no concurrency bound, so they never sit queued and there is
+// no queued state here; interrupted marks a run whose owning process
+// died (or shut down) mid-search, and is resumable.
 const (
-	StateQueued      = job.StateQueued
 	StateRunning     = job.StateRunning
 	StateDone        = job.StateDone
 	StateFailed      = job.StateFailed

@@ -33,7 +33,6 @@ import (
 	"robustify/internal/apps/robsort"
 	"robustify/internal/core"
 	"robustify/internal/fpu"
-	"robustify/internal/fpu/faultmodel"
 	"robustify/internal/linalg"
 	"robustify/internal/robust"
 	"robustify/internal/solver"
@@ -49,10 +48,6 @@ type FPUOption = fpu.Option
 // Injector delivers single-bit corruptions to FPU results.
 type Injector = fpu.Injector
 
-// BitDistribution is a probability distribution over corrupted bit
-// positions.
-type BitDistribution = fpu.BitDistribution
-
 // VoltageModel maps supply voltage to FPU error rate and per-FLOP power.
 type VoltageModel = fpu.VoltageModel
 
@@ -67,53 +62,15 @@ func WithFaultRate(rate float64, seed uint64) FPUOption { return fpu.WithFaultRa
 // WithInjector installs a custom fault injector.
 func WithInjector(in *Injector) FPUOption { return fpu.WithInjector(in) }
 
-// FaultModel is the pluggable injection interface: it decides, per
-// committed FLOP, whether and how results corrupt. The stock Injector is
-// one implementation; see fpu/faultmodel for the stratified, burst, and
-// memory-resident families.
-type FaultModel = fpu.FaultModel
-
-// MemoryFaulter marks fault models that corrupt stored vectors between
-// solver iterations (via FPU.CorruptSlice) instead of — or on top of —
-// FLOP results.
-type MemoryFaulter = fpu.MemoryFaulter
-
-// FaultModelSpec names and parameterizes a fault model family; it is the
-// JSON shape campaign specs and the -fault-model / -model CLI flags use.
-// A nil spec selects the default injector, bit-for-bit.
-type FaultModelSpec = faultmodel.Spec
-
-// ParseFaultModel reads a fault model selection from a string: empty or
-// "default" yields nil (the stock injector), a bare name selects a family
-// with default parameters, and a JSON object sets parameters too.
-func ParseFaultModel(s string) (*FaultModelSpec, error) { return faultmodel.Parse(s) }
-
-// WithModel installs a custom fault model on the unit.
-func WithModel(m FaultModel) FPUOption { return fpu.WithModel(m) }
-
 // WithOpEnergy sets the energy charged per FLOP (e.g. VoltageModel.Power
 // at the operating voltage).
 func WithOpEnergy(e float64) FPUOption { return fpu.WithOpEnergy(e) }
 
-// WithSinglePrecision emulates a 32-bit FPU datapath (like the Leon3's).
-func WithSinglePrecision() FPUOption { return fpu.WithSinglePrecision() }
-
 // NewInjector builds a fault injector with the default (emulated,
 // Fig 5.1-shaped) bit distribution.
-func NewInjector(rate float64, seed uint64, opts ...fpu.InjectorOption) *Injector {
-	return fpu.NewInjector(rate, seed, opts...)
+func NewInjector(rate float64, seed uint64) *Injector {
+	return fpu.NewInjector(rate, seed)
 }
-
-// Bit distributions for injectors (see the paper's Fig 5.1).
-var (
-	MeasuredDistribution = fpu.MeasuredDistribution
-	EmulatedDistribution = fpu.EmulatedDistribution
-	UniformDistribution  = fpu.UniformDistribution
-	LowOrderDistribution = fpu.LowOrderDistribution
-)
-
-// WithDistribution selects an injector's bit distribution.
-func WithDistribution(d *BitDistribution) fpu.InjectorOption { return fpu.WithDistribution(d) }
 
 // DefaultVoltageModel returns the Fig 5.2 voltage/error-rate model.
 func DefaultVoltageModel() VoltageModel { return fpu.DefaultVoltageModel() }
@@ -194,13 +151,6 @@ func NewRobustLeastSquares(u *FPU, a linalg.Operator, b []float64, loss Robustif
 	return core.NewRobustLeastSquares(u, a, b, loss)
 }
 
-// NewRobustPenaltyLP converts a LinearProgram to unconstrained penalty form
-// with each violation scored by the robust loss (quadratic ≡ PenaltyQuad
-// bit for bit).
-func NewRobustPenaltyLP(u *FPU, lp LinearProgram, loss Robustifier, mu float64) (*core.PenaltyLP, error) {
-	return core.NewRobustPenaltyLP(u, lp, loss, mu)
-}
-
 // Precondition rewrites an inequality-only LP in QR-preconditioned
 // coordinates (§6.2.1).
 func Precondition(u *FPU, lp LinearProgram, kind PenaltyKind, mu float64) (*core.PreconditionedLP, error) {
@@ -221,8 +171,6 @@ type (
 	Result = solver.Result
 	// CGOptions configures the conjugate gradient solver.
 	CGOptions = solver.CGOptions
-	// IRLSOptions configures the iteratively-reweighted least squares loop.
-	IRLSOptions = solver.IRLSOptions
 )
 
 // Step schedules (§3.2/§6.2.3).
@@ -254,14 +202,6 @@ func NormalEquationsMul(u *FPU, a *Matrix) solver.MulFunc {
 	return solver.NormalEquationsMul(u, a)
 }
 
-// IRLS solves min Σρ(a·x − b) by iteratively reweighted least squares:
-// robust-loss weights outside, CG on the weighted normal equations inside.
-// A nil or quadratic loss collapses to CG on the normal equations bit for
-// bit.
-func IRLS(u *FPU, a *Matrix, b []float64, loss Robustifier, x0 []float64, opts IRLSOptions) (Result, error) {
-	return solver.IRLS(u, a, b, loss, x0, opts)
-}
-
 // SortOptions configures RobustSort.
 type SortOptions = robsort.Options
 
@@ -286,10 +226,6 @@ func SortSucceeded(output, input []float64) bool {
 
 // Filter is an IIR filter in transfer-function form.
 type Filter = iir.Filter
-
-// NewFilter builds a filter from feed-forward (a) and feedback (b)
-// coefficients.
-func NewFilter(a, b []float64) (*Filter, error) { return iir.NewFilter(a, b) }
 
 // LowpassFilter designs a stable lowpass with the given tap count and pole
 // radius (< 1).
