@@ -213,7 +213,7 @@ func NewServer(m *Manager) http.Handler {
 		if !ok {
 			return
 		}
-		if err := dispatch.DecodeReport(body, &rb.req, &rb.scratch); err != nil {
+		if err := dispatch.DecodeReport(body, &rb.req); err != nil {
 			HTTPError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
@@ -310,8 +310,9 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // reportBody holds one worker report while it is handled: the body, the
-// decoded request and the decoder's re-encoding scratch. They are reused,
-// so a report's size costs no allocation once a buffer has grown to it.
+// decoded request and the scratch the response is encoded into. They are
+// reused, so a report's size costs no allocation once a buffer has grown
+// to it.
 type reportBody struct {
 	body, scratch []byte
 	req           dispatch.ReportRequest

@@ -72,34 +72,33 @@ func appendRecord(b []byte, rec *Record) (_ []byte, ok bool) {
 
 // decodeRecord parses a store line (without its newline) that is exactly
 // what appendRecord writes, the canonical form
-// {"u":…,"r":…,"t":…,"rate":…,"seed":…,"v":…[,"s":"…"]}. It parses the
-// fields in that order and accepts the result only if re-encoding it
-// into *scratch reproduces line byte for byte, so an accepted line is one
-// json.Unmarshal decodes to the same Record. Anything else — other key
-// order, whitespace, escapes, non-canonical numbers, torn or garbage
-// bytes — reports false, for the caller to hand to json.Unmarshal.
-func decodeRecord(line []byte, scratch *[]byte) (rec Record, ok bool) {
-	// Parse errors need no check of their own: a failed parse leaves a
-	// value whose encoding differs from the token, so the re-encoding
-	// check below rejects the line.
+// {"u":…,"r":…,"t":…,"rate":…,"seed":…,"v":…[,"s":"…"]}, into *rec. The
+// fields must come in that order, and jsonl.Parser accepts each value only
+// in the byte shape the encoder writes, so an accepted line is one
+// json.Unmarshal decodes to the same Record. rec.Series is kept when the
+// line names the same series, so replaying a unit's lines allocates no
+// string per line. Anything else — other key order, whitespace, escapes,
+// non-canonical numbers, torn or garbage bytes — reports false and leaves
+// *rec unchanged, for the caller to hand the line to json.Unmarshal.
+func decodeRecord(line []byte, rec *Record) bool {
 	p := jsonl.NewParser(line)
-	rec.Unit, _ = strconv.Atoi(string(p.Number(`{"u":`)))
-	rec.RateIdx, _ = strconv.Atoi(string(p.Number(`,"r":`)))
-	rec.TrialIdx, _ = strconv.Atoi(string(p.Number(`,"t":`)))
-	rec.Rate, _ = strconv.ParseFloat(string(p.Number(`,"rate":`)), 64)
-	rec.Seed, _ = strconv.ParseUint(string(p.Number(`,"seed":`)), 10, 64)
-	rec.Value, _ = strconv.ParseFloat(string(p.Number(`,"v":`)), 64)
-	if p.Literal(`,"s":`) {
-		rec.Series = string(p.String(""))
+	next := Record{Series: rec.Series}
+	next.Unit = p.Int(`{"u":`)
+	next.RateIdx = p.Int(`,"r":`)
+	next.TrialIdx = p.Int(`,"t":`)
+	next.Rate = p.Float(`,"rate":`)
+	next.Seed = p.Uint(`,"seed":`)
+	next.Value = p.Float(`,"v":`)
+	if !p.Literal(`,"s":`) {
+		next.Series = ""
+	} else if s := p.String(""); string(s) != next.Series {
+		next.Series = string(s)
 	}
 	if !p.Literal("}") || !p.Done() {
-		return Record{}, false
+		return false
 	}
-	var enc bool
-	if *scratch, enc = appendRecord((*scratch)[:0], &rec); !enc || !bytes.Equal(*scratch, line) {
-		return Record{}, false
-	}
-	return rec, true
+	*rec = next
+	return true
 }
 
 // Store is an append-only JSONL results store for one campaign. Records
@@ -107,9 +106,10 @@ func decodeRecord(line []byte, scratch *[]byte) (rec Record, ok bool) {
 // into one buffer and hands it to the OS with one write(2), and returns
 // nil only once that write has succeeded. That is the durable point: when
 // a put returns nil, every record it added is in the file; until then
-// none of its keys reads as recorded. Put is the batch of one, so a trial recorded in-process is durable when its Put returns.
-// A crash can lose at most the batch being written, and Open tolerates
-// (and drops) the torn trailing line such a crash can leave.
+// none of its keys reads as recorded. Put is the batch of one, so a trial
+// recorded in-process is durable when its Put returns. A crash can lose
+// at most the batch being written, and Open tolerates (and drops) the
+// torn trailing line such a crash can leave.
 type Store struct {
 	dir string
 
@@ -133,6 +133,13 @@ type Store struct {
 // leaving the campaign permanently unresumable.
 const maxLineBytes = 1 << 20
 
+// lineBytesHint is the line length load assumes when it sizes the key map
+// from the store file's length: a little under a typical record's (~80
+// bytes with a 19-digit seed), so the map rarely grows during replay. The
+// map then takes at most about as many bytes as the file, even for a file
+// of garbage.
+const lineBytesHint = 64
+
 // Open creates (or reopens) the campaign directory and loads every record
 // already present, deduplicating by trial key.
 func Open(dir string) (*Store, error) {
@@ -140,7 +147,7 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("campaign: store dir: %w", err)
 	}
 	path := filepath.Join(dir, storeFile)
-	st := &Store{dir: dir, have: make(map[trialKey]float64)}
+	st := &Store{dir: dir}
 	torn := false
 	if data, err := os.Open(path); err == nil {
 		tornTail, loadErr := st.load(data)
@@ -154,6 +161,8 @@ func Open(dir string) (*Store, error) {
 		torn = tornTail
 	} else if !os.IsNotExist(err) {
 		return nil, err
+	} else {
+		st.have = make(map[trialKey]float64)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -174,22 +183,28 @@ func Open(dir string) (*Store, error) {
 	return st, nil
 }
 
-// load replays the store file into st.have. Unparseable, torn, and
-// oversized (>maxLineBytes) lines are skipped — those trials simply
-// rerun — so a single corrupt line never blocks reopening a campaign.
-// tornTail reports an unterminated final line (crash mid-append): the
-// caller must terminate it before appending more records.
+// load replays the store file into st.have, which it sizes from the
+// file's length. Unparseable, torn, and oversized (>maxLineBytes) lines
+// are skipped — those trials simply rerun — so a single corrupt line never
+// blocks reopening a campaign. tornTail reports an unterminated final line
+// (crash mid-append): the caller must terminate it before appending more
+// records.
 //
 // Each line is first parsed as the canonical form Put writes
 // (decodeRecord); any line that is not exactly canonical goes through
 // json.Unmarshal, which decides whether it is a record at all.
-func (st *Store) load(data io.Reader) (tornTail bool, err error) {
+func (st *Store) load(data *os.File) (tornTail bool, err error) {
+	if fi, err := data.Stat(); err == nil {
+		st.reserved = int(fi.Size() / lineBytesHint)
+	}
+	st.have = make(map[trialKey]float64, st.reserved)
 	r := bufio.NewReaderSize(data, 64*1024)
-	var buf, scratch []byte
+	var buf []byte
+	var rec Record // reused, so consecutive lines of one series share its string
 	for {
 		line, tooLong, err := readLine(r, &buf)
 		if len(line) > 0 && !tooLong {
-			rec, ok := decodeRecord(bytes.TrimSuffix(line, []byte("\n")), &scratch)
+			ok := decodeRecord(bytes.TrimSuffix(line, []byte("\n")), &rec)
 			if !ok {
 				var slow Record // declared here so only fallback lines allocate it
 				ok = json.Unmarshal(line, &slow) == nil

@@ -205,9 +205,8 @@ func checkRecordCodec(t *testing.T, rec Record) {
 	if !ok || string(got) != string(want) {
 		t.Fatalf("appendRecord(%+v) = %q,%v; json.Marshal = %q", rec, got, ok, want)
 	}
-	var scratch []byte
-	dec, ok := decodeRecord(got, &scratch)
-	if !ok {
+	var dec Record
+	if !decodeRecord(got, &dec) {
 		if string(jsonl.AppendString(nil, rec.Series)) == `"`+rec.Series+`"` {
 			t.Fatalf("decodeRecord rejected the canonical line %q", got)
 		}
@@ -416,9 +415,9 @@ func TestStoreLoadNonCanonicalLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	var scratch []byte
 	for i, line := range lines {
-		if _, ok := decodeRecord([]byte(line), &scratch); ok {
+		var rec Record
+		if decodeRecord([]byte(line), &rec) {
 			t.Errorf("decodeRecord accepted non-canonical line %q", line)
 		}
 		var want Record
@@ -456,6 +455,80 @@ func TestStorePutAllocs(t *testing.T) {
 	}
 }
 
+// writeReplayStore writes a store of n canonical lines, shaped like the
+// sort/base records a resumed campaign replays: four rates, one series,
+// 19-digit seeds.
+func writeReplayStore(tb testing.TB, n int) string {
+	tb.Helper()
+	dir := tb.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	recs := make([]Record, n)
+	for i := range recs {
+		rate := [4]float64{0.001, 0.01, 0.05, 0.1}[i%4]
+		recs[i] = Record{RateIdx: i % 4, TrialIdx: i / 4, Rate: rate, Seed: r.Uint64(), Value: float64(r.Intn(5)) / 4, Series: "base"}
+	}
+	if _, err := st.PutBatch(recs); err != nil {
+		tb.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return dir
+}
+
+// keyMapSink keeps TestStoreReplayAllocs' reference map on the heap, as
+// the store's is.
+var keyMapSink map[trialKey]float64
+
+// TestStoreReplayAllocs pins what replay allocates: nothing per line.
+// Open sizes its key map from the file's length before replay, and
+// consecutive lines of one series share one string, so beyond the map's
+// own tables (one per thousand-odd slots, allocated by make) Open of a
+// store allocates the same fixed count at any size.
+func TestStoreReplayAllocs(t *testing.T) {
+	const fixed = 13 // the Store, its files and paths, and the read buffer
+	for _, n := range []int{1000, 4000} {
+		dir := writeReplayStore(t, n)
+		fi, err := os.Stat(filepath.Join(dir, storeFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := testing.AllocsPerRun(10, func() { keyMapSink = make(map[trialKey]float64, fi.Size()/lineBytesHint) })
+		allocs := testing.AllocsPerRun(10, func() {
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Count() != n {
+				t.Fatalf("replayed %d records, want %d", st.Count(), n)
+			}
+			st.Close()
+		})
+		if allocs-table != fixed {
+			t.Errorf("Open of %d lines: %v allocations, %v beyond its key map's %v; want %d",
+				n, allocs, allocs-table, table, fixed)
+		}
+	}
+}
+
+// BenchmarkStoreOpen replays a store of 50,000 records, the half-done
+// campaign a resume boots from.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := writeReplayStore(b, 50000)
+	b.ReportAllocs()
+	for b.Loop() {
+		st, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st.Close()
+	}
+}
+
 // BenchmarkRecordLine compares the hand-written store codec with the
 // encoding/json calls it replaced, on one typical store line.
 func BenchmarkRecordLine(b *testing.B) {
@@ -479,9 +552,9 @@ func BenchmarkRecordLine(b *testing.B) {
 	})
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
-		var scratch []byte
+		var rec Record
 		for b.Loop() {
-			decodeRecord(line, &scratch)
+			decodeRecord(line, &rec)
 		}
 	})
 	b.Run("decode-json", func(b *testing.B) {

@@ -223,12 +223,11 @@ func FuzzReportWire(f *testing.F) {
 		var want ReportRequest
 		wantErr := json.Unmarshal(body, &want)
 		var fresh, reused ReportRequest
-		var scratch []byte
-		if err := DecodeReport(prior, &reused, &scratch); err != nil {
+		if err := DecodeReport(prior, &reused); err != nil {
 			t.Fatal(err)
 		}
 		for _, got := range []*ReportRequest{&fresh, &reused} {
-			err := DecodeReport(body, got, &scratch)
+			err := DecodeReport(body, got)
 			if (err == nil) != (wantErr == nil) {
 				t.Fatalf("DecodeReport(%q) error %v, json.Unmarshal error %v", body, err, wantErr)
 			}

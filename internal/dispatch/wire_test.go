@@ -20,8 +20,7 @@ func TestDecodeReportPaths(t *testing.T) {
 	}
 	buf := make([]TrialResult, 0, 8)
 	got := ReportRequest{Results: buf}
-	var scratch []byte
-	if err := DecodeReport(body, &got, &scratch); err != nil {
+	if err := DecodeReport(body, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !sameReport(got, canonical) {
@@ -46,12 +45,12 @@ func TestDecodeReportPaths(t *testing.T) {
 			t.Fatalf("%s: %v", body, err)
 		}
 		got := ReportRequest{Worker: "stale", Results: []TrialResult{{Unit: 9, Value: 9}}}
-		if err := DecodeReport([]byte(body), &got, &scratch); err != nil || !sameReport(got, want) {
+		if err := DecodeReport([]byte(body), &got); err != nil || !sameReport(got, want) {
 			t.Errorf("DecodeReport(%s) = %+v, %v; want %+v", body, got, err, want)
 		}
 	}
 	for _, body := range []string{``, `{`, `[]`, `{"worker":1}`, `{"worker":"w","campaign":"c","lease":"l","results":[{"u":1.5}]}`} {
-		if err := DecodeReport([]byte(body), &got, &scratch); err == nil {
+		if err := DecodeReport([]byte(body), &got); err == nil {
 			t.Errorf("DecodeReport(%q) accepted a body json.Unmarshal rejects", body)
 		}
 	}

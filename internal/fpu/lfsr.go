@@ -49,15 +49,6 @@ func (l *LFSR) Float64() float64 {
 	return float64(l.Uint64()>>11) / (1 << 53)
 }
 
-// Intn returns a uniform integer in [0, n). It panics if n <= 0, mirroring
-// math/rand.
-func (l *LFSR) Intn(n int) int {
-	if n <= 0 {
-		panic("fpu: Intn with non-positive n")
-	}
-	return int(l.Uint64() % uint64(n))
-}
-
 // UniformGap returns a fault inter-arrival time with the paper's
 // distribution: uniform on {1, ..., 2·mean−1}, so the average gap is mean
 // operations. A mean below 1 yields back-to-back faults (gap 1).

@@ -46,25 +46,6 @@ func TestLFSRFloat64Range(t *testing.T) {
 	}
 }
 
-func TestLFSRIntnBounds(t *testing.T) {
-	l := NewLFSR(5)
-	for i := 0; i < 10000; i++ {
-		v := l.Intn(7)
-		if v < 0 || v >= 7 {
-			t.Fatalf("Intn(7) = %d", v)
-		}
-	}
-}
-
-func TestLFSRIntnPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Intn(0) must panic")
-		}
-	}()
-	NewLFSR(1).Intn(0)
-}
-
 func TestUniformGapMean(t *testing.T) {
 	l := NewLFSR(31)
 	const mean = 50.0

@@ -4,7 +4,10 @@
 // appends exactly the bytes encoding/json would produce for the same Go
 // value, so a line written by hand is indistinguishable from one written
 // by json.Marshal: readers, older stores and byte-identity pins never see
-// the difference.
+// the difference. The parser is their mirror: it accepts a value only in
+// a byte shape those primitives write, so what it accepts it reads exactly
+// as json.Unmarshal does, and a decoder hands anything else to
+// json.Unmarshal.
 package jsonl
 
 import (
@@ -12,6 +15,7 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // AppendFloat appends f as encoding/json encodes a float64: the shortest
@@ -56,10 +60,21 @@ func AppendString(b []byte, s string) []byte {
 }
 
 // Parser walks a line in the exact canonical form a hand-written encoder
-// writes, for that encoder's fast decoder. It checks the structure only:
-// number tokens are returned unparsed, and a decoder must accept what it
-// parsed only if re-encoding it reproduces the line byte for byte. The
-// first mismatch latches, and every later call then matches nothing.
+// writes, for that encoder's fast decoder. Each method consumes a key and
+// the value after it, and accepts the value only in a byte shape the
+// encoders above (and strconv.AppendInt and AppendUint) can write, so a
+// line the parser accepts decodes under json.Unmarshal to the same values:
+//
+//   - Int and Uint: 0 or a digit string without a leading zero, Int's
+//     with an optional '-' (but not "-0"), in range for the type;
+//   - Float: -?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?(e[+-][1-9][0-9]*)?, parsed
+//     by strconv.ParseFloat as encoding/json parses it, and rejected if
+//     that fails;
+//   - String: a non-empty string without escapes — no '\\', no byte below
+//     0x20, no '<', '>' or '&', no U+2028 or U+2029 — in valid UTF-8.
+//
+// The first mismatch latches: a failed method returns the zero value, and
+// every later call then matches nothing.
 type Parser struct {
 	rest []byte
 	bad  bool
@@ -77,40 +92,139 @@ func (p *Parser) Literal(s string) bool {
 	return true
 }
 
-// Number consumes key and returns the number token after it, up to the
-// next ',' or '}'.
-func (p *Parser) Number(key string) []byte {
+// Int consumes key and the integer after it.
+func (p *Parser) Int(key string) int {
 	if !p.Literal(key) {
 		p.bad = true
-		return nil
+		return 0
 	}
-	i := bytes.IndexAny(p.rest, ",}")
-	if i < 0 {
+	if p.Literal("-") {
+		v := p.digits(uint64(math.MaxInt) + 1)
+		if v == 0 {
+			p.bad = true // "-0", which no encoder writes
+		}
+		return -int(v)
+	}
+	return int(p.digits(math.MaxInt))
+}
+
+// Uint consumes key and the unsigned integer after it.
+func (p *Parser) Uint(key string) uint64 {
+	if !p.Literal(key) {
 		p.bad = true
-		return nil
+		return 0
 	}
-	tok := p.rest[:i]
-	p.rest = p.rest[i:]
-	return tok
+	return p.digits(math.MaxUint64)
+}
+
+// digits consumes an unsigned decimal integer without a leading zero and
+// returns its value, which must not exceed limit.
+func (p *Parser) digits(limit uint64) uint64 {
+	r := p.rest
+	if p.bad || len(r) == 0 || !isDigit(r[0]) || r[0] == '0' && len(r) > 1 && isDigit(r[1]) {
+		p.bad = true
+		return 0
+	}
+	var v uint64
+	i := 0
+	for ; i < len(r) && isDigit(r[i]); i++ {
+		// Nineteen digits always fit in a uint64; only a twentieth can
+		// overflow it.
+		d := uint64(r[i] - '0')
+		if i >= 19 && (i > 19 || v > (math.MaxUint64-d)/10) {
+			p.bad = true
+			return 0
+		}
+		v = v*10 + d
+	}
+	if v > limit {
+		p.bad = true
+		return 0
+	}
+	p.rest = r[i:]
+	return v
+}
+
+// Float consumes key and the number after it.
+func (p *Parser) Float(key string) float64 {
+	if !p.Literal(key) {
+		p.bad = true
+		return 0
+	}
+	r := p.rest
+	i := 0
+	if i < len(r) && r[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(r) && r[i] == '0':
+		i++
+	case i < len(r) && isDigit(r[i]):
+		for i++; i < len(r) && isDigit(r[i]); i++ {
+		}
+	default:
+		p.bad = true
+		return 0
+	}
+	if i < len(r) && r[i] == '.' {
+		j := i + 1
+		for j < len(r) && isDigit(r[j]) {
+			j++
+		}
+		if j == i+1 || r[j-1] == '0' {
+			p.bad = true
+			return 0
+		}
+		i = j
+	}
+	if i < len(r) && r[i] == 'e' {
+		if i+2 >= len(r) || r[i+1] != '+' && r[i+1] != '-' || !isDigit(r[i+2]) || r[i+2] == '0' {
+			p.bad = true
+			return 0
+		}
+		for i += 3; i < len(r) && isDigit(r[i]); i++ {
+		}
+	}
+	f, err := strconv.ParseFloat(string(r[:i]), 64)
+	if err != nil {
+		p.bad = true
+		return 0
+	}
+	p.rest = r[i:]
+	return f
 }
 
 // String consumes key and a quoted string after it, and returns the bytes
-// between the quotes as they stand: escapes are not decoded, so a string
-// that needed any fails the caller's re-encoding check.
+// between the quotes, which are the string's value: a string that needs
+// an escape is not accepted. The result aliases the line.
 func (p *Parser) String(key string) []byte {
 	if !p.Literal(key) || !p.Literal(`"`) {
 		p.bad = true
 		return nil
 	}
-	i := bytes.IndexByte(p.rest, '"')
-	if i < 0 {
+	r := p.rest
+	ascii := true
+	i := 0
+	for ; i < len(r) && r[i] != '"'; i++ {
+		switch c := r[i]; {
+		case c < 0x20 || c == '\\' || c == '<' || c == '>' || c == '&':
+			p.bad = true
+			return nil
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	s := r[:i]
+	if i == 0 || i == len(r) || !ascii && (!utf8.Valid(s) ||
+		bytes.Contains(s, []byte("\u2028")) || bytes.Contains(s, []byte("\u2029"))) {
 		p.bad = true
 		return nil
 	}
-	s := p.rest[:i]
-	p.rest = p.rest[i+1:]
+	p.rest = r[i+1:]
 	return s
 }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // Done reports whether every call matched and the whole line was consumed.
 func (p *Parser) Done() bool { return !p.bad && len(p.rest) == 0 }

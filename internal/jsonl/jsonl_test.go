@@ -1,9 +1,12 @@
 package jsonl
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -64,4 +67,95 @@ func TestAppendStringMatchesJSON(t *testing.T) {
 			t.Errorf("AppendString(%q) = %q, want %q", s, got[1:], want)
 		}
 	}
+}
+
+// parserTokens seed FuzzParser and TestParser: tokens the encoders write,
+// and near misses they never write.
+var parserTokens = []string{
+	"0", "-1", "42", "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+	"18446744073709551615", "18446744073709551616", "-0", "+1", "01", "00", "1e3", "-",
+	"0.1", "-0.5", "1.5", "1e-7", "1e+21", "-1.25e-9", "5e-324", "1e-400", "1e400", "1E-1",
+	"4.0", "1.", ".5", "1e-07", "1e+05", "1e7", "0x1p-2", "NaN", "Inf", "1_0",
+	`"base"`, `""`, `"SGD+AS,LS"`, `"a<b"`, `"x&y"`, `"x\"`, `"x\"y"`, `"unterminated`,
+	`"café"`, "\"\x7f\"", "\"\xff\"", "\"\u2028\"", "\"\u2029\"", "\"tab\there\"", `"a"b"`,
+}
+
+// TestParser pins which of the tokens each method accepts: the grammar's
+// edges (sign, leading zero, range, exponent form, escapes, UTF-8).
+// TestRecordCodecMatchesJSON checks that random encoder output is
+// accepted and read back exactly.
+func TestParser(t *testing.T) {
+	for _, tc := range []struct {
+		read func(p *Parser)
+		want []string
+	}{
+		{func(p *Parser) { p.Int("") }, []string{"0", "-1", "42", "9223372036854775807", "-9223372036854775808"}},
+		{func(p *Parser) { p.Uint("") }, []string{"0", "42", "9223372036854775807", "9223372036854775808", "18446744073709551615"}},
+		{func(p *Parser) { p.Float("") }, []string{"0", "-1", "42", "9223372036854775807", "-9223372036854775808",
+			"9223372036854775808", "18446744073709551615", "18446744073709551616", "-0", "0.1", "-0.5", "1.5",
+			"1e-7", "1e+21", "-1.25e-9", "5e-324", "1e-400"}},
+		{func(p *Parser) { p.String("") }, []string{`"base"`, `"SGD+AS,LS"`, `"café"`, "\"\x7f\""}},
+	} {
+		var got []string
+		for _, tok := range parserTokens {
+			p := NewParser([]byte(tok))
+			if tc.read(&p); p.Done() {
+				got = append(got, tok)
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("accepted %q, want %q", got, tc.want)
+		}
+	}
+}
+
+// FuzzParser holds the parser's grammar to encoding/json: for arbitrary
+// token bytes, whenever Int, Uint, Float or String accepts the whole
+// token, json.Unmarshal of the token into int, uint64, float64 or string
+// succeeds and yields the same value, bit for bit. Int, Uint and String
+// accept only what their encoders write, so re-encoding reproduces the
+// token too; Float also accepts non-shortest digits, which parse the same.
+func FuzzParser(f *testing.F) {
+	for _, tok := range parserTokens {
+		f.Add([]byte(tok))
+	}
+	f.Fuzz(func(t *testing.T, tok []byte) {
+		p := NewParser(tok)
+		if got := p.Int(""); p.Done() {
+			var want int
+			if err := json.Unmarshal(tok, &want); err != nil || got != want {
+				t.Fatalf("Int(%q) = %d; json.Unmarshal = %d, %v", tok, got, want, err)
+			}
+			if enc := strconv.AppendInt(nil, int64(got), 10); !bytes.Equal(enc, tok) {
+				t.Fatalf("Int accepted %q, which encodes as %q", tok, enc)
+			}
+		}
+		p = NewParser(tok)
+		if got := p.Uint(""); p.Done() {
+			var want uint64
+			if err := json.Unmarshal(tok, &want); err != nil || got != want {
+				t.Fatalf("Uint(%q) = %d; json.Unmarshal = %d, %v", tok, got, want, err)
+			}
+			if enc := strconv.AppendUint(nil, got, 10); !bytes.Equal(enc, tok) {
+				t.Fatalf("Uint accepted %q, which encodes as %q", tok, enc)
+			}
+		}
+		p = NewParser(tok)
+		if got := p.Float(""); p.Done() {
+			var want float64
+			if err := json.Unmarshal(tok, &want); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Float(%q) = %v; json.Unmarshal = %v, %v", tok, got, want, err)
+			}
+		}
+		p = NewParser(tok)
+		if got := p.String(""); p.Done() {
+			var want string
+			if err := json.Unmarshal(tok, &want); err != nil || string(got) != want {
+				t.Fatalf("String(%q) = %q; json.Unmarshal = %q, %v", tok, got, want, err)
+			}
+			if enc := AppendString(nil, want); !bytes.Equal(enc, tok) {
+				t.Fatalf("String accepted %q, which encodes as %q", tok, enc)
+			}
+		}
+	})
 }
