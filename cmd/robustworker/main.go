@@ -270,9 +270,6 @@ func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
 	go func() {
 		defer close(results)
 		runErr = camp.RunShard(sctx, lr.Shard, w.parallel, harness.Hooks{Sink: func(t harness.Trial) {
-			if t.Cached {
-				return // a Skip index: already durable at the coordinator
-			}
 			w.stats.observeTrial(label, t.Dur, t.Rate, t.Seed)
 			select {
 			case results <- dispatch.TrialResult{

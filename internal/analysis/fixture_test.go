@@ -150,12 +150,12 @@ func TestSeededRandSkipsExamples(t *testing.T) {
 // cannot sit).
 func TestDirectiveHygiene(t *testing.T) {
 	pkg := loadFixture(t, "lintdirective")
-	diags := RunPackage(pkg, "robustify/internal/solver", []*Analyzer{FPUMediation})
+	diags := RunPackage(pkg, "", []*Analyzer{SeededRand})
 
 	expect := []struct {
 		analyzer, substr string
 	}{
-		{DirectiveHygieneName, "unknown //lint: directive fpu-exmept"},
+		{DirectiveHygieneName, "unknown //lint: directive rand-exmept"},
 		{DirectiveHygieneName, "needs a written reason"},
 		// Directives of retired analyzers and markers are unknown now:
 		// each is reported instead of silently scoping nothing.
@@ -163,8 +163,8 @@ func TestDirectiveHygiene(t *testing.T) {
 		{DirectiveHygieneName, "unknown //lint: directive regexhaustive-exempt"},
 		{DirectiveHygieneName, "unknown //lint: directive enum"},
 		{DirectiveHygieneName, "unknown //lint: directive detmap-exempt"},
-		// The misspelled directive exempts nothing: Typo's math is flagged.
-		{"fpumediation", "raw float *"},
+		// The misspelled directive exempts nothing: Typo's draw is flagged.
+		{"seededrand", "rand.Intn uses the global math/rand source"},
 	}
 	for _, e := range expect {
 		found := false
@@ -178,17 +178,17 @@ func TestDirectiveHygiene(t *testing.T) {
 			t.Errorf("missing %s diagnostic containing %q in %v", e.analyzer, e.substr, diags)
 		}
 	}
-	// NoReason's division is suppressed (the directive still scopes), but
+	// NoReason's draw is suppressed (the directive still scopes), but
 	// the missing reason above keeps the run red — exactly one
-	// fpumediation diagnostic total.
-	nFPU := 0
+	// seededrand diagnostic total.
+	nRand := 0
 	for _, d := range diags {
-		if d.Analyzer == "fpumediation" {
-			nFPU++
+		if d.Analyzer == "seededrand" {
+			nRand++
 		}
 	}
-	if nFPU != 1 {
-		t.Errorf("got %d fpumediation diagnostics, want 1: %v", nFPU, diags)
+	if nRand != 1 {
+		t.Errorf("got %d seededrand diagnostics, want 1: %v", nRand, diags)
 	}
 }
 

@@ -23,7 +23,6 @@ func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, 
 	if err != nil {
 		return fmt.Errorf("campaign: encode spec for dispatch: %w", err)
 	}
-	e.st.reserve(e.camp.Total())
 	units := make([]dispatch.UnitGrid, len(e.camp.Plan.Units))
 	for i, u := range e.camp.Plan.Units {
 		units[i] = dispatch.UnitGrid{Rates: len(u.Sweep.Rates), Trials: u.Sweep.PerCell()}
@@ -32,10 +31,7 @@ func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, 
 		Campaign: id,
 		Spec:     specJSON,
 		Units:    units,
-		Have: func(k dispatch.Key) bool {
-			_, ok := e.st.Lookup(k.Unit, k.RateIdx, k.TrialIdx)
-			return ok
-		},
+		Durable:  e.st.Durable(e.camp.Plan),
 		// A result must carry exactly the rate and seed the grid pins for
 		// its key — anything else is a worker running different code (or
 		// lying) and would silently corrupt a deterministic table.

@@ -27,11 +27,11 @@ func (c *Campaign) Total() int { return c.Plan.Size() }
 
 // RunShard runs one shard of the grid — unit sh.Unit's linear indices
 // [sh.Start, sh.Start+sh.Count) — through the harness trial loop on
-// workers goroutines (0 = the unit's own default). Indices listed in
-// sh.Skip reach the sink as cached trials without running. It is the
-// one way trials execute: Execution.Run runs each unit as a whole-unit
-// shard, and robustworker runs the shards it leases. A shard outside the
-// grid is an error, and nothing runs.
+// workers goroutines (0 = the unit's own default). Indices set in
+// h.Skip or listed in sh.Skip are already durable: they neither run nor
+// reach the sink. It is the one way trials execute: Execution.Run runs
+// each unit as a whole-unit shard, and robustworker runs the shards it
+// leases. A shard outside the grid is an error, and nothing runs.
 func (c *Campaign) RunShard(ctx context.Context, sh dispatch.Shard, workers int, h harness.Hooks) error {
 	if sh.Unit < 0 || sh.Unit >= len(c.Plan.Units) {
 		return fmt.Errorf("campaign: shard names unit %d of %d", sh.Unit, len(c.Plan.Units))
@@ -45,22 +45,14 @@ func (c *Campaign) RunShard(ctx context.Context, sh dispatch.Shard, workers int,
 		sweep.Workers = workers
 	}
 	if len(sh.Skip) > 0 {
-		skip := make([]bool, sh.Count)
+		skip := make([]uint64, (sh.Start+sh.Count+63)/64)
+		copy(skip, h.Skip)
 		for _, i := range sh.Skip {
 			if i >= sh.Start && i < sh.Start+sh.Count {
-				skip[i-sh.Start] = true
+				skip[i>>6] |= 1 << (i & 63)
 			}
 		}
-		per, lookup := sweep.PerCell(), h.Lookup
-		h.Lookup = func(rateIdx, trial int) (float64, bool) {
-			if skip[rateIdx*per+trial-sh.Start] {
-				return 0, true
-			}
-			if lookup != nil {
-				return lookup(rateIdx, trial)
-			}
-			return 0, false
-		}
+		h.Skip = skip
 	}
 	return sweep.RunRange(ctx, c.Plan.Units[sh.Unit].Fn, sh.Start, sh.Count, h)
 }
@@ -141,7 +133,7 @@ type UnitStatus struct {
 type Execution struct {
 	camp *Campaign
 	st   *Store
-	// trials, if non-nil, counts freshly executed (non-cached) trials —
+	// trials, if non-nil, counts freshly executed (newly durable) trials —
 	// the manager points every execution at one daemon-wide counter for
 	// the /metrics throughput numbers.
 	trials *atomic.Int64
@@ -237,34 +229,29 @@ func (e *Execution) record(unit int, t harness.Trial) error {
 }
 
 // NewExecution prepares a run of camp against st. It reads nothing from
-// the store: a resumed run looks each trial up as it reaches it, and
-// Status reads the store when asked.
+// the store: Run takes the durable set when it starts, and Status reads
+// the store when asked.
 func NewExecution(camp *Campaign, st *Store) *Execution {
 	return &Execution{camp: camp, st: st}
 }
 
 // Run executes every unit in plan order, each as one whole-unit shard
-// through RunShard. Trials already in the store are served from it
-// instead of re-executing (resume); every freshly executed trial is
-// appended to the store before counting as progress, so an interrupt at
-// any point loses no completed work. Cancelling ctx stops
-// between trials and returns ctx.Err(). A store error stops the sweep
-// too, without computing the remaining trials, and Run returns that
-// error rather than a cancellation.
+// through RunShard. Trials already durable when it starts are skipped
+// (resume); every freshly executed trial is appended to the store before
+// counting as progress, so an interrupt at any point loses no completed
+// work. Cancelling ctx stops between trials and returns ctx.Err(). A
+// store error stops the sweep too, without computing the remaining
+// trials, and Run returns that error rather than a cancellation.
 func (e *Execution) Run(ctx context.Context) error {
 	ctx, stop := context.WithCancel(ctx)
 	defer stop()
+	durable := e.st.Durable(e.camp.Plan)
 	for unit, u := range e.camp.Plan.Units {
 		var sinkErr error
 		var sinkMu sync.Mutex
 		hooks := harness.Hooks{
-			Lookup: func(rateIdx, trial int) (float64, bool) {
-				return e.st.Lookup(unit, rateIdx, trial)
-			},
+			Skip: durable[unit],
 			Sink: func(t harness.Trial) {
-				if t.Cached {
-					return // already folded in (preloaded from the store)
-				}
 				if err := e.record(unit, t); err != nil {
 					sinkMu.Lock()
 					if sinkErr == nil {

@@ -344,8 +344,10 @@ func TestRunStopsAtFirstStoreError(t *testing.T) {
 }
 
 // TestRunShard: a shard outside the grid is an error and runs nothing;
-// an in-grid shard delivers each index in range to the sink exactly
-// once, with Skip indices (those in range) cached and never executed.
+// an in-grid shard runs each index in range and delivers it to the sink
+// exactly once, except the indices the shard's Skip list (those in
+// range) or the hooks' Skip bitset name, which neither run nor reach the
+// sink.
 func TestRunShard(t *testing.T) {
 	var ran atomic.Int64
 	fn := func(rate float64, seed uint64) float64 { ran.Add(1); return rate }
@@ -354,10 +356,11 @@ func TestRunShard(t *testing.T) {
 		{Series: "b", Sweep: harness.Sweep{Rates: []float64{0.3}, Trials: 4, Seed: 2}, Fn: fn},
 	}}}
 	for _, tc := range []struct {
-		name   string
-		shard  dispatch.Shard
-		bad    bool
-		cached []int // indices the sink must see cached; the rest of the range runs
+		name    string
+		shard   dispatch.Shard
+		skip    []uint64 // the hooks' Skip bitset
+		bad     bool
+		skipped []int // indices in range that must not run; the rest of the range runs
 	}{
 		{name: "unit -1", shard: dispatch.Shard{Unit: -1, Count: 1}, bad: true},
 		{name: "unit past the plan", shard: dispatch.Shard{Unit: 2, Count: 1}, bad: true},
@@ -366,14 +369,16 @@ func TestRunShard(t *testing.T) {
 		{name: "past the grid", shard: dispatch.Shard{Unit: 1, Start: 2, Count: 3}, bad: true},
 		{name: "whole unit", shard: dispatch.Shard{Unit: 0, Count: 6}},
 		{name: "empty", shard: dispatch.Shard{Unit: 0, Start: 6}},
-		{name: "skips", shard: dispatch.Shard{Unit: 0, Start: 1, Count: 4, Skip: []int{0, 2, 4, 5}}, cached: []int{2, 4}},
+		{name: "skips", shard: dispatch.Shard{Unit: 0, Start: 1, Count: 4, Skip: []int{0, 2, 4, 5}}, skipped: []int{2, 4}},
+		{name: "durable set", shard: dispatch.Shard{Unit: 1, Count: 4}, skip: []uint64{0b1010}, skipped: []int{1, 3}},
+		{name: "durable set and skips", shard: dispatch.Shard{Unit: 1, Start: 1, Count: 3, Skip: []int{2}}, skip: []uint64{0b1001}, skipped: []int{2, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ran.Store(0)
 			var mu sync.Mutex
 			seen := map[int]harness.Trial{}
 			dups := 0
-			err := camp.RunShard(context.Background(), tc.shard, 4, harness.Hooks{Sink: func(tr harness.Trial) {
+			err := camp.RunShard(context.Background(), tc.shard, 4, harness.Hooks{Skip: tc.skip, Sink: func(tr harness.Trial) {
 				idx := tr.RateIdx*camp.Plan.Units[tc.shard.Unit].Sweep.PerCell() + tr.TrialIdx
 				mu.Lock()
 				if _, ok := seen[idx]; ok {
@@ -394,18 +399,19 @@ func TestRunShard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if dups != 0 || len(seen) != tc.shard.Count {
-				t.Errorf("sink saw %d distinct indices (%d repeats), want %d", len(seen), dups, tc.shard.Count)
+			want := tc.shard.Count - len(tc.skipped)
+			if dups != 0 || len(seen) != want {
+				t.Errorf("sink saw %d distinct indices (%d repeats), want %d", len(seen), dups, want)
 			}
-			for idx, tr := range seen {
+			for idx := range seen {
 				if idx < tc.shard.Start || idx >= tc.shard.Start+tc.shard.Count {
 					t.Errorf("index %d outside [%d,%d) reached the sink", idx, tc.shard.Start, tc.shard.Start+tc.shard.Count)
 				}
-				if want := slices.Contains(tc.cached, idx); tr.Cached != want {
-					t.Errorf("index %d cached = %v, want %v", idx, tr.Cached, want)
+				if slices.Contains(tc.skipped, idx) {
+					t.Errorf("skipped index %d reached the sink", idx)
 				}
 			}
-			if n, want := ran.Load(), int64(tc.shard.Count-len(tc.cached)); n != want {
+			if n := ran.Load(); n != int64(want) {
 				t.Errorf("ran %d trials, want %d", n, want)
 			}
 		})

@@ -59,7 +59,7 @@ func FuzzStoreOpen(f *testing.F) {
 		if got := st2.Count(); got != n {
 			t.Fatalf("reopen lost records: had %d, reloaded %d", n, got)
 		}
-		v, ok := st2.Lookup(rec.Unit, rec.RateIdx, rec.TrialIdx)
+		v, ok := lookup(st2, rec.Unit, rec.RateIdx, rec.TrialIdx)
 		if !ok {
 			t.Fatalf("record appended after corrupt load did not survive reopen")
 		}

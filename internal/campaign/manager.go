@@ -68,7 +68,7 @@ func (h *handle) openLocked() error {
 	if h.exec != nil {
 		return nil
 	}
-	st, err := Open(h.dir)
+	st, err := open(h.dir, h.camp.Total())
 	if err != nil {
 		return fmt.Errorf("campaign: open store for %s: %w", h.id, err)
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"log"
+	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -18,9 +19,10 @@ import (
 // access (handle.openLocked). Boot cost therefore stops growing
 // with terminal history — only live work (interrupted campaigns, old
 // metas written before progress was recorded) replays trial data.
-// Everything else is classified from the store: a complete grid is done
-// (the daemon died after the last trial's append but before the terminal
-// meta write); anything less is interrupted.
+// Everything else is classified from the store: a grid whose every trial
+// is durable is done (the daemon died after the last trial's append but
+// before the terminal meta write); anything less is interrupted, however
+// many out-of-grid lines the store holds.
 func (m *Manager) load(id, dir string) (*job.Recovered, error) {
 	specBytes, err := os.ReadFile(filepath.Join(dir, specFile))
 	if os.IsNotExist(err) {
@@ -63,7 +65,17 @@ func (m *Manager) load(id, dir string) (*job.Recovered, error) {
 			rec.Record.Created = fi.ModTime()
 		}
 	}
-	rec.Complete = h.st.Count() >= camp.Total()
+	// Out-of-grid lines count in Count but set no durable bit, so only a
+	// store holding enough keys can be complete.
+	if rec.Complete = h.st.Count() >= camp.Total(); rec.Complete {
+		done := 0
+		for _, set := range h.st.Durable(camp.Plan) {
+			for _, w := range set {
+				done += bits.OnesCount64(w)
+			}
+		}
+		rec.Complete = done == camp.Total()
+	}
 	// Rewrite the meta when it is missing (pre-registry directories gain
 	// one) or predates progress records (Total 0), so the next boot
 	// recovers this campaign without opening its store.

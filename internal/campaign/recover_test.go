@@ -158,6 +158,61 @@ func TestRecoverInterruptedAndResume(t *testing.T) {
 	}
 }
 
+// TestRecoverOutOfGridLinesNotDone: a store line outside the grid does
+// not stand in for a missing trial. With three of four trials durable
+// plus one out-of-grid line and no meta, the campaign recovers as
+// interrupted, not done, and resumes to the uninterrupted table.
+func TestRecoverOutOfGridLinesNotDone(t *testing.T) {
+	spec := Spec{
+		Custom: &CustomSweep{Workload: "sort/base", Rates: []float64{0.2}},
+		Trials: 4, Seed: 23,
+	}
+	wantText, wantCSV := runAll(t, spec)
+	root := t.TempDir()
+	dir := filepath.Join(root, "c0001")
+	seedCampaignDir(t, dir, spec, 3, nil)
+	f, err := os.OpenFile(filepath.Join(dir, storeFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"u":0,"r":0,"t":9,"rate":0.2,"seed":1,"v":1}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := newManager(t, root, 2)
+	defer m.Close()
+	st, err := m.Get("c0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateInterrupted {
+		t.Fatalf("recovered state = %s, want %s", st.State, StateInterrupted)
+	}
+	if err := m.Resume("c0001"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Wait("c0001"); err != nil {
+		t.Fatal(err)
+	}
+	table, err := m.Table("c0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text, csv bytes.Buffer
+	if err := table.Render(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := table.CSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if text.String() != wantText || csv.String() != wantCSV {
+		t.Errorf("resumed table differs from uninterrupted run:\n--- want ---\n%s--- got ---\n%s", wantText, text.String())
+	}
+}
+
 // TestRecoverClassification covers every recovered state: terminal states
 // are kept (with their error), ownerless queued/running become
 // interrupted, pre-registry directories (no meta.json) classify from

@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
 
+	"robustify/internal/figures"
 	"robustify/internal/fsutil"
 	"robustify/internal/jsonl"
 )
@@ -113,11 +113,10 @@ func decodeRecord(line []byte, rec *Record) bool {
 type Store struct {
 	dir string
 
-	mu       sync.Mutex
-	f        *os.File
-	werr     error // the first failed write; every later put fails with it
-	have     map[trialKey]float64
-	reserved int // the trial count have was last sized for
+	mu   sync.Mutex
+	f    *os.File
+	werr error // the first failed write; every later put fails with it
+	have map[trialKey]float64
 	// pending holds the keys of the batch being put, to drop a key
 	// repeated within it; line is the batch's encoding. Both are reused
 	// from batch to batch.
@@ -142,7 +141,12 @@ const lineBytesHint = 64
 
 // Open creates (or reopens) the campaign directory and loads every record
 // already present, deduplicating by trial key.
-func Open(dir string) (*Store, error) {
+func Open(dir string) (*Store, error) { return open(dir, 0) }
+
+// open is Open with the key map sized for a campaign of trials trials
+// (or the store file's length, if that implies more) before replay, so
+// neither replay nor recording the rest of the grid grows it.
+func open(dir string, trials int) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: store dir: %w", err)
 	}
@@ -150,7 +154,7 @@ func Open(dir string) (*Store, error) {
 	st := &Store{dir: dir}
 	torn := false
 	if data, err := os.Open(path); err == nil {
-		tornTail, loadErr := st.load(data)
+		tornTail, loadErr := st.load(data, trials)
 		closeErr := data.Close()
 		if loadErr != nil {
 			return nil, fmt.Errorf("campaign: read store: %w", loadErr)
@@ -162,7 +166,7 @@ func Open(dir string) (*Store, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	} else {
-		st.have = make(map[trialKey]float64)
+		st.have = make(map[trialKey]float64, trials)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -183,21 +187,21 @@ func Open(dir string) (*Store, error) {
 	return st, nil
 }
 
-// load replays the store file into st.have, which it sizes from the
-// file's length. Unparseable, torn, and oversized (>maxLineBytes) lines
-// are skipped — those trials simply rerun — so a single corrupt line never
-// blocks reopening a campaign. tornTail reports an unterminated final line
-// (crash mid-append): the caller must terminate it before appending more
-// records.
+// load replays the store file into st.have, which it sizes for trials
+// keys or from the file's length, whichever is more. Unparseable, torn,
+// and oversized (>maxLineBytes) lines are skipped — those trials simply
+// rerun — so a single corrupt line never blocks reopening a campaign.
+// tornTail reports an unterminated final line (crash mid-append): the
+// caller must terminate it before appending more records.
 //
 // Each line is first parsed as the canonical form Put writes
 // (decodeRecord); any line that is not exactly canonical goes through
 // json.Unmarshal, which decides whether it is a record at all.
-func (st *Store) load(data *os.File) (tornTail bool, err error) {
+func (st *Store) load(data *os.File, trials int) (tornTail bool, err error) {
 	if fi, err := data.Stat(); err == nil {
-		st.reserved = int(fi.Size() / lineBytesHint)
+		trials = max(trials, int(fi.Size()/lineBytesHint))
 	}
-	st.have = make(map[trialKey]float64, st.reserved)
+	st.have = make(map[trialKey]float64, trials)
 	r := bufio.NewReaderSize(data, 64*1024)
 	var buf []byte
 	var rec Record // reused, so consecutive lines of one series share its string
@@ -330,27 +334,29 @@ func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 	return fresh, nil
 }
 
-// reserve sizes the store's key map for a campaign of n trials, so
-// recording the grid never grows the map piecemeal. RunDispatched calls
-// it before the first report: merging a report of any size then
-// allocates nothing per result.
-func (st *Store) reserve(n int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if n <= st.reserved || n <= len(st.have) {
-		return
+// Durable returns the durable trials of plan's grid, one bitset per unit
+// in harness.Hooks.Skip's layout, built in one pass over the store's
+// keys. Keys outside the grid set no bit. The bitsets are the caller's.
+func (st *Store) Durable(plan *figures.Plan) [][]uint64 {
+	sets := make([][]uint64, len(plan.Units))
+	for u, unit := range plan.Units {
+		sets[u] = make([]uint64, (unit.Sweep.Size()+63)/64)
 	}
-	have := make(map[trialKey]float64, n)
-	maps.Copy(have, st.have)
-	st.have, st.reserved = have, n
-}
-
-// Lookup returns the recorded value for a trial key of one unit.
-func (st *Store) Lookup(unit, rateIdx, trialIdx int) (float64, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	v, ok := st.have[trialKey{unit, rateIdx, trialIdx}]
-	return v, ok
+	for k := range st.have {
+		if k.unit < 0 || k.unit >= len(sets) {
+			continue
+		}
+		sweep := plan.Units[k.unit].Sweep
+		per := sweep.PerCell()
+		if k.rateIdx < 0 || k.rateIdx >= len(sweep.Rates) || k.trialIdx < 0 || k.trialIdx >= per {
+			continue
+		}
+		i := k.rateIdx*per + k.trialIdx
+		sets[k.unit][i>>6] |= 1 << (i & 63)
+	}
+	return sets
 }
 
 // Size is the store file's current on-disk size in bytes (0 when the

@@ -6,13 +6,24 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"robustify/internal/figures"
+	"robustify/internal/harness"
 	"robustify/internal/jsonl"
 )
+
+// lookup returns the recorded value of one trial key.
+func lookup(st *Store, unit, rateIdx, trialIdx int) (float64, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	v, ok := st.have[trialKey{unit, rateIdx, trialIdx}]
+	return v, ok
+}
 
 func TestStoreAppendReloadDedup(t *testing.T) {
 	dir := t.TempDir()
@@ -37,7 +48,7 @@ func TestStoreAppendReloadDedup(t *testing.T) {
 	if got := st.Count(); got != 3 {
 		t.Errorf("count = %d, want 3", got)
 	}
-	if v, ok := st.Lookup(1, 2, 0); !ok || v != 0.25 {
+	if v, ok := lookup(st, 1, 2, 0); !ok || v != 0.25 {
 		t.Errorf("lookup = %v,%v; want 0.25,true", v, ok)
 	}
 	if err := st.Close(); err != nil {
@@ -54,6 +65,56 @@ func TestStoreAppendReloadDedup(t *testing.T) {
 	}
 	if xs := st2.AppendCell([]float64{9}, 0, 0, 2); len(xs) != 3 || xs[0] != 9 || xs[1] != 1 || xs[2] != 0 {
 		t.Errorf("cell values appended to [9] = %v, want [9 1 0]", xs)
+	}
+}
+
+// TestStoreDurable: the durable set holds exactly the in-grid keys that
+// were put, across a word boundary, both live and after replay; keys
+// outside the plan's grid — past a unit's rates or trials, negative, or
+// naming a unit the plan lacks — set no bit.
+func TestStoreDurable(t *testing.T) {
+	plan := &figures.Plan{Units: []figures.Unit{
+		{Sweep: harness.Sweep{Rates: []float64{0.1, 0.2}, Trials: 3}},
+		{Sweep: harness.Sweep{Rates: []float64{0.3}, Trials: 70}},
+	}}
+	want := [][]uint64{{1<<1 | 1<<5}, {1<<0 | 1<<63, 1<<0 | 1<<5}}
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []trialKey{{0, 0, 1}, {0, 1, 2}, {1, 0, 0}, {1, 0, 63}, {1, 0, 64}, {1, 0, 69}} {
+		if _, err := st.Put(Record{Unit: k.unit, RateIdx: k.rateIdx, TrialIdx: k.trialIdx, Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := st.Durable(plan); !reflect.DeepEqual(got, want) {
+		t.Errorf("live durable set = %b, want %b", got, want)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, storeFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{`"u":0,"r":2,"t":0`, `"u":0,"r":0,"t":3`, `"u":0,"r":-1,"t":0`, `"u":0,"r":0,"t":-1`,
+		`"u":-1,"r":0,"t":0`, `"u":2,"r":0,"t":0`, `"u":1,"r":0,"t":70`, `"u":1,"r":1,"t":0`} {
+		f.WriteString(`{` + k + `,"rate":0,"seed":0,"v":1}` + "\n")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if got := st2.Count(); got != 14 {
+		t.Fatalf("replayed %d keys, want 14 (the out-of-grid lines load)", got)
+	}
+	if got := st2.Durable(plan); !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed durable set = %b, want %b", got, want)
 	}
 }
 
@@ -88,7 +149,7 @@ func TestStoreToleratesTornTrailingLine(t *testing.T) {
 	if _, err := st2.Put(Record{Unit: 0, RateIdx: 0, TrialIdx: 1, Value: 0.5}); err != nil {
 		t.Fatalf("re-append: %v", err)
 	}
-	if v, ok := st2.Lookup(0, 0, 1); !ok || v != 0.5 {
+	if v, ok := lookup(st2, 0, 0, 1); !ok || v != 0.5 {
 		t.Errorf("re-recorded trial = %v,%v", v, ok)
 	}
 }
@@ -124,7 +185,7 @@ func TestStoreToleratesOversizedLine(t *testing.T) {
 	if got := st2.Count(); got != 2 {
 		t.Errorf("count = %d, want 2 (oversized line dropped, later record kept)", got)
 	}
-	if v, ok := st2.Lookup(0, 0, 2); !ok || v != 4 {
+	if v, ok := lookup(st2, 0, 0, 2); !ok || v != 4 {
 		t.Errorf("record after oversized line = %v,%v; want 4,true", v, ok)
 	}
 	// The dropped trial simply reruns.
@@ -309,7 +370,7 @@ func TestStorePutBatch(t *testing.T) {
 					t.Errorf("failed batch changed the store: %d records, %d bytes; want %d, %d", n, batched.Size(), len(tc.durable), before)
 				}
 				r := tc.batch[0]
-				if _, ok := batched.Lookup(r.Unit, r.RateIdx, r.TrialIdx); ok {
+				if _, ok := lookup(batched, r.Unit, r.RateIdx, r.TrialIdx); ok {
 					t.Errorf("failed batch marked its encodable record %+v durable", r)
 				}
 				return
@@ -424,7 +485,7 @@ func TestStoreLoadNonCanonicalLines(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &want); err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
-		if v, ok := st.Lookup(want.Unit, want.RateIdx, want.TrialIdx); !ok || v != want.Value {
+		if v, ok := lookup(st, want.Unit, want.RateIdx, want.TrialIdx); !ok || v != want.Value {
 			t.Errorf("line %q loaded as %v,%v; want %v", line, v, ok, want.Value)
 		}
 	}

@@ -90,12 +90,11 @@ func TestTrialAllocsWithHub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(t.TempDir())
+	st, err := open(t.TempDir(), trials)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.reserve(trials)
 	hub := obs.NewHub()
 	defer hub.Close()
 	prev := faultmodel.SetUnitObserver(hub.Observer)

@@ -13,7 +13,8 @@ import (
 )
 
 // Job is one campaign the coordinator dispatches: its grid shape, the
-// spec payload served to workers, and the campaign engine's callbacks.
+// spec payload served to workers, the trials already durable, and the
+// campaign engine's callbacks.
 type Job struct {
 	// Campaign is the campaign id leases and reports are keyed by.
 	Campaign string
@@ -21,8 +22,9 @@ type Job struct {
 	Spec json.RawMessage
 	// Units are the grid dimensions, in unit order.
 	Units []UnitGrid
-	// Have reports whether a trial is already durable (resume).
-	Have func(Key) bool
+	// Durable is the set of trials already durable (resume): one bitset
+	// per unit, in NewTable's layout. The job's table takes it over.
+	Durable [][]uint64
 	// Verify, if non-nil, checks a reported result against the grid
 	// (seed, rate). Results that fail are dropped — their trials stay
 	// outstanding and are re-executed — so a buggy or malicious worker
@@ -124,8 +126,8 @@ func New(opt Options) *Coordinator {
 
 // RunJob dispatches one campaign and blocks until every trial in its
 // grid is durable, the sink fails, or ctx is cancelled. The lease table
-// is built fresh from Have — i.e. from the durable store — which is how
-// a restarted coordinator resumes a half-dispatched campaign: trials
+// is built fresh from Durable — i.e. from the durable store — which is
+// how a restarted coordinator resumes a half-dispatched campaign: trials
 // already recorded start done, everything else is re-dispatched.
 func (c *Coordinator) RunJob(ctx context.Context, job Job) error {
 	if job.Campaign == "" {
@@ -136,7 +138,7 @@ func (c *Coordinator) RunJob(ctx context.Context, job Job) error {
 	}
 	j := &runningJob{
 		job:    job,
-		table:  NewTable(job.Units, job.Have, c.opt.ShardSize),
+		table:  NewTable(job.Units, job.Durable, c.opt.ShardSize),
 		failed: make(chan struct{}),
 	}
 	if c.opt.Events != nil {

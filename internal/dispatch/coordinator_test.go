@@ -306,7 +306,7 @@ func TestWorkersListingAndStats(t *testing.T) {
 		errc <- c.RunJob(ctx, Job{
 			Campaign: "c1",
 			Units:    []UnitGrid{{Rates: 2, Trials: 4}},
-			Have:     func(k Key) bool { return k.TrialIdx < 2 },
+			Durable:  durableLinear(8, 0, 1, 4, 5),
 			Sink:     func([]TrialResult) error { return nil },
 		})
 	}()

@@ -16,10 +16,11 @@
 //
 // The package is deliberately campaign-agnostic: it deals in grid
 // dimensions, trial keys, and opaque spec payloads. The campaign engine
-// supplies `have` (which trials are already durable), `verify` (does a
-// reported result carry the seed/rate the grid dictates), and `sink`
-// (merge results into the dedup-keyed store); workers get the spec bytes
-// verbatim and compile them with the same code the coordinator used.
+// supplies `durable` (a bitset per unit of the trials already durable),
+// `verify` (does a reported result carry the seed/rate the grid
+// dictates), and `sink` (merge results into the dedup-keyed store);
+// workers get the spec bytes verbatim and compile them with the same code
+// the coordinator used.
 // Because the store collapses duplicate trial keys and every value is
 // deterministic in its seed, result merging is order- and
 // duplication-insensitive: a campaign executed by any number of workers,

@@ -44,15 +44,20 @@ func FuzzLeaseTable(f *testing.F) {
 		floor := 1 + next()%4
 		haveBits := next() | next()<<8 | next()<<16
 		model := make([][]bool, len(units))
+		durable := make([][]uint64, len(units))
 		g := 0
 		for u := range units {
 			model[u] = make([]bool, units[u].size())
+			durable[u] = make([]uint64, (units[u].size()+63)/64)
 			for i := range model[u] {
 				model[u][i] = haveBits>>(g%24)&1 == 1
+				if model[u][i] {
+					durable[u][i>>6] |= 1 << (i & 63)
+				}
 				g++
 			}
 		}
-		tb := NewTable(units, func(k Key) bool { return model[k.Unit][k.RateIdx*units[k.Unit].Trials+k.TrialIdx] }, floor)
+		tb := NewTable(units, durable, floor)
 		now := t0
 		var issued []*Lease
 		acquire := func(worker string) *Lease {

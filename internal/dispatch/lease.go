@@ -51,14 +51,14 @@ type Lease struct {
 // a lease is granted: every index of the grid is durable, covered by an
 // outstanding lease, in a range handed back by an expired or incomplete
 // lease, or at or past its unit's carve cursor. It is rebuilt from the
-// durable store on every coordinator boot — `have` marks trials already
-// recorded — which is what lets leases survive coordinator restarts
-// without their own persistence.
+// durable store's bitsets on every coordinator boot, which is what lets
+// leases survive coordinator restarts without their own persistence.
 type Table struct {
 	mu    sync.Mutex
 	units []UnitGrid
 	floor int // first lease of each worker, and the least of any lease
-	// durable is one bitset per unit over its linearized indices.
+	// durable is one bitset per unit over its linearized indices: bit i
+	// of word i>>6, with (size+63)/64 words and no bit past the size.
 	durable [][]uint64
 	// cursor[u] is the first index of unit u never carved; carving runs
 	// unit by unit, and unit is the first whose cursor is not at its end.
@@ -97,11 +97,12 @@ func (t *Table) emit(kind, detail string) {
 	}
 }
 
-// NewTable builds the lease table of a grid, marking trials for which
-// have returns true as already durable, so a resumed campaign only
-// dispatches the remainder. floor is the size of each worker's first
-// lease and the least of every later one (0 = 16, at most MaxReport).
-func NewTable(units []UnitGrid, have func(Key) bool, floor int) *Table {
+// NewTable builds the lease table of a grid. durable[u], if non-nil, is
+// unit u's set of trials already durable, in the layout of the table's
+// own, so a resumed campaign only dispatches the remainder; the table
+// adopts it. floor is the size of each worker's first lease and the
+// least of every later one (0 = 16, at most MaxReport).
+func NewTable(units []UnitGrid, durable [][]uint64, floor int) *Table {
 	if floor <= 0 {
 		floor = 16
 	}
@@ -116,13 +117,14 @@ func NewTable(units []UnitGrid, have func(Key) bool, floor int) *Table {
 	}
 	for u, g := range units {
 		size := g.size()
-		t.durable[u] = make([]uint64, (size+63)/64)
 		t.total += size
-		for i := 0; have != nil && i < size; i++ {
-			if have(Key{Unit: u, RateIdx: i / g.Trials, TrialIdx: i % g.Trials}) {
-				t.durable[u][i>>6] |= 1 << (i & 63)
-				t.nDurable++
-			}
+		if u < len(durable) && durable[u] != nil {
+			t.durable[u] = durable[u]
+		} else {
+			t.durable[u] = make([]uint64, (size+63)/64)
+		}
+		for _, w := range t.durable[u] {
+			t.nDurable += bits.OnesCount64(w)
 		}
 	}
 	if t.nDurable == t.total {

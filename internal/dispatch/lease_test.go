@@ -18,13 +18,14 @@ func keys(unit int, trials int, linear ...int) []TrialResult {
 	return out
 }
 
-// haveLinear marks the given linear indices of unit 0 durable.
-func haveLinear(trials int, linear ...int) func(Key) bool {
-	durable := map[Key]bool{}
-	for _, r := range keys(0, trials, linear...) {
-		durable[r.Key()] = true
+// durableLinear is the durable set of a one-unit grid of size indices
+// in which the given linear indices are recorded.
+func durableLinear(size int, linear ...int) [][]uint64 {
+	set := make([]uint64, (size+63)/64)
+	for _, i := range linear {
+		set[i>>6] |= 1 << (i & 63)
 	}
-	return func(k Key) bool { return durable[k] }
+	return [][]uint64{set}
 }
 
 func tableStats(tb *Table, now time.Time) Stats {
@@ -63,7 +64,7 @@ func TestTableCarving(t *testing.T) {
 
 	// A fresh carve passes over durable indices and stops at the first
 	// durable one, so it never carries a Skip list.
-	tb = NewTable([]UnitGrid{{Rates: 1, Trials: 12}}, haveLinear(12, 0, 3, 4, 9, 10, 11), 8)
+	tb = NewTable([]UnitGrid{{Rates: 1, Trials: 12}}, durableLinear(12, 0, 3, 4, 9, 10, 11), 8)
 	want = []Shard{{Start: 1, Count: 2}, {Start: 5, Count: 4}}
 	if got := acquireAll(tb, "w1", t0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("carves around durable indices = %+v, want %+v", got, want)
@@ -73,7 +74,7 @@ func TestTableCarving(t *testing.T) {
 func TestTableResumeSkipsDurable(t *testing.T) {
 	// Trials 0..3 of unit 0 already durable: only [4,6) is leased, with
 	// no skip.
-	tb := NewTable([]UnitGrid{{Rates: 2, Trials: 3}}, haveLinear(3, 0, 1, 2, 3), 4)
+	tb := NewTable([]UnitGrid{{Rates: 2, Trials: 3}}, durableLinear(6, 0, 1, 2, 3), 4)
 	if s := tableStats(tb, t0); s.TrialsPending != 2 || s.TrialsDone != 4 {
 		t.Fatalf("stats = %+v, want 2 pending, 4 done", s)
 	}
@@ -87,7 +88,7 @@ func TestTableResumeSkipsDurable(t *testing.T) {
 // ranges, listing exactly the durable indices inside them, and
 // handed-back ranges are re-leased lowest first, before fresh carving.
 func TestTablePartialHaveYieldsSkip(t *testing.T) {
-	tb := NewTable([]UnitGrid{{Rates: 4, Trials: 3}}, haveLinear(3, 1, 2), 6)
+	tb := NewTable([]UnitGrid{{Rates: 4, Trials: 3}}, durableLinear(12, 1, 2), 6)
 	a := tb.Acquire("w1", t0, time.Minute)
 	b := tb.Acquire("w2", t0, time.Minute)
 	if a == nil || !reflect.DeepEqual(a.Shard, Shard{Start: 0, Count: 1}) || b == nil || !reflect.DeepEqual(b.Shard, Shard{Start: 3, Count: 6}) {
@@ -212,7 +213,7 @@ func TestLeaseSizeFollowsMeasuredRate(t *testing.T) {
 			durable = append(durable, i)
 		}
 	}
-	tb = NewTable([]UnitGrid{{Rates: 1, Trials: 1000}}, haveLinear(1000, durable...), 16)
+	tb = NewTable([]UnitGrid{{Rates: 1, Trials: 1000}}, durableLinear(1000, durable...), 16)
 	first := tb.Acquire("fast", t0, time.Minute)
 	finish(t, tb, first, 1000, t0) // no measurable time: as fast as can be
 	got := acquireAll(tb, "fast", t0)
@@ -330,7 +331,7 @@ func TestEmptyGridStartsDone(t *testing.T) {
 	default:
 		t.Fatal("empty grid not done")
 	}
-	tbHave := NewTable([]UnitGrid{{Rates: 2, Trials: 2}}, func(Key) bool { return true }, 3)
+	tbHave := NewTable([]UnitGrid{{Rates: 2, Trials: 2}}, durableLinear(4, 0, 1, 2, 3), 3)
 	select {
 	case <-tbHave.Done():
 	default:

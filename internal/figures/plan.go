@@ -56,7 +56,7 @@ func (p *Plan) Build() *harness.Table {
 		if err != nil {
 			panic(fmt.Sprintf("figures: plan %s unit %q: %v", p.ID, u.Series, err))
 		}
-		points, _ := u.Sweep.RunHooked(context.Background(), u.Fn, agg, harness.Hooks{})
+		points, _ := u.Sweep.RunHooked(context.Background(), u.Fn, agg)
 		t.Series[i] = harness.Series{Name: u.Series, Points: points}
 	}
 	return &t

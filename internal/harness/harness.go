@@ -75,7 +75,7 @@ func (s Sweep) TrialSeed(rateIdx, trial int) uint64 {
 // Run executes fn over the full rate×trial grid and returns the mean metric
 // per rate.
 func (s Sweep) Run(fn TrialFunc) []Point {
-	points, _ := s.RunHooked(context.Background(), fn, Mean, Hooks{})
+	points, _ := s.RunHooked(context.Background(), fn, Mean)
 	return points
 }
 
@@ -106,9 +106,7 @@ type Trial struct {
 	Seed uint64
 	// Value is the trial's metric value.
 	Value float64
-	// Cached marks a value served by Hooks.Lookup instead of executed.
-	Cached bool
-	// Dur is the wall time of the trial function call; 0 when Cached.
+	// Dur is the wall time of the trial function call.
 	Dur time.Duration
 }
 
@@ -127,19 +125,21 @@ func AggregatorByName(name string) (Aggregator, error) {
 	}
 }
 
-// Hooks customize a grid run with resume lookups and a trial sink. Both
-// callbacks may be invoked concurrently from worker goroutines.
+// Hooks customize a grid run with a durable set to skip and a trial
+// sink. Sink may be invoked concurrently from worker goroutines, which
+// all read Skip, so Skip must not change during the run.
 type Hooks struct {
-	// Lookup, if non-nil, is consulted before executing a trial; a hit
-	// short-circuits execution (the basis of campaign resume).
-	Lookup func(rateIdx, trial int) (float64, bool)
-	// Sink, if non-nil, receives every trial outcome, including cached
-	// ones (flagged Cached) so progress accounting sees the whole grid.
+	// Skip is a bitset over the sweep's linear grid: bit i of word i>>6
+	// is index i = rateIdx*PerCell() + trialIdx. A set bit marks a trial
+	// that is already durable (the basis of resume): it neither runs nor
+	// reaches Sink. Indices past the bitset's end are not skipped.
+	Skip []uint64
+	// Sink, if non-nil, receives every executed trial's outcome.
 	//
-	// Contract: Sink runs on the same goroutine that executed (or
-	// looked up) the trial, synchronously after it. Fault-recorder
-	// collection, which claims the recorders a trial's units filled on
-	// that goroutine, relies on this ordering; it is pinned by
+	// Contract: Sink runs on the same goroutine that executed the
+	// trial, synchronously after it. Fault-recorder collection, which
+	// claims the recorders a trial's units filled on that goroutine,
+	// relies on this ordering; it is pinned by
 	// TestSinkRunsOnTrialGoroutine.
 	Sink func(Trial)
 }
@@ -147,22 +147,15 @@ type Hooks struct {
 // RunHooked runs the full rate×trial grid through RunRange, keyed by
 // rate index so duplicate or repeated rates aggregate into their own
 // cells, and folds each cell's trials with agg. Cancelling ctx abandons
-// unstarted trials and returns ctx.Err(); already-delivered Sink calls
-// remain valid.
-func (s Sweep) RunHooked(ctx context.Context, fn TrialFunc, agg Aggregator, h Hooks) ([]Point, error) {
+// unstarted trials and returns ctx.Err().
+func (s Sweep) RunHooked(ctx context.Context, fn TrialFunc, agg Aggregator) ([]Point, error) {
 	if agg == nil {
 		agg = Mean
 	}
 	per := s.PerCell()
 	values := make([]float64, s.Size())
-	sink := h.Sink
-	h.Sink = func(t Trial) {
-		values[t.RateIdx*per+t.TrialIdx] = t.Value
-		if sink != nil {
-			sink(t)
-		}
-	}
-	if err := s.RunRange(ctx, fn, 0, len(values), h); err != nil {
+	sink := func(t Trial) { values[t.RateIdx*per+t.TrialIdx] = t.Value }
+	if err := s.RunRange(ctx, fn, 0, len(values), Hooks{Sink: sink}); err != nil {
 		return nil, err
 	}
 	points := make([]Point, len(s.Rates))
@@ -175,9 +168,10 @@ func (s Sweep) RunHooked(ctx context.Context, fn TrialFunc, agg Aggregator, h Ho
 // RunRange is the trial loop: it runs the linear grid indices
 // [start, start+count) — index = rateIdx*PerCell() + trialIdx, which
 // must lie inside [0, Size()) — on up to Workers goroutines, each index
-// exactly once. Every trial is looked up or executed and then handed to
-// the sink on the same goroutine. Cancelling ctx abandons unstarted
-// trials and returns ctx.Err().
+// exactly once. An index whose h.Skip bit is set is passed over; every
+// other trial is executed and then handed to the sink on the same
+// goroutine. Cancelling ctx abandons unstarted trials and returns
+// ctx.Err().
 func (s Sweep) RunRange(ctx context.Context, fn TrialFunc, start, count int, h Hooks) error {
 	per := s.PerCell()
 	workers := s.Workers
@@ -203,17 +197,15 @@ func (s Sweep) RunRange(ctx context.Context, fn TrialFunc, start, count int, h H
 				default:
 				}
 				idx := start + i
+				if w := idx >> 6; w < len(h.Skip) && h.Skip[w]&(1<<(idx&63)) != 0 {
+					continue
+				}
 				t := Trial{RateIdx: idx / per, TrialIdx: idx % per}
 				t.Rate = s.Rates[t.RateIdx]
 				t.Seed = s.TrialSeed(t.RateIdx, t.TrialIdx)
-				if h.Lookup != nil {
-					t.Value, t.Cached = h.Lookup(t.RateIdx, t.TrialIdx)
-				}
-				if !t.Cached {
-					began := time.Now()
-					t.Value = fn(t.Rate, t.Seed)
-					t.Dur = time.Since(began)
-				}
+				began := time.Now()
+				t.Value = fn(t.Rate, t.Seed)
+				t.Dur = time.Since(began)
 				if h.Sink != nil {
 					h.Sink(t)
 				}

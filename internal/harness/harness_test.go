@@ -60,7 +60,7 @@ func TestSweepRunMedianRobustToOutliers(t *testing.T) {
 			return 1e30 // outlier must not dominate
 		}
 		return 1
-	}, Median, Hooks{})
+	}, Median)
 	if pts[0].Value != 1 {
 		t.Errorf("median = %v, want 1", pts[0].Value)
 	}
@@ -81,7 +81,7 @@ func TestSweepRunMedianDuplicateRates(t *testing.T) {
 			}
 		}
 		return 3
-	}, Median, Hooks{})
+	}, Median)
 	if pts[0].Value != 3 || pts[1].Value != 7 {
 		t.Errorf("duplicate-rate medians = %v, %v; want 3, 7 (mis-bucketed by float match?)",
 			pts[0].Value, pts[1].Value)

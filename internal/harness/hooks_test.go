@@ -11,12 +11,14 @@ import (
 )
 
 // TestRunRangeSinkSeesEachIndexOnce: over empty, interior, tail and
-// whole-grid ranges, every index in range reaches the sink exactly once
-// with its grid coordinates and seed, and none outside it does; executed
-// trials carry their fn time, cached ones none. RunHooked is the
-// whole-grid case plus the fold into points.
+// whole-grid ranges, every index in range whose Skip bit is clear runs
+// and reaches the sink exactly once, with its grid coordinates, seed and
+// fn time; a skipped index neither runs nor reaches the sink, and no
+// index outside the range does either. RunHooked is the whole-grid case
+// plus the fold into points.
 func TestRunRangeSinkSeesEachIndexOnce(t *testing.T) {
 	s := Sweep{Rates: []float64{0.1, 0.2, 0.3}, Trials: 4, Seed: 5, Workers: 4}
+	skip := []uint64{1<<0 | 1<<4 | 1<<8} // the first trial of each cell is durable
 	for _, tc := range []struct {
 		name         string
 		start, count int
@@ -29,13 +31,19 @@ func TestRunRangeSinkSeesEachIndexOnce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
 			seen := make([]int, s.Size())
+			ran := make([]int, s.Size())
 			err := s.RunRange(context.Background(), func(rate float64, seed uint64) float64 {
+				mu.Lock()
+				for idx := range ran {
+					if s.TrialSeed(idx/s.PerCell(), idx%s.PerCell()) == seed {
+						ran[idx]++
+					}
+				}
+				mu.Unlock()
 				time.Sleep(time.Microsecond) // a measurable fn time
 				return rate
 			}, tc.start, tc.count, Hooks{
-				Lookup: func(rateIdx, trial int) (float64, bool) {
-					return -1, trial == 0 // the first trial of each cell is stored
-				},
+				Skip: skip,
 				Sink: func(tr Trial) {
 					idx := tr.RateIdx*s.PerCell() + tr.TrialIdx
 					mu.Lock()
@@ -44,13 +52,8 @@ func TestRunRangeSinkSeesEachIndexOnce(t *testing.T) {
 					if want := s.TrialSeed(tr.RateIdx, tr.TrialIdx); tr.Seed != want || tr.Rate != s.Rates[tr.RateIdx] {
 						t.Errorf("index %d: rate %v seed %d, want %v and %d", idx, tr.Rate, tr.Seed, s.Rates[tr.RateIdx], want)
 					}
-					switch {
-					case tr.Cached != (tr.TrialIdx == 0):
-						t.Errorf("index %d: cached = %v", idx, tr.Cached)
-					case tr.Cached && (tr.Dur != 0 || tr.Value != -1):
-						t.Errorf("cached index %d: dur %v value %v, want 0 and -1", idx, tr.Dur, tr.Value)
-					case !tr.Cached && (tr.Dur <= 0 || tr.Value != tr.Rate):
-						t.Errorf("executed index %d: dur %v value %v, want > 0 and %v", idx, tr.Dur, tr.Value, tr.Rate)
+					if tr.Dur <= 0 || tr.Value != tr.Rate {
+						t.Errorf("index %d: dur %v value %v, want > 0 and %v", idx, tr.Dur, tr.Value, tr.Rate)
 					}
 				},
 			})
@@ -59,54 +62,14 @@ func TestRunRangeSinkSeesEachIndexOnce(t *testing.T) {
 			}
 			for idx, n := range seen {
 				want := 0
-				if idx >= tc.start && idx < tc.start+tc.count {
+				if idx >= tc.start && idx < tc.start+tc.count && idx%s.PerCell() != 0 {
 					want = 1
 				}
-				if n != want {
-					t.Errorf("index %d reached the sink %d times, want %d", idx, n, want)
+				if n != want || ran[idx] != want {
+					t.Errorf("index %d ran %d times and reached the sink %d times, want %d", idx, ran[idx], n, want)
 				}
 			}
 		})
-	}
-}
-
-func TestRunHookedLookupShortCircuits(t *testing.T) {
-	s := Sweep{Rates: []float64{0.1}, Trials: 4, Seed: 1}
-	var mu sync.Mutex
-	executed := 0
-	cachedSeen := 0
-	pts, err := s.RunHooked(context.Background(), func(rate float64, seed uint64) float64 {
-		mu.Lock()
-		executed++
-		mu.Unlock()
-		return 2
-	}, Mean, Hooks{
-		Lookup: func(rateIdx, trial int) (float64, bool) {
-			if trial < 2 {
-				return 10, true // pretend the first two trials are stored
-			}
-			return 0, false
-		},
-		Sink: func(tr Trial) {
-			if tr.Cached {
-				mu.Lock()
-				cachedSeen++
-				mu.Unlock()
-				if tr.Value != 10 {
-					t.Errorf("cached value = %v, want 10", tr.Value)
-				}
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if executed != 2 || cachedSeen != 2 {
-		t.Errorf("executed=%d cached=%d, want 2 and 2", executed, cachedSeen)
-	}
-	// Mean over {10, 10, 2, 2}.
-	if pts[0].Value != 6 {
-		t.Errorf("mean = %v, want 6", pts[0].Value)
 	}
 }
 
@@ -123,7 +86,7 @@ func TestRunHookedCancellation(t *testing.T) {
 		}
 		mu.Unlock()
 		return 1
-	}, Mean, Hooks{})
+	}, Mean)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -141,7 +104,7 @@ func TestRunHookedMatchesRun(t *testing.T) {
 	s := Sweep{Rates: []float64{0.01, 0.1}, Trials: 5, Seed: 9}
 	fn := func(rate float64, seed uint64) float64 { return rate * float64(seed%7) }
 	want := s.Run(fn)
-	got, err := s.RunHooked(context.Background(), fn, Mean, Hooks{})
+	got, err := s.RunHooked(context.Background(), fn, Mean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,24 +154,18 @@ func goroutineID() string {
 
 // TestSinkRunsOnTrialGoroutine pins the Hooks.Sink contract that
 // fault-recorder collection relies on: the sink observes each trial on
-// the same goroutine that executed it, synchronously after fn returns,
-// for both executed and cache-hit trials. (Trial latency needs no such
-// contract: it travels on the Trial as Dur.)
+// the same goroutine that executed it, synchronously after fn returns.
+// (Trial latency needs no such contract: it travels on the Trial as
+// Dur.)
 func TestSinkRunsOnTrialGoroutine(t *testing.T) {
 	s := Sweep{Rates: []float64{0.1, 0.2}, Trials: 8, Seed: 5, Workers: 4}
 	var ran sync.Map // seed -> goroutine id of the fn call
-	lookup := func(rateIdx, trial int) (float64, bool) {
-		if trial == 0 { // cache-hit path must honor the contract too
-			ran.Store(s.TrialSeed(rateIdx, trial), goroutineID())
-			return 1, true
-		}
-		return 0, false
-	}
-	var mismatches atomic.Int64
-	_, err := s.RunHooked(context.Background(), func(rate float64, seed uint64) float64 {
+	var mismatches, sunk atomic.Int64
+	err := s.RunRange(context.Background(), func(rate float64, seed uint64) float64 {
 		ran.Store(seed, goroutineID())
 		return rate
-	}, Mean, Hooks{Lookup: lookup, Sink: func(tr Trial) {
+	}, 0, s.Size(), Hooks{Sink: func(tr Trial) {
+		sunk.Add(1)
 		want, ok := ran.Load(tr.Seed)
 		if !ok || want.(string) != goroutineID() {
 			mismatches.Add(1)
@@ -216,6 +173,9 @@ func TestSinkRunsOnTrialGoroutine(t *testing.T) {
 	}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := sunk.Load(); n != int64(s.Size()) {
+		t.Errorf("sink saw %d trials, want %d", n, s.Size())
 	}
 	if n := mismatches.Load(); n != 0 {
 		t.Errorf("%d trials delivered to the sink on a different goroutine than ran them", n)

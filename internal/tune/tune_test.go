@@ -279,12 +279,10 @@ func execShard(t *testing.T, lr *dispatch.LeaseResponse) []dispatch.TrialResult 
 	}
 	var out []dispatch.TrialResult
 	err = camp.RunShard(context.Background(), lr.Shard, 1, harness.Hooks{Sink: func(tr harness.Trial) {
-		if !tr.Cached {
-			out = append(out, dispatch.TrialResult{
-				Unit: lr.Shard.Unit, RateIdx: tr.RateIdx, TrialIdx: tr.TrialIdx,
-				Rate: tr.Rate, Seed: tr.Seed, Value: tr.Value,
-			})
-		}
+		out = append(out, dispatch.TrialResult{
+			Unit: lr.Shard.Unit, RateIdx: tr.RateIdx, TrialIdx: tr.TrialIdx,
+			Rate: tr.Rate, Seed: tr.Seed, Value: tr.Value,
+		})
 	}})
 	if err != nil {
 		t.Fatalf("worker: run shard: %v", err)
