@@ -1,12 +1,12 @@
 // Command robustlint runs the repo's custom static-analysis suite — the
-// determinism, durability, and FPU-mediation invariants generic tooling
+// determinism, durability, and lock-safety invariants generic tooling
 // cannot check. See internal/analysis for the analyzers and the
 // //lint:<directive> <reason> exemption convention.
 //
 // Usage:
 //
 //	go run ./cmd/robustlint ./...
-//	go run ./cmd/robustlint -only fpumediation,seededrand ./internal/...
+//	go run ./cmd/robustlint -only locksafety,seededrand ./internal/...
 //	go run ./cmd/robustlint -format=json ./...
 //
 // -format=json emits a JSON array of findings — including the ones

@@ -2,11 +2,6 @@
 // repo's analyzer suite ("robustlint"). It enforces invariants the generic
 // Go tooling cannot know about:
 //
-//   - fpumediation: stochastic float math in the numerical packages must
-//     flow through fpu.Unit, or carry a written //lint:fpu-exempt reason.
-//   - notimeinartifacts: wall-clock values must not reach resume-identity
-//     artifacts (JSONL store records, tune.json) — timestamps belong in
-//     meta.json and /metrics only.
 //   - atomicwrite: *.json artifacts under a data root are written through
 //     fsutil.WriteFileAtomic (temp + fsync + rename), never os.WriteFile.
 //   - seededrand: no global math/rand and no time-derived seeds outside
@@ -42,7 +37,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
 	// Directive is the exemption directive (without the "//lint:"
-	// prefix), e.g. "fpu-exempt". Diagnostics at positions covered by
+	// prefix), e.g. "rand-exempt". Diagnostics at positions covered by
 	// the directive are suppressed; see exempt.go.
 	Directive string
 	// Run reports diagnostics for one package via pass.Report.
@@ -54,9 +49,9 @@ type Pass struct {
 	Analyzer *Analyzer
 
 	// Path is the package's import path. Analyzers scope themselves by
-	// it (e.g. fpumediation only audits the numerical packages). The
-	// fixture runner overrides it so testdata packages can stand in for
-	// real ones.
+	// it (e.g. seededrand skips examples/, atomicwrite audits only the
+	// packages that write artifacts). The fixture runner overrides it so
+	// testdata packages can stand in for real ones.
 	Path string
 
 	Fset  *token.FileSet
@@ -115,23 +110,6 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 // typeOf returns the type of e, or nil.
 func (p *Pass) typeOf(e ast.Expr) types.Type {
 	return p.Info.TypeOf(e)
-}
-
-// isFloat reports whether e has floating-point type.
-func (p *Pass) isFloat(e ast.Expr) bool {
-	t := p.typeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-// isConst reports whether e is a compile-time constant expression
-// (constant folding happens at compile time, not on the FPU).
-func (p *Pass) isConst(e ast.Expr) bool {
-	tv, ok := p.Info.Types[e]
-	return ok && tv.Value != nil
 }
 
 // pkgFunc matches a call to a package-level function: it returns the

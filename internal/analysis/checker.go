@@ -5,12 +5,10 @@ import (
 )
 
 // All returns the robustlint analyzer suite in stable order. The first
-// four are single-function AST passes; the last two query the
+// two are single-function AST passes; the last two query the
 // cross-function facts layer (facts.go) built once per run.
 func All() []*Analyzer {
 	return []*Analyzer{
-		FPUMediation,
-		NoTimeInArtifacts,
 		AtomicWrite,
 		SeededRand,
 		LockSafety,

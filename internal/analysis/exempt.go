@@ -12,17 +12,12 @@ import (
 //
 //	//lint:<directive> <reason>
 //
-// where <directive> is the analyzer's Directive (e.g. "fpu-exempt") and
+// where <directive> is the analyzer's Directive (e.g. "rand-exempt") and
 // <reason> is mandatory free text explaining why the invariant does not
-// apply. The directive's scope depends on where the comment sits:
-//
-//   - in a file's doc comment (above `package`): the whole file;
-//   - in a declaration's doc comment (func, type, var, const): that
-//     declaration, body included;
-//   - trailing a statement, or on its own line: the innermost statement
-//     or declaration spanning (for trailing) or immediately following
-//     (for standalone) the comment — multi-line statements are covered
-//     in full.
+// apply. The directive covers one statement: the innermost statement
+// spanning the comment (trailing) or starting on the line right after it
+// (standalone), multi-line statements in full. A directive anywhere else
+// covers nothing.
 //
 // A directive with an empty reason, or an unknown //lint: directive, is
 // itself reported; the hygiene check lives in checker.go so every run of
@@ -32,10 +27,9 @@ const directivePrefix = "//lint:"
 
 // directive is one parsed //lint: comment.
 type directive struct {
-	name   string // e.g. "fpu-exempt"
+	name   string // e.g. "rand-exempt"
 	reason string
 	pos    token.Pos
-	end    token.Pos
 }
 
 // lineRange is an inclusive exempted line span within one file, carrying
@@ -80,7 +74,6 @@ func parseDirectives(f *ast.File) []directive {
 				name:   strings.TrimSpace(name),
 				reason: strings.TrimSpace(reason),
 				pos:    c.Pos(),
-				end:    c.End(),
 			})
 		}
 	}
@@ -100,57 +93,22 @@ func buildExemptIndex(fset *token.FileSet, files []*ast.File, known map[string]b
 			spans = make(map[string][]lineRange)
 			idx.byFile[fileName] = spans
 		}
-		fileEndLine := fset.Position(f.End()).Line
 		for _, d := range parseDirectives(f) {
 			if !known[d.name] {
 				continue
 			}
-			r := resolveScope(fset, f, d, fileEndLine)
-			r.reason = d.reason
-			spans[d.name] = append(spans[d.name], r)
+			if r, ok := innermostStmtRange(fset, f, fset.Position(d.pos).Line); ok {
+				r.reason = d.reason
+				spans[d.name] = append(spans[d.name], r)
+			}
 		}
 	}
 	return idx
 }
 
-// resolveScope maps a directive to its exempted line range per the rules
-// in the package comment above.
-func resolveScope(fset *token.FileSet, f *ast.File, d directive, fileEndLine int) lineRange {
-	dLine := fset.Position(d.pos).Line
-
-	// File scope: the directive sits above the package clause.
-	if d.end < f.Package {
-		return lineRange{from: 1, to: fileEndLine}
-	}
-
-	// Declaration scope: the directive is part of a decl's doc comment.
-	for _, decl := range f.Decls {
-		var doc *ast.CommentGroup
-		switch v := decl.(type) {
-		case *ast.FuncDecl:
-			doc = v.Doc
-		case *ast.GenDecl:
-			doc = v.Doc
-		}
-		if doc != nil && d.pos >= doc.Pos() && d.end <= doc.End() {
-			return lineRange{from: fset.Position(decl.Pos()).Line, to: fset.Position(decl.End()).Line}
-		}
-	}
-
-	// Statement scope: the innermost statement whose span contains the
-	// directive line (trailing comment) or starts just after it
-	// (standalone comment above a statement).
-	if r, ok := innermostStmtRange(fset, f, dLine); ok {
-		return r
-	}
-	// Fallback: the directive's own line and the next (covers struct
-	// fields, composite-literal entries, and other non-statement sites).
-	return lineRange{from: dLine, to: dLine + 1}
-}
-
-// innermostStmtRange finds the smallest statement or declaration whose
-// line span contains line, or — failing that — the smallest one starting
-// on the first line after it. ok is false when neither exists.
+// innermostStmtRange finds the smallest statement whose line span
+// contains line or starts on the line after it. ok is false when none
+// does.
 func innermostStmtRange(fset *token.FileSet, f *ast.File, line int) (lineRange, bool) {
 	best := lineRange{}
 	bestSize := 1 << 30
@@ -165,8 +123,7 @@ func innermostStmtRange(fset *token.FileSet, f *ast.File, line int) (lineRange, 
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
-		switch n.(type) {
-		case ast.Stmt, ast.Decl:
+		if _, ok := n.(ast.Stmt); ok {
 			consider(n)
 		}
 		return true

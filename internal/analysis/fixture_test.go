@@ -89,45 +89,6 @@ func runFixture(t *testing.T, fixture, pathAs string, analyzers []*Analyzer) {
 	}
 }
 
-func TestFPUMediationFixture(t *testing.T) {
-	runFixture(t, "fpumediation", "robustify/internal/solver", []*Analyzer{FPUMediation})
-}
-
-func TestFPUMediationRobustLossFixture(t *testing.T) {
-	// internal/robust is in the analyzer's scope: a loss whose ρ/ψ/weight
-	// math bypasses the unit must be flagged (it would silently escape
-	// fault injection).
-	runFixture(t, "robustloss", "robustify/internal/robust", []*Analyzer{FPUMediation})
-}
-
-func TestFPUMediationOutOfScope(t *testing.T) {
-	// The same fixture under a non-numerical path produces nothing: the
-	// analyzer audits only the packages that model the simulated machine.
-	pkg := loadFixture(t, "fpumediation")
-	for _, d := range RunPackage(pkg, "robustify/internal/figures", []*Analyzer{FPUMediation}) {
-		t.Errorf("out-of-scope diagnostic: %s", d)
-	}
-}
-
-func TestNoTimeInArtifactsFixture(t *testing.T) {
-	runFixture(t, "notimeinartifacts", "robustify/internal/campaign", []*Analyzer{NoTimeInArtifacts})
-}
-
-func TestNoTimeInArtifactsObsFixture(t *testing.T) {
-	// The observability layer is inside the analyzer's scope even though
-	// wall-clock handling is its job: the exempted telemetry append
-	// passes, the unexempted timestamp leak is flagged.
-	runFixture(t, "obstelemetry", "robustify/internal/obs", []*Analyzer{NoTimeInArtifacts})
-}
-
-func TestNoTimeInArtifactsObsOutOfScope(t *testing.T) {
-	// The same fixture outside the serialization scopes produces nothing.
-	pkg := loadFixture(t, "obstelemetry")
-	for _, d := range RunPackage(pkg, "robustify/internal/figures", []*Analyzer{NoTimeInArtifacts}) {
-		t.Errorf("out-of-scope diagnostic: %s", d)
-	}
-}
-
 func TestAtomicWriteFixture(t *testing.T) {
 	runFixture(t, "atomicwrite", "robustify/internal/campaign", []*Analyzer{AtomicWrite})
 }
@@ -163,6 +124,8 @@ func TestDirectiveHygiene(t *testing.T) {
 		{DirectiveHygieneName, "unknown //lint: directive regexhaustive-exempt"},
 		{DirectiveHygieneName, "unknown //lint: directive enum"},
 		{DirectiveHygieneName, "unknown //lint: directive detmap-exempt"},
+		{DirectiveHygieneName, "unknown //lint: directive fpu-exempt"},
+		{DirectiveHygieneName, "unknown //lint: directive artifact-time-exempt"},
 		// The misspelled directive exempts nothing: Typo's draw is flagged.
 		{"seededrand", "rand.Intn uses the global math/rand source"},
 	}
@@ -202,21 +165,4 @@ func TestLockSafetyFixture(t *testing.T) {
 
 func TestErrDurabilityFixture(t *testing.T) {
 	runFixture(t, "errdurability", "", []*Analyzer{ErrDurability})
-}
-
-func TestFPUMediationFaultModelFixture(t *testing.T) {
-	// internal/fpu/faultmodel is in scope: a model whose corruption math is
-	// raw float arithmetic must be flagged; bit-level flips and exempted
-	// mechanism arithmetic pass.
-	runFixture(t, "faultmodelmediation", "robustify/internal/fpu/faultmodel",
-		[]*Analyzer{FPUMediation})
-}
-
-func TestFPUMediationFPUItselfOutOfScope(t *testing.T) {
-	// The mediator package stays out of scope: only the faultmodel
-	// subpackage joined the audit.
-	pkg := loadFixture(t, "faultmodelmediation")
-	for _, d := range RunPackage(pkg, "robustify/internal/fpu", []*Analyzer{FPUMediation}) {
-		t.Errorf("out-of-scope diagnostic: %s", d)
-	}
 }

@@ -22,3 +22,12 @@ func Spawn(done chan struct{}, state string) {
 	for range m {
 	}
 }
+
+// Scale carries the exemptions of the retired float-mediation and
+// artifact-timestamp analyzers.
+func Scale(x float64) float64 {
+	//lint:fpu-exempt the doubling is reliable control arithmetic
+	x *= 2
+	//lint:artifact-time-exempt the value never reaches an artifact
+	return x
+}

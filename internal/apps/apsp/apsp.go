@@ -34,8 +34,6 @@ func RandomInstance(rng *rand.Rand, n, extraEdges int, maxLen float64) *Instance
 // MeanRelErr is the quality metric: the mean relative error of all
 // off-diagonal pairwise distances, evaluated reliably. Non-finite entries
 // score 1e30.
-//
-//lint:fpu-exempt error metric measured outside the simulated machine: it scores solver output, it never feeds the solve
 func (inst *Instance) MeanRelErr(d *linalg.Dense) float64 {
 	n := inst.G.N
 	var sum float64
@@ -184,7 +182,6 @@ func (inst *Instance) Robust(u *fpu.Unit, o Options) (*linalg.Dense, solver.Resu
 	if sched == nil {
 		// Large enough that the cumulative step mass covers the distance
 		// scale; safe because the ℓ1 penalty's subgradient is bounded.
-		//lint:fpu-exempt fault-free setup: the default step size is picked before the simulated machine runs
 		sched = solver.Sqrt(0.5 / float64(n))
 	}
 	res, err := solver.SGD(prob, make([]float64, lp.Dim()), solver.Options{

@@ -20,8 +20,6 @@ var ErrBadMatrix = errors.New("eigen: matrix must be square and symmetric")
 
 // RandomSymmetric generates a random symmetric matrix with a controlled
 // spectral gap: eigenvalues n, n−1, …, 1 under a random orthogonal basis.
-//
-//lint:fpu-exempt fault-free problem generation: the instance is built before the simulated machine runs
 func RandomSymmetric(rng *rand.Rand, n int) *linalg.Dense {
 	// Random orthogonal Q from QR of a Gaussian matrix.
 	g := linalg.NewDense(n, n)
@@ -57,7 +55,6 @@ func PowerIteration(u *fpu.Unit, m *linalg.Dense, iters int) (float64, []float64
 	n := m.Rows
 	x := make([]float64, n)
 	y := make([]float64, n)
-	//lint:fpu-exempt fault-free setup: the unit start vector is chosen before the iteration begins
 	for i := range x {
 		x[i] = 1 / math.Sqrt(float64(n))
 	}
@@ -99,13 +96,11 @@ func TopEigen(u *fpu.Unit, m *linalg.Dense, o Options) (float64, []float64, erro
 		if l <= 0 {
 			l = 1
 		}
-		//lint:fpu-exempt fault-free setup: the default step size is picked before the simulated machine runs
 		sched = solver.Sqrt(0.5 / math.Sqrt(l))
 	}
 	x := make([]float64, n)
 	mx := make([]float64, n)
 	grad := make([]float64, n)
-	//lint:fpu-exempt fault-free setup: the unit start vector is chosen before the iteration begins
 	for i := range x {
 		x[i] = 1 / math.Sqrt(float64(n))
 	}
@@ -126,22 +121,18 @@ func TopEigen(u *fpu.Unit, m *linalg.Dense, o Options) (float64, []float64, erro
 			continue
 		}
 		step := sched(t)
-		//lint:fpu-exempt the iterate update is the paper's reliable control step: only the gradient pieces run on u
 		for i := range x {
 			x[i] += step * grad[i] // ascent; reliable update
 		}
 		// Reliable re-normalization (control).
 		norm := 0.0
-		//lint:fpu-exempt re-normalization is reliable control: it restores the ‖x‖=1 invariant the Rayleigh quotient needs
 		for _, v := range x {
 			norm += v * v
 		}
-		//lint:fpu-exempt re-normalization is reliable control: it restores the ‖x‖=1 invariant the Rayleigh quotient needs
 		norm = math.Sqrt(norm)
 		if norm == 0 {
 			return 0, nil, errors.New("eigen: iterate collapsed")
 		}
-		//lint:fpu-exempt re-normalization is reliable control: it restores the ‖x‖=1 invariant the Rayleigh quotient needs
 		for i := range x {
 			x[i] /= norm
 		}

@@ -38,8 +38,6 @@ func NewFilter(a, b []float64) (*Filter, error) {
 // between numerator and denominator keeps the banded system B reasonably
 // conditioned, which the variational solve needs. It is the 10-tap filter
 // family used by the Fig 6.3 experiments.
-//
-//lint:fpu-exempt fault-free filter design: coefficients are fixed before the simulated machine runs
 func Lowpass(taps int, poleRadius float64) (*Filter, error) {
 	if taps < 2 || poleRadius <= 0 || poleRadius >= 1 {
 		return nil, ErrBadFilter
@@ -75,8 +73,6 @@ func Lowpass(taps int, poleRadius float64) (*Filter, error) {
 }
 
 // convolve expands polynomial products during filter design.
-//
-//lint:fpu-exempt fault-free filter design helper: runs only during Lowpass coefficient construction
 func convolve(p, q []float64) []float64 {
 	out := make([]float64, len(p)+len(q)-1)
 	for i, pi := range p {
@@ -197,15 +193,11 @@ func (p *variational) Value(x []float64) float64 {
 
 // LinearSchedule returns the LS (1/t) schedule with η₀ = boost/λmax(BᵀB)
 // for a t-sample problem (reliable setup).
-//
-//lint:fpu-exempt fault-free setup: the step-size scale is picked before the simulated machine runs
 func (f *Filter) LinearSchedule(t int, boost float64) solver.Schedule {
 	return solver.Linear(boost / f.lipschitz(t))
 }
 
 // SqrtSchedule returns the SQS (1/√t) schedule, Lipschitz-scaled.
-//
-//lint:fpu-exempt fault-free setup: the step-size scale is picked before the simulated machine runs
 func (f *Filter) SqrtSchedule(t int, boost float64) solver.Schedule {
 	return solver.Sqrt(boost / f.lipschitz(t))
 }

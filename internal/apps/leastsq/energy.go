@@ -55,8 +55,6 @@ type operatingPoint struct {
 // operating point that still meets the target (voltage and iteration count
 // co-scaled), versus the Cholesky baseline that must stay at nominal
 // voltage because direct factorizations cannot tolerate FPU faults.
-//
-//lint:fpu-exempt experiment-harness accounting: seeds, FLOP averages, and energy products are measured from outside the simulated machine
 func (inst *Instance) EnergySweep(targets []float64, o EnergyOptions) []EnergyPoint {
 	if o.Trials <= 0 {
 		o.Trials = 11

@@ -26,8 +26,6 @@ type Instance struct {
 // Random generates an m×n instance with standard normal entries,
 // b = A·x* + noise·ε (the paper's Fig 6.2 instance is 100×10). The exact
 // minimizer is recovered with a reliable QR solve.
-//
-//lint:fpu-exempt fault-free problem generation: the instance is built before the simulated machine runs
 func Random(rng *rand.Rand, m, n int, noise float64) (*Instance, error) {
 	a := linalg.NewDense(m, n)
 	for i := range a.Data {
@@ -88,15 +86,11 @@ type SGDOptions struct {
 
 // LinearSchedule returns the paper's LS (1/t) schedule with η₀ scaled to
 // the instance's curvature: η₀ = boost/λmax(AᵀA).
-//
-//lint:fpu-exempt fault-free setup: the step-size scale is picked before the simulated machine runs
 func (inst *Instance) LinearSchedule(boost float64) solver.Schedule {
 	return solver.Linear(boost / inst.lipschitz())
 }
 
 // SqrtSchedule returns the SQS (1/√t) schedule, Lipschitz-scaled.
-//
-//lint:fpu-exempt fault-free setup: the step-size scale is picked before the simulated machine runs
 func (inst *Instance) SqrtSchedule(boost float64) solver.Schedule {
 	return solver.Sqrt(boost / inst.lipschitz())
 }

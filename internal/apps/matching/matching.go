@@ -48,8 +48,6 @@ func RandomInstance(rng *rand.Rand, left, right, edges int) *Instance {
 // Success is the Fig 6.4 criterion: every edge of the output matches the
 // reference optimum's weight (all edges accurately chosen). Assignments
 // touching non-edges or reusing columns fail outright.
-//
-//lint:fpu-exempt success metric measured outside the simulated machine: it scores solver output, it never feeds the solve
 func (inst *Instance) Success(assign []int) bool {
 	if assign == nil {
 		return false
@@ -108,7 +106,6 @@ func (inst *Instance) Robust(u *fpu.Unit, o Options) ([]int, solver.Result, erro
 		if cols > d {
 			d = cols
 		}
-		//lint:fpu-exempt fault-free setup: the default step size is picked before the simulated machine runs
 		sched = solver.Linear(0.5 / float64(d))
 	}
 	opts := solver.Options{
@@ -127,7 +124,6 @@ func (inst *Instance) Robust(u *fpu.Unit, o Options) ([]int, solver.Result, erro
 	if o.Precond {
 		// The preconditioned path follows §6.2.1 literally: the ℓ1 exact
 		// penalty cᵀy + μ[Qy − b]₊ over the QR-transformed constraints.
-		//lint:fpu-exempt fault-free setup: the penalty weight is fixed before the simulated machine runs
 		pre, err := core.Precondition(u, prob.ToLP(), core.PenaltyAbs, 2*l2)
 		if err != nil {
 			return nil, solver.Result{}, err
@@ -182,8 +178,6 @@ type Variant struct {
 // own rung: its dense-LP gradient costs ~20× the specialized one in FLOPs,
 // which multiplies fault exposure under a per-FLOP fault model, so stacking
 // it into ALL hurts at high rates here; see EXPERIMENTS.md).
-//
-//lint:fpu-exempt fault-free setup: variant step sizes are picked before the simulated machine runs
 func Variants(iters int, dim int) []Variant {
 	ls := solver.Linear(0.5 / float64(dim))
 	sqs := solver.Sqrt(0.5 / float64(dim))

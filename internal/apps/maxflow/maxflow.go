@@ -49,8 +49,6 @@ func RandomInstance(rng *rand.Rand, n, outDeg int, maxCap float64) *Instance {
 }
 
 // RelErr scores a flow value against the exact maximum (reliable metric).
-//
-//lint:fpu-exempt error metric measured outside the simulated machine: it scores solver output, it never feeds the solve
 func (inst *Instance) RelErr(value float64) float64 {
 	if value != value { // NaN
 		return 1e30
@@ -73,7 +71,6 @@ func (inst *Instance) Baseline(u *fpu.Unit) float64 {
 	if !ok {
 		return 1e30
 	}
-	//lint:fpu-exempt feasibility tolerance for the reliable scoring path, not part of the simulated solve
 	if !graph.FlowFeasible(inst.Net, flow, 1e-6*inst.Opt+1e-9) {
 		// The faulty run "converged" to an infeasible flow: score its
 		// claimed value anyway; feasibility violations show up as error.
@@ -88,8 +85,6 @@ func (inst *Instance) Baseline(u *fpu.Unit) float64 {
 //	minimize  Σ −F(s→v)
 //	s.t.      Σᵤ F(u→v) − Σᵤ F(v→u) = 0   for v ∉ {s, t}
 //	          F(u→v) ≤ C(u→v),  −F(u→v) ≤ 0.
-//
-//lint:fpu-exempt fault-free problem assembly: the LP is built before the simulated machine runs
 func (inst *Instance) LP() core.LinearProgram {
 	nE := len(inst.edges)
 	c := make([]float64, nE)
@@ -164,7 +159,6 @@ func (inst *Instance) Robust(u *fpu.Unit, o Options) (float64, []float64, error)
 	}
 	sched := o.Schedule
 	if sched == nil {
-		//lint:fpu-exempt fault-free setup: the default step size is picked before the simulated machine runs
 		sched = solver.Sqrt(0.5 / float64(inst.Net.N))
 	}
 	res, err := solver.SGD(prob, make([]float64, len(inst.edges)), solver.Options{
@@ -182,8 +176,6 @@ func (inst *Instance) Robust(u *fpu.Unit, o Options) (float64, []float64, error)
 }
 
 // FlowValue sums the flow out of the source (reliable metric path).
-//
-//lint:fpu-exempt flow-value metric measured outside the simulated machine: it scores results, it never feeds the solve
 func (inst *Instance) FlowValue(x []float64) float64 {
 	var total float64
 	for k, e := range inst.edges {

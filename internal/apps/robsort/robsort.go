@@ -119,7 +119,6 @@ func Robust(fp *fpu.Unit, data []float64, o Options) ([]float64, solver.Result, 
 			hi = v
 		}
 	}
-	//lint:fpu-exempt reliable transformation setup: the shift/normalization happens before the simulated solve
 	span := hi - lo
 	if span == 0 {
 		span = 1 // constant array: any permutation sorts it
@@ -138,7 +137,6 @@ func Robust(fp *fpu.Unit, data []float64, o Options) ([]float64, solver.Result, 
 	}
 	sched := o.Schedule
 	if sched == nil {
-		//lint:fpu-exempt fault-free setup: the default step size is picked before the simulated machine runs
 		sched = solver.Sqrt(0.5 / float64(n))
 	}
 	res, err := solver.SGD(prob, prob.UniformStart(), solver.Options{
@@ -171,8 +169,6 @@ func Robust(fp *fpu.Unit, data []float64, o Options) ([]float64, solver.Result, 
 // newOuterWeights builds the sorting weight matrix Wᵢⱼ = vᵢ·ũⱼ with
 // v = (1..n)/n and ũ = (u−lo)/span + ε, both O(1), so a single penalty
 // weight fits all inputs.
-//
-//lint:fpu-exempt fault-free problem assembly: the weight matrix is built before the simulated machine runs
 func newOuterWeights(n int, data []float64, lo, span float64) *linalg.Dense {
 	w := linalg.NewDense(n, n)
 	for i := 0; i < n; i++ {

@@ -37,8 +37,6 @@ var ErrBadData = errors.New("svm: malformed dataset")
 // TwoGaussians generates a linearly separable two-class problem: points
 // drawn from two Gaussians whose means are 2·margin apart along a random
 // direction, split into train and test halves.
-//
-//lint:fpu-exempt fault-free problem generation: the dataset is built before the simulated machine runs
 func TwoGaussians(rng *rand.Rand, nTrain, nTest, dim int, margin float64) *Dataset {
 	dirVec := make([]float64, dim)
 	var norm float64
@@ -72,8 +70,6 @@ func TwoGaussians(rng *rand.Rand, nTrain, nTest, dim int, margin float64) *Datas
 }
 
 // sqrt is a dependency-free Newton square root for dataset generation.
-//
-//lint:fpu-exempt fault-free generation helper: used only while building the dataset
 func sqrt(v float64) float64 {
 	if v <= 0 {
 		return 0
@@ -86,8 +82,6 @@ func sqrt(v float64) float64 {
 }
 
 // Accuracy scores a weight vector on the held-out set (reliable metric).
-//
-//lint:fpu-exempt accuracy metric measured outside the simulated machine: it scores trained weights, it never feeds training
 func (d *Dataset) Accuracy(w []float64) float64 {
 	if w == nil || !linalg.AllFinite(w) {
 		return 0
@@ -135,7 +129,6 @@ func (p *Problem) Dim() int { return p.x.Cols }
 func (p *Problem) Grad(w, grad []float64) {
 	u := p.u
 	n := p.x.Rows
-	//lint:fpu-exempt reliable control: the 1/n scale is a fixed constant of the objective, not data-path arithmetic
 	inv := 1 / float64(n)
 	linalg.Copy(grad, w)
 	linalg.Scale(u, p.lambda, grad)
@@ -155,8 +148,6 @@ func (p *Problem) Grad(w, grad []float64) {
 }
 
 // Value implements core.Problem: the exact objective (control path).
-//
-//lint:fpu-exempt convergence monitoring is the paper's reliable control path (note the nil units)
 func (p *Problem) Value(w []float64) float64 {
 	n := p.x.Rows
 	v := 0.5 * p.lambda * linalg.SqNorm2(nil, w)
@@ -195,7 +186,6 @@ func Train(u *fpu.Unit, d *Dataset, o Options) ([]float64, solver.Result, error)
 	}
 	sched := o.Schedule
 	if sched == nil {
-		//lint:fpu-exempt fault-free setup: the default step size is picked before the simulated machine runs
 		sched = solver.Linear(1 / lambda) // Pegasos: η_t = 1/(λ·t)
 	}
 	tail := o.Tail

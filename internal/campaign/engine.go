@@ -273,9 +273,10 @@ func (e *Execution) Run(ctx context.Context) error {
 	return nil
 }
 
-// Progress reports completed vs total trials.
+// Progress reports completed vs total trials; store lines outside the
+// campaign's grid are not progress.
 func (e *Execution) Progress() Progress {
-	return Progress{Done: e.st.Count(), Total: e.camp.Total()}
+	return Progress{Done: e.st.Done(e.camp.Plan), Total: e.camp.Total()}
 }
 
 // Status reports every cell's statistics, computed from the store on

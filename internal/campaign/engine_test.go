@@ -83,7 +83,7 @@ func TestResumeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	done := partial.Count()
+	done := partial.Done(camp.Plan)
 	if done == 0 || done >= camp.Total() {
 		t.Fatalf("interrupt landed at %d/%d trials; expected a strict subset", done, camp.Total())
 	}

@@ -202,7 +202,7 @@ func TestFaultModelResumeDeterminism(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer partial.Close()
-	if done := partial.Count(); done == 0 || done >= camp.Total() {
+	if done := partial.Done(camp.Plan); done == 0 || done >= camp.Total() {
 		t.Fatalf("interrupt landed at %d/%d trials; expected a strict subset", done, camp.Total())
 	}
 	resumed := NewExecution(camp, partial)

@@ -46,7 +46,7 @@ func FuzzStoreOpen(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Put after corrupt load: %v", err)
 		}
-		n := st.Count()
+		n := stored(st)
 		if err := st.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -56,7 +56,7 @@ func FuzzStoreOpen(f *testing.F) {
 			t.Fatalf("reopen: %v", err)
 		}
 		defer st2.Close()
-		if got := st2.Count(); got != n {
+		if got := stored(st2); got != n {
 			t.Fatalf("reopen lost records: had %d, reloaded %d", n, got)
 		}
 		v, ok := lookup(st2, rec.Unit, rec.RateIdx, rec.TrialIdx)

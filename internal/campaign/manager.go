@@ -68,7 +68,7 @@ func (h *handle) openLocked() error {
 	if h.exec != nil {
 		return nil
 	}
-	st, err := open(h.dir, h.camp.Total())
+	st, err := open(h.dir, h.camp.Plan)
 	if err != nil {
 		return fmt.Errorf("campaign: open store for %s: %w", h.id, err)
 	}
@@ -108,7 +108,7 @@ func (h *handle) Persist(r job.Record) error {
 		Total:    h.camp.Total(),
 	}
 	if h.st != nil {
-		m.Done = h.st.Count()
+		m.Done = h.st.Done(h.camp.Plan)
 	}
 	return writeMeta(h.dir, m)
 }

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"log"
-	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -65,17 +64,7 @@ func (m *Manager) load(id, dir string) (*job.Recovered, error) {
 			rec.Record.Created = fi.ModTime()
 		}
 	}
-	// Out-of-grid lines count in Count but set no durable bit, so only a
-	// store holding enough keys can be complete.
-	if rec.Complete = h.st.Count() >= camp.Total(); rec.Complete {
-		done := 0
-		for _, set := range h.st.Durable(camp.Plan) {
-			for _, w := range set {
-				done += bits.OnesCount64(w)
-			}
-		}
-		rec.Complete = done == camp.Total()
-	}
+	rec.Complete = h.st.Done(camp.Plan) == camp.Total()
 	// Rewrite the meta when it is missing (pre-registry directories gain
 	// one) or predates progress records (Total 0), so the next boot
 	// recovers this campaign without opening its store.

@@ -161,7 +161,8 @@ func TestRecoverInterruptedAndResume(t *testing.T) {
 // TestRecoverOutOfGridLinesNotDone: a store line outside the grid does
 // not stand in for a missing trial. With three of four trials durable
 // plus one out-of-grid line and no meta, the campaign recovers as
-// interrupted, not done, and resumes to the uninterrupted table.
+// interrupted, not done, with progress 3/4; it resumes to 4/4 (meta.json
+// done included) and to the uninterrupted table.
 func TestRecoverOutOfGridLinesNotDone(t *testing.T) {
 	spec := Spec{
 		Custom: &CustomSweep{Workload: "sort/base", Rates: []float64{0.2}},
@@ -191,11 +192,23 @@ func TestRecoverOutOfGridLinesNotDone(t *testing.T) {
 	if st.State != StateInterrupted {
 		t.Fatalf("recovered state = %s, want %s", st.State, StateInterrupted)
 	}
+	if want := (Progress{Done: 3, Total: 4}); st.Progress != want {
+		t.Errorf("interrupted progress = %+v, want %+v", st.Progress, want)
+	}
 	if err := m.Resume("c0001"); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Wait("c0001"); err != nil {
 		t.Fatal(err)
+	}
+	if st, err = m.Get("c0001"); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Progress{Done: 4, Total: 4}); st.Progress != want {
+		t.Errorf("resumed progress = %+v, want %+v", st.Progress, want)
+	}
+	if meta, ok, err := readMeta(dir); err != nil || !ok || meta.Done != 4 {
+		t.Errorf("meta.json after resume: done=%d ok=%v err=%v, want done=4", meta.Done, ok, err)
 	}
 	table, err := m.Table("c0001")
 	if err != nil {

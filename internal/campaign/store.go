@@ -117,6 +117,11 @@ type Store struct {
 	f    *os.File
 	werr error // the first failed write; every later put fails with it
 	have map[trialKey]float64
+	// plan is the grid the store was opened for (nil from Open), and
+	// done counts the keys of have inside it, kept as keys are added so
+	// Done(plan) costs nothing.
+	plan *figures.Plan
+	done int
 	// pending holds the keys of the batch being put, to drop a key
 	// repeated within it; line is the batch's encoding. Both are reused
 	// from batch to batch.
@@ -141,17 +146,22 @@ const lineBytesHint = 64
 
 // Open creates (or reopens) the campaign directory and loads every record
 // already present, deduplicating by trial key.
-func Open(dir string) (*Store, error) { return open(dir, 0) }
+func Open(dir string) (*Store, error) { return open(dir, nil) }
 
-// open is Open with the key map sized for a campaign of trials trials
-// (or the store file's length, if that implies more) before replay, so
-// neither replay nor recording the rest of the grid grows it.
-func open(dir string, trials int) (*Store, error) {
+// open is Open for the campaign of plan: the key map is sized for plan's
+// grid (or the store file's length, if that implies more) before replay,
+// so neither replay nor recording the rest of the grid grows it, and the
+// store counts its in-grid keys as they are added.
+func open(dir string, plan *figures.Plan) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: store dir: %w", err)
 	}
 	path := filepath.Join(dir, storeFile)
-	st := &Store{dir: dir}
+	st := &Store{dir: dir, plan: plan}
+	trials := 0
+	if plan != nil {
+		trials = plan.Size()
+	}
 	torn := false
 	if data, err := os.Open(path); err == nil {
 		tornTail, loadErr := st.load(data, trials)
@@ -215,7 +225,7 @@ func (st *Store) load(data *os.File, trials int) (tornTail bool, err error) {
 				rec = slow
 			}
 			if ok {
-				st.have[trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}] = rec.Value
+				st.add(trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}, rec.Value)
 			}
 		}
 		if err == io.EOF {
@@ -329,9 +339,21 @@ func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 		return nil, err
 	}
 	for _, rec := range fresh {
-		st.have[trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}] = rec.Value
+		st.add(trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}, rec.Value)
 	}
 	return fresh, nil
+}
+
+// add records k's value, counting k in done when it is new and inside
+// the store's plan. A replayed duplicate keeps the later value.
+func (st *Store) add(k trialKey, v float64) {
+	n := len(st.have)
+	st.have[k] = v
+	if len(st.have) > n && st.plan != nil {
+		if _, ok := gridIndex(st.plan, k); ok {
+			st.done++
+		}
+	}
 }
 
 // Durable returns the durable trials of plan's grid, one bitset per unit
@@ -345,18 +367,43 @@ func (st *Store) Durable(plan *figures.Plan) [][]uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for k := range st.have {
-		if k.unit < 0 || k.unit >= len(sets) {
-			continue
+		if i, ok := gridIndex(plan, k); ok {
+			sets[k.unit][i>>6] |= 1 << (i & 63)
 		}
-		sweep := plan.Units[k.unit].Sweep
-		per := sweep.PerCell()
-		if k.rateIdx < 0 || k.rateIdx >= len(sweep.Rates) || k.trialIdx < 0 || k.trialIdx >= per {
-			continue
-		}
-		i := k.rateIdx*per + k.trialIdx
-		sets[k.unit][i>>6] |= 1 << (i & 63)
 	}
 	return sets
+}
+
+// Done is the number of durable trials of plan's grid; keys outside the
+// grid do not count. For the plan the store was opened for it is the
+// running count, for any other one pass over the store's keys.
+func (st *Store) Done(plan *figures.Plan) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if plan == st.plan {
+		return st.done
+	}
+	n := 0
+	for k := range st.have {
+		if _, ok := gridIndex(plan, k); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// gridIndex is k's index in its unit's grid, rateIdx*PerCell()+trialIdx;
+// ok is false when k names a unit, rate or trial outside plan's grid.
+func gridIndex(plan *figures.Plan, k trialKey) (i int, ok bool) {
+	if k.unit < 0 || k.unit >= len(plan.Units) {
+		return 0, false
+	}
+	sweep := plan.Units[k.unit].Sweep
+	per := sweep.PerCell()
+	if k.rateIdx < 0 || k.rateIdx >= len(sweep.Rates) || k.trialIdx < 0 || k.trialIdx >= per {
+		return 0, false
+	}
+	return k.rateIdx*per + k.trialIdx, true
 }
 
 // Size is the store file's current on-disk size in bytes (0 when the
@@ -372,13 +419,6 @@ func (st *Store) Size() int64 {
 		return 0
 	}
 	return fi.Size()
-}
-
-// Count is the number of distinct completed trials in the store.
-func (st *Store) Count() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.have)
 }
 
 // AppendCell appends the recorded values of one (unit, rateIdx) cell to

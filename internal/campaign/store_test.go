@@ -25,6 +25,14 @@ func lookup(st *Store, unit, rateIdx, trialIdx int) (float64, bool) {
 	return v, ok
 }
 
+// stored is the number of distinct trial keys the store holds, in a
+// grid or not.
+func stored(st *Store) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return len(st.have)
+}
+
 func TestStoreAppendReloadDedup(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -45,7 +53,7 @@ func TestStoreAppendReloadDedup(t *testing.T) {
 	if added, err := st.Put(recs[0]); err != nil || added {
 		t.Fatalf("dup append: added=%v, err=%v; want false, nil", added, err)
 	}
-	if got := st.Count(); got != 3 {
+	if got := stored(st); got != 3 {
 		t.Errorf("count = %d, want 3", got)
 	}
 	if v, ok := lookup(st, 1, 2, 0); !ok || v != 0.25 {
@@ -60,7 +68,7 @@ func TestStoreAppendReloadDedup(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer st2.Close()
-	if got := st2.Count(); got != 3 {
+	if got := stored(st2); got != 3 {
 		t.Errorf("reloaded count = %d, want 3", got)
 	}
 	if xs := st2.AppendCell([]float64{9}, 0, 0, 2); len(xs) != 3 || xs[0] != 9 || xs[1] != 1 || xs[2] != 0 {
@@ -68,10 +76,12 @@ func TestStoreAppendReloadDedup(t *testing.T) {
 	}
 }
 
-// TestStoreDurable: the durable set holds exactly the in-grid keys that
-// were put, across a word boundary, both live and after replay; keys
-// outside the plan's grid — past a unit's rates or trials, negative, or
-// naming a unit the plan lacks — set no bit.
+// TestStoreDurable: the durable set and Done hold exactly the in-grid
+// keys that were put, across a word boundary, both live and after
+// replay; keys outside the plan's grid — past a unit's rates or trials,
+// negative, or naming a unit the plan lacks — set no bit and do not
+// count, whether Done counts them by a pass (a store from Open) or as
+// they are added (a store opened for the plan).
 func TestStoreDurable(t *testing.T) {
 	plan := &figures.Plan{Units: []figures.Unit{
 		{Sweep: harness.Sweep{Rates: []float64{0.1, 0.2}, Trials: 3}},
@@ -91,6 +101,9 @@ func TestStoreDurable(t *testing.T) {
 	if got := st.Durable(plan); !reflect.DeepEqual(got, want) {
 		t.Errorf("live durable set = %b, want %b", got, want)
 	}
+	if got := st.Done(plan); got != 6 {
+		t.Errorf("live done = %d, want 6", got)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +118,28 @@ func TestStoreDurable(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(dir)
+	st2, err := open(dir, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got := st2.Count(); got != 14 {
+	if got := stored(st2); got != 14 {
 		t.Fatalf("replayed %d keys, want 14 (the out-of-grid lines load)", got)
 	}
 	if got := st2.Durable(plan); !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed durable set = %b, want %b", got, want)
+	}
+	if got := st2.Done(plan); got != 6 {
+		t.Errorf("replayed done = %d, want 6 (out-of-grid lines do not count)", got)
+	}
+	for _, k := range []trialKey{{0, 0, 0}, {0, 2, 1}, {0, 0, 1}} {
+		if _, err := st2.Put(Record{Unit: k.unit, RateIdx: k.rateIdx, TrialIdx: k.trialIdx, Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := *plan
+	if got, pass := st2.Done(plan), st2.Done(&same); got != 7 || pass != 7 {
+		t.Errorf("done after puts = %d (counted), %d (by a pass), want 7", got, pass)
 	}
 }
 
@@ -142,7 +167,7 @@ func TestStoreToleratesTornTrailingLine(t *testing.T) {
 		t.Fatalf("reopen after torn line: %v", err)
 	}
 	defer st2.Close()
-	if got := st2.Count(); got != 1 {
+	if got := stored(st2); got != 1 {
 		t.Errorf("count = %d, want 1 (torn line dropped)", got)
 	}
 	// The dropped trial can be re-recorded.
@@ -182,7 +207,7 @@ func TestStoreToleratesOversizedLine(t *testing.T) {
 		t.Fatalf("reopen with oversized line: %v", err)
 	}
 	defer st2.Close()
-	if got := st2.Count(); got != 2 {
+	if got := stored(st2); got != 2 {
 		t.Errorf("count = %d, want 2 (oversized line dropped, later record kept)", got)
 	}
 	if v, ok := lookup(st2, 0, 0, 2); !ok || v != 4 {
@@ -192,7 +217,7 @@ func TestStoreToleratesOversizedLine(t *testing.T) {
 	if _, err := st2.Put(Record{Unit: 0, RateIdx: 0, TrialIdx: 1, Value: 0.5}); err != nil {
 		t.Fatalf("re-append: %v", err)
 	}
-	if got := st2.Count(); got != 3 {
+	if got := stored(st2); got != 3 {
 		t.Errorf("count after rerun = %d, want 3", got)
 	}
 }
@@ -309,8 +334,8 @@ func TestStorePutRejectsNonFinite(t *testing.T) {
 			t.Errorf("Put(%+v) = %v,%v; want false,%v", rec, added, err, want)
 		}
 	}
-	if st.Count() != 0 || st.Size() != 0 {
-		t.Errorf("rejected records reached the store: count %d, %d bytes", st.Count(), st.Size())
+	if stored(st) != 0 || st.Size() != 0 {
+		t.Errorf("rejected records reached the store: count %d, %d bytes", stored(st), st.Size())
 	}
 }
 
@@ -366,7 +391,7 @@ func TestStorePutBatch(t *testing.T) {
 				if err == nil {
 					t.Fatalf("PutBatch = %v, nil; want an error", got)
 				}
-				if n := batched.Count(); n != len(tc.durable) || batched.Size() != before {
+				if n := stored(batched); n != len(tc.durable) || batched.Size() != before {
 					t.Errorf("failed batch changed the store: %d records, %d bytes; want %d, %d", n, batched.Size(), len(tc.durable), before)
 				}
 				r := tc.batch[0]
@@ -402,8 +427,8 @@ func TestStorePutBatch(t *testing.T) {
 			if string(have) != string(want) {
 				t.Errorf("batched store:\n%s\nwant, as put one at a time:\n%s", have, want)
 			}
-			if batched.Count() != single.Count() {
-				t.Errorf("batched store holds %d records, one at a time %d", batched.Count(), single.Count())
+			if stored(batched) != stored(single) {
+				t.Errorf("batched store holds %d records, one at a time %d", stored(batched), stored(single))
 			}
 		})
 	}
@@ -440,8 +465,8 @@ func TestStorePutBatchConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if added.Load() != keys || st.Count() != keys {
-		t.Fatalf("%d records reported added, %d in the store; want %d", added.Load(), st.Count(), keys)
+	if added.Load() != keys || stored(st) != keys {
+		t.Fatalf("%d records reported added, %d in the store; want %d", added.Load(), stored(st), keys)
 	}
 	data, err := os.ReadFile(filepath.Join(st.Dir(), storeFile))
 	if err != nil {
@@ -489,8 +514,8 @@ func TestStoreLoadNonCanonicalLines(t *testing.T) {
 			t.Errorf("line %q loaded as %v,%v; want %v", line, v, ok, want.Value)
 		}
 	}
-	if st.Count() != len(lines) {
-		t.Errorf("count = %d, want %d", st.Count(), len(lines))
+	if stored(st) != len(lines) {
+		t.Errorf("count = %d, want %d", stored(st), len(lines))
 	}
 }
 
@@ -564,8 +589,8 @@ func TestStoreReplayAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Count() != n {
-				t.Fatalf("replayed %d records, want %d", st.Count(), n)
+			if stored(st) != n {
+				t.Fatalf("replayed %d records, want %d", stored(st), n)
 			}
 			st.Close()
 		})

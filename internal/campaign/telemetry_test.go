@@ -79,13 +79,26 @@ func recordSet(t *testing.T, store []byte) []Record {
 // the observability layer: running the identical campaign with the flight
 // recorder fully attached (hub, telemetry sidecar, fault observer) and
 // with it absent must record identical trial sets — every record equal
-// field for field, whatever order concurrent trials appended them in.
-// Telemetry is diagnostics beside the artifact stream, never part of it.
+// field for field, whatever order concurrent trials appended them in —
+// and byte-identical spec.json files, written by two runs at different
+// times. Telemetry is diagnostics beside the artifact stream, never part
+// of it.
 func TestTelemetryDoesNotPerturbStore(t *testing.T) {
-	plain, _ := runCampaignStore(t, false)
+	plain, plainDir := runCampaignStore(t, false)
 	observed, dir := runCampaignStore(t, true)
 	if a, b := recordSet(t, plain), recordSet(t, observed); !reflect.DeepEqual(a, b) {
 		t.Errorf("trial records differ with telemetry attached:\n--- plain ---\n%+v\n--- observed ---\n%+v", a, b)
+	}
+	var specs [2][]byte
+	for i, d := range []string{plainDir, dir} {
+		b, err := os.ReadFile(filepath.Join(d, specFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[i] = b
+	}
+	if !bytes.Equal(specs[0], specs[1]) {
+		t.Errorf("spec.json differs between runs:\n%s\n%s", specs[0], specs[1])
 	}
 
 	// The sidecar exists, holds one record per trial, and at rate 0.5 the

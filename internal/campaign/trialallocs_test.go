@@ -90,7 +90,7 @@ func TestTrialAllocsWithHub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := open(t.TempDir(), trials)
+	st, err := open(t.TempDir(), camp.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestTrialAllocsWithHub(t *testing.T) {
 	if b, max := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(1152); b > max {
 		t.Errorf("one sort/base trial through the hub-attached sink: %d bytes, want at most %d", b, max)
 	}
-	if n := st.Count(); n != 1+2*runs {
+	if n := st.Done(camp.Plan); n != 1+2*runs {
 		t.Errorf("store holds %d trials, want %d", n, 1+2*runs)
 	}
 }

@@ -69,8 +69,6 @@ func (a *Assignment) SetAnnealParam(mu float64) { a.mu = mu }
 
 // UniformStart returns the center of the Birkhoff polytope, X₀ = 1/max(n,m)
 // everywhere — the natural unbiased initial iterate.
-//
-//lint:fpu-exempt fault-free setup: the starting iterate is chosen before the simulated machine runs
 func (a *Assignment) UniformStart() []float64 {
 	x := make([]float64, a.Dim())
 	d := a.w.Rows

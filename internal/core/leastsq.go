@@ -83,7 +83,6 @@ func (l *LeastSquares) Value(x []float64) float64 {
 		return linalg.SqNorm2(nil, l.rv)
 	}
 	var v float64
-	//lint:fpu-exempt objective evaluation is the paper's reliable control path (note the nil unit handed to Rho)
 	for _, r := range l.rv {
 		v += l.loss.Rho(nil, r)
 	}

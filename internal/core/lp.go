@@ -55,8 +55,6 @@ func (lp *LinearProgram) Dim() int { return len(lp.C) }
 
 // MaxViolation returns the largest constraint violation at x, computed
 // reliably (a control/metric path).
-//
-//lint:fpu-exempt feasibility metric measured outside the simulated machine (note the nil units): it scores results, it never feeds the solve
 func (lp *LinearProgram) MaxViolation(x []float64) float64 {
 	var worst float64
 	if lp.Ineq != nil {

@@ -123,3 +123,29 @@ func TestConfigTrials(t *testing.T) {
 		t.Errorf("explicit trials = %d", got)
 	}
 }
+
+// TestSolverFLOPsPinned pins the §6.3 FLOP counts exactly. The paper's
+// method relies on every FLOP of a solver's data path running on the
+// (possibly faulty) unit; a count that drops means arithmetic moved off
+// u onto the reliable host, out of reach of fault injection. Cholesky,
+// QR and CG are data-independent; SVD's Jacobi sweeps depend on the
+// instance, so its count is pinned per seed.
+func TestSolverFLOPsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		quick bool
+		want  map[string]float64
+	}{
+		{false, map[string]float64{"Cholesky": 22585, "QR": 24215, "CG,N=5": 26430, "CG,N=10": 46830, "SVD": 340901}},
+		{true, map[string]float64{"Cholesky": 3523, "QR": 3901, "CG,N=5": 6498, "CG,N=10": 11538, "SVD": 39543}},
+	} {
+		table := SolverFLOPs(Config{Seed: 1, Quick: tc.quick})
+		if len(table.Series) != len(tc.want) {
+			t.Fatalf("quick=%v: %d series, want %d", tc.quick, len(table.Series), len(tc.want))
+		}
+		for _, s := range table.Series {
+			if got, want := s.Points[0].Value, tc.want[s.Name]; got != want {
+				t.Errorf("quick=%v %s: %v FLOPs, want %v", tc.quick, s.Name, got, want)
+			}
+		}
+	}
+}

@@ -44,8 +44,6 @@ type burstModel struct {
 
 // newBurst builds the model for one trial. Zero meanLen and prob select
 // the defaults (64 ops, and the voltage model's MaxRate).
-//
-//lint:fpu-exempt fault-model construction: gap/rate algebra runs once per trial, outside the simulated datapath
 func newBurst(rate float64, seed uint64, meanLen, prob float64) fpu.FaultModel {
 	if rate < 0 {
 		rate = 0

@@ -47,7 +47,6 @@ func newMemory(rate float64, seed uint64) fpu.FaultModel {
 	}
 	m.countdown = math.MaxUint64
 	if rate > 0 {
-		//lint:fpu-exempt fault-model construction: the mean-gap reciprocal runs once per trial, outside the simulated datapath
 		m.countdown = m.rng.UniformGap(1 / rate)
 	}
 	return m
@@ -87,7 +86,7 @@ func (m *memoryModel) CorruptSlice(xs []float64) {
 		bit := memoryDist.Sample(m.rng.Float64())
 		xs[idx] = math.Float64frombits(math.Float64bits(xs[idx]) ^ (1 << uint(bit)))
 		m.injected++
-		m.countdown = m.rng.UniformGap(1 / m.rate) //lint:fpu-exempt fault-model mechanism: gap draw arithmetic is scheduler state, not simulated application math
+		m.countdown = m.rng.UniformGap(1 / m.rate)
 	}
 	m.countdown -= rem
 }

@@ -137,7 +137,6 @@ func (s *Spec) Validate() error {
 			if v < 0 || v != v {
 				return fmt.Errorf("faultmodel: stratified class weights must be finite and non-negative, got %v", v)
 			}
-			//lint:fpu-exempt spec validation runs outside the simulated machine
 			total += v
 		}
 		if total <= 0 {

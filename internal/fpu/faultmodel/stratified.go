@@ -27,8 +27,6 @@ func (s *stratified) Name() string { return Stratified }
 // newStratified builds the model. Each class weight is the share of
 // faults striking that field, spread uniformly over the field's bits; the
 // per-bit weight is therefore class weight / class size.
-//
-//lint:fpu-exempt fault-model construction: class-weight normalization happens once per trial, outside the simulated datapath
 func newStratified(rate float64, seed uint64, expW, mantW, signW float64) fpu.FaultModel {
 	var w [fpu.WordBits]float64
 	for bit := 0; bit < mantissaBits; bit++ {

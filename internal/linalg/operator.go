@@ -30,8 +30,6 @@ var (
 // power iteration with exact arithmetic. It is used as a reliable setup
 // step to pick stable gradient step sizes (the Lipschitz constant of the
 // least-squares gradient).
-//
-//lint:fpu-exempt fault-free setup: the Lipschitz estimate happens before the simulated machine runs (note the nil units throughout)
 func PowerEstimate(a Operator, iters int) float64 {
 	rows, cols := a.Dims()
 	x := make([]float64, cols)

@@ -39,7 +39,6 @@ func SVD(u *fpu.Unit, a *Dense) (*SVDFactor, error) {
 					aqq = u.Add(aqq, u.Mul(wq, wq))
 					apq = u.Add(apq, u.Mul(wp, wq))
 				}
-				//lint:fpu-exempt convergence-threshold scaling is reliable control: the Gram entries themselves are computed on u
 				if abs(apq) <= tol*u.Sqrt(u.Mul(app, aqq)) {
 					continue
 				}
@@ -127,7 +126,6 @@ func (f *SVDFactor) Solve(u *fpu.Unit, b []float64, rcond float64) ([]float64, e
 	if rcond <= 0 {
 		rcond = 1e-13
 	}
-	//lint:fpu-exempt rank-cutoff selection is reliable control; the solve itself (TMulVec/Div/MulVec) runs on u
 	cutoff := rcond * f.S[0]
 	// c ← Uᵀ b, scaled by 1/s.
 	c := make([]float64, n)

@@ -106,8 +106,6 @@ func AllFinite(x []float64) bool {
 
 // RelErr returns ‖a−b‖₂ / ‖b‖₂ computed reliably (control path / metrics).
 // A zero-norm b falls back to the absolute error.
-//
-//lint:fpu-exempt error metrics are measured outside the simulated machine: they score results, they are not part of the experiment
 func RelErr(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(ErrShape)

@@ -8,8 +8,9 @@
 // Wall-clock timestamps are allowed in this package — but only on the
 // diagnostics side (ring events, telemetry JSONL); nothing here ever
 // writes into a campaign store or any other resume-identity artifact.
-// robustlint's notimeinartifacts analyzer scopes this package to enforce
-// exactly that split.
+// TestTelemetryDoesNotPerturbStore (internal/campaign) holds that split:
+// a campaign run with the hub attached records the same trials and the
+// same spec.json bytes as one without.
 package obs
 
 import (

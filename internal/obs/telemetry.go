@@ -220,8 +220,8 @@ func appendEnvelope(b, ts []byte, kind string) []byte {
 // the age is checked on this clock read, so no timer runs. Telemetry is
 // the one serialization path in the repository where a clock is legal:
 // the JSONL sidecar is diagnostics with no resume-identity contract,
-// unlike the store and trace artifacts the notimeinartifacts analyzer
-// guards.
+// unlike the store, spec and trace artifacts, whose byte and record pins
+// fail on a timestamp.
 //
 // The lines and their timestamp are assembled in buffers reused under the
 // lock: a stack buffer handed to the file escapes under the race

@@ -95,14 +95,12 @@ func CG(u *fpu.Unit, mul MulFunc, b, x0 []float64, opts CGOptions) (Result, erro
 			rs = linalg.Dot(u, r, r)
 			continue
 		}
-		//lint:fpu-exempt scalar step computation is the paper's reliable control step (§3.3)
 		alpha := rs / den
 		if math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 			res.Skipped++
 			continue
 		}
 		// Reliable iterate update.
-		//lint:fpu-exempt the iterate update is the paper's reliable control step (§3.3): the data path is mul/Dot/Axpy on u
 		for i := range x {
 			x[i] += alpha * p[i]
 		}
@@ -116,7 +114,6 @@ func CG(u *fpu.Unit, mul MulFunc, b, x0 []float64, opts CGOptions) (Result, erro
 			}
 			continue
 		}
-		//lint:fpu-exempt scalar step computation is the paper's reliable control step (§3.3)
 		beta := rsNew / rs
 		linalg.Xpay(u, r, beta, p)
 		if !linalg.AllFinite(p) {

@@ -17,7 +17,6 @@ type Schedule func(iter int) float64
 // Linear returns the 1/t schedule of Theorem 1's strongly convex case
 // ("LS" in the paper's figures): step(t) = eta0/t.
 func Linear(eta0 float64) Schedule {
-	//lint:fpu-exempt step-size schedules are reliable control arithmetic (see the package comment's data/control split)
 	return func(iter int) float64 { return eta0 / float64(iter) }
 }
 
@@ -25,7 +24,6 @@ func Linear(eta0 float64) Schedule {
 // step(t) = eta0/√t. It decays slower than Linear, keeping later
 // iterations making progress at the price of a larger noise floor.
 func Sqrt(eta0 float64) Schedule {
-	//lint:fpu-exempt step-size schedules are reliable control arithmetic (see the package comment's data/control split)
 	return func(iter int) float64 { return eta0 / math.Sqrt(float64(iter)) }
 }
 

@@ -159,7 +159,6 @@ func SGD(p core.Problem, x0 []float64, opts Options) (Result, error) {
 		opts.Unit.CorruptSlice(x)
 		if opts.Anneal != nil && annealable != nil && t%opts.Anneal.Every == 0 {
 			if cur := annealable.AnnealParam(); cur != 0 {
-				//lint:fpu-exempt annealing schedule is reliable control arithmetic, not simulated-machine math
 				v := cur * opts.Anneal.Factor
 				if opts.Anneal.Max > 0 {
 					// Max limits in the direction of travel: a ceiling for
@@ -184,7 +183,6 @@ func SGD(p core.Problem, x0 []float64, opts Options) (Result, error) {
 		step := opts.Schedule(t)
 		lastStep = step
 		copy(xPrev, x)
-		//lint:fpu-exempt the iterate update is the paper's reliable control step (§3.1): only the gradient is stochastic
 		for i := range x {
 			x[i] -= step * dir[i]
 		}
@@ -194,7 +192,6 @@ func SGD(p core.Problem, x0 []float64, opts Options) (Result, error) {
 			continue
 		}
 		if avg != nil && t >= avgFrom {
-			//lint:fpu-exempt Polyak-Ruppert tail averaging is reliable control arithmetic (see Options.TailAverage)
 			for i := range avg {
 				avg[i] += x[i]
 			}
@@ -205,9 +202,7 @@ func SGD(p core.Problem, x0 []float64, opts Options) (Result, error) {
 		}
 	}
 	if avgCount > 0 {
-		//lint:fpu-exempt tail-average normalization is reliable control arithmetic
 		inv := 1 / float64(avgCount)
-		//lint:fpu-exempt tail-average normalization is reliable control arithmetic
 		for i := range x {
 			x[i] = avg[i] * inv
 		}
@@ -239,8 +234,6 @@ func gradOK(grad []float64, threshold float64) bool {
 
 // mixDirection updates dir in place: plain gradient when momentum is
 // disabled, otherwise the smoothed running average of §3.2.
-//
-//lint:fpu-exempt momentum smoothing is reliable control arithmetic (§3.2): only the gradient evaluation is stochastic
 func mixDirection(dir, grad []float64, momentum float64) {
 	if momentum == 0 || momentum == 1 {
 		copy(dir, grad)
@@ -257,8 +250,6 @@ func mixDirection(dir, grad []float64, momentum float64) {
 // is scored by the reliable oracle anyway, the phase tracks the best
 // iterate seen and returns it — growing steps can therefore explore
 // without ever leaving the caller worse off than the main phase did.
-//
-//lint:fpu-exempt the whole phase is the paper's reliable control oracle (§3.2): step adaptation, iterate updates, and convergence tests; the stochastic math lives in p.Grad
 func aggressivePhase(p core.Problem, x, grad, dir, xPrev []float64, lastStep float64, opts Options, res *Result) {
 	a := opts.Aggressive
 	step := a.InitStep
