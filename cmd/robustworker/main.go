@@ -9,10 +9,20 @@
 // worker's measured rate to about 100 ms of work, so reports stay rare
 // however short the trials are.
 //
+// A finished shard's report goes in the background while the worker
+// leases and runs the next shard, so the worker keeps computing during
+// the round trip. At most one report is in flight: the worker waits for
+// it, and acts on its verdict, before it sends any other report (a
+// heartbeat, a flush of a long shard, a release), on shutdown and before
+// it exits. A lease's measured rate, and so the size of the next one,
+// can include that wait. On SIGTERM the report in flight still gets a
+// 2 s budget to finish, as does the flush of the shard that was running.
+//
 // The worker is disposable by design: SIGKILL one mid-shard and the
-// coordinator reassigns its lease after the TTL; nothing is lost but the
-// unreported trials (at most one lease, about 100 ms of work), which the
-// next worker re-executes to the same values. It also survives the
+// coordinator reassigns its leases after the TTL; nothing is lost but
+// the unreported trials (at most two lease slices, about 200 ms of
+// work: the shard running and the one being reported), which the next
+// worker re-executes to the same values. It also survives the
 // coordinator: connection errors back off and retry, and an "unknown
 // worker" answer (the signature of a coordinator restart) just triggers
 // re-registration.
@@ -39,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"sync"
 	"syscall"
 	"time"
 
@@ -136,6 +147,10 @@ type worker struct {
 	// compile, so version skew is detected without recompiling per lease.
 	plans map[string]*campaign.Campaign
 	bad   map[string]string
+	// inflight is the done report still on its way to the coordinator,
+	// nil when none is. Only the loop's goroutine touches it, and the
+	// plan and bad caches.
+	inflight *inflight
 }
 
 // loop is the worker's life: register, lease, execute, repeat. Every
@@ -163,8 +178,10 @@ func (w *worker) loop(ctx context.Context) {
 		lease, err := w.cl.Lease(ctx)
 		switch {
 		case errors.Is(err, dispatch.ErrUnknownWorker):
-			// The coordinator restarted and forgot the fleet; start over.
+			// The coordinator restarted and forgot the fleet; start over,
+			// once the report in flight no longer reads the worker id.
 			log.Printf("robustworker: coordinator forgot %s (restart?); re-registering", w.cl.WorkerID())
+			w.settle(ctx)
 			w.cl.Forget()
 		case err != nil:
 			if ctx.Err() == nil {
@@ -179,6 +196,7 @@ func (w *worker) loop(ctx context.Context) {
 			w.runShard(ctx, lease)
 		}
 	}
+	w.settle(ctx)
 }
 
 // planKey identifies a campaign as this worker sees it: the id plus the
@@ -199,11 +217,10 @@ func (w *worker) markBad(key, msg string) {
 	w.bad[key] = msg
 }
 
-// plan returns the compiled campaign for a lease, cached per (campaign,
-// spec) so recompilation never happens per shard; compile failures are
-// cached too.
-func (w *worker) plan(lr *dispatch.LeaseResponse) (*campaign.Campaign, error) {
-	key := planKey(lr)
+// plan returns the compiled campaign for a lease whose planKey is key,
+// cached per (campaign, spec) so recompilation never happens per shard;
+// compile failures are cached too.
+func (w *worker) plan(key string, lr *dispatch.LeaseResponse) (*campaign.Campaign, error) {
 	if msg, ok := w.bad[key]; ok { // a bad verdict outranks any cached plan
 		return nil, errors.New(msg)
 	}
@@ -234,22 +251,30 @@ func (w *worker) plan(lr *dispatch.LeaseResponse) (*campaign.Campaign, error) {
 // and park for a full TTL — every shard of a campaign it cannot run,
 // starving healthy workers; returned shards are re-leasable immediately.
 func (w *worker) release(ctx context.Context, lr *dispatch.LeaseResponse) {
+	w.settle(ctx)
 	if _, err := w.cl.Report(ctx, lr.Campaign, lr.Lease, nil, true); err != nil && ctx.Err() == nil {
 		log.Printf("robustworker: release %s/%s: %v", lr.Campaign, lr.Lease, err)
 	}
 }
 
+// detachedBudget bounds each step of a shutdown: waiting for the trial
+// loop to stop, finishing the report in flight, and the final flush.
+const detachedBudget = 2 * time.Second
+
 // runShard executes one leased shard: Campaign.RunShard runs the trials
 // on a goroutine of their own — the trial loop local campaigns use —
-// while this goroutine collects results and reports them to the
-// coordinator: with done=true when the shard finishes, on a heartbeat
-// tick (TTL/3, so a slow trial never lets the lease lapse), and when
-// dispatch.MaxReport results are pending. A lease is sized to far less
-// than TTL/3, so it normally goes back in one report. A lost lease
+// and its sink appends each result to pending, while this goroutine
+// takes what has accumulated and reports it: with done=true in the
+// background when the shard finishes (see finish), and synchronously on
+// a heartbeat tick (TTL/3, so a slow trial never lets the lease lapse).
+// A lease is sized to far less than TTL/3, so it normally goes back in
+// one report, and never holds more than MaxReport trials. A lost lease
 // or a dead coordinator abandons the shard; whatever was not reported is
 // somebody else's work after the TTL.
 func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
-	camp, err := w.plan(lr)
+	w.settleIfDone(ctx)
+	key := planKey(lr)
+	camp, err := w.plan(key, lr)
 	if err != nil {
 		// Unexecutable spec — version skew with the coordinator. Hand the
 		// shard back (maybe another worker runs a matching build) and
@@ -262,27 +287,45 @@ func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
 	label := camp.Spec.MetricLabel()
 
 	// The trial loop runs until the shard is done; sctx aborts it when
-	// the lease is lost. runErr is read only after results is closed.
+	// the lease is lost. runErr is read only after ran is closed, and
+	// nothing reaches pending after that.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make(chan dispatch.TrialResult, w.parallel)
+	var mu sync.Mutex
+	var pending []dispatch.TrialResult
+	take := func() []dispatch.TrialResult {
+		mu.Lock()
+		defer mu.Unlock()
+		got := pending
+		pending = nil
+		return got
+	}
+	ran := make(chan struct{})
 	var runErr error
 	go func() {
-		defer close(results)
+		defer close(ran)
 		runErr = camp.RunShard(sctx, lr.Shard, w.parallel, harness.Hooks{Sink: func(t harness.Trial) {
 			w.stats.observeTrial(label, t.Dur, t.Rate, t.Seed)
-			select {
-			case results <- dispatch.TrialResult{
+			mu.Lock()
+			pending = append(pending, dispatch.TrialResult{
 				Unit: lr.Shard.Unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx,
 				Rate: t.Rate, Seed: t.Seed, Value: t.Value,
-			}:
-			case <-sctx.Done():
-			}
+			})
+			mu.Unlock()
 		}})
 		if runErr == nil || sctx.Err() != nil { // out-of-grid shards never ran
 			w.stats.shards.Add(1)
 		}
 	}()
+	// abandon stops the trial loop and waits for it; a campaign the
+	// coordinator has just rejected also gets the lease handed back.
+	abandon := func() {
+		cancel()
+		<-ran
+		if w.isBad(key) {
+			w.release(ctx, lr)
+		}
+	}
 
 	ttl := lr.TTL
 	if ttl <= 0 {
@@ -290,91 +333,171 @@ func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
 	}
 	heartbeat := time.NewTicker(ttl / 3)
 	defer heartbeat.Stop()
-	var pending []dispatch.TrialResult
-	flush := func(done bool) bool {
-		resp, err := w.report(ctx, lr, pending, done)
-		if err != nil {
-			log.Printf("robustworker: report %s/%s: %v; abandoning shard", lr.Campaign, lr.Lease, err)
-			return false
-		}
-		if resp.Rejected > 0 {
-			// The coordinator verified our results against its grid and
-			// refused them: this build computes different seeds or rates —
-			// version skew. Re-executing can only reproduce the rejects, so
-			// stop serving this campaign entirely (the bad-cache makes every
-			// later lease of it release immediately).
-			log.Printf("robustworker: coordinator rejected %d result(s) for %s (version skew?); abandoning campaign",
-				resp.Rejected, lr.Campaign)
-			w.markBad(planKey(lr), fmt.Sprintf("coordinator rejected this build's results (%d in one batch)", resp.Rejected))
-			return false
-		}
-		if resp.Lost && !done {
-			log.Printf("robustworker: lease %s/%s lost; abandoning shard", lr.Campaign, lr.Lease)
-			return false
-		}
-		pending = nil
-		return true
-	}
-	abandon := func() {
-		cancel()
-		for range results {
-		} // let the trial loop wind down
-	}
 	for {
 		select {
-		case res, ok := <-results:
-			if !ok {
-				switch {
-				case ctx.Err() != nil:
-					// Shutdown mid-shard: best-effort flush of finished trials
-					// (without done — the shard is not complete), then leave the
-					// lease to expire.
-					w.reportDetached(lr, pending)
-				case runErr != nil:
-					// The shard lies outside the grid this build compiled.
-					log.Printf("robustworker: campaign %s: lease %s: %v; releasing", lr.Campaign, lr.Lease, runErr)
-					w.release(ctx, lr)
-					sleep(ctx, w.poll)
-				default:
-					flush(true)
-				}
-				return
+		case <-ran:
+			switch {
+			case ctx.Err() != nil:
+				// Shutdown mid-shard: best-effort flush of finished trials
+				// (without done — the shard is not complete), then leave the
+				// lease to expire.
+				w.reportDetached(ctx, lr, take())
+			case runErr != nil:
+				// The shard lies outside the grid this build compiled.
+				log.Printf("robustworker: campaign %s: lease %s: %v; releasing", lr.Campaign, lr.Lease, runErr)
+				w.release(ctx, lr)
+				sleep(ctx, w.poll)
+			default:
+				w.finish(ctx, lr, key, take())
 			}
-			// Flush a full report only once another result arrives, so a
-			// shard of exactly MaxReport trials still takes one report.
-			if len(pending) == dispatch.MaxReport && !flush(false) {
-				abandon()
-				return
-			}
-			pending = append(pending, res)
+			return
 		case <-heartbeat.C:
-			if !flush(false) { // empty pending is a pure heartbeat
+			if !w.flush(ctx, lr, key, take()) { // nothing pending is a pure heartbeat
 				abandon()
 				return
 			}
 		case <-ctx.Done():
-			// Shutdown: stop the trial loop and keep trials it already
-			// finished (buffered in results) for the best-effort flush —
-			// but never wait on a wedged trial: collect only what arrives
-			// within the detached-report budget, then exit regardless.
+			// Shutdown: stop the trial loop and keep the trials it already
+			// finished for the best-effort flush — but never wait on a
+			// wedged trial: give it the detached-report budget, then flush
+			// whatever was collected and exit regardless.
 			cancel()
-			drainDeadline := time.After(2 * time.Second)
-		drain:
-			for {
-				select {
-				case r, ok := <-results:
-					if !ok {
-						break drain
-					}
-					pending = append(pending, r)
-				case <-drainDeadline:
-					break drain
-				}
+			t := time.NewTimer(detachedBudget)
+			select {
+			case <-ran:
+			case <-t.C:
 			}
-			w.reportDetached(lr, pending)
+			t.Stop()
+			w.reportDetached(ctx, lr, take())
 			return
 		}
 	}
+}
+
+// flush reports results on a running lease synchronously, with
+// done=false, in reports of at most MaxReport, once the report in
+// flight has settled; nothing pending is one pure heartbeat. It reports
+// whether the shard goes on.
+func (w *worker) flush(ctx context.Context, lr *dispatch.LeaseResponse, key string, results []dispatch.TrialResult) bool {
+	if w.settle(ctx); w.isBad(key) {
+		return false
+	}
+	for {
+		n := min(len(results), dispatch.MaxReport)
+		resp, err := w.report(ctx, lr, results[:n], false)
+		if !w.accept(lr, resp, err, false) {
+			return false
+		}
+		if results = results[n:]; len(results) == 0 {
+			return true
+		}
+	}
+}
+
+// finish delivers a finished shard: all but the last MaxReport results
+// synchronously, then the done report in the background, so the next
+// lease runs while it is on its way. At most one report is in flight:
+// finish first settles the previous one, and a campaign its verdict
+// rejected gets the lease handed back instead.
+func (w *worker) finish(ctx context.Context, lr *dispatch.LeaseResponse, key string, results []dispatch.TrialResult) {
+	if head := len(results) - dispatch.MaxReport; head > 0 {
+		if !w.flush(ctx, lr, key, results[:head]) {
+			return
+		}
+		results = results[head:]
+	}
+	if w.settle(ctx); w.isBad(key) {
+		w.release(ctx, lr)
+		return
+	}
+	// The report outlives the loop's context: on shutdown, settle gives
+	// it the detached budget instead of cutting it off.
+	rctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	p := &inflight{lr: lr, cancel: cancel, done: make(chan struct{})}
+	w.inflight = p
+	go func() {
+		defer close(p.done)
+		p.resp, p.err = w.report(rctx, lr, results, true)
+	}()
+}
+
+// inflight is a done report on its way to the coordinator. Its
+// goroutine sets resp and err, then closes done.
+type inflight struct {
+	lr     *dispatch.LeaseResponse
+	cancel context.CancelFunc
+	done   chan struct{}
+	resp   dispatch.ReportResponse
+	err    error
+}
+
+// settle waits for the report in flight, if any, and applies its
+// verdict. Once ctx is done the report has detachedBudget to finish
+// before it is cancelled. The worker settles before every other report,
+// on shutdown and before its loop exits.
+func (w *worker) settle(ctx context.Context) {
+	p := w.inflight
+	if p == nil {
+		return
+	}
+	select {
+	case <-p.done:
+	case <-ctx.Done():
+		t := time.NewTimer(detachedBudget)
+		select {
+		case <-p.done:
+		case <-t.C:
+			p.cancel()
+			<-p.done
+		}
+		t.Stop()
+	}
+	p.cancel()
+	w.inflight = nil
+	w.accept(p.lr, p.resp, p.err, true)
+}
+
+// settleIfDone settles the report in flight if it has already finished,
+// so a verdict that came in while the worker leased applies to the new
+// lease.
+func (w *worker) settleIfDone(ctx context.Context) {
+	if p := w.inflight; p != nil {
+		select {
+		case <-p.done:
+			w.settle(ctx)
+		default:
+		}
+	}
+}
+
+// isBad reports whether the campaign of key is known to be unservable.
+func (w *worker) isBad(key string) bool {
+	_, bad := w.bad[key]
+	return bad
+}
+
+// accept applies a report's verdict and reports whether the lease is
+// still worth working on. A transport error abandons the lease; a
+// Rejected count means the coordinator verified our results against its
+// grid and refused them — this build computes different seeds or rates,
+// version skew — so re-executing can only reproduce the rejects and the
+// whole campaign is marked bad (every later lease of it is released
+// immediately); Lost ends a lease that was not done anyway.
+func (w *worker) accept(lr *dispatch.LeaseResponse, resp dispatch.ReportResponse, err error, done bool) bool {
+	switch {
+	case err != nil:
+		log.Printf("robustworker: report %s/%s: %v; abandoning shard", lr.Campaign, lr.Lease, err)
+		return false
+	case resp.Rejected > 0:
+		log.Printf("robustworker: coordinator rejected %d result(s) for %s (version skew?); abandoning campaign",
+			resp.Rejected, lr.Campaign)
+		w.markBad(planKey(lr), fmt.Sprintf("coordinator rejected this build's results (%d in one batch)", resp.Rejected))
+		return false
+	case resp.Lost && !done:
+		log.Printf("robustworker: lease %s/%s lost; abandoning shard", lr.Campaign, lr.Lease)
+		return false
+	}
+	return true
 }
 
 // report delivers one batch with a couple of quick retries: a transient
@@ -394,14 +517,16 @@ func (w *worker) report(ctx context.Context, lr *dispatch.LeaseResponse, results
 }
 
 // reportDetached flushes computed-but-unreported trials during shutdown,
-// on a short detached deadline so SIGTERM still exits promptly.
-func (w *worker) reportDetached(lr *dispatch.LeaseResponse, results []dispatch.TrialResult) {
+// after the report in flight, on a short detached deadline so SIGTERM
+// still exits promptly.
+func (w *worker) reportDetached(ctx context.Context, lr *dispatch.LeaseResponse, results []dispatch.TrialResult) {
+	w.settle(ctx)
 	if len(results) == 0 {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), detachedBudget)
 	defer cancel()
-	w.cl.Report(ctx, lr.Campaign, lr.Lease, results, false)
+	w.cl.Report(dctx, lr.Campaign, lr.Lease, results, false)
 }
 
 // sleep waits d or until ctx is cancelled.

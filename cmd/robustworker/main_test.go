@@ -252,14 +252,7 @@ func TestRunShardCountsExecutedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &worker{
-		cl:       dispatch.NewClient(coord.URL, "test"),
-		poll:     time.Millisecond,
-		parallel: 2,
-		stats:    newWstats(),
-		plans:    make(map[string]*campaign.Campaign),
-		bad:      make(map[string]string),
-	}
+	w := testWorker(coord.URL)
 	lease := func(id string, sh dispatch.Shard) *dispatch.LeaseResponse {
 		return &dispatch.LeaseResponse{Lease: id, Campaign: "c0001", Spec: spec, Shard: sh, TTL: time.Minute}
 	}
@@ -275,6 +268,7 @@ func TestRunShardCountsExecutedShards(t *testing.T) {
 	if n := w.stats.trials.Load(); n != 3 {
 		t.Errorf("trials_total = %d, want 3", n)
 	}
+	w.settle(context.Background()) // l2's done report goes in the background
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -290,6 +284,160 @@ func TestRunShardCountsExecutedShards(t *testing.T) {
 	}
 	if idx := got["l2"]; !done["l2"] || !slices.Equal(slices.Sorted(slices.Values(idx)), []int{0, 2, 3}) {
 		t.Errorf("in-grid lease reported indices %v, want [0 2 3]", idx)
+	}
+}
+
+// testWorker is a worker for coordinator, as run builds it, that runs
+// two trials at once.
+func testWorker(coordinator string) *worker {
+	return &worker{
+		cl:       dispatch.NewClient(coordinator, "test"),
+		poll:     time.Millisecond,
+		parallel: 2,
+		stats:    newWstats(),
+		plans:    make(map[string]*campaign.Campaign),
+		bad:      make(map[string]string),
+	}
+}
+
+// reportLog is a fake coordinator's record of the reports it received.
+type reportLog struct {
+	mu      sync.Mutex
+	reports []dispatch.ReportRequest
+}
+
+func (l *reportLog) add(r dispatch.ReportRequest) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.reports = append(l.reports, r)
+}
+
+// of returns the reports received for lease.
+func (l *reportLog) of(lease string) []dispatch.ReportRequest {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []dispatch.ReportRequest
+	for _, r := range l.reports {
+		if r.Lease == lease {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// sortLease returns a lease of a sort/robust campaign of eight trials
+// (two rates of four) covering [start, start+count).
+func sortLease(t *testing.T, id string, start, count int) *dispatch.LeaseResponse {
+	t.Helper()
+	spec, err := json.Marshal(campaign.Spec{
+		Custom: &campaign.CustomSweep{Workload: "sort/robust", Rates: []float64{0.05, 0.1}, Iters: 50},
+		Trials: 4, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &dispatch.LeaseResponse{Lease: id, Campaign: "c0001", Spec: spec,
+		Shard: dispatch.Shard{Start: start, Count: count}, TTL: time.Minute}
+}
+
+// TestInFlightReportDeliveredOnShutdown: a done report still in flight
+// when the worker shuts down is not cancelled with the loop's context; it
+// finishes within the detached budget, and the coordinator receives it.
+func TestInFlightReportDeliveredOnShutdown(t *testing.T) {
+	var log reportLog
+	arrived, proceed := make(chan struct{}, 1), make(chan struct{})
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		<-proceed // hold the report until the worker is shutting down
+		var req dispatch.ReportRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		log.add(req)
+		fmt.Fprintln(w, "{}")
+	}))
+	defer coord.Close()
+	w := testWorker(coord.URL)
+	ctx, shutdown := context.WithCancel(context.Background())
+
+	w.runShard(ctx, sortLease(t, "l1", 0, 4))
+	if w.inflight == nil {
+		t.Fatal("runShard returned without a done report in flight")
+	}
+	<-arrived
+	shutdown()
+	close(proceed)
+	settled := make(chan struct{})
+	go func() {
+		w.settle(ctx) // as the loop does before it exits
+		close(settled)
+	}()
+	select {
+	case <-settled:
+	case <-time.After(2 * detachedBudget):
+		t.Fatal("the in-flight report outlived the detached budget")
+	}
+
+	got := log.of("l1")
+	if len(got) != 1 || !got[0].Done || len(got[0].Results) != 4 {
+		t.Fatalf("coordinator received %+v, want one done report of 4 results", got)
+	}
+	if n := w.stats.reports.Load(); n != 1 {
+		t.Errorf("reports_total = %d, want 1: the report was cut off with the loop's context", n)
+	}
+}
+
+// TestInFlightReportRejectionMarksCampaignBad: a Rejected answer to a
+// background done report marks the campaign bad once the worker settles
+// the report, so the campaign's next lease is handed straight back — an
+// empty done report — without running a trial.
+func TestInFlightReportRejectionMarksCampaignBad(t *testing.T) {
+	var log reportLog
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req dispatch.ReportRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		log.add(req)
+		if req.Lease == "l1" {
+			fmt.Fprintln(w, `{"rejected":4}`)
+			return
+		}
+		fmt.Fprintln(w, "{}")
+	}))
+	defer coord.Close()
+	w := testWorker(coord.URL)
+	ctx := context.Background()
+
+	w.runShard(ctx, sortLease(t, "l1", 0, 4))
+	p := w.inflight
+	if p == nil {
+		t.Fatal("runShard returned without a done report in flight")
+	}
+	<-p.done // the verdict is in; the worker has not applied it yet
+	trials := w.stats.trials.Load()
+	l2 := sortLease(t, "l2", 4, 4)
+	w.runShard(ctx, l2)
+
+	if n := w.stats.trials.Load(); n != trials {
+		t.Errorf("the next lease ran %d trials of a rejected campaign", n-trials)
+	}
+	if !w.isBad(planKey(l2)) {
+		t.Error("the rejected campaign is not marked bad")
+	}
+	if w.inflight != nil {
+		t.Error("a report is still in flight after the release")
+	}
+	if got := log.of("l1"); len(got) != 1 || !got[0].Done || len(got[0].Results) != 4 {
+		t.Errorf("l1 reports %+v, want one done report of 4 results", got)
+	}
+	if got := log.of("l2"); len(got) != 1 || !got[0].Done || len(got[0].Results) != 0 {
+		t.Errorf("l2 reports %+v, want one empty done report (a release)", got)
 	}
 }
 

@@ -185,8 +185,16 @@ func NewServer(m *Manager) http.Handler {
 		if d == nil {
 			return
 		}
+		wb := workerBodies.get()
+		defer workerBodies.put(wb)
+		body, ok := ReadBody(w, r, maxWorkerBytes, wb.body)
+		wb.body = body
+		if !ok {
+			return
+		}
 		var req dispatch.LeaseRequest
-		if !readJSON(w, r, &req) {
+		if err := dispatch.DecodeLease(body, &req); err != nil {
+			HTTPError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
 		lease, err := d.Lease(req)
@@ -198,7 +206,15 @@ func NewServer(m *Manager) http.Handler {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		WriteJSON(w, http.StatusOK, lease)
+		if wb.scratch, err = dispatch.AppendLeaseResponse(wb.scratch[:0], lease); err != nil {
+			HTTPError(w, http.StatusInternalServerError, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		wb.scratch = append(wb.scratch, '\n')
+		if _, err := w.Write(wb.scratch); err != nil {
+			log.Printf("campaign: write lease response: %v", err)
+		}
 	})
 
 	mux.HandleFunc("POST /workers/report", func(w http.ResponseWriter, r *http.Request) {
@@ -206,25 +222,25 @@ func NewServer(m *Manager) http.Handler {
 		if d == nil {
 			return
 		}
-		rb := reportBodies.get()
-		defer reportBodies.put(rb)
-		body, ok := ReadBody(w, r, maxWorkerBytes, rb.body)
-		rb.body = body
+		wb := workerBodies.get()
+		defer workerBodies.put(wb)
+		body, ok := ReadBody(w, r, maxWorkerBytes, wb.body)
+		wb.body = body
 		if !ok {
 			return
 		}
-		if err := dispatch.DecodeReport(body, &rb.req); err != nil {
+		if err := dispatch.DecodeReport(body, &wb.req); err != nil {
 			HTTPError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
-		resp, err := d.Report(rb.req)
+		resp, err := d.Report(wb.req)
 		if err != nil {
 			HTTPError(w, http.StatusNotFound, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		rb.scratch = append(dispatch.AppendReportResponse(rb.scratch[:0], resp), '\n')
-		if _, err := w.Write(rb.scratch); err != nil {
+		wb.scratch = append(dispatch.AppendReportResponse(wb.scratch[:0], resp), '\n')
+		if _, err := w.Write(wb.scratch); err != nil {
 			log.Printf("campaign: write report response: %v", err)
 		}
 	})
@@ -309,16 +325,16 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// reportBody holds one worker report while it is handled: the body, the
-// decoded request and the scratch the response is encoded into. They are
-// reused, so a report's size costs no allocation once a buffer has grown
-// to it.
-type reportBody struct {
+// workerBody holds one lease or report request while it is handled: the
+// body, the decoded report and the scratch the response is encoded into.
+// They are reused, so a request's size costs no allocation once a buffer
+// has grown to it.
+type workerBody struct {
 	body, scratch []byte
 	req           dispatch.ReportRequest
 }
 
-var reportBodies = make(freeList[reportBody], spareReports)
+var workerBodies = make(freeList[workerBody], spareReports)
 
 // WriteJSON writes an indented JSON response; shared by the campaign
 // and tune HTTP APIs mounted on the same robustd mux.

@@ -122,11 +122,9 @@ type Store struct {
 	// Done(plan) costs nothing.
 	plan *figures.Plan
 	done int
-	// pending holds the keys of the batch being put, to drop a key
-	// repeated within it; line is the batch's encoding. Both are reused
-	// from batch to batch.
-	pending map[trialKey]struct{}
-	line    []byte
+	// line is the encoding of the batch being put, reused from batch to
+	// batch.
+	line []byte
 }
 
 // maxLineBytes bounds how much of one store line is kept in memory while
@@ -289,10 +287,12 @@ func (st *Store) Put(rec Record) (added bool, err error) {
 // one lock, so concurrent writers of one key — two workers racing on a
 // reassigned shard — see it added exactly once. A record that cannot be
 // encoded (a NaN or ±Inf rate or value) fails the whole batch with the
-// error encoding/json reports, and nothing is written. The new keys are
-// marked durable only after the write succeeded; a failed write may leave
-// part of the batch in the file, so it latches, and every later put fails
-// with the same error.
+// error encoding/json reports, and nothing is written. New keys enter the
+// key map as they are encoded (so a repeat later in the batch is seen)
+// and leave it again if encoding or the write fails; readers take the
+// same lock, so none sees a key before its write has succeeded. A failed
+// write may leave part of the batch in the file, so it latches, and
+// every later put fails with the same error.
 //
 //lint:durable a PutBatch that returned nil is the resume identity of every record it added; a dropped error is lost trials
 func (st *Store) PutBatch(recs []Record) ([]Record, error) {
@@ -304,30 +304,22 @@ func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 	if st.f == nil {
 		return nil, fmt.Errorf("campaign: put into closed store: %w", os.ErrClosed)
 	}
-	if len(recs) > 1 && st.pending == nil {
-		st.pending = make(map[trialKey]struct{}, len(recs))
-	}
-	defer clear(st.pending)
 	fresh, b := recs[:0], st.line[:0]
 	for i := range recs {
 		rec := &recs[i]
 		key := trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}
 		if _, dup := st.have[key]; dup {
-			continue // already durable; keep the store free of duplicates
-		}
-		if len(recs) > 1 {
-			if _, dup := st.pending[key]; dup {
-				continue
-			}
-			st.pending[key] = struct{}{}
+			continue // durable or earlier in the batch; keep the store free of duplicates
 		}
 		var ok bool
 		if b, ok = appendRecord(b, rec); !ok {
 			st.line = b[:0]
+			st.drop(fresh)
 			_, err := json.Marshal(*rec) // the error encoding/json reports for a non-finite value
 			return nil, err
 		}
 		b = append(b, '\n')
+		st.add(key, rec.Value)
 		fresh = append(fresh, *rec)
 	}
 	st.line = b[:0]
@@ -335,11 +327,9 @@ func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 		return fresh, nil
 	}
 	if _, err := st.f.Write(b); err != nil {
+		st.drop(fresh)
 		st.werr = err
 		return nil, err
-	}
-	for _, rec := range fresh {
-		st.add(trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}, rec.Value)
 	}
 	return fresh, nil
 }
@@ -352,6 +342,20 @@ func (st *Store) add(k trialKey, v float64) {
 	if len(st.have) > n && st.plan != nil {
 		if _, ok := gridIndex(st.plan, k); ok {
 			st.done++
+		}
+	}
+}
+
+// drop takes back the keys PutBatch added for recs, none of which was
+// recorded before.
+func (st *Store) drop(recs []Record) {
+	for _, rec := range recs {
+		k := trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}
+		delete(st.have, k)
+		if st.plan != nil {
+			if _, ok := gridIndex(st.plan, k); ok {
+				st.done--
+			}
 		}
 	}
 }

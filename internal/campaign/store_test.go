@@ -2,11 +2,13 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -336,6 +338,45 @@ func TestStorePutRejectsNonFinite(t *testing.T) {
 	}
 	if stored(st) != 0 || st.Size() != 0 {
 		t.Errorf("rejected records reached the store: count %d, %d bytes", stored(st), st.Size())
+	}
+}
+
+// TestStorePutBatchWriteFailure: when the batch's write fails, none of
+// its keys reads as durable — not through Durable, AppendCell, Done
+// (counted or by a pass) or the key map — and the failure latches.
+func TestStorePutBatchWriteFailure(t *testing.T) {
+	plan := &figures.Plan{Units: []figures.Unit{{Sweep: harness.Sweep{Rates: []float64{0.1}, Trials: 4}}}}
+	st, err := open(t.TempDir(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(trial int, v float64) Record { return Record{TrialIdx: trial, Rate: 0.1, Value: v} }
+	if _, err := st.Put(rec(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	// Close the file under the store, so the next write(2) fails.
+	if err := st.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batch := []Record{rec(1, 2), rec(0, 9), rec(7, 3), rec(1, 4), rec(2, 5)}
+	if fresh, err := st.PutBatch(batch); !errors.Is(err, os.ErrClosed) || fresh != nil {
+		t.Fatalf("PutBatch on a closed file = %v, %v; want nil, an os.ErrClosed error", fresh, err)
+	}
+	if got, want := st.Durable(plan), [][]uint64{{1}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("durable set after the failed write = %b, want %b", got, want)
+	}
+	if got := st.AppendCell(nil, 0, 0, 4); !slices.Equal(got, []float64{1}) {
+		t.Errorf("cell after the failed write = %v, want [1]", got)
+	}
+	other := *plan
+	if counted, passed := st.Done(plan), st.Done(&other); counted != 1 || passed != 1 {
+		t.Errorf("done after the failed write = %d counted, %d by a pass; want 1", counted, passed)
+	}
+	if n := stored(st); n != 1 {
+		t.Errorf("%d keys after the failed write, want 1", n)
+	}
+	if _, err := st.Put(rec(3, 6)); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("a put after the failed write = %v, want the latched error", err)
 	}
 }
 

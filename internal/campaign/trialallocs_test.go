@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -225,5 +226,61 @@ func TestReportAllocs(t *testing.T) {
 	}
 	if st, err := m.Get(id); err != nil || st.Progress.Done != total {
 		t.Errorf("after the reports: %+v, %v; want %d trials durable", st.Progress, err, total)
+	}
+}
+
+// TestLeaseAllocs pins the heap allocations of one lease through the real
+// /workers/lease handler at exactly 12: the request is decoded and the
+// response encoded by hand, into reused buffers, so no allocation grows
+// with the spec. Four are the ResponseRecorder's (its header snapshot
+// and body), two the Content-Type header; the rest are the body-limit
+// reader, the worker id, the lease table's entry, id and Lease, and the
+// LeaseResponse (the decode-and-indent route took 29). Skipped under
+// -race; GC is off while it counts.
+func TestLeaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race adds allocations of its own")
+	}
+	const runs = 8
+	spec := Spec{
+		Custom: &CustomSweep{Workload: "sort/base", Rates: []float64{0.05}},
+		Trials: 16 * (runs + 2), Seed: 9,
+	}
+	m := newManager(t, t.TempDir(), 1)
+	defer m.Close()
+	d := dispatch.New(dispatch.Options{LeaseTTL: time.Minute})
+	m.SetDispatcher(d)
+	srv := NewServer(m)
+	if _, err := m.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	worker := d.Register(dispatch.RegisterRequest{Name: "allocs"}).Worker
+	for deadline := time.Now().Add(10 * time.Second); d.Stats().Jobs == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the campaign was never dispatched")
+		}
+	}
+
+	body := []byte(`{"worker":"` + worker + `"}`)
+	reqs := make([]*http.Request, runs+1)
+	recs := make([]*httptest.ResponseRecorder, runs+1)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/workers/lease", bytes.NewReader(body))
+		recs[i] = httptest.NewRecorder()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		srv.ServeHTTP(recs[i], reqs[i])
+		i++
+	})
+	for _, rec := range recs {
+		var lease dispatch.LeaseResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &lease) != nil || lease.Shard.Count != 16 {
+			t.Fatalf("lease answered %d: %s", rec.Code, rec.Body)
+		}
+	}
+	if want := 12.0; got != want {
+		t.Errorf("a lease: %v allocations, want %v", got, want)
 	}
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // Client is the worker side of the lease protocol: a thin HTTP client
-// for robustd's /workers endpoints. It is not safe for concurrent
-// Register calls; Lease and Report only read the registered id, so a
-// worker may report from one goroutine while its main loop leases from
-// another once registration is done.
+// for robustd's /workers endpoints. Register and Forget change the
+// worker id and must not run concurrently with any other call; Lease and
+// Report only read it, so a worker may report from one goroutine while
+// its main loop leases from another once registration is done.
 type Client struct {
 	base   string
 	name   string

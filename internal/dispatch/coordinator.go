@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,8 +110,10 @@ type Coordinator struct {
 	mu         sync.Mutex
 	nextWorker int
 	workers    map[string]*workerInfo
-	jobs       []*runningJob
-	rr         int // round-robin cursor over jobs, for multi-campaign fairness
+	// jobs only grows by append and is copied on removal, so a slice
+	// taken under mu stays valid after unlocking.
+	jobs []*runningJob
+	rr   int // round-robin cursor over jobs, for multi-campaign fairness
 }
 
 // New creates a coordinator.
@@ -170,7 +173,7 @@ func (c *Coordinator) removeJob(j *runningJob) {
 	defer c.mu.Unlock()
 	for i, other := range c.jobs {
 		if other == j {
-			c.jobs = append(c.jobs[:i], c.jobs[i+1:]...)
+			c.jobs = slices.Delete(slices.Clone(c.jobs), i, i+1)
 			return
 		}
 	}
@@ -217,7 +220,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (*LeaseResponse, error) {
 		return nil, ErrUnknownWorker
 	}
 	w.lastSeen = now
-	jobs := append([]*runningJob(nil), c.jobs...)
+	jobs := c.jobs
 	start := c.rr
 	c.rr++
 	c.mu.Unlock()
@@ -333,7 +336,7 @@ func (c *Coordinator) Stats() Stats {
 			s.WorkersActive++
 		}
 	}
-	jobs := append([]*runningJob(nil), c.jobs...)
+	jobs := c.jobs
 	c.mu.Unlock()
 	for _, j := range jobs {
 		j.table.addStats(&s, now)

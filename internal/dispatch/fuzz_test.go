@@ -271,3 +271,49 @@ func sameReport(a, b ReportRequest) bool {
 	}
 	return reflect.DeepEqual(a, b)
 }
+
+// FuzzLeaseWire checks the hand-written lease codec against encoding/json
+// in both directions:
+//
+//   - for arbitrary body bytes, DecodeLease and json.Unmarshal agree on
+//     accepting the body and on the worker id it carries;
+//   - for a response built from arbitrary fields and spec bytes (valid
+//     or not, compact or not, HTML-escaped or not), AppendLeaseResponse
+//     produces exactly json.Marshal's bytes, or fails where json.Marshal
+//     fails.
+func FuzzLeaseWire(f *testing.F) {
+	f.Add([]byte(`{"worker":"w1a2b3c4d-0001"}`), "l000001", "c0001",
+		[]byte(`{"figure":"6.1","quick":true,"seed":5}`), false, 0, 0, 16, uint8(0), int64(30*time.Second))
+	f.Add([]byte(`{"worker":""}`), "l", "c", []byte(`{"name": "a b", "x":[1, 2]}`), false, 1, 4096, 4096, uint8(3), int64(-1))
+	f.Add([]byte(`{"Worker":"w","worker":"v"}`), "a<b", "\xff", []byte(`"<&> "`), true, -1, 5, 0, uint8(1), int64(0))
+	f.Add([]byte(` {"worker":"w"}`), "", "c", []byte("\t[1,\n2]\r"), false, 0, 0, 1, uint8(0), int64(1))
+	f.Add([]byte(`{"worker":"wA"}`), "l", "c", []byte(`{"a":`), false, 0, 0, 1, uint8(2), int64(1))
+	f.Add([]byte(`{"worker":"w"}x`), "l", "c", []byte{}, false, 0, 0, 1, uint8(0), int64(1))
+	f.Fuzz(func(t *testing.T, body []byte, lease, campaign string, spec []byte, nilSpec bool,
+		unit, start, count int, nskip uint8, ttl int64) {
+		var want LeaseRequest
+		wantErr := json.Unmarshal(body, &want)
+		got := LeaseRequest{Worker: "stale"}
+		err := DecodeLease(body, &got)
+		if (err == nil) != (wantErr == nil) || err == nil && got != want {
+			t.Fatalf("DecodeLease(%q) = %+v, %v; json.Unmarshal = %+v, %v", body, got, err, want, wantErr)
+		}
+
+		resp := LeaseResponse{Lease: lease, Campaign: campaign, Spec: spec, TTL: time.Duration(ttl),
+			Shard: Shard{Unit: unit, Start: start, Count: count}}
+		if nilSpec {
+			resp.Spec = nil
+		}
+		for i := 0; i < int(nskip%5); i++ {
+			resp.Shard.Skip = append(resp.Shard.Skip, start+i*count)
+		}
+		ref, refErr := json.Marshal(resp)
+		enc, err := AppendLeaseResponse([]byte("prefix"), &resp)
+		if (err == nil) != (refErr == nil) || err == nil && !bytes.Equal(enc, append([]byte("prefix"), ref...)) {
+			t.Fatalf("AppendLeaseResponse(%+v) = %q, %v; json.Marshal = %q, %v", resp, enc, err, ref, refErr)
+		}
+		if err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("AppendLeaseResponse error %q, json.Marshal error %q", err, refErr)
+		}
+	})
+}

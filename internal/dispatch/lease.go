@@ -6,13 +6,15 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 )
 
 // MaxReport caps the results one report carries, and so the size of any
 // lease: 4,096 results is ~400 KB of JSON, far inside the coordinator's
-// 8 MiB request-body cap. Workers flush when this many are pending.
+// 8 MiB request-body cap. Workers flush once more than this many are
+// pending.
 const MaxReport = 4096
 
 // leaseSlice is the wall time a lease targets once the asking worker has
@@ -90,6 +92,16 @@ func (t *Table) SetEvents(sink EventSink, campaign string) {
 	t.campaign = campaign
 }
 
+// leaseID is fmt.Sprintf("l%06d", n) for n >= 0, in one allocation.
+func leaseID(n int) string {
+	var buf [24]byte
+	b := append(buf[:0], 'l')
+	for w := 100000; w > 1 && n < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(n), 10))
+}
+
 // emit forwards one trace event to the sink, if any.
 func (t *Table) emit(kind, detail string) {
 	if t.events != nil {
@@ -154,12 +166,19 @@ func (t *Table) Acquire(worker string, now time.Time, ttl time.Duration) *Lease 
 	}
 	t.nextLease++
 	e := &leaseEntry{
-		span: s, id: fmt.Sprintf("l%06d", t.nextLease), worker: worker,
+		span: s, id: leaseID(t.nextLease), worker: worker,
 		issued: now, expiry: now.Add(ttl), missing: s.count - len(skip),
 	}
 	t.leases[e.id] = e
 	t.nLeased += e.missing
-	t.emit("lease.acquired", fmt.Sprintf("%s worker=%s unit=%d start=%d count=%d", e.id, worker, s.unit, s.start, s.count))
+	if t.events != nil { // every lease passes here: format only for a sink
+		var buf [128]byte
+		b := append(append(append(buf[:0], e.id...), " worker="...), worker...)
+		b = strconv.AppendInt(append(b, " unit="...), int64(s.unit), 10)
+		b = strconv.AppendInt(append(b, " start="...), int64(s.start), 10)
+		b = strconv.AppendInt(append(b, " count="...), int64(s.count), 10)
+		t.emit("lease.acquired", string(b))
+	}
 	return &Lease{ID: e.id, Shard: Shard{Unit: s.unit, Start: s.start, Count: s.count, Skip: skip}}
 }
 

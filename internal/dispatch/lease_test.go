@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -339,5 +340,15 @@ func TestEmptyGridStartsDone(t *testing.T) {
 	}
 	if le := tbHave.Acquire("w1", t0, time.Minute); le != nil {
 		t.Fatalf("fully durable grid leased %+v", le)
+	}
+}
+
+// TestLeaseID: lease ids keep the l%06d form they had when formatted
+// with fmt.
+func TestLeaseID(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 99, 999, 9999, 99999, 100000, 999999, 1000000, 12345678901} {
+		if got, want := leaseID(n), fmt.Sprintf("l%06d", n); got != want {
+			t.Errorf("leaseID(%d) = %q, want %q", n, got, want)
+		}
 	}
 }

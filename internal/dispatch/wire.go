@@ -131,3 +131,94 @@ func decodeCanonicalReport(body []byte, req *ReportRequest) bool {
 	}
 	return true
 }
+
+// AppendLeaseResponse appends resp's wire form, byte-identical to
+// json.Marshal(resp), to b. The spec is copied verbatim when json.Marshal
+// would copy it too: valid JSON, already compact, and holding nothing
+// encoding/json escapes for HTML safety — as the json.Marshal output the
+// campaign engine hands the coordinator always is. Any other spec goes
+// through json.Marshal, whose error an invalid spec returns.
+func AppendLeaseResponse(b []byte, resp *LeaseResponse) ([]byte, error) {
+	if resp.Spec != nil && !rawCanonical(resp.Spec) {
+		ref, err := json.Marshal(resp)
+		if err != nil {
+			return b, err
+		}
+		return append(b, ref...), nil
+	}
+	b = append(b, `{"lease":`...)
+	b = jsonl.AppendString(b, resp.Lease)
+	b = append(b, `,"campaign":`...)
+	b = jsonl.AppendString(b, resp.Campaign)
+	b = append(b, `,"spec":`...)
+	if resp.Spec == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, resp.Spec...)
+	}
+	b = append(b, `,"shard":{"unit":`...)
+	b = strconv.AppendInt(b, int64(resp.Shard.Unit), 10)
+	b = append(b, `,"start":`...)
+	b = strconv.AppendInt(b, int64(resp.Shard.Start), 10)
+	b = append(b, `,"count":`...)
+	b = strconv.AppendInt(b, int64(resp.Shard.Count), 10)
+	if len(resp.Shard.Skip) > 0 {
+		b = append(b, `,"skip":[`...)
+		for i, s := range resp.Shard.Skip {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(s), 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `},"ttl":`...)
+	b = strconv.AppendInt(b, int64(resp.TTL), 10)
+	return append(b, '}'), nil
+}
+
+// rawCanonical reports whether json.Marshal copies raw verbatim: raw is
+// valid JSON with no whitespace outside its strings and no '<', '>',
+// '&', U+2028 or U+2029 anywhere.
+func rawCanonical(raw []byte) bool {
+	inString, escaped := false, false
+	for i, c := range raw {
+		switch {
+		case c == '<' || c == '>' || c == '&':
+			return false
+		case c == 0xE2 && i+2 < len(raw) && raw[i+1] == 0x80 && raw[i+2]&^1 == 0xA8:
+			return false
+		case inString:
+			switch {
+			case escaped:
+				escaped = false
+			case c == '\\':
+				escaped = true
+			case c == '"':
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			return false
+		}
+	}
+	return json.Valid(raw)
+}
+
+// DecodeLease decodes a lease request body into req. The canonical form
+// json.Marshal writes, {"worker":"..."} with a worker id that needs no
+// escape, is parsed by hand; any other body goes through json.Unmarshal,
+// as in DecodeReport.
+func DecodeLease(body []byte, req *LeaseRequest) error {
+	p := jsonl.NewParser(body)
+	worker := p.String(`{"worker":`)
+	if p.Literal("}") && p.Done() {
+		*req = LeaseRequest{Worker: string(worker)}
+		return nil
+	}
+	var slow LeaseRequest
+	err := json.Unmarshal(body, &slow)
+	*req = slow
+	return err
+}
