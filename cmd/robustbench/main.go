@@ -242,7 +242,7 @@ func runCampaign(ctx context.Context, dir, id string, cfg figures.Config) (table
 	if err != nil {
 		return nil, err
 	}
-	st, err := campaign.Open(filepath.Join(dir, figFileName(id)))
+	st, err := camp.OpenStore(filepath.Join(dir, figFileName(id)))
 	if err != nil {
 		return nil, err
 	}

@@ -35,9 +35,9 @@ func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, 
 		// A result must carry exactly the rate and seed the grid pins for
 		// its key — anything else is a worker running different code (or
 		// lying) and would silently corrupt a deterministic table.
+		// Bounds are already checked by dispatch.
 		Verify: func(r dispatch.TrialResult) bool {
-			u := e.camp.Plan.Units[r.Unit] // bounds already checked by dispatch
-			return r.Rate == u.Sweep.Rates[r.RateIdx] && r.Seed == u.Sweep.TrialSeed(r.RateIdx, r.TrialIdx)
+			return pinned(e.camp.Plan, r.Unit, r.RateIdx, r.TrialIdx, r.Rate, r.Seed)
 		},
 		Sink: e.mergeReport,
 	})

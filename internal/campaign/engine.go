@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -281,8 +281,8 @@ func (e *Execution) Progress() Progress {
 
 // Status reports every cell's statistics, computed from the store on
 // each call, so a finished cell agrees exactly with the table. A call
-// costs O(recorded trials): one scan of the store and one sort per
-// cell, in a single scratch buffer sized to the largest cell.
+// costs O(recorded trials): a copy of each cell's recorded values and
+// one selection, in a single scratch buffer sized to the largest cell.
 func (e *Execution) Status() []UnitStatus {
 	per := 0
 	for _, u := range e.camp.Plan.Units {
@@ -303,17 +303,15 @@ func (e *Execution) Status() []UnitStatus {
 
 // cellStatus summarizes one cell from its values in trial-index order:
 // the mean sums them in that order, as harness.Mean does, then xs is
-// sorted in place for the median (harness.Median's rule), min and max.
+// reordered in place for harness.Median's median, which leaves the
+// minimum in its lower half and the maximum in its upper half.
 func cellStatus(rate float64, total int, xs []float64) CellStatus {
 	nan := JSONFloat(math.NaN())
 	c := CellStatus{Rate: rate, Done: len(xs), Total: total,
 		Mean: JSONFloat(harness.Mean(xs)), Median: nan, Min: nan, Max: nan}
 	if n := len(xs); n > 0 {
-		sort.Float64s(xs)
-		c.Median, c.Min, c.Max = JSONFloat(xs[n/2]), JSONFloat(xs[0]), JSONFloat(xs[n-1])
-		if n%2 == 0 {
-			c.Median = JSONFloat(0.5 * (xs[n/2-1] + xs[n/2]))
-		}
+		c.Median = JSONFloat(harness.MedianInPlace(xs))
+		c.Min, c.Max = JSONFloat(slices.Min(xs[:n/2+1])), JSONFloat(slices.Max(xs[n/2:]))
 	}
 	return c
 }

@@ -442,7 +442,7 @@ func BenchmarkExecutionStatus(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := Open(b.TempDir())
+	st, err := camp.OpenStore(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"testing"
@@ -67,6 +69,95 @@ func FuzzStoreOpen(f *testing.F) {
 		// key; the store keeps the first durable value by design.
 		if added && v != rec.Value {
 			t.Fatalf("appended record value changed across reopen: got %v, want %v", v, rec.Value)
+		}
+	})
+}
+
+// FuzzStoreOpenPlan feeds arbitrary bytes to a store opened for a plan
+// (durablePlan: two units, one cell crossing a word boundary) and checks
+// the replay check end to end:
+//
+//   - the open never fails on corrupt content;
+//   - the store holds exactly the trials of the plan's grid that some
+//     line (as json.Unmarshal reads it) records with the rate and seed
+//     the grid pins for its key, each with its last such line's value;
+//   - Done equals a popcount of Durable;
+//   - an in-grid Put after the load survives a reopen.
+func FuzzStoreOpenPlan(f *testing.F) {
+	plan := durablePlan()
+	line := func(rec Record) []byte {
+		b, _ := appendRecord(nil, &rec)
+		return append(b, '\n')
+	}
+	good := line(pinnedRecord(plan, 1, 0, 64, 1.5))
+	wrongSeed := pinnedRecord(plan, 0, 1, 2, 2)
+	wrongSeed.Seed++
+	f.Add([]byte{})
+	f.Add(good)
+	f.Add(append(line(pinnedRecord(plan, 0, 0, 1, 1)), line(wrongSeed)...))
+	f.Add(append(line(Record{Unit: 0, RateIdx: 2, Rate: 0.1}), good[:len(good)/2]...))
+	f.Add([]byte("{\"u\":1,\"r\":0,\"t\":69,\"v\":2}\nnot json at all\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, storeFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := open(dir, plan)
+		if err != nil {
+			t.Fatalf("open must tolerate corrupt store content, got: %v", err)
+		}
+		want := map[[3]int]float64{}
+		for _, l := range bytes.SplitAfter(data, []byte("\n")) {
+			var rec Record
+			if len(l) > maxLineBytes || json.Unmarshal(l, &rec) != nil {
+				continue
+			}
+			k := [3]int{rec.Unit, rec.RateIdx, rec.TrialIdx}
+			if k[0] >= 0 && k[0] < len(plan.Units) && k[1] >= 0 && k[1] < len(plan.Units[k[0]].Sweep.Rates) &&
+				k[2] >= 0 && k[2] < plan.Units[k[0]].Sweep.PerCell() && pinned(plan, k[0], k[1], k[2], rec.Rate, rec.Seed) {
+				want[k] = rec.Value
+			}
+		}
+		if got := stored(st); got != len(want) {
+			t.Fatalf("replayed %d trials, want the %d pinned in-grid ones", got, len(want))
+		}
+		for k, v := range want {
+			if got, ok := lookup(st, k[0], k[1], k[2]); !ok || math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("trial %v replayed as %v,%v; want %v", k, got, ok, v)
+			}
+		}
+		n := 0
+		for _, set := range st.Durable(plan) {
+			for _, w := range set {
+				n += bits.OnesCount64(w)
+			}
+		}
+		if done := st.Done(plan); done != n || done != len(want) {
+			t.Fatalf("Done = %d, Durable holds %d, want %d", done, n, len(want))
+		}
+		rec := pinnedRecord(plan, 1, 0, 69, 2.25)
+		added, err := st.Put(rec)
+		if err != nil {
+			t.Fatalf("in-grid Put after the load: %v", err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		st2, err := open(dir, plan)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer st2.Close()
+		v, ok := lookup(st2, rec.Unit, rec.RateIdx, rec.TrialIdx)
+		if !ok || added && v != rec.Value {
+			t.Fatalf("the record put after the load reopened as %v,%v; want %v (added %v)", v, ok, rec.Value, added)
+		}
+		if added {
+			want[[3]int{rec.Unit, rec.RateIdx, rec.TrialIdx}] = rec.Value
+		}
+		if got := stored(st2); got != len(want) {
+			t.Fatalf("reopen holds %d trials, want %d", got, len(want))
 		}
 	})
 }

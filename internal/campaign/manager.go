@@ -68,7 +68,7 @@ func (h *handle) openLocked() error {
 	if h.exec != nil {
 		return nil
 	}
-	st, err := open(h.dir, h.camp.Plan)
+	st, err := h.camp.OpenStore(h.dir)
 	if err != nil {
 		return fmt.Errorf("campaign: open store for %s: %w", h.id, err)
 	}

@@ -2,8 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 
 	"robustify/internal/fpu/faultmodel"
@@ -91,39 +89,16 @@ func applyModelParams(base *faultmodel.Spec, overrides map[string]float64) (*fau
 		return base, nil
 	}
 	family := base.ModelName()
-	knobs := ModelKnobs(family)
-	// Deterministic error selection: report the smallest offending key.
-	keys := make([]string, 0, len(overrides))
-	for k := range overrides {
-		keys = append(keys, k)
+	if err := checkKnobs(ModelKnobs(family), overrides, fmt.Sprintf("fault model %q has no parameter", family), "fault model parameter"); err != nil {
+		return nil, err
 	}
-	sort.Strings(keys)
 	derived := &faultmodel.Spec{}
 	if base != nil {
 		*derived = *base
 	} else {
 		derived.Name = family
 	}
-	for _, name := range keys {
-		v := overrides[name]
-		var k Knob
-		found := false
-		for _, mk := range knobs {
-			if mk.Name == name {
-				k, found = mk, true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("campaign: fault model %q has no parameter %q (declared: %v)",
-				family, name, knobNamesOf(knobs))
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("campaign: fault model parameter %q: non-finite value %v", name, v)
-		}
-		if (k.Min != 0 || k.Max != 0) && (v < k.Min || v > k.Max) {
-			return nil, fmt.Errorf("campaign: fault model parameter %q: %v outside [%v, %v]", name, v, k.Min, k.Max)
-		}
+	for name, v := range overrides {
 		switch name {
 		case "fm_exp_weight":
 			derived.ExpWeight = ptr(v)
@@ -141,15 +116,6 @@ func applyModelParams(base *faultmodel.Spec, overrides map[string]float64) (*fau
 		return nil, err
 	}
 	return derived, nil
-}
-
-// knobNamesOf lists knob names for error messages.
-func knobNamesOf(knobs []Knob) []string {
-	names := make([]string, len(knobs))
-	for i, k := range knobs {
-		names[i] = k.Name
-	}
-	return names
 }
 
 // ptr boxes a float for the stratified spec's optional weight fields.

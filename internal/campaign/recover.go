@@ -18,10 +18,10 @@ import (
 // access (handle.openLocked). Boot cost therefore stops growing
 // with terminal history — only live work (interrupted campaigns, old
 // metas written before progress was recorded) replays trial data.
-// Everything else is classified from the store: a grid whose every trial
+// Everything else is classified from the store, whose replay keeps only
+// the lines the grid pins (Campaign.OpenStore): a grid whose every trial
 // is durable is done (the daemon died after the last trial's append but
-// before the terminal meta write); anything less is interrupted, however
-// many out-of-grid lines the store holds.
+// before the terminal meta write); anything less is interrupted.
 func (m *Manager) load(id, dir string) (*job.Recovered, error) {
 	specBytes, err := os.ReadFile(filepath.Join(dir, specFile))
 	if os.IsNotExist(err) {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -40,8 +42,6 @@ type Record struct {
 	// Series is informational (the unit's series name at write time).
 	Series string `json:"s,omitempty"`
 }
-
-type trialKey struct{ unit, rateIdx, trialIdx int }
 
 // appendRecord appends rec's store line, byte-identical to
 // json.Marshal(rec), to b. ok is false when rec.Rate or rec.Value is not
@@ -116,16 +116,29 @@ type Store struct {
 	mu   sync.Mutex
 	f    *os.File
 	werr error // the first failed write; every later put fails with it
-	have map[trialKey]float64
-	// plan is the grid the store was opened for (nil from Open), and
-	// done counts the keys of have inside it, kept as keys are added so
-	// Done(plan) costs nothing.
-	plan *figures.Plan
-	done int
+	// plan is the grid the store was opened for (nil from Open), whose
+	// cells are sized from it at open. A store from Open grows each cell
+	// to its highest trial index in whole words; words counts them.
+	plan  *figures.Plan
+	cells map[cellKey]cell
+	words int
 	// line is the encoding of the batch being put, reused from batch to
 	// batch.
 	line []byte
 }
+
+// cell is one (unit, rate index) cell of a store: vals[t] is trial t's
+// value when bit t&63 of set[t>>6] marks it durable.
+type cell struct {
+	vals []float64
+	set  []uint64
+}
+
+type cellKey struct{ unit, rateIdx int }
+
+func (c cell) has(t int) bool { return c.set[t>>6]&(1<<(t&63)) != 0 }
+
+func (c cell) put(t int, v float64) { c.vals[t], c.set[t>>6] = v, c.set[t>>6]|1<<(t&63) }
 
 // maxLineBytes bounds how much of one store line is kept in memory while
 // loading. A legitimate Record line is tens of bytes; anything beyond the
@@ -135,34 +148,40 @@ type Store struct {
 // leaving the campaign permanently unresumable.
 const maxLineBytes = 1 << 20
 
-// lineBytesHint is the line length load assumes when it sizes the key map
-// from the store file's length: a little under a typical record's (~80
-// bytes with a 19-digit seed), so the map rarely grows during replay. The
-// map then takes at most about as many bytes as the file, even for a file
-// of garbage.
-const lineBytesHint = 64
+// maxReplayWords caps the cells replay grows in a store from Open, which
+// has no plan to size them: 1<<22 trials, 32 MiB of values. A line past
+// it is dropped like a torn line. Puts, the process's own trials, are
+// not capped.
+const maxReplayWords = 1 << 16
 
-// Open creates (or reopens) the campaign directory and loads every record
-// already present, deduplicating by trial key.
+// Open creates (or reopens) a store without a plan and loads every
+// record already present, deduplicating by trial key.
 func Open(dir string) (*Store, error) { return open(dir, nil) }
 
-// open is Open for the campaign of plan: the key map is sized for plan's
-// grid (or the store file's length, if that implies more) before replay,
-// so neither replay nor recording the rest of the grid grows it, and the
-// store counts its in-grid keys as they are added.
+// OpenStore creates (or reopens) the campaign's store in dir. Replay
+// keeps only records of the plan's grid with the rate and seed it pins
+// for their key, as RunDispatched checks worker results: any other line
+// (another spec's, or out of the grid) is dropped like a torn line, and
+// its trial reruns. A put outside the grid fails.
+func (c *Campaign) OpenStore(dir string) (*Store, error) { return open(dir, c.Plan) }
+
 func open(dir string, plan *figures.Plan) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: store dir: %w", err)
 	}
 	path := filepath.Join(dir, storeFile)
-	st := &Store{dir: dir, plan: plan}
-	trials := 0
+	st := &Store{dir: dir, plan: plan, cells: make(map[cellKey]cell)}
 	if plan != nil {
-		trials = plan.Size()
+		for u, unit := range plan.Units {
+			w := (unit.Sweep.PerCell() + 63) / 64
+			for r := range unit.Sweep.Rates {
+				st.cells[cellKey{u, r}] = cell{make([]float64, 64*w), make([]uint64, w)}
+			}
+		}
 	}
 	torn := false
 	if data, err := os.Open(path); err == nil {
-		tornTail, loadErr := st.load(data, trials)
+		tornTail, loadErr := st.load(data)
 		closeErr := data.Close()
 		if loadErr != nil {
 			return nil, fmt.Errorf("campaign: read store: %w", loadErr)
@@ -173,8 +192,6 @@ func open(dir string, plan *figures.Plan) (*Store, error) {
 		torn = tornTail
 	} else if !os.IsNotExist(err) {
 		return nil, err
-	} else {
-		st.have = make(map[trialKey]float64, trials)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -195,21 +212,18 @@ func open(dir string, plan *figures.Plan) (*Store, error) {
 	return st, nil
 }
 
-// load replays the store file into st.have, which it sizes for trials
-// keys or from the file's length, whichever is more. Unparseable, torn,
-// and oversized (>maxLineBytes) lines are skipped — those trials simply
-// rerun — so a single corrupt line never blocks reopening a campaign.
-// tornTail reports an unterminated final line (crash mid-append): the
-// caller must terminate it before appending more records.
+// load replays the store file into st's cells. Unparseable, torn,
+// oversized (>maxLineBytes) lines and records the store cannot hold
+// (replay) are skipped — those trials simply rerun — so a single
+// corrupt line never blocks reopening a campaign. A duplicate key keeps
+// the later value. tornTail reports an unterminated final line (crash
+// mid-append): the caller must terminate it before appending more
+// records.
 //
 // Each line is first parsed as the canonical form Put writes
 // (decodeRecord); any line that is not exactly canonical goes through
 // json.Unmarshal, which decides whether it is a record at all.
-func (st *Store) load(data *os.File, trials int) (tornTail bool, err error) {
-	if fi, err := data.Stat(); err == nil {
-		trials = max(trials, int(fi.Size()/lineBytesHint))
-	}
-	st.have = make(map[trialKey]float64, trials)
+func (st *Store) load(data *os.File) (tornTail bool, err error) {
 	r := bufio.NewReaderSize(data, 64*1024)
 	var buf []byte
 	var rec Record // reused, so consecutive lines of one series share its string
@@ -223,7 +237,7 @@ func (st *Store) load(data *os.File, trials int) (tornTail bool, err error) {
 				rec = slow
 			}
 			if ok {
-				st.add(trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}, rec.Value)
+				st.replay(&rec)
 			}
 		}
 		if err == io.EOF {
@@ -233,6 +247,45 @@ func (st *Store) load(data *os.File, trials int) (tornTail bool, err error) {
 			return false, err
 		}
 	}
+}
+
+// replay records rec's value unless its line is dropped: a store opened
+// for a plan takes only records of its grid that carry the rate and seed
+// the grid pins for their key.
+func (st *Store) replay(rec *Record) {
+	c, ok := st.cellFor(rec.Unit, rec.RateIdx, rec.TrialIdx, maxReplayWords)
+	if ok && (st.plan == nil || pinned(st.plan, rec.Unit, rec.RateIdx, rec.TrialIdx, rec.Rate, rec.Seed)) {
+		c.put(rec.TrialIdx, rec.Value)
+	}
+}
+
+// pinned reports whether rate and seed are the ones plan's grid pins for
+// trial t of (unit, rateIdx), a key inside the grid.
+func pinned(plan *figures.Plan, unit, rateIdx, t int, rate float64, seed uint64) bool {
+	s := plan.Units[unit].Sweep
+	return rate == s.Rates[rateIdx] && seed == s.TrialSeed(rateIdx, t)
+}
+
+// cellFor is the cell to hold trial t of (unit, rateIdx); ok is false
+// when the store cannot hold it: a negative trial index, a key outside
+// the store's plan, or a store from Open whose cells would grow past
+// limit words.
+func (st *Store) cellFor(unit, rateIdx, t, limit int) (c cell, ok bool) {
+	k := cellKey{unit, rateIdx}
+	c, ok = st.cells[k]
+	if t < 0 || st.plan != nil && (!ok || t >= st.plan.Units[unit].Sweep.PerCell()) {
+		return cell{}, false
+	}
+	if w := t/64 + 1 - len(c.set); w > 0 {
+		if w > limit-st.words {
+			return cell{}, false
+		}
+		st.words += w
+		c.vals = append(c.vals, make([]float64, 64*w)...)
+		c.set = append(c.set, make([]uint64, w)...)
+		st.cells[k] = c
+	}
+	return c, true
 }
 
 // readLine reads one newline-delimited line, retaining at most
@@ -282,15 +335,15 @@ func (st *Store) Put(rec Record) (added bool, err error) {
 // PutBatch records the records of recs whose trial keys are not yet
 // durable, with one write, and returns them: recs is compacted in place,
 // in order, and the result aliases it (after an error, recs' contents
-// are unspecified). A key already durable, or repeated
-// earlier in the batch, is dropped. The check and the write happen under
-// one lock, so concurrent writers of one key — two workers racing on a
-// reassigned shard — see it added exactly once. A record that cannot be
-// encoded (a NaN or ±Inf rate or value) fails the whole batch with the
-// error encoding/json reports, and nothing is written. New keys enter the
-// key map as they are encoded (so a repeat later in the batch is seen)
-// and leave it again if encoding or the write fails; readers take the
-// same lock, so none sees a key before its write has succeeded. A failed
+// are unspecified). A key already durable, or repeated earlier in the
+// batch, is dropped. The check and the write happen under one lock, so
+// concurrent writers of one key — two workers racing on a reassigned
+// shard — see it added exactly once. A record the store cannot hold (a
+// negative trial index, or outside its plan's grid) or encode (a NaN or
+// ±Inf rate or value: encoding/json's error) fails the whole batch, and
+// nothing is written. Keys are marked durable as they are encoded, so a
+// repeat is seen, and unmarked if the batch fails; readers take the same
+// lock, so none sees a key before its write has succeeded. A failed
 // write may leave part of the batch in the file, so it latches, and
 // every later put fails with the same error.
 //
@@ -307,19 +360,22 @@ func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 	fresh, b := recs[:0], st.line[:0]
 	for i := range recs {
 		rec := &recs[i]
-		key := trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}
-		if _, dup := st.have[key]; dup {
+		c, held := st.cellFor(rec.Unit, rec.RateIdx, rec.TrialIdx, math.MaxInt)
+		if held && c.has(rec.TrialIdx) {
 			continue // durable or earlier in the batch; keep the store free of duplicates
 		}
 		var ok bool
-		if b, ok = appendRecord(b, rec); !ok {
+		if b, ok = appendRecord(b, rec); !ok || !held {
 			st.line = b[:0]
 			st.drop(fresh)
+			if !held {
+				return nil, fmt.Errorf("campaign: trial (%d, %d, %d) is outside the store's grid", rec.Unit, rec.RateIdx, rec.TrialIdx)
+			}
 			_, err := json.Marshal(*rec) // the error encoding/json reports for a non-finite value
 			return nil, err
 		}
 		b = append(b, '\n')
-		st.add(key, rec.Value)
+		c.put(rec.TrialIdx, rec.Value)
 		fresh = append(fresh, *rec)
 	}
 	st.line = b[:0]
@@ -334,80 +390,77 @@ func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 	return fresh, nil
 }
 
-// add records k's value, counting k in done when it is new and inside
-// the store's plan. A replayed duplicate keeps the later value.
-func (st *Store) add(k trialKey, v float64) {
-	n := len(st.have)
-	st.have[k] = v
-	if len(st.have) > n && st.plan != nil {
-		if _, ok := gridIndex(st.plan, k); ok {
-			st.done++
-		}
-	}
-}
-
-// drop takes back the keys PutBatch added for recs, none of which was
-// recorded before.
+// drop unmarks the keys PutBatch marked durable for recs, none of which
+// was recorded before.
 func (st *Store) drop(recs []Record) {
 	for _, rec := range recs {
-		k := trialKey{rec.Unit, rec.RateIdx, rec.TrialIdx}
-		delete(st.have, k)
-		if st.plan != nil {
-			if _, ok := gridIndex(st.plan, k); ok {
-				st.done--
-			}
-		}
+		st.cells[cellKey{rec.Unit, rec.RateIdx}].set[rec.TrialIdx>>6] &^= 1 << (rec.TrialIdx & 63)
 	}
 }
 
 // Durable returns the durable trials of plan's grid, one bitset per unit
-// in harness.Hooks.Skip's layout, built in one pass over the store's
-// keys. Keys outside the grid set no bit. The bitsets are the caller's.
+// in harness.Hooks.Skip's layout. Trials outside the grid set no bit.
+// The bitsets are the caller's.
 func (st *Store) Durable(plan *figures.Plan) [][]uint64 {
 	sets := make([][]uint64, len(plan.Units))
-	for u, unit := range plan.Units {
-		sets[u] = make([]uint64, (unit.Sweep.Size()+63)/64)
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for k := range st.have {
-		if i, ok := gridIndex(plan, k); ok {
-			sets[k.unit][i>>6] |= 1 << (i & 63)
+	for u, unit := range plan.Units {
+		sets[u] = make([]uint64, (unit.Sweep.Size()+63)/64)
+		per := unit.Sweep.PerCell()
+		for r := range unit.Sweep.Rates {
+			if c, ok := st.cells[cellKey{u, r}]; ok {
+				for t := range min(per, len(c.vals)) {
+					if i := r*per + t; c.has(t) {
+						sets[u][i>>6] |= 1 << (i & 63)
+					}
+				}
+			}
 		}
 	}
 	return sets
 }
 
-// Done is the number of durable trials of plan's grid; keys outside the
-// grid do not count. For the plan the store was opened for it is the
-// running count, for any other one pass over the store's keys.
+// Done is the number of durable trials of plan's grid, a popcount of
+// its cells' bitsets; trials outside the grid do not count.
 func (st *Store) Done(plan *figures.Plan) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if plan == st.plan {
-		return st.done
-	}
 	n := 0
-	for k := range st.have {
-		if _, ok := gridIndex(plan, k); ok {
-			n++
+	for u, unit := range plan.Units {
+		per := unit.Sweep.PerCell()
+		for r := range unit.Sweep.Rates {
+			if c, ok := st.cells[cellKey{u, r}]; ok {
+				for w, x := range c.set[:min(len(c.set), (per+63)/64)] {
+					if rest := per - 64*w; rest < 64 {
+						x &= 1<<rest - 1
+					}
+					n += bits.OnesCount64(x)
+				}
+			}
 		}
 	}
 	return n
 }
 
-// gridIndex is k's index in its unit's grid, rateIdx*PerCell()+trialIdx;
-// ok is false when k names a unit, rate or trial outside plan's grid.
-func gridIndex(plan *figures.Plan, k trialKey) (i int, ok bool) {
-	if k.unit < 0 || k.unit >= len(plan.Units) {
-		return 0, false
+// AppendCell appends the recorded values of one (unit, rateIdx) cell to
+// dst in trial-index order, skipping gaps — exactly the slice an
+// aggregator would have seen for the completed prefix — and returns the
+// extended slice. A word of 64 durable trials is one copy.
+func (st *Store) AppendCell(dst []float64, unit, rateIdx, trials int) []float64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if c, ok := st.cells[cellKey{unit, rateIdx}]; ok {
+		n := min(trials, len(c.vals))
+		for t := 0; t < n; t++ {
+			if t&63 == 0 && t+64 <= n && c.set[t>>6] == ^uint64(0) {
+				dst, t = append(dst, c.vals[t:t+64]...), t+63
+			} else if c.has(t) {
+				dst = append(dst, c.vals[t])
+			}
+		}
 	}
-	sweep := plan.Units[k.unit].Sweep
-	per := sweep.PerCell()
-	if k.rateIdx < 0 || k.rateIdx >= len(sweep.Rates) || k.trialIdx < 0 || k.trialIdx >= per {
-		return 0, false
-	}
-	return k.rateIdx*per + k.trialIdx, true
+	return dst
 }
 
 // Size is the store file's current on-disk size in bytes (0 when the
@@ -423,21 +476,6 @@ func (st *Store) Size() int64 {
 		return 0
 	}
 	return fi.Size()
-}
-
-// AppendCell appends the recorded values of one (unit, rateIdx) cell to
-// dst in trial-index order, skipping gaps — exactly the slice an
-// aggregator would have seen for the completed prefix — and returns the
-// extended slice.
-func (st *Store) AppendCell(dst []float64, unit, rateIdx, trials int) []float64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for t := 0; t < trials; t++ {
-		if v, ok := st.have[trialKey{unit, rateIdx, t}]; ok {
-			dst = append(dst, v)
-		}
-	}
-	return dst
 }
 
 // SaveSpec persists the campaign spec beside the results, atomically: a

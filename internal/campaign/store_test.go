@@ -1,9 +1,12 @@
 package campaign
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,8 +26,11 @@ import (
 func lookup(st *Store, unit, rateIdx, trialIdx int) (float64, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	v, ok := st.have[trialKey{unit, rateIdx, trialIdx}]
-	return v, ok
+	c, ok := st.cells[cellKey{unit, rateIdx}]
+	if !ok || trialIdx < 0 || trialIdx >= len(c.vals) || !c.has(trialIdx) {
+		return 0, false
+	}
+	return c.vals[trialIdx], true
 }
 
 // stored is the number of distinct trial keys the store holds, in a
@@ -32,7 +38,29 @@ func lookup(st *Store, unit, rateIdx, trialIdx int) (float64, bool) {
 func stored(st *Store) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.have)
+	n := 0
+	for _, c := range st.cells {
+		for _, w := range c.set {
+			n += bits.OnesCount64(w)
+		}
+	}
+	return n
+}
+
+// durablePlan is a two-unit grid whose second unit's cell crosses a
+// word boundary.
+func durablePlan() *figures.Plan {
+	return &figures.Plan{Units: []figures.Unit{
+		{Sweep: harness.Sweep{Rates: []float64{0.1, 0.2}, Trials: 3, Seed: 5}},
+		{Sweep: harness.Sweep{Rates: []float64{0.3}, Trials: 70, Seed: 6}},
+	}}
+}
+
+// pinnedRecord is trial t of (unit, rateIdx) with the rate and seed
+// plan's grid pins for it, which must be in the grid.
+func pinnedRecord(plan *figures.Plan, unit, rateIdx, t int, v float64) Record {
+	s := plan.Units[unit].Sweep
+	return Record{Unit: unit, RateIdx: rateIdx, TrialIdx: t, Rate: s.Rates[rateIdx], Seed: s.TrialSeed(rateIdx, t), Value: v}
 }
 
 func TestStoreAppendReloadDedup(t *testing.T) {
@@ -80,25 +108,27 @@ func TestStoreAppendReloadDedup(t *testing.T) {
 
 // TestStoreDurable: the durable set and Done hold exactly the in-grid
 // keys that were put, across a word boundary, both live and after
-// replay; keys outside the plan's grid — past a unit's rates or trials,
-// negative, or naming a unit the plan lacks — set no bit and do not
-// count, whether Done counts them by a pass (a store from Open) or as
-// they are added (a store opened for the plan).
+// replay, whether the store was opened for the plan or by Open. A store
+// opened for the plan refuses a put outside its grid and drops
+// out-of-grid lines on replay — past a unit's rates or trials, negative,
+// or naming a unit the plan lacks; a store from Open loads them (all but
+// the negative trial index), and they set no bit and do not count.
 func TestStoreDurable(t *testing.T) {
-	plan := &figures.Plan{Units: []figures.Unit{
-		{Sweep: harness.Sweep{Rates: []float64{0.1, 0.2}, Trials: 3}},
-		{Sweep: harness.Sweep{Rates: []float64{0.3}, Trials: 70}},
-	}}
+	plan := durablePlan()
 	want := [][]uint64{{1<<1 | 1<<5}, {1<<0 | 1<<63, 1<<0 | 1<<5}}
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := open(dir, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []trialKey{{0, 0, 1}, {0, 1, 2}, {1, 0, 0}, {1, 0, 63}, {1, 0, 64}, {1, 0, 69}} {
-		if _, err := st.Put(Record{Unit: k.unit, RateIdx: k.rateIdx, TrialIdx: k.trialIdx, Value: 1}); err != nil {
+	for _, k := range [][3]int{{0, 0, 1}, {0, 1, 2}, {1, 0, 0}, {1, 0, 63}, {1, 0, 64}, {1, 0, 69}} {
+		if _, err := st.Put(pinnedRecord(plan, k[0], k[1], k[2], 1)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	size := st.Size()
+	if added, err := st.Put(Record{Unit: 0, RateIdx: 2, Value: 1}); err == nil || added || st.Size() != size {
+		t.Errorf("out-of-grid put = %v, %v, file %d -> %d bytes; want an error and nothing written", added, err, size, st.Size())
 	}
 	if got := st.Durable(plan); !reflect.DeepEqual(got, want) {
 		t.Errorf("live durable set = %b, want %b", got, want)
@@ -120,28 +150,175 @@ func TestStoreDurable(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	free, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stored(free); got != 13 {
+		t.Errorf("Open replayed %d keys, want 13 (the out-of-grid lines but the negative trial index load)", got)
+	}
+	if got, done := free.Durable(plan), free.Done(plan); !reflect.DeepEqual(got, want) || done != 6 {
+		t.Errorf("Open's durable set = %b, done %d; want %b, 6 (out-of-grid lines do not count)", got, done, want)
+	}
+	if err := free.Close(); err != nil {
+		t.Fatal(err)
+	}
 	st2, err := open(dir, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got := stored(st2); got != 14 {
-		t.Fatalf("replayed %d keys, want 14 (the out-of-grid lines load)", got)
+	if got := stored(st2); got != 6 {
+		t.Fatalf("replayed %d keys, want 6 (the out-of-grid lines are dropped)", got)
 	}
 	if got := st2.Durable(plan); !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed durable set = %b, want %b", got, want)
 	}
 	if got := st2.Done(plan); got != 6 {
-		t.Errorf("replayed done = %d, want 6 (out-of-grid lines do not count)", got)
+		t.Errorf("replayed done = %d, want 6", got)
 	}
-	for _, k := range []trialKey{{0, 0, 0}, {0, 2, 1}, {0, 0, 1}} {
-		if _, err := st2.Put(Record{Unit: k.unit, RateIdx: k.rateIdx, TrialIdx: k.trialIdx, Value: 1}); err != nil {
+	for _, k := range [][3]int{{0, 0, 0}, {0, 0, 1}} {
+		if _, err := st2.Put(pinnedRecord(plan, k[0], k[1], k[2], 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if _, err := st2.Put(Record{Unit: 0, RateIdx: 2, TrialIdx: 1, Value: 1}); err == nil {
+		t.Error("out-of-grid put after replay succeeded, want an error")
+	}
 	same := *plan
-	if got, pass := st2.Done(plan), st2.Done(&same); got != 7 || pass != 7 {
-		t.Errorf("done after puts = %d (counted), %d (by a pass), want 7", got, pass)
+	if got, other := st2.Done(plan), st2.Done(&same); got != 7 || other != 7 {
+		t.Errorf("done after puts = %d (the store's plan), %d (an equal plan), want 7", got, other)
+	}
+}
+
+// TestStoreReplayChecksPlan: a store opened for a plan replays only the
+// lines of its grid whose rate and seed are the ones the grid pins for
+// their key. A line that disagrees is dropped, even when it names a key
+// another line recorded, and the trial it names stays undone; a store
+// from Open loads every line.
+func TestStoreReplayChecksPlan(t *testing.T) {
+	plan := durablePlan()
+	good := []Record{
+		pinnedRecord(plan, 0, 0, 0, 1), pinnedRecord(plan, 0, 1, 2, 2),
+		pinnedRecord(plan, 1, 0, 5, 3), pinnedRecord(plan, 1, 0, 66, 4),
+	}
+	wrongRate := pinnedRecord(plan, 0, 0, 1, 5)
+	wrongRate.Rate = 0.2 // unit 0's other rate
+	wrongSeed := pinnedRecord(plan, 1, 0, 7, 6)
+	wrongSeed.Seed++
+	otherSpec := pinnedRecord(plan, 0, 1, 2, 7) // a key good records, with another sweep seed
+	otherSpec.Seed = harness.Sweep{Seed: 9}.TrialSeed(1, 2)
+	outOfGrid := pinnedRecord(plan, 1, 0, 69, 8)
+	outOfGrid.TrialIdx = 70
+	var b []byte
+	for _, rec := range append(good, wrongRate, wrongSeed, otherSpec, outOfGrid) {
+		b, _ = appendRecord(b, &rec)
+		b = append(b, '\n')
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, storeFile), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := open(dir, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stored(st); got != len(good) {
+		t.Errorf("replayed %d keys, want %d", got, len(good))
+	}
+	for _, rec := range good {
+		if v, ok := lookup(st, rec.Unit, rec.RateIdx, rec.TrialIdx); !ok || v != rec.Value {
+			t.Errorf("trial %d/%d/%d replayed as %v,%v; want %v", rec.Unit, rec.RateIdx, rec.TrialIdx, v, ok, rec.Value)
+		}
+	}
+	for _, rec := range []Record{wrongRate, wrongSeed} {
+		if _, ok := lookup(st, rec.Unit, rec.RateIdx, rec.TrialIdx); ok {
+			t.Errorf("the line of trial %d/%d/%d with rate %v, seed %d replayed", rec.Unit, rec.RateIdx, rec.TrialIdx, rec.Rate, rec.Seed)
+		}
+	}
+	if got := st.Done(plan); got != len(good) {
+		t.Errorf("done = %d, want %d", got, len(good))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	free, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer free.Close()
+	if got := stored(free); got != len(good)+3 {
+		t.Errorf("Open replayed %d keys, want %d", got, len(good)+3)
+	}
+}
+
+// TestResumeReplayRerunsDropped: a resume from a store holding lines the
+// plan does not pin — a wrong rate, a wrong seed, another spec's trial,
+// an out-of-grid key — reruns exactly the trials those lines named, and
+// the finished table is byte-identical to an uninterrupted run.
+func TestResumeReplayRerunsDropped(t *testing.T) {
+	spec := Spec{
+		Custom: &CustomSweep{Workload: "sort/base", Rates: []float64{0.01, 0.2, 0.5}},
+		Trials: 4, Seed: 31,
+	}
+	wantText, wantCSV := runAll(t, spec)
+	camp, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	seedCampaignDir(t, dir, spec, -1, nil)
+	path := filepath.Join(dir, storeFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+	recs := make([]Record, len(lines))
+	for i, line := range lines {
+		if err := json.Unmarshal([]byte(line), &recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs[0].Rate = 0.3
+	recs[4].Seed++
+	recs[7].Seed = harness.Sweep{Seed: spec.Seed + 1}.TrialSeed(recs[7].RateIdx, recs[7].TrialIdx)
+	recs = append(recs, Record{Unit: 0, RateIdx: 3, Rate: 0.5, Value: 1}, Record{Unit: 0, TrialIdx: 4, Rate: 0.01, Value: 1})
+	var b []byte
+	for _, rec := range recs {
+		b, _ = appendRecord(b, &rec)
+		b = append(b, '\n')
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := camp.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	exec := NewExecution(camp, st)
+	if got, want := exec.Progress(), (Progress{Done: camp.Total() - 3, Total: camp.Total()}); got != want {
+		t.Errorf("progress before the resume = %+v, want %+v", got, want)
+	}
+	var ran atomic.Int64
+	exec.trials = &ran
+	if err := exec.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() != 3 {
+		t.Errorf("the resume ran %d trials, want the 3 the dropped lines named", ran.Load())
+	}
+	var text, csv bytes.Buffer
+	if err := exec.Table().Render(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := exec.Table().CSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if text.String() != wantText || csv.String() != wantCSV {
+		t.Errorf("resumed table differs from uninterrupted run:\n--- want ---\n%s--- got ---\n%s", wantText, text.String())
 	}
 }
 
@@ -343,9 +520,10 @@ func TestStorePutRejectsNonFinite(t *testing.T) {
 
 // TestStorePutBatchWriteFailure: when the batch's write fails, none of
 // its keys reads as durable — not through Durable, AppendCell, Done
-// (counted or by a pass) or the key map — and the failure latches.
+// (for the store's plan or an equal one) or the cells — and the failure
+// latches.
 func TestStorePutBatchWriteFailure(t *testing.T) {
-	plan := &figures.Plan{Units: []figures.Unit{{Sweep: harness.Sweep{Rates: []float64{0.1}, Trials: 4}}}}
+	plan := &figures.Plan{Units: []figures.Unit{{Sweep: harness.Sweep{Rates: []float64{0.1}, Trials: 8}}}}
 	st, err := open(t.TempDir(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -369,8 +547,8 @@ func TestStorePutBatchWriteFailure(t *testing.T) {
 		t.Errorf("cell after the failed write = %v, want [1]", got)
 	}
 	other := *plan
-	if counted, passed := st.Done(plan), st.Done(&other); counted != 1 || passed != 1 {
-		t.Errorf("done after the failed write = %d counted, %d by a pass; want 1", counted, passed)
+	if done, equal := st.Done(plan), st.Done(&other); done != 1 || equal != 1 {
+		t.Errorf("done after the failed write = %d (the store's plan), %d (an equal plan); want 1", done, equal)
 	}
 	if n := stored(st); n != 1 {
 		t.Errorf("%d keys after the failed write, want 1", n)
@@ -584,19 +762,22 @@ func TestStorePutAllocs(t *testing.T) {
 
 // writeReplayStore writes a store of n canonical lines, shaped like the
 // sort/base records a resumed campaign replays: four rates, one series,
-// 19-digit seeds.
-func writeReplayStore(tb testing.TB, n int) string {
+// 19-digit seeds, each cell holding the first half of its trials. It
+// returns the store's directory and its plan.
+func writeReplayStore(tb testing.TB, n int) (string, *figures.Plan) {
 	tb.Helper()
+	plan := &figures.Plan{Units: []figures.Unit{{Series: "base", Sweep: harness.Sweep{
+		Rates: []float64{0.001, 0.01, 0.05, 0.1}, Trials: n / 2, Seed: 1}}}}
 	dir := tb.TempDir()
-	st, err := Open(dir)
+	st, err := open(dir, plan)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(1))
 	recs := make([]Record, n)
 	for i := range recs {
-		rate := [4]float64{0.001, 0.01, 0.05, 0.1}[i%4]
-		recs[i] = Record{RateIdx: i % 4, TrialIdx: i / 4, Rate: rate, Seed: r.Uint64(), Value: float64(r.Intn(5)) / 4, Series: "base"}
+		recs[i] = pinnedRecord(plan, 0, i%4, i/4, float64(r.Intn(5))/4)
+		recs[i].Series = "base"
 	}
 	if _, err := st.PutBatch(recs); err != nil {
 		tb.Fatal(err)
@@ -604,29 +785,21 @@ func writeReplayStore(tb testing.TB, n int) string {
 	if err := st.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	return dir
+	return dir, plan
 }
 
-// keyMapSink keeps TestStoreReplayAllocs' reference map on the heap, as
-// the store's is.
-var keyMapSink map[trialKey]float64
-
-// TestStoreReplayAllocs pins what replay allocates: nothing per line.
-// Open sizes its key map from the file's length before replay, and
-// consecutive lines of one series share one string, so beyond the map's
-// own tables (one per thousand-odd slots, allocated by make) Open of a
+// TestStoreReplayAllocs pins what a store opened for a plan allocates:
+// its cells are allocated once from the plan, and nothing per line —
+// consecutive lines of one series share one string — so the open of a
 // store allocates the same fixed count at any size.
 func TestStoreReplayAllocs(t *testing.T) {
-	const fixed = 13 // the Store, its files and paths, and the read buffer
+	// The Store, its files and paths, the read buffer and the cell map
+	// (14); each of the four cells' values and bitset (2 each).
+	const fixed = 14 + 2*4
 	for _, n := range []int{1000, 4000} {
-		dir := writeReplayStore(t, n)
-		fi, err := os.Stat(filepath.Join(dir, storeFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		table := testing.AllocsPerRun(10, func() { keyMapSink = make(map[trialKey]float64, fi.Size()/lineBytesHint) })
+		dir, plan := writeReplayStore(t, n)
 		allocs := testing.AllocsPerRun(10, func() {
-			st, err := Open(dir)
+			st, err := open(dir, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -635,20 +808,19 @@ func TestStoreReplayAllocs(t *testing.T) {
 			}
 			st.Close()
 		})
-		if allocs-table != fixed {
-			t.Errorf("Open of %d lines: %v allocations, %v beyond its key map's %v; want %d",
-				n, allocs, allocs-table, table, fixed)
+		if allocs != fixed {
+			t.Errorf("open of %d lines: %v allocations, want %d", n, allocs, fixed)
 		}
 	}
 }
 
 // BenchmarkStoreOpen replays a store of 50,000 records, the half-done
-// campaign a resume boots from.
+// campaign a resume boots from, opened for its plan.
 func BenchmarkStoreOpen(b *testing.B) {
-	dir := writeReplayStore(b, 50000)
+	dir, plan := writeReplayStore(b, 50000)
 	b.ReportAllocs()
 	for b.Loop() {
-		st, err := Open(dir)
+		st, err := open(dir, plan)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"robustify/internal/apps/apsp"
@@ -316,55 +317,46 @@ func (w Workload) DefaultParams() map[string]float64 {
 	return p
 }
 
-// KnobByName returns a declared knob.
-func (w Workload) KnobByName(name string) (Knob, bool) {
-	for _, k := range w.Knobs {
-		if k.Name == name {
-			return k, true
-		}
-	}
-	return Knob{}, false
-}
-
-// resolveParams validates overrides against the declared knobs and
-// returns the full parameter map (defaults overlaid with overrides).
-// Unknown keys, non-finite values, and out-of-bounds values are
-// rejected — a mistyped knob name must fail at submit time, not silently
+// resolveParams validates overrides against the declared knobs (see
+// checkKnobs) and returns the full parameter map: defaults overlaid with
+// overrides. A mistyped knob name must fail at submit time, not silently
 // run the defaults.
 func (w Workload) resolveParams(overrides map[string]float64) (map[string]float64, error) {
-	full := w.DefaultParams()
-	if len(overrides) == 0 {
-		return full, nil
+	if err := checkKnobs(w.Knobs, overrides, "workload "+w.Name+" has no knob", "workload "+w.Name+" knob"); err != nil {
+		return nil, err
 	}
-	// Deterministic error selection: report the smallest offending key.
+	full := w.DefaultParams()
+	for name, v := range overrides {
+		full[name] = v
+	}
+	return full, nil
+}
+
+// checkKnobs rejects an override that names no declared knob (unknown
+// starts that error) or has a non-finite or out-of-bounds value (kind
+// names the knob in that one), reporting the smallest offending key.
+func checkKnobs(knobs []Knob, overrides map[string]float64, unknown, kind string) error {
 	keys := make([]string, 0, len(overrides))
 	for k := range overrides {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, name := range keys {
-		v := overrides[name]
-		k, ok := w.KnobByName(name)
-		if !ok {
-			return nil, fmt.Errorf("campaign: workload %s has no knob %q (declared: %v)", w.Name, name, w.knobNames())
+		v, i := overrides[name], slices.IndexFunc(knobs, func(k Knob) bool { return k.Name == name })
+		switch {
+		case i < 0:
+			names := make([]string, len(knobs))
+			for j, k := range knobs {
+				names[j] = k.Name
+			}
+			return fmt.Errorf("campaign: %s %q (declared: %v)", unknown, name, names)
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return fmt.Errorf("campaign: %s %q: non-finite value %v", kind, name, v)
+		case (knobs[i].Min != 0 || knobs[i].Max != 0) && (v < knobs[i].Min || v > knobs[i].Max):
+			return fmt.Errorf("campaign: %s %q: %v outside [%v, %v]", kind, name, v, knobs[i].Min, knobs[i].Max)
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("campaign: workload %s knob %q: non-finite value %v", w.Name, name, v)
-		}
-		if (k.Min != 0 || k.Max != 0) && (v < k.Min || v > k.Max) {
-			return nil, fmt.Errorf("campaign: workload %s knob %q: %v outside [%v, %v]", w.Name, name, v, k.Min, k.Max)
-		}
-		full[name] = v
 	}
-	return full, nil
-}
-
-func (w Workload) knobNames() []string {
-	names := make([]string, len(w.Knobs))
-	for i, k := range w.Knobs {
-		names[i] = k.Name
-	}
-	return names
+	return nil
 }
 
 // intParam reads a knob that semantically is a count.

@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -239,18 +240,78 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Median aggregates a cell by its median, robust to catastrophic outliers.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
+// Median aggregates a cell by its median, robust to catastrophic
+// outliers: the middle value of xs in sorted order, or the mean of the
+// two middle values. xs is not modified.
+func Median(xs []float64) float64 { return MedianInPlace(append([]float64(nil), xs...)) }
+
+// MedianInPlace is Median without the copy: it reorders xs so that no
+// value before xs[n/2] is larger and none after it smaller. The middle
+// values are found by selection, in O(len(xs)), unless xs holds a NaN or
+// a -0, which compare unlike their bits (-0 == 0); xs is then sorted, so
+// the result is always the one sorted order gives, bit for bit.
+func MedianInPlace(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
 		return math.NaN()
 	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
+	if slices.ContainsFunc(xs, func(x float64) bool { return x != x || x == 0 && math.Signbit(x) }) {
+		sort.Float64s(xs)
+	} else {
+		nth(xs, n/2)
+		if j := n/2 - 1; n%2 == 0 {
+			// The lower middle is the largest value of the lower half.
+			for i := range j {
+				if xs[i] > xs[j] {
+					xs[i], xs[j] = xs[j], xs[i]
+				}
+			}
+		}
 	}
-	return 0.5 * (c[n/2-1] + c[n/2])
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return 0.5 * (xs[n/2-1] + xs[n/2])
+}
+
+// nth reorders xs, which holds no NaN, so that xs[k] is the value a sort
+// would put there, with none larger before it and none smaller after it.
+// It is quickselect with a three-way partition, so each run of equal
+// values (trial outcomes are often 0 or 1) costs one pass; after 64
+// rounds it sorts what is left.
+func nth(xs []float64, k int) {
+	lo, hi := 0, len(xs)
+	for round := 0; hi-lo > 1; round++ {
+		if round == 64 {
+			slices.Sort(xs[lo:hi])
+			return
+		}
+		// Partition around the median of three, p, into [lo,lt) < p,
+		// [lt,gt) == p and [gt,hi) > p.
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		p := max(min(a, b), min(max(a, b), c))
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case x < p:
+				xs[lt], xs[i] = x, xs[lt]
+				lt, i = lt+1, i+1
+			case x > p:
+				gt--
+				xs[gt], xs[i] = x, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
 }
 
 // Render writes the table as aligned text: one row per fault rate, one

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/csv"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -332,5 +334,67 @@ func TestSweepZeroTrialsDefaultsToOne(t *testing.T) {
 	})
 	if n != 1 {
 		t.Errorf("trials = %d, want 1", n)
+	}
+}
+
+// sortedMedian is the reference median: sort a copy, take the middle
+// value or the mean of the two middle values.
+func sortedMedian(xs []float64) float64 {
+	c := append([]float64(nil), xs...)
+	sort.Float64s(c)
+	n := len(c)
+	if n%2 == 1 {
+		return c[n/2]
+	}
+	return 0.5 * (c[n/2-1] + c[n/2])
+}
+
+// TestMedianMatchesSort: the selection median equals the sorted one bit
+// for bit — on runs of equal values, on sorted and reversed input, and
+// with a NaN or a signed zero, which send it to the sort — and
+// MedianInPlace leaves no larger value before xs[n/2] and no smaller one
+// after it.
+func TestMedianMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	pools := [][]float64{
+		{0, 1},
+		{0, 0.25, 0.5, 0.75, 1},
+		{math.Inf(-1), -2, 3, math.Inf(1)},
+		{0, math.Copysign(0, -1), 1, -1},
+		{math.NaN(), 1, 2},
+	}
+	for i := 0; i < 5000; i++ {
+		n := 1 + r.Intn(300)
+		xs := make([]float64, n)
+		for j := range xs {
+			if i%2 == 0 {
+				xs[j] = r.NormFloat64()
+			} else {
+				pool := pools[i/2%len(pools)]
+				xs[j] = pool[r.Intn(len(pool))]
+			}
+		}
+		switch i % 7 {
+		case 3:
+			sort.Float64s(xs)
+		case 5:
+			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		}
+		want := sortedMedian(xs)
+		if got := Median(xs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Median(%v) = %v, sorted median %v", xs, got, want)
+		}
+		got := MedianInPlace(xs)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MedianInPlace = %v, sorted median %v", got, want)
+		}
+		for j, x := range xs {
+			if j < n/2 && x > xs[n/2] || j > n/2 && x < xs[n/2] {
+				t.Fatalf("MedianInPlace left %v at %d, around %v at %d", x, j, xs[n/2], n/2)
+			}
+		}
+	}
+	if !math.IsNaN(Median(nil)) || !math.IsNaN(MedianInPlace(nil)) {
+		t.Error("median of no values is not NaN")
 	}
 }
