@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"robustify/internal/dispatch"
-	"robustify/internal/obs"
 )
 
 // RunDispatched executes the campaign on a robustworker fleet instead of
@@ -43,18 +42,14 @@ func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, 
 	})
 }
 
-// reportBatch holds one worker report's store records and telemetry
-// lines while it is merged. Batches are reused, so merging a report
-// allocates nothing per result.
-type reportBatch struct {
-	recs []Record
-	tele []obs.TrialRecord
-}
+// reportBatches holds the buffers worker reports are merged through:
+// merging writes each record's series, and a sink must not modify the
+// report's slice. Batches are reused, so merging a report allocates
+// nothing per result.
+var reportBatches = make(freeList[[]Record], spareReports)
 
-var reportBatches = make(freeList[reportBatch], spareReports)
-
-// spareReports is how many report-sized buffers of each kind are kept
-// for reuse: enough for that many reports handled at once.
+// spareReports is how many report-sized buffers are kept for reuse:
+// enough for that many reports handled at once.
 const spareReports = 4
 
 // freeList keeps up to cap(l) spare values for reuse. Report buffers are
@@ -81,33 +76,12 @@ func (l freeList[T]) put(v *T) {
 }
 
 // mergeReport is the dispatched sink: it merges one worker report with
-// one store write and, when a hub is attached, writes the telemetry of
-// its fresh results with one more. A fleet result's latency and fault
-// placement live in the worker's own telemetry, so the coordinator's
-// line records only its arrival.
+// one store write. The coordinator writes no telemetry for it: a fleet
+// result's latency and fault placement are the worker's own diagnostics.
 func (e *Execution) mergeReport(results []dispatch.TrialResult) error {
 	b := reportBatches.get()
 	defer reportBatches.put(b)
-	b.recs = b.recs[:0]
-	for _, r := range results {
-		b.recs = append(b.recs, Record{
-			Unit: r.Unit, RateIdx: r.RateIdx, TrialIdx: r.TrialIdx,
-			Rate: r.Rate, Seed: r.Seed, Value: r.Value,
-		})
-	}
-	fresh, err := e.merge(b.recs)
-	if err != nil || e.hub == nil {
-		return err
-	}
-	label := e.camp.Spec.MetricLabel()
-	b.tele = b.tele[:0]
-	for _, r := range fresh {
-		b.tele = append(b.tele, obs.TrialRecord{
-			Campaign: e.id, Unit: label, Series: r.Series,
-			RateIdx: r.RateIdx, TrialIdx: r.TrialIdx,
-			Rate: r.Rate, Seed: r.Seed, Value: obs.Float(r.Value),
-		})
-	}
-	e.hub.AppendTrials(e.st.Dir(), b.tele)
-	return nil
+	*b = append((*b)[:0], results...)
+	_, err := e.merge(*b)
+	return err
 }

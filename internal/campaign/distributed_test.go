@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -96,8 +95,7 @@ func renderTable(t *testing.T, m *Manager, id string) (text, csv string) {
 // including a worker that takes a lease and dies silently, forcing
 // expiry and reassignment — produces a results table byte-identical to
 // the same campaign run fully in-process. The coordinator's telemetry
-// sidecar holds one trial line per merged result, each record encoded
-// as json.Marshal encodes the obs.TrialRecord of its store record.
+// sidecar holds its mirrored lifecycle events and no trial line.
 func TestDistributedCampaignByteIdentical(t *testing.T) {
 	spec := Spec{
 		Custom: &CustomSweep{Workload: "sort/base", Rates: []float64{0.01, 0.15, 0.4}},
@@ -113,6 +111,7 @@ func TestDistributedCampaignByteIdentical(t *testing.T) {
 	defer m.Close()
 	hub := obs.NewHub()
 	defer hub.Close()
+	hub.SetMirrorEvents(true)
 	m.SetHub(hub)
 	m.SetDispatcher(dispatch.New(dispatch.Options{LeaseTTL: 250 * time.Millisecond, ShardSize: 2}))
 	ts := httptest.NewServer(NewServer(m))
@@ -182,51 +181,36 @@ func TestDistributedCampaignByteIdentical(t *testing.T) {
 	if gotCSV != wantCSV {
 		t.Errorf("distributed CSV differs from in-process run:\n--- want ---\n%s--- got ---\n%s", wantCSV, gotCSV)
 	}
-	checkDispatchedTelemetry(t, filepath.Join(root, id), id, spec)
+	checkDispatchedTelemetry(t, filepath.Join(root, id))
 }
 
 // checkDispatchedTelemetry asserts that a dispatched campaign's
-// telemetry holds exactly one trial line per store record, and that each
-// line's record is byte for byte the one the coordinator writes for a
-// fleet result: identity and value, no latency or fault summary.
-func checkDispatchedTelemetry(t *testing.T, dir, id string, spec Spec) {
+// coordinator sidecar holds mirrored lifecycle events and no trial line:
+// a fleet result's record is the store's, and its latency and fault
+// placement are the worker's own diagnostics.
+func checkDispatchedTelemetry(t *testing.T, dir string) {
 	t.Helper()
-	store, err := os.ReadFile(filepath.Join(dir, storeFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []string
-	for _, r := range recordSet(t, store) {
-		rec, err := json.Marshal(obs.TrialRecord{
-			Campaign: id, Unit: spec.MetricLabel(), Series: r.Series,
-			RateIdx: r.RateIdx, TrialIdx: r.TrialIdx, Rate: r.Rate, Seed: r.Seed, Value: obs.Float(r.Value),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, string(rec))
-	}
 	tele, err := os.ReadFile(filepath.Join(dir, obs.TelemetryFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
+	events := 0
 	for _, line := range strings.Split(strings.TrimSpace(string(tele)), "\n") {
 		var env struct {
-			Kind string          `json:"kind"`
-			Rec  json.RawMessage `json:"rec"`
+			Kind string `json:"kind"`
 		}
 		if err := json.Unmarshal([]byte(line), &env); err != nil {
 			t.Fatalf("telemetry line does not parse: %v\n%s", err, line)
 		}
-		if env.Kind == "trial" {
-			got = append(got, string(env.Rec))
+		switch env.Kind {
+		case "trial":
+			t.Errorf("coordinator sidecar holds a trial line: %s", line)
+		case "event":
+			events++
 		}
 	}
-	slices.Sort(got)
-	slices.Sort(want)
-	if !slices.Equal(got, want) {
-		t.Errorf("telemetry trial records:\n%s\nwant one per store record:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	if events == 0 {
+		t.Errorf("coordinator sidecar holds no mirrored event:\n%s", tele)
 	}
 }
 

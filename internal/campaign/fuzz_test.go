@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"robustify/internal/dispatch"
 )
 
 // FuzzStoreOpen feeds arbitrary bytes to the store loader as a pre-existing
@@ -86,7 +88,7 @@ func FuzzStoreOpen(f *testing.F) {
 func FuzzStoreOpenPlan(f *testing.F) {
 	plan := durablePlan()
 	line := func(rec Record) []byte {
-		b, _ := appendRecord(nil, &rec)
+		b, _ := dispatch.AppendResult(nil, &rec)
 		return append(b, '\n')
 	}
 	good := line(pinnedRecord(plan, 1, 0, 64, 1.5))
@@ -162,8 +164,10 @@ func FuzzStoreOpenPlan(f *testing.F) {
 	})
 }
 
-// FuzzRecordLine checks the hand-written store codec against its
-// reference, encoding/json, in both directions:
+// FuzzRecordLine checks the hand-written trial-line codec, which store
+// lines and worker reports share (dispatch.AppendResult and
+// DecodeResult), against its reference, encoding/json, in both
+// directions:
 //
 //   - for arbitrary line bytes, whenever the fast decoder accepts a line,
 //     json.Unmarshal must succeed on it and yield the identical Record
@@ -178,18 +182,19 @@ func FuzzRecordLine(f *testing.F) {
 		}
 		f.Add(line, rec.Unit, rec.RateIdx, rec.TrialIdx, rec.Rate, rec.Seed, rec.Value, rec.Series)
 	}
+	f.Add([]byte(`{"u":4,"r":0,"t":9,"rate":0.25,"seed":77,"v":-2.5}`), 4, 0, 9, 0.25, uint64(77), -2.5, "")
 	f.Add([]byte(`{"u":1,"r":2,"t":3,"rate":+0.5,"seed":4,"v":0x1p-2}`), 0, 0, 0, 1e-7, uint64(0), 1e21, "a<b")
 	f.Add([]byte(`{"u":01,"r":2,"t":3,"rate":0.5,"seed":4,"v":1,"s":"x\"}`), 0, 0, 0, 0.0, uint64(0), 0.0, "")
 
 	f.Fuzz(func(t *testing.T, line []byte, u, r, tr int, rate float64, seed uint64, v float64, s string) {
 		var got Record
-		if decodeRecord(line, &got) {
+		if dispatch.DecodeResult(line, &got) {
 			var want Record
 			if err := json.Unmarshal(line, &want); err != nil {
-				t.Fatalf("decodeRecord accepted %q, which json.Unmarshal rejects: %v", line, err)
+				t.Fatalf("DecodeResult accepted %q, which json.Unmarshal rejects: %v", line, err)
 			}
 			if !sameRecord(got, want) {
-				t.Fatalf("decodeRecord(%q) = %+v, json.Unmarshal = %+v", line, got, want)
+				t.Fatalf("DecodeResult(%q) = %+v, json.Unmarshal = %+v", line, got, want)
 			}
 		}
 		checkRecordCodec(t, Record{Unit: u, RateIdx: r, TrialIdx: tr, Rate: rate, Seed: seed, Value: v, Series: s})

@@ -23,15 +23,8 @@ import (
 // is durable is done (the daemon died after the last trial's append but
 // before the terminal meta write); anything less is interrupted.
 func (m *Manager) load(id, dir string) (*job.Recovered, error) {
-	specBytes, err := os.ReadFile(filepath.Join(dir, specFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	spec, err := ParseSpec(specBytes)
-	if err != nil {
+	spec, ok, err := loadSpec(dir)
+	if err != nil || !ok {
 		return nil, err
 	}
 	camp, err := Compile(spec)

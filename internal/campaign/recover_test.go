@@ -303,6 +303,49 @@ func TestRecoverClassification(t *testing.T) {
 	}
 }
 
+// TestSpecFileRejectsUnknownFields: a spec.json holding a field this
+// build does not know is refused by both of its readers, Store.LoadSpec
+// (robustbench -resume) and the manager's recovery, rather than resumed
+// with the field dropped. The same spec without the field is accepted by
+// both.
+func TestSpecFileRejectsUnknownFields(t *testing.T) {
+	root := t.TempDir()
+	spec := quickSpec(0.05, 5, 3)
+	for _, id := range []string{"c0001", "c0002"} {
+		seedCampaignDir(t, filepath.Join(root, id), spec, -1, nil)
+	}
+	path := filepath.Join(root, "c0002", specFile)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = bytes.Replace(b, []byte("{"), []byte(`{"fault_modle":{"name":"burst"},`), 1)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for id, wantOK := range map[string]bool{"c0001": true, "c0002": false} {
+		st, err := Open(filepath.Join(root, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ok, err := st.LoadSpec()
+		if ok != wantOK || (err == nil) != wantOK {
+			t.Errorf("%s: LoadSpec = ok %v, err %v; want ok %v", id, ok, err, wantOK)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := newManager(t, root, 1)
+	defer m.Close()
+	if _, err := m.Get("c0001"); err != nil {
+		t.Errorf("recovery refused the spec without the unknown field: %v", err)
+	}
+	if st, err := m.Get("c0002"); err == nil {
+		t.Errorf("recovery accepted a spec.json with an unknown field: %+v", st)
+	}
+}
+
 // TestCancelInterrupted: cancelling a recovered interrupted campaign —
 // which no goroutine owns — must actually flip it to cancelled (and
 // persist that), so -autoresume honors the operator's decision instead

@@ -149,12 +149,14 @@ func TestServerConcurrentCampaigns(t *testing.T) {
 
 // TestServerCancelResume cancels a campaign mid-run, checks the completed
 // trials survived, resumes it over HTTP, and pins the final text to an
-// uninterrupted in-process run of the same spec.
+// uninterrupted in-process run of the same spec. Twenty trials per rate
+// keep the run long enough for the cancel to land: at four, most runs
+// finished first and the test skipped.
 func TestServerCancelResume(t *testing.T) {
 	srv, _ := newTestServer(t, 2)
 	spec := Spec{
 		Custom: &CustomSweep{Workload: "sort/robust", Rates: []float64{0.05, 0.1, 0.2}, Iters: 2000},
-		Trials: 4, Seed: 31,
+		Trials: 20, Seed: 31,
 	}
 	wantText, _ := runAll(t, spec)
 

@@ -10,12 +10,11 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 
+	"robustify/internal/dispatch"
 	"robustify/internal/figures"
 	"robustify/internal/fsutil"
-	"robustify/internal/jsonl"
 )
 
 // storeFile, specFile, and metaFile (see meta.go) are the on-disk layout
@@ -27,79 +26,14 @@ const (
 	lockFile  = ".lock"
 )
 
-// Record is one completed trial, one JSON line in the store. The
-// (Unit, RateIdx, TrialIdx) triple is the trial key: together with the
-// spec it pins the trial's seed, so a record is replayable and duplicate
-// keys are collapsed on load (values of duplicates are identical by
-// construction — trials are deterministic in their seed).
-type Record struct {
-	Unit     int     `json:"u"`
-	RateIdx  int     `json:"r"`
-	TrialIdx int     `json:"t"`
-	Rate     float64 `json:"rate"`
-	Seed     uint64  `json:"seed"`
-	Value    float64 `json:"v"`
-	// Series is informational (the unit's series name at write time).
-	Series string `json:"s,omitempty"`
-}
-
-// appendRecord appends rec's store line, byte-identical to
-// json.Marshal(rec), to b. ok is false when rec.Rate or rec.Value is not
-// finite, which encoding/json rejects.
-func appendRecord(b []byte, rec *Record) (_ []byte, ok bool) {
-	b = append(b, `{"u":`...)
-	b = strconv.AppendInt(b, int64(rec.Unit), 10)
-	b = append(b, `,"r":`...)
-	b = strconv.AppendInt(b, int64(rec.RateIdx), 10)
-	b = append(b, `,"t":`...)
-	b = strconv.AppendInt(b, int64(rec.TrialIdx), 10)
-	b = append(b, `,"rate":`...)
-	if b, ok = jsonl.AppendFloat(b, rec.Rate); !ok {
-		return b, false
-	}
-	b = append(b, `,"seed":`...)
-	b = strconv.AppendUint(b, rec.Seed, 10)
-	b = append(b, `,"v":`...)
-	if b, ok = jsonl.AppendFloat(b, rec.Value); !ok {
-		return b, false
-	}
-	if rec.Series != "" {
-		b = append(b, `,"s":`...)
-		b = jsonl.AppendString(b, rec.Series)
-	}
-	return append(b, '}'), true
-}
-
-// decodeRecord parses a store line (without its newline) that is exactly
-// what appendRecord writes, the canonical form
-// {"u":…,"r":…,"t":…,"rate":…,"seed":…,"v":…[,"s":"…"]}, into *rec. The
-// fields must come in that order, and jsonl.Parser accepts each value only
-// in the byte shape the encoder writes, so an accepted line is one
-// json.Unmarshal decodes to the same Record. rec.Series is kept when the
-// line names the same series, so replaying a unit's lines allocates no
-// string per line. Anything else — other key order, whitespace, escapes,
-// non-canonical numbers, torn or garbage bytes — reports false and leaves
-// *rec unchanged, for the caller to hand the line to json.Unmarshal.
-func decodeRecord(line []byte, rec *Record) bool {
-	p := jsonl.NewParser(line)
-	next := Record{Series: rec.Series}
-	next.Unit = p.Int(`{"u":`)
-	next.RateIdx = p.Int(`,"r":`)
-	next.TrialIdx = p.Int(`,"t":`)
-	next.Rate = p.Float(`,"rate":`)
-	next.Seed = p.Uint(`,"seed":`)
-	next.Value = p.Float(`,"v":`)
-	if !p.Literal(`,"s":`) {
-		next.Series = ""
-	} else if s := p.String(""); string(s) != next.Series {
-		next.Series = string(s)
-	}
-	if !p.Literal("}") || !p.Done() {
-		return false
-	}
-	*rec = next
-	return true
-}
+// Record is one completed trial, one JSON line in the store: the
+// worker's report element, encoded by dispatch.AppendResult and read back
+// by dispatch.DecodeResult. The (Unit, RateIdx, TrialIdx) triple is the
+// trial key: together with the spec it pins the trial's seed, so a record
+// is replayable and duplicate keys are collapsed on load (values of
+// duplicates are identical by construction — trials are deterministic in
+// their seed). The store writes the unit's series name into Series.
+type Record = dispatch.TrialResult
 
 // Store is an append-only JSONL results store for one campaign. Records
 // reach the file in batches: PutBatch encodes every new record of a batch
@@ -221,8 +155,8 @@ func open(dir string, plan *figures.Plan) (*Store, error) {
 // records.
 //
 // Each line is first parsed as the canonical form Put writes
-// (decodeRecord); any line that is not exactly canonical goes through
-// json.Unmarshal, which decides whether it is a record at all.
+// (dispatch.DecodeResult); any line that is not exactly canonical goes
+// through json.Unmarshal, which decides whether it is a record at all.
 func (st *Store) load(data *os.File) (tornTail bool, err error) {
 	r := bufio.NewReaderSize(data, 64*1024)
 	var buf []byte
@@ -230,7 +164,7 @@ func (st *Store) load(data *os.File) (tornTail bool, err error) {
 	for {
 		line, tooLong, err := readLine(r, &buf)
 		if len(line) > 0 && !tooLong {
-			ok := decodeRecord(bytes.TrimSuffix(line, []byte("\n")), &rec)
+			ok := dispatch.DecodeResult(bytes.TrimSuffix(line, []byte("\n")), &rec)
 			if !ok {
 				var slow Record // declared here so only fallback lines allocate it
 				ok = json.Unmarshal(line, &slow) == nil
@@ -365,7 +299,7 @@ func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 			continue // durable or earlier in the batch; keep the store free of duplicates
 		}
 		var ok bool
-		if b, ok = appendRecord(b, rec); !ok || !held {
+		if b, ok = dispatch.AppendResult(b, rec); !ok || !held {
 			st.line = b[:0]
 			st.drop(fresh)
 			if !held {
@@ -493,16 +427,23 @@ func (st *Store) SaveSpec(spec Spec) error {
 }
 
 // LoadSpec reads a previously saved spec; ok is false when none exists.
-func (st *Store) LoadSpec() (spec Spec, ok bool, err error) {
-	b, err := os.ReadFile(filepath.Join(st.dir, specFile))
+func (st *Store) LoadSpec() (spec Spec, ok bool, err error) { return loadSpec(st.dir) }
+
+// loadSpec reads dir's spec.json with ParseSpec's rules; ok is false when
+// none exists. An unknown field is an error, not dropped: replay pins
+// only each trial's rate and seed, so a spec field this build cannot
+// honour would silently change what the recorded trials mean.
+func loadSpec(dir string) (spec Spec, ok bool, err error) {
+	path := filepath.Join(dir, specFile)
+	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return Spec{}, false, nil
 	}
 	if err != nil {
 		return Spec{}, false, err
 	}
-	if err := json.Unmarshal(b, &spec); err != nil {
-		return Spec{}, false, fmt.Errorf("campaign: corrupt %s: %w", specFile, err)
+	if spec, err = ParseSpec(b); err != nil {
+		return Spec{}, false, fmt.Errorf("%s: %w", path, err)
 	}
 	return spec, true, nil
 }

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"robustify/internal/dispatch"
 	"robustify/internal/figures"
 	"robustify/internal/harness"
 	"robustify/internal/jsonl"
@@ -212,7 +213,7 @@ func TestStoreReplayChecksPlan(t *testing.T) {
 	outOfGrid.TrialIdx = 70
 	var b []byte
 	for _, rec := range append(good, wrongRate, wrongSeed, otherSpec, outOfGrid) {
-		b, _ = appendRecord(b, &rec)
+		b, _ = dispatch.AppendResult(b, &rec)
 		b = append(b, '\n')
 	}
 	dir := t.TempDir()
@@ -286,7 +287,7 @@ func TestResumeReplayRerunsDropped(t *testing.T) {
 	recs = append(recs, Record{Unit: 0, RateIdx: 3, Rate: 0.5, Value: 1}, Record{Unit: 0, TrialIdx: 4, Rate: 0.01, Value: 1})
 	var b []byte
 	for _, rec := range recs {
-		b, _ = appendRecord(b, &rec)
+		b, _ = dispatch.AppendResult(b, &rec)
 		b = append(b, '\n')
 	}
 	if err := os.WriteFile(path, b, 0o644); err != nil {
@@ -453,32 +454,32 @@ func sameRecord(a, b Record) bool {
 		math.Float64bits(a.Value) == math.Float64bits(b.Value) && a.Series == b.Series
 }
 
-// checkRecordCodec asserts appendRecord equals json.Marshal on rec
-// (failing exactly when it fails), and that decodeRecord reads the line
-// back to the same record unless the series needed escaping — those
-// lines are left to json.Unmarshal.
+// checkRecordCodec asserts dispatch.AppendResult equals json.Marshal on
+// rec (failing exactly when it fails), and that dispatch.DecodeResult
+// reads the line back to the same record unless the series needed
+// escaping — those lines are left to json.Unmarshal.
 func checkRecordCodec(t *testing.T, rec Record) {
 	t.Helper()
 	want, werr := json.Marshal(rec)
-	got, ok := appendRecord(nil, &rec)
+	got, ok := dispatch.AppendResult(nil, &rec)
 	if werr != nil {
 		if ok {
-			t.Fatalf("appendRecord(%+v) accepted a record json.Marshal rejects (%v)", rec, werr)
+			t.Fatalf("AppendResult(%+v) accepted a record json.Marshal rejects (%v)", rec, werr)
 		}
 		return
 	}
 	if !ok || string(got) != string(want) {
-		t.Fatalf("appendRecord(%+v) = %q,%v; json.Marshal = %q", rec, got, ok, want)
+		t.Fatalf("AppendResult(%+v) = %q,%v; json.Marshal = %q", rec, got, ok, want)
 	}
 	var dec Record
-	if !decodeRecord(got, &dec) {
+	if !dispatch.DecodeResult(got, &dec) {
 		if string(jsonl.AppendString(nil, rec.Series)) == `"`+rec.Series+`"` {
-			t.Fatalf("decodeRecord rejected the canonical line %q", got)
+			t.Fatalf("DecodeResult rejected the canonical line %q", got)
 		}
 		return // an escaped series: decoded by json.Unmarshal on load
 	}
 	if !sameRecord(dec, rec) {
-		t.Fatalf("decodeRecord(%q) = %+v, want %+v", got, dec, rec)
+		t.Fatalf("DecodeResult(%q) = %+v, want %+v", got, dec, rec)
 	}
 }
 
@@ -722,8 +723,8 @@ func TestStoreLoadNonCanonicalLines(t *testing.T) {
 	defer st.Close()
 	for i, line := range lines {
 		var rec Record
-		if decodeRecord([]byte(line), &rec) {
-			t.Errorf("decodeRecord accepted non-canonical line %q", line)
+		if dispatch.DecodeResult([]byte(line), &rec) {
+			t.Errorf("DecodeResult accepted non-canonical line %q", line)
 		}
 		var want Record
 		if err := json.Unmarshal([]byte(line), &want); err != nil {
@@ -740,8 +741,8 @@ func TestStoreLoadNonCanonicalLines(t *testing.T) {
 
 // TestStorePutAllocs pins Put of a new record at zero allocations: it is
 // a batch of one on the stack, encoded into the store's reused batch
-// buffer. (The store's key map grows now and then; averaged over the
-// runs that rounds to zero.)
+// buffer. (A store from Open grows its cell by a word of 64 trials now
+// and then; averaged over the runs that rounds to zero.)
 func TestStorePutAllocs(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -840,7 +841,7 @@ func BenchmarkRecordLine(b *testing.B) {
 		b.ReportAllocs()
 		var buf [256]byte
 		for b.Loop() {
-			appendRecord(buf[:0], &rec)
+			dispatch.AppendResult(buf[:0], &rec)
 		}
 	})
 	b.Run("encode-json", func(b *testing.B) {
@@ -853,7 +854,7 @@ func BenchmarkRecordLine(b *testing.B) {
 		b.ReportAllocs()
 		var rec Record
 		for b.Loop() {
-			decodeRecord(line, &rec)
+			dispatch.DecodeResult(line, &rec)
 		}
 	})
 	b.Run("decode-json", func(b *testing.B) {

@@ -76,9 +76,9 @@ func TestTrialAllocs(t *testing.T) {
 // counter maps. The lone recorder is handed over without a copy and the
 // telemetry line lands in a reused buffer; the trials allocate 977
 // bytes, and the ceiling sits below what a copied ~350-byte recorder
-// would add. The store's key map is sized first, as the dispatched path
-// does, and the garbage collector is off while counting, so neither map
-// growth nor a collection lands in the window.
+// would add. The store is opened for the campaign's plan, so its dense
+// cells are sized at open, and the garbage collector is off while
+// counting, so neither cell growth nor a collection lands in the window.
 func TestTrialAllocsWithHub(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race makes sync.Pool drop generators at random")
@@ -135,7 +135,7 @@ func TestTrialAllocsWithHub(t *testing.T) {
 // TestReportAllocs pins the coordinator's allocations for one worker
 // report: the real POST /workers/report handler reads, decodes and
 // verifies a report of fresh results and sinks it into the store, with a
-// hub writing their telemetry. Its buffers are reused from report to
+// hub attached that writes no line for them. Its buffers are reused from report to
 // report, so the count is one fixed number at 1,024 and at
 // dispatch.MaxReport results. Its ten are the capped body reader, the
 // decoded request's three strings, the two of the Content-Type header,

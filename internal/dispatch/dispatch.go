@@ -64,8 +64,10 @@ type Shard struct {
 	Skip  []int `json:"skip,omitempty"`
 }
 
-// TrialResult is one executed trial as reported by a worker. Field tags
-// mirror the campaign store's Record so wire dumps read the same.
+// TrialResult is one executed trial: an element of a worker report and,
+// as campaign.Record, one line of the campaign store. Both are written by
+// AppendResult and read by one parser (DecodeResult for a store line,
+// DecodeReport for a report).
 type TrialResult struct {
 	Unit     int     `json:"u"`
 	RateIdx  int     `json:"r"`
@@ -73,6 +75,9 @@ type TrialResult struct {
 	Rate     float64 `json:"rate"`
 	Seed     uint64  `json:"seed"`
 	Value    float64 `json:"v"`
+	// Series is informational: the store writes the unit's series name
+	// at write time; workers leave it empty.
+	Series string `json:"s,omitempty"`
 }
 
 // Key returns the trial's grid address.

@@ -218,6 +218,8 @@ func FuzzReportWire(f *testing.F) {
 		"\xff", uint8(3), 5, 6, 7, 1e-7, uint64(1<<63), math.Inf(-1), true, true, 1)
 	f.Add([]byte(`{"worker":"w","campaign":"c","lease":"l","results":[{"u":1,"r":0,"t":0,"rate":0.1,"seed":1,"v":2}],"done":false}`),
 		"", uint8(1), 0, 0, 0, 1e21, uint64(0), 5e-324, false, false, 0)
+	f.Add([]byte(`{"worker":"w","campaign":"c","lease":"l","results":[{"u":0,"r":1,"t":2,"rate":0.05,"seed":7,"v":1.5,"s":"base"},{"u":0,"r":1,"t":3,"rate":0.05,"seed":8,"v":2}]}`),
+		"w", uint8(2), 0, 1, 3, 0.05, uint64(8), 2.0, false, false, 0)
 
 	prior, err := AppendReport(nil, &ReportRequest{Worker: "old", Campaign: "old", Lease: "old", Done: true,
 		Results: []TrialResult{{Unit: 9, RateIdx: 9, TrialIdx: 9, Rate: 9, Seed: 9, Value: 9}, {Unit: 8}, {Unit: 7}}})

@@ -24,7 +24,7 @@ func AppendReport(b []byte, req *ReportRequest) ([]byte, error) {
 				b = append(b, ',')
 			}
 			var ok bool
-			if b, ok = appendResult(b, &req.Results[i]); !ok {
+			if b, ok = AppendResult(b, &req.Results[i]); !ok {
 				_, err := json.Marshal(req) // the error encoding/json reports for a non-finite value
 				return b, err
 			}
@@ -53,9 +53,11 @@ func AppendReportResponse(b []byte, resp ReportResponse) []byte {
 	return append(b, '}')
 }
 
-// appendResult appends r as json.Marshal encodes it; ok is false when
-// r.Rate or r.Value is not finite.
-func appendResult(b []byte, r *TrialResult) (_ []byte, ok bool) {
+// AppendResult appends r as json.Marshal encodes it: a report's result
+// element and a campaign store line are the same bytes. The series is
+// written only when set. ok is false when r.Rate or r.Value is not
+// finite, which encoding/json rejects.
+func AppendResult(b []byte, r *TrialResult) (_ []byte, ok bool) {
 	b = append(b, `{"u":`...)
 	b = strconv.AppendInt(b, int64(r.Unit), 10)
 	b = append(b, `,"r":`...)
@@ -72,7 +74,43 @@ func appendResult(b []byte, r *TrialResult) (_ []byte, ok bool) {
 	if b, ok = jsonl.AppendFloat(b, r.Value); !ok {
 		return b, false
 	}
+	if r.Series != "" {
+		b = append(b, `,"s":`...)
+		b = jsonl.AppendString(b, r.Series)
+	}
 	return append(b, '}'), true
+}
+
+// DecodeResult parses a line (without its newline) that is exactly what
+// AppendResult writes, the canonical form
+// {"u":…,"r":…,"t":…,"rate":…,"seed":…,"v":…[,"s":"…"]}, into *r. The
+// fields must come in that order, and jsonl.Parser accepts each value only
+// in the byte shape the encoder writes, so an accepted line is one
+// json.Unmarshal decodes to the same TrialResult. Anything else — other
+// key order, whitespace, escapes, non-canonical numbers, torn or garbage
+// bytes — reports false, with *r unspecified, for the caller to hand the
+// line to json.Unmarshal.
+func DecodeResult(line []byte, r *TrialResult) bool {
+	p := jsonl.NewParser(line)
+	return parseResult(&p, r) && p.Done()
+}
+
+// parseResult consumes one result in AppendResult's canonical form from p
+// into *r. r.Series is kept when the result names the same series, so
+// replaying a unit's store lines allocates no string per line.
+func parseResult(p *jsonl.Parser, r *TrialResult) bool {
+	r.Unit = p.Int(`{"u":`)
+	r.RateIdx = p.Int(`,"r":`)
+	r.TrialIdx = p.Int(`,"t":`)
+	r.Rate = p.Float(`,"rate":`)
+	r.Seed = p.Uint(`,"seed":`)
+	r.Value = p.Float(`,"v":`)
+	if !p.Literal(`,"s":`) {
+		r.Series = ""
+	} else if s := p.String(""); string(s) != r.Series {
+		r.Series = string(s)
+	}
+	return p.Literal("}")
 }
 
 // DecodeReport decodes a report body into req, reusing req.Results'
@@ -101,15 +139,9 @@ func decodeCanonicalReport(body []byte, req *ReportRequest) bool {
 	lease := p.String(`,"lease":`)
 	results := req.Results[:0]
 	if p.Literal(`,"results":[`) {
+		var r TrialResult
 		for {
-			var r TrialResult
-			r.Unit = p.Int(`{"u":`)
-			r.RateIdx = p.Int(`,"r":`)
-			r.TrialIdx = p.Int(`,"t":`)
-			r.Rate = p.Float(`,"rate":`)
-			r.Seed = p.Uint(`,"seed":`)
-			r.Value = p.Float(`,"v":`)
-			if !p.Literal("}") {
+			if !parseResult(&p, &r) {
 				return false
 			}
 			results = append(results, r)

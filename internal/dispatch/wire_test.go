@@ -12,7 +12,7 @@ import (
 func TestDecodeReportPaths(t *testing.T) {
 	canonical := ReportRequest{Worker: "w1-0001", Campaign: "c0001", Lease: "l7", Done: true, Results: []TrialResult{
 		{Unit: 1, RateIdx: 2, TrialIdx: 3, Rate: 0.05, Seed: 18446744073709551615, Value: -1.25e-9},
-		{Unit: 0, RateIdx: 0, TrialIdx: 4, Rate: 1e21, Seed: 0, Value: 0},
+		{Unit: 0, RateIdx: 0, TrialIdx: 4, Rate: 1e21, Seed: 0, Value: 0, Series: "base"},
 	}}
 	body, err := AppendReport(nil, &canonical)
 	if err != nil {

@@ -1,6 +1,7 @@
 // Package jsonl holds the scalar primitives of the repository's hand-written
-// JSON encoders (the campaign store record, the telemetry envelope, the
-// worker report and the lease) and the parser their fast decoders share. Each primitive
+// JSON encoders (the trial line that is both a campaign store record and
+// a worker report's result, the telemetry envelope, the worker report and
+// the lease) and the parser their fast decoders share. Each primitive
 // appends exactly the bytes encoding/json would produce for the same Go
 // value, so a line written by hand is indistinguishable from one written
 // by json.Marshal: readers, older stores and byte-identity pins never see

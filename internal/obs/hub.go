@@ -138,21 +138,14 @@ func (h *Hub) ObserveTrial(label string, d time.Duration) {
 }
 
 // AppendTrial buffers one per-trial telemetry record for the campaign
-// store in dir: AppendTrials of one record.
+// store in dir (see Telemetry for when it is written). Failures are
+// logged, not propagated: telemetry must never fail a trial.
 func (h *Hub) AppendTrial(dir string, rec TrialRecord) {
-	h.AppendTrials(dir, []TrialRecord{rec})
-}
-
-// AppendTrials buffers a batch of per-trial telemetry records for the
-// campaign store in dir, one line each (see Telemetry for when they are
-// written). Failures are logged, not propagated: telemetry must never
-// fail a trial.
-func (h *Hub) AppendTrials(dir string, recs []TrialRecord) {
-	if h == nil || dir == "" || len(recs) == 0 {
+	if h == nil || dir == "" {
 		return
 	}
 	if err := h.appendTo(dir, func(t *Telemetry) error {
-		return t.appendTrials("trial", recs)
+		return t.appendTrial("trial", &rec)
 	}); err != nil {
 		log.Printf("obs: append trial telemetry: %v", err)
 	}

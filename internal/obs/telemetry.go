@@ -162,7 +162,7 @@ func (r *TrialRecord) appendJSON(b []byte) (_ []byte, ok bool) {
 // the envelope.
 func (t *Telemetry) Append(kind string, rec any) error {
 	if tr, ok := rec.(TrialRecord); ok {
-		return t.appendTrials(kind, []TrialRecord{tr})
+		return t.appendTrial(kind, &tr)
 	}
 	body, err := json.Marshal(rec)
 	if err != nil {
@@ -175,33 +175,24 @@ func (t *Telemetry) Append(kind string, rec any) error {
 	})
 }
 
-// appendTrials buffers one line per trial record, all stamped with one
-// wall-clock time. A record that cannot be encoded (a non-finite rate,
-// which encoding/json rejects) is left out, and the error for the first
-// such record is returned once the rest are buffered.
-func (t *Telemetry) appendTrials(kind string, recs []TrialRecord) error {
-	var bad error
+// appendTrial buffers one trial line. A record that cannot be encoded (a
+// non-finite rate, which encoding/json rejects) is left out, with the
+// error encoding/json reports.
+func (t *Telemetry) appendTrial(kind string, rec *TrialRecord) error {
+	ok := true
 	err := t.write(false, func(b, ts []byte) []byte {
-		for i := range recs {
-			line := len(b)
-			b = appendEnvelope(b, ts, kind)
-			var ok bool
-			if b, ok = recs[i].appendJSON(b); !ok {
-				b = b[:line]
-				if bad == nil {
-					_, err := json.Marshal(recs[i]) // the error encoding/json reports for a non-finite rate
-					bad = fmt.Errorf("obs: marshal telemetry record: %w", err)
-				}
-				continue
-			}
-			b = append(b, "}\n"...)
+		line := len(b)
+		b = appendEnvelope(b, ts, kind)
+		if b, ok = rec.appendJSON(b); !ok {
+			return b[:line]
 		}
-		return b
+		return append(b, "}\n"...)
 	})
-	if err != nil {
+	if err != nil || ok {
 		return err
 	}
-	return bad
+	_, err = json.Marshal(*rec) // the error encoding/json reports for a non-finite rate
+	return fmt.Errorf("obs: marshal telemetry record: %w", err)
 }
 
 // appendEnvelope appends the start of a telemetry line, up to the record
