@@ -9,14 +9,17 @@
 // worker's measured rate to about 100 ms of work, so reports stay rare
 // however short the trials are.
 //
-// A finished shard's report goes in the background while the worker
-// leases and runs the next shard, so the worker keeps computing during
-// the round trip. At most one report is in flight: the worker waits for
-// it, and acts on its verdict, before it sends any other report (a
-// heartbeat, a flush of a long shard, a release), on shutdown and before
-// it exits. A lease's measured rate, and so the size of the next one,
-// can include that wait. On SIGTERM the report in flight still gets a
-// 2 s budget to finish, as does the flush of the shard that was running.
+// A shard's trials collect in a dispatch.Pending, the pending-batch
+// helper an in-process campaign (campaign.Execution.Run) collects its
+// leases in too. A finished shard's report goes in the background while
+// the worker leases and runs the next shard, so the worker keeps
+// computing during the round trip. At most one report is in flight: the
+// worker waits for it, and acts on its verdict, before it sends any
+// other report (a heartbeat, a flush of a long shard, a release), on
+// shutdown and before it exits. A lease's measured rate, and so the size
+// of the next one, can include that wait. On SIGTERM the report in
+// flight still gets a 2 s budget to finish, as does the flush of the
+// shard that was running.
 //
 // The worker is disposable by design: SIGKILL one mid-shard and the
 // coordinator reassigns its leases after the TTL; nothing is lost but
@@ -49,7 +52,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
@@ -263,7 +265,7 @@ const detachedBudget = 2 * time.Second
 
 // runShard executes one leased shard: Campaign.RunShard runs the trials
 // on a goroutine of their own — the trial loop local campaigns use —
-// and its sink appends each result to pending, while this goroutine
+// and its sink adds each result to pending, while this goroutine
 // takes what has accumulated and reports it: with done=true in the
 // background when the shard finishes (see finish), and synchronously on
 // a heartbeat tick (TTL/3, so a slow trial never lets the lease lapse).
@@ -291,27 +293,17 @@ func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
 	// nothing reaches pending after that.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var mu sync.Mutex
-	var pending []dispatch.TrialResult
-	take := func() []dispatch.TrialResult {
-		mu.Lock()
-		defer mu.Unlock()
-		got := pending
-		pending = nil
-		return got
-	}
+	var pending dispatch.Pending
 	ran := make(chan struct{})
 	var runErr error
 	go func() {
 		defer close(ran)
 		runErr = camp.RunShard(sctx, lr.Shard, w.parallel, harness.Hooks{Sink: func(t harness.Trial) {
 			w.stats.observeTrial(label, t.Dur, t.Rate, t.Seed)
-			mu.Lock()
-			pending = append(pending, dispatch.TrialResult{
+			pending.Add(dispatch.TrialResult{
 				Unit: lr.Shard.Unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx,
 				Rate: t.Rate, Seed: t.Seed, Value: t.Value,
 			})
-			mu.Unlock()
 		}})
 		if runErr == nil || sctx.Err() != nil { // out-of-grid shards never ran
 			w.stats.shards.Add(1)
@@ -341,18 +333,18 @@ func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
 				// Shutdown mid-shard: best-effort flush of finished trials
 				// (without done — the shard is not complete), then leave the
 				// lease to expire.
-				w.reportDetached(ctx, lr, take())
+				w.reportDetached(ctx, lr, pending.Take(nil))
 			case runErr != nil:
 				// The shard lies outside the grid this build compiled.
 				log.Printf("robustworker: campaign %s: lease %s: %v; releasing", lr.Campaign, lr.Lease, runErr)
 				w.release(ctx, lr)
 				sleep(ctx, w.poll)
 			default:
-				w.finish(ctx, lr, key, take())
+				w.finish(ctx, lr, key, pending.Take(nil))
 			}
 			return
 		case <-heartbeat.C:
-			if !w.flush(ctx, lr, key, take()) { // nothing pending is a pure heartbeat
+			if !w.flush(ctx, lr, key, pending.Take(nil)) { // nothing pending is a pure heartbeat
 				abandon()
 				return
 			}
@@ -368,7 +360,7 @@ func (w *worker) runShard(ctx context.Context, lr *dispatch.LeaseResponse) {
 			case <-t.C:
 			}
 			t.Stop()
-			w.reportDetached(ctx, lr, take())
+			w.reportDetached(ctx, lr, pending.Take(nil))
 			return
 		}
 	}

@@ -22,15 +22,12 @@ func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, 
 	if err != nil {
 		return fmt.Errorf("campaign: encode spec for dispatch: %w", err)
 	}
-	units := make([]dispatch.UnitGrid, len(e.camp.Plan.Units))
-	for i, u := range e.camp.Plan.Units {
-		units[i] = dispatch.UnitGrid{Rates: len(u.Sweep.Rates), Trials: u.Sweep.PerCell()}
-	}
+	units, durable := e.grid()
 	return d.RunJob(ctx, dispatch.Job{
 		Campaign: id,
 		Spec:     specJSON,
 		Units:    units,
-		Durable:  e.st.Durable(e.camp.Plan),
+		Durable:  durable,
 		// A result must carry exactly the rate and seed the grid pins for
 		// its key — anything else is a worker running different code (or
 		// lying) and would silently corrupt a deterministic table.
@@ -38,15 +35,9 @@ func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, 
 		Verify: func(r dispatch.TrialResult) bool {
 			return pinned(e.camp.Plan, r.Unit, r.RateIdx, r.TrialIdx, r.Rate, r.Seed)
 		},
-		Sink: e.mergeReport,
+		Sink: e.merge,
 	})
 }
-
-// reportBatches holds the buffers worker reports are merged through:
-// merging writes each record's series, and a sink must not modify the
-// report's slice. Batches are reused, so merging a report allocates
-// nothing per result.
-var reportBatches = make(freeList[[]Record], spareReports)
 
 // spareReports is how many report-sized buffers are kept for reuse:
 // enough for that many reports handled at once.
@@ -73,15 +64,4 @@ func (l freeList[T]) put(v *T) {
 	case l <- v:
 	default:
 	}
-}
-
-// mergeReport is the dispatched sink: it merges one worker report with
-// one store write. The coordinator writes no telemetry for it: a fleet
-// result's latency and fault placement are the worker's own diagnostics.
-func (e *Execution) mergeReport(results []dispatch.TrialResult) error {
-	b := reportBatches.get()
-	defer reportBatches.put(b)
-	*b = append((*b)[:0], results...)
-	_, err := e.merge(*b)
-	return err
 }

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
+	"time"
 
 	"robustify/internal/dispatch"
 	"robustify/internal/figures"
@@ -29,9 +29,9 @@ func (c *Campaign) Total() int { return c.Plan.Size() }
 // [sh.Start, sh.Start+sh.Count) — through the harness trial loop on
 // workers goroutines (0 = the unit's own default). Indices set in
 // h.Skip or listed in sh.Skip are already durable: they neither run nor
-// reach the sink. It is the one way trials execute: Execution.Run runs
-// each unit as a whole-unit shard, and robustworker runs the shards it
-// leases. A shard outside the grid is an error, and nothing runs.
+// reach the sink. It is the one way trials execute: Execution.Run and
+// robustworker run the shards they lease. A shard outside the grid is
+// an error, and nothing runs.
 func (c *Campaign) RunShard(ctx context.Context, sh dispatch.Shard, workers int, h harness.Hooks) error {
 	if sh.Unit < 0 || sh.Unit >= len(c.Plan.Units) {
 		return fmt.Errorf("campaign: shard names unit %d of %d", sh.Unit, len(c.Plan.Units))
@@ -138,20 +138,13 @@ type Execution struct {
 	// the /metrics throughput numbers.
 	trials *atomic.Int64
 
-	// hub, if non-nil, receives diagnostics: per-trial telemetry records
-	// (written beside the store, never into it) and trial latency
-	// observations. id labels them with the owning campaign. Both stay
-	// nil for bare executions (robustbench local runs, tests), which then
-	// behave exactly as before.
+	// hub, if non-nil, receives diagnostics: trial telemetry lines
+	// (written beside the store, never into it, once per lease) and
+	// trial latency observations. id labels them with the owning
+	// campaign. Both stay nil for bare executions (robustbench local
+	// runs, tests).
 	hub *obs.Hub
 	id  string
-}
-
-// SetHub attaches an observability hub; trial telemetry and latency
-// histograms are labeled with the campaign id.
-func (e *Execution) SetHub(h *obs.Hub, id string) {
-	e.hub = h
-	e.id = id
 }
 
 // MetricLabel names the spec's workload for latency histograms: the
@@ -163,40 +156,11 @@ func (s Spec) MetricLabel() string {
 	return "fig:" + s.Figure
 }
 
-// observeTrial records a trial's diagnostics — its telemetry line and
-// latency histogram sample — after the trial was durably added to the
-// store. It never touches the store itself, and emits no ring event: at
-// a trial every few microseconds one would evict every lifecycle event
-// from /debug/events, and the telemetry line already carries the trial's
-// identity and duration.
-func (e *Execution) observeTrial(unit int, t harness.Trial) {
-	if e.hub == nil {
-		return
-	}
-	label, d := e.camp.Spec.MetricLabel(), t.Dur
-	e.hub.ObserveTrial(label, d)
-	rec := obs.TrialRecord{
-		Campaign: e.id,
-		Unit:     label,
-		Series:   e.camp.Plan.Units[unit].Series,
-		RateIdx:  t.RateIdx, TrialIdx: t.TrialIdx,
-		Rate: t.Rate, Seed: t.Seed,
-		Value:          obs.Float(t.Value),
-		DurationMicros: d.Microseconds(),
-	}
-	if fr := e.hub.TakeFaults(t.Rate, t.Seed); fr != nil {
-		s := fr.Summary()
-		rec.Faults = &s
-	}
-	e.hub.AppendTrial(e.st.Dir(), rec)
-}
-
 // merge merges trial results into the store with one write and counts
 // the new ones — those whose keys were not yet durable — in the
 // fresh-trial counter. It returns the new ones, compacted in place in
-// recs: a duplicate (a concurrent worker or a reassigned shard got there
-// first) changes nothing. The in-process sink merges each trial as a
-// batch of one, the dispatched sink each worker report as one batch.
+// recs: a duplicate (a reassigned shard got there first) changes
+// nothing. Run merges each lease, the dispatched sink each report.
 func (e *Execution) merge(recs []Record) ([]Record, error) {
 	for i := range recs {
 		recs[i].Series = e.camp.Plan.Units[recs[i].Unit].Series
@@ -211,23 +175,6 @@ func (e *Execution) merge(recs []Record) ([]Record, error) {
 	return fresh, nil
 }
 
-// record is the in-process sink for one freshly computed trial of unit:
-// it merges the trial into the store as a batch of one, then records its
-// diagnostics if it was new.
-func (e *Execution) record(unit int, t harness.Trial) error {
-	batch := [1]Record{{
-		Unit: unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx,
-		Rate: t.Rate, Seed: t.Seed, Value: t.Value,
-	}}
-	fresh, err := e.merge(batch[:])
-	if len(fresh) == 1 {
-		e.observeTrial(unit, t)
-	} else if e.hub != nil {
-		e.hub.TakeFaults(t.Rate, t.Seed) // drop the recorders of a trial the store refused
-	}
-	return err
-}
-
 // NewExecution prepares a run of camp against st. It reads nothing from
 // the store: Run takes the durable set when it starts, and Status reads
 // the store when asked.
@@ -235,42 +182,110 @@ func NewExecution(camp *Campaign, st *Store) *Execution {
 	return &Execution{camp: camp, st: st}
 }
 
-// Run executes every unit in plan order, each as one whole-unit shard
-// through RunShard. Trials already durable when it starts are skipped
-// (resume); every freshly executed trial is appended to the store before
-// counting as progress, so an interrupt at any point loses no completed
-// work. Cancelling ctx stops between trials and returns ctx.Err(). A
-// store error stops the sweep too, without computing the remaining
-// trials, and Run returns that error rather than a cancellation.
+// grid is the campaign's grid in the dispatch layout and the trials of
+// it already durable: what a lease table is built from.
+func (e *Execution) grid() ([]dispatch.UnitGrid, [][]uint64) {
+	units := make([]dispatch.UnitGrid, len(e.camp.Plan.Units))
+	for i, u := range e.camp.Plan.Units {
+		units[i] = dispatch.UnitGrid{Rates: len(u.Sweep.Rates), Trials: u.Sweep.PerCell()}
+	}
+	return units, e.st.Durable(e.camp.Plan)
+}
+
+// localTTL is the lease TTL of Run's consumer. Nothing competes for its
+// leases: the TTL only keeps the table's 100 ms lease slice in force.
+const localTTL = time.Hour
+
+// Run executes the campaign in-process as a fleet worker would: it
+// leases shards from a dispatch.Table over the grid, each sized to about
+// 100 ms of work (16 to dispatch.MaxReport trials), and runs and merges
+// them one by one (lane.run). Durable trials are skipped (resume); a
+// crash loses at most the running lease. Cancelling ctx merges what the
+// lease finished and returns ctx.Err(). A store error ends the run after
+// the lease whose merge failed, and Run returns it.
 func (e *Execution) Run(ctx context.Context) error {
-	ctx, stop := context.WithCancel(ctx)
-	defer stop()
-	durable := e.st.Durable(e.camp.Plan)
-	for unit, u := range e.camp.Plan.Units {
-		var sinkErr error
-		var sinkMu sync.Mutex
-		hooks := harness.Hooks{
-			Skip: durable[unit],
-			Sink: func(t harness.Trial) {
-				if err := e.record(unit, t); err != nil {
-					sinkMu.Lock()
-					if sinkErr == nil {
-						sinkErr = err
-					}
-					sinkMu.Unlock()
-					stop() // no later trial of this sweep could be recorded
-				}
-			},
+	l := e.lane(0)
+	defer func() {
+		l.e, l.tb, l.hub = nil, nil, nil // the lane keeps only its buffers
+		spareLanes.put(l)
+	}()
+	for ctx.Err() == nil {
+		lease, ok := l.tb.Acquire("local", time.Now(), localTTL)
+		if !ok {
+			return nil
 		}
-		err := e.camp.RunShard(ctx, dispatch.Shard{Unit: unit, Count: u.Sweep.Size()}, e.camp.Spec.Workers, hooks)
-		if sinkErr != nil {
-			return fmt.Errorf("campaign: record trial: %w", sinkErr)
-		}
-		if err != nil {
+		if err := l.run(ctx, lease); err != nil {
 			return err
 		}
 	}
-	return nil
+	return ctx.Err()
+}
+
+// lane is Run's consumer of the lease table tb. The trials of its lease
+// sh collect in pend and, their latency and fault summary, in diag by
+// offset in sh. Lanes are reused from run to run with their buffers, as
+// a daemon runs campaign after campaign.
+type lane struct {
+	e     *Execution
+	tb    *dispatch.Table
+	hub   *obs.Hub
+	label string
+	pend  dispatch.Pending
+	hooks harness.Hooks
+	sh    dispatch.Shard
+	per   int
+	diag  []struct {
+		dur    time.Duration
+		faults *obs.FaultSummary
+	}
+}
+
+var spareLanes = make(freeList[lane], spareReports)
+
+// lane sets up a consumer for a run of e, whose leases hold at least
+// floor trials (0 = the table's default).
+func (e *Execution) lane(floor int) *lane {
+	units, durable := e.grid()
+	l := spareLanes.get()
+	l.e, l.tb, l.label = e, dispatch.NewTable(units, durable, floor), e.camp.Spec.MetricLabel()
+	l.hooks.Sink = l.sink
+	return l
+}
+
+// run runs one lease and, also when ctx ends it early, merges its trials
+// as the fleet merges a report: one store write, one telemetry append of
+// the new trials, then the lease's done report.
+func (l *lane) run(ctx context.Context, lease dispatch.Lease) error {
+	e, sh := l.e, lease.Shard
+	l.hub, l.sh, l.per = e.hub, sh, e.camp.Plan.Units[sh.Unit].Sweep.PerCell()
+	l.diag = slices.Grow(l.diag[:0], sh.Count)[:sh.Count]
+	runErr := e.camp.RunShard(ctx, sh, e.camp.Spec.Workers, l.hooks)
+	recs := l.pend.Take(nil) // no trial runs until the next lease,
+	l.pend.Take(recs[:0])    // which collects in the same array
+	fresh, err := e.merge(recs)
+	if err != nil {
+		return fmt.Errorf("campaign: record trials: %w", err)
+	}
+	l.hub.AppendTrials(e.st.Dir(), len(fresh), func(i int) obs.TrialRecord {
+		r := &fresh[i]
+		d := l.diag[r.RateIdx*l.per+r.TrialIdx-sh.Start]
+		return obs.TrialRecord{Campaign: e.id, Unit: l.label, Series: r.Series, RateIdx: r.RateIdx, TrialIdx: r.TrialIdx,
+			Rate: r.Rate, Seed: r.Seed, Value: obs.Float(r.Value), DurationMicros: d.dur.Microseconds(), Faults: d.faults}
+	})
+	l.tb.Report(lease.ID, fresh, true, time.Now(), localTTL)
+	return runErr
+}
+
+// sink collects a trial of the running lease on its trial goroutine.
+func (l *lane) sink(t harness.Trial) {
+	d := &l.diag[t.RateIdx*l.per+t.TrialIdx-l.sh.Start]
+	d.dur, d.faults = t.Dur, nil
+	if fr := l.hub.TakeFaults(t.Rate, t.Seed); fr != nil {
+		s := fr.Summary()
+		d.faults = &s
+	}
+	l.hub.ObserveTrial(l.label, t.Dur)
+	l.pend.Add(Record{Unit: l.sh.Unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx, Rate: t.Rate, Seed: t.Seed, Value: t.Value})
 }
 
 // Progress reports completed vs total trials; store lines outside the

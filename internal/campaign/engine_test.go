@@ -309,9 +309,11 @@ func TestCustomWorkloadCampaign(t *testing.T) {
 }
 
 // TestRunStopsAtFirstStoreError: once the store cannot record, no later
-// trial's result could be kept, so the sweep stops instead of computing
-// the rest of the unit, and Run reports the store error, not a
-// cancellation.
+// trial's result could be kept, so the run stops instead of computing
+// the rest of the grid, and Run reports the store error, not a
+// cancellation. A lease is merged when it ends, so the first failed
+// merge comes after the first lease: its 16 trials (the lease table's
+// floor) are all that run.
 func TestRunStopsAtFirstStoreError(t *testing.T) {
 	spec := quickSpec(0.01, 3, 1000)
 	spec.Workers = 2
@@ -338,8 +340,52 @@ func TestRunStopsAtFirstStoreError(t *testing.T) {
 	if !errors.Is(err, os.ErrClosed) || errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want the store's ErrClosed", err)
 	}
-	if n := calls.Load(); n > int64(spec.Workers+1) {
-		t.Errorf("trial function ran %d times after the store failed, want at most %d", n, spec.Workers+1)
+	if n := calls.Load(); n > 16 {
+		t.Errorf("trial function ran %d times after the store failed, want at most one lease's 16", n)
+	}
+}
+
+// TestCancelMergesPartialLease: a cancel that lands mid-lease stops the
+// lease's trials, and Run merges the ones it finished before it returns,
+// so a cancel drops no computed trial: the store holds exactly as many
+// trials as the trial function completed.
+func TestCancelMergesPartialLease(t *testing.T) {
+	spec := quickSpec(0.01, 3, 1000)
+	spec.Workers = 2
+	camp, err := Compile(spec)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The first lease is the table's floor, 16 trials, and the second
+	// is sized to about 100 ms of these microsecond trials: all the rest.
+	// The cancel lands inside it.
+	var calls atomic.Int64
+	for i := range camp.Plan.Units {
+		inner := camp.Plan.Units[i].Fn
+		camp.Plan.Units[i].Fn = func(rate float64, seed uint64) float64 {
+			v := inner(rate, seed)
+			if calls.Add(1) == 40 {
+				cancel()
+			}
+			return v
+		}
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Close()
+	if err := NewExecution(camp, st).Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want a cancellation", err)
+	}
+	n := calls.Load()
+	if n <= 16 || n >= int64(camp.Total()) {
+		t.Fatalf("%d trials ran; want the cancel inside the second lease", n)
+	}
+	if done := st.Done(camp.Plan); int64(done) != n {
+		t.Errorf("store holds %d trials, want the %d the trial function completed", done, n)
 	}
 }
 

@@ -74,7 +74,7 @@ func (h *handle) openLocked() error {
 	}
 	h.st, h.exec = st, NewExecution(h.camp, st)
 	h.exec.trials = &h.m.trials
-	h.exec.SetHub(h.m.Hub(), h.id)
+	h.exec.hub, h.exec.id = h.m.Hub(), h.id
 	return nil
 }
 
@@ -185,7 +185,7 @@ func (m *Manager) SetHub(h *obs.Hub) {
 		hd := j.Work().(*handle)
 		hd.mu.Lock()
 		if hd.exec != nil {
-			hd.exec.SetHub(h, hd.id)
+			hd.exec.hub, hd.exec.id = h, hd.id
 		}
 		hd.mu.Unlock()
 		h.RegisterCampaign(hd.id, hd.dir)

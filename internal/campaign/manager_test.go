@@ -3,6 +3,8 @@ package campaign
 import (
 	"errors"
 	"os"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -112,6 +114,94 @@ func TestShutdownReportsFailedStoreClose(t *testing.T) {
 	h.mu.Unlock()
 	if m.Shutdown(5 * time.Second) {
 		t.Fatal("Shutdown reported a clean shutdown despite a failed store close")
+	}
+}
+
+// TestShutdownReportsFailedLeaseMerge: a campaign is cancelled while its
+// store cannot write, so the merge of its partial lease fails. The run
+// still ends cancelled, so the failure must reach Shutdown through the
+// store's Close, which returns the latched write error: Shutdown reports
+// an unclean stop. A new manager over the root then resumes the campaign
+// to a table byte-identical to an uninterrupted run.
+func TestShutdownReportsFailedLeaseMerge(t *testing.T) {
+	spec := quickSpec(0.01, 4, 2000)
+	wantText, wantCSV := runAll(t, spec)
+	root := t.TempDir()
+	m := newManager(t, root, 1)
+	// The blocker holds the only run slot while the campaign's trial
+	// function is wrapped to park its 100th trial.
+	blocker, err := m.Submit(quickSpec(0.01, 1, 100000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, _ := m.get(blocker, false); s.State != StateRunning; s, _ = m.get(blocker, false) {
+		time.Sleep(time.Millisecond)
+	}
+	id, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := m.Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := j.Work().(*handle)
+	var calls atomic.Int64
+	parked, release := make(chan struct{}), make(chan struct{})
+	for i := range h.camp.Plan.Units {
+		inner := h.camp.Plan.Units[i].Fn
+		h.camp.Plan.Units[i].Fn = func(rate float64, seed uint64) float64 {
+			if calls.Add(1) == 100 {
+				close(parked)
+				<-release
+			}
+			return inner(rate, seed)
+		}
+	}
+	if err := m.Cancel(blocker); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	// Mid-lease, swap the store's descriptor for a read-only one of the
+	// same file: writes fail, and closing it succeeds.
+	ro, err := os.Open(filepath.Join(root, id, storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.st.mu.Lock()
+	rw := h.st.f
+	h.st.f = ro
+	h.st.mu.Unlock()
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := m.Wait(id); err != nil {
+		t.Fatalf("Wait = %v; a cancelled run reports no error", err)
+	}
+	if m.Shutdown(5 * time.Second) {
+		t.Fatal("Shutdown reported a clean shutdown over a failed lease merge")
+	}
+	unlockRoot(m.lock) // an unclean Shutdown keeps the root's flock, as a dying process would
+
+	m2 := newManager(t, root, 1)
+	defer m2.Close()
+	if err := m2.Resume(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+	table, err := m2.Table(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotText, gotCSV := renderResultTable(t, table)
+	if gotText != wantText || gotCSV != wantCSV {
+		t.Errorf("resumed table differs from an uninterrupted run:\n--- want ---\n%s--- got ---\n%s", wantText, gotText)
 	}
 }
 

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,29 +37,26 @@ const (
 type Record = dispatch.TrialResult
 
 // Store is an append-only JSONL results store for one campaign. Records
-// reach the file in batches: PutBatch encodes every new record of a batch
-// into one buffer and hands it to the OS with one write(2), and returns
-// nil only once that write has succeeded. That is the durable point: when
-// a put returns nil, every record it added is in the file; until then
-// none of its keys reads as recorded. Put is the batch of one, so a trial
-// recorded in-process is durable when its Put returns. A crash can lose
-// at most the batch being written, and Open tolerates (and drops) the
-// torn trailing line such a crash can leave.
+// reach the file in batches, one per lease on either execution path:
+// PutBatch encodes every new record of a batch into one buffer and hands
+// it to the OS with one write(2), and returns nil only once that write
+// has succeeded. That is the durable point: when a put returns nil,
+// every record it added is in the file; until then none of its keys
+// reads as recorded. A crash can lose the trials of the leases running
+// and at most the batch being written, and Open tolerates (and drops)
+// the torn trailing line such a crash can leave.
 type Store struct {
 	dir string
 
 	mu   sync.Mutex
 	f    *os.File
-	werr error // the first failed write; every later put fails with it
+	werr error // the first failed write; every later put, and Close, fails with it
 	// plan is the grid the store was opened for (nil from Open), whose
 	// cells are sized from it at open. A store from Open grows each cell
 	// to its highest trial index in whole words; words counts them.
 	plan  *figures.Plan
 	cells map[cellKey]cell
 	words int
-	// line is the encoding of the batch being put, reused from batch to
-	// batch.
-	line []byte
 }
 
 // cell is one (unit, rate index) cell of a store: vals[t] is trial t's
@@ -87,6 +85,10 @@ const maxLineBytes = 1 << 20
 // it is dropped like a torn line. Puts, the process's own trials, are
 // not capped.
 const maxReplayWords = 1 << 16
+
+// storeLines holds the buffers batches are encoded in, shared by every
+// store: a batch of dispatch.MaxReport records is ~400 KB.
+var storeLines = make(freeList[[]byte], spareReports)
 
 // Open creates (or reopens) a store without a plan and loads every
 // record already present, deduplicating by trial key.
@@ -291,7 +293,9 @@ func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 	if st.f == nil {
 		return nil, fmt.Errorf("campaign: put into closed store: %w", os.ErrClosed)
 	}
-	fresh, b := recs[:0], st.line[:0]
+	line := storeLines.get()
+	fresh, b := recs[:0], (*line)[:0]
+	defer func() { *line = b[:0]; storeLines.put(line) }()
 	for i := range recs {
 		rec := &recs[i]
 		c, held := st.cellFor(rec.Unit, rec.RateIdx, rec.TrialIdx, math.MaxInt)
@@ -300,7 +304,6 @@ func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 		}
 		var ok bool
 		if b, ok = dispatch.AppendResult(b, rec); !ok || !held {
-			st.line = b[:0]
 			st.drop(fresh)
 			if !held {
 				return nil, fmt.Errorf("campaign: trial (%d, %d, %d) is outside the store's grid", rec.Unit, rec.RateIdx, rec.TrialIdx)
@@ -312,7 +315,6 @@ func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 		c.put(rec.TrialIdx, rec.Value)
 		fresh = append(fresh, *rec)
 	}
-	st.line = b[:0]
 	if len(b) == 0 {
 		return fresh, nil
 	}
@@ -448,7 +450,9 @@ func loadSpec(dir string) (spec Spec, ok bool, err error) {
 	return spec, true, nil
 }
 
-// Close closes the store file.
+// Close closes the store file. It returns the latched error of a failed
+// write, if any, else the close's own: either way records a put handed
+// to the file may be missing from it.
 //
 //lint:durable the close error is the last chance to see a write the OS accepted but could not complete
 func (st *Store) Close() error {
@@ -459,5 +463,5 @@ func (st *Store) Close() error {
 	}
 	err := st.f.Close()
 	st.f = nil
-	return err
+	return cmp.Or(st.werr, err)
 }

@@ -740,8 +740,8 @@ func TestStoreLoadNonCanonicalLines(t *testing.T) {
 }
 
 // TestStorePutAllocs pins Put of a new record at zero allocations: it is
-// a batch of one on the stack, encoded into the store's reused batch
-// buffer. (A store from Open grows its cell by a word of 64 trials now
+// a batch of one on the stack, encoded into a batch buffer the stores
+// reuse (storeLines). (A store from Open grows its cell by a word of 64 trials now
 // and then; averaged over the runs that rounds to zero.)
 func TestStorePutAllocs(t *testing.T) {
 	st, err := Open(t.TempDir())

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"robustify/internal/dispatch"
+	"robustify/internal/figures"
 	"robustify/internal/fpu/faultmodel"
 	"robustify/internal/harness"
 	"robustify/internal/obs"
@@ -66,27 +68,82 @@ func TestTrialAllocs(t *testing.T) {
 	}
 }
 
-// TestTrialAllocsWithHub pins one sort/base trial on the in-process path
-// with a hub attached, as robustd runs it: the fault observer builds the
-// unit's recorder, the trial runs, and the sink merges it into the store
-// and records its diagnostics (latency sample, fault summary, buffered
-// telemetry line). Averaged over 200 distinct trials of a fixed seed,
-// so exact, its ten are the trial's own (see TestTrialAllocs), the
-// unit's recorder and its collector slot, and the fault summary with its
-// counter maps. The lone recorder is handed over without a copy and the
-// telemetry line lands in a reused buffer; the trials allocate 977
-// bytes, and the ceiling sits below what a copied ~350-byte recorder
-// would add. The store is opened for the campaign's plan, so its dense
-// cells are sized at open, and the garbage collector is off while
-// counting, so neither cell growth nor a collection lands in the window.
+// leaseAllocs runs runs+1 in-process leases of dispatch.MaxReport trials
+// each through e's consumer, the first as AllocsPerRun's warm-up, over a
+// table whose floor makes every lease that size, and returns the
+// allocations of one lease and the bytes per trial of all of them. The
+// garbage collector is off while it counts, so no collection lands in
+// the window.
+func leaseAllocs(t *testing.T, e *Execution, runs int) (allocs float64, bytesPerTrial uint64) {
+	t.Helper()
+	const size = dispatch.MaxReport
+	l := e.lane(size)
+	lease := func() {
+		le, ok := l.tb.Acquire("local", time.Now(), localTTL)
+		if !ok || le.Shard.Count != size {
+			t.Fatalf("lease %+v, %v; want %d trials", le, ok, size)
+		}
+		if err := l.run(context.Background(), le); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, lease)
+	runtime.ReadMemStats(&after)
+	if n := e.st.Done(e.camp.Plan); n != (runs+1)*size {
+		t.Errorf("store holds %d trials, want %d", n, (runs+1)*size)
+	}
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / uint64((runs+1)*size)
+}
+
+// TestLocalLeaseAllocs pins one in-process lease without a hub at
+// exactly four allocations, whatever its size: the lease table's entry
+// and id, and RunRange's shared state and the closure its trial
+// goroutines run (one of them the consumer's own goroutine).
+// The trial function allocates nothing, the store was opened for the
+// plan, and the batch and encoding buffers are reused from lease to
+// lease, so the store write and the table report add nothing.
+func TestLocalLeaseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race adds allocations of its own")
+	}
+	const runs = 8
+	camp := &Campaign{Spec: Spec{Workers: 2}, Plan: &figures.Plan{Units: []figures.Unit{{
+		Series: "s", Sweep: harness.Sweep{Rates: []float64{0.5}, Trials: (runs + 1) * dispatch.MaxReport, Seed: 3},
+		Fn: func(rate float64, seed uint64) float64 { return rate },
+	}}}}
+	st, err := open(t.TempDir(), camp.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got, _ := leaseAllocs(t, NewExecution(camp, st), runs); got != 4 {
+		t.Errorf("an in-process lease: %v allocations, want 4", got)
+	}
+}
+
+// TestTrialAllocsWithHub pins sort/base leases on the in-process path
+// with a hub attached, as robustd runs them: the fault observer builds
+// each unit's recorder, the trials run, the sink takes each trial's
+// latency sample and fault summary, and the lease is merged into the
+// store with one write and its telemetry lines appended at once. On one
+// trial goroutine a lease of the fixed trials 4,096-20,479 (seed 777)
+// averages 42,552 allocations: what its trials allocate, about 10.4
+// each (their own, see TestTrialAllocs, the unit's recorder and its
+// collector slot, and the fault summary with its counter maps), and
+// four for the lease (see TestLocalLeaseAllocs).
+// Telemetry lines land in a reused buffer. The ceiling on bytes per
+// trial sits below what a copied ~350-byte recorder would add.
 func TestTrialAllocsWithHub(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race makes sync.Pool drop generators at random")
 	}
-	const trials, runs = 1000, 200
+	const runs = 4
 	camp, err := Compile(Spec{
 		Custom: &CustomSweep{Workload: "sort/base", Rates: []float64{0.05}},
-		Trials: trials, Seed: 777,
+		Trials: (runs + 1) * dispatch.MaxReport, Seed: 777, Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,34 +158,13 @@ func TestTrialAllocsWithHub(t *testing.T) {
 	prev := faultmodel.SetUnitObserver(hub.Observer)
 	defer faultmodel.SetUnitObserver(prev)
 	e := NewExecution(camp, st)
-	e.SetHub(hub, "c0001")
-	u := camp.Plan.Units[0]
-	next := 0
-	trial := func() {
-		seed := u.Sweep.TrialSeed(0, next)
-		tr := harness.Trial{TrialIdx: next, Rate: 0.05, Seed: seed, Dur: 1500 * time.Nanosecond}
-		tr.Value = u.Fn(tr.Rate, seed)
-		if err := e.record(0, tr); err != nil {
-			t.Fatal(err)
-		}
-		next++
+	e.hub, e.id = hub, "c0001"
+	got, b := leaseAllocs(t, e, runs)
+	if want := 42552.0; got != want {
+		t.Errorf("a sort/base lease through the hub-attached consumer: %v allocations, want %v", got, want)
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	got := testing.AllocsPerRun(runs, trial)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		trial()
-	}
-	runtime.ReadMemStats(&after)
-	if want := 10.0; got != want {
-		t.Errorf("one sort/base trial through the hub-attached sink: %v allocations, want %v", got, want)
-	}
-	if b, max := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(1152); b > max {
-		t.Errorf("one sort/base trial through the hub-attached sink: %d bytes, want at most %d", b, max)
-	}
-	if n := st.Done(camp.Plan); n != 1+2*runs {
-		t.Errorf("store holds %d trials, want %d", n, 1+2*runs)
+	if max := uint64(1152); b > max {
+		t.Errorf("a sort/base trial through the hub-attached consumer: %d bytes, want at most %d", b, max)
 	}
 }
 
@@ -230,11 +266,11 @@ func TestReportAllocs(t *testing.T) {
 }
 
 // TestLeaseAllocs pins the heap allocations of one lease through the real
-// /workers/lease handler at exactly 12: the request is decoded and the
+// /workers/lease handler at exactly 11: the request is decoded and the
 // response encoded by hand, into reused buffers, so no allocation grows
 // with the spec. Four are the ResponseRecorder's (its header snapshot
 // and body), two the Content-Type header; the rest are the body-limit
-// reader, the worker id, the lease table's entry, id and Lease, and the
+// reader, the worker id, the lease table's entry and id, and the
 // LeaseResponse (the decode-and-indent route took 29). Skipped under
 // -race; GC is off while it counts.
 func TestLeaseAllocs(t *testing.T) {
@@ -280,7 +316,7 @@ func TestLeaseAllocs(t *testing.T) {
 			t.Fatalf("lease answered %d: %s", rec.Code, rec.Body)
 		}
 	}
-	if want := 12.0; got != want {
+	if want := 11.0; got != want {
 		t.Errorf("a lease: %v allocations, want %v", got, want)
 	}
 }

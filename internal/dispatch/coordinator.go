@@ -32,10 +32,11 @@ type Job struct {
 	// cannot corrupt a campaign, only slow it down.
 	Verify func(TrialResult) bool
 	// Sink merges verified results into durable storage, once per
-	// report. It is called from HTTP handler goroutines and must be safe
-	// for concurrent use; it must not keep or modify the slice. An error
-	// fails the whole job.
-	Sink func([]TrialResult) error
+	// report, and returns the ones that were not durable yet; it may
+	// reorder and overwrite the slice, but not keep it. It is called from
+	// HTTP handler goroutines and must be safe for concurrent use. An
+	// error fails the whole job.
+	Sink func([]TrialResult) ([]TrialResult, error)
 }
 
 type runningJob struct {
@@ -55,10 +56,10 @@ func (j *runningJob) fail(err error) {
 }
 
 // report merges one worker batch: bounds/verify-filter, sink, then lease
-// bookkeeping. Results are sunk before the lease check, so even a batch
-// arriving on an expired lease contributes durable trials (the store
-// dedups; the value is deterministic either way). Rejected results are
-// filtered out of req.Results in place.
+// bookkeeping for the results the sink made durable. Results are sunk
+// before the lease check, so even a batch arriving on an expired lease
+// contributes durable trials (the store dedups; the value is
+// deterministic either way). req.Results is filtered and sunk in place.
 func (j *runningJob) report(c *Coordinator, req ReportRequest, now time.Time, ttl time.Duration) (ReportResponse, error) {
 	valid := req.Results[:0]
 	for _, r := range req.Results {
@@ -69,7 +70,8 @@ func (j *runningJob) report(c *Coordinator, req ReportRequest, now time.Time, tt
 	rejected := len(req.Results) - len(valid)
 	c.rejected.Add(int64(rejected))
 	if len(valid) > 0 {
-		if err := j.job.Sink(valid); err != nil {
+		var err error
+		if valid, err = j.job.Sink(valid); err != nil {
 			j.fail(fmt.Errorf("dispatch: sink %s: %w", j.job.Campaign, err))
 			return ReportResponse{Lost: true, Rejected: rejected}, nil
 		}
@@ -228,7 +230,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (*LeaseResponse, error) {
 	ttl := c.opt.leaseTTL()
 	for i := range jobs {
 		j := jobs[(start+i)%len(jobs)]
-		if l := j.table.Acquire(req.Worker, now, ttl); l != nil {
+		if l, ok := j.table.Acquire(req.Worker, now, ttl); ok {
 			return &LeaseResponse{
 				Lease:    l.ID,
 				Campaign: j.job.Campaign,
@@ -244,9 +246,8 @@ func (c *Coordinator) Lease(req LeaseRequest) (*LeaseResponse, error) {
 // Report merges a worker's result batch (see runningJob.report) and
 // renews or releases its lease. A report for a campaign no longer
 // dispatched — finished, cancelled, or from before a coordinator restart
-// — answers Lost so the worker moves on. Report filters req.Results in
-// place, so the caller's slice holds the accepted results, in order, at
-// its front afterwards; nothing keeps it once Report returns.
+// — answers Lost so the worker moves on. Report filters and sinks
+// req.Results in place; nothing keeps it once Report returns.
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	now := time.Now()
 	c.mu.Lock()

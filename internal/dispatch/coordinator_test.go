@@ -74,16 +74,16 @@ func TestCoordinatorRunJobDrainsGrid(t *testing.T) {
 		Campaign: "c0001",
 		Spec:     []byte(`{"x":1}`),
 		Units:    []UnitGrid{{Rates: 3, Trials: 2}, {Rates: 2, Trials: 2}},
-		Sink: func(rs []TrialResult) error {
+		Sink: func(rs []TrialResult) ([]TrialResult, error) {
 			mu.Lock()
 			defer mu.Unlock()
 			for _, r := range rs {
 				if v, dup := got[r.Key()]; dup && v != r.Value {
-					return fmt.Errorf("conflicting values for %+v", r.Key())
+					return nil, fmt.Errorf("conflicting values for %+v", r.Key())
 				}
 				got[r.Key()] = r.Value
 			}
-			return nil
+			return rs, nil
 		},
 	}
 	stop := make(chan struct{})
@@ -145,7 +145,7 @@ func TestSinkErrorFailsJob(t *testing.T) {
 		errc <- c.RunJob(context.Background(), Job{
 			Campaign: "c1",
 			Units:    []UnitGrid{{Rates: 1, Trials: 1}},
-			Sink:     func([]TrialResult) error { return boom },
+			Sink:     func([]TrialResult) ([]TrialResult, error) { return nil, boom },
 		})
 	}()
 	reg := c.Register(RegisterRequest{})
@@ -183,11 +183,11 @@ func TestVerifyRejectsAndRequeues(t *testing.T) {
 			Campaign: "c1",
 			Units:    []UnitGrid{{Rates: 1, Trials: 2}},
 			Verify:   func(r TrialResult) bool { return r.Seed == uint64(r.TrialIdx) },
-			Sink: func(rs []TrialResult) error {
+			Sink: func(rs []TrialResult) ([]TrialResult, error) {
 				mu.Lock()
 				sunk += len(rs)
 				mu.Unlock()
-				return nil
+				return rs, nil
 			},
 		})
 	}()
@@ -246,13 +246,13 @@ func TestDuplicateCampaignRejected(t *testing.T) {
 		errc <- c.RunJob(ctx, Job{
 			Campaign: "c1",
 			Units:    []UnitGrid{{Rates: 1, Trials: 1}},
-			Sink:     func([]TrialResult) error { return nil },
+			Sink:     func(rs []TrialResult) ([]TrialResult, error) { return rs, nil },
 		})
 	}()
 	for c.Stats().Jobs == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := c.RunJob(ctx, Job{Campaign: "c1", Sink: func([]TrialResult) error { return nil }}); err == nil {
+	if err := c.RunJob(ctx, Job{Campaign: "c1", Sink: func(rs []TrialResult) ([]TrialResult, error) { return rs, nil }}); err == nil {
 		t.Error("duplicate campaign accepted")
 	}
 	cancel()
@@ -307,7 +307,7 @@ func TestWorkersListingAndStats(t *testing.T) {
 			Campaign: "c1",
 			Units:    []UnitGrid{{Rates: 2, Trials: 4}},
 			Durable:  durableLinear(8, 0, 1, 4, 5),
-			Sink:     func([]TrialResult) error { return nil },
+			Sink:     func(rs []TrialResult) ([]TrialResult, error) { return rs, nil },
 		})
 	}()
 	for c.Stats().Jobs == 0 {

@@ -31,6 +31,7 @@ package dispatch
 import (
 	"encoding/json"
 	"errors"
+	"sync"
 	"time"
 )
 
@@ -82,6 +83,30 @@ type TrialResult struct {
 
 // Key returns the trial's grid address.
 func (r TrialResult) Key() Key { return Key{r.Unit, r.RateIdx, r.TrialIdx} }
+
+// Pending collects a running lease's results from its trial goroutines
+// for the goroutine holding the lease, which reports them (robustworker)
+// or merges them into the store (an in-process campaign).
+type Pending struct {
+	mu      sync.Mutex
+	results []TrialResult
+}
+
+// Add appends r.
+func (p *Pending) Add(r TrialResult) {
+	p.mu.Lock()
+	p.results = append(p.results, r)
+	p.mu.Unlock()
+}
+
+// Take returns the results added since the last Take and collects later
+// ones in next.
+func (p *Pending) Take(next []TrialResult) (got []TrialResult) {
+	p.mu.Lock()
+	got, p.results = p.results, next
+	p.mu.Unlock()
+	return got
+}
 
 // Wire messages for the three worker endpoints robustd serves
 // (POST /workers/register, /workers/lease, /workers/report). Durations

@@ -61,8 +61,8 @@ func FuzzLeaseTable(f *testing.F) {
 		now := t0
 		var issued []*Lease
 		acquire := func(worker string) *Lease {
-			le := tb.Acquire(worker, now, ttl)
-			if le == nil {
+			le, ok := tb.Acquire(worker, now, ttl)
+			if !ok {
 				return nil
 			}
 			sh := le.Shard
@@ -81,8 +81,8 @@ func FuzzLeaseTable(f *testing.F) {
 			if len(want) == sh.Count {
 				t.Fatalf("lease %+v holds no missing trial", sh)
 			}
-			issued = append(issued, le)
-			return le
+			issued = append(issued, &le)
+			return &le
 		}
 		report := func(le *Lease, pick func(i int) bool, done bool) {
 			sh := le.Shard

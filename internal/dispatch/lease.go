@@ -152,8 +152,8 @@ func (t *Table) Done() <-chan struct{} { return t.done }
 // range first (so reassignment is deterministic and front-of-grid
 // first), else a fresh run of non-durable indices carved at the cursor,
 // which ends at the first durable index. The lease holds up to
-// leaseSizeLocked trials. It returns nil when nothing is left to lease.
-func (t *Table) Acquire(worker string, now time.Time, ttl time.Duration) *Lease {
+// leaseSizeLocked trials. ok is false when nothing is left to lease.
+func (t *Table) Acquire(worker string, now time.Time, ttl time.Duration) (_ Lease, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.expireLocked(now)
@@ -161,7 +161,7 @@ func (t *Table) Acquire(worker string, now time.Time, ttl time.Duration) *Lease 
 	s, skip, ok := t.takeReturnedLocked(n)
 	if !ok {
 		if s, ok = t.carveLocked(n); !ok {
-			return nil
+			return Lease{}, false
 		}
 	}
 	t.nextLease++
@@ -179,7 +179,7 @@ func (t *Table) Acquire(worker string, now time.Time, ttl time.Duration) *Lease 
 		b = strconv.AppendInt(append(b, " count="...), int64(s.count), 10)
 		t.emit("lease.acquired", string(b))
 	}
-	return &Lease{ID: e.id, Shard: Shard{Unit: s.unit, Start: s.start, Count: s.count, Skip: skip}}
+	return Lease{ID: e.id, Shard: Shard{Unit: s.unit, Start: s.start, Count: s.count, Skip: skip}}, true
 }
 
 // leaseSizeLocked is the number of trials to grant worker: the floor

@@ -35,10 +35,18 @@ func tableStats(tb *Table, now time.Time) Stats {
 	return s
 }
 
+// acquire is Table.Acquire with nil for no lease.
+func acquire(tb *Table, worker string, now time.Time, ttl time.Duration) *Lease {
+	if le, ok := tb.Acquire(worker, now, ttl); ok {
+		return &le
+	}
+	return nil
+}
+
 // acquireAll leases until the table has nothing left, without reporting.
 func acquireAll(tb *Table, worker string, now time.Time) []Shard {
 	got := []Shard{}
-	for le := tb.Acquire(worker, now, time.Minute); le != nil; le = tb.Acquire(worker, now, time.Minute) {
+	for le := acquire(tb, worker, now, time.Minute); le != nil; le = acquire(tb, worker, now, time.Minute) {
 		got = append(got, le.Shard)
 	}
 	return got
@@ -79,7 +87,7 @@ func TestTableResumeSkipsDurable(t *testing.T) {
 	if s := tableStats(tb, t0); s.TrialsPending != 2 || s.TrialsDone != 4 {
 		t.Fatalf("stats = %+v, want 2 pending, 4 done", s)
 	}
-	le := tb.Acquire("w1", t0, time.Minute)
+	le := acquire(tb, "w1", t0, time.Minute)
 	if le == nil || le.Shard.Start != 4 || le.Shard.Count != 2 || le.Shard.Skip != nil {
 		t.Fatalf("lease = %+v, want fresh shard [4,6)", le)
 	}
@@ -90,8 +98,8 @@ func TestTableResumeSkipsDurable(t *testing.T) {
 // handed-back ranges are re-leased lowest first, before fresh carving.
 func TestTablePartialHaveYieldsSkip(t *testing.T) {
 	tb := NewTable([]UnitGrid{{Rates: 4, Trials: 3}}, durableLinear(12, 1, 2), 6)
-	a := tb.Acquire("w1", t0, time.Minute)
-	b := tb.Acquire("w2", t0, time.Minute)
+	a := acquire(tb, "w1", t0, time.Minute)
+	b := acquire(tb, "w2", t0, time.Minute)
 	if a == nil || !reflect.DeepEqual(a.Shard, Shard{Start: 0, Count: 1}) || b == nil || !reflect.DeepEqual(b.Shard, Shard{Start: 3, Count: 6}) {
 		t.Fatalf("fresh leases = %+v, %+v; want [0,1) and [3,9), no skip", a, b)
 	}
@@ -102,15 +110,15 @@ func TestTablePartialHaveYieldsSkip(t *testing.T) {
 	// w1's lease [0,1) expires too, after the handback: it is lower, so it
 	// is re-leased first.
 	late := t0.Add(2 * time.Minute)
-	r0 := tb.Acquire("w3", late, time.Minute)
+	r0 := acquire(tb, "w3", late, time.Minute)
 	if r0 == nil || r0.Shard.Start != 0 || r0.Shard.Count != 1 || r0.Shard.Skip != nil {
 		t.Fatalf("first re-lease = %+v, want [0,1)", r0)
 	}
-	r1 := tb.Acquire("w3", late, time.Minute)
+	r1 := acquire(tb, "w3", late, time.Minute)
 	if r1 == nil || r1.Shard.Start != 3 || r1.Shard.Count != 6 || !reflect.DeepEqual(r1.Shard.Skip, []int{4, 7}) {
 		t.Fatalf("second re-lease = %+v, want [3,9) skip [4 7]", r1)
 	}
-	r2 := tb.Acquire("w3", late, time.Minute)
+	r2 := acquire(tb, "w3", late, time.Minute)
 	if r2 == nil || r2.Shard.Start != 9 || r2.Shard.Skip != nil {
 		t.Fatalf("third lease = %+v, want the fresh tail [9,12)", r2)
 	}
@@ -120,8 +128,8 @@ func TestLeaseExpiryReassignmentOrdering(t *testing.T) {
 	tb := NewTable([]UnitGrid{{Rates: 4, Trials: 2}}, nil, 2)
 	ttl := time.Minute
 
-	l0 := tb.Acquire("dead", t0, ttl) // [0,2)
-	l1 := tb.Acquire("dead", t0, ttl) // [2,4)
+	l0 := acquire(tb, "dead", t0, ttl) // [0,2)
+	l1 := acquire(tb, "dead", t0, ttl) // [2,4)
 	if l0 == nil || l1 == nil {
 		t.Fatal("initial acquires failed")
 	}
@@ -132,7 +140,7 @@ func TestLeaseExpiryReassignmentOrdering(t *testing.T) {
 
 	// Before expiry another worker gets a fresh carve, not the leased
 	// ranges.
-	l2 := tb.Acquire("w2", t0.Add(30*time.Second), ttl)
+	l2 := acquire(tb, "w2", t0.Add(30*time.Second), ttl)
 	if l2 == nil || l2.Shard.Start != 4 {
 		t.Fatalf("pre-expiry acquire = %+v, want shard [4,6)", l2)
 	}
@@ -142,15 +150,15 @@ func TestLeaseExpiryReassignmentOrdering(t *testing.T) {
 	// reassignment hands back the lowest range first — [0,2) with the
 	// delivered trial in Skip, then [2,4) — before carving the tail.
 	late := t0.Add(80 * time.Second)
-	r0 := tb.Acquire("w2", late, ttl)
+	r0 := acquire(tb, "w2", late, ttl)
 	if r0 == nil || r0.Shard.Start != 0 || !reflect.DeepEqual(r0.Shard.Skip, []int{0}) {
 		t.Fatalf("first reassignment = %+v, want shard [0,2) skip [0]", r0)
 	}
-	r1 := tb.Acquire("w2", late, ttl)
+	r1 := acquire(tb, "w2", late, ttl)
 	if r1 == nil || r1.Shard.Start != 2 || r1.Shard.Skip != nil {
 		t.Fatalf("second reassignment = %+v, want shard [2,4) no skip", r1)
 	}
-	r2 := tb.Acquire("w2", late, ttl)
+	r2 := acquire(tb, "w2", late, ttl)
 	if r2 == nil || r2.Shard.Start != 6 {
 		t.Fatalf("third acquire = %+v, want tail shard [6,8)", r2)
 	}
@@ -183,8 +191,8 @@ func TestLeaseSizeFollowsMeasuredRate(t *testing.T) {
 	tb := NewTable([]UnitGrid{{Rates: 4, Trials: trials}}, nil, 16)
 
 	// First leases are the floor for every worker.
-	fast := tb.Acquire("fast", t0, time.Minute)
-	slow := tb.Acquire("slow", t0, time.Minute)
+	fast := acquire(tb, "fast", t0, time.Minute)
+	slow := acquire(tb, "slow", t0, time.Minute)
 	if fast.Shard.Count != 16 || slow.Shard.Count != 16 {
 		t.Fatalf("first leases = %d and %d trials, want 16", fast.Shard.Count, slow.Shard.Count)
 	}
@@ -195,14 +203,14 @@ func TestLeaseSizeFollowsMeasuredRate(t *testing.T) {
 	// slice, so the floor holds.
 	finish(t, tb, slow, trials, t0.Add(200*time.Millisecond))
 	now := t0.Add(time.Second)
-	if le := tb.Acquire("fast", now, time.Minute); le.Shard.Count != MaxReport {
+	if le := acquire(tb, "fast", now, time.Minute); le.Shard.Count != MaxReport {
 		t.Errorf("fast worker's second lease = %d trials, want MaxReport (%d)", le.Shard.Count, MaxReport)
 	}
-	if le := tb.Acquire("slow", now, time.Minute); le.Shard.Count != 16 {
+	if le := acquire(tb, "slow", now, time.Minute); le.Shard.Count != 16 {
 		t.Errorf("slow worker's second lease = %d trials, want the floor 16", le.Shard.Count)
 	}
 	// A worker new to the campaign starts at the floor again.
-	if le := tb.Acquire("new", now, time.Minute); le.Shard.Count != 16 {
+	if le := acquire(tb, "new", now, time.Minute); le.Shard.Count != 16 {
 		t.Errorf("new worker's first lease = %d trials, want 16", le.Shard.Count)
 	}
 
@@ -215,7 +223,7 @@ func TestLeaseSizeFollowsMeasuredRate(t *testing.T) {
 		}
 	}
 	tb = NewTable([]UnitGrid{{Rates: 1, Trials: 1000}}, durableLinear(1000, durable...), 16)
-	first := tb.Acquire("fast", t0, time.Minute)
+	first := acquire(tb, "fast", t0, time.Minute)
 	finish(t, tb, first, 1000, t0) // no measurable time: as fast as can be
 	got := acquireAll(tb, "fast", t0)
 	want := []Shard{{Start: 16, Count: 84}, {Start: 200, Count: 100}}
@@ -227,11 +235,11 @@ func TestLeaseSizeFollowsMeasuredRate(t *testing.T) {
 	// worker's 100-trial lease expires and a floor-sized worker re-leases
 	// its front.
 	late := t0.Add(2 * time.Minute)
-	le := tb.Acquire("slow", late, time.Minute)
+	le := acquire(tb, "slow", late, time.Minute)
 	if le == nil || !reflect.DeepEqual(le.Shard, Shard{Start: 16, Count: 16}) {
 		t.Fatalf("re-lease by a floor-sized worker = %+v, want [16,32)", le)
 	}
-	if le := tb.Acquire("slow", late, time.Minute); le == nil || !reflect.DeepEqual(le.Shard, Shard{Start: 32, Count: 16}) {
+	if le := acquire(tb, "slow", late, time.Minute); le == nil || !reflect.DeepEqual(le.Shard, Shard{Start: 32, Count: 16}) {
 		t.Fatalf("next re-lease = %+v, want [32,48)", le)
 	}
 }
@@ -239,22 +247,22 @@ func TestLeaseSizeFollowsMeasuredRate(t *testing.T) {
 func TestHeartbeatRenewsLease(t *testing.T) {
 	tb := NewTable([]UnitGrid{{Rates: 1, Trials: 2}}, nil, 2)
 	ttl := time.Minute
-	le := tb.Acquire("w1", t0, ttl)
+	le := acquire(tb, "w1", t0, ttl)
 	// Empty report at t0+50s pushes expiry to t0+110s.
 	if lost := tb.Report(le.ID, nil, false, t0.Add(50*time.Second), ttl); lost {
 		t.Fatal("heartbeat lost a live lease")
 	}
-	if other := tb.Acquire("w2", t0.Add(90*time.Second), ttl); other != nil {
+	if other := acquire(tb, "w2", t0.Add(90*time.Second), ttl); other != nil {
 		t.Fatalf("renewed lease was reassigned: %+v", other)
 	}
-	if other := tb.Acquire("w2", t0.Add(3*time.Minute), ttl); other == nil {
+	if other := acquire(tb, "w2", t0.Add(3*time.Minute), ttl); other == nil {
 		t.Fatal("lease never expired after heartbeats stopped")
 	}
 }
 
 func TestReportDoneIncompleteRequeues(t *testing.T) {
 	tb := NewTable([]UnitGrid{{Rates: 1, Trials: 4}}, nil, 4)
-	le := tb.Acquire("w1", t0, time.Minute)
+	le := acquire(tb, "w1", t0, time.Minute)
 	// Worker claims done but delivered only half the lease: the claim is
 	// not trusted, the range is handed back with the durable half in Skip.
 	if lost := tb.Report(le.ID, keys(0, 4, 0, 1), true, t0, time.Minute); lost {
@@ -265,7 +273,7 @@ func TestReportDoneIncompleteRequeues(t *testing.T) {
 		t.Fatal("table done with half the grid missing")
 	default:
 	}
-	re := tb.Acquire("w2", t0, time.Minute)
+	re := acquire(tb, "w2", t0, time.Minute)
 	if re == nil || !reflect.DeepEqual(re.Shard.Skip, []int{0, 1}) {
 		t.Fatalf("requeued lease = %+v, want skip [0 1]", re)
 	}
@@ -282,13 +290,13 @@ func TestReportDoneIncompleteRequeues(t *testing.T) {
 func TestStaleLeaseReportStillCompletesShard(t *testing.T) {
 	tb := NewTable([]UnitGrid{{Rates: 1, Trials: 2}}, nil, 2)
 	ttl := time.Minute
-	l1 := tb.Acquire("w1", t0, ttl)
+	l1 := acquire(tb, "w1", t0, ttl)
 	// w1 goes silent; the range is reassigned to w2 — then w1's full
 	// report arrives late, on the expired lease. The results are durable
 	// either way, so they complete the range out from under w2, and both
 	// workers are told to move on.
 	late := t0.Add(2 * time.Minute)
-	l2 := tb.Acquire("w2", late, ttl)
+	l2 := acquire(tb, "w2", late, ttl)
 	if l2 == nil || l2.Shard.Start != 0 {
 		t.Fatalf("reassignment = %+v, want shard [0,2)", l2)
 	}
@@ -310,7 +318,7 @@ func TestStaleLeaseReportStillCompletesShard(t *testing.T) {
 
 func TestOutOfGridKeysIgnored(t *testing.T) {
 	tb := NewTable([]UnitGrid{{Rates: 1, Trials: 2}}, nil, 2)
-	le := tb.Acquire("w1", t0, time.Minute)
+	le := acquire(tb, "w1", t0, time.Minute)
 	junk := []TrialResult{{Unit: 5, RateIdx: 0, TrialIdx: 0}, {Unit: 0, RateIdx: 9, TrialIdx: 0}, {Unit: -1}, {Unit: 0, RateIdx: 0, TrialIdx: 7}}
 	if lost := tb.Report(le.ID, junk, false, t0, time.Minute); lost {
 		t.Fatal("junk keys lost a live lease")
@@ -338,7 +346,7 @@ func TestEmptyGridStartsDone(t *testing.T) {
 	default:
 		t.Fatal("fully durable grid not done")
 	}
-	if le := tbHave.Acquire("w1", t0, time.Minute); le != nil {
+	if le := acquire(tbHave, "w1", t0, time.Minute); le != nil {
 		t.Fatalf("fully durable grid leased %+v", le)
 	}
 }

@@ -168,52 +168,57 @@ func (s Sweep) RunHooked(ctx context.Context, fn TrialFunc, agg Aggregator) ([]P
 
 // RunRange is the trial loop: it runs the linear grid indices
 // [start, start+count) — index = rateIdx*PerCell() + trialIdx, which
-// must lie inside [0, Size()) — on up to Workers goroutines, each index
-// exactly once. An index whose h.Skip bit is set is passed over; every
-// other trial is executed and then handed to the sink on the same
-// goroutine. Cancelling ctx abandons unstarted trials and returns
-// ctx.Err().
+// must lie inside [0, Size()) — on up to Workers goroutines, the calling
+// one among them, each index exactly once. An index whose h.Skip bit is
+// set is passed over; every other trial is executed and then handed to
+// the sink on the same goroutine. Cancelling ctx abandons unstarted
+// trials and returns ctx.Err().
 func (s Sweep) RunRange(ctx context.Context, fn TrialFunc, start, count int, h Hooks) error {
 	per := s.PerCell()
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, count)
+	workers = max(min(workers, count), 1)
 	done := ctx.Done()
-	var next atomic.Int64 // offset of the next unclaimed index
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= count {
-					return
-				}
-				select {
-				case <-done:
-					return
-				default:
-				}
-				idx := start + i
-				if w := idx >> 6; w < len(h.Skip) && h.Skip[w]&(1<<(idx&63)) != 0 {
-					continue
-				}
-				t := Trial{RateIdx: idx / per, TrialIdx: idx % per}
-				t.Rate = s.Rates[t.RateIdx]
-				t.Seed = s.TrialSeed(t.RateIdx, t.TrialIdx)
-				began := time.Now()
-				t.Value = fn(t.Rate, t.Seed)
-				t.Dur = time.Since(began)
-				if h.Sink != nil {
-					h.Sink(t)
-				}
+	// The goroutines share one allocation of state and one closure.
+	shared := new(struct {
+		next atomic.Int64 // offset of the next unclaimed index
+		wg   sync.WaitGroup
+	})
+	shared.wg.Add(workers)
+	work := func() {
+		defer shared.wg.Done()
+		for {
+			i := int(shared.next.Add(1)) - 1
+			if i >= count {
+				return
 			}
-		}()
+			select {
+			case <-done:
+				return
+			default:
+			}
+			idx := start + i
+			if w := idx >> 6; w < len(h.Skip) && h.Skip[w]&(1<<(idx&63)) != 0 {
+				continue
+			}
+			t := Trial{RateIdx: idx / per, TrialIdx: idx % per}
+			t.Rate = s.Rates[t.RateIdx]
+			t.Seed = s.TrialSeed(t.RateIdx, t.TrialIdx)
+			began := time.Now()
+			t.Value = fn(t.Rate, t.Seed)
+			t.Dur = time.Since(began)
+			if h.Sink != nil {
+				h.Sink(t)
+			}
+		}
 	}
-	wg.Wait()
+	for range workers - 1 {
+		go work()
+	}
+	work()
+	shared.wg.Wait()
 	return ctx.Err()
 }
 

@@ -137,15 +137,16 @@ func (h *Hub) ObserveTrial(label string, d time.Duration) {
 	h.trialLat.Observe(label, d)
 }
 
-// AppendTrial buffers one per-trial telemetry record for the campaign
-// store in dir (see Telemetry for when it is written). Failures are
-// logged, not propagated: telemetry must never fail a trial.
-func (h *Hub) AppendTrial(dir string, rec TrialRecord) {
-	if h == nil || dir == "" {
+// AppendTrials buffers n per-trial telemetry records for the campaign
+// store in dir, rec(i) the i-th, under one timestamp (see Telemetry for
+// when they are written). Failures are logged, not propagated:
+// telemetry must never fail a trial.
+func (h *Hub) AppendTrials(dir string, n int, rec func(int) TrialRecord) {
+	if h == nil || dir == "" || n == 0 {
 		return
 	}
 	if err := h.appendTo(dir, func(t *Telemetry) error {
-		return t.appendTrial("trial", &rec)
+		return t.appendTrials("trial", n, rec)
 	}); err != nil {
 		log.Printf("obs: append trial telemetry: %v", err)
 	}

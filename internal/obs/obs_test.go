@@ -221,7 +221,7 @@ func TestHubNilSafe(t *testing.T) {
 	h.SetMirrorEvents(true)
 	h.RegisterCampaign("c", "dir")
 	h.ObserveTrial("lp", time.Second)
-	h.AppendTrial("dir", TrialRecord{})
+	h.AppendTrials("dir", 1, func(int) TrialRecord { return TrialRecord{} })
 	if h.Observer(0.1, 1) != nil {
 		t.Error("nil hub returned an observer")
 	}

@@ -162,36 +162,38 @@ func (r *TrialRecord) appendJSON(b []byte) (_ []byte, ok bool) {
 // the envelope.
 func (t *Telemetry) Append(kind string, rec any) error {
 	if tr, ok := rec.(TrialRecord); ok {
-		return t.appendTrial(kind, &tr)
+		return t.appendTrials(kind, 1, func(int) TrialRecord { return tr })
 	}
 	body, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("obs: marshal telemetry record: %w", err)
 	}
-	return t.write(true, func(b, ts []byte) []byte {
+	return t.write(true, 1, func(b, ts []byte, _ int) []byte {
 		b = appendEnvelope(b, ts, kind)
 		b = append(b, body...)
 		return append(b, "}\n"...)
 	})
 }
 
-// appendTrial buffers one trial line. A record that cannot be encoded (a
-// non-finite rate, which encoding/json rejects) is left out, with the
-// error encoding/json reports.
-func (t *Telemetry) appendTrial(kind string, rec *TrialRecord) error {
-	ok := true
-	err := t.write(false, func(b, ts []byte) []byte {
-		line := len(b)
-		b = appendEnvelope(b, ts, kind)
-		if b, ok = rec.appendJSON(b); !ok {
+// appendTrials buffers n trial lines under one timestamp, rec(i) the
+// record of the i-th. A record that cannot be encoded (a non-finite
+// rate, which encoding/json rejects) is left out, with the error
+// encoding/json reports.
+func (t *Telemetry) appendTrials(kind string, n int, rec func(int) TrialRecord) error {
+	bad := -1
+	err := t.write(false, n, func(b, ts []byte, i int) []byte {
+		r, line := rec(i), len(b)
+		b, ok := r.appendJSON(appendEnvelope(b, ts, kind))
+		if !ok {
+			bad = i
 			return b[:line]
 		}
 		return append(b, "}\n"...)
 	})
-	if err != nil || ok {
+	if err != nil || bad < 0 {
 		return err
 	}
-	_, err = json.Marshal(*rec) // the error encoding/json reports for a non-finite rate
+	_, err = json.Marshal(rec(bad)) // the error encoding/json reports for a non-finite rate
 	return fmt.Errorf("obs: marshal telemetry record: %w", err)
 }
 
@@ -205,31 +207,37 @@ func appendEnvelope(b, ts []byte, kind string) []byte {
 	return append(b, `,"rec":`...)
 }
 
-// write stamps the wall clock and lets fill append lines to the buffer.
-// It writes the buffer when through is set (an event line), when the
-// buffer has reached flushBytes, or when its oldest line is flushAge old;
-// the age is checked on this clock read, so no timer runs. Telemetry is
-// the one serialization path in the repository where a clock is legal:
-// the JSONL sidecar is diagnostics with no resume-identity contract,
-// unlike the store, spec and trace artifacts, whose byte and record pins
-// fail on a timestamp.
+// write stamps the wall clock once and lets fill append n lines to the
+// buffer, the i-th on call i. After each line it writes the buffer when
+// through is set (an event line), when the buffer has reached
+// flushBytes, or when its oldest line is flushAge old; the age is
+// checked on this clock read, so no timer runs. Telemetry is the one
+// serialization path in the repository where a clock is legal: the JSONL
+// sidecar is diagnostics with no resume-identity contract, unlike the
+// store, spec and trace artifacts, whose byte and record pins fail on a
+// timestamp.
 //
 // The lines and their timestamp are assembled in buffers reused under the
 // lock: a stack buffer handed to the file escapes under the race
 // detector, and one handed to fill escapes always.
-func (t *Telemetry) write(through bool, fill func(b, ts []byte) []byte) error {
+func (t *Telemetry) write(through bool, n int, fill func(b, ts []byte, i int) []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.f == nil {
 		return errClosed
 	}
 	now := time.Now()
-	if len(t.buf) == 0 {
-		t.first = now
-	}
-	t.buf = fill(t.buf, now.UTC().AppendFormat(t.stamp[:0], time.RFC3339Nano))
-	if through || len(t.buf) >= flushBytes || now.Sub(t.first) >= flushAge {
-		return t.flushLocked()
+	ts := now.UTC().AppendFormat(t.stamp[:0], time.RFC3339Nano)
+	for i := range n {
+		if len(t.buf) == 0 {
+			t.first = now
+		}
+		t.buf = fill(t.buf, ts, i)
+		if through || len(t.buf) >= flushBytes || now.Sub(t.first) >= flushAge {
+			if err := t.flushLocked(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

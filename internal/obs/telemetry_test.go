@@ -124,17 +124,18 @@ func TestTelemetryLineMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestTelemetryAppendAllocs pins the per-trial telemetry append with a
-// fault summary and the trial latency observation: the hub's path
-// allocates nothing, and the public Append only boxes the record into its
-// interface argument.
+// TestTelemetryAppendAllocs pins a lease's telemetry append, 64 lines
+// with fault summaries, and the trial latency observation: the hub's
+// path allocates nothing, and the public Append only boxes the record
+// into its interface argument.
 func TestTelemetryAppendAllocs(t *testing.T) {
 	dir := t.TempDir()
 	h := NewHub()
 	defer h.Close()
 	rec := TrialRecord{Campaign: "c0001", Unit: "sort/base", Series: "base", Rate: 0.05, Seed: 1, Value: 0.5, DurationMicros: 14, Faults: bothMaps}
-	if n := testing.AllocsPerRun(200, func() { h.AppendTrial(dir, rec) }); n != 0 {
-		t.Errorf("Hub.AppendTrial: %v allocations, want 0", n)
+	lease := func(int) TrialRecord { return rec }
+	if n := testing.AllocsPerRun(200, func() { h.AppendTrials(dir, 64, lease) }); n != 0 {
+		t.Errorf("Hub.AppendTrials of 64 lines: %v allocations, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { h.ObserveTrial("sort/base", 1500*time.Nanosecond) }); n != 0 {
 		t.Errorf("Hub.ObserveTrial: %v allocations, want 0", n)
@@ -154,6 +155,49 @@ func TestTelemetryAppendAllocs(t *testing.T) {
 	}
 }
 
+// TestTelemetryBatchOneStamp: a batch of trial lines larger than the
+// flush threshold reaches the file whole and in order, every line under
+// the one timestamp of its append, and a record that cannot be encoded
+// is left out without dropping the rest.
+func TestTelemetryBatchOneStamp(t *testing.T) {
+	dir := t.TempDir()
+	h := NewHub()
+	const n = 2 * flushBytes / 100 // lines are ~100 bytes
+	h.AppendTrials(dir, n, func(i int) TrialRecord {
+		if i == 7 {
+			return TrialRecord{TrialIdx: i, Rate: math.NaN()}
+		}
+		return TrialRecord{TrialIdx: i, Value: 1}
+	})
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := sidecarLines(t, dir)
+	if len(lines) != n-1 {
+		t.Fatalf("%d lines, want %d", len(lines), n-1)
+	}
+	var stamp string
+	for i, line := range lines {
+		var env struct{ TS string }
+		if err := json.Unmarshal([]byte(line), &env); err != nil {
+			t.Fatal(err)
+		}
+		if want := i + min(i/7, 1); trialIdx(t, line) != want {
+			t.Fatalf("line %d holds trial %d, want %d", i, trialIdx(t, line), want)
+		}
+		if i == 0 {
+			stamp = env.TS
+		} else if env.TS != stamp {
+			t.Fatalf("line %d stamped %s, line 0 %s", i, env.TS, stamp)
+		}
+	}
+}
+
+// appendTrial appends one trial line through the hub.
+func appendTrial(h *Hub, dir string, rec TrialRecord) {
+	h.AppendTrials(dir, 1, func(int) TrialRecord { return rec })
+}
+
 // TestHubCloseStopsTelemetry: an append after Close (a trial still
 // running past a bounded shutdown) is dropped, and the closed hub never
 // reopens a writer it would not close again.
@@ -162,11 +206,11 @@ func TestHubCloseStopsTelemetry(t *testing.T) {
 	h := NewHub()
 	h.SetMirrorEvents(true)
 	h.RegisterCampaign("c0001", dir)
-	h.AppendTrial(dir, TrialRecord{Value: 1})
+	appendTrial(h, dir, TrialRecord{Value: 1})
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	h.AppendTrial(dir, TrialRecord{Value: 2})
+	appendTrial(h, dir, TrialRecord{Value: 2})
 	h.Emit("campaign.cancelled", "c0001", "")
 	b, err := os.ReadFile(filepath.Join(dir, TelemetryFile))
 	if err != nil {
@@ -311,8 +355,8 @@ func TestHubCloseTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	h := NewHub()
 	defer h.Close()
-	h.AppendTrial(dir, TrialRecord{TrialIdx: 1})
-	h.AppendTrial(dir, TrialRecord{TrialIdx: 2})
+	appendTrial(h, dir, TrialRecord{TrialIdx: 1})
+	appendTrial(h, dir, TrialRecord{TrialIdx: 2})
 	if lines := sidecarLines(t, dir); len(lines) != 0 {
 		t.Errorf("%d lines written before the run ended", len(lines))
 	}
@@ -333,7 +377,7 @@ func TestHubCloseTelemetry(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range runs {
-		h.AppendTrial(dir, TrialRecord{TrialIdx: 3 + i})
+		appendTrial(h, dir, TrialRecord{TrialIdx: 3 + i})
 		h.CloseTelemetry(dir)
 	}
 	runtime.ReadMemStats(&after)
@@ -361,7 +405,7 @@ func TestTelemetryConcurrentAppends(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range each {
-				h.AppendTrial(dir, TrialRecord{RateIdx: g, TrialIdx: i, Value: 1})
+				appendTrial(h, dir, TrialRecord{RateIdx: g, TrialIdx: i, Value: 1})
 				switch i % 100 {
 				case 0:
 					h.Emit("campaign.running", "c0001", "")
