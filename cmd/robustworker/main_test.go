@@ -226,64 +226,111 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// fakeCoordinator serves a coordinator's three worker endpoints: it
+// registers any worker, hands out lease(n) as the n-th lease (none when
+// nil), and records each report in the log before it answers with
+// answer's body.
+func fakeCoordinator(t *testing.T, lease func(n int) *dispatch.LeaseResponse, answer func(dispatch.ReportRequest) string) (*httptest.Server, *reportLog) {
+	log := &reportLog{}
+	var mu sync.Mutex
+	leases := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/workers/register":
+			fmt.Fprintln(w, `{"worker":"w1","lease_ttl":60000000000}`)
+		case "/workers/lease":
+			mu.Lock()
+			leases++
+			n := leases
+			mu.Unlock()
+			lr := lease(n)
+			if lr == nil {
+				w.WriteHeader(http.StatusNoContent)
+				return
+			}
+			json.NewEncoder(w).Encode(lr)
+		case "/workers/report":
+			var req dispatch.ReportRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			log.add(req)
+			fmt.Fprintln(w, answer(req))
+		default:
+			http.Error(w, "unexpected request", http.StatusBadRequest)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv, log
+}
+
+// consume runs w's lease loop on a goroutine. shutdown ends it as a
+// SIGTERM does; wait waits, at most limit, for the loop to return.
+func consume(t *testing.T, w *worker, limit time.Duration) (shutdown, wait func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		dispatch.Consume(ctx, w)
+	}()
+	return cancel, func() {
+		select {
+		case <-done:
+		case <-time.After(limit):
+			t.Fatalf("the worker loop did not return within %s of shutdown", limit)
+		}
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 30 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // TestRunShardCountsExecutedShards: a lease whose shard lies outside the
 // compiled grid is handed straight back — a done report with no results
 // — and does not count in robustworker_shards_total; an in-grid lease
 // reports every non-skipped trial and counts once.
 func TestRunShardCountsExecutedShards(t *testing.T) {
-	var mu sync.Mutex
-	var reports []dispatch.ReportRequest
-	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req dispatch.ReportRequest
-		if r.URL.Path != "/workers/report" || json.NewDecoder(r.Body).Decode(&req) != nil {
-			http.Error(w, "unexpected request", http.StatusBadRequest)
-			return
+	coord, log := fakeCoordinator(t, func(n int) *dispatch.LeaseResponse {
+		switch n {
+		case 1:
+			return sortLease(t, "l1", dispatch.Shard{Start: 7, Count: 2})
+		case 2:
+			return sortLease(t, "l2", dispatch.Shard{Count: 4, Skip: []int{1}})
 		}
-		mu.Lock()
-		reports = append(reports, req)
-		mu.Unlock()
-		fmt.Fprintln(w, "{}")
-	}))
-	defer coord.Close()
-	spec, err := json.Marshal(campaign.Spec{
-		Custom: &campaign.CustomSweep{Workload: "sort/robust", Rates: []float64{0.05, 0.1}, Iters: 50},
-		Trials: 2, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		return nil
+	}, func(dispatch.ReportRequest) string { return "{}" })
 	w := testWorker(coord.URL)
-	lease := func(id string, sh dispatch.Shard) *dispatch.LeaseResponse {
-		return &dispatch.LeaseResponse{Lease: id, Campaign: "c0001", Spec: spec, Shard: sh, TTL: time.Minute}
-	}
+	shutdown, wait := consume(t, w, 2*detachedBudget)
+	waitFor(t, "both leases' reports", func() bool { return len(log.of("l1")) > 0 && len(log.of("l2")) > 0 })
+	shutdown()
+	wait()
 
-	w.runShard(context.Background(), lease("l1", dispatch.Shard{Unit: 0, Start: 3, Count: 2}))
-	if n := w.stats.shards.Load(); n != 0 {
-		t.Errorf("out-of-grid shard counted: shards_total = %d", n)
-	}
-	w.runShard(context.Background(), lease("l2", dispatch.Shard{Unit: 0, Count: 4, Skip: []int{1}}))
 	if n := w.stats.shards.Load(); n != 1 {
-		t.Errorf("shards_total = %d after one executed shard, want 1", n)
+		t.Errorf("shards_total = %d after one executed and one out-of-grid shard, want 1", n)
 	}
 	if n := w.stats.trials.Load(); n != 3 {
 		t.Errorf("trials_total = %d, want 3", n)
 	}
-	w.settle(context.Background()) // l2's done report goes in the background
-
-	mu.Lock()
-	defer mu.Unlock()
-	got, done := map[string][]int{}, map[string]bool{}
-	for _, r := range reports {
+	if got := log.of("l1"); len(got) != 1 || !got[0].Done || len(got[0].Results) != 0 {
+		t.Errorf("out-of-grid lease: reports %+v, want one empty done report", got)
+	}
+	got := log.of("l2")
+	var idx []int
+	for _, r := range got {
 		for _, res := range r.Results {
-			got[r.Lease] = append(got[r.Lease], res.RateIdx*2+res.TrialIdx)
+			idx = append(idx, res.RateIdx*4+res.TrialIdx)
 		}
-		done[r.Lease] = done[r.Lease] || r.Done
 	}
-	if idx := got["l1"]; !done["l1"] || len(idx) != 0 {
-		t.Errorf("out-of-grid lease: reported %v (done %v), want an empty done report", idx, done["l1"])
-	}
-	if idx := got["l2"]; !done["l2"] || !slices.Equal(slices.Sorted(slices.Values(idx)), []int{0, 2, 3}) {
-		t.Errorf("in-grid lease reported indices %v, want [0 2 3]", idx)
+	if len(got) != 1 || !got[0].Done || !slices.Equal(slices.Sorted(slices.Values(idx)), []int{0, 2, 3}) {
+		t.Errorf("in-grid lease: reports %+v, want one done report of indices [0 2 3]", got)
 	}
 }
 
@@ -295,8 +342,7 @@ func testWorker(coordinator string) *worker {
 		poll:     time.Millisecond,
 		parallel: 2,
 		stats:    newWstats(),
-		plans:    make(map[string]*campaign.Campaign),
-		bad:      make(map[string]string),
+		plans:    make(map[string]plan),
 	}
 }
 
@@ -325,62 +371,44 @@ func (l *reportLog) of(lease string) []dispatch.ReportRequest {
 	return out
 }
 
-// sortLease returns a lease of a sort/robust campaign of eight trials
-// (two rates of four) covering [start, start+count).
-func sortLease(t *testing.T, id string, start, count int) *dispatch.LeaseResponse {
+// sortLease returns a lease of shard sh of a sort/robust campaign of
+// eight trials (two rates of four).
+func sortLease(t *testing.T, id string, sh dispatch.Shard) *dispatch.LeaseResponse {
 	t.Helper()
 	spec, err := json.Marshal(campaign.Spec{
 		Custom: &campaign.CustomSweep{Workload: "sort/robust", Rates: []float64{0.05, 0.1}, Iters: 50},
 		Trials: 4, Seed: 3,
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
-	return &dispatch.LeaseResponse{Lease: id, Campaign: "c0001", Spec: spec,
-		Shard: dispatch.Shard{Start: start, Count: count}, TTL: time.Minute}
+	return &dispatch.LeaseResponse{Lease: id, Campaign: "c0001", Spec: spec, Shard: sh, TTL: time.Minute}
 }
 
 // TestInFlightReportDeliveredOnShutdown: a done report still in flight
 // when the worker shuts down is not cancelled with the loop's context; it
 // finishes within the detached budget, and the coordinator receives it.
 func TestInFlightReportDeliveredOnShutdown(t *testing.T) {
-	var log reportLog
 	arrived, proceed := make(chan struct{}, 1), make(chan struct{})
-	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	coord, log := fakeCoordinator(t, func(n int) *dispatch.LeaseResponse {
+		if n == 1 {
+			return sortLease(t, "l1", dispatch.Shard{Count: 4})
+		}
+		return nil
+	}, func(dispatch.ReportRequest) string {
 		select {
 		case arrived <- struct{}{}:
 		default:
 		}
 		<-proceed // hold the report until the worker is shutting down
-		var req dispatch.ReportRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		log.add(req)
-		fmt.Fprintln(w, "{}")
-	}))
-	defer coord.Close()
+		return "{}"
+	})
 	w := testWorker(coord.URL)
-	ctx, shutdown := context.WithCancel(context.Background())
-
-	w.runShard(ctx, sortLease(t, "l1", 0, 4))
-	if w.inflight == nil {
-		t.Fatal("runShard returned without a done report in flight")
-	}
+	shutdown, wait := consume(t, w, 2*detachedBudget)
 	<-arrived
 	shutdown()
 	close(proceed)
-	settled := make(chan struct{})
-	go func() {
-		w.settle(ctx) // as the loop does before it exits
-		close(settled)
-	}()
-	select {
-	case <-settled:
-	case <-time.After(2 * detachedBudget):
-		t.Fatal("the in-flight report outlived the detached budget")
-	}
+	wait()
 
 	got := log.of("l1")
 	if len(got) != 1 || !got[0].Done || len(got[0].Results) != 4 {
@@ -392,46 +420,39 @@ func TestInFlightReportDeliveredOnShutdown(t *testing.T) {
 }
 
 // TestInFlightReportRejectionMarksCampaignBad: a Rejected answer to a
-// background done report marks the campaign bad once the worker settles
-// the report, so the campaign's next lease is handed straight back — an
-// empty done report — without running a trial.
+// background done report marks the campaign bad, so the campaign's next
+// lease is handed straight back — an empty done report — without
+// running a trial.
 func TestInFlightReportRejectionMarksCampaignBad(t *testing.T) {
-	var log reportLog
-	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req dispatch.ReportRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+	var w *worker
+	l1, l2 := sortLease(t, "l1", dispatch.Shard{Count: 4}), sortLease(t, "l2", dispatch.Shard{Start: 4, Count: 4})
+	coord, log := fakeCoordinator(t, func(n int) *dispatch.LeaseResponse {
+		switch n {
+		case 1:
+			return l1
+		case 2:
+			// The second lease waits, up to 30 s, for the first one's
+			// verdict.
+			for deadline := time.Now().Add(30 * time.Second); !w.isBad(planKey(l2)) && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			return l2
 		}
-		log.add(req)
+		return nil
+	}, func(req dispatch.ReportRequest) string {
 		if req.Lease == "l1" {
-			fmt.Fprintln(w, `{"rejected":4}`)
-			return
+			return `{"rejected":4}`
 		}
-		fmt.Fprintln(w, "{}")
-	}))
-	defer coord.Close()
-	w := testWorker(coord.URL)
-	ctx := context.Background()
+		return "{}"
+	})
+	w = testWorker(coord.URL)
+	shutdown, wait := consume(t, w, 2*detachedBudget)
+	waitFor(t, "the second lease's report", func() bool { return len(log.of("l2")) > 0 })
+	shutdown()
+	wait()
 
-	w.runShard(ctx, sortLease(t, "l1", 0, 4))
-	p := w.inflight
-	if p == nil {
-		t.Fatal("runShard returned without a done report in flight")
-	}
-	<-p.done // the verdict is in; the worker has not applied it yet
-	trials := w.stats.trials.Load()
-	l2 := sortLease(t, "l2", 4, 4)
-	w.runShard(ctx, l2)
-
-	if n := w.stats.trials.Load(); n != trials {
-		t.Errorf("the next lease ran %d trials of a rejected campaign", n-trials)
-	}
-	if !w.isBad(planKey(l2)) {
-		t.Error("the rejected campaign is not marked bad")
-	}
-	if w.inflight != nil {
-		t.Error("a report is still in flight after the release")
+	if n := w.stats.trials.Load(); n != 4 {
+		t.Errorf("%d trials ran, want the first lease's 4 and none of the rejected campaign's next", n)
 	}
 	if got := log.of("l1"); len(got) != 1 || !got[0].Done || len(got[0].Results) != 4 {
 		t.Errorf("l1 reports %+v, want one done report of 4 results", got)

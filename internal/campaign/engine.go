@@ -192,100 +192,136 @@ func (e *Execution) grid() ([]dispatch.UnitGrid, [][]uint64) {
 	return units, e.st.Durable(e.camp.Plan)
 }
 
-// localTTL is the lease TTL of Run's consumer. Nothing competes for its
-// leases: the TTL only keeps the table's 100 ms lease slice in force.
+// localTTL is the lease TTL of Run's leases. Nothing competes for them:
+// the TTL only keeps the table's 100 ms lease slice in force.
 const localTTL = time.Hour
 
 // Run executes the campaign in-process as a fleet worker would: it
 // leases shards from a dispatch.Table over the grid, each sized to about
-// 100 ms of work (16 to dispatch.MaxReport trials), and runs and merges
-// them one by one (lane.run). Durable trials are skipped (resume); a
-// crash loses at most the running lease. Cancelling ctx merges what the
-// lease finished and returns ctx.Err(). A store error ends the run after
-// the lease whose merge failed, and Run returns it.
+// 100 ms of work (16 to dispatch.MaxReport trials), and runs them
+// through dispatch.Consume, which merges lease k while lease k+1 runs.
+// Durable trials are skipped (resume); a crash loses at most two leases,
+// the running one and the one being merged. Cancelling ctx merges what
+// both leases finished and returns ctx.Err(), or nil when that left
+// every trial durable. A store error ends the run after the lease whose
+// merge failed, and Run returns it.
 func (e *Execution) Run(ctx context.Context) error {
-	l := e.lane(0)
-	defer func() {
-		l.e, l.tb, l.hub = nil, nil, nil // the lane keeps only its buffers
-		spareLanes.put(l)
-	}()
-	for ctx.Err() == nil {
-		lease, ok := l.tb.Acquire("local", time.Now(), localTTL)
-		if !ok {
-			return nil
-		}
-		if err := l.run(ctx, lease); err != nil {
-			return err
-		}
+	src := e.local(0)
+	defer src.release()
+	err := dispatch.Consume(ctx, src)
+	select {
+	case <-src.tb.Done(): // also when a cancel came after the last trial
+		return nil
+	default:
+		return err
 	}
-	return ctx.Err()
 }
 
-// lane is Run's consumer of the lease table tb. The trials of its lease
-// sh collect in pend and, their latency and fault summary, in diag by
-// offset in sh. Lanes are reused from run to run with their buffers, as
-// a daemon runs campaign after campaign.
-type lane struct {
+// local is Run's dispatch.Source: leases come from the table tb, and a
+// lease is delivered as the fleet merges a report (Execution.merge: one
+// store write), then its new trials' telemetry is appended at once and
+// the lease reported done to tb. Sources are reused from run to run with
+// their slots' buffers, as a daemon runs campaign after campaign.
+type local struct {
 	e     *Execution
 	tb    *dispatch.Table
-	hub   *obs.Hub
 	label string
+	slots [2]localSlot
+}
+
+// localSlot holds one lease. Its trials collect in pend and, their
+// latency and fault summary, in diag by offset in the shard.
+type localSlot struct {
+	src   *local
+	lease dispatch.Lease
+	per   int
 	pend  dispatch.Pending
 	hooks harness.Hooks
-	sh    dispatch.Shard
-	per   int
 	diag  []struct {
 		dur    time.Duration
 		faults *obs.FaultSummary
 	}
 }
 
-var spareLanes = make(freeList[lane], spareReports)
+var spareLocals = make(freeList[local], spareReports)
 
-// lane sets up a consumer for a run of e, whose leases hold at least
-// floor trials (0 = the table's default).
-func (e *Execution) lane(floor int) *lane {
+// local sets up a source for a run of e whose leases hold at least floor
+// trials (0 = the table's default).
+func (e *Execution) local(floor int) *local {
 	units, durable := e.grid()
-	l := spareLanes.get()
-	l.e, l.tb, l.label = e, dispatch.NewTable(units, durable, floor), e.camp.Spec.MetricLabel()
-	l.hooks.Sink = l.sink
-	return l
+	src := spareLocals.get()
+	src.e, src.tb, src.label = e, dispatch.NewTable(units, durable, floor), e.camp.Spec.MetricLabel()
+	for i := range src.slots {
+		if sl := &src.slots[i]; sl.src == nil {
+			sl.src = src
+			sl.hooks.Sink = sl.sink
+		}
+	}
+	return src
 }
 
-// run runs one lease and, also when ctx ends it early, merges its trials
-// as the fleet merges a report: one store write, one telemetry append of
-// the new trials, then the lease's done report.
-func (l *lane) run(ctx context.Context, lease dispatch.Lease) error {
-	e, sh := l.e, lease.Shard
-	l.hub, l.sh, l.per = e.hub, sh, e.camp.Plan.Units[sh.Unit].Sweep.PerCell()
-	l.diag = slices.Grow(l.diag[:0], sh.Count)[:sh.Count]
-	runErr := e.camp.RunShard(ctx, sh, e.camp.Spec.Workers, l.hooks)
-	recs := l.pend.Take(nil) // no trial runs until the next lease,
-	l.pend.Take(recs[:0])    // which collects in the same array
+// release returns the source for reuse, keeping only its buffers: a run
+// that a failed delivery ended leaves the last lease's trials behind.
+func (src *local) release() {
+	src.e, src.tb = nil, nil
+	for i := range src.slots {
+		p := &src.slots[i].pend
+		p.Take(p.Take(nil)[:0])
+	}
+	spareLocals.put(src)
+}
+
+// Acquire leases the next shard from the table into slot s.
+func (src *local) Acquire(_ context.Context, s int) bool {
+	lease, ok := src.tb.Acquire("local", time.Now(), localTTL)
+	if !ok {
+		return false
+	}
+	sl, sh := &src.slots[s], lease.Shard
+	sl.lease, sl.per = lease, src.e.camp.Plan.Units[sh.Unit].Sweep.PerCell()
+	sl.diag = slices.Grow(sl.diag[:0], sh.Count)[:sh.Count]
+	return true
+}
+
+// Run runs slot s's lease on the spec's trial goroutines.
+func (src *local) Run(ctx context.Context, s int) error {
+	sl := &src.slots[s]
+	return src.e.camp.RunShard(ctx, sl.lease.Shard, src.e.camp.Spec.Workers, sl.hooks)
+}
+
+// Deliver merges slot s's trials into the store, appends the new ones'
+// telemetry and reports the lease done, which hands back whatever a
+// cancel left unrun.
+func (src *local) Deliver(_ context.Context, s int) error {
+	e, sl := src.e, &src.slots[s]
+	recs := sl.pend.Take(nil) // the slot's next lease collects in the
+	sl.pend.Take(recs[:0])    // same array, once this delivery is over
 	fresh, err := e.merge(recs)
 	if err != nil {
 		return fmt.Errorf("campaign: record trials: %w", err)
 	}
-	l.hub.AppendTrials(e.st.Dir(), len(fresh), func(i int) obs.TrialRecord {
+	start := sl.lease.Shard.Start
+	e.hub.AppendTrials(e.st.Dir(), len(fresh), func(i int) obs.TrialRecord {
 		r := &fresh[i]
-		d := l.diag[r.RateIdx*l.per+r.TrialIdx-sh.Start]
-		return obs.TrialRecord{Campaign: e.id, Unit: l.label, Series: r.Series, RateIdx: r.RateIdx, TrialIdx: r.TrialIdx,
+		d := sl.diag[r.RateIdx*sl.per+r.TrialIdx-start]
+		return obs.TrialRecord{Campaign: e.id, Unit: src.label, Series: r.Series, RateIdx: r.RateIdx, TrialIdx: r.TrialIdx,
 			Rate: r.Rate, Seed: r.Seed, Value: obs.Float(r.Value), DurationMicros: d.dur.Microseconds(), Faults: d.faults}
 	})
-	l.tb.Report(lease.ID, fresh, true, time.Now(), localTTL)
-	return runErr
+	src.tb.Report(sl.lease.ID, fresh, true, time.Now(), localTTL)
+	return nil
 }
 
-// sink collects a trial of the running lease on its trial goroutine.
-func (l *lane) sink(t harness.Trial) {
-	d := &l.diag[t.RateIdx*l.per+t.TrialIdx-l.sh.Start]
+// sink collects a trial of the slot's lease on its trial goroutine.
+func (sl *localSlot) sink(t harness.Trial) {
+	hub, sh := sl.src.e.hub, sl.lease.Shard
+	d := &sl.diag[t.RateIdx*sl.per+t.TrialIdx-sh.Start]
 	d.dur, d.faults = t.Dur, nil
-	if fr := l.hub.TakeFaults(t.Rate, t.Seed); fr != nil {
+	if fr := hub.TakeFaults(t.Rate, t.Seed); fr != nil {
 		s := fr.Summary()
 		d.faults = &s
 	}
-	l.hub.ObserveTrial(l.label, t.Dur)
-	l.pend.Add(Record{Unit: l.sh.Unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx, Rate: t.Rate, Seed: t.Seed, Value: t.Value})
+	hub.ObserveTrial(sl.src.label, t.Dur)
+	sl.pend.Add(Record{Unit: sh.Unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx, Rate: t.Rate, Seed: t.Seed, Value: t.Value})
 }
 
 // Progress reports completed vs total trials; store lines outside the

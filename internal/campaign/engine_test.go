@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"robustify/internal/dispatch"
 	"robustify/internal/figures"
@@ -311,9 +312,10 @@ func TestCustomWorkloadCampaign(t *testing.T) {
 // TestRunStopsAtFirstStoreError: once the store cannot record, no later
 // trial's result could be kept, so the run stops instead of computing
 // the rest of the grid, and Run reports the store error, not a
-// cancellation. A lease is merged when it ends, so the first failed
-// merge comes after the first lease: its 16 trials (the lease table's
-// floor) are all that run.
+// cancellation. A lease is merged while the next one runs, so the first
+// failed merge is seen after the second lease: two leases of 16 trials
+// (the lease table's floor, since a failed lease reports no rate) are
+// all that run.
 func TestRunStopsAtFirstStoreError(t *testing.T) {
 	spec := quickSpec(0.01, 3, 1000)
 	spec.Workers = 2
@@ -340,38 +342,36 @@ func TestRunStopsAtFirstStoreError(t *testing.T) {
 	if !errors.Is(err, os.ErrClosed) || errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want the store's ErrClosed", err)
 	}
-	if n := calls.Load(); n > 16 {
-		t.Errorf("trial function ran %d times after the store failed, want at most one lease's 16", n)
+	if n := calls.Load(); n > 32 {
+		t.Errorf("trial function ran %d times after the store failed, want at most two leases' 32", n)
 	}
 }
 
-// TestCancelMergesPartialLease: a cancel that lands mid-lease stops the
-// lease's trials, and Run merges the ones it finished before it returns,
-// so a cancel drops no computed trial: the store holds exactly as many
-// trials as the trial function completed.
-func TestCancelMergesPartialLease(t *testing.T) {
-	spec := quickSpec(0.01, 3, 1000)
-	spec.Workers = 2
-	camp, err := Compile(spec)
+// TestRunAfterFailedMergeStartsClean: a run that a failed merge ends
+// leaves its last lease's trials undelivered in its source, and the
+// next run, which reuses the source, must not merge them into its own
+// store: a run cancelled inside its second lease, which runs in the slot
+// the failed run left full, holds only the trials it computed.
+func TestRunAfterFailedMergeStartsClean(t *testing.T) {
+	for len(spareLocals) > 0 { // leave one spare source: the one under test
+		<-spareLocals
+	}
+	camp, _ := countedCampaign(t, func(int64) {})
+	closed, err := Open(t.TempDir())
 	if err != nil {
-		t.Fatalf("compile: %v", err)
+		t.Fatalf("open: %v", err)
+	}
+	closed.Close()
+	if err := NewExecution(camp, closed).Run(context.Background()); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Run = %v, want the store's ErrClosed", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// The first lease is the table's floor, 16 trials, and the second
-	// is sized to about 100 ms of these microsecond trials: all the rest.
-	// The cancel lands inside it.
-	var calls atomic.Int64
-	for i := range camp.Plan.Units {
-		inner := camp.Plan.Units[i].Fn
-		camp.Plan.Units[i].Fn = func(rate float64, seed uint64) float64 {
-			v := inner(rate, seed)
-			if calls.Add(1) == 40 {
-				cancel()
-			}
-			return v
+	camp, calls := countedCampaign(t, func(n int64) {
+		if n == 20 {
+			cancel()
 		}
-	}
+	})
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -380,12 +380,157 @@ func TestCancelMergesPartialLease(t *testing.T) {
 	if err := NewExecution(camp, st).Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want a cancellation", err)
 	}
+	if done, n := st.Done(camp.Plan), calls.Load(); int64(done) != n {
+		t.Errorf("store holds %d trials, want the %d this run computed", done, n)
+	}
+}
+
+// watchedSource is Run's lease source with a hook that runs on the
+// delivery goroutine before each delivery (numbered from 1), and a
+// check that no delivery is running, or runs on, once Consume returns.
+type watchedSource struct {
+	*local
+	t        *testing.T
+	before   func(n int) error
+	n        atomic.Int32
+	active   atomic.Int32
+	returned atomic.Bool
+}
+
+func (w *watchedSource) Deliver(ctx context.Context, s int) error {
+	w.active.Add(1)
+	defer w.active.Add(-1)
+	if err := w.before(int(w.n.Add(1))); err != nil {
+		return err
+	}
+	err := w.local.Deliver(ctx, s)
+	if w.returned.Load() {
+		w.t.Error("a delivery ran on after Consume returned")
+	}
+	return err
+}
+
+// consume runs e's leases through the watched source, as Run does.
+func (w *watchedSource) consume(ctx context.Context, e *Execution) error {
+	w.local = e.local(0)
+	defer w.local.release()
+	err := dispatch.Consume(ctx, w)
+	w.returned.Store(true)
+	if w.active.Load() != 0 {
+		w.t.Error("Consume returned with a delivery running")
+	}
+	return err
+}
+
+// countedCampaign compiles a 1,000-trial sort/base campaign whose trial
+// function counts its calls and calls at(n) after the n-th.
+func countedCampaign(t *testing.T, at func(n int64)) (*Campaign, *atomic.Int64) {
+	t.Helper()
+	spec := quickSpec(0.01, 3, 1000)
+	spec.Workers = 2
+	camp, err := Compile(spec)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	var calls atomic.Int64
+	for i := range camp.Plan.Units {
+		inner := camp.Plan.Units[i].Fn
+		camp.Plan.Units[i].Fn = func(rate float64, seed uint64) float64 {
+			v := inner(rate, seed)
+			at(calls.Add(1))
+			return v
+		}
+	}
+	return camp, &calls
+}
+
+// TestCancelMergesPartialLease: a cancel that lands while one lease is
+// being merged and the next one runs stops the running lease's trials,
+// and both leases are merged before Run returns, so a cancel drops no
+// computed trial: the store holds exactly as many trials as the trial
+// function completed. The first lease's merge is held until the cancel,
+// so the second lease is the table's floor of 16 trials too, and the
+// cancel lands inside it.
+func TestCancelMergesPartialLease(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gate := make(chan struct{})
+	camp, calls := countedCampaign(t, func(n int64) {
+		if n == 20 {
+			cancel()
+			close(gate)
+		}
+	})
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Close()
+	w := &watchedSource{t: t, before: func(n int) error {
+		if n == 1 {
+			<-gate
+		}
+		return nil
+	}}
+	if err := w.consume(ctx, NewExecution(camp, st)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Consume = %v, want a cancellation", err)
+	}
 	n := calls.Load()
-	if n <= 16 || n >= int64(camp.Total()) {
+	if n < 20 || n >= 32 {
 		t.Fatalf("%d trials ran; want the cancel inside the second lease", n)
+	}
+	if got := w.n.Load(); got != 2 {
+		t.Errorf("%d deliveries, want both leases'", got)
 	}
 	if done := st.Done(camp.Plan); int64(done) != n {
 		t.Errorf("store holds %d trials, want the %d the trial function completed", done, n)
+	}
+}
+
+// TestConsumeJoinsDelivery: however a run ends, by a failed delivery, a
+// cancel or a store closed under it, no delivery runs once Consume has
+// returned. Each delivery first sleeps a little, so a delivery left
+// running would show.
+func TestConsumeJoinsDelivery(t *testing.T) {
+	errDeliver := errors.New("delivery failed")
+	for _, tc := range []struct {
+		name   string
+		cancel int64 // trial after which ctx is cancelled, 0 = never
+		fail   int   // delivery that fails, 0 = none
+		close  int   // delivery before which the store is closed, 0 = none
+		want   error
+	}{
+		{name: "delivery error", fail: 2, want: errDeliver},
+		{name: "cancel", cancel: 20, want: context.Canceled},
+		{name: "store close", close: 2, want: os.ErrClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			camp, _ := countedCampaign(t, func(n int64) {
+				if n == tc.cancel {
+					cancel()
+				}
+			})
+			st, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer st.Close()
+			w := &watchedSource{t: t, before: func(n int) error {
+				time.Sleep(time.Millisecond)
+				switch n {
+				case tc.fail:
+					return errDeliver
+				case tc.close:
+					return st.Close()
+				}
+				return nil
+			}}
+			if err := w.consume(ctx, NewExecution(camp, st)); !errors.Is(err, tc.want) {
+				t.Fatalf("Consume = %v, want %v", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -391,9 +391,11 @@ func TestCancelInterrupted(t *testing.T) {
 func TestCloseLeavesRunningInterrupted(t *testing.T) {
 	root := t.TempDir()
 	m1 := newManager(t, root, 1)
+	// 36 trials: more than the first two leases, 16 each (the table's
+	// floor), so progress shows while a lease still has trials to run.
 	spec := Spec{
 		Custom: &CustomSweep{Workload: "sort/robust", Rates: []float64{0.05, 0.1, 0.2}, Iters: 2000},
-		Trials: 6, Seed: 13, Workers: 1,
+		Trials: 12, Seed: 13, Workers: 1,
 	}
 	id, err := m1.Submit(spec)
 	if err != nil {

@@ -8,20 +8,19 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
 // Client is the worker side of the lease protocol: a thin HTTP client
-// for robustd's /workers endpoints. Register and Forget change the
-// worker id and must not run concurrently with any other call; Lease and
-// Report only read it, so a worker may report from one goroutine while
-// its main loop leases from another once registration is done.
+// for robustd's /workers endpoints. It is safe for concurrent use: a
+// worker reports from one goroutine while it leases, and re-registers,
+// from another.
 type Client struct {
-	base   string
-	name   string
-	hc     *http.Client
-	worker string
-	ttl    time.Duration
+	base string
+	name string
+	hc   *http.Client
+	reg  atomic.Pointer[RegisterResponse] // nil until Register, and after Forget
 }
 
 // NewClient creates a client for the coordinator at base (e.g.
@@ -35,17 +34,27 @@ func NewClient(base, name string) *Client {
 }
 
 // Registered reports whether the client holds a worker id.
-func (c *Client) Registered() bool { return c.worker != "" }
+func (c *Client) Registered() bool { return c.reg.Load() != nil }
 
 // WorkerID returns the coordinator-assigned id ("" before Register).
-func (c *Client) WorkerID() string { return c.worker }
+func (c *Client) WorkerID() string {
+	if r := c.reg.Load(); r != nil {
+		return r.Worker
+	}
+	return ""
+}
 
 // LeaseTTL returns the coordinator's lease TTL (0 before Register).
-func (c *Client) LeaseTTL() time.Duration { return c.ttl }
+func (c *Client) LeaseTTL() time.Duration {
+	if r := c.reg.Load(); r != nil {
+		return r.LeaseTTL
+	}
+	return 0
+}
 
 // Forget drops the worker id so the next Register starts fresh — called
 // after ErrUnknownWorker, i.e. after a coordinator restart.
-func (c *Client) Forget() { c.worker = "" }
+func (c *Client) Forget() { c.reg.Store(nil) }
 
 // Register announces the worker and stores the assigned id and TTL.
 func (c *Client) Register(ctx context.Context) error {
@@ -56,7 +65,7 @@ func (c *Client) Register(ctx context.Context) error {
 	if resp.Worker == "" {
 		return fmt.Errorf("dispatch: register: coordinator assigned no worker id")
 	}
-	c.worker, c.ttl = resp.Worker, resp.LeaseTTL
+	c.reg.Store(&resp)
 	return nil
 }
 
@@ -65,7 +74,7 @@ func (c *Client) Register(ctx context.Context) error {
 // coordinator forgot us (restart) — Forget, Register, retry.
 func (c *Client) Lease(ctx context.Context) (*LeaseResponse, error) {
 	var resp LeaseResponse
-	ok, err := c.postMaybe(ctx, "/workers/lease", LeaseRequest{Worker: c.worker}, &resp)
+	ok, err := c.send(ctx, "/workers/lease", LeaseRequest{Worker: c.WorkerID()}, &resp)
 	if err != nil || !ok {
 		return nil, err
 	}
@@ -78,46 +87,36 @@ func (c *Client) Lease(ctx context.Context) (*LeaseResponse, error) {
 // the version-skew signal). The body is encoded by AppendReport, without
 // reflection, in the bytes json.Marshal would produce.
 func (c *Client) Report(ctx context.Context, campaign, lease string, results []TrialResult, done bool) (ReportResponse, error) {
-	req := ReportRequest{Worker: c.worker, Campaign: campaign, Lease: lease, Results: results, Done: done}
+	req := ReportRequest{Worker: c.WorkerID(), Campaign: campaign, Lease: lease, Results: results, Done: done}
 	body, err := AppendReport(make([]byte, 0, 128+80*len(results)), &req)
 	if err != nil {
 		return ReportResponse{}, err
 	}
 	var resp ReportResponse
-	err = c.postBody(ctx, "/workers/report", body, &resp)
+	err = c.post(ctx, "/workers/report", body, &resp)
 	return resp, err
 }
 
+// post is send for a request that must be answered with a body.
 func (c *Client) post(ctx context.Context, path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	return c.postBody(ctx, path, body, resp)
-}
-
-// postBody is post for an encoded request body.
-func (c *Client) postBody(ctx context.Context, path string, body []byte, resp any) error {
-	ok, err := c.send(ctx, path, body, resp)
+	ok, err := c.send(ctx, path, req, resp)
 	if err == nil && !ok {
 		return fmt.Errorf("dispatch: %s: unexpected empty response", path)
 	}
 	return err
 }
 
-// postMaybe POSTs req as JSON and decodes the response into resp; ok is
-// false on 204 No Content (no work). 404 maps to ErrUnknownWorker —
-// these endpoints have no other not-found cause.
-func (c *Client) postMaybe(ctx context.Context, path string, req, resp any) (ok bool, err error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false, err
+// send POSTs req, JSON-encoded unless it is an encoded body already, and
+// decodes the response into resp; ok is false on 204 No Content (no
+// work). 404 maps to ErrUnknownWorker — these endpoints have no other
+// not-found cause.
+func (c *Client) send(ctx context.Context, path string, req, resp any) (ok bool, err error) {
+	body, encoded := req.([]byte)
+	if !encoded {
+		if body, err = json.Marshal(req); err != nil {
+			return false, err
+		}
 	}
-	return c.send(ctx, path, body, resp)
-}
-
-// send POSTs an encoded request body; see postMaybe.
-func (c *Client) send(ctx context.Context, path string, body []byte, resp any) (ok bool, err error) {
 	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return false, err

@@ -63,7 +63,7 @@ func (j *runningJob) fail(err error) {
 func (j *runningJob) report(c *Coordinator, req ReportRequest, now time.Time, ttl time.Duration) (ReportResponse, error) {
 	valid := req.Results[:0]
 	for _, r := range req.Results {
-		if j.inGrid(r.Key()) && (j.job.Verify == nil || j.job.Verify(r)) {
+		if inGrid(j.job.Units, r.Key()) && (j.job.Verify == nil || j.job.Verify(r)) {
 			valid = append(valid, r)
 		}
 	}
@@ -78,14 +78,6 @@ func (j *runningJob) report(c *Coordinator, req ReportRequest, now time.Time, tt
 	}
 	lost := j.table.Report(req.Lease, valid, req.Done, now, ttl)
 	return ReportResponse{Lost: lost, Rejected: rejected}, nil
-}
-
-func (j *runningJob) inGrid(k Key) bool {
-	if k.Unit < 0 || k.Unit >= len(j.job.Units) {
-		return false
-	}
-	g := j.job.Units[k.Unit]
-	return k.RateIdx >= 0 && k.RateIdx < g.Rates && k.TrialIdx >= 0 && k.TrialIdx < g.Trials
 }
 
 type workerInfo struct {

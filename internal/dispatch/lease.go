@@ -309,15 +309,11 @@ func (t *Table) markDurableLocked(results []TrialResult, owner *leaseEntry) int 
 	in, fresh := 0, 0
 	for i := range results {
 		k := results[i].Key()
-		if k.Unit < 0 || k.Unit >= len(t.units) {
-			continue
-		}
-		g := t.units[k.Unit]
-		if k.RateIdx < 0 || k.RateIdx >= g.Rates || k.TrialIdx < 0 || k.TrialIdx >= g.Trials {
+		if !inGrid(t.units, k) {
 			continue
 		}
 		in++
-		i := k.RateIdx*g.Trials + k.TrialIdx
+		i := k.RateIdx*t.units[k.Unit].Trials + k.TrialIdx
 		if t.isDurable(k.Unit, i) {
 			continue
 		}
@@ -340,6 +336,15 @@ func (t *Table) markDurableLocked(results []TrialResult, owner *leaseEntry) int 
 		close(t.done)
 	}
 	return in
+}
+
+// inGrid reports whether k addresses a trial of the grid units.
+func inGrid(units []UnitGrid, k Key) bool {
+	if k.Unit < 0 || k.Unit >= len(units) {
+		return false
+	}
+	g := units[k.Unit]
+	return k.RateIdx >= 0 && k.RateIdx < g.Rates && k.TrialIdx >= 0 && k.TrialIdx < g.Trials
 }
 
 // holderLocked returns the outstanding lease whose range holds index i
