@@ -19,8 +19,8 @@
 // heartbeats, the plan cache, hand-backs and the shutdown budget. A
 // lease's measured rate, and so the size of the next one, can include
 // the wait for the previous report. On SIGTERM the trials running get
-// 2 s to finish, and the report in flight and the flush of the shard
-// that was running get 2 s from the signal.
+// 2 s to finish, and each report still to go gets 2 s from the signal
+// or from its own start, whichever is later (about 4 s in all).
 //
 // The worker is disposable by design: SIGKILL one mid-shard and the
 // coordinator reassigns its leases after the TTL; nothing is lost but
@@ -140,8 +140,8 @@ func run(args []string) error {
 // simply reset (campaigns in flight recompile once).
 const planCacheMax = 64
 
-// detachedBudget bounds a shutdown: the wait for the trial loop to stop,
-// and, from the shutdown on, each report still to go.
+// detachedBudget bounds each step of a shutdown: the trial loop's stop,
+// and each report, from the shutdown or its start, whichever is later.
 const detachedBudget = 2 * time.Second
 
 // worker is the dispatch.Source that dispatch.Consume drives: it leases
@@ -349,8 +349,8 @@ func (w *worker) Run(ctx context.Context, s int) error {
 // Deliver reports slot s's results in a done report, also when the run
 // was cut short: the coordinator re-leases whatever is missing at once,
 // so an unrunnable lease goes back as an empty done report, throttled by
-// the poll interval, instead of parking for a TTL. The report outlives
-// ctx by up to detachedBudget.
+// the poll interval, instead of parking for a TTL. The report may run
+// detachedBudget past ctx's end or its own start, whichever is later.
 func (w *worker) Deliver(ctx context.Context, s int) error {
 	sl := &w.slots[s]
 	rctx, cancel := detach(ctx)
@@ -363,7 +363,7 @@ func (w *worker) Deliver(ctx context.Context, s int) error {
 }
 
 // detach returns a context for a report that ctx's end does not cut off
-// at once: it ends detachedBudget later.
+// at once: it ends detachedBudget after ctx ends (or after the call).
 func detach(ctx context.Context) (context.Context, context.CancelFunc) {
 	dctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	stop := context.AfterFunc(ctx, func() { time.AfterFunc(detachedBudget, cancel) })

@@ -385,6 +385,35 @@ func TestRunAfterFailedMergeStartsClean(t *testing.T) {
 	}
 }
 
+// TestRunDoneAfterLateCancel: a cancel that lands after the last trial
+// has run still leaves every trial durable once the leases are merged,
+// and Run reports the campaign finished (nil), not cancelled, so the
+// manager records it done rather than interrupted.
+func TestRunDoneAfterLateCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var camp *Campaign
+	camp, _ = countedCampaign(t, func(n int64) {
+		if n == int64(camp.Total()) {
+			cancel()
+		}
+	})
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Close()
+	if err := NewExecution(camp, st).Run(ctx); err != nil {
+		t.Fatalf("Run = %v, want nil: every trial ran", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the last trial did not cancel the run")
+	}
+	if done := st.Done(camp.Plan); done != camp.Total() {
+		t.Errorf("store holds %d trials, want all %d", done, camp.Total())
+	}
+}
+
 // watchedSource is Run's lease source with a hook that runs on the
 // delivery goroutine before each delivery (numbered from 1), and a
 // check that no delivery is running, or runs on, once Consume returns.

@@ -10,19 +10,10 @@ import (
 // collectorCap bounds the number of (rate, seed) keys a Collector holds.
 // Keys are removed by Take as trials complete; the cap only matters if a
 // caller attaches recorders and never takes them (e.g. a workload building
-// throwaway units outside any trial), in which case a shard that reaches
-// its share of the cap is reset — recorders stay referenced by their live
-// units, they just stop being retrievable, which loses diagnostics but
-// can never leak unboundedly.
+// throwaway units outside any trial), in which case the map is reset —
+// recorders stay referenced by their live units, they just stop being
+// retrievable, which loses diagnostics but can never leak unboundedly.
 const collectorCap = 16384
-
-// collectorShards is how many separately locked maps a Collector spreads
-// its keys over, so that trial goroutines, each recording and taking its
-// own trial's recorders, seldom wait on one another.
-const (
-	collectorShardBits = 4
-	collectorShards    = 1 << collectorShardBits
-)
 
 // Collector hands out FaultRecorders keyed by (rate, seed) — the identity
 // the trial layer already threads everywhere — and lets the sink that
@@ -32,15 +23,8 @@ const (
 // seed) (one per solver variant under comparison); each gets its own
 // recorder and Take merges them.
 type Collector struct {
-	shards [collectorShards]collectorShard
-}
-
-// collectorShard is one lock and the keys it guards, padded to its own
-// cache line.
-type collectorShard struct {
 	mu    sync.Mutex
 	byKey map[collectorKey][]*FaultRecorder
-	_     [64 - 16]byte
 }
 
 type collectorKey struct {
@@ -50,31 +34,20 @@ type collectorKey struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	c := &Collector{}
-	for i := range c.shards {
-		c.shards[i].byKey = make(map[collectorKey][]*FaultRecorder)
-	}
-	return c
-}
-
-// shard returns the shard that holds (rate, seed) and its key.
-func (c *Collector) shard(rate float64, seed uint64) (*collectorShard, collectorKey) {
-	k := collectorKey{rate: math.Float64bits(rate), seed: seed}
-	h := (k.rate ^ k.seed) * 0x9e3779b97f4a7c15 // Fibonacci hashing: the top bits mix every input bit
-	return &c.shards[h>>(64-collectorShardBits)], k
+	return &Collector{byKey: make(map[collectorKey][]*FaultRecorder)}
 }
 
 // Observer returns a fresh recorder registered under (rate, seed). It is
 // the factory signature expected by faultmodel.SetUnitObserver.
 func (c *Collector) Observer(rate float64, seed uint64) fpu.Observer {
 	r := &FaultRecorder{}
-	sh, k := c.shard(rate, seed)
-	sh.mu.Lock()
-	if len(sh.byKey) >= collectorCap/collectorShards {
-		sh.byKey = make(map[collectorKey][]*FaultRecorder)
+	k := collectorKey{rate: math.Float64bits(rate), seed: seed}
+	c.mu.Lock()
+	if len(c.byKey) >= collectorCap {
+		c.byKey = make(map[collectorKey][]*FaultRecorder)
 	}
-	sh.byKey[k] = append(sh.byKey[k], r)
-	sh.mu.Unlock()
+	c.byKey[k] = append(c.byKey[k], r)
+	c.mu.Unlock()
 	return r
 }
 
@@ -84,11 +57,11 @@ func (c *Collector) Observer(rate float64, seed uint64) fpu.Observer {
 // at that key has finished computing (its units' goroutine has returned),
 // which the harness guarantees for sinks.
 func (c *Collector) Take(rate float64, seed uint64) *FaultRecorder {
-	sh, k := c.shard(rate, seed)
-	sh.mu.Lock()
-	rs := sh.byKey[k]
-	delete(sh.byKey, k)
-	sh.mu.Unlock()
+	k := collectorKey{rate: math.Float64bits(rate), seed: seed}
+	c.mu.Lock()
+	rs := c.byKey[k]
+	delete(c.byKey, k)
+	c.mu.Unlock()
 	switch len(rs) {
 	case 0:
 		return nil
@@ -106,23 +79,20 @@ func (c *Collector) Take(rate float64, seed uint64) *FaultRecorder {
 // rate — the aggregate view robustbench's -telemetry report uses after a
 // run, when individual trials no longer matter.
 func (c *Collector) DrainByRate() map[float64]*FaultRecorder {
+	c.mu.Lock()
+	byKey := c.byKey
+	c.byKey = make(map[collectorKey][]*FaultRecorder)
+	c.mu.Unlock()
 	out := make(map[float64]*FaultRecorder)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		byKey := sh.byKey
-		sh.byKey = make(map[collectorKey][]*FaultRecorder)
-		sh.mu.Unlock()
-		for k, rs := range byKey {
-			rate := math.Float64frombits(k.rate)
-			m := out[rate]
-			if m == nil {
-				m = &FaultRecorder{}
-				out[rate] = m
-			}
-			for _, r := range rs {
-				m.Merge(r)
-			}
+	for k, rs := range byKey {
+		rate := math.Float64frombits(k.rate)
+		m := out[rate]
+		if m == nil {
+			m = &FaultRecorder{}
+			out[rate] = m
+		}
+		for _, r := range rs {
+			m.Merge(r)
 		}
 	}
 	return out

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -103,45 +102,21 @@ func TestCollectorTakeMerges(t *testing.T) {
 	}
 }
 
-// TestCollectorCap: recorders never taken stay bounded by collectorCap
-// over the whole collector, however its shards fill.
+// TestCollectorCap: every recorder up to collectorCap keys stays
+// retrievable, and recorders never taken stay bounded by collectorCap.
 func TestCollectorCap(t *testing.T) {
 	c := NewCollector()
+	for seed := range uint64(collectorCap) {
+		c.Observer(0.01, seed).(*FaultRecorder).CompareFault(seed)
+	}
+	if got := c.DrainByRate()[0.01]; got == nil || got.CompareFaults != collectorCap {
+		t.Fatalf("DrainByRate below the cap = %+v, want all %d recorders", got, collectorCap)
+	}
 	for seed := range uint64(3 * collectorCap) {
 		c.Observer(0.01, seed)
 	}
-	held := 0
-	for i := range c.shards {
-		held += len(c.shards[i].byKey)
-	}
-	if held == 0 || held > collectorCap {
+	if held := len(c.byKey); held == 0 || held > collectorCap {
 		t.Errorf("collector holds %d keys, want 1 to %d", held, collectorCap)
-	}
-}
-
-// TestCollectorConcurrentTrials: trial goroutines recording and taking
-// their own trials at once each get back exactly their own recorder.
-func TestCollectorConcurrentTrials(t *testing.T) {
-	c := NewCollector()
-	var wg sync.WaitGroup
-	for g := range uint64(4) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range uint64(2000) {
-				seed := g<<32 | i
-				r := c.Observer(0.05, seed).(*FaultRecorder)
-				r.CompareFault(i)
-				if got := c.Take(0.05, seed); got != r {
-					t.Errorf("Take(0.05, %d) = %p, want the trial's own recorder %p", seed, got, r)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if left := c.DrainByRate(); len(left) != 0 {
-		t.Errorf("recorders left after every Take: %v", left)
 	}
 }
 
