@@ -230,7 +230,7 @@ type local struct {
 }
 
 // localSlot holds one lease. Its trials collect in pend and, their
-// latency and fault summary, in diag by offset in the shard.
+// latency and fault recorder, in diag by offset in the shard.
 type localSlot struct {
 	src   *local
 	lease dispatch.Lease
@@ -239,7 +239,7 @@ type localSlot struct {
 	hooks harness.Hooks
 	diag  []struct {
 		dur    time.Duration
-		faults *obs.FaultSummary
+		faults *obs.FaultRecorder
 	}
 }
 
@@ -315,11 +315,7 @@ func (src *local) Deliver(_ context.Context, s int) error {
 func (sl *localSlot) sink(t harness.Trial) {
 	hub, sh := sl.src.e.hub, sl.lease.Shard
 	d := &sl.diag[t.RateIdx*sl.per+t.TrialIdx-sh.Start]
-	d.dur, d.faults = t.Dur, nil
-	if fr := hub.TakeFaults(t.Rate, t.Seed); fr != nil {
-		s := fr.Summary()
-		d.faults = &s
-	}
+	d.dur, d.faults = t.Dur, hub.TakeFaults(t.Rate, t.Seed)
 	hub.ObserveTrial(sl.src.label, t.Dur)
 	sl.pend.Add(Record{Unit: sh.Unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx, Rate: t.Rate, Seed: t.Seed, Value: t.Value})
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"robustify/internal/dispatch"
+	"robustify/internal/jsonl"
 )
 
 // FuzzStoreOpen feeds arbitrary bytes to the store loader as a pre-existing
@@ -88,7 +89,7 @@ func FuzzStoreOpen(f *testing.F) {
 func FuzzStoreOpenPlan(f *testing.F) {
 	plan := durablePlan()
 	line := func(rec Record) []byte {
-		b, _ := dispatch.AppendResult(nil, &rec)
+		b, _ := dispatch.AppendResult(nil, &rec, new(jsonl.FloatMemo))
 		return append(b, '\n')
 	}
 	good := line(pinnedRecord(plan, 1, 0, 64, 1.5))

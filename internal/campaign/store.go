@@ -16,6 +16,7 @@ import (
 	"robustify/internal/dispatch"
 	"robustify/internal/figures"
 	"robustify/internal/fsutil"
+	"robustify/internal/jsonl"
 )
 
 // storeFile, specFile, and metaFile (see meta.go) are the on-disk layout
@@ -57,6 +58,9 @@ type Store struct {
 	plan  *figures.Plan
 	cells map[cellKey]cell
 	words int
+	// rate remembers the last rate PutBatch encoded: a lease's records
+	// share a few cells, so each cell's rate is formatted once.
+	rate jsonl.FloatMemo
 }
 
 // cell is one (unit, rate index) cell of a store: vals[t] is trial t's
@@ -303,7 +307,7 @@ func (st *Store) PutBatch(recs []Record) ([]Record, error) {
 			continue // durable or earlier in the batch; keep the store free of duplicates
 		}
 		var ok bool
-		if b, ok = dispatch.AppendResult(b, rec); !ok || !held {
+		if b, ok = dispatch.AppendResult(b, rec, &st.rate); !ok || !held {
 			st.drop(fresh)
 			if !held {
 				return nil, fmt.Errorf("campaign: trial (%d, %d, %d) is outside the store's grid", rec.Unit, rec.RateIdx, rec.TrialIdx)

@@ -212,8 +212,9 @@ func TestStoreReplayChecksPlan(t *testing.T) {
 	outOfGrid := pinnedRecord(plan, 1, 0, 69, 8)
 	outOfGrid.TrialIdx = 70
 	var b []byte
+	var rate jsonl.FloatMemo
 	for _, rec := range append(good, wrongRate, wrongSeed, otherSpec, outOfGrid) {
-		b, _ = dispatch.AppendResult(b, &rec)
+		b, _ = dispatch.AppendResult(b, &rec, &rate)
 		b = append(b, '\n')
 	}
 	dir := t.TempDir()
@@ -286,8 +287,9 @@ func TestResumeReplayRerunsDropped(t *testing.T) {
 	recs[7].Seed = harness.Sweep{Seed: spec.Seed + 1}.TrialSeed(recs[7].RateIdx, recs[7].TrialIdx)
 	recs = append(recs, Record{Unit: 0, RateIdx: 3, Rate: 0.5, Value: 1}, Record{Unit: 0, TrialIdx: 4, Rate: 0.01, Value: 1})
 	var b []byte
+	var rate jsonl.FloatMemo
 	for _, rec := range recs {
-		b, _ = dispatch.AppendResult(b, &rec)
+		b, _ = dispatch.AppendResult(b, &rec, &rate)
 		b = append(b, '\n')
 	}
 	if err := os.WriteFile(path, b, 0o644); err != nil {
@@ -461,7 +463,7 @@ func sameRecord(a, b Record) bool {
 func checkRecordCodec(t *testing.T, rec Record) {
 	t.Helper()
 	want, werr := json.Marshal(rec)
-	got, ok := dispatch.AppendResult(nil, &rec)
+	got, ok := dispatch.AppendResult(nil, &rec, new(jsonl.FloatMemo))
 	if werr != nil {
 		if ok {
 			t.Fatalf("AppendResult(%+v) accepted a record json.Marshal rejects (%v)", rec, werr)
@@ -840,8 +842,9 @@ func BenchmarkRecordLine(b *testing.B) {
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf [256]byte
+		var rate jsonl.FloatMemo
 		for b.Loop() {
-			dispatch.AppendResult(buf[:0], &rec)
+			dispatch.AppendResult(buf[:0], &rec, &rate)
 		}
 	})
 	b.Run("encode-json", func(b *testing.B) {

@@ -18,13 +18,14 @@ func AppendReport(b []byte, req *ReportRequest) ([]byte, error) {
 	b = append(b, `,"lease":`...)
 	b = jsonl.AppendString(b, req.Lease)
 	if len(req.Results) > 0 {
+		var rate jsonl.FloatMemo
 		b = append(b, `,"results":[`...)
 		for i := range req.Results {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			var ok bool
-			if b, ok = AppendResult(b, &req.Results[i]); !ok {
+			if b, ok = AppendResult(b, &req.Results[i], &rate); !ok {
 				_, err := json.Marshal(req) // the error encoding/json reports for a non-finite value
 				return b, err
 			}
@@ -55,9 +56,10 @@ func AppendReportResponse(b []byte, resp ReportResponse) []byte {
 
 // AppendResult appends r as json.Marshal encodes it: a report's result
 // element and a campaign store line are the same bytes. The series is
-// written only when set. ok is false when r.Rate or r.Value is not
+// written only when set. The rate goes through the memo rate, which a
+// batch of results shares. ok is false when r.Rate or r.Value is not
 // finite, which encoding/json rejects.
-func AppendResult(b []byte, r *TrialResult) (_ []byte, ok bool) {
+func AppendResult(b []byte, r *TrialResult, rate *jsonl.FloatMemo) (_ []byte, ok bool) {
 	b = append(b, `{"u":`...)
 	b = strconv.AppendInt(b, int64(r.Unit), 10)
 	b = append(b, `,"r":`...)
@@ -65,7 +67,7 @@ func AppendResult(b []byte, r *TrialResult) (_ []byte, ok bool) {
 	b = append(b, `,"t":`...)
 	b = strconv.AppendInt(b, int64(r.TrialIdx), 10)
 	b = append(b, `,"rate":`...)
-	if b, ok = jsonl.AppendFloat(b, r.Rate); !ok {
+	if b, ok = rate.Append(b, r.Rate); !ok {
 		return b, false
 	}
 	b = append(b, `,"seed":`...)

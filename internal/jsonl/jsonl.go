@@ -24,8 +24,16 @@ import (
 // least 1e21, where it switches to 'e' with a one-digit negative exponent
 // written without its leading zero ("1e-7", not "1e-07"). ok is false,
 // and b is returned unchanged, for NaN and ±Inf, which encoding/json
-// rejects.
+// rejects. A whole number below 2^53 in magnitude, whose shortest
+// decimal is its integer digits, is written as an integer ("-0" for
+// negative zero), without the shortest-decimal search.
 func AppendFloat(b []byte, f float64) (_ []byte, ok bool) {
+	if math.Abs(f) < 1<<53 && f == math.Trunc(f) {
+		if f == 0 && math.Signbit(f) {
+			return append(b, "-0"...), true
+		}
+		return strconv.AppendInt(b, int64(f), 10), true
+	}
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return b, false
 	}
@@ -41,6 +49,30 @@ func AppendFloat(b []byte, f float64) (_ []byte, ok bool) {
 		}
 	}
 	return b, true
+}
+
+// FloatMemo remembers the last float appended through it and its bytes,
+// so a batch that encodes one value over and over (a cell's rate on each
+// of its trials' lines) formats it once. It keeps the bytes in a fixed
+// array, so remembering allocates nothing. The zero value is empty.
+type FloatMemo struct {
+	bits uint64 // math.Float64bits of the remembered value
+	n    uint8  // its length in buf; 0 when nothing is remembered
+	buf  [24]byte
+}
+
+// Append appends f as AppendFloat does, from the memo when f has the
+// remembered value's bits. An encoding longer than the memo's buffer is
+// written but not remembered.
+func (m *FloatMemo) Append(b []byte, f float64) (_ []byte, ok bool) {
+	if m.n > 0 && math.Float64bits(f) == m.bits {
+		return append(b, m.buf[:m.n]...), true
+	}
+	start := len(b)
+	if b, ok = AppendFloat(b, f); ok && len(b)-start <= len(m.buf) {
+		m.bits, m.n = math.Float64bits(f), uint8(copy(m.buf[:], b[start:]))
+	}
+	return b, ok
 }
 
 // AppendString appends s as a JSON string exactly as encoding/json encodes

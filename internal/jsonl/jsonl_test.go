@@ -11,12 +11,15 @@ import (
 )
 
 // floatCases cover both sides of encoding/json's 'f'/'e' switch (1e-6 and
-// 1e21), signed zero, the subnormal and float64 extremes, and a
-// two-digit negative exponent that keeps its digits.
+// 1e21), signed zero, the subnormal and float64 extremes, a two-digit
+// negative exponent that keeps its digits, and both sides of the
+// whole-number fast path's 2^53 bound.
 var floatCases = []float64{
 	0, math.Copysign(0, -1), 1, -1, 0.1, 1.5, 1e-7, -1e-7, 1e-6, 9.99999e-7,
 	1e20, 1e21, -1e21, 123456789e13, 5e-324, math.SmallestNonzeroFloat64,
 	math.MaxFloat64, -math.MaxFloat64, 1e-10, 2.5e-300, 1e300, 0.000123,
+	1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53), 1<<53 + 2, -(1<<53 + 2),
+	1<<53 - 0.5, 1 << 54, 1<<63 + 1<<11, -1e20, -1 << 63, 1e22, 4503599627370495.5,
 }
 
 func TestAppendFloatMatchesJSON(t *testing.T) {
@@ -39,6 +42,32 @@ func TestAppendFloatMatchesJSON(t *testing.T) {
 		if f := math.Float64frombits(r.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
 			check(f)
 		}
+		// Whole numbers of every magnitude, on both sides of 2^53.
+		f := math.Trunc(math.Ldexp(r.Float64(), r.Intn(70)))
+		check(f)
+		check(-f)
+	}
+}
+
+func TestFloatMemoMatchesAppendFloat(t *testing.T) {
+	var m FloatMemo
+	r := rand.New(rand.NewSource(2))
+	values := append(slices.Clone(floatCases), -1.2345678901234567e-6, math.NaN(), math.Inf(1))
+	for i := 0; i < 10000; i++ {
+		// Repeats, as a batch's rates come, and fresh values.
+		f := values[r.Intn(len(values))]
+		if i%3 == 0 {
+			f = r.Float64()
+		}
+		want, wok := AppendFloat([]byte("x"), f)
+		got, ok := m.Append([]byte("x"), f)
+		if ok != wok || string(got) != string(want) {
+			t.Fatalf("FloatMemo.Append(%v) = %q,%v; AppendFloat = %q,%v", f, got, ok, want, wok)
+		}
+	}
+	m = FloatMemo{}
+	if n := testing.AllocsPerRun(100, func() { m.Append(make([]byte, 0, 32), 0.05) }); n != 0 {
+		t.Errorf("FloatMemo.Append: %v allocations, want 0", n)
 	}
 }
 

@@ -19,12 +19,14 @@ const collectorCap = 16384
 // the trial layer already threads everywhere — and lets the sink that
 // observes a trial's completion take the merged counters back out.
 //
-// A trial function may build several faulty units for the same (rate,
-// seed) (one per solver variant under comparison); each gets its own
-// recorder and Take merges them.
+// The map holds the newest recorder of each key. A trial function may
+// build several faulty units for the same (rate, seed) (one per solver
+// variant under comparison); each gets its own recorder, chained to the
+// key's older ones through its next field, and Take merges the chain. A
+// trial that builds one unit thus costs one allocation: its recorder.
 type Collector struct {
 	mu    sync.Mutex
-	byKey map[collectorKey][]*FaultRecorder
+	byKey map[collectorKey]*FaultRecorder
 }
 
 type collectorKey struct {
@@ -34,7 +36,7 @@ type collectorKey struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{byKey: make(map[collectorKey][]*FaultRecorder)}
+	return &Collector{byKey: make(map[collectorKey]*FaultRecorder)}
 }
 
 // Observer returns a fresh recorder registered under (rate, seed). It is
@@ -44,34 +46,31 @@ func (c *Collector) Observer(rate float64, seed uint64) fpu.Observer {
 	k := collectorKey{rate: math.Float64bits(rate), seed: seed}
 	c.mu.Lock()
 	if len(c.byKey) >= collectorCap {
-		c.byKey = make(map[collectorKey][]*FaultRecorder)
+		c.byKey = make(map[collectorKey]*FaultRecorder)
 	}
-	c.byKey[k] = append(c.byKey[k], r)
+	r.next = c.byKey[k]
+	c.byKey[k] = r
 	c.mu.Unlock()
 	return r
 }
 
-// Take removes every recorder registered under (rate, seed) and returns
-// them merged, or nil when none were. A lone recorder (a trial that built
-// one unit) is returned itself, not copied. Call it only after the trial
-// at that key has finished computing (its units' goroutine has returned),
-// which the harness guarantees for sinks.
+// Take removes the recorders registered under (rate, seed) and returns
+// their counters, or nil when none were. A lone recorder (a trial that
+// built one unit) is returned itself, not copied; a chain is merged into
+// a fresh recorder. Call it only after the trial at that key has
+// finished computing (its units' goroutine has returned), which the
+// harness guarantees for sinks.
 func (c *Collector) Take(rate float64, seed uint64) *FaultRecorder {
 	k := collectorKey{rate: math.Float64bits(rate), seed: seed}
 	c.mu.Lock()
-	rs := c.byKey[k]
+	r := c.byKey[k]
 	delete(c.byKey, k)
 	c.mu.Unlock()
-	switch len(rs) {
-	case 0:
-		return nil
-	case 1:
-		return rs[0]
+	if r == nil || r.next == nil {
+		return r
 	}
 	merged := &FaultRecorder{}
-	for _, r := range rs {
-		merged.Merge(r)
-	}
+	merged.mergeChain(r)
 	return merged
 }
 
@@ -81,19 +80,17 @@ func (c *Collector) Take(rate float64, seed uint64) *FaultRecorder {
 func (c *Collector) DrainByRate() map[float64]*FaultRecorder {
 	c.mu.Lock()
 	byKey := c.byKey
-	c.byKey = make(map[collectorKey][]*FaultRecorder)
+	c.byKey = make(map[collectorKey]*FaultRecorder)
 	c.mu.Unlock()
 	out := make(map[float64]*FaultRecorder)
-	for k, rs := range byKey {
+	for k, r := range byKey {
 		rate := math.Float64frombits(k.rate)
 		m := out[rate]
 		if m == nil {
 			m = &FaultRecorder{}
 			out[rate] = m
 		}
-		for _, r := range rs {
-			m.Merge(r)
-		}
+		m.mergeChain(r)
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"os"
@@ -79,19 +81,83 @@ func TestRecorderMergeAndSummary(t *testing.T) {
 	}
 }
 
+// TestSummaryUnknownOpsAdd: ops 0 and 7 share the name "unknown", so
+// their counts add up in the summary and in the recorder's JSON.
+func TestSummaryUnknownOpsAdd(t *testing.T) {
+	r := &FaultRecorder{ValueFaults: 3}
+	r.PerOp[0], r.PerOp[7] = 1, 2
+	if got := r.Summary().ByOp["unknown"]; got != 3 {
+		t.Errorf(`Summary().ByOp["unknown"] = %d, want 3`, got)
+	}
+	want, err := json.Marshal(r.Summary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := r.appendJSON(nil)
+	if string(got) != string(want) || !strings.Contains(string(got), `"unknown":3`) {
+		t.Errorf("appendJSON = %s\njson.Marshal(Summary) = %s\nwant \"unknown\":3 in both", got, want)
+	}
+}
+
+// FuzzFaultSummaryJSON: for any counter values, the recorder's JSON,
+// written straight from the counters, equals json.Marshal of its
+// Summary. The input fills the counters in field order, eight bytes
+// each, PerOp and every iteration bucket included; missing bytes read 0.
+func FuzzFaultSummaryJSON(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(binary.LittleEndian.AppendUint64(nil, 1))
+	unknown := make([]byte, 8*(2+8))
+	unknown[8*2] = 1     // PerOp[0]
+	unknown[8*(2+7)] = 2 // PerOp[7]
+	f.Add(unknown)
+	f.Add(bytes.Repeat([]byte{0xff}, 8*(2+8+5+1+iterBuckets+3)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() uint64 {
+			var w [8]byte
+			data = data[copy(w[:], data):]
+			return binary.LittleEndian.Uint64(w[:])
+		}
+		r := &FaultRecorder{ValueFaults: next(), CompareFaults: next()}
+		for i := range r.PerOp {
+			r.PerOp[i] = next()
+		}
+		r.Sign, r.Exponent, r.Mantissa, r.MultiBit, r.Clustered = next(), next(), next(), next(), next()
+		r.Iterations = next()
+		for i := range r.IterBucket {
+			r.IterBucket[i] = next()
+		}
+		r.MemScans, r.MemWords, r.MemFaults = next(), next(), next()
+		want, err := json.Marshal(r.Summary())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.appendJSON(nil); string(got) != string(want) {
+			t.Fatalf("appendJSON = %s\njson.Marshal(Summary) = %s", got, want)
+		}
+	})
+}
+
 func TestCollectorTakeMerges(t *testing.T) {
 	c := NewCollector()
 	o1 := c.Observer(0.01, 7).(*FaultRecorder)
 	o2 := c.Observer(0.01, 7).(*FaultRecorder)   // second unit, same trial
+	o3 := c.Observer(0.01, 7).(*FaultRecorder)   // third unit, same trial
 	lone := c.Observer(0.01, 8).(*FaultRecorder) // different trial, one unit
 	o1.FaultInjected(fpu.OpAdd, 1, bitFlip(63))
 	o2.FaultInjected(fpu.OpMul, 2, bitFlip(5))
+	o3.CompareFault(3)
+	o3.MemoryFaults(64, 2)
 	got := c.Take(0.01, 7)
-	if got == nil || got.ValueFaults != 2 {
-		t.Fatalf("Take = %+v, want 2 merged faults", got)
+	if got == nil || got.ValueFaults != 2 || got.CompareFaults != 1 || got.MemFaults != 2 || got.Sign != 1 || got.Mantissa != 1 {
+		t.Fatalf("Take = %+v, want the three recorders merged", got)
 	}
-	if got == o1 || got == o2 || o1.ValueFaults != 1 || o2.ValueFaults != 1 {
-		t.Error("Take merged into one of the trial's own recorders")
+	for _, o := range []*FaultRecorder{o1, o2, o3} {
+		if got == o {
+			t.Error("Take merged into one of the trial's own recorders")
+		}
+	}
+	if o1.ValueFaults != 1 || o2.ValueFaults != 1 || o3.CompareFaults != 1 {
+		t.Error("Take changed one of the trial's own recorders")
 	}
 	if c.Take(0.01, 7) != nil {
 		t.Error("second Take returned recorders again")
@@ -99,6 +165,23 @@ func TestCollectorTakeMerges(t *testing.T) {
 	// A trial that built one unit gets its recorder back, not a copy.
 	if got := c.Take(0.01, 8); got != lone {
 		t.Errorf("Take of a lone recorder = %p, want the recorder itself %p", got, lone)
+	}
+}
+
+// TestCollectorAllocs: a one-unit trial's Observer and Take allocate
+// exactly its recorder.
+func TestCollectorAllocs(t *testing.T) {
+	c := NewCollector()
+	seed := uint64(0)
+	n := testing.AllocsPerRun(1000, func() {
+		seed++
+		c.Observer(0.05, seed).(*FaultRecorder).CompareFault(1)
+		if c.Take(0.05, seed) == nil {
+			t.Fatal("Take lost the recorder")
+		}
+	})
+	if n != 1 {
+		t.Errorf("Observer and Take of a one-unit trial: %v allocations, want 1", n)
 	}
 }
 
@@ -125,14 +208,18 @@ func TestCollectorDrainByRate(t *testing.T) {
 	c.Observer(0.01, 1).(*FaultRecorder).FaultInjected(fpu.OpAdd, 1, bitFlip(63))
 	c.Observer(0.01, 2).(*FaultRecorder).FaultInjected(fpu.OpAdd, 1, bitFlip(5))
 	c.Observer(0.1, 1).(*FaultRecorder).CompareFault(9)
+	// Three units of one trial: a chain of three recorders under one key.
+	for range 3 {
+		c.Observer(0.1, 2).(*FaultRecorder).MemoryFaults(8, 1)
+	}
 	byRate := c.DrainByRate()
 	if len(byRate) != 2 {
 		t.Fatalf("DrainByRate = %d rates, want 2", len(byRate))
 	}
-	if byRate[0.01].ValueFaults != 2 || byRate[0.1].CompareFaults != 1 {
+	if r := byRate[0.1]; byRate[0.01].ValueFaults != 2 || r.CompareFaults != 1 || r.MemScans != 3 || r.MemFaults != 3 {
 		t.Errorf("byRate = %+v / %+v", byRate[0.01], byRate[0.1])
 	}
-	if c.Take(0.01, 1) != nil || len(c.DrainByRate()) != 0 {
+	if c.Take(0.01, 1) != nil || c.Take(0.1, 2) != nil || len(c.DrainByRate()) != 0 {
 		t.Error("recorders left after a drain")
 	}
 }

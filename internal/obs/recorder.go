@@ -17,6 +17,7 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
+	"strings"
 
 	"robustify/internal/fpu"
 	"robustify/internal/jsonl"
@@ -77,6 +78,10 @@ type FaultRecorder struct {
 
 	lastFlop uint64
 	haveLast bool
+
+	// next is the recorder registered before this one under the same
+	// Collector key (see Collector).
+	next *FaultRecorder
 }
 
 var _ fpu.Observer = (*FaultRecorder)(nil)
@@ -158,13 +163,21 @@ func (r *FaultRecorder) Merge(other *FaultRecorder) {
 	r.MemFaults += other.MemFaults
 }
 
+// mergeChain folds chain and every recorder chained after it into r.
+func (r *FaultRecorder) mergeChain(chain *FaultRecorder) {
+	for ; chain != nil; chain = chain.next {
+		r.Merge(chain)
+	}
+}
+
 // Total returns the number of recorded faults of all kinds.
 func (r *FaultRecorder) Total() uint64 {
 	return r.ValueFaults + r.CompareFaults + r.MemFaults
 }
 
-// FaultSummary is the JSON form of a recorder, embedded in telemetry
-// records. Zero-valued fields are omitted so the common case (few faults,
+// FaultSummary is the decoded form of a recorder's JSON, the "faults"
+// object of a telemetry trial line and of robustbench's -telemetry
+// report. Zero-valued fields are omitted so the common case (few faults,
 // one model family) stays compact.
 type FaultSummary struct {
 	Total      uint64            `json:"total"`
@@ -182,23 +195,27 @@ type FaultSummary struct {
 	MemFaults  uint64            `json:"mem_faults,omitempty"`
 }
 
-// appendJSON appends s exactly as json.Marshal encodes it: omitempty
-// fields skipped, map keys sorted.
-func (s *FaultSummary) appendJSON(b []byte) []byte {
+// MarshalJSON encodes r as json.Marshal encodes r.Summary().
+func (r *FaultRecorder) MarshalJSON() ([]byte, error) { return r.appendJSON(nil), nil }
+
+// appendJSON appends r exactly as json.Marshal encodes r.Summary(), but
+// straight from the counters: omitempty fields skipped, the by_op and
+// by_iter_bucket keys in sorted order, no map built.
+func (r *FaultRecorder) appendJSON(b []byte) []byte {
 	b = append(b, `{"total":`...)
-	b = strconv.AppendUint(b, s.Total, 10)
-	b = appendCount(b, `,"compares":`, s.Compares)
-	b = appendCounts(b, `,"by_op":`, s.ByOp)
-	b = appendCount(b, `,"sign":`, s.Sign)
-	b = appendCount(b, `,"exponent":`, s.Exponent)
-	b = appendCount(b, `,"mantissa":`, s.Mantissa)
-	b = appendCount(b, `,"multi_bit":`, s.MultiBit)
-	b = appendCount(b, `,"clustered":`, s.Clustered)
-	b = appendCount(b, `,"iterations":`, s.Iterations)
-	b = appendCounts(b, `,"by_iter_bucket":`, s.ByIter)
-	b = appendCount(b, `,"mem_scans":`, s.MemScans)
-	b = appendCount(b, `,"mem_words":`, s.MemWords)
-	b = appendCount(b, `,"mem_faults":`, s.MemFaults)
+	b = strconv.AppendUint(b, r.Total(), 10)
+	b = appendCount(b, `,"compares":`, r.CompareFaults)
+	b = appendCounters(b, `,"by_op":`, opKeys, r.PerOp[:])
+	b = appendCount(b, `,"sign":`, r.Sign)
+	b = appendCount(b, `,"exponent":`, r.Exponent)
+	b = appendCount(b, `,"mantissa":`, r.Mantissa)
+	b = appendCount(b, `,"multi_bit":`, r.MultiBit)
+	b = appendCount(b, `,"clustered":`, r.Clustered)
+	b = appendCount(b, `,"iterations":`, r.Iterations)
+	b = appendCounters(b, `,"by_iter_bucket":`, iterKeys, r.IterBucket[:])
+	b = appendCount(b, `,"mem_scans":`, r.MemScans)
+	b = appendCount(b, `,"mem_words":`, r.MemWords)
+	b = appendCount(b, `,"mem_faults":`, r.MemFaults)
 	return append(b, '}')
 }
 
@@ -211,33 +228,73 @@ func appendCount(b []byte, key string, n uint64) []byte {
 	return strconv.AppendUint(append(b, key...), n, 10)
 }
 
-// appendCounts appends an omitempty counter map field with its keys in
-// sorted order, as encoding/json writes maps.
-func appendCounts(b []byte, key string, m map[string]uint64) []byte {
-	if len(m) == 0 {
-		return b
-	}
-	var arr [iterBuckets]string // holds every key Summary produces
-	keys := arr[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	b = append(b, key...)
-	for i, k := range keys {
-		if i == 0 {
-			b = append(b, '{')
-		} else {
-			b = append(b, ',')
-		}
-		b = jsonl.AppendString(b, k)
-		b = append(b, ':')
-		b = strconv.AppendUint(b, m[k], 10)
-	}
-	return append(b, '}')
+// counterKey is one key of a counter map in Summary: its encoded form
+// ("name":) and the counter indices whose nonzero counts it sums.
+type counterKey struct {
+	prefix string
+	idx    []int
 }
 
-// Summary converts the counters to their wire form.
+// opKeys and iterKeys are the keys of Summary's ByOp and ByIter maps in
+// the sorted order encoding/json writes map keys.
+var (
+	opKeys   = counterKeys(len(FaultRecorder{}.PerOp), func(i int) string { return fpu.Op(i).String() })
+	iterKeys = counterKeys(iterBuckets, iterBucketLabel)
+)
+
+// counterKeys groups counter indices 0..n-1 by their label, sorted by
+// label.
+func counterKeys(n int, label func(int) string) []counterKey {
+	var keys []counterKey
+	for i := range n {
+		name := label(i)
+		j := slices.IndexFunc(keys, func(k counterKey) bool { return k.prefix == name })
+		if j < 0 {
+			j = len(keys)
+			keys = append(keys, counterKey{prefix: name})
+		}
+		keys[j].idx = append(keys[j].idx, i)
+	}
+	slices.SortFunc(keys, func(a, b counterKey) int { return strings.Compare(a.prefix, b.prefix) })
+	for i := range keys {
+		keys[i].prefix = string(append(jsonl.AppendString(nil, keys[i].prefix), ':'))
+	}
+	return keys
+}
+
+// appendCounters appends an omitempty counter map field as json.Marshal
+// encodes the map Summary builds from counts: a key is present when one
+// of its counters is nonzero, with their sum.
+func appendCounters(b []byte, field string, keys []counterKey, counts []uint64) []byte {
+	open := false
+	for _, k := range keys {
+		var n uint64
+		set := false
+		for _, i := range k.idx {
+			if counts[i] > 0 {
+				n += counts[i]
+				set = true
+			}
+		}
+		if !set {
+			continue
+		}
+		if open {
+			b = append(b, ',')
+		} else {
+			b = append(append(b, field...), '{')
+			open = true
+		}
+		b = strconv.AppendUint(append(b, k.prefix...), n, 10)
+	}
+	if open {
+		b = append(b, '}')
+	}
+	return b
+}
+
+// Summary converts the counters to the FaultSummary that r's JSON
+// decodes to.
 func (r *FaultRecorder) Summary() FaultSummary {
 	s := FaultSummary{
 		Total:      r.Total(),
@@ -257,7 +314,7 @@ func (r *FaultRecorder) Summary() FaultSummary {
 			if s.ByOp == nil {
 				s.ByOp = make(map[string]uint64)
 			}
-			s.ByOp[fpu.Op(op).String()] = n
+			s.ByOp[fpu.Op(op).String()] += n // ops 0 and 7 are both "unknown"
 		}
 	}
 	for b, n := range r.IterBucket {

@@ -49,6 +49,7 @@ type Telemetry struct {
 	buf   []byte                      // the lines not yet written, oldest first
 	first time.Time                   // when buf's oldest line was stamped
 	stamp [len(time.RFC3339Nano)]byte // the latest timestamp's bytes
+	rate  jsonl.FloatMemo             // the last trial line's rate
 }
 
 // OpenTelemetry opens (creating if needed) dir/telemetry.jsonl for append.
@@ -70,7 +71,9 @@ func OpenTelemetry(dir string) (*Telemetry, error) {
 // TrialRecord is the telemetry line written per completed trial: the
 // trial's identity and value (duplicating the store record so telemetry is
 // self-contained), its wall-clock latency, and — when a fault recorder was
-// attached — where its faults landed.
+// attached — where its faults landed. Faults is the recorder the trial's
+// collector handed back; the line encodes its counters as their
+// FaultSummary, which is what a reader decodes the "faults" object into.
 type TrialRecord struct {
 	Campaign string  `json:"campaign,omitempty"`
 	Unit     string  `json:"unit,omitempty"`
@@ -85,7 +88,7 @@ type TrialRecord struct {
 	// are diagnostics: they never feed back into results.
 	DurationMicros int64 `json:"duration_us,omitempty"`
 
-	Faults *FaultSummary `json:"faults,omitempty"`
+	Faults *FaultRecorder `json:"faults,omitempty"`
 }
 
 // Float marshals NaN and ±Inf as JSON strings (encoding/json rejects them
@@ -114,9 +117,10 @@ func (f Float) appendJSON(b []byte) []byte {
 	}
 }
 
-// appendJSON appends r exactly as json.Marshal encodes it. ok is false
-// when r.Rate is not finite, which encoding/json rejects.
-func (r *TrialRecord) appendJSON(b []byte) (_ []byte, ok bool) {
+// appendJSON appends r exactly as json.Marshal encodes it, its rate
+// through the memo rate. ok is false when r.Rate is not finite, which
+// encoding/json rejects.
+func (r *TrialRecord) appendJSON(b []byte, rate *jsonl.FloatMemo) (_ []byte, ok bool) {
 	b = append(b, '{')
 	if r.Campaign != "" {
 		b = append(b, `"campaign":`...)
@@ -138,7 +142,7 @@ func (r *TrialRecord) appendJSON(b []byte) (_ []byte, ok bool) {
 	b = append(b, `,"trial_idx":`...)
 	b = strconv.AppendInt(b, int64(r.TrialIdx), 10)
 	b = append(b, `,"rate":`...)
-	if b, ok = jsonl.AppendFloat(b, r.Rate); !ok {
+	if b, ok = rate.Append(b, r.Rate); !ok {
 		return b, false
 	}
 	b = append(b, `,"seed":`...)
@@ -183,7 +187,7 @@ func (t *Telemetry) appendTrials(kind string, n int, rec func(int) TrialRecord) 
 	bad := -1
 	err := t.write(false, n, func(b, ts []byte, i int) []byte {
 		r, line := rec(i), len(b)
-		b, ok := r.appendJSON(appendEnvelope(b, ts, kind))
+		b, ok := r.appendJSON(appendEnvelope(b, ts, kind), &t.rate)
 		if !ok {
 			bad = i
 			return b[:line]

@@ -11,22 +11,26 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"robustify/internal/fpu"
+	"robustify/internal/jsonl"
 )
 
-// bothMaps is a fault summary with every field set, both counter maps
-// included (keys inserted out of order, so the encoder must sort them).
-var bothMaps = &FaultSummary{
-	Total: 9, Compares: 1,
-	ByOp: map[string]uint64{"sub": 2, "add": 3, "cmp": 1, "mul": 3},
-	Sign: 1, Exponent: 2, Mantissa: 5, MultiBit: 1, Clustered: 4, Iterations: 300,
-	ByIter:   map[string]uint64{"256-511": 4, "0": 1, "1048576+": 1, "16-31": 2, "2-3": 1},
-	MemScans: 7, MemWords: 7000, MemFaults: 1,
+// bothMaps is a fault recorder with every summary field set, both
+// counter maps included (their keys are not in index order, so the
+// encoder must sort them).
+var bothMaps = &FaultRecorder{
+	ValueFaults: 7, CompareFaults: 1,
+	PerOp: [8]uint64{fpu.OpAdd: 3, fpu.OpSub: 2, fpu.OpMul: 3, fpu.OpCmp: 1},
+	Sign:  1, Exponent: 2, Mantissa: 5, MultiBit: 1, Clustered: 4, Iterations: 300,
+	IterBucket: [iterBuckets]uint64{0: 1, 2: 1, 5: 2, 9: 4, iterBuckets - 1: 1},
+	MemScans:   7, MemWords: 7000, MemFaults: 1,
 }
 
 // trialCases cover every branch of the hand-written TrialRecord encoder:
 // omitempty strings, the float notation switch, non-finite values (which
 // Float writes as strings), a zero and a negative duration, and fault
-// summaries from empty to full.
+// recorders from empty to full.
 var trialCases = []TrialRecord{
 	{},
 	{Campaign: "c0001", Unit: "sort/base", Series: "base", RateIdx: 1, TrialIdx: 2, Rate: 0.05, Seed: 42, Value: 0.25, DurationMicros: 14},
@@ -35,19 +39,50 @@ var trialCases = []TrialRecord{
 	{Unit: "a<b&c>d", Rate: 1e21, Value: Float(math.Inf(-1))},
 	{Campaign: `say "hi"`, Unit: "tab\there", Series: "café", Value: Float(math.Copysign(0, -1))},
 	{Rate: 5e-324, Value: Float(math.MaxFloat64), DurationMicros: -3, Seed: math.MaxUint64},
-	{RateIdx: -1, TrialIdx: math.MaxInt, Value: 1e20, Faults: &FaultSummary{}},
-	{Value: 1, Faults: &FaultSummary{Total: 1, ByOp: map[string]uint64{}, ByIter: map[string]uint64{"0": 1}}},
+	{RateIdx: -1, TrialIdx: math.MaxInt, Value: 1e20, Faults: &FaultRecorder{}},
+	{Value: 1, Faults: &FaultRecorder{ValueFaults: 1, IterBucket: [iterBuckets]uint64{1}}},
 	{Campaign: "c0002", Unit: "leastsq/cg", Series: "CG", Rate: 0.02, Seed: 7, Value: 1.5e-9, DurationMicros: 80, Faults: bothMaps},
+}
+
+// summaryJSON is json.Marshal of rec with its fault recorder replaced by
+// the recorder's Summary, the form a reader decodes it into.
+func summaryJSON(rec TrialRecord) ([]byte, error) {
+	faults := rec.Faults
+	rec.Faults = nil
+	b, err := json.Marshal(rec)
+	if err != nil || faults == nil {
+		return b, err
+	}
+	s, err := json.Marshal(faults.Summary())
+	if err != nil {
+		return nil, err
+	}
+	b = append(b[:len(b)-1], `,"faults":`...)
+	return append(append(b, s...), '}'), nil
 }
 
 func TestTrialRecordMatchesJSON(t *testing.T) {
 	for _, rec := range trialCases {
-		want, err := json.Marshal(rec)
+		want, err := summaryJSON(rec)
 		if err != nil {
 			t.Fatalf("json.Marshal(%+v): %v", rec, err)
 		}
-		if got, ok := rec.appendJSON(nil); !ok || string(got) != string(want) {
+		if direct, err := json.Marshal(rec); err != nil || string(direct) != string(want) {
+			t.Errorf("json.Marshal = %s,%v\nwith Summary = %s", direct, err, want)
+		}
+		if got, ok := rec.appendJSON(nil, new(jsonl.FloatMemo)); !ok || string(got) != string(want) {
 			t.Errorf("appendJSON = %s,%v\njson.Marshal = %s", got, ok, want)
+		}
+	}
+	// A memo shared across the cases encodes every rate as a fresh one
+	// would.
+	var rate jsonl.FloatMemo
+	for range 2 {
+		for _, rec := range trialCases {
+			want, _ := rec.appendJSON(nil, new(jsonl.FloatMemo))
+			if got, _ := rec.appendJSON(nil, &rate); string(got) != string(want) {
+				t.Errorf("appendJSON with a memo = %s\nwithout = %s", got, want)
+			}
 		}
 	}
 	for _, f := range []float64{0, 1e-7, 1e21, math.NaN(), math.Inf(1), math.Inf(-1), -2.5} {
