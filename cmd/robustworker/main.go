@@ -297,13 +297,13 @@ func (w *worker) Run(ctx context.Context, s int) error {
 	defer cancel()
 	ran := make(chan error, 1)
 	go func() {
-		err := sl.camp.RunShard(sctx, sl.lr.Shard, w.parallel, harness.Hooks{Sink: func(t harness.Trial) {
+		err := sl.camp.RunShard(sctx, sl.lr.Shard, w.parallel, func(t harness.Trial) {
 			w.stats.observeTrial(label, t.Dur, t.Rate, t.Seed)
 			sl.pending.Add(dispatch.TrialResult{
 				Unit: sl.lr.Shard.Unit, RateIdx: t.RateIdx, TrialIdx: t.TrialIdx,
 				Rate: t.Rate, Seed: t.Seed, Value: t.Value,
 			})
-		}})
+		})
 		if err == nil || sctx.Err() != nil { // out-of-grid shards never ran
 			w.stats.shards.Add(1)
 		}

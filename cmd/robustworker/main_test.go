@@ -296,14 +296,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestRunShardCountsExecutedShards: a lease whose shard lies outside the
 // compiled grid is handed straight back — a done report with no results
 // — and does not count in robustworker_shards_total; an in-grid lease
-// reports every non-skipped trial and counts once.
+// reports every trial and counts once.
 func TestRunShardCountsExecutedShards(t *testing.T) {
 	coord, log := fakeCoordinator(t, func(n int) *dispatch.LeaseResponse {
 		switch n {
 		case 1:
 			return sortLease(t, "l1", dispatch.Shard{Start: 7, Count: 2})
 		case 2:
-			return sortLease(t, "l2", dispatch.Shard{Count: 4, Skip: []int{1}})
+			return sortLease(t, "l2", dispatch.Shard{Count: 4})
 		}
 		return nil
 	}, func(dispatch.ReportRequest) string { return "{}" })
@@ -316,8 +316,8 @@ func TestRunShardCountsExecutedShards(t *testing.T) {
 	if n := w.stats.shards.Load(); n != 1 {
 		t.Errorf("shards_total = %d after one executed and one out-of-grid shard, want 1", n)
 	}
-	if n := w.stats.trials.Load(); n != 3 {
-		t.Errorf("trials_total = %d, want 3", n)
+	if n := w.stats.trials.Load(); n != 4 {
+		t.Errorf("trials_total = %d, want 4", n)
 	}
 	if got := log.of("l1"); len(got) != 1 || !got[0].Done || len(got[0].Results) != 0 {
 		t.Errorf("out-of-grid lease: reports %+v, want one empty done report", got)
@@ -329,8 +329,8 @@ func TestRunShardCountsExecutedShards(t *testing.T) {
 			idx = append(idx, res.RateIdx*4+res.TrialIdx)
 		}
 	}
-	if len(got) != 1 || !got[0].Done || !slices.Equal(slices.Sorted(slices.Values(idx)), []int{0, 2, 3}) {
-		t.Errorf("in-grid lease: reports %+v, want one done report of indices [0 2 3]", got)
+	if len(got) != 1 || !got[0].Done || !slices.Equal(slices.Sorted(slices.Values(idx)), []int{0, 1, 2, 3}) {
+		t.Errorf("in-grid lease: reports %+v, want one done report of indices [0 1 2 3]", got)
 	}
 }
 

@@ -30,12 +30,12 @@ func execShard(t *testing.T, lr *dispatch.LeaseResponse) []dispatch.TrialResult 
 		t.Fatalf("worker: compile: %v", err)
 	}
 	var out []dispatch.TrialResult
-	err = camp.RunShard(context.Background(), lr.Shard, 1, harness.Hooks{Sink: func(tr harness.Trial) {
+	err = camp.RunShard(context.Background(), lr.Shard, 1, func(tr harness.Trial) {
 		out = append(out, dispatch.TrialResult{
 			Unit: lr.Shard.Unit, RateIdx: tr.RateIdx, TrialIdx: tr.TrialIdx,
 			Rate: tr.Rate, Seed: tr.Seed, Value: tr.Value,
 		})
-	}})
+	})
 	if err != nil {
 		t.Fatalf("worker: run shard: %v", err)
 	}

@@ -27,12 +27,11 @@ func (c *Campaign) Total() int { return c.Plan.Size() }
 
 // RunShard runs one shard of the grid — unit sh.Unit's linear indices
 // [sh.Start, sh.Start+sh.Count) — through the harness trial loop on
-// workers goroutines (0 = the unit's own default). Indices set in
-// h.Skip or listed in sh.Skip are already durable: they neither run nor
-// reach the sink. It is the one way trials execute: Execution.Run and
-// robustworker run the shards they lease. A shard outside the grid is
-// an error, and nothing runs.
-func (c *Campaign) RunShard(ctx context.Context, sh dispatch.Shard, workers int, h harness.Hooks) error {
+// workers goroutines (0 = the unit's own default), handing each trial to
+// sink as harness.Sweep.RunRange does. It is the one way trials execute:
+// Execution.Run and robustworker run the shards they lease. A shard
+// outside the grid is an error, and nothing runs.
+func (c *Campaign) RunShard(ctx context.Context, sh dispatch.Shard, workers int, sink func(harness.Trial)) error {
 	if sh.Unit < 0 || sh.Unit >= len(c.Plan.Units) {
 		return fmt.Errorf("campaign: shard names unit %d of %d", sh.Unit, len(c.Plan.Units))
 	}
@@ -44,17 +43,7 @@ func (c *Campaign) RunShard(ctx context.Context, sh dispatch.Shard, workers int,
 	if workers > 0 {
 		sweep.Workers = workers
 	}
-	if len(sh.Skip) > 0 {
-		skip := make([]uint64, (sh.Start+sh.Count+63)/64)
-		copy(skip, h.Skip)
-		for _, i := range sh.Skip {
-			if i >= sh.Start && i < sh.Start+sh.Count {
-				skip[i>>6] |= 1 << (i & 63)
-			}
-		}
-		h.Skip = skip
-	}
-	return sweep.RunRange(ctx, c.Plan.Units[sh.Unit].Fn, sh.Start, sh.Count, h)
+	return sweep.RunRange(ctx, c.Plan.Units[sh.Unit].Fn, sh.Start, sh.Count, sink)
 }
 
 // TableFromStore materializes the campaign's table from whatever the store
@@ -230,13 +219,14 @@ type local struct {
 }
 
 // localSlot holds one lease. Its trials collect in pend and, their
-// latency and fault recorder, in diag by offset in the shard.
+// latency and fault recorder, in diag by offset in the shard. sink is
+// collect, bound once so that running a lease allocates no method value.
 type localSlot struct {
 	src   *local
 	lease dispatch.Lease
 	per   int
 	pend  dispatch.Pending
-	hooks harness.Hooks
+	sink  func(harness.Trial)
 	diag  []struct {
 		dur    time.Duration
 		faults *obs.FaultRecorder
@@ -254,7 +244,7 @@ func (e *Execution) local(floor int) *local {
 	for i := range src.slots {
 		if sl := &src.slots[i]; sl.src == nil {
 			sl.src = src
-			sl.hooks.Sink = sl.sink
+			sl.sink = sl.collect
 		}
 	}
 	return src
@@ -286,7 +276,7 @@ func (src *local) Acquire(_ context.Context, s int) bool {
 // Run runs slot s's lease on the spec's trial goroutines.
 func (src *local) Run(ctx context.Context, s int) error {
 	sl := &src.slots[s]
-	return src.e.camp.RunShard(ctx, sl.lease.Shard, src.e.camp.Spec.Workers, sl.hooks)
+	return src.e.camp.RunShard(ctx, sl.lease.Shard, src.e.camp.Spec.Workers, sl.sink)
 }
 
 // Deliver merges slot s's trials into the store, appends the new ones'
@@ -311,8 +301,8 @@ func (src *local) Deliver(_ context.Context, s int) error {
 	return nil
 }
 
-// sink collects a trial of the slot's lease on its trial goroutine.
-func (sl *localSlot) sink(t harness.Trial) {
+// collect collects a trial of the slot's lease on its trial goroutine.
+func (sl *localSlot) collect(t harness.Trial) {
 	hub, sh := sl.src.e.hub, sl.lease.Shard
 	d := &sl.diag[t.RateIdx*sl.per+t.TrialIdx-sh.Start]
 	d.dur, d.faults = t.Dur, hub.TakeFaults(t.Rate, t.Seed)

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -565,9 +564,7 @@ func TestConsumeJoinsDelivery(t *testing.T) {
 
 // TestRunShard: a shard outside the grid is an error and runs nothing;
 // an in-grid shard runs each index in range and delivers it to the sink
-// exactly once, except the indices the shard's Skip list (those in
-// range) or the hooks' Skip bitset name, which neither run nor reach the
-// sink.
+// exactly once.
 func TestRunShard(t *testing.T) {
 	var ran atomic.Int64
 	fn := func(rate float64, seed uint64) float64 { ran.Add(1); return rate }
@@ -576,11 +573,9 @@ func TestRunShard(t *testing.T) {
 		{Series: "b", Sweep: harness.Sweep{Rates: []float64{0.3}, Trials: 4, Seed: 2}, Fn: fn},
 	}}}
 	for _, tc := range []struct {
-		name    string
-		shard   dispatch.Shard
-		skip    []uint64 // the hooks' Skip bitset
-		bad     bool
-		skipped []int // indices in range that must not run; the rest of the range runs
+		name  string
+		shard dispatch.Shard
+		bad   bool
 	}{
 		{name: "unit -1", shard: dispatch.Shard{Unit: -1, Count: 1}, bad: true},
 		{name: "unit past the plan", shard: dispatch.Shard{Unit: 2, Count: 1}, bad: true},
@@ -589,16 +584,15 @@ func TestRunShard(t *testing.T) {
 		{name: "past the grid", shard: dispatch.Shard{Unit: 1, Start: 2, Count: 3}, bad: true},
 		{name: "whole unit", shard: dispatch.Shard{Unit: 0, Count: 6}},
 		{name: "empty", shard: dispatch.Shard{Unit: 0, Start: 6}},
-		{name: "skips", shard: dispatch.Shard{Unit: 0, Start: 1, Count: 4, Skip: []int{0, 2, 4, 5}}, skipped: []int{2, 4}},
-		{name: "durable set", shard: dispatch.Shard{Unit: 1, Count: 4}, skip: []uint64{0b1010}, skipped: []int{1, 3}},
-		{name: "durable set and skips", shard: dispatch.Shard{Unit: 1, Start: 1, Count: 3, Skip: []int{2}}, skip: []uint64{0b1001}, skipped: []int{2, 3}},
+		{name: "across a cell", shard: dispatch.Shard{Unit: 0, Start: 1, Count: 4}},
+		{name: "second unit", shard: dispatch.Shard{Unit: 1, Start: 1, Count: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ran.Store(0)
 			var mu sync.Mutex
 			seen := map[int]harness.Trial{}
 			dups := 0
-			err := camp.RunShard(context.Background(), tc.shard, 4, harness.Hooks{Skip: tc.skip, Sink: func(tr harness.Trial) {
+			err := camp.RunShard(context.Background(), tc.shard, 4, func(tr harness.Trial) {
 				idx := tr.RateIdx*camp.Plan.Units[tc.shard.Unit].Sweep.PerCell() + tr.TrialIdx
 				mu.Lock()
 				if _, ok := seen[idx]; ok {
@@ -606,7 +600,7 @@ func TestRunShard(t *testing.T) {
 				}
 				seen[idx] = tr
 				mu.Unlock()
-			}})
+			})
 			if tc.bad {
 				if err == nil {
 					t.Error("out-of-grid shard accepted")
@@ -619,16 +613,13 @@ func TestRunShard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := tc.shard.Count - len(tc.skipped)
+			want := tc.shard.Count
 			if dups != 0 || len(seen) != want {
 				t.Errorf("sink saw %d distinct indices (%d repeats), want %d", len(seen), dups, want)
 			}
 			for idx := range seen {
 				if idx < tc.shard.Start || idx >= tc.shard.Start+tc.shard.Count {
 					t.Errorf("index %d outside [%d,%d) reached the sink", idx, tc.shard.Start, tc.shard.Start+tc.shard.Count)
-				}
-				if slices.Contains(tc.skipped, idx) {
-					t.Errorf("skipped index %d reached the sink", idx)
 				}
 			}
 			if n := ran.Load(); n != int64(want) {

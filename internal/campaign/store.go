@@ -339,7 +339,8 @@ func (st *Store) drop(recs []Record) {
 }
 
 // Durable returns the durable trials of plan's grid, one bitset per unit
-// in harness.Hooks.Skip's layout. Trials outside the grid set no bit.
+// in the layout dispatch.NewTable takes. Trials outside the grid set no
+// bit.
 // The bitsets are the caller's.
 func (st *Store) Durable(plan *figures.Plan) [][]uint64 {
 	sets := make([][]uint64, len(plan.Units))

@@ -43,15 +43,8 @@ func runWorker(t *testing.T, c *Coordinator, stop <-chan struct{}) {
 			continue
 		}
 		sh := lease.Shard
-		skip := map[int]bool{}
-		for _, i := range sh.Skip {
-			skip[i] = true
-		}
 		var results []TrialResult
 		for i := sh.Start; i < sh.Start+sh.Count; i++ {
-			if skip[i] {
-				continue
-			}
 			results = append(results, resultFor(Key{Unit: sh.Unit, RateIdx: i / 2, TrialIdx: i % 2}))
 		}
 		resp, err := c.Report(ReportRequest{
@@ -209,14 +202,14 @@ func TestVerifyRejectsAndRequeues(t *testing.T) {
 	if s := c.Stats(); s.RejectedResults != 2 {
 		t.Errorf("rejected = %d, want 2", s.RejectedResults)
 	}
-	// The rejected trial's shard is pending again with the good trial
-	// skipped; a correct report finishes the job.
+	// The rejected trial is pending again, alone in its shard; a correct
+	// report finishes the job.
 	var re *LeaseResponse
 	for re == nil {
 		re, _ = c.Lease(LeaseRequest{Worker: reg.Worker})
 	}
-	if len(re.Shard.Skip) != 1 || re.Shard.Skip[0] != 0 {
-		t.Fatalf("requeued shard = %+v, want skip [0]", re.Shard)
+	if re.Shard != (Shard{Start: 1, Count: 1}) {
+		t.Fatalf("requeued shard = %+v, want [1,2)", re.Shard)
 	}
 	if _, err := c.Report(ReportRequest{
 		Worker: reg.Worker, Campaign: "c1", Lease: re.Lease,

@@ -55,14 +55,12 @@ type UnitGrid struct {
 func (g UnitGrid) size() int { return g.Rates * g.Trials }
 
 // Shard is a contiguous slice of one unit's linearized grid: indices
-// [Start, Start+Count) with index = rateIdx*trials + trialIdx. Skip
-// lists the (absolute) indices inside the range that are already durable
-// — on a resumed or reassigned shard the worker executes only the rest.
+// [Start, Start+Count) with index = rateIdx*trials + trialIdx. None of
+// them is durable when the lease is granted, so the worker runs them all.
 type Shard struct {
-	Unit  int   `json:"unit"`
-	Start int   `json:"start"`
-	Count int   `json:"count"`
-	Skip  []int `json:"skip,omitempty"`
+	Unit  int `json:"unit"`
+	Start int `json:"start"`
+	Count int `json:"count"`
 }
 
 // TrialResult is one executed trial: an element of a worker report and,

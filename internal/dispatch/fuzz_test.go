@@ -18,7 +18,7 @@ import (
 //   - every non-durable index is in exactly one place a later Acquire
 //     reaches: an outstanding lease, a handed-back range, or the uncarved
 //     rest of its unit;
-//   - a lease's Skip is exactly the durable indices in its range;
+//   - every granted lease holds at least one trial and no durable index;
 //   - Done is closed exactly when every index is durable.
 //
 // At the end a worker that finishes whatever it is leased must drain the
@@ -69,17 +69,10 @@ func FuzzLeaseTable(f *testing.F) {
 			if sh.Unit < 0 || sh.Unit >= len(units) || sh.Start < 0 || sh.Count <= 0 || sh.Start+sh.Count > units[sh.Unit].size() {
 				t.Fatalf("lease %+v outside the grid %+v", sh, units)
 			}
-			var want []int
 			for i := sh.Start; i < sh.Start+sh.Count; i++ {
 				if model[sh.Unit][i] {
-					want = append(want, i)
+					t.Fatalf("lease %+v holds durable index %d", sh, i)
 				}
-			}
-			if !reflect.DeepEqual(sh.Skip, want) {
-				t.Fatalf("lease %+v: Skip %v, want the durable indices %v", sh, sh.Skip, want)
-			}
-			if len(want) == sh.Count {
-				t.Fatalf("lease %+v holds no missing trial", sh)
 			}
 			issued = append(issued, &le)
 			return &le
@@ -285,14 +278,14 @@ func sameReport(a, b ReportRequest) bool {
 //     fails.
 func FuzzLeaseWire(f *testing.F) {
 	f.Add([]byte(`{"worker":"w1a2b3c4d-0001"}`), "l000001", "c0001",
-		[]byte(`{"figure":"6.1","quick":true,"seed":5}`), false, 0, 0, 16, uint8(0), int64(30*time.Second))
-	f.Add([]byte(`{"worker":""}`), "l", "c", []byte(`{"name": "a b", "x":[1, 2]}`), false, 1, 4096, 4096, uint8(3), int64(-1))
-	f.Add([]byte(`{"Worker":"w","worker":"v"}`), "a<b", "\xff", []byte(`"<&> "`), true, -1, 5, 0, uint8(1), int64(0))
-	f.Add([]byte(` {"worker":"w"}`), "", "c", []byte("\t[1,\n2]\r"), false, 0, 0, 1, uint8(0), int64(1))
-	f.Add([]byte(`{"worker":"wA"}`), "l", "c", []byte(`{"a":`), false, 0, 0, 1, uint8(2), int64(1))
-	f.Add([]byte(`{"worker":"w"}x`), "l", "c", []byte{}, false, 0, 0, 1, uint8(0), int64(1))
+		[]byte(`{"figure":"6.1","quick":true,"seed":5}`), false, 0, 0, 16, int64(30*time.Second))
+	f.Add([]byte(`{"worker":""}`), "l", "c", []byte(`{"name": "a b", "x":[1, 2]}`), false, 1, 4096, 4096, int64(-1))
+	f.Add([]byte(`{"Worker":"w","worker":"v"}`), "a<b", "\xff", []byte(`"<&> "`), true, -1, 5, 0, int64(0))
+	f.Add([]byte(` {"worker":"w"}`), "", "c", []byte("\t[1,\n2]\r"), false, 0, 0, 1, int64(1))
+	f.Add([]byte(`{"worker":"wA"}`), "l", "c", []byte(`{"a":`), false, 0, 0, 1, int64(1))
+	f.Add([]byte(`{"worker":"w"}x`), "l", "c", []byte{}, false, 0, 0, 1, int64(1))
 	f.Fuzz(func(t *testing.T, body []byte, lease, campaign string, spec []byte, nilSpec bool,
-		unit, start, count int, nskip uint8, ttl int64) {
+		unit, start, count int, ttl int64) {
 		var want LeaseRequest
 		wantErr := json.Unmarshal(body, &want)
 		got := LeaseRequest{Worker: "stale"}
@@ -305,9 +298,6 @@ func FuzzLeaseWire(f *testing.F) {
 			Shard: Shard{Unit: unit, Start: start, Count: count}}
 		if nilSpec {
 			resp.Spec = nil
-		}
-		for i := 0; i < int(nskip%5); i++ {
-			resp.Shard.Skip = append(resp.Shard.Skip, start+i*count)
 		}
 		ref, refErr := json.Marshal(resp)
 		enc, err := AppendLeaseResponse([]byte("prefix"), &resp)

@@ -148,17 +148,17 @@ func NewTable(units []UnitGrid, durable [][]uint64, floor int) *Table {
 // Done is closed once every trial in the grid is durable.
 func (t *Table) Done() <-chan struct{} { return t.done }
 
-// Acquire leases work to worker until now+ttl: the lowest handed-back
-// range first (so reassignment is deterministic and front-of-grid
-// first), else a fresh run of non-durable indices carved at the cursor,
-// which ends at the first durable index. The lease holds up to
-// leaseSizeLocked trials. ok is false when nothing is left to lease.
+// Acquire leases work to worker until now+ttl: a run of non-durable
+// indices, up to leaseSizeLocked long, from the lowest handed-back range
+// first (so reassignment is deterministic and front-of-grid first), else
+// carved at the cursor. Either way a lease holds no durable index when it
+// is granted. ok is false when nothing is left to lease.
 func (t *Table) Acquire(worker string, now time.Time, ttl time.Duration) (_ Lease, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.expireLocked(now)
 	n := t.leaseSizeLocked(worker, ttl)
-	s, skip, ok := t.takeReturnedLocked(n)
+	s, ok := t.takeReturnedLocked(n)
 	if !ok {
 		if s, ok = t.carveLocked(n); !ok {
 			return Lease{}, false
@@ -167,7 +167,7 @@ func (t *Table) Acquire(worker string, now time.Time, ttl time.Duration) (_ Leas
 	t.nextLease++
 	e := &leaseEntry{
 		span: s, id: leaseID(t.nextLease), worker: worker,
-		issued: now, expiry: now.Add(ttl), missing: s.count - len(skip),
+		issued: now, expiry: now.Add(ttl), missing: s.count,
 	}
 	t.leases[e.id] = e
 	t.nLeased += e.missing
@@ -179,7 +179,7 @@ func (t *Table) Acquire(worker string, now time.Time, ttl time.Duration) (_ Leas
 		b = strconv.AppendInt(append(b, " count="...), int64(s.count), 10)
 		t.emit("lease.acquired", string(b))
 	}
-	return Lease{ID: e.id, Shard: Shard{Unit: s.unit, Start: s.start, Count: s.count, Skip: skip}}, true
+	return Lease{ID: e.id, Shard: Shard{Unit: s.unit, Start: s.start, Count: s.count}}, true
 }
 
 // leaseSizeLocked is the number of trials to grant worker: the floor
@@ -194,41 +194,46 @@ func (t *Table) leaseSizeLocked(worker string, ttl time.Duration) int {
 	return int(max(float64(t.floor), min(want, MaxReport)))
 }
 
-// takeReturnedLocked re-leases up to n indices from the front of the
-// lowest handed-back range, with skip listing the durable indices inside
-// it. Ranges that have become wholly durable are dropped.
-func (t *Table) takeReturnedLocked(n int) (span, []int, bool) {
+// takeReturnedLocked re-leases the first run of the lowest handed-back
+// range and puts the rest of the range back at the front. Ranges that
+// have become wholly durable are dropped.
+func (t *Table) takeReturnedLocked(n int) (span, bool) {
 	for len(t.returned) > 0 {
-		s := t.returned[0]
-		if s.count > n {
-			t.returned[0] = span{s.unit, s.start + n, s.count - n}
-			s.count = n
+		r := t.returned[0]
+		end := r.start + r.count
+		start, stop := t.runLocked(r.unit, r.start, end, n)
+		if stop < end {
+			t.returned[0] = span{r.unit, stop, end - stop}
 		} else {
 			t.returned = t.returned[1:]
 		}
-		if skip := t.skipLocked(s); len(skip) < s.count {
-			return s, skip, true
+		if start < stop {
+			return span{r.unit, start, stop - start}, true
 		}
 	}
-	return span{}, nil, false
+	return span{}, false
 }
 
-// carveLocked cuts a fresh lease of up to n indices at the carve cursor:
-// it passes over durable indices, then takes non-durable ones up to the
-// next durable index, so a fresh lease never needs a Skip list.
+// carveLocked cuts a fresh lease, the first run at the carve cursor.
 func (t *Table) carveLocked(n int) (span, bool) {
 	for ; t.unit < len(t.units); t.unit++ {
 		u, size := t.unit, t.units[t.unit].size()
-		start := t.find(u, t.cursor[u], size, false)
-		if start == size {
-			t.cursor[u] = size
-			continue
-		}
-		end := t.find(u, start, min(start+n, size), true)
+		start, end := t.runLocked(u, t.cursor[u], size, n)
 		t.cursor[u] = end
-		return span{u, start, end - start}, true
+		if start < end {
+			return span{u, start, end - start}, true
+		}
 	}
 	return span{}, false
+}
+
+// runLocked returns the first run [start, end) of non-durable indices of
+// unit u in [from, to), at most n long: it passes over durable indices,
+// then takes non-durable ones up to the next durable index. start == end
+// == to when every index in [from, to) is durable.
+func (t *Table) runLocked(u, from, to, n int) (start, end int) {
+	start = t.find(u, from, to, false)
+	return start, t.find(u, start, min(start+n, to), true)
 }
 
 // find returns the first index in [from, to) of unit u whose durable bit
@@ -249,23 +254,13 @@ func (t *Table) find(u, from, to int, want bool) int {
 
 func (t *Table) isDurable(u, i int) bool { return t.durable[u][i>>6]&(1<<(i&63)) != 0 }
 
-// skipLocked lists the durable indices inside s, ascending, so a
-// re-leased range re-executes only what earlier leases did not deliver.
-func (t *Table) skipLocked(s span) []int {
-	var skip []int
-	for i := t.find(s.unit, s.start, s.start+s.count, true); i < s.start+s.count; i = t.find(s.unit, i+1, s.start+s.count, true) {
-		skip = append(skip, i)
-	}
-	return skip
-}
-
 // Report folds the keys of a batch of durable results into the table and
 // advances the lease: a report that leaves trials missing renews the
 // expiry (an empty one is a pure heartbeat); a report that completes the
 // lease, or carries done, ends it and records the worker's rate over the
 // lease.
 // A done lease with trials still missing — dropped by verification, or
-// skipped — hands its range back: the worker's claim is checked against
+// never run — hands its range back: the worker's claim is checked against
 // the durable record, never trusted. The returned lost tells the
 // reporting worker to abandon the shard: its lease has expired, been
 // reassigned, or its range is already complete. The results must

@@ -72,7 +72,7 @@ func TestTableCarving(t *testing.T) {
 	}
 
 	// A fresh carve passes over durable indices and stops at the first
-	// durable one, so it never carries a Skip list.
+	// durable one, so a lease never holds a durable index.
 	tb = NewTable([]UnitGrid{{Rates: 1, Trials: 12}}, durableLinear(12, 0, 3, 4, 9, 10, 11), 8)
 	want = []Shard{{Start: 1, Count: 2}, {Start: 5, Count: 4}}
 	if got := acquireAll(tb, "w1", t0); !reflect.DeepEqual(got, want) {
@@ -81,46 +81,54 @@ func TestTableCarving(t *testing.T) {
 }
 
 func TestTableResumeSkipsDurable(t *testing.T) {
-	// Trials 0..3 of unit 0 already durable: only [4,6) is leased, with
-	// no skip.
+	// Trials 0..3 of unit 0 already durable: only [4,6) is leased.
 	tb := NewTable([]UnitGrid{{Rates: 2, Trials: 3}}, durableLinear(6, 0, 1, 2, 3), 4)
 	if s := tableStats(tb, t0); s.TrialsPending != 2 || s.TrialsDone != 4 {
 		t.Fatalf("stats = %+v, want 2 pending, 4 done", s)
 	}
 	le := acquire(tb, "w1", t0, time.Minute)
-	if le == nil || le.Shard.Start != 4 || le.Shard.Count != 2 || le.Shard.Skip != nil {
+	if le == nil || !reflect.DeepEqual(le.Shard, Shard{Start: 4, Count: 2}) {
 		t.Fatalf("lease = %+v, want fresh shard [4,6)", le)
 	}
 }
 
-// TestTablePartialHaveYieldsSkip: Skip appears only on handed-back
-// ranges, listing exactly the durable indices inside them, and
-// handed-back ranges are re-leased lowest first, before fresh carving.
-func TestTablePartialHaveYieldsSkip(t *testing.T) {
+// TestTableHandBackYieldsRuns: a handed-back range comes back as its
+// runs of non-durable indices, each cut to the lease size, lowest range
+// first and before fresh carving.
+func TestTableHandBackYieldsRuns(t *testing.T) {
 	tb := NewTable([]UnitGrid{{Rates: 4, Trials: 3}}, durableLinear(12, 1, 2), 6)
 	a := acquire(tb, "w1", t0, time.Minute)
 	b := acquire(tb, "w2", t0, time.Minute)
 	if a == nil || !reflect.DeepEqual(a.Shard, Shard{Start: 0, Count: 1}) || b == nil || !reflect.DeepEqual(b.Shard, Shard{Start: 3, Count: 6}) {
-		t.Fatalf("fresh leases = %+v, %+v; want [0,1) and [3,9), no skip", a, b)
+		t.Fatalf("fresh leases = %+v, %+v; want [0,1) and [3,9)", a, b)
 	}
 	// w2 delivers 4 and 7 and claims done; the range goes back.
 	if lost := tb.Report(b.ID, keys(0, 3, 4, 7), true, t0, time.Minute); lost {
 		t.Fatal("done report lost")
 	}
 	// w1's lease [0,1) expires too, after the handback: it is lower, so it
-	// is re-leased first.
+	// is re-leased first, then [3,9) run by run, then the fresh tail.
 	late := t0.Add(2 * time.Minute)
-	r0 := acquire(tb, "w3", late, time.Minute)
-	if r0 == nil || r0.Shard.Start != 0 || r0.Shard.Count != 1 || r0.Shard.Skip != nil {
-		t.Fatalf("first re-lease = %+v, want [0,1)", r0)
+	want := []Shard{{Start: 0, Count: 1}, {Start: 3, Count: 1}, {Start: 5, Count: 2}, {Start: 8, Count: 1}, {Start: 9, Count: 3}}
+	if got := acquireAll(tb, "w3", late); !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-leases = %+v, want %+v", got, want)
 	}
-	r1 := acquire(tb, "w3", late, time.Minute)
-	if r1 == nil || r1.Shard.Start != 3 || r1.Shard.Count != 6 || !reflect.DeepEqual(r1.Shard.Skip, []int{4, 7}) {
-		t.Fatalf("second re-lease = %+v, want [3,9) skip [4 7]", r1)
+
+	// A run longer than the lease size is cut at it, and the rest of the
+	// range stays in front of fresh carving: a fast worker's [2,6) comes
+	// back empty and a floor-sized worker re-leases it in two.
+	tb = NewTable([]UnitGrid{{Rates: 1, Trials: 12}}, durableLinear(12, 6), 2)
+	finish(t, tb, acquire(tb, "fast", t0, time.Minute), 12, t0)
+	c := acquire(tb, "fast", t0, time.Minute)
+	if c == nil || !reflect.DeepEqual(c.Shard, Shard{Start: 2, Count: 4}) {
+		t.Fatalf("fast worker's second lease = %+v, want [2,6)", c)
 	}
-	r2 := acquire(tb, "w3", late, time.Minute)
-	if r2 == nil || r2.Shard.Start != 9 || r2.Shard.Skip != nil {
-		t.Fatalf("third lease = %+v, want the fresh tail [9,12)", r2)
+	if lost := tb.Report(c.ID, nil, true, t0, time.Minute); lost {
+		t.Fatal("done report lost")
+	}
+	want = []Shard{{Start: 2, Count: 2}, {Start: 4, Count: 2}, {Start: 7, Count: 2}, {Start: 9, Count: 2}, {Start: 11, Count: 1}}
+	if got := acquireAll(tb, "slow", t0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-leases by a floor-sized worker = %+v, want %+v", got, want)
 	}
 }
 
@@ -147,16 +155,16 @@ func TestLeaseExpiryReassignmentOrdering(t *testing.T) {
 
 	// After both of dead's leases expire (l1 at t0+60s, the renewed l0 at
 	// t0+70s) but while w2's own lease is still live (until t0+90s),
-	// reassignment hands back the lowest range first — [0,2) with the
-	// delivered trial in Skip, then [2,4) — before carving the tail.
+	// reassignment hands back the lowest range first — [1,2), what the
+	// delivered trial left of [0,2), then [2,4) — before carving the tail.
 	late := t0.Add(80 * time.Second)
 	r0 := acquire(tb, "w2", late, ttl)
-	if r0 == nil || r0.Shard.Start != 0 || !reflect.DeepEqual(r0.Shard.Skip, []int{0}) {
-		t.Fatalf("first reassignment = %+v, want shard [0,2) skip [0]", r0)
+	if r0 == nil || !reflect.DeepEqual(r0.Shard, Shard{Start: 1, Count: 1}) {
+		t.Fatalf("first reassignment = %+v, want shard [1,2)", r0)
 	}
 	r1 := acquire(tb, "w2", late, ttl)
-	if r1 == nil || r1.Shard.Start != 2 || r1.Shard.Skip != nil {
-		t.Fatalf("second reassignment = %+v, want shard [2,4) no skip", r1)
+	if r1 == nil || !reflect.DeepEqual(r1.Shard, Shard{Start: 2, Count: 2}) {
+		t.Fatalf("second reassignment = %+v, want shard [2,4)", r1)
 	}
 	r2 := acquire(tb, "w2", late, ttl)
 	if r2 == nil || r2.Shard.Start != 6 {
@@ -168,18 +176,12 @@ func TestLeaseExpiryReassignmentOrdering(t *testing.T) {
 	}
 }
 
-// finish reports every non-skipped trial of a lease with done at now.
+// finish reports every trial of a lease with done at now.
 func finish(t *testing.T, tb *Table, le *Lease, trials int, now time.Time) {
 	t.Helper()
-	skip := map[int]bool{}
-	for _, i := range le.Shard.Skip {
-		skip[i] = true
-	}
 	var ks []TrialResult
 	for i := le.Shard.Start; i < le.Shard.Start+le.Shard.Count; i++ {
-		if !skip[i] {
-			ks = append(ks, TrialResult{Unit: le.Shard.Unit, RateIdx: i / trials, TrialIdx: i % trials})
-		}
+		ks = append(ks, TrialResult{Unit: le.Shard.Unit, RateIdx: i / trials, TrialIdx: i % trials})
 	}
 	if lost := tb.Report(le.ID, ks, true, now, time.Minute); lost {
 		t.Fatalf("finishing report on %s lost", le.ID)
@@ -264,7 +266,7 @@ func TestReportDoneIncompleteRequeues(t *testing.T) {
 	tb := NewTable([]UnitGrid{{Rates: 1, Trials: 4}}, nil, 4)
 	le := acquire(tb, "w1", t0, time.Minute)
 	// Worker claims done but delivered only half the lease: the claim is
-	// not trusted, the range is handed back with the durable half in Skip.
+	// not trusted, and the range's missing half is handed back.
 	if lost := tb.Report(le.ID, keys(0, 4, 0, 1), true, t0, time.Minute); lost {
 		t.Fatal("done report lost")
 	}
@@ -274,8 +276,8 @@ func TestReportDoneIncompleteRequeues(t *testing.T) {
 	default:
 	}
 	re := acquire(tb, "w2", t0, time.Minute)
-	if re == nil || !reflect.DeepEqual(re.Shard.Skip, []int{0, 1}) {
-		t.Fatalf("requeued lease = %+v, want skip [0 1]", re)
+	if re == nil || !reflect.DeepEqual(re.Shard, Shard{Start: 2, Count: 2}) {
+		t.Fatalf("requeued lease = %+v, want shard [2,4)", re)
 	}
 	if lost := tb.Report(re.ID, keys(0, 4, 2, 3), true, t0, time.Minute); lost {
 		t.Fatal("completing report lost")

@@ -196,16 +196,6 @@ func AppendLeaseResponse(b []byte, resp *LeaseResponse) ([]byte, error) {
 	b = strconv.AppendInt(b, int64(resp.Shard.Start), 10)
 	b = append(b, `,"count":`...)
 	b = strconv.AppendInt(b, int64(resp.Shard.Count), 10)
-	if len(resp.Shard.Skip) > 0 {
-		b = append(b, `,"skip":[`...)
-		for i, s := range resp.Shard.Skip {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(s), 10)
-		}
-		b = append(b, ']')
-	}
 	b = append(b, `},"ttl":`...)
 	b = strconv.AppendInt(b, int64(resp.TTL), 10)
 	return append(b, '}'), nil

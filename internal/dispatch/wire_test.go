@@ -55,3 +55,17 @@ func TestDecodeReportPaths(t *testing.T) {
 		}
 	}
 }
+
+// TestLeaseResponseIgnoresSkip: the "skip" list an older coordinator put
+// on a re-leased shard decodes away, so a worker runs the whole range;
+// the store and the lease table treat the reruns as duplicates.
+func TestLeaseResponseIgnoresSkip(t *testing.T) {
+	body := `{"lease":"l000002","campaign":"c0001","spec":null,"shard":{"unit":1,"start":3,"count":6,"skip":[4,7]},"ttl":1}`
+	var got LeaseResponse
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Shard != (Shard{Unit: 1, Start: 3, Count: 6}) {
+		t.Errorf("shard = %+v, want [3,9) of unit 1", got.Shard)
+	}
+}

@@ -73,13 +73,6 @@ func (s Sweep) TrialSeed(rateIdx, trial int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Run executes fn over the full rate×trial grid and returns the mean metric
-// per rate.
-func (s Sweep) Run(fn TrialFunc) []Point {
-	points, _ := s.RunHooked(context.Background(), fn, Mean)
-	return points
-}
-
 // PerCell is the number of trials per (rate) cell: Trials, or 1 when
 // Trials ≤ 0. It is the one rule that linearizes the grid — Size,
 // RunRange, and the dispatch shards a campaign hands to workers all
@@ -95,8 +88,8 @@ func (s Sweep) PerCell() int {
 // Size is the number of trials in the full rate×trial grid.
 func (s Sweep) Size() int { return len(s.Rates) * s.PerCell() }
 
-// Trial is one grid-cell execution and its outcome, as delivered to a
-// Hooks.Sink.
+// Trial is one grid-cell execution and its outcome, as delivered to
+// RunRange's sink.
 type Trial struct {
 	// RateIdx and TrialIdx locate the cell in the sweep grid; together
 	// with the sweep seed they form the trial's identity.
@@ -126,25 +119,6 @@ func AggregatorByName(name string) (Aggregator, error) {
 	}
 }
 
-// Hooks customize a grid run with a durable set to skip and a trial
-// sink. Sink may be invoked concurrently from worker goroutines, which
-// all read Skip, so Skip must not change during the run.
-type Hooks struct {
-	// Skip is a bitset over the sweep's linear grid: bit i of word i>>6
-	// is index i = rateIdx*PerCell() + trialIdx. A set bit marks a trial
-	// that is already durable (the basis of resume): it neither runs nor
-	// reaches Sink. Indices past the bitset's end are not skipped.
-	Skip []uint64
-	// Sink, if non-nil, receives every executed trial's outcome.
-	//
-	// Contract: Sink runs on the same goroutine that executed the
-	// trial, synchronously after it. Fault-recorder collection, which
-	// claims the recorders a trial's units filled on that goroutine,
-	// relies on this ordering; it is pinned by
-	// TestSinkRunsOnTrialGoroutine.
-	Sink func(Trial)
-}
-
 // RunHooked runs the full rate×trial grid through RunRange, keyed by
 // rate index so duplicate or repeated rates aggregate into their own
 // cells, and folds each cell's trials with agg. Cancelling ctx abandons
@@ -156,7 +130,7 @@ func (s Sweep) RunHooked(ctx context.Context, fn TrialFunc, agg Aggregator) ([]P
 	per := s.PerCell()
 	values := make([]float64, s.Size())
 	sink := func(t Trial) { values[t.RateIdx*per+t.TrialIdx] = t.Value }
-	if err := s.RunRange(ctx, fn, 0, len(values), Hooks{Sink: sink}); err != nil {
+	if err := s.RunRange(ctx, fn, 0, len(values), sink); err != nil {
 		return nil, err
 	}
 	points := make([]Point, len(s.Rates))
@@ -169,11 +143,15 @@ func (s Sweep) RunHooked(ctx context.Context, fn TrialFunc, agg Aggregator) ([]P
 // RunRange is the trial loop: it runs the linear grid indices
 // [start, start+count) — index = rateIdx*PerCell() + trialIdx, which
 // must lie inside [0, Size()) — on up to Workers goroutines, the calling
-// one among them, each index exactly once. An index whose h.Skip bit is
-// set is passed over; every other trial is executed and then handed to
-// the sink on the same goroutine. Cancelling ctx abandons unstarted
-// trials and returns ctx.Err().
-func (s Sweep) RunRange(ctx context.Context, fn TrialFunc, start, count int, h Hooks) error {
+// one among them, each index exactly once. Cancelling ctx abandons
+// unstarted trials and returns ctx.Err().
+//
+// sink receives every trial's outcome, concurrently from the worker
+// goroutines. It runs on the goroutine that executed the
+// trial, synchronously after it: fault-recorder collection, which claims
+// the recorders a trial's units filled on that goroutine, relies on this
+// ordering, and TestSinkRunsOnTrialGoroutine pins it.
+func (s Sweep) RunRange(ctx context.Context, fn TrialFunc, start, count int, sink func(Trial)) error {
 	per := s.PerCell()
 	workers := s.Workers
 	if workers <= 0 {
@@ -200,18 +178,13 @@ func (s Sweep) RunRange(ctx context.Context, fn TrialFunc, start, count int, h H
 			default:
 			}
 			idx := start + i
-			if w := idx >> 6; w < len(h.Skip) && h.Skip[w]&(1<<(idx&63)) != 0 {
-				continue
-			}
 			t := Trial{RateIdx: idx / per, TrialIdx: idx % per}
 			t.Rate = s.Rates[t.RateIdx]
 			t.Seed = s.TrialSeed(t.RateIdx, t.TrialIdx)
 			began := time.Now()
 			t.Value = fn(t.Rate, t.Seed)
 			t.Dur = time.Since(began)
-			if h.Sink != nil {
-				h.Sink(t)
-			}
+			sink(t)
 		}
 	}
 	for range workers - 1 {

@@ -30,13 +30,16 @@ func TestSweepRunAggregatesMean(t *testing.T) {
 	s := Sweep{Rates: []float64{0, 1}, Trials: 4, Seed: 1}
 	var mu sync.Mutex
 	calls := map[float64]int{}
-	pts := s.Run(func(rate float64, seed uint64) float64 {
+	pts, err := s.RunHooked(context.Background(), func(rate float64, seed uint64) float64 {
 		mu.Lock()
 		calls[rate]++
 		n := calls[rate]
 		mu.Unlock()
 		return rate*100 + float64(n%2) // mean = rate*100 + 0.5
-	})
+	}, Mean)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -92,7 +95,10 @@ func TestSweepRunMedianDuplicateRates(t *testing.T) {
 
 func TestSweepParallelSafety(t *testing.T) {
 	s := Sweep{Rates: []float64{0, 1, 2, 3}, Trials: 50, Seed: 3, Workers: 8}
-	pts := s.Run(func(rate float64, seed uint64) float64 { return rate })
+	pts, err := s.RunHooked(context.Background(), func(rate float64, seed uint64) float64 { return rate }, Mean)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range s.Rates {
 		if pts[i].Value != r {
 			t.Errorf("rate %v: value %v", r, pts[i].Value)
@@ -326,12 +332,14 @@ func TestSweepZeroTrialsDefaultsToOne(t *testing.T) {
 	s := Sweep{Rates: []float64{0.5}, Seed: 1}
 	n := 0
 	var mu sync.Mutex
-	s.Run(func(rate float64, seed uint64) float64 {
+	if _, err := s.RunHooked(context.Background(), func(rate float64, seed uint64) float64 {
 		mu.Lock()
 		n++
 		mu.Unlock()
 		return 0
-	})
+	}, Mean); err != nil {
+		t.Fatal(err)
+	}
 	if n != 1 {
 		t.Errorf("trials = %d, want 1", n)
 	}

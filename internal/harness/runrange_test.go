@@ -11,14 +11,12 @@ import (
 )
 
 // TestRunRangeSinkSeesEachIndexOnce: over empty, interior, tail and
-// whole-grid ranges, every index in range whose Skip bit is clear runs
-// and reaches the sink exactly once, with its grid coordinates, seed and
-// fn time; a skipped index neither runs nor reaches the sink, and no
+// whole-grid ranges, every index in range runs and reaches the sink
+// exactly once, with its grid coordinates, seed and fn time, and no
 // index outside the range does either. RunHooked is the whole-grid case
 // plus the fold into points.
 func TestRunRangeSinkSeesEachIndexOnce(t *testing.T) {
 	s := Sweep{Rates: []float64{0.1, 0.2, 0.3}, Trials: 4, Seed: 5, Workers: 4}
-	skip := []uint64{1<<0 | 1<<4 | 1<<8} // the first trial of each cell is durable
 	for _, tc := range []struct {
 		name         string
 		start, count int
@@ -42,27 +40,24 @@ func TestRunRangeSinkSeesEachIndexOnce(t *testing.T) {
 				mu.Unlock()
 				time.Sleep(time.Microsecond) // a measurable fn time
 				return rate
-			}, tc.start, tc.count, Hooks{
-				Skip: skip,
-				Sink: func(tr Trial) {
-					idx := tr.RateIdx*s.PerCell() + tr.TrialIdx
-					mu.Lock()
-					seen[idx]++
-					mu.Unlock()
-					if want := s.TrialSeed(tr.RateIdx, tr.TrialIdx); tr.Seed != want || tr.Rate != s.Rates[tr.RateIdx] {
-						t.Errorf("index %d: rate %v seed %d, want %v and %d", idx, tr.Rate, tr.Seed, s.Rates[tr.RateIdx], want)
-					}
-					if tr.Dur <= 0 || tr.Value != tr.Rate {
-						t.Errorf("index %d: dur %v value %v, want > 0 and %v", idx, tr.Dur, tr.Value, tr.Rate)
-					}
-				},
+			}, tc.start, tc.count, func(tr Trial) {
+				idx := tr.RateIdx*s.PerCell() + tr.TrialIdx
+				mu.Lock()
+				seen[idx]++
+				mu.Unlock()
+				if want := s.TrialSeed(tr.RateIdx, tr.TrialIdx); tr.Seed != want || tr.Rate != s.Rates[tr.RateIdx] {
+					t.Errorf("index %d: rate %v seed %d, want %v and %d", idx, tr.Rate, tr.Seed, s.Rates[tr.RateIdx], want)
+				}
+				if tr.Dur <= 0 || tr.Value != tr.Rate {
+					t.Errorf("index %d: dur %v value %v, want > 0 and %v", idx, tr.Dur, tr.Value, tr.Rate)
+				}
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for idx, n := range seen {
 				want := 0
-				if idx >= tc.start && idx < tc.start+tc.count && idx%s.PerCell() != 0 {
+				if idx >= tc.start && idx < tc.start+tc.count {
 					want = 1
 				}
 				if n != want || ran[idx] != want {
@@ -100,10 +95,19 @@ func TestRunHookedCancellation(t *testing.T) {
 	}
 }
 
+// TestRunHookedMatchesRun: RunHooked's points are the cell means of a
+// sequential run of the grid, trial by trial in index order.
 func TestRunHookedMatchesRun(t *testing.T) {
 	s := Sweep{Rates: []float64{0.01, 0.1}, Trials: 5, Seed: 9}
 	fn := func(rate float64, seed uint64) float64 { return rate * float64(seed%7) }
-	want := s.Run(fn)
+	want := make([]Point, len(s.Rates))
+	for r, rate := range s.Rates {
+		xs := make([]float64, s.Trials)
+		for i := range xs {
+			xs[i] = fn(rate, s.TrialSeed(r, i))
+		}
+		want[r] = Point{Rate: rate, RateIdx: r, Value: Mean(xs)}
+	}
 	got, err := s.RunHooked(context.Background(), fn, Mean)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +156,7 @@ func goroutineID() string {
 	return strings.Fields(string(buf))[1]
 }
 
-// TestSinkRunsOnTrialGoroutine pins the Hooks.Sink contract that
+// TestSinkRunsOnTrialGoroutine pins the RunRange sink contract that
 // fault-recorder collection relies on: the sink observes each trial on
 // the same goroutine that executed it, synchronously after fn returns.
 // (Trial latency needs no such contract: it travels on the Trial as
@@ -164,13 +168,13 @@ func TestSinkRunsOnTrialGoroutine(t *testing.T) {
 	err := s.RunRange(context.Background(), func(rate float64, seed uint64) float64 {
 		ran.Store(seed, goroutineID())
 		return rate
-	}, 0, s.Size(), Hooks{Sink: func(tr Trial) {
+	}, 0, s.Size(), func(tr Trial) {
 		sunk.Add(1)
 		want, ok := ran.Load(tr.Seed)
 		if !ok || want.(string) != goroutineID() {
 			mismatches.Add(1)
 		}
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
