@@ -165,7 +165,7 @@ func run(args []string) error {
 		}
 		start := time.Now()
 		var table *harness.Table
-		if storeDir != "" && figures.HasPlan(f.ID) {
+		if storeDir != "" && f.Plan != nil {
 			var err error
 			table, err = runCampaign(ctx, storeDir, f.ID, cfg)
 			if err != nil {

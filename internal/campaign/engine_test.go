@@ -120,7 +120,7 @@ func TestResumeDeterminism(t *testing.T) {
 func TestCampaignMatchesEagerBuild(t *testing.T) {
 	cfg := figures.Config{Quick: true, Seed: 9, Trials: 2}
 	var want bytes.Buffer
-	if err := figures.Fig66(cfg).Render(&want); err != nil {
+	if err := figures.Lookup("6.6")(cfg).Render(&want); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := runAll(t, Spec{Figure: "6.6", Seed: 9, Quick: true, Trials: 2})
@@ -478,15 +478,20 @@ func countedCampaign(t *testing.T, at func(n int64)) (*Campaign, *atomic.Int64) 
 // computed trial: the store holds exactly as many trials as the trial
 // function completed. The first lease's merge is held until the cancel,
 // so the second lease is the table's floor of 16 trials too, and the
-// cancel lands inside it.
+// cancel lands inside it: a trial finishing after the 20th waits for the
+// cancel, so the other trial goroutine cannot finish the lease while the
+// 20th trial's goroutine is descheduled before cancelling.
 func TestCancelMergesPartialLease(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	gate := make(chan struct{})
 	camp, calls := countedCampaign(t, func(n int64) {
-		if n == 20 {
+		switch {
+		case n == 20:
 			cancel()
 			close(gate)
+		case n > 20:
+			<-gate
 		}
 	})
 	st, err := Open(t.TempDir())

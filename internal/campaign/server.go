@@ -14,16 +14,15 @@ import (
 	"robustify/internal/harness"
 )
 
-// NewServer wraps a Manager in the robustd HTTP API:
+// NewServer wraps a Manager in the robustd HTTP API. MountJobs serves the
+// lifecycle routes under /campaigns: submit a Spec, list with progress,
+// status with exact per-cell statistics, cancel (completed trials stay
+// durable) and resume a cancelled, failed or interrupted campaign. Beside
+// them:
 //
-//	POST   /campaigns               submit a Spec (JSON body) -> {"id": ...}
-//	GET    /campaigns               list campaigns with progress
-//	GET    /campaigns/{id}          status with exact per-cell statistics
 //	GET    /campaigns/{id}/status/stream
 //	                                live status as Server-Sent Events (see sseHandler)
 //	GET    /campaigns/{id}/results  materialized table; ?format=text|csv|json
-//	POST   /campaigns/{id}/cancel   stop; completed trials stay durable
-//	POST   /campaigns/{id}/resume   reschedule a cancelled/failed/interrupted campaign
 //	GET    /workloads               custom-sweep workload registry and the
 //	                                selectable fault models with their fm_* knobs
 //	GET    /healthz                 liveness
@@ -41,37 +40,7 @@ import (
 func NewServer(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
-	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
-		body, ok := ReadBody(w, r, MaxSpecBytes, nil)
-		if !ok {
-			return
-		}
-		spec, err := ParseSpec(body)
-		if err != nil {
-			HTTPError(w, http.StatusBadRequest, err)
-			return
-		}
-		id, err := m.Submit(spec)
-		if err != nil {
-			HTTPError(w, http.StatusInternalServerError, err)
-			return
-		}
-		WriteJSON(w, http.StatusAccepted, map[string]string{"id": id})
-	})
-
-	mux.HandleFunc("GET /campaigns", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, m.List())
-	})
-
-	mux.HandleFunc("GET /campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
-		status, err := m.Get(r.PathValue("id"))
-		if err != nil {
-			HTTPError(w, http.StatusNotFound, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, status)
-	})
-
+	MountJobs(mux, "/campaigns", ParseSpec, m.Submit, m.List, m.Get, m.Cancel, m.Resume)
 	mux.HandleFunc("GET /campaigns/{id}/status/stream", sseHandler(m))
 
 	mux.HandleFunc("GET /campaigns/{id}/results", func(w http.ResponseWriter, r *http.Request) {
@@ -96,22 +65,6 @@ func NewServer(m *Manager) http.Handler {
 		default:
 			HTTPError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (want text, csv, or json)", format))
 		}
-	})
-
-	mux.HandleFunc("POST /campaigns/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
-		if err := m.Cancel(r.PathValue("id")); err != nil {
-			HTTPError(w, http.StatusNotFound, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]string{"status": "cancelling"})
-	})
-
-	mux.HandleFunc("POST /campaigns/{id}/resume", func(w http.ResponseWriter, r *http.Request) {
-		if err := m.Resume(r.PathValue("id")); err != nil {
-			HTTPError(w, http.StatusConflict, err)
-			return
-		}
-		WriteJSON(w, http.StatusAccepted, map[string]string{"status": "resuming"})
 	})
 
 	mux.HandleFunc("GET /workloads", func(w http.ResponseWriter, r *http.Request) {
@@ -335,6 +288,66 @@ type workerBody struct {
 }
 
 var workerBodies = make(freeList[workerBody], spareReports)
+
+// MountJobs registers the five lifecycle routes of one job kind under
+// root (robustd mounts campaigns at /campaigns and tune runs at /tune):
+//
+//	POST root                 parse and submit a spec -> 202 {"id": ...}
+//	GET  root                 list -> 200
+//	GET  root/{id}            status -> 200
+//	POST root/{id}/cancel     -> 200 {"status": "cancelling"}
+//	POST root/{id}/resume     -> 202 {"status": "resuming"}
+//
+// Failures answer {"error": ...}: a body over MaxSpecBytes 413 naming the
+// limit, a spec that fails to parse 400, a failed submit 500, an unknown
+// id on status or cancel 404, and a refused resume 409 (an unknown id
+// included).
+func MountJobs[S, L, G any](mux *http.ServeMux, root string,
+	parse func([]byte) (S, error), submit func(S) (string, error),
+	list func() L, get func(string) (G, error), cancel, resume func(string) error) {
+	mux.HandleFunc("POST "+root, func(w http.ResponseWriter, r *http.Request) {
+		body, ok := ReadBody(w, r, MaxSpecBytes, nil)
+		if !ok {
+			return
+		}
+		spec, err := parse(body)
+		if err != nil {
+			HTTPError(w, http.StatusBadRequest, err)
+			return
+		}
+		id, err := submit(spec)
+		if err != nil {
+			HTTPError(w, http.StatusInternalServerError, err)
+			return
+		}
+		WriteJSON(w, http.StatusAccepted, map[string]string{"id": id})
+	})
+	mux.HandleFunc("GET "+root, func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, list())
+	})
+	mux.HandleFunc("GET "+root+"/{id}", func(w http.ResponseWriter, r *http.Request) {
+		status, err := get(r.PathValue("id"))
+		if err != nil {
+			HTTPError(w, http.StatusNotFound, err)
+			return
+		}
+		WriteJSON(w, http.StatusOK, status)
+	})
+	mux.HandleFunc("POST "+root+"/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
+		if err := cancel(r.PathValue("id")); err != nil {
+			HTTPError(w, http.StatusNotFound, err)
+			return
+		}
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "cancelling"})
+	})
+	mux.HandleFunc("POST "+root+"/{id}/resume", func(w http.ResponseWriter, r *http.Request) {
+		if err := resume(r.PathValue("id")); err != nil {
+			HTTPError(w, http.StatusConflict, err)
+			return
+		}
+		WriteJSON(w, http.StatusAccepted, map[string]string{"status": "resuming"})
+	})
+}
 
 // WriteJSON writes an indented JSON response; shared by the campaign
 // and tune HTTP APIs mounted on the same robustd mux.

@@ -454,7 +454,7 @@ func customPlan(spec Spec) (*figures.Plan, error) {
 }
 
 // eigenInstance derives a per-trial symmetric matrix whose dominant
-// eigenvalue is n by construction (mirrors figures.Eigenpairs).
+// eigenvalue is n by construction (mirrors the eigen figure).
 func eigenInstance(seed uint64) (m *linalg.Dense, want float64) {
 	const n = 6
 	detrand.Scoped(int64(seed), func(rng *rand.Rand) {

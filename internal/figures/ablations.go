@@ -13,14 +13,12 @@ import (
 	"robustify/internal/harness"
 )
 
-// FaultModelAblation addresses Ch. 7's open question — how the methodology
+// planFaultModel addresses Ch. 7's open question — how the methodology
 // fares under different fault models — by sweeping the four bit
 // distributions on two workloads at each fault rate: robust sorting
 // (success rate) and robust least-squares-free IIR-style SGD is already
 // covered elsewhere, so the second workload here is the SVM trainer
 // (held-out accuracy).
-func FaultModelAblation(c Config) *harness.Table { return planFaultModel(c).Build() }
-
 func planFaultModel(c Config) *Plan {
 	iters := 10000
 	if c.Quick {
@@ -69,11 +67,9 @@ func planFaultModel(c Config) *Plan {
 	}
 }
 
-// PenaltyAblation measures the ℓ1-vs-quadratic exact penalty design choice
+// planPenalty measures the ℓ1-vs-quadratic exact penalty design choice
 // on the two graph LPs, where the quadratic form's finite-μ bias is
 // structural (it telescopes along shortest-path chains and flow paths).
-func PenaltyAblation(c Config) *harness.Table { return planPenalty(c).Build() }
-
 func planPenalty(c Config) *Plan {
 	iters := 20000
 	if c.Quick {
@@ -129,10 +125,8 @@ func planPenalty(c Config) *Plan {
 	}
 }
 
-// SVMExtension measures the §4.7 SVM workload: robust Pegasos-style
+// planSVM measures the §4.7 SVM workload: robust Pegasos-style
 // training against the mistake-driven perceptron baseline.
-func SVMExtension(c Config) *harness.Table { return planSVM(c).Build() }
-
 func planSVM(c Config) *Plan {
 	iters := 2000
 	if c.Quick {

@@ -11,11 +11,9 @@ import (
 	"robustify/internal/harness"
 )
 
-// GraphLP measures the §4.5/§4.6 transformations the paper describes but
+// planGraphLP measures the §4.5/§4.6 transformations the paper describes but
 // does not plot: max-flow and all-pairs shortest paths as penalized LPs
 // against their conventional baselines, across fault rates.
-func GraphLP(c Config) *harness.Table { return planGraphLP(c).Build() }
-
 func planGraphLP(c Config) *Plan {
 	iters := 20000
 	if c.Quick {
@@ -68,11 +66,9 @@ func planGraphLP(c Config) *Plan {
 	}
 }
 
-// Eigenpairs measures the §4.7 Rayleigh-quotient transformation: absolute
+// planEigen measures the §4.7 Rayleigh-quotient transformation: absolute
 // error of the dominant eigenvalue for robust gradient ascent vs the
 // conventional power iteration, across fault rates.
-func Eigenpairs(c Config) *harness.Table { return planEigen(c).Build() }
-
 func planEigen(c Config) *Plan {
 	n := 6
 	iters := 2000

@@ -2,7 +2,7 @@
 // evaluation (Figs 5.1, 5.2, 6.1–6.7) plus the §6.2.2 momentum and §6.3
 // solver-cost ablations, on the simulated stochastic-FPU substrate.
 //
-// Each constructor returns a harness.Table whose series mirror the paper's
+// Each figure builds a harness.Table whose series mirror the paper's
 // figure legend. Absolute values depend on the substrate; the reproduction
 // targets are the curve shapes: who wins, by roughly what factor, and where
 // the crossovers fall. EXPERIMENTS.md records paper-vs-measured for each.
@@ -61,46 +61,64 @@ func (c Config) Unit(rate float64, seed uint64) *fpu.Unit {
 	return c.FaultModel.Unit(rate, seed)
 }
 
-// Builder constructs one figure.
+// Builder constructs one figure eagerly.
 type Builder func(Config) *harness.Table
 
-// All returns the figure registry in presentation order.
-func All() []struct {
-	ID    string
-	Desc  string
-	Build Builder
-} {
-	return []struct {
-		ID    string
-		Desc  string
-		Build Builder
-	}{
-		{"5.1", "FPU fault bit-position distribution: measured vs emulated", Fig51},
-		{"5.2", "FPU error rate vs supply voltage", Fig52},
-		{"6.1", "Sorting success rate vs fault rate (10k iterations)", Fig61},
-		{"6.2", "Least squares relative error vs fault rate (1k iterations)", Fig62},
-		{"6.3", "IIR error-to-signal ratio vs fault rate (1k iterations)", Fig63},
-		{"6.4", "Bipartite matching success rate vs fault rate (10k iterations)", Fig64},
-		{"6.5", "Matching enhancement ladder vs fault rate", Fig65},
-		{"6.6", "CG-based least squares accuracy vs fault rate", Fig66},
-		{"6.7", "Least squares energy vs accuracy target", Fig67},
-		{"momentum", "§6.2.2 momentum ablation on sorting and matching", MomentumAblation},
-		{"flops", "§6.3 solver cost in FLOPs (least squares 100x10)", SolverFLOPs},
-		{"faultmodel", "Ch.7 ablation: robust sort under different fault models", FaultModelAblation},
-		{"penalty", "design ablation: l1 vs quadratic exact penalty on graph LPs", PenaltyAblation},
-		{"svm", "§4.7 extension: robust SVM training vs perceptron", SVMExtension},
-		{"robustloss", "robust-loss ablation: residual loss vs fault rate on least squares", RobustLossFigure},
-		{"graphlp", "§4.5/§4.6: max-flow and APSP LPs vs conventional baselines", GraphLP},
-		{"eigen", "§4.7 extension: dominant eigenpair vs power iteration", Eigenpairs},
+// Figure is one entry of the registry. A sweep-shaped figure has a Plan:
+// its trial grid, which the campaign engine can execute, persist and
+// resume. The others (5.1, 5.2, 6.7, flops) measure distributions,
+// analytic curves or FLOP counts and have only an eager builder.
+type Figure struct {
+	ID, Desc string
+	Plan     func(Config) *Plan
+	build    Builder
+}
+
+// Build runs the figure: its plan when it has one, its builder otherwise.
+func (f Figure) Build(c Config) *harness.Table {
+	if f.Plan != nil {
+		return f.Plan(c).Build()
 	}
+	return f.build(c)
+}
+
+// All returns the figure registry in presentation order.
+func All() []Figure {
+	return []Figure{
+		{ID: "5.1", Desc: "FPU fault bit-position distribution: measured vs emulated", build: Fig51},
+		{ID: "5.2", Desc: "FPU error rate vs supply voltage", build: Fig52},
+		{ID: "6.1", Desc: "Sorting success rate vs fault rate (10k iterations)", Plan: plan61},
+		{ID: "6.2", Desc: "Least squares relative error vs fault rate (1k iterations)", Plan: plan62},
+		{ID: "6.3", Desc: "IIR error-to-signal ratio vs fault rate (1k iterations)", Plan: plan63},
+		{ID: "6.4", Desc: "Bipartite matching success rate vs fault rate (10k iterations)", Plan: plan64},
+		{ID: "6.5", Desc: "Matching enhancement ladder vs fault rate", Plan: plan65},
+		{ID: "6.6", Desc: "CG-based least squares accuracy vs fault rate", Plan: plan66},
+		{ID: "6.7", Desc: "Least squares energy vs accuracy target", build: Fig67},
+		{ID: "momentum", Desc: "§6.2.2 momentum ablation on sorting and matching", Plan: planMomentum},
+		{ID: "flops", Desc: "§6.3 solver cost in FLOPs (least squares 100x10)", build: SolverFLOPs},
+		{ID: "faultmodel", Desc: "Ch.7 ablation: robust sort under different fault models", Plan: planFaultModel},
+		{ID: "penalty", Desc: "design ablation: l1 vs quadratic exact penalty on graph LPs", Plan: planPenalty},
+		{ID: "svm", Desc: "§4.7 extension: robust SVM training vs perceptron", Plan: planSVM},
+		{ID: "robustloss", Desc: "robust-loss ablation: residual loss vs fault rate on least squares", Plan: planRobustLoss},
+		{ID: "graphlp", Desc: "§4.5/§4.6: max-flow and APSP LPs vs conventional baselines", Plan: planGraphLP},
+		{ID: "eigen", Desc: "§4.7 extension: dominant eigenpair vs power iteration", Plan: planEigen},
+	}
+}
+
+// find returns the registry entry for id, or the zero Figure.
+func find(id string) Figure {
+	for _, f := range All() {
+		if f.ID == id {
+			return f
+		}
+	}
+	return Figure{}
 }
 
 // Lookup returns the builder for a figure id, or nil.
 func Lookup(id string) Builder {
-	for _, f := range All() {
-		if f.ID == id {
-			return f.Build
-		}
+	if f := find(id); f.ID != "" {
+		return f.Build
 	}
 	return nil
 }
@@ -169,10 +187,8 @@ func sortRates(quick bool) []float64 {
 	return []float64{0.001, 0.005, 0.01, 0.02, 0.05, 0.10, 0.25, 0.50}
 }
 
-// Fig61 reproduces Fig 6.1: sorting success rate for the quicksort
+// plan61 reproduces Fig 6.1: sorting success rate for the quicksort
 // baseline and the SGD variants, 5-element arrays, 10 000 iterations.
-func Fig61(c Config) *harness.Table { return plan61(c).Build() }
-
 func plan61(c Config) *Plan {
 	const n = 5
 	iters := 10000
@@ -228,10 +244,8 @@ func lsqRates(quick bool) []float64 {
 	return []float64{1e-4, 1e-3, 5e-3, 0.01, 0.02, 0.05, 0.10}
 }
 
-// Fig62 reproduces Fig 6.2: least squares relative error for the SVD
+// plan62 reproduces Fig 6.2: least squares relative error for the SVD
 // baseline and the SGD variants (A ∈ R^100×10, 1000 iterations).
-func Fig62(c Config) *harness.Table { return plan62(c).Build() }
-
 func plan62(c Config) *Plan {
 	m, n, iters := 100, 10, 1000
 	if c.Quick {
@@ -282,10 +296,8 @@ func plan62(c Config) *Plan {
 	}
 }
 
-// Fig63 reproduces Fig 6.3: IIR error-to-signal ratio for the procedural
+// plan63 reproduces Fig 6.3: IIR error-to-signal ratio for the procedural
 // baseline and SGD variants (10-tap filter, 500 samples, 1000 iterations).
-func Fig63(c Config) *harness.Table { return plan63(c).Build() }
-
 func plan63(c Config) *Plan {
 	taps, samples, iters := 10, 500, 1000
 	if c.Quick {
@@ -340,11 +352,9 @@ func plan63(c Config) *Plan {
 	}
 }
 
-// Fig64 reproduces Fig 6.4: matching success rate for the Hungarian
+// plan64 reproduces Fig 6.4: matching success rate for the Hungarian
 // baseline and the basic SGD variants (11 nodes, 30 edges, 10 000
 // iterations). The basic variants plateau below ~50%.
-func Fig64(c Config) *harness.Table { return plan64(c).Build() }
-
 func plan64(c Config) *Plan {
 	iters := 10000
 	if c.Quick {
@@ -392,9 +402,7 @@ func plan64(c Config) *Plan {
 	}
 }
 
-// Fig65 reproduces Fig 6.5: the enhancement ladder on bipartite matching.
-func Fig65(c Config) *harness.Table { return plan65(c).Build() }
-
+// plan65 reproduces Fig 6.5: the enhancement ladder on bipartite matching.
 func plan65(c Config) *Plan {
 	iters := 10000
 	if c.Quick {
@@ -444,10 +452,8 @@ func plan65(c Config) *Plan {
 	}
 }
 
-// Fig66 reproduces Fig 6.6: least squares accuracy of the three direct
+// plan66 reproduces Fig 6.6: least squares accuracy of the three direct
 // baselines against 10-iteration CG across fault rates.
-func Fig66(c Config) *harness.Table { return plan66(c).Build() }
-
 func plan66(c Config) *Plan {
 	m, n := 100, 10
 	if c.Quick {
@@ -535,10 +541,8 @@ func Fig67(c Config) *harness.Table {
 	}
 }
 
-// MomentumAblation reproduces §6.2.2: momentum 0.5 against plain gradient
+// planMomentum reproduces §6.2.2: momentum 0.5 against plain gradient
 // descent on sorting and matching (LS schedule).
-func MomentumAblation(c Config) *harness.Table { return planMomentum(c).Build() }
-
 func planMomentum(c Config) *Plan {
 	iters := 10000
 	if c.Quick {

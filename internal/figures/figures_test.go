@@ -3,6 +3,7 @@ package figures
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -12,16 +13,24 @@ func TestRegistryComplete(t *testing.T) {
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d figures, want %d", len(all), len(want))
 	}
+	var planned []string
 	for i, id := range want {
-		if all[i].ID != id {
-			t.Errorf("figure %d = %q, want %q", i, all[i].ID, id)
+		f := all[i]
+		if f.ID != id {
+			t.Errorf("figure %d = %q, want %q", i, f.ID, id)
 		}
-		if all[i].Build == nil {
-			t.Errorf("figure %q has no builder", id)
+		if (f.Plan == nil) == (f.build == nil) {
+			t.Errorf("figure %q must have exactly one of a plan and a builder", id)
+		}
+		if f.Plan != nil {
+			planned = append(planned, f.ID)
 		}
 		if Lookup(id) == nil {
 			t.Errorf("Lookup(%q) = nil", id)
 		}
+	}
+	if got := PlanIDs(); !slices.Equal(got, planned) {
+		t.Errorf("PlanIDs = %v, want the figures with a plan %v", got, planned)
 	}
 	if Lookup("nope") != nil {
 		t.Error("Lookup of unknown id should be nil")
@@ -70,7 +79,7 @@ func TestAllFiguresQuick(t *testing.T) {
 // TestFig61Shape checks the headline of Fig 6.1 in quick mode: the robust
 // SQS sort beats the quicksort baseline at the highest fault rate.
 func TestFig61Shape(t *testing.T) {
-	table := Fig61(Config{Quick: true, Seed: 3})
+	table := plan61(Config{Quick: true, Seed: 3}).Build()
 	var base, sqs float64 = -1, -1
 	for _, s := range table.Series {
 		last := s.Points[len(s.Points)-1].Value
@@ -93,7 +102,7 @@ func TestFig61Shape(t *testing.T) {
 // the direct baselines. (At the extreme top rate every solver saturates;
 // the paper's figure does not reach that regime.)
 func TestFig66Shape(t *testing.T) {
-	table := Fig66(Config{Quick: true, Seed: 4})
+	table := plan66(Config{Quick: true, Seed: 4}).Build()
 	var cg, chol float64 = -1, -1
 	for _, s := range table.Series {
 		v := s.Points[len(s.Points)/2].Value

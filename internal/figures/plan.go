@@ -25,7 +25,7 @@ type Unit struct {
 // Plan is the declarative decomposition of a figure into sweep units plus a
 // table skeleton. A Plan exposes the figure's trial grid before any trial
 // has run, so an external engine can execute, persist, and resume it; Build
-// collapses it back to the eager path the Fig constructors use.
+// runs it eagerly, as Figure.Build does.
 type Plan struct {
 	// ID is the figure id ("6.1", "momentum", ...).
 	ID string
@@ -62,50 +62,24 @@ func (p *Plan) Build() *harness.Table {
 	return &t
 }
 
-// planBuilders maps figure ids to plan constructors. Figures absent here
-// (5.1, 5.2, 6.7, flops) are not sweep-shaped — they measure distributions,
-// analytic curves, or FLOP counts — and can only be built eagerly.
-func planBuilders() map[string]func(Config) *Plan {
-	return map[string]func(Config) *Plan{
-		"6.1":        plan61,
-		"6.2":        plan62,
-		"6.3":        plan63,
-		"6.4":        plan64,
-		"6.5":        plan65,
-		"6.6":        plan66,
-		"momentum":   planMomentum,
-		"faultmodel": planFaultModel,
-		"penalty":    planPenalty,
-		"svm":        planSVM,
-		"robustloss": planRobustLoss,
-		"graphlp":    planGraphLP,
-		"eigen":      planEigen,
-	}
-}
-
 // PlanFor returns the sweep plan for a figure id, or nil when the figure is
 // unknown or not sweep-shaped (use Lookup for the eager builder instead).
 func PlanFor(id string, c Config) *Plan {
-	b, ok := planBuilders()[id]
-	if !ok {
-		return nil
+	if plan := find(id).Plan; plan != nil {
+		return plan(c)
 	}
-	return b(c)
+	return nil
 }
 
 // HasPlan reports whether a figure id is sweep-shaped without building
 // its (potentially full-size) plan.
-func HasPlan(id string) bool {
-	_, ok := planBuilders()[id]
-	return ok
-}
+func HasPlan(id string) bool { return find(id).Plan != nil }
 
 // PlanIDs lists the figure ids that expose sweep plans, in registry order.
 func PlanIDs() []string {
-	builders := planBuilders()
 	var ids []string
 	for _, f := range All() {
-		if _, ok := builders[f.ID]; ok {
+		if f.Plan != nil {
 			ids = append(ids, f.ID)
 		}
 	}

@@ -26,35 +26,6 @@ func TestPlanIDsCoverSweepFigures(t *testing.T) {
 	}
 }
 
-// TestPlanBuildMatchesFig pins the plan path to the public constructors:
-// building a figure through its plan must render byte-identically.
-func TestPlanBuildMatchesFig(t *testing.T) {
-	cfg := Config{Quick: true, Seed: 6, Trials: 2}
-	for _, tc := range []struct {
-		id    string
-		build Builder
-	}{
-		{"6.1", Fig61},
-		{"6.6", Fig66},
-		{"svm", SVMExtension},
-	} {
-		plan := PlanFor(tc.id, cfg)
-		if plan == nil {
-			t.Fatalf("no plan for %s", tc.id)
-		}
-		var direct, viaPlan bytes.Buffer
-		if err := tc.build(cfg).Render(&direct); err != nil {
-			t.Fatal(err)
-		}
-		if err := plan.Build().Render(&viaPlan); err != nil {
-			t.Fatal(err)
-		}
-		if direct.String() != viaPlan.String() {
-			t.Errorf("%s: plan build differs from figure build", tc.id)
-		}
-	}
-}
-
 func TestPlanStructure(t *testing.T) {
 	for _, id := range PlanIDs() {
 		plan := PlanFor(id, Config{Quick: true, Seed: 2})
@@ -79,8 +50,8 @@ func TestPlanStructure(t *testing.T) {
 }
 
 func TestConfigWorkersOnlySchedules(t *testing.T) {
-	a := Fig61(Config{Quick: true, Seed: 4, Workers: 1})
-	b := Fig61(Config{Quick: true, Seed: 4, Workers: 3})
+	a := plan61(Config{Quick: true, Seed: 4, Workers: 1}).Build()
+	b := plan61(Config{Quick: true, Seed: 4, Workers: 3}).Build()
 	var ra, rb bytes.Buffer
 	if err := a.Render(&ra); err != nil {
 		t.Fatal(err)

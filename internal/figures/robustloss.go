@@ -10,14 +10,12 @@ import (
 	"robustify/internal/robust"
 )
 
-// RobustLossFigure measures the robust-loss design axis: least-squares SGD
+// planRobustLoss measures the robust-loss design axis: least-squares SGD
 // under FPU faults with the residual loss swept over the internal/robust
 // registry. The quadratic series is the paper's objective (bit-identical to
 // the pre-loss solver); the bounded-influence losses cap the pull of a
 // residual a fault has blown up, which is exactly the failure mode that
 // dominates at high fault rates.
-func RobustLossFigure(c Config) *harness.Table { return planRobustLoss(c).Build() }
-
 func planRobustLoss(c Config) *Plan {
 	iters := 800
 	if c.Quick {

@@ -8,11 +8,16 @@ import (
 )
 
 // collectorCap bounds the number of (rate, seed) keys a Collector holds.
-// Keys are removed by Take as trials complete; the cap only matters if a
-// caller attaches recorders and never takes them (e.g. a workload building
-// throwaway units outside any trial), in which case the map is reset —
-// recorders stay referenced by their live units, they just stop being
-// retrievable, which loses diagnostics but can never leak unboundedly.
+// Keys are removed by Take as trials complete; the cap only matters when
+// nothing takes them (robustbench -telemetry drains once, after the run)
+// or a workload builds throwaway units outside any trial. At the cap the
+// held recorders are folded into per-rate totals and the map is emptied,
+// so DrainByRate still counts every fault while memory stays bounded: one
+// recorder per rate. A trial still running at the fold keeps recording
+// into a recorder the collector no longer holds, and the fold reads that
+// recorder's counters without synchronising with it, so the faults it
+// records after the fold are not counted: at most one trial per trial
+// goroutine for each fold.
 const collectorCap = 16384
 
 // Collector hands out FaultRecorders keyed by (rate, seed) — the identity
@@ -25,8 +30,9 @@ const collectorCap = 16384
 // key's older ones through its next field, and Take merges the chain. A
 // trial that builds one unit thus costs one allocation: its recorder.
 type Collector struct {
-	mu    sync.Mutex
-	byKey map[collectorKey]*FaultRecorder
+	mu     sync.Mutex
+	byKey  map[collectorKey]*FaultRecorder
+	byRate map[float64]*FaultRecorder // totals folded at the cap
 }
 
 type collectorKey struct {
@@ -36,7 +42,10 @@ type collectorKey struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{byKey: make(map[collectorKey]*FaultRecorder)}
+	return &Collector{
+		byKey:  make(map[collectorKey]*FaultRecorder),
+		byRate: make(map[float64]*FaultRecorder),
+	}
 }
 
 // Observer returns a fresh recorder registered under (rate, seed). It is
@@ -46,7 +55,7 @@ func (c *Collector) Observer(rate float64, seed uint64) fpu.Observer {
 	k := collectorKey{rate: math.Float64bits(rate), seed: seed}
 	c.mu.Lock()
 	if len(c.byKey) >= collectorCap {
-		c.byKey = make(map[collectorKey]*FaultRecorder)
+		c.foldLocked()
 	}
 	r.next = c.byKey[k]
 	c.byKey[k] = r
@@ -74,23 +83,30 @@ func (c *Collector) Take(rate float64, seed uint64) *FaultRecorder {
 	return merged
 }
 
-// DrainByRate removes every pending recorder and merges them per trial
-// rate — the aggregate view robustbench's -telemetry report uses after a
-// run, when individual trials no longer matter.
+// DrainByRate removes every pending recorder and returns the faults
+// recorded since the last drain merged per trial rate — the aggregate view
+// robustbench's -telemetry report uses after a run, when individual trials
+// no longer matter.
 func (c *Collector) DrainByRate() map[float64]*FaultRecorder {
 	c.mu.Lock()
-	byKey := c.byKey
-	c.byKey = make(map[collectorKey]*FaultRecorder)
-	c.mu.Unlock()
-	out := make(map[float64]*FaultRecorder)
-	for k, r := range byKey {
-		rate := math.Float64frombits(k.rate)
-		m := out[rate]
-		if m == nil {
-			m = &FaultRecorder{}
-			out[rate] = m
-		}
-		m.mergeChain(r)
-	}
+	defer c.mu.Unlock()
+	c.foldLocked()
+	out := c.byRate
+	c.byRate = make(map[float64]*FaultRecorder)
 	return out
+}
+
+// foldLocked merges every held recorder into its rate's total and empties
+// the map. The caller holds c.mu.
+func (c *Collector) foldLocked() {
+	for k, r := range c.byKey {
+		rate := math.Float64frombits(k.rate)
+		t := c.byRate[rate]
+		if t == nil {
+			t = &FaultRecorder{}
+			c.byRate[rate] = t
+		}
+		t.mergeChain(r)
+	}
+	clear(c.byKey)
 }

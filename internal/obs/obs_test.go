@@ -186,7 +186,8 @@ func TestCollectorAllocs(t *testing.T) {
 }
 
 // TestCollectorCap: every recorder up to collectorCap keys stays
-// retrievable, and recorders never taken stay bounded by collectorCap.
+// retrievable, recorders never taken stay bounded by collectorCap, and
+// those folded at the cap still reach DrainByRate.
 func TestCollectorCap(t *testing.T) {
 	c := NewCollector()
 	for seed := range uint64(collectorCap) {
@@ -196,10 +197,18 @@ func TestCollectorCap(t *testing.T) {
 		t.Fatalf("DrainByRate below the cap = %+v, want all %d recorders", got, collectorCap)
 	}
 	for seed := range uint64(3 * collectorCap) {
-		c.Observer(0.01, seed)
+		c.Observer(0.01, seed).(*FaultRecorder).CompareFault(seed)
+		if held := len(c.byKey); held > collectorCap {
+			t.Fatalf("collector holds %d keys, want at most %d", held, collectorCap)
+		}
 	}
-	if held := len(c.byKey); held == 0 || held > collectorCap {
-		t.Errorf("collector holds %d keys, want 1 to %d", held, collectorCap)
+	if held := len(c.byKey); held == 0 {
+		t.Error("collector holds no keys after the last Observer")
+	}
+	byRate := c.DrainByRate()
+	if got := byRate[0.01]; len(byRate) != 1 || got == nil || got.CompareFaults != 3*collectorCap {
+		t.Errorf("DrainByRate past the cap = %d rates, %+v; want one rate with all %d faults",
+			len(byRate), got, 3*collectorCap)
 	}
 }
 
