@@ -1,16 +1,17 @@
 // Command faultsim explores the stochastic-FPU fault model: per-bit fault
-// histograms, voltage sweeps, and raw corruption traces.
+// histograms and raw corruption traces. The voltage/error-rate grid is
+// figure 5.2 (robustbench -fig 5.2).
 //
 // Usage:
 //
-//	faultsim -mode hist|voltage|trace [-rate R] [-dist emulated|measured|uniform|low]
+//	faultsim -mode hist|trace [-rate R] [-dist emulated|measured|uniform|low]
 //	         [-model M] [-n N] [-seed S]
 //
 // -n is a raw count in every mode: samples drawn in hist mode, ops traced
 // in trace mode. -model selects the trace's fault model (default,
 // stratified, burst, memory — a bare name or a faultmodel JSON spec like
 // {"name":"burst","burst_len":128}); it overrides -dist, which only
-// parameterizes the default model.
+// parameterizes the default model, and is an error in hist mode.
 package main
 
 import (
@@ -33,7 +34,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
 	var (
-		mode  = fs.String("mode", "hist", "hist | voltage | trace")
+		mode  = fs.String("mode", "hist", "hist | trace")
 		rate  = fs.Float64("rate", 0.01, "faults per FLOP for trace mode")
 		dist  = fs.String("dist", "emulated", "bit distribution: emulated | measured | uniform | low")
 		model = fs.String("model", "", "trace fault model: name or JSON spec (see fpu/faultmodel); overrides -dist")
@@ -48,9 +49,10 @@ func run(args []string) error {
 	}
 	switch *mode {
 	case "hist":
+		if *model != "" {
+			return fmt.Errorf("-model applies only to -mode trace")
+		}
 		return hist(pickDist(*dist), *n, *seed)
-	case "voltage":
-		return voltage()
 	case "trace":
 		if *model != "" {
 			spec, err := faultmodel.Parse(*model)
@@ -96,16 +98,6 @@ func hist(d *fpu.BitDistribution, n int, seed uint64) error {
 		if p > 0 || got > 0 {
 			fmt.Printf("%3d   %.4f   %.4f   %s\n", bit, p, got, bar)
 		}
-	}
-	return nil
-}
-
-func voltage() error {
-	m := fpu.DefaultVoltageModel()
-	fmt.Println("voltage  error-rate     power")
-	for step := 0; step <= 24; step++ {
-		v := 1.20 - 0.025*float64(step)
-		fmt.Printf("%6.3fV  %.3e    %.3f\n", v, m.ErrorRate(v), m.Power(v))
 	}
 	return nil
 }

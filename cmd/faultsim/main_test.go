@@ -9,12 +9,23 @@ func TestRunModes(t *testing.T) {
 		{"-mode", "hist", "-dist", "measured", "-n", "1000"},
 		{"-mode", "hist", "-dist", "uniform", "-n", "1000"},
 		{"-mode", "hist", "-dist", "low", "-n", "1000"},
-		{"-mode", "voltage"},
 		{"-mode", "trace", "-rate", "0.2", "-n", "50"},
 		{"-mode", "trace", "-rate", "0.05", "-dist", "measured", "-n", "200"},
+		{"-mode", "trace", "-model", `{"name":"burst","burst_len":32}`, "-rate", "0.02", "-n", "400"},
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("run(%v): %v", args, err)
+		}
+	}
+	// The voltage grid is figure 5.2's, and -model selects a trace's
+	// model only: both are errors, not silently something else.
+	for _, args := range [][]string{
+		{"-mode", "voltage"},
+		{"-model", "burst", "-n", "100"},
+		{"-mode", "hist", "-model", `{"name":"burst","burst_len":32}`, "-n", "100"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run(%v) accepted", args)
 		}
 	}
 }

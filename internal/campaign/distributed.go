@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"robustify/internal/dispatch"
+	"robustify/internal/obs"
 )
 
 // RunDispatched executes the campaign on a robustworker fleet instead of
@@ -16,14 +17,15 @@ import (
 // fleet size, shard interleaving, or how many leases expired and were
 // reassigned along the way. Trials already in the store are never
 // re-dispatched (resume), and cancelling ctx stops dispatching without
-// losing durable work.
+// losing durable work. Like Run, it holds the campaign's telemetry
+// writer while it lasts.
 func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, id string) error {
 	specJSON, err := json.Marshal(e.camp.Spec)
 	if err != nil {
 		return fmt.Errorf("campaign: encode spec for dispatch: %w", err)
 	}
 	units, durable := e.grid()
-	return d.RunJob(ctx, dispatch.Job{
+	job := dispatch.Job{
 		Campaign: id,
 		Spec:     specJSON,
 		Units:    units,
@@ -36,6 +38,11 @@ func (e *Execution) RunDispatched(ctx context.Context, d *dispatch.Coordinator, 
 			return pinned(e.camp.Plan, r.Unit, r.RateIdx, r.TrialIdx, r.Rate, r.Seed)
 		},
 		Sink: e.merge,
+	}
+	// The coordinator writes no line for a remote trial: the writer
+	// carries only the run's mirrored events.
+	return e.hub.WithTelemetry(id, e.st.Dir(), func(*obs.Telemetry) error {
+		return d.RunJob(ctx, job)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -127,11 +128,11 @@ type Execution struct {
 	// the /metrics throughput numbers.
 	trials *atomic.Int64
 
-	// hub, if non-nil, receives diagnostics: trial telemetry lines
-	// (written beside the store, never into it, once per lease) and
-	// trial latency observations. id labels them with the owning
-	// campaign. Both stay nil for bare executions (robustbench local
-	// runs, tests).
+	// hub, if non-nil, receives diagnostics: trial latency observations,
+	// and trial telemetry lines, which each run appends once per lease to
+	// the sidecar writer the hub opens for it beside the store, never
+	// into it. id labels them with the owning campaign. Both stay nil for
+	// bare executions (robustbench local runs, tests).
 	hub *obs.Hub
 	id  string
 }
@@ -193,27 +194,32 @@ const localTTL = time.Hour
 // the running one and the one being merged. Cancelling ctx merges what
 // both leases finished and returns ctx.Err(), or nil when that left
 // every trial durable. A store error ends the run after the lease whose
-// merge failed, and Run returns it.
+// merge failed, and Run returns it. With a hub, the run holds the
+// campaign's telemetry writer while it lasts (obs.Hub.WithTelemetry).
 func (e *Execution) Run(ctx context.Context) error {
-	src := e.local(0)
-	defer src.release()
-	err := dispatch.Consume(ctx, src)
-	select {
-	case <-src.tb.Done(): // also when a cancel came after the last trial
-		return nil
-	default:
-		return err
-	}
+	return e.hub.WithTelemetry(e.id, e.st.Dir(), func(tel *obs.Telemetry) error {
+		src := e.local(0, tel)
+		defer src.release()
+		err := dispatch.Consume(ctx, src)
+		select {
+		case <-src.tb.Done(): // also when a cancel came after the last trial
+			return nil
+		default:
+			return err
+		}
+	})
 }
 
 // local is Run's dispatch.Source: leases come from the table tb, and a
 // lease is delivered as the fleet merges a report (Execution.merge: one
-// store write), then its new trials' telemetry is appended at once and
-// the lease reported done to tb. Sources are reused from run to run with
-// their slots' buffers, as a daemon runs campaign after campaign.
+// store write), then its new trials' lines are appended at once to the
+// run's telemetry writer tel (nil without a hub) and the lease reported
+// done to tb. Sources are reused from run to run with their slots'
+// buffers, as a daemon runs campaign after campaign.
 type local struct {
 	e     *Execution
 	tb    *dispatch.Table
+	tel   *obs.Telemetry
 	label string
 	slots [2]localSlot
 }
@@ -236,11 +242,11 @@ type localSlot struct {
 var spareLocals = make(freeList[local], spareReports)
 
 // local sets up a source for a run of e whose leases hold at least floor
-// trials (0 = the table's default).
-func (e *Execution) local(floor int) *local {
+// trials (0 = the table's default) and whose trial lines go to tel.
+func (e *Execution) local(floor int, tel *obs.Telemetry) *local {
 	units, durable := e.grid()
 	src := spareLocals.get()
-	src.e, src.tb, src.label = e, dispatch.NewTable(units, durable, floor), e.camp.Spec.MetricLabel()
+	src.e, src.tb, src.tel, src.label = e, dispatch.NewTable(units, durable, floor), tel, e.camp.Spec.MetricLabel()
 	for i := range src.slots {
 		if sl := &src.slots[i]; sl.src == nil {
 			sl.src = src
@@ -253,7 +259,7 @@ func (e *Execution) local(floor int) *local {
 // release returns the source for reuse, keeping only its buffers: a run
 // that a failed delivery ended leaves the last lease's trials behind.
 func (src *local) release() {
-	src.e, src.tb = nil, nil
+	src.e, src.tb, src.tel = nil, nil, nil
 	for i := range src.slots {
 		p := &src.slots[i].pend
 		p.Take(p.Take(nil)[:0])
@@ -290,13 +296,18 @@ func (src *local) Deliver(_ context.Context, s int) error {
 	if err != nil {
 		return fmt.Errorf("campaign: record trials: %w", err)
 	}
-	start := sl.lease.Shard.Start
-	e.hub.AppendTrials(e.st.Dir(), len(fresh), func(i int) obs.TrialRecord {
-		r := &fresh[i]
-		d := sl.diag[r.RateIdx*sl.per+r.TrialIdx-start]
-		return obs.TrialRecord{Campaign: e.id, Unit: src.label, Series: r.Series, RateIdx: r.RateIdx, TrialIdx: r.TrialIdx,
-			Rate: r.Rate, Seed: r.Seed, Value: obs.Float(r.Value), DurationMicros: d.dur.Microseconds(), Faults: d.faults}
-	})
+	if src.tel != nil {
+		start := sl.lease.Shard.Start
+		err := src.tel.AppendTrials("trial", len(fresh), func(i int) obs.TrialRecord {
+			r := &fresh[i]
+			d := sl.diag[r.RateIdx*sl.per+r.TrialIdx-start]
+			return obs.TrialRecord{Campaign: e.id, Unit: src.label, Series: r.Series, RateIdx: r.RateIdx, TrialIdx: r.TrialIdx,
+				Rate: r.Rate, Seed: r.Seed, Value: obs.Float(r.Value), DurationMicros: d.dur.Microseconds(), Faults: d.faults}
+		})
+		if err != nil { // telemetry never fails a trial
+			log.Printf("campaign: append trial telemetry: %v", err)
+		}
+	}
 	src.tb.Report(sl.lease.ID, fresh, true, time.Now(), localTTL)
 	return nil
 }

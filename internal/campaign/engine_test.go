@@ -440,7 +440,7 @@ func (w *watchedSource) Deliver(ctx context.Context, s int) error {
 
 // consume runs e's leases through the watched source, as Run does.
 func (w *watchedSource) consume(ctx context.Context, e *Execution) error {
-	w.local = e.local(0)
+	w.local = e.local(0, nil)
 	defer w.local.release()
 	err := dispatch.Consume(ctx, w)
 	w.returned.Store(true)

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -208,36 +209,58 @@ func openSidecars(t *testing.T) int {
 // TestCampaignRunClosesTelemetry: a campaign's run end writes its
 // buffered telemetry and closes its sidecar, so a long-lived daemon holds
 // no open file per finished campaign, and each sidecar holds one line per
-// fresh trial without the hub being closed.
+// fresh trial without the hub being closed. With events mirrored, the
+// terminal event, emitted after the run ended, is appended after the
+// trial lines and leaves no sidecar open either.
 func TestCampaignRunClosesTelemetry(t *testing.T) {
-	before := openSidecars(t)
-	root := t.TempDir()
-	m := newManager(t, root, 1)
-	defer m.Close()
-	hub := obs.NewHub()
-	defer hub.Close()
-	m.SetHub(hub)
-	for i, trials := range []int{5, 17, 40} {
-		id, err := m.Submit(quickSpec(0.05, uint64(i+1), trials))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Wait(id); err != nil {
-			t.Fatal(err)
-		}
-		if st, err := m.Get(id); err != nil || st.State != StateDone {
-			t.Fatalf("campaign %s: %+v, %v; want done", id, st, err)
-		}
-		if n := openSidecars(t); n != before {
-			t.Errorf("after campaign %s: %d telemetry files open, want %d", id, n, before)
-		}
-		b, err := os.ReadFile(filepath.Join(root, id, obs.TelemetryFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := strings.Count(string(b), `"kind":"trial"`); n != trials {
-			t.Errorf("campaign %s: sidecar holds %d trial lines, want %d", id, n, trials)
-		}
+	for _, mirror := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mirror=%v", mirror), func(t *testing.T) {
+			before := openSidecars(t)
+			root := t.TempDir()
+			m := newManager(t, root, 1)
+			defer m.Close()
+			hub := obs.NewHub()
+			defer hub.Close()
+			hub.SetMirrorEvents(mirror)
+			m.SetHub(hub)
+			for i, trials := range []int{5, 17, 40} {
+				id, err := m.Submit(quickSpec(0.05, uint64(i+1), trials))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Wait(id); err != nil {
+					t.Fatal(err)
+				}
+				if st, err := m.Get(id); err != nil || st.State != StateDone {
+					t.Fatalf("campaign %s: %+v, %v; want done", id, st, err)
+				}
+				if n := openSidecars(t); n != before {
+					t.Errorf("after campaign %s: %d telemetry files open, want %d", id, n, before)
+				}
+				b, err := os.ReadFile(filepath.Join(root, id, obs.TelemetryFile))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lastTrial, done := -1, -1
+				for i, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+					switch {
+					case strings.Contains(line, `"kind":"trial"`):
+						lastTrial = i
+					case strings.Contains(line, `"kind":"campaign.done"`):
+						done = i
+					}
+				}
+				if n := strings.Count(string(b), `"kind":"trial"`); n != trials {
+					t.Errorf("campaign %s: sidecar holds %d trial lines, want %d", id, n, trials)
+				}
+				if mirror && done < lastTrial {
+					t.Errorf("campaign %s: campaign.done at line %d, want one after the last trial line (%d)", id, done, lastTrial)
+				}
+				if !mirror && done >= 0 {
+					t.Errorf("campaign %s: an event mirrored with mirroring off", id)
+				}
+			}
+		})
 	}
 }
 

@@ -74,11 +74,11 @@ func TestTrialAllocs(t *testing.T) {
 // floor makes every lease that size, and returns the allocations of one
 // lease and the bytes per trial of all of them. The garbage collector is
 // off while it counts, so no collection lands in the window.
-func leaseAllocs(t *testing.T, e *Execution, runs int) (allocs float64, bytesPerTrial uint64) {
+func leaseAllocs(t *testing.T, e *Execution, tel *obs.Telemetry, runs int) (allocs float64, bytesPerTrial uint64) {
 	t.Helper()
 	const size = dispatch.MaxReport
 	ctx := context.Background()
-	src := e.local(size)
+	src := e.local(size, tel)
 	defer src.release()
 	lease := func() {
 		if !src.Acquire(ctx, 0) || src.slots[0].lease.Shard.Count != size {
@@ -130,7 +130,7 @@ func TestLocalLeaseAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		src := NewExecution(camp, st).local(dispatch.MaxReport)
+		src := NewExecution(camp, st).local(dispatch.MaxReport, nil)
 		defer src.release()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -196,7 +196,12 @@ func TestTrialAllocsWithHub(t *testing.T) {
 	defer faultmodel.SetUnitObserver(prev)
 	e := NewExecution(camp, st)
 	e.hub, e.id = hub, "c0001"
-	got, b := leaseAllocs(t, e, runs)
+	var got float64
+	var b uint64
+	hub.WithTelemetry(e.id, st.Dir(), func(tel *obs.Telemetry) error {
+		got, b = leaseAllocs(t, e, tel, runs)
+		return nil
+	})
 	if want := 31183.0; got != want {
 		t.Errorf("a sort/base lease through the hub-attached consumer: %v allocations, want %v", got, want)
 	}

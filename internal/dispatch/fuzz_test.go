@@ -19,6 +19,7 @@ import (
 //     reaches: an outstanding lease, a handed-back range, or the uncarved
 //     rest of its unit;
 //   - every granted lease holds at least one trial and no durable index;
+//   - a worker's first lease in a unit holds at most the floor;
 //   - Done is closed exactly when every index is durable.
 //
 // At the end a worker that finishes whatever it is leased must drain the
@@ -60,6 +61,7 @@ func FuzzLeaseTable(f *testing.F) {
 		tb := NewTable(units, durable, floor)
 		now := t0
 		var issued []*Lease
+		leased := map[rateKey]bool{} // a lease granted to the worker in the unit
 		acquire := func(worker string) *Lease {
 			le, ok := tb.Acquire(worker, now, ttl)
 			if !ok {
@@ -68,6 +70,12 @@ func FuzzLeaseTable(f *testing.F) {
 			sh := le.Shard
 			if sh.Unit < 0 || sh.Unit >= len(units) || sh.Start < 0 || sh.Count <= 0 || sh.Start+sh.Count > units[sh.Unit].size() {
 				t.Fatalf("lease %+v outside the grid %+v", sh, units)
+			}
+			if k := (rateKey{worker, sh.Unit}); !leased[k] {
+				leased[k] = true
+				if sh.Count > floor {
+					t.Fatalf("%s's first lease in unit %d holds %d trials, more than the floor %d", worker, sh.Unit, sh.Count, floor)
+				}
 			}
 			for i := sh.Start; i < sh.Start+sh.Count; i++ {
 				if model[sh.Unit][i] {

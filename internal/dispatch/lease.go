@@ -33,6 +33,12 @@ func (s span) contains(unit, i int) bool {
 	return unit == s.unit && i >= s.start && i < s.start+s.count
 }
 
+// rateKey names a worker's rate in one unit.
+type rateKey struct {
+	worker string
+	unit   int
+}
+
 // leaseEntry is one outstanding lease.
 type leaseEntry struct {
 	span
@@ -71,8 +77,9 @@ type Table struct {
 	returned []span
 	leases   map[string]*leaseEntry
 	// rates is each worker's trials per second over its last finished
-	// lease in this campaign.
-	rates     map[string]float64
+	// lease in each unit: trial costs differ by unit, so a rate measured
+	// on one never sizes another's leases.
+	rates     map[rateKey]float64
 	nextLease int
 	total     int // grid size
 	nDurable  int
@@ -124,7 +131,7 @@ func NewTable(units []UnitGrid, durable [][]uint64, floor int) *Table {
 		durable: make([][]uint64, len(units)),
 		cursor:  make([]int, len(units)),
 		leases:  make(map[string]*leaseEntry),
-		rates:   make(map[string]float64),
+		rates:   make(map[rateKey]float64),
 		done:    make(chan struct{}),
 	}
 	for u, g := range units {
@@ -149,18 +156,18 @@ func NewTable(units []UnitGrid, durable [][]uint64, floor int) *Table {
 func (t *Table) Done() <-chan struct{} { return t.done }
 
 // Acquire leases work to worker until now+ttl: a run of non-durable
-// indices, up to leaseSizeLocked long, from the lowest handed-back range
-// first (so reassignment is deterministic and front-of-grid first), else
-// carved at the cursor. Either way a lease holds no durable index when it
-// is granted. ok is false when nothing is left to lease.
+// indices, up to leaseSizeLocked long in its unit, from the lowest
+// handed-back range first (so reassignment is deterministic and
+// front-of-grid first), else carved at the cursor. Either way a lease
+// holds no durable index when it is granted. ok is false when nothing is
+// left to lease.
 func (t *Table) Acquire(worker string, now time.Time, ttl time.Duration) (_ Lease, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.expireLocked(now)
-	n := t.leaseSizeLocked(worker, ttl)
-	s, ok := t.takeReturnedLocked(n)
+	s, ok := t.takeReturnedLocked(worker, ttl)
 	if !ok {
-		if s, ok = t.carveLocked(n); !ok {
+		if s, ok = t.carveLocked(worker, ttl); !ok {
 			return Lease{}, false
 		}
 	}
@@ -182,11 +189,11 @@ func (t *Table) Acquire(worker string, now time.Time, ttl time.Duration) (_ Leas
 	return Lease{ID: e.id, Shard: Shard{Unit: s.unit, Start: s.start, Count: s.count}}, true
 }
 
-// leaseSizeLocked is the number of trials to grant worker: the floor
-// until it has finished a lease in this campaign, then its measured rate
-// times the lease slice, clamped to [floor, MaxReport].
-func (t *Table) leaseSizeLocked(worker string, ttl time.Duration) int {
-	rate, ok := t.rates[worker]
+// leaseSizeLocked is the number of trials of unit to grant worker: the
+// floor until it has finished a lease in the unit, then its measured
+// rate there times the lease slice, clamped to [floor, MaxReport].
+func (t *Table) leaseSizeLocked(worker string, unit int, ttl time.Duration) int {
+	rate, ok := t.rates[rateKey{worker, unit}]
 	if !ok {
 		return t.floor
 	}
@@ -194,14 +201,14 @@ func (t *Table) leaseSizeLocked(worker string, ttl time.Duration) int {
 	return int(max(float64(t.floor), min(want, MaxReport)))
 }
 
-// takeReturnedLocked re-leases the first run of the lowest handed-back
-// range and puts the rest of the range back at the front. Ranges that
-// have become wholly durable are dropped.
-func (t *Table) takeReturnedLocked(n int) (span, bool) {
+// takeReturnedLocked re-leases to worker the first run of the lowest
+// handed-back range and puts the rest of the range back at the front.
+// Ranges that have become wholly durable are dropped.
+func (t *Table) takeReturnedLocked(worker string, ttl time.Duration) (span, bool) {
 	for len(t.returned) > 0 {
 		r := t.returned[0]
 		end := r.start + r.count
-		start, stop := t.runLocked(r.unit, r.start, end, n)
+		start, stop := t.runLocked(r.unit, r.start, end, t.leaseSizeLocked(worker, r.unit, ttl))
 		if stop < end {
 			t.returned[0] = span{r.unit, stop, end - stop}
 		} else {
@@ -214,11 +221,12 @@ func (t *Table) takeReturnedLocked(n int) (span, bool) {
 	return span{}, false
 }
 
-// carveLocked cuts a fresh lease, the first run at the carve cursor.
-func (t *Table) carveLocked(n int) (span, bool) {
+// carveLocked cuts worker a fresh lease, the first run at the carve
+// cursor.
+func (t *Table) carveLocked(worker string, ttl time.Duration) (span, bool) {
 	for ; t.unit < len(t.units); t.unit++ {
 		u, size := t.unit, t.units[t.unit].size()
-		start, end := t.runLocked(u, t.cursor[u], size, n)
+		start, end := t.runLocked(u, t.cursor[u], size, t.leaseSizeLocked(worker, u, ttl))
 		t.cursor[u] = end
 		if start < end {
 			return span{u, start, end - start}, true
@@ -258,7 +266,7 @@ func (t *Table) isDurable(u, i int) bool { return t.durable[u][i>>6]&(1<<(i&63))
 // advances the lease: a report that leaves trials missing renews the
 // expiry (an empty one is a pure heartbeat); a report that completes the
 // lease, or carries done, ends it and records the worker's rate over the
-// lease.
+// lease, in the lease's unit.
 // A done lease with trials still missing — dropped by verification, or
 // never run — hands its range back: the worker's claim is checked against
 // the durable record, never trusted. The returned lost tells the
@@ -284,7 +292,7 @@ func (t *Table) Report(leaseID string, results []TrialResult, done bool, now tim
 	if d := now.Sub(e.issued); d > 0 {
 		rate = float64(e.delivered) / d.Seconds()
 	}
-	t.rates[e.worker] = rate
+	t.rates[rateKey{e.worker, e.unit}] = rate
 	if e.missing > 0 {
 		t.handBackLocked(e)
 		t.emit("shard.requeued", fmt.Sprintf("%s unit=%d start=%d missing=%d", e.id, e.unit, e.start, e.missing))

@@ -246,6 +246,28 @@ func TestLeaseSizeFollowsMeasuredRate(t *testing.T) {
 	}
 }
 
+// TestLeaseSizePerUnit: a rate measured in one unit sizes only that
+// unit's leases. The grid is figure 6.6's first two units, a cheap one
+// (QR, ~0.14 ms a trial) then a slow one (SVD, ~9 ms): the worker's
+// first SVD lease is the floor, not the whole unit at the QR rate.
+func TestLeaseSizePerUnit(t *testing.T) {
+	tb := NewTable([]UnitGrid{{Rates: 1, Trials: 200}, {Rates: 7, Trials: 25}}, nil, 16)
+	now := t0
+	lease := func(want Shard, perTrial time.Duration) {
+		t.Helper()
+		le := acquire(tb, "w", now, time.Minute)
+		if le == nil || le.Shard != want {
+			t.Fatalf("lease %+v, want %+v", le, want)
+		}
+		now = now.Add(time.Duration(le.Shard.Count) * perTrial)
+		finish(t, tb, le, []int{200, 25}[want.Unit], now)
+	}
+	lease(Shard{Unit: 0, Start: 0, Count: 16}, 140*time.Microsecond)
+	lease(Shard{Unit: 0, Start: 16, Count: 184}, 140*time.Microsecond) // ~714 a slice
+	lease(Shard{Unit: 1, Start: 0, Count: 16}, 9*time.Millisecond)
+	lease(Shard{Unit: 1, Start: 16, Count: 16}, 9*time.Millisecond) // ~11 a slice: the floor
+}
+
 func TestHeartbeatRenewsLease(t *testing.T) {
 	tb := NewTable([]UnitGrid{{Rates: 1, Trials: 2}}, nil, 2)
 	ttl := time.Minute

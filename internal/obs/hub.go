@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"log"
 	"net/http"
@@ -17,20 +16,21 @@ import (
 const defaultRingSize = 2048
 
 // Hub is the process-wide observability context: the event ring, the
-// fault-recorder collector, trial-latency histograms, and the per-campaign
-// telemetry writers. A nil *Hub is a valid no-op on every method, so
-// instrumented code can call unconditionally.
+// fault-recorder collector, trial-latency histograms, and the telemetry
+// writers of running campaigns. A nil *Hub is a valid no-op on every
+// method, so instrumented code can call unconditionally.
 type Hub struct {
 	events    *Ring
 	collector *Collector
 	trialLat  *HistSet
 
+	// mu also orders mirrored events with the runs' writers: a writer is
+	// registered, unregistered and closed under it, so an event never
+	// lands in a writer its run has closed.
 	mu     sync.Mutex
-	tele   map[string]*Telemetry // open writers, keyed by campaign dir
 	dirs   map[string]string     // campaign id → dir, for event mirroring
-	failed map[string]bool       // dirs whose telemetry failed to open or was dropped (logged once)
+	runs   map[string]*Telemetry // campaign id → the writer of its running run
 	mirror bool
-	closed bool // set by Close: telemetry is never reopened after it
 }
 
 // NewHub returns a hub with an empty ring and collector.
@@ -39,9 +39,8 @@ func NewHub() *Hub {
 		events:    NewRing(defaultRingSize),
 		collector: NewCollector(),
 		trialLat:  NewHistSet(),
-		tele:      make(map[string]*Telemetry),
 		dirs:      make(map[string]string),
-		failed:    make(map[string]bool),
+		runs:      make(map[string]*Telemetry),
 	}
 }
 
@@ -58,26 +57,31 @@ func (h *Hub) SetMirrorEvents(on bool) {
 
 // Emit records one lifecycle event in the ring and, when mirroring is on
 // and the campaign has a registered directory, appends it to that
-// campaign's telemetry.
+// campaign's telemetry: through its running run's writer, after the
+// trial lines appended before it, or, for an idle campaign, by opening
+// the sidecar for the one line and closing it again.
 func (h *Hub) Emit(kind, campaign, detail string) {
 	if h == nil {
 		return
 	}
 	h.events.Emit(kind, campaign, detail)
 	h.mu.Lock()
-	mirror := h.mirror
-	dir := ""
-	if mirror && campaign != "" {
-		dir = h.dirs[campaign]
-	}
-	h.mu.Unlock()
-	if dir == "" {
+	defer h.mu.Unlock()
+	dir := h.dirs[campaign]
+	if !h.mirror || dir == "" {
 		return
 	}
 	rec := map[string]string{"kind": kind, "campaign": campaign, "detail": detail}
-	if err := h.appendTo(dir, func(t *Telemetry) error {
-		return t.Append("event", rec)
-	}); err != nil {
+	var err error
+	if t := h.runs[campaign]; t != nil {
+		err = t.Append("event", rec)
+	} else if t, err = OpenTelemetry(dir); err == nil {
+		err = t.Append("event", rec)
+		if cerr := t.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
 		log.Printf("obs: mirror event: %v", err)
 	}
 }
@@ -99,7 +103,7 @@ func (h *Hub) EventsHandler() http.HandlerFunc {
 }
 
 // RegisterCampaign associates a campaign id with its store directory so
-// per-trial telemetry and mirrored events land beside the right store.
+// its mirrored events land beside the right store.
 func (h *Hub) RegisterCampaign(id, dir string) {
 	if h == nil || id == "" || dir == "" {
 		return
@@ -137,84 +141,36 @@ func (h *Hub) ObserveTrial(label string, d time.Duration) {
 	h.trialLat.Observe(label, d)
 }
 
-// AppendTrials buffers n per-trial telemetry records for the campaign
-// store in dir, rec(i) the i-th, under one timestamp (see Telemetry for
-// when they are written). Failures are logged, not propagated:
-// telemetry must never fail a trial.
-func (h *Hub) AppendTrials(dir string, n int, rec func(int) TrialRecord) {
-	if h == nil || dir == "" || n == 0 {
-		return
-	}
-	if err := h.appendTo(dir, func(t *Telemetry) error {
-		return t.appendTrials("trial", n, rec)
-	}); err != nil {
-		log.Printf("obs: append trial telemetry: %v", err)
-	}
-}
-
-// appendTo runs app on dir's writer, opening it on first use. A writer
-// closed between the lookup and the append (its campaign's run ended
-// meanwhile, as when a report lands after a cancel) is looked up again,
-// which reopens the file, or finds nothing once the hub is closed.
-func (h *Hub) appendTo(dir string, app func(*Telemetry) error) error {
-	for {
-		t := h.telemetry(dir)
-		if t == nil {
-			return nil
-		}
-		if err := app(t); !errors.Is(err, errClosed) {
-			return err
-		}
-	}
-}
-
-// CloseTelemetry writes and closes the telemetry of the campaign store
-// in dir, if open; a campaign calls it when its run ends, so a long-lived
-// daemon holds no file per finished campaign. A later append reopens the
-// file, after this one's lines are written. Failures are logged.
-func (h *Hub) CloseTelemetry(dir string) {
+// WithTelemetry runs fn with the telemetry writer of one run of
+// campaign id, whose store is in dir, and is the one owner of that
+// writer: it opens dir's sidecar (creating it) when the run starts and
+// makes it the writer of the campaign's mirrored events; when fn returns
+// it unregisters the writer, writes its buffered lines and closes the
+// file. On a nil hub, or when the sidecar cannot be opened (logged), fn
+// gets nil: telemetry never fails a run.
+func (h *Hub) WithTelemetry(id, dir string, fn func(*Telemetry) error) error {
 	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := h.tele[dir]
-	if t == nil {
-		return
-	}
-	delete(h.tele, dir)
-	if err := t.Close(); err != nil {
-		log.Printf("obs: close telemetry: %v", err)
-	}
-}
-
-// telemetry returns the open writer for dir, opening it on first use.
-// Open failures are logged once per dir and reported as nil thereafter.
-// After Close it reports nil for every dir: a trial still running past a
-// bounded shutdown has its telemetry dropped (logged once per dir), never
-// written through a reopened file nobody will close.
-func (h *Hub) telemetry(dir string) *Telemetry {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if t := h.tele[dir]; t != nil {
-		return t
-	}
-	if h.failed[dir] {
-		return nil
-	}
-	if h.closed {
-		log.Printf("obs: telemetry for %s dropped: hub closed", dir)
-		h.failed[dir] = true
-		return nil
+		return fn(nil)
 	}
 	t, err := OpenTelemetry(dir)
 	if err != nil {
 		log.Printf("obs: %v", err)
-		h.failed[dir] = true
-		return nil
+		return fn(nil)
 	}
-	h.tele[dir] = t
-	return t
+	h.mu.Lock()
+	h.runs[id] = t
+	h.mu.Unlock()
+	defer func() {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		if h.runs[id] == t {
+			delete(h.runs, id)
+		}
+		if err := t.Close(); err != nil {
+			log.Printf("obs: close telemetry: %v", err)
+		}
+	}()
+	return fn(t)
 }
 
 // WriteMetrics writes the hub's Prometheus metrics (currently the
@@ -240,21 +196,21 @@ func writeEventsJSON(w io.Writer, events []Event) {
 	}
 }
 
-// Close writes and closes every open telemetry writer. Later trial and
-// event appends are dropped.
+// Close writes and closes the writers of runs still registered, such as
+// a run wedged past a bounded shutdown. Such a run's later trial appends
+// fail (logged); a later event is appended as an idle campaign's is.
 func (h *Hub) Close() error {
 	if h == nil {
 		return nil
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.closed = true
 	var first error
-	for dir, t := range h.tele {
+	for id, t := range h.runs {
 		if err := t.Close(); err != nil && first == nil {
 			first = err
 		}
-		delete(h.tele, dir)
+		delete(h.runs, id)
 	}
 	return first
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -335,7 +336,15 @@ func TestHubNilSafe(t *testing.T) {
 	h.SetMirrorEvents(true)
 	h.RegisterCampaign("c", "dir")
 	h.ObserveTrial("lp", time.Second)
-	h.AppendTrials("dir", 1, func(int) TrialRecord { return TrialRecord{} })
+	errRun := errors.New("run")
+	if err := h.WithTelemetry("c", "dir", func(tel *Telemetry) error {
+		if tel != nil {
+			t.Error("nil hub opened a writer")
+		}
+		return errRun
+	}); err != errRun {
+		t.Errorf("nil hub's WithTelemetry returned %v, want the run's error", err)
+	}
 	if h.Observer(0.1, 1) != nil {
 		t.Error("nil hub returned an observer")
 	}

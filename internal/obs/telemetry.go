@@ -166,7 +166,7 @@ func (r *TrialRecord) appendJSON(b []byte, rate *jsonl.FloatMemo) (_ []byte, ok 
 // the envelope.
 func (t *Telemetry) Append(kind string, rec any) error {
 	if tr, ok := rec.(TrialRecord); ok {
-		return t.appendTrials(kind, 1, func(int) TrialRecord { return tr })
+		return t.AppendTrials(kind, 1, func(int) TrialRecord { return tr })
 	}
 	body, err := json.Marshal(rec)
 	if err != nil {
@@ -179,11 +179,12 @@ func (t *Telemetry) Append(kind string, rec any) error {
 	})
 }
 
-// appendTrials buffers n trial lines under one timestamp, rec(i) the
-// record of the i-th. A record that cannot be encoded (a non-finite
+// AppendTrials buffers n trial lines of the given kind under one
+// timestamp, rec(i) the record of the i-th: a run appends a lease's
+// lines at once. A record that cannot be encoded (a non-finite
 // rate, which encoding/json rejects) is left out, with the error
 // encoding/json reports.
-func (t *Telemetry) appendTrials(kind string, n int, rec func(int) TrialRecord) error {
+func (t *Telemetry) AppendTrials(kind string, n int, rec func(int) TrialRecord) error {
 	bad := -1
 	err := t.write(false, n, func(b, ts []byte, i int) []byte {
 		r, line := rec(i), len(b)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -160,26 +161,28 @@ func TestTelemetryLineMatchesJSON(t *testing.T) {
 }
 
 // TestTelemetryAppendAllocs pins a lease's telemetry append, 64 lines
-// with fault summaries, and the trial latency observation: the hub's
-// path allocates nothing, and the public Append only boxes the record
-// into its interface argument.
+// with fault summaries, and the trial latency observation: a run's
+// batch append allocates nothing, and the public Append only boxes the
+// record into its interface argument.
 func TestTelemetryAppendAllocs(t *testing.T) {
-	dir := t.TempDir()
 	h := NewHub()
-	defer h.Close()
-	rec := TrialRecord{Campaign: "c0001", Unit: "sort/base", Series: "base", Rate: 0.05, Seed: 1, Value: 0.5, DurationMicros: 14, Faults: bothMaps}
-	lease := func(int) TrialRecord { return rec }
-	if n := testing.AllocsPerRun(200, func() { h.AppendTrials(dir, 64, lease) }); n != 0 {
-		t.Errorf("Hub.AppendTrials of 64 lines: %v allocations, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { h.ObserveTrial("sort/base", 1500*time.Nanosecond) }); n != 0 {
-		t.Errorf("Hub.ObserveTrial: %v allocations, want 0", n)
-	}
 	tel, err := OpenTelemetry(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tel.Close()
+	rec := TrialRecord{Campaign: "c0001", Unit: "sort/base", Series: "base", Rate: 0.05, Seed: 1, Value: 0.5, DurationMicros: 14, Faults: bothMaps}
+	lease := func(int) TrialRecord { return rec }
+	if n := testing.AllocsPerRun(200, func() {
+		if err := tel.AppendTrials("trial", 64, lease); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Telemetry.AppendTrials of 64 lines: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { h.ObserveTrial("sort/base", 1500*time.Nanosecond) }); n != 0 {
+		t.Errorf("Hub.ObserveTrial: %v allocations, want 0", n)
+	}
 	n := testing.AllocsPerRun(200, func() {
 		if err := tel.Append("trial", rec); err != nil {
 			t.Fatal(err)
@@ -196,15 +199,21 @@ func TestTelemetryAppendAllocs(t *testing.T) {
 // is left out without dropping the rest.
 func TestTelemetryBatchOneStamp(t *testing.T) {
 	dir := t.TempDir()
-	h := NewHub()
+	tel, err := OpenTelemetry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 2 * flushBytes / 100 // lines are ~100 bytes
-	h.AppendTrials(dir, n, func(i int) TrialRecord {
+	err = tel.AppendTrials("trial", n, func(i int) TrialRecord {
 		if i == 7 {
 			return TrialRecord{TrialIdx: i, Rate: math.NaN()}
 		}
 		return TrialRecord{TrialIdx: i, Value: 1}
 	})
-	if err := h.Close(); err != nil {
+	if err == nil {
+		t.Error("a non-finite rate appended without an error")
+	}
+	if err := tel.Close(); err != nil {
 		t.Fatal(err)
 	}
 	lines := sidecarLines(t, dir)
@@ -228,37 +237,56 @@ func TestTelemetryBatchOneStamp(t *testing.T) {
 	}
 }
 
-// appendTrial appends one trial line through the hub.
-func appendTrial(h *Hub, dir string, rec TrialRecord) {
-	h.AppendTrials(dir, 1, func(int) TrialRecord { return rec })
+// appendTrial appends one trial line through a run's writer.
+func appendTrial(t *testing.T, tel *Telemetry, rec TrialRecord) {
+	t.Helper()
+	if err := tel.AppendTrials("trial", 1, func(int) TrialRecord { return rec }); err != nil {
+		t.Error(err)
+	}
 }
 
-// TestHubCloseStopsTelemetry: an append after Close (a trial still
-// running past a bounded shutdown) is dropped, and the closed hub never
-// reopens a writer it would not close again.
+// runWriters is the number of writers h holds for running campaigns.
+func runWriters(h *Hub) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.runs)
+}
+
+// TestHubCloseStopsTelemetry: Close writes and closes the writer of a
+// run still registered (one wedged past a bounded shutdown). The run's
+// later trial appends fail and write nothing, a later event is appended
+// as an idle campaign's is, and no writer is left open.
 func TestHubCloseStopsTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	h := NewHub()
 	h.SetMirrorEvents(true)
 	h.RegisterCampaign("c0001", dir)
-	appendTrial(h, dir, TrialRecord{Value: 1})
+	started, wedged, ran := make(chan struct{}), make(chan struct{}), make(chan error)
+	go func() {
+		ran <- h.WithTelemetry("c0001", dir, func(tel *Telemetry) error {
+			appendTrial(t, tel, TrialRecord{Value: 1})
+			close(started)
+			<-wedged
+			return tel.AppendTrials("trial", 1, func(int) TrialRecord { return TrialRecord{Value: 2} })
+		})
+	}()
+	<-started
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	appendTrial(h, dir, TrialRecord{Value: 2})
-	h.Emit("campaign.cancelled", "c0001", "")
-	b, err := os.ReadFile(filepath.Join(dir, TelemetryFile))
-	if err != nil {
-		t.Fatal(err)
+	if n := len(sidecarLines(t, dir)); n != 1 {
+		t.Errorf("Close wrote %d buffered lines, want 1", n)
 	}
-	if n := strings.Count(string(b), "\n"); n != 1 {
-		t.Errorf("telemetry has %d lines after Close, want the 1 written before:\n%s", n, b)
+	close(wedged)
+	if err := <-ran; err == nil {
+		t.Error("a trial append after Close succeeded")
 	}
-	h.mu.Lock()
-	open := len(h.tele)
-	h.mu.Unlock()
-	if open != 0 {
-		t.Errorf("%d telemetry writers open after Close", open)
+	h.Emit("campaign.interrupted", "c0001", "")
+	if lines := sidecarLines(t, dir); len(lines) != 2 || trialIdx(t, lines[1]) != -1 {
+		t.Errorf("telemetry after Close = %q, want the trial line written before it and the event", lines)
+	}
+	if n := runWriters(h); n != 0 {
+		t.Errorf("%d telemetry writers open after Close", n)
 	}
 }
 
@@ -383,74 +411,106 @@ func TestTelemetryFlushesAtThreshold(t *testing.T) {
 	t.Fatalf("%d appends wrote nothing", flushBytes)
 }
 
-// TestHubCloseTelemetry: a campaign's run end writes its buffered lines
-// and closes its writer; a later append reopens the file, and a writer
-// reopened that way reuses a returned line buffer instead of growing one.
+// TestHubCloseTelemetry: a run's writer is registered while the run
+// lasts, and its end writes the buffered lines and closes the writer;
+// the next run of the campaign reuses a returned line buffer instead of
+// growing one. A sidecar that cannot be opened leaves the run without a
+// writer, never failed.
 func TestHubCloseTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	h := NewHub()
 	defer h.Close()
-	appendTrial(h, dir, TrialRecord{TrialIdx: 1})
-	appendTrial(h, dir, TrialRecord{TrialIdx: 2})
-	if lines := sidecarLines(t, dir); len(lines) != 0 {
-		t.Errorf("%d lines written before the run ended", len(lines))
+	errRun := errors.New("the run's own error")
+	err := h.WithTelemetry("c0001", dir, func(tel *Telemetry) error {
+		appendTrial(t, tel, TrialRecord{TrialIdx: 1})
+		appendTrial(t, tel, TrialRecord{TrialIdx: 2})
+		if lines := sidecarLines(t, dir); len(lines) != 0 {
+			t.Errorf("%d lines written before the run ended", len(lines))
+		}
+		if n := runWriters(h); n != 1 {
+			t.Errorf("%d writers registered during the run, want 1", n)
+		}
+		return errRun
+	})
+	if err != errRun {
+		t.Errorf("WithTelemetry returned %v, want the run's error", err)
 	}
-	h.CloseTelemetry(dir)
 	if lines := sidecarLines(t, dir); len(lines) != 2 {
 		t.Errorf("%d lines written at the run's end, want 2", len(lines))
 	}
-	open := func() int {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return len(h.tele)
-	}
-	if n := open(); n != 0 {
-		t.Errorf("%d writers open after CloseTelemetry", n)
+	if n := runWriters(h); n != 0 {
+		t.Errorf("%d writers open after the run ended", n)
 	}
 
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range runs {
-		appendTrial(h, dir, TrialRecord{TrialIdx: 3 + i})
-		h.CloseTelemetry(dir)
+		h.WithTelemetry("c0001", dir, func(tel *Telemetry) error {
+			appendTrial(t, tel, TrialRecord{TrialIdx: 3 + i})
+			return nil
+		})
 	}
 	runtime.ReadMemStats(&after)
 	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b >= flushBytes {
-		t.Errorf("reopening a campaign's telemetry allocates %d bytes, want less than a %d-byte buffer", b, flushBytes)
+		t.Errorf("a run's telemetry allocates %d bytes, want less than a %d-byte buffer", b, flushBytes)
 	}
 	if lines := sidecarLines(t, dir); len(lines) != 2+runs {
-		t.Errorf("%d lines after the reopened runs, want %d", len(lines), 2+runs)
+		t.Errorf("%d lines after the later runs, want %d", len(lines), 2+runs)
+	}
+
+	called := false
+	h.WithTelemetry("c0002", filepath.Join(dir, "missing"), func(tel *Telemetry) error {
+		called = true
+		if tel != nil {
+			t.Error("a run got a writer for a sidecar that cannot be opened")
+		}
+		return nil
+	})
+	if !called {
+		t.Error("a run whose sidecar cannot be opened did not run")
 	}
 }
 
-// TestTelemetryConcurrentAppends: trial lines and mirrored events
-// appended from several goroutines at once, while the campaign's run
-// ends and its writer reopens under them, all reach the file whole, and
-// each goroutine's trial lines keep their order.
+// TestTelemetryConcurrentAppends: trial lines appended from several
+// goroutines of a run at once, and mirrored events emitted among them
+// and by another goroutine while runs of the campaign start and end, all
+// reach the file whole; each goroutine's trial lines keep their order.
 func TestTelemetryConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	h := NewHub()
 	h.SetMirrorEvents(true)
 	h.RegisterCampaign("c0001", dir)
-	const goroutines, each = 4, 500
-	var wg sync.WaitGroup
-	for g := range goroutines {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range each {
-				appendTrial(h, dir, TrialRecord{RateIdx: g, TrialIdx: i, Value: 1})
-				switch i % 100 {
-				case 0:
-					h.Emit("campaign.running", "c0001", "")
-				case 50:
-					h.CloseTelemetry(dir)
-				}
+	const runs, goroutines, each, outside = 3, 4, 500, 200
+	var emitter sync.WaitGroup
+	emitter.Add(1)
+	go func() {
+		defer emitter.Done()
+		for range outside {
+			h.Emit("lease.acquired", "c0001", "")
+			runtime.Gosched()
+		}
+	}()
+	for run := range runs {
+		h.WithTelemetry("c0001", dir, func(tel *Telemetry) error {
+			var wg sync.WaitGroup
+			for g := range goroutines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range each {
+						appendTrial(t, tel, TrialRecord{RateIdx: g, TrialIdx: run*each + i, Value: 1})
+						if i%100 == 0 {
+							h.Emit("campaign.running", "c0001", "")
+						}
+					}
+				}()
 			}
-		}()
+			wg.Wait()
+			return nil
+		})
 	}
-	wg.Wait()
+	emitter.Wait()
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -474,11 +534,11 @@ func TestTelemetryConcurrentAppends(t *testing.T) {
 		next[env.Rec.RateIdx]++
 	}
 	for g, n := range next {
-		if n != each {
-			t.Errorf("goroutine %d: %d trial lines, want %d", g, n, each)
+		if n != runs*each {
+			t.Errorf("goroutine %d: %d trial lines, want %d", g, n, runs*each)
 		}
 	}
-	if want := goroutines * each / 100; events != want {
+	if want := runs*goroutines*each/100 + outside; events != want {
 		t.Errorf("%d event lines, want %d", events, want)
 	}
 }
