@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"robustify/internal/fpu/faultmodel"
 )
 
 func TestRunList(t *testing.T) {
@@ -90,6 +95,56 @@ func TestRunOutFallsBackForUnplannedFigure(t *testing.T) {
 	// 5.2 is not sweep-shaped; -out must fall back to the eager build.
 	if err := run([]string{"-fig", "5.2", "-quick", "-out", t.TempDir()}); err != nil {
 		t.Fatalf("non-sweep figure with -out: %v", err)
+	}
+}
+
+// TestRunTelemetryReport: the -telemetry fault report depends neither on
+// -workers nor on whether the run writes a store. Four runs of -fig 6.1
+// -quick, at 1 and 4 workers, each without a store and with -out, must
+// write byte-identical reports that count faults at every rate. The run
+// has 24 (rate, seed) keys, far below the collector's cap, so no
+// recorder is folded into its rate's total.
+func TestRunTelemetryReport(t *testing.T) {
+	prev := faultmodel.SetUnitObserver(nil)
+	t.Cleanup(func() { faultmodel.SetUnitObserver(prev) })
+	dir := t.TempDir()
+	var want []byte
+	for i, extra := range [][]string{
+		{"-workers", "1"},
+		{"-workers", "4"},
+		{"-workers", "1", "-out", filepath.Join(dir, "store1")},
+		{"-workers", "4", "-out", filepath.Join(dir, "store4")},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("report%d.json", i))
+		if err := run(append([]string{"-fig", "6.1", "-quick", "-telemetry", path}, extra...)); err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if !bytes.Equal(got, want) {
+				t.Errorf("%v: report differs from -workers 1 without a store:\n--- want ---\n%s--- got ---\n%s", extra, want, got)
+			}
+			continue
+		}
+		want = got
+		var report []struct {
+			Rate   float64
+			Faults struct{ Total uint64 }
+		}
+		if err := json.Unmarshal(got, &report); err != nil {
+			t.Fatal(err)
+		}
+		if len(report) == 0 {
+			t.Fatalf("empty report:\n%s", got)
+		}
+		for _, r := range report {
+			if r.Faults.Total == 0 {
+				t.Errorf("rate %g: no faults counted", r.Rate)
+			}
+		}
 	}
 }
 

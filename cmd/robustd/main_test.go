@@ -2,18 +2,24 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"robustify/internal/campaign"
+	"robustify/internal/dispatch"
+	"robustify/internal/harness"
 )
 
 // TestMain doubles the test binary as the daemon itself: with
@@ -139,23 +145,50 @@ func submitSpec(t *testing.T, base, spec string) string {
 	return out["id"]
 }
 
-// waitProgress polls until at least n trials are durable, failing if the
-// campaign terminates first (there would be nothing left to interrupt).
-func waitProgress(t *testing.T, base, id string, n int) {
+// reportTrials is a robustworker that stops part way: it leases from the
+// daemon at base and executes and reports exactly k trials, each finished
+// lease as done, then returns holding the lease it stopped in. Exactly k
+// trials are then durable, and the rest of that lease waits out its TTL:
+// the point at which the test kills the daemon.
+func reportTrials(t *testing.T, base string, k int) {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st := getStatus(t, base, id)
-		if st.Progress.Done >= n {
-			return
+	ctx := context.Background()
+	cl := dispatch.NewClient(base, "partial")
+	if err := cl.Register(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < k; {
+		lr, err := cl.Lease(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.State == "done" || st.State == "failed" || st.State == "cancelled" {
-			t.Fatalf("campaign %s reached %s before the kill", id, st.State)
+		if lr == nil { // nothing dispatched yet
+			time.Sleep(time.Millisecond)
+			continue
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign %s never reached %d trials", id, n)
+		spec, err := campaign.ParseSpec(lr.Spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		camp, err := campaign.Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := lr.Shard
+		sh.Count = min(sh.Count, k-n)
+		var results []dispatch.TrialResult
+		if err := camp.RunShard(ctx, sh, 1, func(tr harness.Trial) {
+			results = append(results, dispatch.TrialResult{
+				Unit: sh.Unit, RateIdx: tr.RateIdx, TrialIdx: tr.TrialIdx,
+				Rate: tr.Rate, Seed: tr.Seed, Value: tr.Value,
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Report(ctx, lr.Campaign, lr.Lease, results, sh.Count == lr.Shard.Count); err != nil {
+			t.Fatal(err)
+		}
+		n += len(results)
 	}
 }
 
@@ -435,21 +468,23 @@ func TestTuneEndToEnd(t *testing.T) {
 // TestKillRestartRecovery is the restart-durability acceptance test: a
 // robustd process is SIGKILLed (no shutdown path runs) mid-campaign, a
 // new daemon on the same data dir must list the campaign as interrupted
-// with accurate progress, serve its partial results in all three formats,
+// with exact progress, serve its partial results in all three formats,
 // and resume it to a table byte-identical to an uninterrupted run. A
 // second kill then checks that -autoresume finishes orphaned work with no
-// operator involvement.
+// operator involvement. Each killed daemon dispatches to one worker
+// (-workers-expected 1) that reports exactly k trials and holds the lease
+// on the rest, so the kill lands at a chosen trial; each restarted daemon
+// has no fleet and resumes in-process.
 func TestKillRestartRecovery(t *testing.T) {
 	data := t.TempDir()
-	// 24 slow-ish trials on one worker: enough runway that the kill always
-	// lands mid-run, small enough to finish three full runs in the test.
-	spec := `{"custom":{"workload":"sort/robust","rates":[0.05,0.1,0.2],"iters":3000},"trials":8,"seed":77,"workers":1}`
-	const total = 24
+	spec := `{"custom":{"workload":"sort/robust","rates":[0.05,0.1,0.2],"iters":3000},"trials":2,"seed":77}`
+	const total, k = 6, 2
 
-	// Boot 1: submit, let a few trials land, then die like a crash.
-	cmd1, base1 := startDaemon(t, data)
+	// Boot 1: submit, let the worker make k trials durable, then die
+	// like a crash.
+	cmd1, base1 := startDaemon(t, data, "-workers-expected", "1")
 	id := submitSpec(t, base1, spec)
-	waitProgress(t, base1, id, 2)
+	reportTrials(t, base1, k)
 	sigkillDaemon(t, cmd1)
 
 	// Boot 2: plain restart. The campaign must be recovered as interrupted
@@ -459,8 +494,8 @@ func TestKillRestartRecovery(t *testing.T) {
 	if st.State != "interrupted" {
 		t.Fatalf("state after restart = %s, want interrupted", st.State)
 	}
-	if st.Progress.Done < 2 || st.Progress.Done >= total || st.Progress.Total != total {
-		t.Fatalf("recovered progress = %+v, want 2 <= done < %d", st.Progress, total)
+	if st.Progress.Done != k || st.Progress.Total != total {
+		t.Fatalf("recovered progress = %+v, want %d of %d", st.Progress, k, total)
 	}
 	var list []statusJSON
 	resp, err := http.Get(base2 + "/campaigns")
@@ -508,17 +543,23 @@ func TestKillRestartRecovery(t *testing.T) {
 		t.Errorf("kill+resume CSV differs from uninterrupted run")
 	}
 
-	// Kill boot 2 mid-campaign as well, then let -autoresume finish the
-	// orphan without any resume call.
-	third := submitSpec(t, base2, spec)
-	waitProgress(t, base2, third, 2)
+	// Kill a dispatching daemon mid-campaign as well, then let a plain
+	// -autoresume boot finish the orphan without any resume call. Boot 2
+	// is idle; killing it only frees the data root.
 	sigkillDaemon(t, cmd2)
-	_, base3 := startDaemon(t, data, "-autoresume")
-	waitDone(t, base3, third)
-	if want := fetchResults(t, base3, fresh, ""); fetchResults(t, base3, third, "") != want {
+	cmd3, base3 := startDaemon(t, data, "-workers-expected", "1")
+	third := submitSpec(t, base3, spec)
+	reportTrials(t, base3, k)
+	sigkillDaemon(t, cmd3)
+	if lines := countLines(t, filepath.Join(data, third, "trials.jsonl")); lines != k {
+		t.Fatalf("killed campaign %s left %d durable trials, want %d", third, lines, k)
+	}
+	_, base4 := startDaemon(t, data, "-autoresume")
+	waitDone(t, base4, third)
+	if want := fetchResults(t, base4, fresh, ""); fetchResults(t, base4, third, "") != want {
 		t.Error("auto-resumed results differ from uninterrupted run")
 	}
-	resp, err = http.Get(base3 + "/campaigns")
+	resp, err = http.Get(base4 + "/campaigns")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,4 +577,14 @@ func TestKillRestartRecovery(t *testing.T) {
 			t.Errorf("campaign %s = %s after autoresume boot, want done", s.ID, s.State)
 		}
 	}
+}
+
+// countLines returns the number of lines in the file at path.
+func countLines(t *testing.T, path string) int {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(b, []byte("\n"))
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -16,61 +17,95 @@ import (
 	"robustify/internal/obs"
 )
 
-// execShard runs a lease's shard the way cmd/robustworker does: compile
-// the spec and hand the shard to Campaign.RunShard, keeping the results
-// of every trial it executes.
-func execShard(t *testing.T, lr *dispatch.LeaseResponse) []dispatch.TrialResult {
-	t.Helper()
+// execShard runs the first n trials of a lease's shard the way
+// cmd/robustworker does: compile the spec and hand the shard to
+// Campaign.RunShard, keeping the results of every trial it executes.
+func execShard(lr *dispatch.LeaseResponse, n int) ([]dispatch.TrialResult, error) {
 	spec, err := ParseSpec(lr.Spec)
 	if err != nil {
-		t.Fatalf("worker: parse spec: %v", err)
+		return nil, fmt.Errorf("parse spec: %w", err)
 	}
 	camp, err := Compile(spec)
 	if err != nil {
-		t.Fatalf("worker: compile: %v", err)
+		return nil, fmt.Errorf("compile: %w", err)
 	}
+	sh := lr.Shard
+	sh.Count = n
 	var out []dispatch.TrialResult
-	err = camp.RunShard(context.Background(), lr.Shard, 1, func(tr harness.Trial) {
+	err = camp.RunShard(context.Background(), sh, 1, func(tr harness.Trial) {
 		out = append(out, dispatch.TrialResult{
 			Unit: lr.Shard.Unit, RateIdx: tr.RateIdx, TrialIdx: tr.TrialIdx,
 			Rate: tr.Rate, Seed: tr.Seed, Value: tr.Value,
 		})
 	})
 	if err != nil {
-		t.Fatalf("worker: run shard: %v", err)
+		return nil, fmt.Errorf("run shard: %w", err)
 	}
-	return out
+	return out, nil
 }
 
-// liveWorker pulls leases over real HTTP until stop closes, executing
-// and reporting every shard it gets.
-func liveWorker(t *testing.T, base string, stop <-chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
+// liveWorker leases, executes and reports shards over real HTTP the way
+// cmd/robustworker does, until stop closes. With k > 0 it stops part way
+// instead: it reports exactly k trials, each finished lease as done, and
+// returns holding the lease it stopped in. Exactly k trials are then
+// durable, and the rest of that lease waits out its TTL: the point at
+// which a kill/resume test interrupts the campaign.
+func liveWorker(base string, k int, stop <-chan struct{}) error {
 	ctx := context.Background()
 	cl := dispatch.NewClient(base, "live")
 	if err := cl.Register(ctx); err != nil {
-		t.Errorf("worker register: %v", err)
-		return
+		return err
 	}
-	for {
+	for n := 0; k <= 0 || n < k; {
 		select {
 		case <-stop:
-			return
+			return nil
 		default:
 		}
 		lr, err := cl.Lease(ctx)
 		if err != nil {
-			t.Errorf("worker lease: %v", err)
-			return
+			return err
 		}
-		if lr == nil {
-			time.Sleep(2 * time.Millisecond)
+		if lr == nil { // nothing dispatched yet
+			time.Sleep(time.Millisecond)
 			continue
 		}
-		if _, err := cl.Report(ctx, lr.Campaign, lr.Lease, execShard(t, lr), true); err != nil {
-			t.Errorf("worker report: %v", err)
-			return
+		count := lr.Shard.Count
+		if k > 0 {
+			count = min(count, k-n)
 		}
+		results, err := execShard(lr, count)
+		if err != nil {
+			return err
+		}
+		if _, err := cl.Report(ctx, lr.Campaign, lr.Lease, results, count == lr.Shard.Count); err != nil {
+			return err
+		}
+		n += count
+	}
+	return nil
+}
+
+// startWorker runs liveWorker in the background until the returned stop
+// is called.
+func startWorker(t *testing.T, base string) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := liveWorker(base, 0, done); err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}()
+	return func() { close(done); wg.Wait() }
+}
+
+// reportTrials runs liveWorker until exactly k trials are durable.
+func reportTrials(t *testing.T, base string, k int) {
+	t.Helper()
+	if err := liveWorker(base, k, nil); err != nil {
+		t.Fatalf("worker: %v", err)
 	}
 }
 
@@ -144,15 +179,11 @@ func TestDistributedCampaignByteIdentical(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go liveWorker(t, ts.URL, stop, &wg)
+	stop := startWorker(t, ts.URL)
 	if err := m.Wait(id); err != nil {
 		t.Fatalf("distributed campaign failed: %v", err)
 	}
-	close(stop)
-	wg.Wait()
+	stop()
 	st, err := m.Get(id)
 	if err != nil {
 		t.Fatal(err)
@@ -240,26 +271,7 @@ func TestDispatchedResumeAfterCoordinatorRestart(t *testing.T) {
 	// One worker delivers exactly four trials — its whole first lease
 	// (ShardSize trials), then the front of its second, rate-sized one —
 	// and the daemon dies with that second lease outstanding.
-	cl := dispatch.NewClient(ts1.URL, "half")
-	if err := cl.Register(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < 4; {
-		lr, err := cl.Lease(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lr == nil {
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		all := execShard(t, lr)
-		results := all[:min(len(all), 4-n)]
-		if _, err := cl.Report(context.Background(), lr.Campaign, lr.Lease, results, len(results) == len(all)); err != nil {
-			t.Fatal(err)
-		}
-		n += len(results)
-	}
+	reportTrials(t, ts1.URL, 4)
 	ts1.Close()
 	m1.Close() // campaign becomes interrupted, 4 trials durable
 
@@ -281,15 +293,11 @@ func TestDispatchedResumeAfterCoordinatorRestart(t *testing.T) {
 	if err := m2.Resume(id); err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go liveWorker(t, ts2.URL, stop, &wg)
+	stop := startWorker(t, ts2.URL)
 	if err := m2.Wait(id); err != nil {
 		t.Fatal(err)
 	}
-	close(stop)
-	wg.Wait()
+	stop()
 	gotText, _ := renderTable(t, m2, id)
 
 	local, err := NewManager(t.TempDir(), 2)

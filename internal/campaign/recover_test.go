@@ -3,13 +3,14 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"robustify/internal/job"
+	"robustify/internal/dispatch"
 )
 
 // seedCampaignDir fabricates a campaign directory as a dead daemon would
@@ -387,45 +388,30 @@ func TestCancelInterrupted(t *testing.T) {
 // TestCloseLeavesRunningInterrupted: a graceful shutdown (Manager.Close,
 // the SIGTERM path) is a daemon wind-down, not an operator cancel — the
 // in-flight campaign must persist as interrupted so the next boot (and
-// -autoresume) finishes it, exactly as after a crash.
+// -autoresume) finishes it, exactly as after a crash. The run is
+// dispatched so that the test chooses what is durable when it closes:
+// a worker reports one of the three trials and holds the lease on the
+// rest. The next boot has no dispatcher, so the resume runs in-process.
 func TestCloseLeavesRunningInterrupted(t *testing.T) {
 	root := t.TempDir()
 	m1 := newManager(t, root, 1)
-	// 36 trials: more than the first two leases, 16 each (the table's
-	// floor), so progress shows while a lease still has trials to run.
-	spec := Spec{
-		Custom: &CustomSweep{Workload: "sort/robust", Rates: []float64{0.05, 0.1, 0.2}, Iters: 2000},
-		Trials: 12, Seed: 13, Workers: 1,
-	}
-	id, err := m1.Submit(spec)
+	m1.SetDispatcher(dispatch.New(dispatch.Options{LeaseTTL: time.Minute}))
+	ts := httptest.NewServer(NewServer(m1))
+	defer ts.Close()
+	id, err := m1.Submit(quickSpec(0.1, 13, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st, err := m1.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Progress.Done > 0 || job.Terminal(st.State) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("campaign never made progress")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	const k = 1
+	reportTrials(t, ts.URL, k)
 	m1.Close()
 
 	meta, ok, err := readMeta(filepath.Join(root, id))
 	if err != nil || !ok {
 		t.Fatalf("meta after close: ok=%v err=%v", ok, err)
 	}
-	if meta.State == StateDone {
-		t.Skipf("campaign finished before close; nothing was interrupted")
-	}
-	if meta.State != StateInterrupted {
-		t.Fatalf("meta state after graceful close = %s, want %s", meta.State, StateInterrupted)
+	if meta.State != StateInterrupted || meta.Done != k {
+		t.Fatalf("meta after graceful close = %s with %d done, want %s with %d", meta.State, meta.Done, StateInterrupted, k)
 	}
 
 	m2 := newManager(t, root, 1)

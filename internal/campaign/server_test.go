@@ -147,16 +147,16 @@ func TestServerConcurrentCampaigns(t *testing.T) {
 	}
 }
 
-// TestServerCancelResume cancels a campaign mid-run, checks the completed
-// trials survived, resumes it over HTTP, and pins the final text to an
-// uninterrupted in-process run of the same spec. Twenty trials per rate
-// keep the run long enough for the cancel to land: at four, most runs
-// finished first and the test skipped.
+// TestServerCancelResume cancels a campaign over HTTP once a worker has
+// made exactly k of its six trials durable (it holds the lease on the
+// rest), checks they survived, resumes it in-process over HTTP, and pins
+// the final text to an uninterrupted in-process run of the same spec.
 func TestServerCancelResume(t *testing.T) {
-	srv, _ := newTestServer(t, 2)
+	srv, m := newTestServer(t, 2)
+	m.SetDispatcher(dispatch.New(dispatch.Options{LeaseTTL: time.Minute}))
 	spec := Spec{
 		Custom: &CustomSweep{Workload: "sort/robust", Rates: []float64{0.05, 0.1, 0.2}, Iters: 2000},
-		Trials: 20, Seed: 31,
+		Trials: 2, Seed: 31,
 	}
 	wantText, _ := runAll(t, spec)
 
@@ -165,36 +165,16 @@ func TestServerCancelResume(t *testing.T) {
 	doJSON(t, "POST", srv.URL+"/campaigns", string(body), http.StatusAccepted, &resp)
 	id := resp["id"]
 
-	// Cancel as soon as some progress is visible (the run may be brief).
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var st Status
-		doJSON(t, "GET", srv.URL+"/campaigns/"+id, "", http.StatusOK, &st)
-		if st.Progress.Done > 0 || job.Terminal(st.State) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("campaign never made progress")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	const k = 3
+	reportTrials(t, srv.URL, k)
 	doJSON(t, "POST", srv.URL+"/campaigns/"+id+"/cancel", "", http.StatusOK, nil)
+	if err := m.Wait(id); err != nil {
+		t.Fatal(err)
+	}
 	var st Status
-	for {
-		doJSON(t, "GET", srv.URL+"/campaigns/"+id, "", http.StatusOK, &st)
-		if job.Terminal(st.State) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign stuck in %s after cancel", st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st.State == StateDone || st.Progress.Done >= st.Progress.Total {
-		t.Skipf("campaign finished before cancel landed (%+v); nothing to resume", st.Progress)
-	}
-	if st.State != StateCancelled {
-		t.Fatalf("state after cancel = %s (err=%q)", st.State, st.Error)
+	doJSON(t, "GET", srv.URL+"/campaigns/"+id, "", http.StatusOK, &st)
+	if st.State != StateCancelled || st.Progress.Done != k {
+		t.Fatalf("after cancel = %s %+v (err=%q), want cancelled with %d done", st.State, st.Progress, st.Error, k)
 	}
 
 	// Mid-run results must be servable.
@@ -208,6 +188,7 @@ func TestServerCancelResume(t *testing.T) {
 		t.Errorf("mid-run results = %d", r.StatusCode)
 	}
 
+	m.SetDispatcher(nil) // the resume runs in-process
 	doJSON(t, "POST", srv.URL+"/campaigns/"+id+"/resume", "", http.StatusAccepted, nil)
 	final := waitState(t, srv.URL, id, StateDone)
 	if final.Progress.Done != final.Progress.Total {

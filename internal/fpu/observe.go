@@ -37,16 +37,6 @@ type Observer interface {
 	IterationMark()
 }
 
-// WithObserver attaches a fault observer to the unit. A nil observer is
-// ignored.
-func WithObserver(o Observer) Option {
-	return func(u *Unit) {
-		if o != nil {
-			u.obs = o
-		}
-	}
-}
-
 // SetObserver attaches (or, with nil, detaches) a fault observer after
 // construction. The observer is purely passive — see Observer — so this is
 // safe at any point between kernel calls.

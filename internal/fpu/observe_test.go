@@ -49,8 +49,9 @@ func TestObserverStreamScalarMatchesBatched(t *testing.T) {
 	for _, rate := range []float64{0.003, 0.02} {
 		for seed := uint64(1); seed <= 5; seed++ {
 			scalarObs, batchObs := &streamObserver{}, &streamObserver{}
-			us := New(WithFaultRate(rate, seed), WithObserver(scalarObs))
-			ub := New(WithFaultRate(rate, seed), WithObserver(batchObs))
+			us, ub := New(WithFaultRate(rate, seed)), New(WithFaultRate(rate, seed))
+			us.SetObserver(scalarObs)
+			ub.SetObserver(batchObs)
 
 			// Pair kernel (mul+add per element) and solo kernel (add per
 			// element), back to back so flop ordinals accumulate across
@@ -96,7 +97,8 @@ func TestObserverIsPassive(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 8; seed++ {
 		plain := New(WithFaultRate(0.01, seed))
-		tapped := New(WithFaultRate(0.01, seed), WithObserver(&streamObserver{}))
+		tapped := New(WithFaultRate(0.01, seed))
+		tapped.SetObserver(&streamObserver{})
 		pv := plain.Dot(a, b)
 		tv := tapped.Dot(a, b)
 		if pv != tv {
@@ -113,7 +115,8 @@ func TestObserverIsPassive(t *testing.T) {
 // unit tolerates both accessors.
 func TestObserverSetDetach(t *testing.T) {
 	o := &streamObserver{}
-	u := New(WithFaultRate(0.5, 3), WithObserver(o))
+	u := New(WithFaultRate(0.5, 3))
+	u.SetObserver(o)
 	if u.Observer() != o {
 		t.Fatal("Observer() did not return the attached observer")
 	}

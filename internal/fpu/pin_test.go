@@ -22,7 +22,9 @@ func TestDefaultModelOpStreamPinned(t *testing.T) {
 // observer must see exactly the pinned number of injected faults.
 func TestDefaultModelOpStreamPinnedWithObserver(t *testing.T) {
 	rec := &streamObserver{}
-	checkPinnedOpStream(t, New(WithFaultRate(0.02, 99), WithObserver(rec)), rec)
+	u := New(WithFaultRate(0.02, 99))
+	u.SetObserver(rec)
+	checkPinnedOpStream(t, u, rec)
 }
 
 func checkPinnedOpStream(t *testing.T, u *Unit, rec *streamObserver) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"robustify/internal/dispatch"
 	"robustify/internal/fpu/faultmodel"
 	"robustify/internal/harness"
+	"robustify/internal/job"
 	"robustify/internal/obs"
 )
 
@@ -107,54 +109,56 @@ func TestTuneDeterministicTrace(t *testing.T) {
 	}
 }
 
-// TestTuneResumeByteIdentical interrupts a search mid-flight (graceful
+// dispatchedManagers opens a campaign manager over dir whose campaigns
+// run on a worker fleet served at the returned URL, and a tune manager
+// over it; the caller closes all three.
+func dispatchedManagers(t *testing.T, dir string) (*campaign.Manager, *Manager, *httptest.Server) {
+	t.Helper()
+	cm, err := campaign.NewManager(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm.SetDispatcher(dispatch.New(dispatch.Options{LeaseTTL: time.Minute}))
+	ts := httptest.NewServer(campaign.NewServer(cm))
+	tm, err := NewManager(filepath.Join(dir, "tunes"), cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cm, tm, ts
+}
+
+// TestTuneResumeByteIdentical interrupts a search mid-rung (graceful
 // daemon-style wind-down), restarts fresh managers over the same data
 // root, resumes, and requires the final trace byte-identical to an
-// uninterrupted run in a separate root.
+// uninterrupted run in a separate root. The interrupted search's
+// evaluations run on a worker that reports exactly k trials: two whole
+// two-trial evaluations and one trial of a third, whose lease it holds.
+// The restarted managers have no dispatcher, so the rest runs in-process.
 func TestTuneResumeByteIdentical(t *testing.T) {
 	spec := Spec{
-		Workload: "lp/apsp", // ~ms per trial: wide window to interrupt
+		Workload: "lp/apsp",
 		Rates:    []float64{0.01},
 		Trials:   2,
 		Seed:     4,
-		Knobs:    []string{"mu"},
+		Knobs:    []string{"mu"}, // six candidates in the first rung
 		Rounds:   1,
 	}
 	want := runTune(t, t.TempDir(), spec)
 
 	dir := t.TempDir()
-	cm, err := campaign.NewManager(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm, err := NewManager(filepath.Join(dir, "tunes"), cm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cm, tm, ts := dispatchedManagers(t, dir)
 	id, err := tm.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the search get some evaluations in, then wind down mid-run.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := tm.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.EvalsCompleted >= 2 || st.State == StateDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("search never progressed")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	const k = 5
+	reportTrials(t, ts.URL, k)
 	tm.Interrupt()
 	cm.Close()
 	if !tm.Shutdown(30 * time.Second) {
 		t.Fatal("tune shutdown timed out")
 	}
+	ts.Close()
 
 	// Restart: recover both registries, autoresume, finish.
 	cm2, err := campaign.NewManager(dir, 2)
@@ -167,16 +171,18 @@ func TestTuneResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tm2.Close()
-	st, err := tm2.Get(id)
-	if err != nil {
-		t.Fatal(err)
+	if st, err := tm2.Get(id); err != nil || st.State != StateInterrupted {
+		t.Fatalf("recovered state = %s (err=%v), want %s", st.State, err, StateInterrupted)
 	}
-	if st.State == StateInterrupted {
-		if ids := tm2.ResumeInterrupted(); len(ids) != 1 || ids[0] != id {
-			t.Fatalf("autoresume resumed %v, want [%s]", ids, id)
-		}
-	} else if st.State != StateDone {
-		t.Fatalf("recovered state = %s", st.State)
+	durable := 0
+	for _, s := range cm2.List() {
+		durable += s.Progress.Done
+	}
+	if durable != k {
+		t.Fatalf("recovered evaluations hold %d durable trials, want %d", durable, k)
+	}
+	if ids := tm2.ResumeInterrupted(); len(ids) != 1 || ids[0] != id {
+		t.Fatalf("autoresume resumed %v, want [%s]", ids, id)
 	}
 	if err := tm2.Wait(id); err != nil {
 		t.Fatal(err)
@@ -189,26 +195,20 @@ func TestTuneResumeByteIdentical(t *testing.T) {
 
 // TestTuneCancelPreemptsRung: Cancel must stop the search where it
 // stands — not sit out the rest of the current successive-halving rung —
-// and must cancel the evaluation campaigns underneath. With slow trials
-// no evaluation can have finished between submission and cancel, so any
-// completed evaluation afterwards means the cancel waited out work.
+// and must cancel the evaluation campaigns underneath. The evaluations
+// run on a worker that reports one trial and holds the lease on the
+// other, so no evaluation can finish: a cancel that waited out the rung
+// would never end the search, and every evaluation campaign must end
+// cancelled with that one trial durable among them.
 func TestTuneCancelPreemptsRung(t *testing.T) {
-	dir := t.TempDir()
-	cm, err := campaign.NewManager(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cm, tm, ts := dispatchedManagers(t, t.TempDir())
 	defer cm.Close()
-	tm, err := NewManager(filepath.Join(dir, "tunes"), cm)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer tm.Close()
+	defer ts.Close()
 	spec := Spec{
 		Workload: "lp/apsp",
 		Rates:    []float64{0.01},
-		Iters:    20000, // ~50ms per trial: nothing completes before the cancel lands
-		Trials:   4,
+		Trials:   2,
 		Seed:     8,
 		Knobs:    []string{"mu"},
 		Rounds:   1,
@@ -217,24 +217,12 @@ func TestTuneCancelPreemptsRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := tm.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.EvalsSubmitted >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("search never submitted an evaluation")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	const k = 1
+	reportTrials(t, ts.URL, k)
 	if err := tm.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
-	tm.Wait(id)
+	awaitExit(t, tm.Lookup, id)
 	st, err := tm.Get(id)
 	if err != nil {
 		t.Fatal(err)
@@ -245,48 +233,114 @@ func TestTuneCancelPreemptsRung(t *testing.T) {
 	if st.EvalsCompleted != 0 {
 		t.Errorf("cancel waited out %d evaluations of the rung", st.EvalsCompleted)
 	}
-	// The evaluation campaigns underneath must be winding down too, not
-	// silently running the rung to completion.
+	durable := 0
 	for _, s := range cm.List() {
-		if s.State == campaign.StateRunning || s.State == campaign.StateQueued {
-			if err := cm.Wait(s.ID); err != nil {
-				t.Fatal(err)
-			}
-			got, err := cm.Get(s.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.State == campaign.StateDone {
-				t.Errorf("evaluation campaign %s ran to completion after tune cancel", s.ID)
-			}
+		awaitExit(t, cm.Lookup, s.ID)
+		got, err := cm.Get(s.ID)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got.State != campaign.StateCancelled {
+			t.Errorf("evaluation campaign %s = %s after tune cancel, want cancelled", s.ID, got.State)
+		}
+		durable += got.Progress.Done
+	}
+	if durable != k {
+		t.Errorf("evaluation campaigns hold %d durable trials, want %d", durable, k)
 	}
 }
 
-// execShard runs a lease's shard the way cmd/robustworker does: compile
-// the spec and hand the shard to Campaign.RunShard, keeping the results
-// of every trial it executes.
-func execShard(t *testing.T, lr *dispatch.LeaseResponse) []dispatch.TrialResult {
+// awaitExit waits for the current attempt of job id to exit. What it
+// waits for is a cancel winding down, not work, so an attempt still
+// running after ten seconds never got the cancel: the test fails instead
+// of hanging.
+func awaitExit(t *testing.T, lookup func(string) (*job.Job, error), id string) {
 	t.Helper()
+	j, err := lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s still running 10s after the cancel", id)
+	}
+}
+
+// execShard runs the first n trials of a lease's shard the way
+// cmd/robustworker does: compile the spec and hand the shard to
+// Campaign.RunShard, keeping the results of every trial it executes.
+func execShard(lr *dispatch.LeaseResponse, n int) ([]dispatch.TrialResult, error) {
 	spec, err := campaign.ParseSpec(lr.Spec)
 	if err != nil {
-		t.Fatalf("worker: parse spec: %v", err)
+		return nil, fmt.Errorf("parse spec: %w", err)
 	}
 	camp, err := campaign.Compile(spec)
 	if err != nil {
-		t.Fatalf("worker: compile: %v", err)
+		return nil, fmt.Errorf("compile: %w", err)
 	}
+	sh := lr.Shard
+	sh.Count = n
 	var out []dispatch.TrialResult
-	err = camp.RunShard(context.Background(), lr.Shard, 1, func(tr harness.Trial) {
+	err = camp.RunShard(context.Background(), sh, 1, func(tr harness.Trial) {
 		out = append(out, dispatch.TrialResult{
 			Unit: lr.Shard.Unit, RateIdx: tr.RateIdx, TrialIdx: tr.TrialIdx,
 			Rate: tr.Rate, Seed: tr.Seed, Value: tr.Value,
 		})
 	})
 	if err != nil {
-		t.Fatalf("worker: run shard: %v", err)
+		return nil, fmt.Errorf("run shard: %w", err)
 	}
-	return out
+	return out, nil
+}
+
+// liveWorker leases, executes and reports shards over real HTTP the way
+// cmd/robustworker does, until stop closes. With k > 0 it stops part way
+// instead: it reports exactly k trials, each finished lease as done, and
+// returns holding the lease it stopped in. Exactly k trials are then
+// durable, and the rest of that lease waits out its TTL.
+func liveWorker(base string, k int, stop <-chan struct{}) error {
+	ctx := context.Background()
+	cl := dispatch.NewClient(base, "tune-worker")
+	if err := cl.Register(ctx); err != nil {
+		return err
+	}
+	for n := 0; k <= 0 || n < k; {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		lr, err := cl.Lease(ctx)
+		if err != nil {
+			return err
+		}
+		if lr == nil { // nothing dispatched yet
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		count := lr.Shard.Count
+		if k > 0 {
+			count = min(count, k-n)
+		}
+		results, err := execShard(lr, count)
+		if err != nil {
+			return err
+		}
+		if _, err := cl.Report(ctx, lr.Campaign, lr.Lease, results, count == lr.Shard.Count); err != nil {
+			return err
+		}
+		n += count
+	}
+	return nil
+}
+
+// reportTrials runs liveWorker until exactly k trials are durable.
+func reportTrials(t *testing.T, base string, k int) {
+	t.Helper()
+	if err := liveWorker(base, k, nil); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
 }
 
 // TestTuneDistributedMatchesInProcess: the same tune spec driven
@@ -312,31 +366,8 @@ func TestTuneDistributedMatchesInProcess(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ctx := context.Background()
-		cl := dispatch.NewClient(ts.URL, "tune-worker")
-		if err := cl.Register(ctx); err != nil {
-			t.Errorf("worker register: %v", err)
-			return
-		}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			lr, err := cl.Lease(ctx)
-			if err != nil {
-				t.Errorf("worker lease: %v", err)
-				return
-			}
-			if lr == nil {
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			if _, err := cl.Report(ctx, lr.Campaign, lr.Lease, execShard(t, lr), true); err != nil {
-				t.Errorf("worker report: %v", err)
-				return
-			}
+		if err := liveWorker(ts.URL, 0, stop); err != nil {
+			t.Errorf("worker: %v", err)
 		}
 	}()
 	defer func() { close(stop); wg.Wait() }()
